@@ -30,9 +30,7 @@ or the explicit config layer it wraps::
 
 This module re-exports the blessed public surface (everything in
 ``__all__``); anything else is an internal layer whose import path may
-change between releases.  A handful of previously-exported internals
-remain importable through deprecation shims (see ``_DEPRECATED``) and
-warn on access.
+change between releases.
 """
 
 from repro.api import Experiment
@@ -42,7 +40,7 @@ from repro.experiments import (
     RunResult,
     run_digest,
     run_experiment,
-    sweep,
+    run_many,
 )
 from repro.faults import FaultSpec, parse_faults
 from repro.net import FatTree, LeafSpine
@@ -67,7 +65,7 @@ __all__ = [
     "RunReport",
     "run_experiment",
     "run_digest",
-    "sweep",
+    "run_many",
     "run_supervised",
     "SweepReport",
     "SupervisorPolicy",
@@ -85,33 +83,3 @@ __all__ = [
     "FatTree",
     "__version__",
 ]
-
-#: Former top-level exports, kept importable for one release.
-#: Maps name -> (canonical module, note for the warning text).
-_DEPRECATED = {
-    "SystemConfig": ("repro.experiments", ""),
-    "WorkloadConfig": ("repro.experiments", ""),
-    "FlowInfo": ("repro.core", ""),
-    "MarkingComponent": ("repro.core", ""),
-    "MarkingDiscipline": ("repro.core", ""),
-    "OrderingComponent": ("repro.core", ""),
-    "VertigoSwitchParams": ("repro.forwarding", ""),
-}
-
-
-def __getattr__(name: str):
-    """Deprecation shims for names dropped from the blessed surface."""
-    if name in _DEPRECATED:
-        import importlib
-        import warnings
-        module_path, note = _DEPRECATED[name]
-        warnings.warn(
-            f"importing {name!r} from 'repro' is deprecated; "
-            f"import it from {module_path!r} instead.{note}",
-            DeprecationWarning, stacklevel=2)
-        return getattr(importlib.import_module(module_path), name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted([*__all__, *_DEPRECATED])

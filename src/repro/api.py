@@ -98,7 +98,7 @@ class Experiment:
         return self
 
     def transport(self, name: str, **overrides) -> "Experiment":
-        """Select the transport (``dctcp``, ``reno``/``tcp``, ``swift``).
+        """Select the transport (``dctcp``, ``reno``, ``swift``, ``dcqcn``).
 
         Keyword overrides patch the resulting
         :class:`~repro.transport.base.TransportConfig` via

@@ -10,13 +10,10 @@ Subcommands::
         --workload background:load=0.2 --warmup 10ms --cooldown 10ms
     python -m repro sweep --systems ecmp,drill,dibs,vertigo --seeds 3
     python -m repro lint  src
-    python -m repro perf  --quick
     python -m repro trace-view out.jsonl --validate --chrome out.json
 
-A bare legacy invocation (flags with no subcommand, e.g.
-``python -m repro --system vertigo``) maps to ``run``.  All knobs
-default to the scaled bench profile (DESIGN.md); pass ``--paper-scale``
-for the full 320-server configuration (slow!).
+All knobs default to the scaled bench profile (DESIGN.md); pass
+``--paper-scale`` for the full 320-server configuration (slow!).
 """
 
 from __future__ import annotations
@@ -32,9 +29,9 @@ from repro.experiments.config import (
     ExperimentConfig,
     WorkloadConfig,
 )
-from repro.experiments.parallel import resolve_jobs
+from repro.experiments.parallel import resolve_jobs, run_many
 from repro.experiments.runner import run_experiment
-from repro.experiments.sweeps import format_table, sweep
+from repro.experiments.sweeps import format_table
 from repro.faults import parse_faults
 from repro.faults.spec import parse_time_ns
 from repro.workload.spec import parse_workloads
@@ -45,10 +42,10 @@ from repro.runtime import SupervisorPolicy, run_supervised
 from repro.sim.units import MILLISECOND
 from repro.trace.tracer import TRACE_LEVELS, TraceConfig
 
-SUBCOMMANDS = ("run", "sweep", "lint", "perf", "trace-view")
+SUBCOMMANDS = ("run", "sweep", "lint", "trace-view")
 
 _EPILOG = (
-    "subcommands: run (default) | sweep | lint | perf | trace-view; "
+    "subcommands: run | sweep | lint | trace-view; "
     "run `python -m repro <subcommand> --help` for each."
 )
 
@@ -56,13 +53,10 @@ _EPILOG = (
 def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     """The experiment knobs shared by ``run`` and ``sweep``."""
     parser.add_argument("--transport",
-                        choices=["reno", "tcp", "dctcp", "swift", "dcqcn"],
+                        choices=["reno", "dctcp", "swift", "dcqcn"],
                         default="dctcp",
-                        help="transport; 'tcp' is an alias for 'reno' "
-                             "(both select the Reno sender; rows and "
-                             "digests keep the name you passed); 'dcqcn' "
-                             "is the rate-based lossless-fabric control "
-                             "(pair with --pfc)")
+                        help="transport; 'dcqcn' is the rate-based "
+                             "lossless-fabric control (pair with --pfc)")
     parser.add_argument("--bg-load", type=float, default=0.5,
                         help="background load fraction (default 0.5)")
     parser.add_argument("--incast-load", type=float, default=0.25,
@@ -163,7 +157,7 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``run`` parser (also the bare legacy invocation)."""
+    """The ``run`` parser."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Vertigo (CoNEXT 2021) reproduction: run one "
@@ -312,7 +306,7 @@ def _cmd_run(argv: List[str]) -> int:
         else:
             results = [run_experiment(configs[0])]
     else:
-        results = sweep(configs, jobs=jobs)
+        results = run_many(configs, jobs=jobs)
     rows = []
     for config, result in zip(configs, results):
         row = result.report().row()
@@ -486,13 +480,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         if command == "lint":
             from repro.analysis.lint import main as lint_main
             return lint_main(rest)
-        if command == "perf":
-            from repro.perf import main as perf_main
-            return perf_main(rest)
         if command == "trace-view":
             return _cmd_trace_view(rest)
-    # Bare legacy invocation: flags only, no subcommand -> `run`.
-    return _cmd_run(argv)
+    print(f"repro: error: expected a subcommand ({' | '.join(SUBCOMMANDS)}); "
+          f"try `python -m repro run --help`", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,7 +21,7 @@ from repro.experiments.digest import config_digest, run_digest, sweep_digest
 from repro.experiments.parallel import resolve_jobs, run_many
 from repro.experiments.report import RunReport
 from repro.experiments.runner import RunResult, run_experiment
-from repro.experiments.sweeps import format_table, load_sweep, sweep
+from repro.experiments.sweeps import format_table
 
 __all__ = [
     "ExperimentConfig",
@@ -36,7 +36,5 @@ __all__ = [
     "sweep_digest",
     "run_many",
     "resolve_jobs",
-    "sweep",
-    "load_sweep",
     "format_table",
 ]

@@ -1,41 +1,30 @@
-"""Process-parallel sweep execution (``repro.perf`` tentpole).
+"""Ordered sweep execution: ``run_many`` and job-count resolution.
 
 Every sweep point is an independent, fully seeded simulation, so a sweep
-is embarrassingly parallel: this module fans :class:`ExperimentConfig`
-instances out to a :class:`~concurrent.futures.ProcessPoolExecutor` and
-collects :class:`~repro.experiments.runner.RunResult` objects back **in
-submission order**, making parallel execution bit-identical to serial
-execution (the serial-vs-parallel determinism-digest integration test
-enforces this).
+is embarrassingly parallel.  :func:`run_many` returns one
+:class:`~repro.experiments.runner.RunResult` per config **in submission
+order**, with digests byte-identical whichever way it executed (the
+serial-vs-parallel digest integration tests enforce this):
 
-Concurrency is controlled by the ``jobs`` argument, the ``REPRO_JOBS``
-environment variable, or ``--jobs`` on the CLIs that expose it:
-
-- ``jobs == 1`` (the default) runs serially in-process — no pool, no
-  pickling, live ``network``/``engine`` objects on the results;
-- ``jobs > 1`` uses that many worker processes; results come back as
-  portable copies (``RunResult.portable()``) without the live network;
+- ``jobs == 1`` (the default) is the in-process reference: a plain loop,
+  no pool, no pickling, live ``network``/``engine`` on the results;
+- ``jobs > 1`` is the *strict policy* of the one sweep executor,
+  :class:`repro.runtime.SweepSupervisor` — no retries, no journal, no
+  deadline — and raises if any point did not complete; results come back
+  as portable copies (``RunResult.portable()``) without the live network;
 - ``jobs <= 0`` means "one worker per CPU".
 
-The runtime sanitizer state (``REPRO_SANITIZE`` / ``sanitize.scoped``)
-is propagated into workers by a pool initializer, so invariant checking
-covers parallel runs exactly as it covers serial ones.
+Concurrency comes from the ``jobs`` argument, the ``REPRO_JOBS``
+environment variable, or ``--jobs`` on the CLIs that expose it.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
-from repro.analysis import sanitize as _sanitize
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import RunResult, run_experiment
-
-#: Per-worker-process state installed by the pool initializer before any
-#: task runs (the canonical stdlib pattern for shipping one-time settings
-#: to workers).  Never mutated after initialization within a worker.
-_worker_state: Dict[str, bool] = {}  # noqa: VR004 - worker-process init state
 
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
@@ -58,50 +47,29 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def _worker_init(sanitize_on: bool) -> None:
-    """Install the parent's sanitizer state in a fresh worker process.
-
-    Also exports ``REPRO_SANITIZE`` so any process this worker itself
-    spawns (and any module imported later that consults the environment)
-    observes the same setting regardless of the pool start method.
-    """
-    _worker_state["sanitize"] = sanitize_on
-    os.environ["REPRO_SANITIZE"] = "1" if sanitize_on else "0"
-    _sanitize.set_enabled(sanitize_on)
-
-
-def _run_portable(config: ExperimentConfig) -> RunResult:
-    """Worker task: run one experiment, return a picklable result."""
-    if _worker_state.get("sanitize") and not _sanitize.enabled():
-        # Defensive: a previous task left the sanitizer toggled off
-        # (e.g. via an unbalanced scoped()); restore the pool setting.
-        _sanitize.set_enabled(True)
-    return run_experiment(config).portable()
-
-
 def run_many(configs: Iterable[ExperimentConfig],
              jobs: Optional[int] = None) -> List[RunResult]:
     """Run every config, serially or across processes; ordered results.
 
-    The returned list is ordered exactly as ``configs``; each result's
-    determinism digest is byte-identical whichever path executed it.
+    Raises ``RuntimeError`` naming the first point that did not complete
+    (each point is attempted exactly once), and ``KeyboardInterrupt`` if
+    the sweep was interrupted — in both cases after the workers are
+    reaped.
     """
     configs = list(configs)
     jobs = resolve_jobs(jobs)
     if jobs == 1 or len(configs) <= 1:
         return [run_experiment(config) for config in configs]
-    workers = min(jobs, len(configs))
-    pool = ProcessPoolExecutor(
-        max_workers=workers, initializer=_worker_init,
-        initargs=(_sanitize.enabled(),))
-    try:
-        results = list(pool.map(_run_portable, configs))
-    except BaseException:
-        # KeyboardInterrupt (or any abort) must not orphan the workers:
-        # drop the queued tasks and return without blocking on them.  A
-        # plain `with` block would call shutdown(wait=True) here and hang
-        # until every in-flight run finished.
-        pool.shutdown(wait=False, cancel_futures=True)
-        raise
-    pool.shutdown(wait=True)
-    return results
+    # Imported here: repro.runtime itself imports this module.
+    from repro.runtime import SupervisorPolicy, run_supervised
+
+    report = run_supervised(configs, jobs=jobs,
+                            policy=SupervisorPolicy(max_retries=0))
+    if report.interrupted:
+        raise KeyboardInterrupt
+    if not report.ok:
+        first = report.failures()[0]
+        raise RuntimeError(
+            f"sweep point {first.index} {first.status} after "
+            f"{first.attempts} attempt(s): {first.error}")
+    return report.results

@@ -7,7 +7,7 @@
 from __future__ import annotations
 
 import itertools
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Dict, Optional
@@ -505,6 +505,11 @@ def _write_world_checkpoint(world: LiveRun, path: str,
                      sim_now_ns=world.engine.now,
                      events_executed=world.engine.events_executed)
     world.checkpoints_written += 1
+    _write_world_progress(world, path)
+
+
+def _write_world_progress(world: LiveRun, path: str) -> None:
+    """Refresh the progress sidecar (watchdog stall probe, manifests)."""
     write_progress(path, sim_now_ns=world.engine.now,
                    events_executed=world.engine.events_executed,
                    sim_time_ns=world.config.sim_time_ns)
@@ -524,39 +529,26 @@ def _run_epochs(world: LiveRun, profiler: PhaseProfiler,
     """
     engine = world.engine
     end = world.config.sim_time_ns
-    checkpoint = world.config.checkpoint
-    tracer = world.tracer
+    # Checkpointing off: one epoch spanning the whole horizon, i.e. a
+    # single engine.run() call (and a single engine.span when traced).
+    every = world.config.checkpoint.every_ns \
+        if managed_path is not None else None
+    tracing = _trace_hooks.activated(world.tracer) \
+        if world.tracer is not None else nullcontext()
 
-    if checkpoint is None or managed_path is None:
-        # Legacy single-call path: byte-identical scheduling AND an
-        # identical trace stream (one engine.span per run).
-        if tracer is not None:
-            with _trace_hooks.activated(tracer), profiler.phase("run"):
-                engine.run(until=end)
-        else:
-            with profiler.phase("run"):
-                engine.run(until=end)
-        return
-
-    every = checkpoint.every_ns
-    write_progress(managed_path, sim_now_ns=engine.now,
-                   events_executed=engine.events_executed, sim_time_ns=end)
-    with ExitStack() as stack:
-        if tracer is not None:
-            stack.enter_context(_trace_hooks.activated(tracer))
-        stack.enter_context(profiler.phase("run"))
-        while engine.now < end:
-            boundary = min(end, (engine.now // every + 1) * every)
-            engine.run(until=boundary)
-            preempt = preemption_requested() and engine.now < end
-            if engine.now < end or preempt:
-                _write_world_checkpoint(world, managed_path, config_digest)
-            else:
-                write_progress(managed_path, sim_now_ns=engine.now,
-                               events_executed=engine.events_executed,
-                               sim_time_ns=end)
-            if preempt:
+    if managed_path is not None:
+        _write_world_progress(world, managed_path)
+    with tracing, profiler.phase("run"):
+        while True:
+            engine.run(until=end if every is None else
+                       min(end, (engine.now // every + 1) * every))
+            if engine.now >= end:
+                break
+            _write_world_checkpoint(world, managed_path, config_digest)
+            if preemption_requested():
                 raise RunPreempted(managed_path, engine.now)
+        if managed_path is not None:
+            _write_world_progress(world, managed_path)
 
 
 def _finalize(world: LiveRun, profiler: PhaseProfiler,

@@ -1,39 +1,13 @@
-"""Parameter sweep helpers used by the benchmark harness.
+"""Result-table rendering for sweeps and benches.
 
-Sweeps run through the (optionally process-parallel) executor in
-:mod:`repro.experiments.parallel`: pass ``jobs=N``, or set the
-``REPRO_JOBS`` environment variable, to fan the points out to worker
-processes.  Results always come back in sweep order and are
-digest-identical to a serial run.
-
-For long or failure-prone sweeps, :func:`repro.runtime.run_supervised`
-wraps the same execution with crash recovery, per-run deadlines, bounded
-retry, and a checkpoint/resume journal; ``repro sweep`` on the CLI uses
-it.  These helpers stay the minimal, raise-on-failure path.
+Sweeps themselves run through :func:`repro.experiments.parallel.run_many`
+(ordered, raise-on-failure) or :func:`repro.runtime.run_supervised`
+(crash recovery, deadlines, retry, resume journal).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
-
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.parallel import run_many
-from repro.experiments.runner import RunResult
-
-ConfigFactory = Callable[..., ExperimentConfig]
-
-
-def sweep(configs: Iterable[ExperimentConfig], *,
-          jobs: Optional[int] = None) -> List[RunResult]:
-    """Run a sequence of configurations, in order."""
-    return run_many(configs, jobs=jobs)
-
-
-def load_sweep(make_config: Callable[[float], ExperimentConfig],
-               loads: Sequence[float], *,
-               jobs: Optional[int] = None) -> List[RunResult]:
-    """Run ``make_config(load)`` for each offered load fraction."""
-    return run_many([make_config(load) for load in loads], jobs=jobs)
+from typing import List, Optional, Sequence
 
 
 def format_table(rows: List[object],

@@ -1,39 +1,37 @@
-"""Crash-tolerant supervised sweep execution.
+"""The one sweep executor: crash-tolerant supervised execution.
 
-:class:`SweepSupervisor` wraps the plain parallel executor
-(:mod:`repro.experiments.parallel`) with the supervision shape that
-preemption-tolerant fleets use:
+:class:`SweepSupervisor` is the only thing in ``src/`` that builds a
+process pool.  Every attempt of every point goes through one
+submit/complete loop, and what happens when an attempt ends is decided
+by one pure function, :func:`transition` (the table is printed in
+DESIGN.md, "Runtime supervision"):
 
 - **Crash detection & pool rebuild.**  A worker dying (SIGKILL, OOM,
   segfault) breaks the whole :class:`~concurrent.futures.ProcessPoolExecutor`;
-  the supervisor catches the breakage, rebuilds the pool, and re-queues
+  the supervisor reaps what is left of it, rebuilds it, and re-queues
   every run that was in flight — completed results are never lost.
-- **Per-run wall-clock deadlines.**  With
-  :attr:`~repro.runtime.policy.SupervisorPolicy.run_timeout_s` set, a
-  watchdog thread kills the worker pool when a run overshoots its
-  deadline and classifies that run as ``timeout`` instead of letting one
-  stuck run hang the sweep.  Runs that merely shared the pool with the
-  stuck one are re-queued without a retry penalty.
-- **Bounded retry with deterministic backoff.**  Transient failures
-  (crashes, timeouts, one-off exceptions) are retried up to
-  ``max_retries`` times with exponential backoff whose jitter draws from
-  a named, seeded RNG stream; a run failing twice with the *same*
-  exception is deterministic and fails fast.
+- **Per-run wall-clock deadlines.**  The loop's deadline scan kills the
+  pool when a run overshoots ``run_timeout_s`` and that run is
+  classified ``timeout``; runs that merely shared the pool are re-queued
+  free.
+- **Bounded retry with deterministic backoff.**  Transient failures are
+  retried up to ``max_retries`` times with exponential backoff whose
+  jitter draws from a named, seeded RNG stream; a run failing twice
+  with the *same* exception is deterministic and fails fast.
 - **Journaling.**  Every terminal outcome is appended to a
   :class:`~repro.runtime.journal.SweepJournal` and flushed, enabling
   ``--resume`` to skip completed points.
 - **Graceful degradation.**  SIGINT/SIGTERM stop the sweep at the next
-  safe point, flush the journal, and return a partial
+  safe point, reap the workers, flush the journal, and return a partial
   :class:`SweepReport` whose failure manifest names every missing point.
 
 Supervision is zero-cost when idle: a serial sweep with no deadline
-configured is a plain in-process loop (no pool, no watchdog, no threads)
-around the same ``run_experiment`` calls, and the per-event simulator
-hot path is untouched.
-
-Results produced under supervision are always **portable**
-(:meth:`RunResult.portable`) — identical digests, no live network —
-whether they ran serially, in a worker, or were reloaded from a journal.
+drives the same loop with each run executed inline and completed
+immediately — no pool, no deadline scan, no threads.
+:func:`repro.experiments.parallel.run_many` is this executor under the
+strict policy (no retries, no journal, no deadline).  Results are always
+**portable** (:meth:`RunResult.portable`) — identical digests, no live
+network — whether they ran inline, in a worker, or came from a journal.
 """
 
 from __future__ import annotations
@@ -45,41 +43,60 @@ import signal
 import threading
 import time  # noqa: VR002 - supervision measures real wall time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.analysis import sanitize as _sanitize
 from repro.checkpoint.runtime import install_worker_handlers
 from repro.checkpoint.store import RunPreempted, read_progress
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import config_digest, sweep_digest
-from repro.experiments.parallel import _run_portable, _worker_init, resolve_jobs
+from repro.experiments.parallel import resolve_jobs
 from repro.experiments.report import placeholder_row
-from repro.experiments.runner import RunResult
+from repro.experiments.runner import RunResult, run_experiment
 from repro.runtime.journal import SweepJournal
 from repro.runtime.policy import RUN_STATUSES, SupervisorPolicy
 from repro.trace.profiler import PhaseProfiler
 
 Runner = Callable[[ExperimentConfig], RunResult]
 
+#: Sanitizer setting of this worker process, installed once by the pool
+#: initializer and never mutated afterwards.
+_worker_state: Dict[str, bool] = {}  # noqa: VR004 - worker-process init state
 
-def _supervised_worker_init(sanitize_on: bool) -> None:
-    """Pool initializer: sanitizer state + clean signal disposition.
 
-    Forked workers inherit the supervisor's SIGINT/SIGTERM trap
-    (installed while the pool is built), which would make every pool
-    teardown — the executor SIGTERMs surviving workers when one dies —
-    print a spurious ``KeyboardInterrupt`` traceback per worker.  Reset
-    to ignore SIGINT (the supervisor owns interrupt handling and reaps
-    workers itself); SIGTERM gets the checkpoint-aware worker handler —
-    a run in flight latches a preemption request (checkpoint-then-exit
-    at the next epoch boundary), an idle worker dies quietly as before.
+def _worker_init(sanitize_on: bool) -> None:
+    """Pool initializer: clean signal disposition + sanitizer state.
+
+    Forked workers inherit the supervisor's SIGINT/SIGTERM trap.  SIGINT
+    is ignored (the supervisor owns interrupt handling and reaps workers
+    itself); SIGTERM gets the checkpoint-aware worker handler — a run in
+    flight latches a preemption request (checkpoint-then-exit at the
+    next epoch boundary), an idle worker dies quietly.  The sanitizer
+    state is also exported as ``REPRO_SANITIZE`` so it holds whatever
+    the pool start method and for anything the worker itself spawns.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     install_worker_handlers()
-    _worker_init(sanitize_on)
+    _worker_state["sanitize"] = sanitize_on
+    os.environ["REPRO_SANITIZE"] = "1" if sanitize_on else "0"
+    _sanitize.set_enabled(sanitize_on)
+
+
+def _run_portable(config: ExperimentConfig) -> RunResult:
+    """The default task: run one experiment, return a picklable result."""
+    if _worker_state.get("sanitize") and not _sanitize.enabled():
+        # Defensive: a previous task left the sanitizer toggled off
+        # (e.g. via an unbalanced scoped()); restore the pool setting.
+        _sanitize.set_enabled(True)
+    return run_experiment(config).portable()
 
 
 @dataclass
@@ -208,137 +225,109 @@ class SweepReport:
         ])
 
 
-@dataclass
-class _Watch:
-    """Watchdog bookkeeping for one in-flight future."""
-
-    deadline: float                        # math.inf = no deadline
-    progress_path: Optional[str] = None    # checkpoint path (stall probe)
-    grace_until: Optional[float] = None    # SIGTERM sent; SIGKILL at this
-    last_sim: Optional[int] = None         # last observed simulated clock
-    last_change: float = 0.0               # wall time of last advance
+#: How one attempt of one sweep point can end: it returned a result;
+#: the runner raised; it checkpointed and yielded (:class:`RunPreempted`);
+#: the worker's SIGTERM handler ended a task that is not a checkpointed
+#: run (``SystemExit``, shipped back through the future); or the worker
+#: died and took the pool with it.
+ENDINGS = ("ok", "raised", "preempted", "terminated", "pool_broken")
 
 
-class _Watchdog(threading.Thread):
-    """Deadline enforcement and stall detection for in-flight runs.
+class Step(NamedTuple):
+    """What the supervisor does with a point after one attempt of it."""
 
-    Scans the watched futures a few times a second.  A run overshooting
-    its deadline is marked timed out and the pool is **soft-killed**
-    (SIGTERM): checkpointed runs write a final checkpoint and exit
-    gracefully (:class:`RunPreempted`), preserving their progress.  A
-    worker that still has not yielded after ``grace_s`` is SIGKILLed —
-    the only portable way to reclaim a truly stuck process — and the
-    supervisor's crash path rebuilds the pool and classifies the
-    victims.
+    #: ``finish`` (record terminal ``status``), ``retry`` (run again
+    #: after a backoff wait) or ``requeue`` (run again at once).
+    action: str
+    #: The attempt and its wall time count against the point.
+    charged: bool
+    status: Optional[str] = None
+    #: Error text of a failed point: a ``str.format`` template over
+    #: ``attempts``, ``timeout`` (seconds) and ``signature``.
+    error: Optional[str] = None
 
-    With ``stall_timeout_s`` set, the watchdog also polls each run's
-    checkpoint progress sidecar; a simulated clock that stops advancing
-    for that long flags the run as **stalled** (surfaced in the outcome
-    and failure manifest — a flag, never a kill, since a stalled clock
-    with wall progress may be a legitimately heavy epoch).
+
+_RETRY = Step("retry", charged=True)
+_REQUEUE = Step("requeue", charged=False)
+
+
+def transition(ending: str, *, timed_out: bool, collateral: bool,
+               exhausted: bool, repeated: bool) -> Step:
+    """The supervisor's whole failure policy, as a pure function.
+
+    ``timed_out``: the deadline scan flagged this attempt as overdue.
+    ``collateral``: a kill sweep (aimed at some run) happened while this
+    attempt was in flight.  ``exhausted``: charging this attempt takes
+    the point past ``max_retries``.  ``repeated``: the runner raised the
+    same exception as on the point's previous charged failure.
+
+    Free requeues are bystanders of a kill aimed at another run (their
+    checkpoint, if any, preserves their progress); they alone are not
+    charged.
     """
+    if ending == "ok":
+        return Step("finish", True, "ok")
+    if timed_out:
+        if not exhausted:
+            # A checkpointed retry auto-resumes, so the deadline bounds
+            # *incremental* progress per attempt.
+            return _RETRY
+        kept = "; checkpoint retained" if ending == "preempted" else ""
+        return Step("finish", True, "timeout",
+                    "exceeded --run-timeout {timeout:g}s "
+                    "({attempts} attempt(s)" + kept + ")")
+    if ending == "preempted" \
+            or (collateral and ending in ("terminated", "pool_broken")):
+        return _REQUEUE
+    if ending == "pool_broken":
+        if not exhausted:
+            return _RETRY
+        return Step("finish", True, "crashed",
+                    "worker process died ({attempts} attempt(s))")
+    if repeated:
+        return Step("finish", True, "failed",
+                    "{signature} (failed identically twice; not retrying)")
+    if not exhausted:
+        return _RETRY
+    return Step("finish", True, "failed", "{signature}")
 
-    def __init__(self, kill_workers: Callable[[], None],
-                 soft_kill: Callable[[], None], *,
-                 grace_s: float = 5.0,
-                 stall_timeout_s: Optional[float] = None,
-                 poll_s: float = 0.05) -> None:
-        super().__init__(name="repro-sweep-watchdog", daemon=True)
-        self._kill_workers = kill_workers
-        self._soft_kill = soft_kill
-        self._grace_s = grace_s
-        self._stall_timeout_s = stall_timeout_s
-        self._poll_s = poll_s
-        self._lock = threading.Lock()
-        self._watched: Dict[object, _Watch] = {}
-        self._timed_out: set = set()
-        self._stalled: set = set()
-        # NB: not named _stop — that would shadow Thread._stop(), which
-        # threading._after_fork() calls inside forked worker processes.
-        self._halt = threading.Event()
-        #: Number of kill sweeps performed, soft or hard (read by the
-        #: supervisor to tell collateral pool victims from genuine
-        #: crashes).
-        self.kills = 0
 
-    def watch(self, future, deadline: float,
-              progress_path: Optional[str] = None) -> None:
-        now = time.monotonic()  # noqa: VR002 - harness wall clock
-        with self._lock:
-            self._watched[future] = _Watch(deadline=deadline,
-                                           progress_path=progress_path,
-                                           last_change=now)
+def _ending(exc: Optional[BaseException]) -> str:
+    if exc is None:
+        return "ok"
+    if isinstance(exc, BrokenProcessPool):
+        return "pool_broken"
+    if isinstance(exc, RunPreempted):
+        return "preempted"
+    if isinstance(exc, SystemExit):
+        return "terminated"
+    return "raised"
 
-    def unwatch(self, future) -> None:
-        with self._lock:
-            self._watched.pop(future, None)
 
-    def was_timed_out(self, future) -> bool:
-        with self._lock:
-            return future in self._timed_out
+@dataclass
+class _Point:
+    """Everything the supervisor knows about one pending sweep point."""
 
-    def was_stalled(self, future) -> bool:
-        with self._lock:
-            return future in self._stalled
-
-    def stop(self) -> None:
-        self._halt.set()
-
-    def _probe_stall(self, future, watch: _Watch, now: float) -> None:
-        if self._stall_timeout_s is None or watch.progress_path is None:
-            return
-        progress = read_progress(watch.progress_path)
-        sim_now = progress.get("sim_now_ns") if progress else None
-        if sim_now != watch.last_sim:
-            watch.last_sim = sim_now
-            watch.last_change = now
-        elif now - watch.last_change >= self._stall_timeout_s:
-            with self._lock:
-                self._stalled.add(future)
-
-    def run(self) -> None:
-        while not self._halt.wait(self._poll_s):
-            now = time.monotonic()  # noqa: VR002 - harness wall clock
-            with self._lock:
-                scan = list(self._watched.items())
-            overdue = []
-            expired = []
-            for future, watch in scan:
-                if future.done():
-                    continue
-                self._probe_stall(future, watch, now)
-                if watch.grace_until is not None:
-                    if now >= watch.grace_until:
-                        expired.append(future)
-                elif now >= watch.deadline:
-                    overdue.append(future)
-            if overdue:
-                with self._lock:
-                    for future in overdue:
-                        self._timed_out.add(future)
-                        watch = self._watched.get(future)
-                        if watch is not None:
-                            watch.grace_until = now + self._grace_s
-                # Soft kill: ask every worker to checkpoint-then-exit.
-                self.kills += 1
-                self._soft_kill()
-            if expired:
-                with self._lock:
-                    for future in expired:
-                        self._watched.pop(future, None)
-                # Grace elapsed and the worker still has not yielded:
-                # reclaim it the hard way.
-                self.kills += 1
-                self._kill_workers()
+    index: int
+    attempts: int = 0                  # charged attempts so far
+    wall_s: float = 0.0                # wall time of the charged attempts
+    signature: Optional[str] = None    # last charged exception
+    not_before: float = 0.0            # backoff gate (monotonic clock)
 
 
 @dataclass
 class _Flight:
-    """Bookkeeping for one submitted, not-yet-completed run."""
+    """One submitted, not-yet-completed attempt of a point."""
 
-    index: int
+    point: _Point
     started: float
-    kills_at_submit: int
+    kills_at_submit: int                   # kill sweeps seen so far
+    deadline: float = math.inf             # math.inf = no deadline
+    progress_path: Optional[str] = None    # checkpoint path (stall probe)
+    grace_until: Optional[float] = None    # overdue: SIGTERM sent, SIGKILL due
+    last_sim: Optional[int] = None         # last observed simulated clock
+    last_change: float = 0.0               # wall time of last advance
+    stalled: bool = False                  # simulated clock stopped
 
 
 class SweepSupervisor:
@@ -347,28 +336,34 @@ class SweepSupervisor:
     def __init__(self, configs: Iterable[ExperimentConfig], *,
                  jobs: Optional[int] = None,
                  policy: Optional[SupervisorPolicy] = None,
-                 journal: Optional[object] = None,
+                 journal: Optional[str] = None,
                  resume: Optional[str] = None,
                  runner: Optional[Runner] = None,
-                 on_outcome: Optional[Callable[[RunOutcome], None]] = None,
-                 mp_context=None) -> None:
+                 on_outcome: Optional[Callable[[RunOutcome], None]] = None
+                 ) -> None:
         self.configs = list(configs)
         self.policy = policy or SupervisorPolicy.from_env()
         self.jobs = resolve_jobs(jobs)
         self.runner: Runner = runner or _run_portable
         self.on_outcome = on_outcome
-        self._mp_context = mp_context
         if journal is not None and resume is not None:
             raise ValueError("pass either journal= (start fresh) or "
                              "resume= (continue an existing journal)")
-        self._journal_path = journal if isinstance(journal, str) else None
-        self._journal: Optional[SweepJournal] = \
-            journal if isinstance(journal, SweepJournal) else None
+        self._journal_path = journal
         self._resume_path = resume
+        self._digests = [config_digest(config) for config in self.configs]
+        self._outcomes: Dict[int, RunOutcome] = {}
+        self._journal: Optional[SweepJournal] = None
         self._stop = threading.Event()
         self._interrupt_signum: Optional[int] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
+        #: Deadlines to enforce: runs go to a pool even when serial.
+        self._deadlines = self.policy.run_timeout_s is not None \
+            or self.policy.stall_timeout_s is not None
+        #: Kill sweeps performed, soft or hard — tells collateral pool
+        #: victims from genuine crashes.
+        self._kills = 0
 
     # -- public controls -------------------------------------------------------
 
@@ -392,115 +387,105 @@ class SweepSupervisor:
     def run(self) -> SweepReport:
         started = time.monotonic()  # noqa: VR002 - harness wall clock
         profiler = PhaseProfiler()
-        digests = [config_digest(config) for config in self.configs]
-        journal = self._open_journal(len(self.configs))
-        outcomes: Dict[int, RunOutcome] = {}
-        self._load_resumed(journal, digests, outcomes)
-        pending = [index for index in range(len(self.configs))
-                   if index not in outcomes]
-        use_pool = self.jobs > 1 \
-            or self.policy.run_timeout_s is not None \
-            or self.policy.stall_timeout_s is not None
+        points = range(len(self.configs))
+        if self._resume_path is not None:
+            self._journal = SweepJournal.resume(self._resume_path)
+            self._load_resumed()
+        elif self._journal_path is not None:
+            self._journal = SweepJournal.create(self._journal_path,
+                                                len(self.configs))
+        pending = [index for index in points if index not in self._outcomes]
         try:
             with self._trap_signals():
                 try:
-                    if use_pool and pending:
-                        self._run_pool(pending, digests, outcomes, journal,
-                                       profiler)
-                    else:
-                        self._run_serial(pending, digests, outcomes, journal,
-                                         profiler)
+                    if pending:
+                        self._run_points(pending, profiler)
                 except KeyboardInterrupt:
                     self._stop.set()
                     if self._interrupt_signum is None:
                         self._interrupt_signum = signal.SIGINT
             # Anything without a terminal outcome was cut off.
-            for index in range(len(self.configs)):
-                if index not in outcomes:
-                    outcome = RunOutcome(
+            for index in points:
+                if index not in self._outcomes:
+                    self._outcomes[index] = RunOutcome(
                         index=index, config=self.configs[index],
-                        digest=digests[index], status="aborted", attempts=0,
-                        wall_s=0.0, error="interrupted before completion")
-                    outcomes[index] = outcome
-                    if journal is not None:
-                        journal.record(digests[index], index, "aborted", 0,
-                                       0.0, error=outcome.error)
+                        digest=self._digests[index], status="aborted",
+                        attempts=0, wall_s=0.0,
+                        error="interrupted before completion")
+                    if self._journal is not None:
+                        self._journal.record(
+                            self._digests[index], index, "aborted", 0, 0.0,
+                            error=self._outcomes[index].error)
         finally:
-            if journal is not None:
-                journal.close()
+            if self._journal is not None:
+                self._journal.close()
         wall_s = time.monotonic() - started  # noqa: VR002 - harness wall clock
         return SweepReport(
-            outcomes=[outcomes[index] for index in
-                      range(len(self.configs))],
+            outcomes=[self._outcomes[index] for index in points],
             interrupted=self.interrupted or self._stop.is_set(),
             wall_s=round(wall_s, 6),
             profile=profiler.report(),
-            journal_path=journal.path if journal is not None else None)
+            journal_path=self._journal.path
+            if self._journal is not None else None)
 
-    # -- setup helpers ---------------------------------------------------------
+    # -- bookkeeping -----------------------------------------------------------
 
-    def _open_journal(self, n_points: int) -> Optional[SweepJournal]:
-        if self._journal is not None:
-            return self._journal
-        if self._resume_path is not None:
-            return SweepJournal.resume(self._resume_path)
-        if self._journal_path is not None:
-            return SweepJournal.create(self._journal_path, n_points)
-        return None
-
-    def _load_resumed(self, journal: Optional[SweepJournal],
-                      digests: Sequence[str],
-                      outcomes: Dict[int, RunOutcome]) -> None:
-        if journal is None or not journal.entries:
-            return
-        for index, digest in enumerate(digests):
+    def _load_resumed(self) -> None:
+        journal = self._journal
+        for index, digest in enumerate(self._digests):
             result = journal.completed_result(digest)
             if result is None:
                 continue
             entry = journal.entries[digest]
-            outcomes[index] = RunOutcome(
+            self._outcomes[index] = RunOutcome(
                 index=index, config=self.configs[index], digest=digest,
                 status="ok", attempts=int(entry.get("attempts", 1)),
                 wall_s=float(entry.get("wall_s", 0.0)), result=result,
                 resumed=True)
 
-    def _record(self, outcome: RunOutcome,
-                outcomes: Dict[int, RunOutcome],
-                journal: Optional[SweepJournal]) -> None:
-        outcomes[outcome.index] = outcome
-        if journal is not None:
-            journal.record(outcome.digest, outcome.index, outcome.status,
-                           outcome.attempts, outcome.wall_s,
-                           error=outcome.error, result=outcome.result)
-        if self.on_outcome is not None:
-            self.on_outcome(outcome)
-
-    def _checkpoint_path(self, index: int,
-                         digests: Sequence[str]) -> Optional[str]:
+    def _checkpoint_path(self, index: int) -> Optional[str]:
         """Managed checkpoint path of point ``index``, or None."""
         checkpoint = self.configs[index].checkpoint
         if checkpoint is None:
             return None
-        return checkpoint.resolve_path(digests[index])
+        return checkpoint.resolve_path(self._digests[index])
 
-    def _last_progress(self, index: int, digests: Sequence[str]):
-        """(sim_now_ns, events_executed) last reported by the run's
-        progress sidecar, or None — failure-manifest provenance."""
-        path = self._checkpoint_path(index, digests)
-        if path is None:
-            return None
-        progress = read_progress(path)
-        if progress is None:
-            return None
-        return (progress.get("sim_now_ns"), progress.get("events_executed"))
+    def _finish(self, point: _Point, status: str, *,
+                error: Optional[str] = None,
+                result: Optional[RunResult] = None,
+                stalled: bool = False) -> None:
+        """Record the terminal outcome of ``point`` (journal, callback)."""
+        index = point.index
+        last_sim = last_events = None
+        if status != "ok" \
+                and (path := self._checkpoint_path(index)) is not None:
+            # Failure-manifest provenance: how far the run was last
+            # known to have got (its progress sidecar).
+            progress = read_progress(path)
+            if progress is not None:
+                last_sim = progress.get("sim_now_ns")
+                last_events = progress.get("events_executed")
+        outcome = RunOutcome(
+            index=index, config=self.configs[index],
+            digest=self._digests[index], status=status,
+            attempts=point.attempts, wall_s=round(point.wall_s, 6),
+            error=error, result=result, stalled=stalled,
+            last_sim_ns=last_sim, last_events=last_events)
+        self._outcomes[index] = outcome
+        if self._journal is not None:
+            self._journal.record(outcome.digest, index, status,
+                                 outcome.attempts, outcome.wall_s,
+                                 error=error, result=result)
+        if self.on_outcome is not None:
+            self.on_outcome(outcome)
 
     @contextlib.contextmanager
     def _trap_signals(self):
         """SIGINT/SIGTERM → stop flag + KeyboardInterrupt (main thread only).
 
         The handler records the signal and raises ``KeyboardInterrupt``
-        so both execution paths unwind to their graceful-stop handling;
-        previous handlers are restored on exit.
+        so the loop unwinds to its graceful-stop handling; previous
+        handlers are restored on exit.
         """
         if threading.current_thread() is not threading.main_thread():
             yield
@@ -520,334 +505,218 @@ class SweepSupervisor:
             for signum, old in previous.items():
                 signal.signal(signum, old)
 
-    # -- serial path (zero supervision overhead) -------------------------------
-
-    def _run_serial(self, pending: List[int], digests: Sequence[str],
-                    outcomes: Dict[int, RunOutcome],
-                    journal: Optional[SweepJournal],
-                    profiler: PhaseProfiler) -> None:
-        rng = self.policy.backoff_stream()
-        for index in pending:
-            if self._stop.is_set():
-                return
-            attempts = 0
-            wall_s = 0.0
-            last_signature: Optional[str] = None
-            while True:
-                attempts += 1
-                t0 = time.monotonic()  # noqa: VR002 - harness wall clock
-                try:
-                    result = self.runner(self.configs[index])
-                except KeyboardInterrupt:
-                    raise
-                except Exception as exc:
-                    wall_s += time.monotonic() - t0  # noqa: VR002
-                    signature = f"{type(exc).__name__}: {exc}"
-                    deterministic = signature == last_signature
-                    last_signature = signature
-                    if deterministic or attempts > self.policy.max_retries:
-                        error = signature + (" (failed identically twice; "
-                                             "not retrying)"
-                                             if deterministic else "")
-                        progress = self._last_progress(index, digests)
-                        last_sim, last_events = progress or (None, None)
-                        self._record(RunOutcome(
-                            index=index, config=self.configs[index],
-                            digest=digests[index], status="failed",
-                            attempts=attempts, wall_s=round(wall_s, 6),
-                            error=error, last_sim_ns=last_sim,
-                            last_events=last_events), outcomes, journal)
-                        break
-                    with profiler.phase("runtime.retry"):
-                        self._stop.wait(self.policy.backoff_s(attempts, rng))
-                    if self._stop.is_set():
-                        return
-                    continue
-                wall_s += time.monotonic() - t0  # noqa: VR002
-                self._record(RunOutcome(
-                    index=index, config=self.configs[index],
-                    digest=digests[index], status="ok", attempts=attempts,
-                    wall_s=round(wall_s, 6), result=result),
-                    outcomes, journal)
-                break
-
-    # -- pool path -------------------------------------------------------------
+    # -- the pool --------------------------------------------------------------
 
     def _ensure_pool(self, remaining: int) -> ProcessPoolExecutor:
         with self._pool_lock:
             if self._pool is None:
-                workers = max(1, min(self.jobs, remaining))
                 self._pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    initializer=_supervised_worker_init,
-                    initargs=(_sanitize.enabled(),),
-                    mp_context=self._mp_context)
+                    max_workers=max(1, min(self.jobs, remaining)),
+                    initializer=_worker_init,
+                    initargs=(_sanitize.enabled(),))
             return self._pool
 
-    def _teardown_pool(self) -> None:
+    def _signal_workers(self, signum: int) -> None:
+        """Send ``signum`` to every live pool worker."""
+        for pid in self.worker_pids():
+            try:
+                os.kill(pid, signum)
+            except (ProcessLookupError, PermissionError):
+                continue
+
+    def _teardown_pool(self, kill: bool) -> None:
+        """Drop the pool and reap its workers before returning.
+
+        ``kill`` (broken pool, interrupt): SIGKILL whatever is still
+        alive first.  The executor SIGTERMs the survivors of a broken
+        pool itself, but a worker mid-run only latches that, and the
+        dead worker may have left the shared queue locks held — a
+        survivor would then block on them forever.  Waiting for the
+        executor's manager thread means no thread of the old pool is
+        alive when the next pool forks.
+        """
+        if kill:
+            self._signal_workers(signal.SIGKILL)
         with self._pool_lock:
             pool, self._pool = self._pool, None
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            pool.shutdown(wait=True, cancel_futures=True)
 
-    def _kill_workers(self) -> None:
-        """SIGKILL every live pool worker (watchdog / interrupt path)."""
-        for pid in self.worker_pids():
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):
-                continue
+    # -- the loop --------------------------------------------------------------
 
-    def _soft_kill_workers(self) -> None:
-        """SIGTERM every live pool worker: checkpoint-then-exit request.
+    def _run_points(self, pending: List[int],
+                    profiler: PhaseProfiler) -> None:
+        """Drive every pending point to a terminal outcome (or a stop).
 
-        Checkpointed runs latch the preemption flag and yield with
-        :class:`RunPreempted` at their next epoch boundary;
-        un-checkpointed runs in flight latch and run on (aborting would
-        only lose their work — the hard kill reclaims the genuinely
-        stuck one after the grace window); idle workers keep the
-        historical die-on-SIGTERM behaviour.
+        One loop for both modes: pooled attempts complete when their
+        future does; inline attempts (serial, no deadline) run inside
+        :meth:`_submit_ready` and come back as already-completed
+        futures.
         """
-        for pid in self.worker_pids():
-            try:
-                os.kill(pid, signal.SIGTERM)
-            except (ProcessLookupError, PermissionError):
-                continue
-
-    def _run_pool(self, pending: List[int], digests: Sequence[str],
-                  outcomes: Dict[int, RunOutcome],
-                  journal: Optional[SweepJournal],
-                  profiler: PhaseProfiler) -> None:
         policy = self.policy
         rng = policy.backoff_stream()
-        attempts = {index: 0 for index in pending}
-        wall_acc = {index: 0.0 for index in pending}
-        last_signature: Dict[int, str] = {}
-        not_before = {index: 0.0 for index in pending}
-        queue = deque(pending)
-        inflight: Dict[object, _Flight] = {}
-        watchdog = None
-        if policy.run_timeout_s is not None \
-                or policy.stall_timeout_s is not None:
-            watchdog = _Watchdog(self._kill_workers,
-                                 self._soft_kill_workers,
-                                 grace_s=policy.preempt_grace_s,
-                                 stall_timeout_s=policy.stall_timeout_s)
-            watchdog.start()
-
-        def requeue(index: int, penalty: bool) -> None:
-            if penalty:
-                delay = policy.backoff_s(attempts[index], rng)
-                not_before[index] = time.monotonic() + delay  # noqa: VR002
-            queue.append(index)
-
-        def finish(index: int, status: str, *, error: Optional[str] = None,
-                   result: Optional[RunResult] = None,
-                   future: Optional[object] = None) -> None:
-            stalled = watchdog is not None and future is not None \
-                and watchdog.was_stalled(future)
-            last_sim = last_events = None
-            if status != "ok":
-                progress = self._last_progress(index, digests)
-                if progress is not None:
-                    last_sim, last_events = progress
-            self._record(RunOutcome(
-                index=index, config=self.configs[index],
-                digest=digests[index], status=status,
-                attempts=attempts[index],
-                wall_s=round(wall_acc[index], 6), error=error,
-                result=result, stalled=stalled, last_sim_ns=last_sim,
-                last_events=last_events), outcomes, journal)
-
+        queue = deque(_Point(index) for index in pending)
+        inflight: Dict[Future, _Flight] = {}
         try:
             while (queue or inflight) and not self._stop.is_set():
                 now = time.monotonic()  # noqa: VR002 - harness wall clock
-                self._submit_ready(queue, inflight, not_before, now, watchdog,
-                                   digests)
+                self._submit_ready(queue, inflight, now)
                 if not inflight:
                     # Everything runnable is backing off; wait the gap out.
-                    gap = min((not_before[index] for index in queue),
-                              default=now) - now
+                    gap = min(point.not_before for point in queue) - now
                     if gap > 0:
                         with profiler.phase("runtime.retry"):
                             self._stop.wait(min(gap, 0.1))
                     continue
+                if self._deadlines:
+                    self._enforce_deadlines(inflight, now)
                 done, _ = wait(set(inflight), timeout=0.1,
                                return_when=FIRST_COMPLETED)
                 for future in done:
                     flight = inflight.pop(future)
-                    if watchdog is not None:
-                        watchdog.unwatch(future)
-                    index = flight.index
+                    point = flight.point
+                    timed_out = flight.grace_until is not None
                     run_wall = time.monotonic() - flight.started  # noqa: VR002
                     try:
-                        result = future.result()
-                    except BrokenProcessPool:
-                        self._teardown_pool()
-                        timed_out = watchdog is not None \
-                            and watchdog.was_timed_out(future)
-                        collateral = not timed_out and watchdog is not None \
-                            and watchdog.kills > flight.kills_at_submit
-                        if collateral:
-                            # Innocent bystander of a watchdog kill aimed
-                            # at another run: retry without penalty.
-                            requeue(index, penalty=False)
-                            continue
-                        wall_acc[index] += run_wall
-                        attempts[index] += 1
-                        if timed_out:
-                            profiler.add("runtime.timeout", run_wall)
-                            if attempts[index] > policy.max_retries:
-                                finish(index, "timeout", error=(
-                                    f"exceeded --run-timeout "
-                                    f"{policy.run_timeout_s:g}s "
-                                    f"({attempts[index]} attempt(s))"),
-                                    future=future)
-                            else:
-                                requeue(index, penalty=True)
-                        else:
-                            if attempts[index] > policy.max_retries:
-                                finish(index, "crashed", error=(
-                                    f"worker process died "
-                                    f"({attempts[index]} attempt(s))"),
-                                    future=future)
-                            else:
-                                requeue(index, penalty=True)
-                    except RunPreempted:
-                        # The worker checkpointed and yielded gracefully.
-                        timed_out = watchdog is not None \
-                            and watchdog.was_timed_out(future)
-                        if timed_out:
-                            wall_acc[index] += run_wall
-                            attempts[index] += 1
-                            profiler.add("runtime.timeout", run_wall)
-                            if attempts[index] > policy.max_retries:
-                                finish(index, "timeout", error=(
-                                    f"exceeded --run-timeout "
-                                    f"{policy.run_timeout_s:g}s "
-                                    f"({attempts[index]} attempt(s); "
-                                    f"checkpoint retained)"),
-                                    future=future)
-                            else:
-                                # The retry auto-resumes from the
-                                # checkpoint just written, so the
-                                # deadline now bounds *incremental*
-                                # progress per attempt.
-                                requeue(index, penalty=True)
-                        else:
-                            # Innocent bystander of a soft-kill sweep
-                            # aimed at another run: its checkpoint
-                            # preserves all progress; resume free.
-                            requeue(index, penalty=False)
-                    except (SystemExit, Exception) as exc:
+                        result, exc = future.result(), None
+                    except (SystemExit, Exception) as caught:
                         # SystemExit: concurrent.futures ships worker
-                        # BaseExceptions back through the future — the
-                        # worker SIGTERM handler's exit lands here when
-                        # the signal interrupts a task that is not a
-                        # checkpointed run (custom runners).
-                        timed_out = watchdog is not None \
-                            and watchdog.was_timed_out(future)
-                        if not timed_out and isinstance(exc, SystemExit) \
-                                and watchdog is not None \
-                                and watchdog.kills > flight.kills_at_submit:
-                            # Terminated by a soft-kill sweep aimed at
-                            # another run: retry without penalty.
-                            requeue(index, penalty=False)
-                            continue
-                        wall_acc[index] += run_wall
-                        attempts[index] += 1
-                        if timed_out:
-                            profiler.add("runtime.timeout", run_wall)
-                            if attempts[index] > policy.max_retries:
-                                finish(index, "timeout", error=(
-                                    f"exceeded --run-timeout "
-                                    f"{policy.run_timeout_s:g}s "
-                                    f"({attempts[index]} attempt(s))"),
-                                    future=future)
-                            else:
-                                requeue(index, penalty=True)
-                            continue
+                        # BaseExceptions back through the future.
+                        result, exc = None, caught
+                    ending = _ending(exc)
+                    if ending == "pool_broken":
+                        self._teardown_pool(kill=True)
+                    signature = None
+                    if ending in ("raised", "terminated") and not timed_out:
                         signature = f"{type(exc).__name__}: {exc}"
-                        deterministic = \
-                            last_signature.get(index) == signature
-                        last_signature[index] = signature
-                        if deterministic \
-                                or attempts[index] > policy.max_retries:
-                            error = signature + (
-                                " (failed identically twice; not retrying)"
-                                if deterministic else "")
-                            finish(index, "failed", error=error,
-                                   future=future)
-                        else:
-                            requeue(index, penalty=True)
-                    else:
-                        wall_acc[index] += run_wall
-                        attempts[index] += 1
-                        finish(index, "ok", result=result, future=future)
+                    step = transition(
+                        ending, timed_out=timed_out,
+                        collateral=self._kills > flight.kills_at_submit,
+                        exhausted=point.attempts >= policy.max_retries,
+                        repeated=signature is not None
+                        and signature == point.signature)
+                    if step.charged:
+                        point.attempts += 1
+                        point.wall_s += run_wall
+                        point.signature = signature or point.signature
+                        if timed_out and ending != "ok":
+                            profiler.add("runtime.timeout", run_wall)
+                    if step.action == "finish":
+                        self._finish(
+                            point, step.status, result=result,
+                            stalled=flight.stalled,
+                            error=step.error and step.error.format(
+                                attempts=point.attempts,
+                                timeout=policy.run_timeout_s,
+                                signature=signature))
+                        continue
+                    if step.action == "retry":
+                        point.not_before = flight.started + run_wall \
+                            + policy.backoff_s(point.attempts, rng)
+                    queue.append(point)
         except KeyboardInterrupt:
             self._stop.set()
             raise
         finally:
-            if watchdog is not None:
-                watchdog.stop()
-            if self._stop.is_set():
-                # Interrupt: reclaim workers instead of orphaning them.
-                self._kill_workers()
-            self._teardown_pool()
+            # Stopped early: reclaim workers instead of orphaning them.
+            self._teardown_pool(kill=bool(inflight) or self._stop.is_set())
 
-    def _submit_ready(self, queue: deque, inflight: Dict[object, _Flight],
-                      not_before: Dict[int, float], now: float,
-                      watchdog: Optional[_Watchdog],
-                      digests: Sequence[str]) -> None:
-        """Fill free pool slots with runs whose backoff has elapsed."""
+    def _submit_ready(self, queue: deque, inflight: Dict[Future, _Flight],
+                      now: float) -> None:
+        """Fill free slots with points whose backoff has elapsed."""
         while queue and len(inflight) < self.jobs:
-            index = None
-            for _ in range(len(queue)):
-                candidate = queue.popleft()
-                if now >= not_before.get(candidate, 0.0):
-                    index = candidate
-                    break
-                queue.append(candidate)
-            if index is None:
+            point = next((candidate for candidate in queue
+                          if now >= candidate.not_before), None)
+            if point is None:
                 return
-            remaining = len(queue) + len(inflight) + 1
-            pool = self._ensure_pool(remaining)
-            try:
-                future = pool.submit(self.runner, self.configs[index])
-            except (BrokenProcessPool, RuntimeError):
-                # Pool broke between completions; rebuild and retry on
-                # the next loop iteration.
-                self._teardown_pool()
-                queue.appendleft(index)
-                return
-            kills = watchdog.kills if watchdog is not None else 0
-            inflight[future] = _Flight(index=index, started=now,
-                                       kills_at_submit=kills)
-            if watchdog is not None:
-                deadline = now + self.policy.run_timeout_s \
-                    if self.policy.run_timeout_s is not None else math.inf
-                watchdog.watch(future, deadline,
-                               self._checkpoint_path(index, digests))
+            config = self.configs[point.index]
+            flight = _Flight(point=point, started=now, last_change=now,
+                             kills_at_submit=self._kills)
+            if self.jobs > 1 or self._deadlines:
+                pool = self._ensure_pool(len(queue) + len(inflight))
+                try:
+                    future = pool.submit(self.runner, config)
+                except (BrokenProcessPool, RuntimeError):
+                    # Pool broke between completions; rebuild and retry
+                    # on the next loop iteration.
+                    self._teardown_pool(kill=True)
+                    return
+                if self.policy.run_timeout_s is not None:
+                    flight.deadline = now + self.policy.run_timeout_s
+                flight.progress_path = self._checkpoint_path(point.index)
+            else:
+                future = Future()
+                try:
+                    future.set_result(self.runner(config))
+                except Exception as exc:  # classified by transition()
+                    future.set_exception(exc)
+            queue.remove(point)
+            inflight[future] = flight
+
+    def _enforce_deadlines(self, inflight: Dict[Future, _Flight],
+                           now: float) -> None:
+        """Deadline enforcement and stall detection for in-flight runs.
+
+        A run overshooting its deadline is marked timed out and the pool
+        is **soft-killed** (SIGTERM): checkpointed runs write a final
+        checkpoint and yield (:class:`RunPreempted`), keeping their
+        progress; un-checkpointed runs latch and run on (aborting would
+        only lose their work); idle workers die.  A worker that still
+        has not yielded after ``preempt_grace_s`` is SIGKILLed — the
+        only portable way to reclaim a truly stuck process — and the
+        crash path rebuilds the pool and classifies the victims.
+
+        With ``stall_timeout_s`` set, each run's checkpoint progress
+        sidecar is polled too; a simulated clock that stops advancing
+        for that long flags the run as **stalled** (a flag, never a
+        kill: a stalled clock with wall progress may be a legitimately
+        heavy epoch).
+        """
+        policy = self.policy
+        overdue = expired = False
+        for future, flight in inflight.items():
+            if future.done():
+                continue
+            if policy.stall_timeout_s is not None \
+                    and flight.progress_path is not None:
+                progress = read_progress(flight.progress_path)
+                sim_now = progress.get("sim_now_ns") if progress else None
+                if sim_now != flight.last_sim:
+                    flight.last_sim = sim_now
+                    flight.last_change = now
+                elif now - flight.last_change >= policy.stall_timeout_s:
+                    flight.stalled = True
+            if flight.grace_until is None and now >= flight.deadline:
+                flight.grace_until = now + policy.preempt_grace_s
+                overdue = True
+            elif flight.grace_until is not None \
+                    and now >= flight.grace_until:
+                flight.grace_until = math.inf  # one hard kill per flight
+                expired = True
+        for due, signum in ((overdue, signal.SIGTERM),
+                            (expired, signal.SIGKILL)):
+            if due:
+                self._kills += 1
+                self._signal_workers(signum)
 
 
 def run_supervised(configs: Iterable[ExperimentConfig], *,
                    jobs: Optional[int] = None,
                    policy: Optional[SupervisorPolicy] = None,
-                   journal: Optional[object] = None,
+                   journal: Optional[str] = None,
                    resume: Optional[str] = None,
                    runner: Optional[Runner] = None,
-                   on_outcome: Optional[Callable[[RunOutcome], None]] = None,
-                   mp_context=None) -> SweepReport:
+                   on_outcome: Optional[Callable[[RunOutcome], None]] = None
+                   ) -> SweepReport:
     """Run a sweep under the crash-tolerant supervisor.
 
-    Drop-in upgrade over :func:`repro.experiments.parallel.run_many`:
-    same ordering and digests, plus crash recovery, deadlines, bounded
+    Same ordering and digests as the in-process reference
+    (``run_many(jobs=1)``), plus crash recovery, deadlines, bounded
     deterministic retry, journaling (``journal=`` path starts one,
     ``resume=`` continues one), and graceful interrupt handling.  See
     :class:`SweepSupervisor` for the mechanics and :class:`SweepReport`
     for the result surface.
     """
-    supervisor = SweepSupervisor(
+    return SweepSupervisor(
         configs, jobs=jobs, policy=policy, journal=journal, resume=resume,
-        runner=runner, on_outcome=on_outcome, mp_context=mp_context)
-    return supervisor.run()
+        runner=runner, on_outcome=on_outcome).run()

@@ -1,11 +1,11 @@
 """Zero-cost-off trace hook registry.
 
 The dataplane's hot paths carry trace hook points that must cost nothing
-while tracing is off (the overwhelmingly common case — see the
-``BENCH_perf.json`` regression gate).  The mechanism is the same one the
-runtime sanitizer uses (:mod:`repro.analysis.sanitize`): instrumented
-modules register at import time and cache the *active tracer* in a
-module global::
+while tracing is off (the overwhelmingly common case; the benchmark
+ledger's ``trace.overhead_pct`` tracks the on-cost).  The mechanism is
+the same one the runtime sanitizer uses
+(:mod:`repro.analysis.sanitize`): instrumented modules register at
+import time and cache the *active tracer* in a module global::
 
     from repro.trace import hooks as _trace_hooks
     _TRACE = _trace_hooks.register(__name__)

@@ -3,8 +3,8 @@
 The experiment runner wraps its phases — network construction, the
 event loop, result finalization — in :meth:`PhaseProfiler.phase` scopes,
 so every :class:`~repro.experiments.runner.RunResult` carries a
-``profile`` dict attributing the run's wall time to phases, and the
-``repro.perf`` harness reports the breakdown in ``BENCH_perf.json``.
+``profile`` dict attributing the run's wall time to phases (the
+benchmark ledger's ``runtime.*`` metrics are computed from it).
 
 Wall-clock readings are nondeterministic by nature, so the profile is
 deliberately **excluded** from the deterministic trace exports and from

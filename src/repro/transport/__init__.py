@@ -22,7 +22,6 @@ from repro.transport.swift import SwiftSender
 
 TRANSPORTS = {
     "reno": RenoSender,
-    "tcp": RenoSender,
     "dctcp": DctcpSender,
     "swift": SwiftSender,
     "dcqcn": DcqcnSender,

@@ -26,7 +26,7 @@ from repro.checkpoint import CheckpointConfig, read_progress
 from repro.experiments import run_experiment, run_many
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import config_digest, run_digest
-from repro.experiments.parallel import _run_portable
+from repro.runtime.supervisor import _run_portable
 from repro.runtime import SupervisorPolicy, run_supervised
 from repro.sim.units import MILLISECOND
 

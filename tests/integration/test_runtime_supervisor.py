@@ -20,7 +20,7 @@ import pytest
 from repro.experiments import run_many
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import run_digest, sweep_digest
-from repro.experiments.parallel import _run_portable
+from repro.runtime.supervisor import _run_portable
 from repro.experiments.sweeps import format_table
 from repro.runtime import SupervisorPolicy, run_supervised
 from repro.sim.units import MILLISECOND

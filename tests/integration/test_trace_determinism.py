@@ -109,3 +109,10 @@ def test_trace_config_rides_config_through_workers():
     [result] = run_many([config], jobs=2)
     assert result.trace is not None
     assert result.trace.meta["seed"] == 7
+
+
+def test_traced_run_without_checkpointing_is_one_engine_span():
+    """Checkpointing off = one epoch = one engine.run() call."""
+    result = traced_experiment("flow").seed(7).run()
+    assert result.config.checkpoint is None
+    assert result.trace.counts()["engine.span"] == 1

@@ -1,6 +1,4 @@
-"""Public API surface: blessed exports, façade, deprecation shims."""
-
-import warnings
+"""Public API surface: blessed exports and the façade."""
 
 import pytest
 
@@ -8,9 +6,8 @@ import repro
 from repro import Experiment, ExperimentConfig
 from repro.net.topology import FatTree
 
-#: The blessed public surface.  Adding a name here is an API decision —
-#: update README/DESIGN when this changes; removing one needs a
-#: deprecation shim in ``repro.__init__._DEPRECATED`` first.
+#: The blessed public surface.  Adding or removing a name here is an API
+#: decision — update README/DESIGN when this changes.
 PUBLIC_SURFACE = [
     "BackgroundSpec",
     "CoflowSpec",
@@ -33,44 +30,28 @@ PUBLIC_SURFACE = [
     "parse_workloads",
     "run_digest",
     "run_experiment",
+    "run_many",
     "run_supervised",
-    "sweep",
-]
-
-DEPRECATED_SURFACE = [
-    "FlowInfo",
-    "MarkingComponent",
-    "MarkingDiscipline",
-    "OrderingComponent",
-    "SystemConfig",
-    "VertigoSwitchParams",
-    "WorkloadConfig",
 ]
 
 
 def test_public_surface_snapshot():
     assert sorted(repro.__all__) == PUBLIC_SURFACE
+    for name in PUBLIC_SURFACE:
+        assert hasattr(repro, name), name
 
 
-def test_dir_lists_blessed_and_deprecated_names():
-    listed = dir(repro)
-    for name in PUBLIC_SURFACE + DEPRECATED_SURFACE:
-        assert name in listed
-
-
-def test_deprecated_imports_warn_but_work():
-    for name in DEPRECATED_SURFACE:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            obj = getattr(repro, name)
-        assert obj is not None
-        assert any(issubclass(w.category, DeprecationWarning)
-                   for w in caught), name
-
-
-def test_unknown_attribute_raises():
+@pytest.mark.parametrize("name", [
+    "NoSuchThing",
+    # Former top-level exports, now only at their canonical homes
+    # (repro.experiments / repro.core / repro.forwarding).
+    "sweep", "SystemConfig", "WorkloadConfig", "FlowInfo",
+    "MarkingComponent", "MarkingDiscipline", "OrderingComponent",
+    "VertigoSwitchParams",
+])
+def test_names_outside_the_surface_raise(name):
     with pytest.raises(AttributeError):
-        repro.NoSuchThing
+        getattr(repro, name)
 
 
 def test_builder_matches_hand_built_config():

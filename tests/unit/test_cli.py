@@ -49,14 +49,12 @@ def test_invalid_system_rejected():
         build_parser().parse_args(["--system", "bogus"])
 
 
-def test_main_runs_tiny_experiment(capsys):
-    code = main(["--system", "ecmp", "--bg-load", "0.05",
-                 "--incast-load", "0.02", "--incast-scale", "3",
-                 "--incast-flow-bytes", "3000", "--sim-ms", "5"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "mean_fct_s" in out
-    assert "ecmp" in out
+def test_bare_invocation_is_a_usage_error(capsys):
+    assert main(["--system", "ecmp", "--sim-ms", "5"]) == 2
+    assert main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected a subcommand" in captured.err
 
 
 TINY = ["--bg-load", "0.05", "--incast-load", "0.02",
@@ -64,7 +62,7 @@ TINY = ["--bg-load", "0.05", "--incast-load", "0.02",
         "--sim-ms", "5"]
 
 
-def test_run_subcommand_equals_legacy(capsys):
+def test_run_subcommand_runs_tiny_experiment(capsys):
     assert main(["run", "--system", "ecmp", *TINY]) == 0
     out = capsys.readouterr().out
     assert "mean_fct_s" in out and "ecmp" in out

@@ -2,12 +2,14 @@
 
 import multiprocessing
 import os
+import signal
 
 import pytest
 
 from repro.analysis import sanitize
 from repro.experiments import parallel
 from repro.experiments.config import ExperimentConfig
+from repro.runtime import supervisor
 
 
 def _probe_worker_state():
@@ -16,7 +18,7 @@ def _probe_worker_state():
     Module-level so it pickles under the spawn/forkserver start methods
     (the tests package ships to workers via sys.path).
     """
-    return (parallel._worker_state.get("sanitize"),
+    return (supervisor._worker_state.get("sanitize"),
             sanitize.enabled(),
             os.environ.get("REPRO_SANITIZE"))
 
@@ -61,16 +63,23 @@ def test_env_whitespace_tolerated(monkeypatch):
 def test_worker_init_installs_sanitizer_state(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "0")  # registers env restore
     was_enabled = sanitize.enabled()
+    # The initializer also installs the worker signal disposition; this
+    # test runs it in the pytest process, so put the handlers back.
+    handlers = {signum: signal.getsignal(signum)
+                for signum in (signal.SIGINT, signal.SIGTERM)}
     try:
-        parallel._worker_init(True)
+        supervisor._worker_init(True)
         assert sanitize.enabled()
         assert os.environ["REPRO_SANITIZE"] == "1"
-        parallel._worker_init(False)
+        assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        supervisor._worker_init(False)
         assert not sanitize.enabled()
         assert os.environ["REPRO_SANITIZE"] == "0"
     finally:
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
         sanitize.set_enabled(was_enabled)
-        parallel._worker_state.clear()
+        supervisor._worker_state.clear()
 
 
 @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
@@ -87,7 +96,7 @@ def test_worker_init_under_start_method(start_method):
 
     context = multiprocessing.get_context(start_method)
     with ProcessPoolExecutor(max_workers=1, mp_context=context,
-                             initializer=parallel._worker_init,
+                             initializer=supervisor._worker_init,
                              initargs=(True,)) as pool:
         state, enabled, env = pool.submit(_probe_worker_state).result(
             timeout=120)
@@ -102,7 +111,7 @@ def _disable_sanitizer_then_probe():
     config = ExperimentConfig.bench_profile(
         system="vertigo", transport="dctcp", bg_load=0.1,
         sim_time_ns=1_000_000, seed=1)
-    parallel._run_portable(config)
+    supervisor._run_portable(config)
     return sanitize.enabled()
 
 
@@ -115,43 +124,8 @@ def test_run_portable_restores_sanitizer(start_method):
 
     context = multiprocessing.get_context(start_method)
     with ProcessPoolExecutor(max_workers=1, mp_context=context,
-                             initializer=parallel._worker_init,
+                             initializer=supervisor._worker_init,
                              initargs=(True,)) as pool:
         restored = pool.submit(_disable_sanitizer_then_probe).result(
             timeout=120)
     assert restored is True
-
-
-class _RecordingPool:
-    """Stand-in ProcessPoolExecutor capturing shutdown() arguments."""
-
-    instances = []
-
-    def __init__(self, max_workers=None, initializer=None, initargs=()):
-        self.shutdown_calls = []
-        _RecordingPool.instances.append(self)
-
-    def map(self, fn, iterable):
-        raise KeyboardInterrupt
-
-    def shutdown(self, wait=True, cancel_futures=False):
-        self.shutdown_calls.append(
-            {"wait": wait, "cancel_futures": cancel_futures})
-
-
-def test_run_many_interrupt_does_not_orphan_workers(monkeypatch):
-    """Ctrl-C during a parallel sweep must cancel queued work immediately.
-
-    Regression test for the worker-process leak: run_many used to enter
-    the pool via `with`, whose exit calls shutdown(wait=True) and blocks
-    on — then leaks — the in-flight workers when the map raises.
-    """
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", _RecordingPool)
-    _RecordingPool.instances.clear()
-    configs = [ExperimentConfig.bench_profile(
-        system="vertigo", transport="dctcp", bg_load=0.1,
-        sim_time_ns=1_000_000, seed=seed) for seed in (1, 2)]
-    with pytest.raises(KeyboardInterrupt):
-        parallel.run_many(configs, jobs=2)
-    (pool,) = _RecordingPool.instances
-    assert pool.shutdown_calls == [{"wait": False, "cancel_futures": True}]
