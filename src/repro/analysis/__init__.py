@@ -3,31 +3,27 @@
 Two halves, both machine-checking invariants the rest of the codebase is
 written against but that Python itself does not enforce:
 
-- **Static analysis** (``repro lint`` / ``python -m repro.analysis.lint``)
-  — a multi-pass analyzer:
+- **Static analysis** (``python -m repro lint``) — one pipeline,
+  :func:`repro.analysis.driver.run_analysis`, over:
 
-  - :mod:`repro.analysis.lint` — per-function AST rules VR001–VR006:
-    all randomness through named :class:`~repro.sim.rng.RngRegistry`
+  - :mod:`repro.analysis.lint` — per-file AST rules VR001–VR004: all
+    randomness through named :class:`~repro.sim.rng.RngRegistry`
     streams, no wall-clock reads in simulation code, integer
     nanosecond/byte/bit-rate unit discipline, no module-lifetime mutable
-    state, no literal negative delays, no swallowed broad exceptions.
+    state; plus ``Violation`` / ``LintConfig`` / the pyproject loader.
   - :mod:`repro.analysis.callgraph` — project-wide symbol table and
     call graph (entry points = forwarding-policy methods and scheduled
     callbacks).
   - :mod:`repro.analysis.dataflow` — interprocedural unit-of-measure
-    dataflow (VR100: seconds-valued floats flowing into ``*_ns`` slots
-    across call boundaries).
-  - :mod:`repro.analysis.rules` — whole-program rules VR110 (RNG stream
-    ownership), VR120 (digest-escaping mutable state), VR130
-    (spawn/pickle safety for pool submissions), VR140 (unguarded
-    ``_TRACE`` hook use).
-  - :mod:`repro.analysis.suppress` — ``# repro: lint-disable`` pragmas
-    (stale ones flagged as VR090) and the checked-in findings baseline.
-  - :mod:`repro.analysis.cache` — content-hash-keyed incremental cache.
-  - :mod:`repro.analysis.sarif` — SARIF 2.1.0 export and validator.
-  - :mod:`repro.analysis.autofix` — ``--fix``: ``int(...)`` coercion
-    and pragma insertion/removal.
-  - :mod:`repro.analysis.driver` — the orchestrator behind the CLI.
+    dataflow: VR100 (seconds-valued floats flowing into ``*_ns`` slots
+    across call boundaries) and VR150 (no float arithmetic inside the
+    integer-only analytic / PFC functions).
+  - :mod:`repro.analysis.rules` — VR110 (RNG stream ownership), VR120
+    (digest-escaping mutable state, ``SNAPSHOT_ATTRS`` coverage), VR140
+    (unguarded ``_TRACE`` hook use).
+  - :mod:`repro.analysis.suppress` — the one suppression spelling,
+    ``# noqa: VRxxx``; a code that suppresses nothing is VR090.
+  - :mod:`repro.analysis.driver` — the pipeline and its CLI.
 
 - :mod:`repro.analysis.sanitize` — an opt-in runtime sanitizer
   (``REPRO_SANITIZE=1`` or ``ExperimentConfig.sanitize``) wiring
@@ -37,14 +33,11 @@ written against but that Python itself does not enforce:
 """
 
 __all__ = [
-    "autofix",
-    "cache",
     "callgraph",
     "dataflow",
     "driver",
     "lint",
     "rules",
     "sanitize",
-    "sarif",
     "suppress",
 ]

@@ -1,11 +1,9 @@
-"""``python -m repro.analysis`` — front door for the analysis CLIs.
+"""``python -m repro.analysis sanitize`` — measure sanitizer overhead.
 
-Dispatches to :mod:`repro.analysis.lint` (static determinism /
-unit-discipline checks) or :mod:`repro.analysis.sanitize` (runtime
-sanitizer overhead measurement).  For the sanitizer this entry point is
-preferred over ``python -m repro.analysis.sanitize``: runpy would run
+Preferred over ``python -m repro.analysis.sanitize``: runpy would run
 that file as a second module object, shadowing the canonical one the
-instrumented modules registered with.
+instrumented modules registered with.  The linter is ``python -m repro
+lint``.
 """
 
 from __future__ import annotations
@@ -13,26 +11,17 @@ from __future__ import annotations
 import sys
 from typing import Optional, Sequence
 
-USAGE = "usage: python -m repro.analysis {lint,sanitize} [args...]"
+USAGE = "usage: python -m repro.analysis sanitize [args...]"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if not argv or argv[0] in ("-h", "--help"):
-        print(USAGE, file=sys.stderr)
-        return 2 if not argv else 0
-    command, rest = argv[0], argv[1:]
-    if command == "lint":
-        from repro.analysis import lint
-
-        return lint.main(rest)
-    if command == "sanitize":
+    if argv[:1] == ["sanitize"]:
         from repro.analysis import sanitize
 
-        return sanitize.main(rest)
-    print(f"unknown command {command!r} (expected 'lint' or 'sanitize')",
-          file=sys.stderr)
-    return 2
+        return sanitize.main(argv[1:])
+    print(USAGE, file=sys.stderr)
+    return 0 if argv[:1] in (["-h"], ["--help"]) else 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,6 @@
 """Project-wide symbol table and call graph for the VR1xx passes.
 
-The per-function rules (VR001–VR006, :mod:`repro.analysis.lint`) see one
+The per-file rules (VR001–VR004, :mod:`repro.analysis.lint`) see one
 function at a time; the determinism properties the VR1xx family guards
 — float time leaking *across* calls, RNG draws reached transitively from
 event handlers, state escaping the run digest — are whole-program
@@ -77,10 +77,6 @@ class FunctionInfo:
     def is_nested(self) -> bool:
         return self.parent is not None
 
-    def display(self) -> str:
-        tail = f"{self.cls}.{self.name}" if self.cls else self.name
-        return f"{self.path}:{self.lineno}:{tail}"
-
 
 @dataclass
 class ClassInfo:
@@ -91,10 +87,6 @@ class ClassInfo:
     lineno: int
     bases: Tuple[str, ...] = ()
     methods: Dict[str, str] = field(default_factory=dict)  # name -> qualname
-    #: Class-level attribute names assigned in the class body.
-    class_attrs: Set[str] = field(default_factory=set)
-    #: True when __init__ binds an unpicklable resource (lock, file, ...).
-    unpicklable: bool = False
 
 
 @dataclass
@@ -103,7 +95,6 @@ class ModuleInfo:
 
     path: str
     tree: ast.Module
-    source: str
     functions: Dict[str, str] = field(default_factory=dict)  # name -> qualname
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     #: import alias -> dotted target ("from x import f" => {"f": "x.f"})
@@ -112,13 +103,6 @@ class ModuleInfo:
     module_bindings: Set[str] = field(default_factory=set)
     #: Declared RNG stream names (the RNG_STREAMS module constant).
     rng_streams: Optional[Tuple[str, ...]] = None
-
-
-_UNPICKLABLE_FACTORIES = frozenset({
-    "Lock", "RLock", "Condition", "Event", "Semaphore",
-    "BoundedSemaphore", "Barrier", "Thread", "open", "socket",
-    "ProcessPoolExecutor", "ThreadPoolExecutor",
-})
 
 
 def walk_shallow(root: ast.AST):
@@ -221,30 +205,8 @@ class _ModuleIndexer(ast.NodeVisitor):
             self.info.classes[node.name] = cls
         self._class_stack.append(cls)
         for stmt in node.body:
-            if isinstance(stmt, ast.Assign):
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        cls.class_attrs.add(target.id)
-            elif isinstance(stmt, ast.AnnAssign) \
-                    and isinstance(stmt.target, ast.Name):
-                cls.class_attrs.add(stmt.target.id)
             self.visit(stmt)
         self._class_stack.pop()
-        if not self._func_stack and len(self._class_stack) == 0:
-            init = cls.methods.get("__init__")
-            if init and self._binds_unpicklable(self.functions[init].node):
-                cls.unpicklable = True
-
-    @staticmethod
-    def _binds_unpicklable(node: ast.AST) -> bool:
-        for child in ast.walk(node):
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) \
-                    else func.attr if isinstance(func, ast.Attribute) else None
-                if name in _UNPICKLABLE_FACTORIES:
-                    return True
-        return False
 
     # -- module-level bindings -------------------------------------------------
 
@@ -300,7 +262,7 @@ class Project:
                     tree = ast.parse(source, filename=path)
                 except SyntaxError:
                     continue
-            info = ModuleInfo(path=path, tree=tree, source=source)
+            info = ModuleInfo(path=path, tree=tree)
             _ModuleIndexer(info, project.functions).visit(tree)
             project.modules[path] = info
         for qualname, func in project.functions.items():

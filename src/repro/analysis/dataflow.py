@@ -30,20 +30,16 @@ environment).  Summaries propagate around the call graph to a fixpoint
   name is ``*_ns``-suffixed (its callers will treat the result as
   integer nanoseconds).
 
-**VR150** is VR100's stricter sibling for the analytic fast path: in
-any function whose name contains ``analytic`` (the hybrid-fidelity
-completion-time computations — ``analytic_round_ns``,
-``_start_analytic_round``, ...), *every* float-valued assignment,
+**VR150** is VR100's stricter sibling for *integer-only functions*:
+those whose own or enclosing-class name contains one of
+:data:`INTEGER_ONLY_MARKERS` — the hybrid-fidelity analytic
+completion-time path (``analytic_round_ns``, ``_start_analytic_round``,
+...) and the PFC control path (pause/resume scheduling, XOFF/XON and
+headroom thresholds).  Inside them *every* float-valued assignment,
 augmented true division, and float-valued ``return`` is flagged, not
-just the ones feeding a ``*_ns`` name.  Every intermediate in those
-functions feeds an event timestamp, and float rounding there breaks
-bit-for-bit digest stability across platforms.
-
-**VR160** applies the same all-float discipline to the PFC control
-path: functions (or methods of classes) whose name mentions
-``pause`` / ``pfc`` / ``xoff`` / ``xon`` / ``threshold``.  PAUSE and
-resume land on the integer-ns calendar and thresholds gate integer
-byte counters, so float arithmetic there is the same digest hazard.
+just the ones feeding a ``*_ns`` name: each intermediate there ends up
+in an event timestamp or is compared against an integer byte counter,
+and float rounding breaks bit-for-bit digest stability.
 """
 
 from __future__ import annotations
@@ -202,6 +198,11 @@ class _Inferencer:
             return self.infer(node.operand)
         if isinstance(node, ast.IfExp):
             return _join(self.infer(node.body), self.infer(node.orelse))
+        if isinstance(node, ast.BoolOp):  # ``configured or default``
+            result = _UNKNOWN
+            for value in node.values:
+                result = _join(result, self.infer(value))
+            return result
         if isinstance(node, ast.Call):
             return self._infer_call(node)
         if isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict)):
@@ -454,147 +455,62 @@ def _check_call_args(root: ast.AST, func: FunctionInfo, inf: _Inferencer,
                         f"{inf._describe(callee)}: {info.why}"))
 
 
-# -- VR150 / VR160: strict all-float passes over marked functions --------------
-#
-# Both rules share one walker: inside a *marked* function, every
-# float-valued assignment, augmented true division, and float-valued
-# ``return`` is flagged — not just the ones feeding a ``*_ns`` name.
-# The rules differ only in which functions are marked and in the
-# diagnostic wording, supplied as an ``emit`` callback.
+# -- VR150: no float arithmetic inside integer-only functions ------------------
 
-#: Functions whose name contains this marker form the analytic
-#: completion-time path; see the module docstring.
-_ANALYTIC_MARKER = "analytic"
-
-#: Functions (or methods of classes) whose name contains one of these
-#: markers form the PFC control path: pause/resume scheduling and
-#: XOFF/XON threshold arithmetic.  Matched against both the function
-#: name and the enclosing class name, so every ``PfcGate`` /
-#: ``PfcController`` method is covered.
-_PFC_MARKERS = ("pause", "pfc", "xoff", "xon", "threshold")
+#: A function is integer-only when its name, or its enclosing class's,
+#: contains one of these: the analytic completion-time path and the PFC
+#: control path (every ``PfcGate`` / ``PfcController`` method).
+INTEGER_ONLY_MARKERS = ("analytic", "pause", "pfc", "xoff", "xon",
+                        "threshold")
 
 
-def _check_marked(project: Project, graph: CallGraph,
-                  summaries: Dict[str, FunctionSummary],
-                  match, emit) -> List[Violation]:
-    """Run the all-float walker over functions selected by ``match``."""
+def check_vr150(project: Project, graph: CallGraph,
+                summaries: Dict[str, FunctionSummary]) -> List[Violation]:
+    """Flag every float-valued statement inside integer-only functions."""
     violations: List[Violation] = []
-    for qualname, func in project.functions.items():
-        if not match(func):
+    for func in project.functions.values():
+        scope = f"{func.name} {func.cls or ''}".lower()
+        if not any(marker in scope for marker in INTEGER_ONLY_MARKERS):
             continue
         inferencer = _Inferencer(func, project, graph, summaries)
         for stmt in getattr(func.node, "body", []):
-            _exec_all_float(stmt, func, inferencer, violations, emit)
+            _exec_all_float(stmt, func, inferencer, violations)
     return violations
 
 
 def _exec_all_float(stmt: ast.stmt, func: FunctionInfo, inf: _Inferencer,
-                    out: List[Violation], emit) -> None:
+                    out: List[Violation]) -> None:
     if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                          ast.ClassDef)):
         return
     if isinstance(stmt, _COMPOUND):
         for body in _Inferencer._stmt_bodies(stmt):
             for inner in body:
-                _exec_all_float(inner, func, inf, out, emit)
+                _exec_all_float(inner, func, inf, out)
         return
+    what: Optional[str] = None
     if isinstance(stmt, ast.Return) and stmt.value is not None:
         info = inf.infer(stmt.value)
         if info.floatish:
-            out.append(emit("return", func, stmt, info, None))
-    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-        targets = stmt.targets if isinstance(stmt, ast.Assign) \
-            else [stmt.target]
-        value = stmt.value
-        if value is not None:
-            info = inf.infer(value)
-            if info.floatish:
-                name = next(
-                    (target.id if isinstance(target, ast.Name)
-                     else target.attr
-                     for target in targets
-                     if isinstance(target, (ast.Name, ast.Attribute))),
-                    "<target>")
-                out.append(emit("assign", func, stmt, info, name))
-    if isinstance(stmt, ast.AugAssign) and isinstance(stmt.op, ast.Div):
-        out.append(emit("augdiv", func, stmt, None, None))
+            what = f"returns a float ({info.why})"
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)) \
+            and stmt.value is not None:
+        info = inf.infer(stmt.value)
+        if info.floatish:
+            targets = stmt.targets if isinstance(stmt, ast.Assign) \
+                else [stmt.target]
+            name = next(
+                (target.id if isinstance(target, ast.Name) else target.attr
+                 for target in targets
+                 if isinstance(target, (ast.Name, ast.Attribute))),
+                "<target>")
+            what = f"'{name}' gets a float ({info.why})"
+    elif isinstance(stmt, ast.AugAssign) and isinstance(stmt.op, ast.Div):
+        what = "augmented true division (use //=)"
+    if what is not None:
+        out.append(Violation(
+            func.path, stmt.lineno, stmt.col_offset + 1, "VR150",
+            f"float arithmetic in integer-only function '{func.name}': "
+            f"{what}; analytic-path and PFC results feed the integer-ns "
+            f"calendar and integer byte counters"))
     inf._exec(stmt)  # update the abstract environment
-
-
-def check_vr150(project: Project, graph: CallGraph,
-                summaries: Dict[str, FunctionSummary]) -> List[Violation]:
-    """Flag any float arithmetic inside analytic completion-time code."""
-    return _check_marked(
-        project, graph, summaries,
-        lambda func: _ANALYTIC_MARKER in func.name.lower(),
-        _vr150_violation)
-
-
-def _vr150_violation(kind: str, func: FunctionInfo, stmt: ast.stmt,
-                     info: Optional[UnitInfo],
-                     name: Optional[str]) -> Violation:
-    where = (func.path, stmt.lineno, stmt.col_offset + 1, "VR150")
-    if kind == "return":
-        return Violation(
-            *where,
-            f"analytic completion-time function '{func.name}' "
-            f"returns a float-valued expression ({info.why}); the "
-            f"analytic path must stay in integer nanoseconds")
-    if kind == "assign":
-        return Violation(
-            *where,
-            f"float arithmetic in analytic completion-time "
-            f"code: '{name}' gets {info.why} in '{func.name}'; "
-            f"keep every intermediate in integer nanoseconds "
-            f"(scale first, then floor-divide)")
-    return Violation(
-        *where,
-        f"augmented true division in analytic completion-time "
-        f"code ('{func.name}'); use //= so the result stays an "
-        f"integer nanosecond count")
-
-
-# -- VR160 ---------------------------------------------------------------------
-
-
-def check_vr160(project: Project, graph: CallGraph,
-                summaries: Dict[str, FunctionSummary]) -> List[Violation]:
-    """Flag any float arithmetic inside PFC pause/threshold code.
-
-    PAUSE/resume events land on the same integer-ns calendar as every
-    other event, and XOFF/XON/headroom thresholds are compared against
-    integer byte counters; a float anywhere in that arithmetic makes
-    pause timing platform-dependent and breaks digest stability — the
-    same failure mode VR150 polices on the analytic path.
-    """
-    return _check_marked(project, graph, summaries, _is_pfc_function,
-                         _vr160_violation)
-
-
-def _is_pfc_function(func: FunctionInfo) -> bool:
-    scope = func.name.lower() + " " + (func.cls or "").lower()
-    return any(marker in scope for marker in _PFC_MARKERS)
-
-
-def _vr160_violation(kind: str, func: FunctionInfo, stmt: ast.stmt,
-                     info: Optional[UnitInfo],
-                     name: Optional[str]) -> Violation:
-    where = (func.path, stmt.lineno, stmt.col_offset + 1, "VR160")
-    if kind == "return":
-        return Violation(
-            *where,
-            f"PFC control function '{func.name}' returns a "
-            f"float-valued expression ({info.why}); pause/resume "
-            f"scheduling and threshold arithmetic must stay in "
-            f"integers")
-    if kind == "assign":
-        return Violation(
-            *where,
-            f"float arithmetic in PFC control code: '{name}' gets "
-            f"{info.why} in '{func.name}'; keep pause timing and "
-            f"XOFF/XON thresholds in integers (scale first, then "
-            f"floor-divide)")
-    return Violation(
-        *where,
-        f"augmented true division in PFC control code "
-        f"('{func.name}'); use //= so the result stays an integer")

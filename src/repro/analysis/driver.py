@@ -1,98 +1,56 @@
-"""Multi-pass lint driver: the engine behind ``repro lint``.
+"""The ``repro lint`` pipeline (``python -m repro lint``).
 
-Orchestrates the whole pipeline the way a production analyzer does:
+One pass, in this order:
 
 1. **collect** — resolve the input paths to ``.py`` files (nonexistent
    or python-free inputs are one-line usage errors, exit 2);
-2. **per-file pass** — VR001–VR006 (:mod:`repro.analysis.lint`) and
-   VR140 (:mod:`repro.analysis.rules`), cached per file content hash;
-3. **project pass** — symbol table + call graph
+2. **per-file rules** — VR001–VR004 (:mod:`repro.analysis.lint`) and
+   VR140 (:mod:`repro.analysis.rules`) on every file that parses (the
+   rest are VR000);
+3. **project rules** — symbol table + call graph
    (:mod:`repro.analysis.callgraph`), unit dataflow to fixpoint
-   (:mod:`repro.analysis.dataflow`, VR100/VR150/VR160), and the
-   reachability
-   rules VR110–VR130, cached on the hash of all file hashes;
-4. **suppression** — path exemptions, legacy ``# noqa``, tracked
-   ``# repro: lint-disable`` pragmas (unused ones surface as VR090),
-   then the checked-in baseline (:mod:`repro.analysis.suppress`);
-5. **output** — ``--format text|json|sarif`` (SARIF 2.1.0 feeds GitHub
-   code scanning) and ``--fix`` (:mod:`repro.analysis.autofix`).
+   (:mod:`repro.analysis.dataflow`, VR100/VR150), and the reachability
+   rules VR110/VR120;
+4. **path exemptions** — built-ins merged with ``[tool.repro.lint.exempt]``;
+5. **suppression comments** — ``# noqa: VRxxx``, tracked: a code that
+   suppresses nothing is VR090 (:mod:`repro.analysis.suppress`);
+6. **text findings** — one ``path:line:col: CODE message [hint: ...]``
+   line each on stdout, a summary line on stderr.
 
-Exit status: 0 clean, 1 findings (or unused suppressions), 2 usage.
+Exit status: 0 clean, 1 findings, 2 usage.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import ast
 import sys
-import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import lint as lint_mod
 from repro.analysis import rules as rules_mod
-from repro.analysis.cache import LintCache, file_hash, project_hash
 from repro.analysis.callgraph import CallGraph, Project
-from repro.analysis.dataflow import (
-    build_summaries,
-    check_vr100,
-    check_vr150,
-    check_vr160,
-)
+from repro.analysis.dataflow import build_summaries, check_vr100, check_vr150
 from repro.analysis.lint import LintConfig, Violation, load_config
-from repro.analysis.sarif import to_sarif, write_sarif
-from repro.analysis.suppress import (
-    RULE_UNUSED,
-    Baseline,
-    apply_suppressions_for_path,
-)
+from repro.analysis.suppress import RULE_UNUSED, apply_suppressions
 
-#: The complete rule catalog the driver can run.
+#: The complete rule catalog.
 ALL_RULES: Dict[str, str] = {
     **lint_mod.RULES,
     **rules_mod.RULES_VR1XX,
-    RULE_UNUSED: "unused lint-disable suppression",
+    RULE_UNUSED: "unused # noqa suppression",
 }
 
 ALL_HINTS: Dict[str, str] = {
     **lint_mod.HINTS,
     **rules_mod.HINTS_VR1XX,
-    RULE_UNUSED: "delete the stale pragma (repro lint --fix removes it)",
+    RULE_UNUSED: "delete the stale code from the # noqa comment",
 }
-
-#: Project-pass rules (need the whole tree).
-PROJECT_RULES = ("VR100", "VR110", "VR120", "VR130", "VR150", "VR160")
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 class UsageError(Exception):
     """A bad invocation, reported as one line on stderr with exit 2."""
-
-
-@dataclass
-class LintReport:
-    """Everything one driver run produced."""
-
-    findings: List[Violation] = field(default_factory=list)
-    unused_suppressions: List[Violation] = field(default_factory=list)
-    baselined: int = 0
-    stale_baseline: List[Dict[str, object]] = field(default_factory=list)
-    files_checked: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    wall_s: float = 0.0
-    fixes: List = field(default_factory=list)
-
-    @property
-    def failed(self) -> bool:
-        return bool(self.findings or self.unused_suppressions)
-
-    def all_reported(self) -> List[Violation]:
-        merged = [*self.findings, *self.unused_suppressions]
-        merged.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-        return merged
 
 
 def collect_files(paths: Sequence[str]) -> List[Path]:
@@ -118,6 +76,7 @@ def collect_files(paths: Sequence[str]) -> List[Path]:
 
 def read_sources(files: Sequence[Path]) -> Tuple[Dict[str, str],
                                                  List[Violation]]:
+    """``{path: text}`` for every readable file, VR000 for the rest."""
     sources: Dict[str, str] = {}
     problems: List[Violation] = []
     for path in files:
@@ -129,218 +88,77 @@ def read_sources(files: Sequence[Path]) -> Tuple[Dict[str, str],
     return sources, problems
 
 
-def _parse_all(sources: Dict[str, str]
-               ) -> Tuple[Dict[str, object], List[Violation]]:
-    import ast
-    trees: Dict[str, object] = {}
-    problems: List[Violation] = []
-    for path, source in sources.items():
-        try:
-            trees[path] = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            problems.append(Violation(path, exc.lineno or 0, 0, "VR000",
-                                      f"syntax error: {exc.msg}"))
-    return trees, problems
-
-
-def _check_one_file(path: str, source: str, tree,
-                    select: frozenset) -> List[Violation]:
-    """Raw per-file findings (exemptions and suppressions come later)."""
-    checker = lint_mod._Checker(path, select)
-    checker.visit(tree)
-    findings = list(checker.violations)
-    if "VR140" in select:
-        findings.extend(rules_mod.check_vr140(tree, path))
-    return findings
-
-
-def _project_findings(sources: Dict[str, str], trees: Dict[str, object],
+def _project_findings(sources: Dict[str, str],
+                      trees: Dict[str, ast.Module],
                       select: frozenset) -> List[Violation]:
-    wanted = [rule for rule in PROJECT_RULES if rule in select]
-    if not wanted:
+    if not select & {"VR100", "VR110", "VR120", "VR150"}:
         return []
     project = Project.from_sources(sources, trees)
     graph = CallGraph(project)
     findings: List[Violation] = []
-    if "VR100" in select or "VR150" in select or "VR160" in select:
+    if select & {"VR100", "VR150"}:
         summaries = build_summaries(project, graph)
         if "VR100" in select:
             findings.extend(check_vr100(project, graph, summaries))
         if "VR150" in select:
             findings.extend(check_vr150(project, graph, summaries))
-        if "VR160" in select:
-            findings.extend(check_vr160(project, graph, summaries))
     if "VR110" in select:
         findings.extend(rules_mod.check_vr110(project, graph))
     if "VR120" in select:
         findings.extend(rules_mod.check_vr120(project, graph))
-    if "VR130" in select:
-        findings.extend(rules_mod.check_vr130(project, graph))
     return findings
 
 
-def run_analysis(files: Sequence[Path], config: LintConfig,
-                 cache_path: Optional[Path] = None,
-                 baseline_path: Optional[Path] = None,
-                 fix: bool = False) -> LintReport:
-    """Run every selected pass over ``files``; no output, no exit."""
-    started = time.perf_counter()  # repro: lint-disable VR002
-    report = LintReport()
-    select = frozenset(config.select) | {"VR000"}
-
-    sources, unreadable = read_sources(files)
-    report.files_checked = len(sources)
-    trees, syntax_errors = _parse_all(sources)
-    raw: List[Violation] = [*unreadable, *syntax_errors]
-
-    cache: Optional[LintCache] = None
-    if cache_path is not None:
-        select_key = ",".join(sorted(select)) + "|" + json.dumps(
-            {code: sorted(patterns)
-             for code, patterns in sorted(config.exempt.items())},
-            sort_keys=True)
-        cache = LintCache(cache_path, select_key)
-
-    hashes = {path: file_hash(source)
-              for path, source in sources.items()}
-
-    # Per-file tier.
+def run_analysis(sources: Dict[str, str],
+                 config: LintConfig) -> List[Violation]:
+    """Steps 2–5 over in-memory ``{path: source}``; sorted findings."""
+    select = frozenset(config.select)
+    trees: Dict[str, ast.Module] = {}
+    raw: List[Violation] = []
     for path, source in sources.items():
-        tree = trees.get(path)
-        if tree is None:
-            continue  # syntax error already reported
-        cached = cache.get_file(path, hashes[path]) if cache else None
-        if cached is not None:
-            raw.extend(cached)
-            continue
-        findings = _check_one_file(path, source, tree, select)
-        if cache:
-            cache.put_file(path, hashes[path], findings)
-        raw.extend(findings)
+        try:
+            trees[path] = ast.parse(source, filename=path)
+        except SyntaxError as exc:
+            raw.append(Violation(path, exc.lineno or 0, 0, "VR000",
+                                 f"syntax error: {exc.msg}"))
+    for path, tree in trees.items():
+        raw.extend(lint_mod.check_file(tree, path, select))
+        if "VR140" in select:
+            raw.extend(rules_mod.check_vr140(tree, path))
+    raw.extend(_project_findings(sources, trees, select))
 
-    # Project tier.
-    tree_digest = project_hash(hashes)
-    project_cached = cache.get_project(tree_digest) if cache else None
-    if project_cached is not None:
-        raw.extend(project_cached)
-    else:
-        findings = _project_findings(sources, trees, select)
-        if cache:
-            cache.put_project(tree_digest, findings)
-        raw.extend(findings)
-
-    if cache:
-        report.cache_hits = cache.hits
-        report.cache_misses = cache.misses
-        cache.prune(list(sources))
-        cache.save()
-
-    # Path exemptions (built-ins merged with pyproject patterns).
-    raw = [violation for violation in raw
-           if not lint_mod._exempt(violation.path, violation.code, config)]
-
-    # Pragmas / noqa, tracked per file.
     by_path: Dict[str, List[Violation]] = {}
     for violation in raw:
-        by_path.setdefault(violation.path, []).append(violation)
-    survivors: List[Violation] = []
-    unused: List[Violation] = []
+        if not lint_mod.exempt(violation.path, violation.code, config):
+            by_path.setdefault(violation.path, []).append(violation)
+
+    findings: List[Violation] = []
     for path, source in sources.items():
-        file_violations = by_path.get(path, [])
-        kept, stale = apply_suppressions_for_path(
-            file_violations, path, source, set(select))
-        survivors.extend(kept)
-        unused.extend(stale)
-    # Violations for paths outside sources (shouldn't happen) pass through.
-    for path, file_violations in by_path.items():
-        if path not in sources:
-            survivors.extend(file_violations)
-
-    # Baseline.
-    baseline = Baseline.load(baseline_path) if baseline_path else None
-    if baseline is not None and baseline.entries:
-        survivors, matched = baseline.filter(survivors, sources)
-        report.baselined = len(matched)
-        report.stale_baseline = baseline.stale(matched)
-
-    survivors.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-    unused.sort(key=lambda v: (v.path, v.line, v.col))
-    report.findings = survivors
-    report.unused_suppressions = unused
-
-    if fix and (survivors or unused):
-        from repro.analysis.autofix import apply_fixes
-        updated, fixes = apply_fixes(sources,
-                                     [*survivors, *unused])
-        for path, new_source in updated.items():
-            if new_source != sources[path]:
-                Path(path).write_text(new_source, encoding="utf-8")
-        report.fixes = fixes
-        if fixes:
-            # Re-lint so the report reflects the post-fix tree (cache
-            # keys are content hashes, so edited files re-run).
-            fresh = run_analysis(files, config, cache_path,
-                                 baseline_path, fix=False)
-            fresh.fixes = fixes
-            fresh.wall_s = time.perf_counter() - started  # repro: lint-disable VR002
-            return fresh
-
-    report.wall_s = time.perf_counter() - started  # repro: lint-disable VR002
-    return report
+        violations = by_path.get(path, [])
+        if path in trees:  # else VR000: no comments to honour
+            violations, unused = apply_suppressions(violations, path,
+                                                    source, select)
+            findings.extend(unused)
+        findings.extend(violations)
+    findings.sort(key=lambda v: (v.path, v.line, v.col, v.code))
+    return findings
 
 
-# -- output --------------------------------------------------------------------
-
-
-def _emit_text(report: LintReport, stream) -> None:
-    for violation in report.all_reported():
-        hint = ALL_HINTS.get(violation.code)
-        suffix = f" [hint: {hint}]" if hint else ""
-        print(f"{violation.path}:{violation.line}:{violation.col}: "
-              f"{violation.code} {violation.message}{suffix}", file=stream)
-
-
-def _emit_json(report: LintReport, stream) -> None:
-    payload = {
-        "schema": 1,
-        "findings": [
-            {"path": v.path, "line": v.line, "col": v.col,
-             "code": v.code, "message": v.message}
-            for v in report.all_reported()],
-        "files_checked": report.files_checked,
-        "baselined": report.baselined,
-        "wall_s": round(report.wall_s, 4),
-    }
-    json.dump(payload, stream, indent=2, sort_keys=True)
-    stream.write("\n")
-
-
-def _summary_line(report: LintReport) -> str:
-    if report.failed:
-        status = (f"{len(report.findings)} finding(s), "
-                  f"{len(report.unused_suppressions)} unused "
-                  f"suppression(s)")
-    else:
-        status = "clean"
-    extras = []
-    if report.baselined:
-        extras.append(f"{report.baselined} baselined")
-    if report.cache_hits or report.cache_misses:
-        extras.append(f"cache {report.cache_hits} hit(s) / "
-                      f"{report.cache_misses} miss(es)")
-    if report.fixes:
-        extras.append(f"{len(report.fixes)} fix(es) applied")
-    tail = f" ({', '.join(extras)})" if extras else ""
-    return (f"repro lint: {report.files_checked} file(s) checked in "
-            f"{report.wall_s:.2f}s, {status}{tail}")
+def render(violation: Violation) -> str:
+    hint = ALL_HINTS.get(violation.code)
+    suffix = f" [hint: {hint}]" if hint else ""
+    return (f"{violation.path}:{violation.line}:{violation.col}: "
+            f"{violation.code} {violation.message}{suffix}")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="Multi-pass determinism & unit-discipline analyzer: "
-                    "per-function rules VR001-VR006, whole-program "
-                    "call-graph/dataflow rules VR100-VR160.")
+        description="Determinism & unit-discipline analyzer: per-file "
+                    "rules VR001-VR004, whole-program call-graph/dataflow "
+                    "rules VR100-VR150.  Suppress one finding with a "
+                    "trailing '# noqa: VRxxx' comment (stale ones are "
+                    "VR090).")
     parser.add_argument("paths", nargs="*",
                         help="files or directories (default: "
                              "[tool.repro.lint] paths, else src)")
@@ -351,28 +169,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="comma-separated rule subset, e.g. "
                              "VR001,VR110")
     parser.add_argument("--list-rules", action="store_true")
-    parser.add_argument("--format", choices=("text", "json", "sarif"),
-                        default="text", dest="fmt",
-                        help="findings output format (default text)")
-    parser.add_argument("--output", default=None, metavar="PATH",
-                        help="write --format json|sarif output to PATH "
-                             "instead of stdout")
-    parser.add_argument("--fix", action="store_true",
-                        help="apply mechanical fixes: int(...) coercion "
-                             "at flagged *_ns assignments, tracked "
-                             "lint-disable pragmas elsewhere, stale "
-                             "pragma removal")
-    parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help=f"grandfathered-findings file (default "
-                             f"{DEFAULT_BASELINE} beside pyproject.toml "
-                             f"when present)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="rewrite the baseline file from the "
-                             "current findings and exit 0")
-    parser.add_argument("--cache", default=None, metavar="PATH",
-                        help="incremental findings cache keyed on file "
-                             "content hashes (REPRO_LINT_CACHE env var "
-                             "also enables it)")
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -389,77 +185,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"unknown rule(s): {', '.join(unknown)} "
                      f"(see --list-rules)")
 
-    import os
-    cache_arg = args.cache or os.environ.get("REPRO_LINT_CACHE")
-    cache_path = Path(cache_arg) if cache_arg else None
-
-    baseline_path: Optional[Path] = None
-    if args.baseline:
-        baseline_path = Path(args.baseline)
-    else:
-        candidate = _default_baseline(args.config)
-        if candidate is not None and candidate.is_file():
-            baseline_path = candidate
-
-    paths = list(args.paths) or list(config.paths)
     try:
-        files = collect_files(paths)
-        report = run_analysis(files, config, cache_path,
-                              None if args.write_baseline
-                              else baseline_path,
-                              fix=args.fix)
+        files = collect_files(list(args.paths) or list(config.paths))
     except UsageError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
+    sources, unreadable = read_sources(files)
+    findings = [*unreadable, *run_analysis(sources, config)]
 
-    if args.write_baseline:
-        sources, _ = read_sources(files)
-        target = baseline_path or Path(DEFAULT_BASELINE)
-        snapshot = Baseline.from_findings(report.findings, sources,
-                                          path=target)
-        snapshot.save()
-        print(f"repro lint: wrote {len(snapshot.entries)} baseline "
-              f"entr(ies) to {target}", file=sys.stderr)
-        return 0
-
-    if args.fmt == "text":
-        _emit_text(report, sys.stdout)
-    elif args.fmt == "json":
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as handle:
-                _emit_json(report, handle)
-        else:
-            _emit_json(report, sys.stdout)
-    elif args.fmt == "sarif":
-        if args.output:
-            count = write_sarif(report.all_reported(), ALL_RULES,
-                                args.output, ALL_HINTS)
-            print(f"repro lint: wrote {count} SARIF result(s) to "
-                  f"{args.output}", file=sys.stderr)
-        else:
-            document = to_sarif(report.all_reported(), ALL_RULES,
-                                ALL_HINTS)
-            json.dump(document, sys.stdout, indent=2, sort_keys=True)
-            sys.stdout.write("\n")
-
-    for fix in report.fixes:
-        print(fix.render(), file=sys.stderr)
-    for entry in report.stale_baseline:
-        print(f"repro lint: stale baseline entry "
-              f"{entry['fingerprint']} ({entry['path']} {entry['code']}); "
-              f"regenerate with --write-baseline", file=sys.stderr)
-    print(_summary_line(report), file=sys.stderr)
-    return 1 if report.failed else 0
-
-
-def _default_baseline(config_arg: Optional[Path]) -> Optional[Path]:
-    if config_arg is not None:
-        return config_arg.parent / DEFAULT_BASELINE
-    pyproject = lint_mod._find_pyproject(Path.cwd())
-    if pyproject is not None:
-        return pyproject.parent / DEFAULT_BASELINE
-    return Path(DEFAULT_BASELINE)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    for violation in findings:
+        print(render(violation))
+    status = f"{len(findings)} finding(s)" if findings else "clean"
+    print(f"repro lint: {len(files)} file(s) checked, {status}",
+          file=sys.stderr)
+    return 1 if findings else 0

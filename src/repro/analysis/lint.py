@@ -1,10 +1,10 @@
-"""Determinism & unit-discipline static checker (``python -m repro.analysis.lint``).
+"""Per-file determinism & unit-discipline rules VR001–VR004.
 
 The simulator's two load-bearing invariants — every stochastic draw flows
 through :class:`~repro.sim.rng.RngRegistry` named streams, and all
 quantities live in canonical integer units (time in nanoseconds, sizes in
 bytes, rates in bits/s) — are conventions Python cannot enforce.  This
-module enforces them with an AST pass:
+module enforces the part of them one file's AST can show:
 
 ========  =======================================================================
 Rule      Checks
@@ -24,38 +24,23 @@ VR003     Unit discipline: no float-typed values flowing into names,
 VR004     No module-lifetime mutable state in ``repro.*``: module- or
           class-level assignments of mutable containers (or factories such
           as ``itertools.count()``) to non-CONSTANT-case names.
-VR005     ``.schedule(...)`` is never called with a literal negative delay,
-          and no ``*_ns`` keyword (fault timestamps such as
-          ``FaultSpec(at_ns=...)`` included) receives a literal negative.
-VR006     No silently-swallowed broad exceptions: a handler catching
-          everything (bare ``except:``, ``except Exception:``,
-          ``except BaseException:`` — alone or inside a tuple) must do
-          something with the error; a ``pass``-only body hides crashes
-          the supervised runtime needs to see and classify.
 ========  =======================================================================
 
-Suppression: append ``# noqa: VRxxx`` (or a bare ``# noqa``) to the
-offending line, or the tracked form ``# repro: lint-disable VRxxx``
-(stale ones are reported as VR090 — see :mod:`repro.analysis.suppress`).
-Per-rule path exemptions merge built-in defaults with the
-``[tool.repro.lint.exempt]`` table in ``pyproject.toml``.
-
-This module owns the *per-function* rules VR001–VR006 and the shared
-plumbing (:class:`Violation`, :class:`LintConfig`).  The whole-program
-rules VR100–VR140 (call-graph + dataflow) live in
-:mod:`repro.analysis.rules`; running ``python -m repro.analysis.lint``
-(or ``repro lint``) dispatches to the multi-pass driver in
-:mod:`repro.analysis.driver`, which runs both families.
+It also owns the plumbing every rule shares: :class:`Violation`,
+:class:`LintConfig` and the ``[tool.repro.lint]`` loader (rule selection,
+default paths, per-rule path exemptions merged with the built-ins).  The
+whole-program rules live in :mod:`repro.analysis.rules` and
+:mod:`repro.analysis.dataflow`; :mod:`repro.analysis.driver` runs both
+families and is the only entry point (``python -m repro lint``).
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 UNIT_SUFFIXES = ("_ns", "_bytes", "_bps")
 
@@ -64,8 +49,6 @@ RULES: Dict[str, str] = {
     "VR002": "wall-clock read inside simulation code",
     "VR003": "float value or unrounded true division on a unit quantity",
     "VR004": "module-lifetime mutable state",
-    "VR005": "literal negative delay or *_ns timestamp",
-    "VR006": "broad exception handler silently swallows the error",
 }
 
 HINTS: Dict[str, str] = {
@@ -77,9 +60,6 @@ HINTS: Dict[str, str] = {
              "use // floor division",
     "VR004": "move the state into an instance (or rename to CONSTANT_CASE "
              "if it is genuinely immutable after import)",
-    "VR005": "delays are relative to Engine.now and must be >= 0",
-    "VR006": "narrow the exception type, or at least record/re-raise it; "
-             "swallowed errors surface later as silent data loss",
 }
 
 #: Built-in per-rule path exemptions (fnmatch patterns over posix paths).
@@ -100,10 +80,6 @@ _MUTABLE_FACTORIES = frozenset({
     "list", "dict", "set", "bytearray", "deque", "defaultdict", "Counter",
     "OrderedDict", "ChainMap", "count", "cycle",
 })
-_BROAD_EXCEPTIONS = frozenset({"Exception", "BaseException"})
-
-_NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.I)
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -114,12 +90,6 @@ class Violation:
     col: int
     code: str
     message: str
-
-    def render(self) -> str:
-        hint = HINTS.get(self.code)
-        suffix = f" [hint: {hint}]" if hint else ""
-        return (f"{self.path}:{self.line}:{self.col}: {self.code} "
-                f"{self.message}{suffix}")
 
 
 @dataclass
@@ -228,14 +198,6 @@ def _is_float_annotation(node: Optional[ast.expr]) -> bool:
         and node.id == "float"
 
 
-def _literal_negative(node: ast.expr) -> bool:
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-        return isinstance(node.operand, ast.Constant) \
-            and isinstance(node.operand.value, (int, float))
-    return isinstance(node, ast.Constant) \
-        and isinstance(node.value, (int, float)) and node.value < 0
-
-
 # -- the checker ---------------------------------------------------------------
 
 
@@ -274,7 +236,7 @@ class _Checker(ast.NodeVisitor):
                            f"from time")
         self.generic_visit(node)
 
-    # -- calls (VR001 / VR002 / VR005 + rounding context) ----------------------
+    # -- calls (VR001 / VR002 / VR003 keywords + rounding context) -------------
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -291,26 +253,13 @@ class _Checker(ast.NodeVisitor):
                     and base in ("datetime", "date"):
                 self._flag(node, "VR002", f"call {base}.{func.attr}() reads "
                                           f"the wall clock")
-            if func.attr == "schedule" and node.args \
-                    and _literal_negative(node.args[0]):
-                self._flag(node, "VR005",
-                           "schedule() called with a literal negative delay")
-        # Keyword arguments carrying unit suffixes must stay integral,
-        # and scheduled timestamps (fault specs' at_ns in particular)
-        # must not be literal negatives — they address the engine
-        # calendar, which only runs forward.
+        # Keyword arguments carrying unit suffixes must stay integral.
         for keyword in node.keywords:
-            if keyword.arg and _has_unit_suffix(keyword.arg):
-                taint = _float_taint(keyword.value)
-                if taint is not None:
-                    self._flag(keyword.value, "VR003",
-                               f"float value flows into keyword "
-                               f"'{keyword.arg}'")
-                if keyword.arg.endswith("_ns") \
-                        and _literal_negative(keyword.value):
-                    self._flag(keyword.value, "VR005",
-                               f"literal negative timestamp passed to "
-                               f"keyword '{keyword.arg}'")
+            if keyword.arg and _has_unit_suffix(keyword.arg) \
+                    and _float_taint(keyword.value) is not None:
+                self._flag(keyword.value, "VR003",
+                           f"float value flows into keyword "
+                           f"'{keyword.arg}'")
         if _call_name(node) in _ROUNDING_FUNCS:
             self.visit(func)
             self._round_depth += 1
@@ -406,27 +355,6 @@ class _Checker(ast.NodeVisitor):
         self.generic_visit(node)
         self._scope_depth -= 1
 
-    # -- swallowed broad exceptions (VR006) ------------------------------------
-
-    @staticmethod
-    def _is_broad_exception(node: Optional[ast.expr]) -> bool:
-        if node is None:  # bare `except:`
-            return True
-        if isinstance(node, ast.Tuple):
-            return any(_Checker._is_broad_exception(element)
-                       for element in node.elts)
-        return _terminal_name(node) in _BROAD_EXCEPTIONS
-
-    def visit_ExceptHandler(self, node: ast.ExceptHandler) -> None:
-        swallows = all(isinstance(stmt, ast.Pass) for stmt in node.body)
-        if swallows and self._is_broad_exception(node.type):
-            caught = "bare except" if node.type is None \
-                else f"except {_terminal_name(node.type) or '...'}"
-            self._flag(node, "VR006",
-                       f"{caught} with a pass-only body silently swallows "
-                       f"the error")
-        self.generic_visit(node)
-
     # -- module-lifetime mutable state (VR004) ---------------------------------
 
     def _check_module_state(self, node: ast.AST,
@@ -458,96 +386,16 @@ class _Checker(ast.NodeVisitor):
         return False
 
 
-# -- driver --------------------------------------------------------------------
-
-
-def _noqa_lines(source: str) -> Dict[int, Optional[Set[str]]]:
-    """Map line numbers to suppressed codes (``None`` = suppress all)."""
-    suppressed: Dict[int, Optional[Set[str]]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _NOQA_RE.search(line)
-        if not match:
-            continue
-        codes = match.group("codes")
-        if codes is None:
-            suppressed[lineno] = None
-        else:
-            suppressed[lineno] = {code.strip().upper()
-                                  for code in codes.split(",") if code.strip()}
-    return suppressed
-
-
-def _exempt(path: str, code: str, config: LintConfig) -> bool:
+def exempt(path: str, code: str, config: LintConfig) -> bool:
+    """Is ``path`` exempt from rule ``code`` under ``config``?"""
     posix = Path(path).as_posix()
     return any(fnmatch(posix, pattern)
                for pattern in config.exempt.get(code, ()))
 
 
-def lint_source(source: str, path: str = "<string>",
-                config: Optional[LintConfig] = None) -> List[Violation]:
-    """Lint one module's source text; returns surviving violations."""
-    from repro.analysis.suppress import parse_pragmas
-    config = config or LintConfig()
-    tree = ast.parse(source, filename=path)
-    checker = _Checker(path, config.select)
+def check_file(tree: ast.AST, path: str,
+               select: Iterable[str]) -> List[Violation]:
+    """Raw VR001–VR004 findings for one parsed module."""
+    checker = _Checker(path, select)
     checker.visit(tree)
-    suppressed = _noqa_lines(source)
-    pragmas = parse_pragmas(source)
-    survivors = []
-    for violation in checker.violations:
-        if _exempt(path, violation.code, config):
-            continue
-        pragma = pragmas.get(violation.line)
-        if pragma is not None and violation.code in pragma.codes:
-            continue
-        codes = suppressed.get(violation.line, "missing")
-        if codes is None or (codes != "missing" and violation.code in codes):
-            continue
-        survivors.append(violation)
-    return survivors
-
-
-def iter_python_files(paths: Iterable[str]) -> List[Path]:
-    files: List[Path] = []
-    for entry in paths:
-        path = Path(entry)
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.py")))
-        elif path.suffix == ".py":
-            files.append(path)
-    return files
-
-
-def lint_paths(paths: Iterable[str],
-               config: Optional[LintConfig] = None) -> List[Violation]:
-    """Lint every ``.py`` file under ``paths``."""
-    config = config or LintConfig()
-    violations: List[Violation] = []
-    for path in iter_python_files(paths):
-        try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            violations.append(Violation(str(path), 0, 0, "VR000",
-                                        f"unreadable: {exc}"))
-            continue
-        try:
-            violations.extend(lint_source(source, str(path), config))
-        except SyntaxError as exc:
-            violations.append(Violation(str(path), exc.lineno or 0, 0,
-                                        "VR000", f"syntax error: {exc.msg}"))
-    return violations
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point: dispatch to the multi-pass driver.
-
-    Kept here so ``python -m repro.analysis.lint`` and existing callers
-    keep working; the argument surface (``--format``, ``--fix``,
-    ``--baseline``, ...) is defined by :func:`repro.analysis.driver.main`.
-    """
-    from repro.analysis.driver import main as _driver_main
-    return _driver_main(argv)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())
+    return checker.violations

@@ -1,4 +1,4 @@
-"""The VR110–VR140 whole-program rules.
+"""The VR110, VR120 and VR140 rules.
 
 Built on :mod:`repro.analysis.callgraph` (symbol table, call edges,
 event-handler entry points) and run by :mod:`repro.analysis.driver`:
@@ -20,17 +20,9 @@ VR120     Digest-escaping mutable state: module globals (``global X``
           run, leaks across runs in one process, and is invisible to
           ``run_digest`` — attribute names that *are* digest inputs
           (parsed from ``experiments/digest.py``) are exempt.
-VR130     Spawn/pickle safety: callables handed to the worker pool
-          (``.submit(...)``, a ``runner=`` keyword, ``SweepSupervisor``)
-          must survive pickling under the spawn start method — lambdas,
-          closures (nested ``def``\\ s), and bound methods of classes
-          holding unpicklable resources (locks, file handles, pools)
-          are flagged.
-VR140     Trace-hook zero-cost discipline: every ``_TRACE.<...>`` use
-          must sit behind an ``if _TRACE is not None`` guard (directly
-          or via ``and`` short-circuit), and a module that reads
-          ``_TRACE`` must register it via
-          ``_TRACE = <hooks>.register(__name__)``.
+VR140     Trace-hook registration: a module that uses ``_TRACE.<...>``
+          must bind it via ``_TRACE = <hooks>.register(__name__)`` —
+          the registry rewrites the global only in registered modules.
 ========  =====================================================================
 """
 
@@ -53,10 +45,8 @@ RULES_VR1XX: Dict[str, str] = {
     "VR100": "float/seconds value crosses into integer-nanosecond time",
     "VR110": "event-handler-reachable RNG draw outside named streams",
     "VR120": "digest-escaping mutable state written from handler code",
-    "VR130": "unpicklable callable submitted to the worker pool",
-    "VR140": "trace hook not guarded by the zero-cost _TRACE pattern",
-    "VR150": "float arithmetic inside analytic completion-time code",
-    "VR160": "float arithmetic inside PFC pause/threshold code",
+    "VR140": "module uses _TRACE hooks without registering for them",
+    "VR150": "float arithmetic inside an integer-only (analytic/PFC) function",
 }
 
 HINTS_VR1XX: Dict[str, str] = {
@@ -66,14 +56,10 @@ HINTS_VR1XX: Dict[str, str] = {
              "the module's RNG_STREAMS tuple) wired in at build time",
     "VR120": "keep run state on instances created per run, or add the "
              "field to the digest inputs in experiments/digest.py",
-    "VR130": "submit a module-level function; workers under spawn "
-             "re-import it by qualified name",
-    "VR140": "guard with `if _TRACE is not None:` (module-global load + "
-             "identity test) so traced-off runs pay nothing",
-    "VR150": "the analytic fast path feeds event timestamps: keep every "
-             "intermediate integral (scale first, then floor-divide)",
-    "VR160": "PAUSE/resume scheduling and XOFF/XON thresholds feed the "
-             "integer-ns calendar: keep the arithmetic integral",
+    "VR140": "bind `_TRACE = <hooks>.register(__name__)` at module level; "
+             "unregistered modules are never switched on",
+    "VR150": "keep every intermediate integral: scale first, then "
+             "floor-divide (//)",
 }
 
 _RANDOM_DRAWS = frozenset({
@@ -84,8 +70,6 @@ _RANDOM_DRAWS = frozenset({
     "seed",
 })
 
-_SUBMIT_METHODS = frozenset({"submit"})
-_RUNNER_KEYWORDS = frozenset({"runner"})
 _MUTATING_METHODS = frozenset({
     "append", "extend", "insert", "add", "update", "setdefault", "pop",
     "popleft", "appendleft", "clear", "remove", "discard",
@@ -227,7 +211,7 @@ def check_vr120(project: Project, graph: CallGraph) -> List[Violation]:
 # silently absent after a checkpoint restore.  Flag every ``self.X``
 # assignment in a Snapshot class's methods whose name no literal
 # SNAPSHOT_ATTRS declaration in the class or its ancestors covers.
-# Deliberate exclusions carry an inline ``repro: lint-disable VR120``.
+# Deliberate exclusions carry an inline noqa comment naming VR120.
 
 
 def _snapshot_attr_decls(project: Project) -> Dict[str, Set[str]]:
@@ -371,212 +355,37 @@ def _class_owner(value: ast.expr, func: FunctionInfo) -> Optional[str]:
     return None
 
 
-# -- VR130: spawn/pickle safety ------------------------------------------------
-
-
-def check_vr130(project: Project, graph: CallGraph) -> List[Violation]:
-    violations: List[Violation] = []
-    for qualname, func in project.functions.items():
-        for node in walk_shallow(func.node):
-            if not isinstance(node, ast.Call):
-                continue
-            for callable_expr, context in _pool_callables(node):
-                problem = _pickle_problem(callable_expr, func, project)
-                if problem is not None:
-                    violations.append(Violation(
-                        func.path, callable_expr.lineno,
-                        callable_expr.col_offset + 1, "VR130",
-                        f"{problem} {context}; the spawn start method "
-                        f"re-imports worker callables by qualified name"))
-    # Module-level submit sites (rare, but cheap to cover).
-    for module in project.modules.values():
-        for stmt in module.tree.body:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                for callable_expr, context in _pool_callables(node):
-                    if isinstance(callable_expr, ast.Lambda):
-                        violations.append(Violation(
-                            module.path, callable_expr.lineno,
-                            callable_expr.col_offset + 1, "VR130",
-                            f"lambda {context}; the spawn start method "
-                            f"re-imports worker callables by qualified "
-                            f"name"))
-    return violations
-
-
-def _pool_callables(node: ast.Call) -> List[Tuple[ast.expr, str]]:
-    """(callable expression, description) pairs submitted to a pool."""
-    found: List[Tuple[ast.expr, str]] = []
-    func = node.func
-    callee_name = func.attr if isinstance(func, ast.Attribute) \
-        else func.id if isinstance(func, ast.Name) else None
-    if isinstance(func, ast.Attribute) and func.attr in _SUBMIT_METHODS \
-            and node.args:
-        found.append((node.args[0], "passed to .submit()"))
-    for keyword in node.keywords:
-        if keyword.arg in _RUNNER_KEYWORDS:
-            target = callee_name or "the pool"
-            found.append((keyword.value, f"passed as runner= to {target}"))
-    return found
-
-
-def _pickle_problem(expr: ast.expr, func: FunctionInfo,
-                    project: Project) -> Optional[str]:
-    if isinstance(expr, ast.Lambda):
-        return "lambda"
-    if isinstance(expr, ast.Name):
-        nested = f"{func.qualname}.{expr.id}"
-        if nested in project.functions:
-            return f"nested function '{expr.id}' (closure over live state)"
-        return None
-    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-        receiver = expr.value.id
-        cls_name: Optional[str] = None
-        if receiver == "self" and func.cls is not None:
-            cls_name = func.cls
-        else:
-            cls_name = _local_class_of(receiver, func)
-        if cls_name is not None \
-                and project.resolve_method(cls_name, expr.attr):
-            # Only actual methods are bound-method pickles; an instance
-            # attribute holding a module-level function pickles fine.
-            for cls_info in project.classes.get(cls_name, ()):
-                if cls_info.unpicklable:
-                    return (f"bound method of '{cls_name}', which holds "
-                            f"unpicklable state (lock/file/pool in "
-                            f"__init__)")
-    return None
-
-
-def _local_class_of(name: str, func: FunctionInfo) -> Optional[str]:
-    """Class name when a local ``name = ClassName(...)`` binding exists."""
-    for node in walk_shallow(func.node):
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            ctor = node.value.func
-            if isinstance(ctor, ast.Name):
-                for target in node.targets:
-                    if isinstance(target, ast.Name) and target.id == name:
-                        return ctor.id
-    return None
-
-
-# -- VR140: trace-hook discipline ----------------------------------------------
+# -- VR140: trace-hook registration ---------------------------------------------
 
 
 def check_vr140(tree: ast.Module, path: str) -> List[Violation]:
-    """Per-module check: every ``_TRACE`` use behind the identity guard."""
-    violations: List[Violation] = []
-    registered = _trace_registered(tree)
-    checker = _TraceGuardChecker(path, registered)
-    checker.visit(tree)
-    return checker.violations
+    """Per-module check: a module that uses ``_TRACE`` registers it.
 
-
-def _trace_registered(tree: ast.Module) -> bool:
-    for stmt in tree.body:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name) and target.id == "_TRACE" \
-                        and isinstance(stmt.value, ast.Call):
-                    func = stmt.value.func
-                    attr = func.attr if isinstance(func, ast.Attribute) \
-                        else func.id if isinstance(func, ast.Name) else None
-                    if attr == "register":
-                        return True
-    return False
-
-
-def _is_trace_none_check(node: ast.expr) -> bool:
-    """``_TRACE is not None`` (or ``_TRACE`` truthiness) comparison."""
-    if isinstance(node, ast.Compare) and len(node.ops) == 1 \
-            and isinstance(node.ops[0], ast.IsNot) \
-            and isinstance(node.left, ast.Name) \
-            and node.left.id == "_TRACE" \
-            and isinstance(node.comparators[0], ast.Constant) \
-            and node.comparators[0].value is None:
-        return True
-    return False
-
-
-class _TraceGuardChecker(ast.NodeVisitor):
-    def __init__(self, path: str, registered: bool) -> None:
-        self.path = path
-        self.registered = registered
-        self.violations: List[Violation] = []
-        self._guarded = 0
-        self._flagged_registration = False
-
-    def _use(self, node: ast.AST, what: str) -> None:
-        if not self.registered and not self._flagged_registration:
-            self._flagged_registration = True
-            self.violations.append(Violation(
-                self.path, node.lineno, node.col_offset + 1, "VR140",
+    ``hooks.activate`` rewrites ``_TRACE`` only in registered modules;
+    one that binds it any other way (``_TRACE = None``) keeps every
+    guard false forever and its hooks silently never fire.
+    """
+    if any(_registers_trace(stmt) for stmt in tree.body):
+        return []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "_TRACE":
+            return [Violation(
+                path, node.lineno, node.col_offset + 1, "VR140",
                 "module uses _TRACE but never registers it "
-                "(_TRACE = <hooks>.register(__name__))"))
-        if self._guarded == 0:
-            self.violations.append(Violation(
-                self.path, node.lineno, node.col_offset + 1, "VR140",
-                f"{what} outside an `if _TRACE is not None` guard; "
-                f"traced-off runs must pay only the identity test"))
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if isinstance(node.value, ast.Name) and node.value.id == "_TRACE":
-            self._use(node, f"_TRACE.{node.attr} used")
-            return  # don't descend; one report per use site
-        self.generic_visit(node)
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        # The registration assignment itself is the sanctioned bare use.
-        if any(isinstance(target, ast.Name) and target.id == "_TRACE"
-               for target in node.targets):
-            return
-        self.generic_visit(node)
-
-    def visit_BoolOp(self, node: ast.BoolOp) -> None:
-        if isinstance(node.op, ast.And):
-            guarded_from: Optional[int] = None
-            for index, value in enumerate(node.values):
-                if guarded_from is None:
-                    self.visit(value)
-                    if _is_trace_none_check(value):
-                        guarded_from = index
-                else:
-                    self._guarded += 1
-                    self.visit(value)
-                    self._guarded -= 1
-            return
-        self.generic_visit(node)
-
-    def visit_If(self, node: ast.If) -> None:
-        self.visit(node.test)
-        guards = _guard_in_test(node.test)
-        if guards:
-            self._guarded += 1
-        for stmt in node.body:
-            self.visit(stmt)
-        if guards:
-            self._guarded -= 1
-        for stmt in node.orelse:
-            self.visit(stmt)
-
-    def visit_IfExp(self, node: ast.IfExp) -> None:
-        self.visit(node.test)
-        if _guard_in_test(node.test):
-            self._guarded += 1
-            self.visit(node.body)
-            self._guarded -= 1
-        else:
-            self.visit(node.body)
-        self.visit(node.orelse)
+                "(_TRACE = <hooks>.register(__name__))")]
+    return []
 
 
-def _guard_in_test(test: ast.expr) -> bool:
-    if _is_trace_none_check(test):
-        return True
-    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-        return any(_is_trace_none_check(value) for value in test.values)
-    return False
+def _registers_trace(stmt: ast.stmt) -> bool:
+    """Module-level ``_TRACE = <hooks>.register(...)``."""
+    if not (isinstance(stmt, ast.Assign)
+            and isinstance(stmt.value, ast.Call)):
+        return False
+    func = stmt.value.func
+    callee = func.attr if isinstance(func, ast.Attribute) \
+        else func.id if isinstance(func, ast.Name) else None
+    return callee == "register" and any(
+        isinstance(target, ast.Name) and target.id == "_TRACE"
+        for target in stmt.targets)

@@ -106,7 +106,7 @@ def check(condition: bool, message: str, *args: object) -> None:
     """Raise :class:`SanitizerError` unless ``condition`` holds."""
     global checks_run
     # Diagnostics-only counter, deliberately outside the run digest.
-    checks_run += 1  # repro: lint-disable VR120
+    checks_run += 1  # noqa: VR120
     if not condition:
         raise SanitizerError(message % args if args else message)
 
@@ -116,7 +116,7 @@ def check(condition: bool, message: str, *args: object) -> None:
 
 def _time_kernel(n_events: int) -> float:
     """Seconds of wall time to run ``n_events`` empty events."""
-    import time  # noqa: VR002 - measurement harness, not simulation logic
+    import time
 
     from repro.sim.engine import Engine
 
@@ -136,7 +136,7 @@ def _time_kernel(n_events: int) -> float:
 
 def _time_experiment() -> float:
     """Seconds of wall time for one small bench-profile run."""
-    import time  # noqa: VR002 - measurement harness, not simulation logic
+    import time
 
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.runner import run_experiment

@@ -1,221 +1,69 @@
-"""Suppression machinery: inline pragmas and the findings baseline.
+"""Suppression comments: ``# noqa: VRxxx``, tracked.
 
-Two suppression channels, layered after the raw passes:
-
-**Pragmas** — ``# repro: lint-disable VR110`` (comma-separate several
-codes) suppresses matching findings on its own line.  Unlike the legacy
-``# noqa`` comments (still honoured for back-compat), pragmas are
-*tracked*: a pragma that suppresses nothing is itself reported as
-**VR090 unused suppression**, so stale disables cannot accumulate.
-
-**Baseline** — a checked-in JSON file of grandfathered findings.  Each
-entry is fingerprinted by ``(relative path, rule, normalized source
-line)``, so findings stay matched when unrelated edits shift line
-numbers but resurface the moment the flagged line itself changes.
-``--write-baseline`` regenerates the file from the current findings;
-the driver reports (without failing on) baseline entries that no longer
-match anything, so the file only ever shrinks.
+One spelling, one rule: a comment ``# noqa: VR003`` (comma-separate
+several codes; free text may follow) suppresses findings with those
+codes on its own line.  Codes are mandatory — a bare ``# noqa``
+suppresses nothing — and every code is *tracked*: one that suppresses
+nothing is itself reported as **VR090 unused suppression**, so stale
+comments cannot accumulate.  Codes whose rule is outside the active
+``--select`` are not judged (their rule never ran).
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
-import json
 import re
 import tokenize
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.lint import Violation, _noqa_lines
+from repro.analysis.lint import Violation
 
 RULE_UNUSED = "VR090"
-UNUSED_MESSAGE = "unused suppression"
 
-PRAGMA_RE = re.compile(
-    r"#\s*repro:\s*lint-disable[:\s]\s*(?P<codes>VR\d+"
-    r"(?:\s*,\s*VR\d+)*)")
-
-BASELINE_SCHEMA = 1
+NOQA_RE = re.compile(r"#\s*noqa:\s*(?P<codes>VR\d+(?:\s*,\s*VR\d+)*)")
 
 
-@dataclass
-class Pragma:
-    """One inline ``# repro: lint-disable`` comment."""
+def parse_noqa(source: str) -> Dict[int, Tuple[str, ...]]:
+    """Map line numbers to the codes their ``# noqa:`` comment names.
 
-    line: int
-    codes: Tuple[str, ...]
-    used: Set[str] = field(default_factory=set)
-
-
-def _comment_lines(source: str) -> Dict[int, str]:
-    """Map line numbers to their trailing ``#`` comment text.
-
-    Tokenize-based so pragma mentions inside strings and docstrings are
-    never parsed as live pragmas.  Falls back to a plain line scan if
-    the source does not tokenize (the raw passes report VR000 anyway).
+    Reads comment tokens only, so mentions inside strings and docstrings
+    are never live suppressions.  ``source`` must tokenize (the driver
+    only passes files that parsed).
     """
-    comments: Dict[int, str] = {}
-    try:
-        for token in tokenize.generate_tokens(io.StringIO(source).readline):
-            if token.type == tokenize.COMMENT:
-                comments[token.start[0]] = token.string
-    except (tokenize.TokenError, IndentationError, SyntaxError):
-        for lineno, line in enumerate(source.splitlines(), start=1):
-            if "#" in line:
-                comments[lineno] = line[line.index("#"):]
-    return comments
-
-
-def parse_pragmas(source: str) -> Dict[int, Pragma]:
-    """Map line numbers to their lint-disable pragmas (comments only)."""
-    pragmas: Dict[int, Pragma] = {}
-    for lineno, comment in _comment_lines(source).items():
-        match = PRAGMA_RE.search(comment)
-        if match is None:
+    suppressed: Dict[int, Tuple[str, ...]] = {}
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        if token.type != tokenize.COMMENT:
             continue
-        codes = tuple(code.strip().upper()
-                      for code in match.group("codes").split(",")
-                      if code.strip())
-        pragmas[lineno] = Pragma(lineno, codes)
-    return pragmas
+        match = NOQA_RE.search(token.string)
+        if match is not None:
+            suppressed[token.start[0]] = tuple(
+                code.strip() for code in match.group("codes").split(","))
+    return suppressed
 
 
-def apply_suppressions(violations: Sequence[Violation], source: str,
-                       select: Optional[Set[str]] = None,
+def apply_suppressions(violations: Sequence[Violation], path: str,
+                       source: str,
+                       select: Optional[AbstractSet[str]] = None,
                        ) -> Tuple[List[Violation], List[Violation]]:
-    """Filter ``violations`` through pragmas and legacy noqa comments.
+    """Filter one file's ``violations`` through its ``# noqa:`` comments.
 
     Returns ``(surviving, unused)`` where ``unused`` holds one VR090
-    finding per pragma code that suppressed nothing.  When ``select``
-    is given, pragmas for codes *outside* it are not applicable to this
-    run (their rule never ran) and are exempt from VR090 — a partial
+    finding per named code that suppressed nothing.  When ``select`` is
+    given, codes outside it are exempt from VR090 — a partial
     ``--select`` must not call full-run suppressions stale.
     """
-    pragmas = parse_pragmas(source)
-    noqa = _noqa_lines(source)
+    suppressed = parse_noqa(source)
+    used: Set[Tuple[int, str]] = set()
     surviving: List[Violation] = []
     for violation in violations:
-        pragma = pragmas.get(violation.line)
-        if pragma is not None and violation.code in pragma.codes:
-            pragma.used.add(violation.code)
-            continue
-        codes = noqa.get(violation.line, "missing")
-        if codes is None or (codes != "missing" and violation.code in codes):
-            continue
-        surviving.append(violation)
-    unused: List[Violation] = []
-    for pragma in pragmas.values():
-        for code in pragma.codes:
-            if code in pragma.used:
-                continue
-            if select is not None and code not in select:
-                continue
-            unused.append(Violation(
-                violations[0].path if violations else "", pragma.line,
-                1, RULE_UNUSED,
-                f"{UNUSED_MESSAGE}: no {code} finding on this line"))
+        if violation.code in suppressed.get(violation.line, ()):
+            used.add((violation.line, violation.code))
+        else:
+            surviving.append(violation)
+    unused = [
+        Violation(path, line, 1, RULE_UNUSED,
+                  f"unused suppression: no {code} finding on this line")
+        for line, codes in sorted(suppressed.items()) for code in codes
+        if (line, code) not in used
+        and (select is None or code in select)]
     return surviving, unused
-
-
-def apply_suppressions_for_path(violations: Sequence[Violation],
-                                path: str, source: str,
-                                select: Optional[Set[str]] = None,
-                                ) -> Tuple[List[Violation], List[Violation]]:
-    """Like :func:`apply_suppressions` with an explicit path for VR090."""
-    surviving, unused = apply_suppressions(violations, source, select)
-    fixed_unused = [Violation(path, v.line, v.col, v.code, v.message)
-                    for v in unused]
-    return surviving, fixed_unused
-
-
-# -- baseline ------------------------------------------------------------------
-
-
-def _normalize_line(source_lines: Sequence[str], lineno: int) -> str:
-    if 1 <= lineno <= len(source_lines):
-        return source_lines[lineno - 1].strip()
-    return ""
-
-
-def fingerprint(path: str, code: str, normalized_line: str) -> str:
-    payload = f"{Path(path).as_posix()}|{code}|{normalized_line}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:20]
-
-
-@dataclass
-class Baseline:
-    """Checked-in grandfathered findings, keyed by content fingerprint."""
-
-    entries: Dict[str, Dict[str, object]] = field(default_factory=dict)
-    path: Optional[Path] = None
-
-    @classmethod
-    def load(cls, path: Path) -> "Baseline":
-        baseline = cls(path=path)
-        if not path.is_file():
-            return baseline
-        with path.open(encoding="utf-8") as handle:
-            data = json.load(handle)
-        for entry in data.get("findings", []):
-            baseline.entries[entry["fingerprint"]] = entry
-        return baseline
-
-    def save(self, path: Optional[Path] = None) -> None:
-        target = path or self.path
-        if target is None:
-            raise ValueError("baseline has no path")
-        payload = {
-            "schema": BASELINE_SCHEMA,
-            "findings": sorted(self.entries.values(),
-                               key=lambda e: (e["path"], e["code"],
-                                              e["fingerprint"])),
-        }
-        target.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                          + "\n", encoding="utf-8")
-
-    def filter(self, violations: Sequence[Violation],
-               sources: Dict[str, str]
-               ) -> Tuple[List[Violation], List[str]]:
-        """Split into (new findings, matched baseline fingerprints)."""
-        matched: List[str] = []
-        fresh: List[Violation] = []
-        line_cache: Dict[str, List[str]] = {}
-        for violation in violations:
-            lines = line_cache.get(violation.path)
-            if lines is None:
-                lines = sources.get(violation.path, "").splitlines()
-                line_cache[violation.path] = lines
-            print_key = fingerprint(
-                violation.path, violation.code,
-                _normalize_line(lines, violation.line))
-            if print_key in self.entries:
-                matched.append(print_key)
-            else:
-                fresh.append(violation)
-        return fresh, matched
-
-    def stale(self, matched: Sequence[str]) -> List[Dict[str, object]]:
-        """Baseline entries no finding matched (candidates for removal)."""
-        used = set(matched)
-        return [entry for key, entry in sorted(self.entries.items())
-                if key not in used]
-
-    @classmethod
-    def from_findings(cls, violations: Sequence[Violation],
-                      sources: Dict[str, str],
-                      path: Optional[Path] = None) -> "Baseline":
-        baseline = cls(path=path)
-        for violation in violations:
-            lines = sources.get(violation.path, "").splitlines()
-            normalized = _normalize_line(lines, violation.line)
-            key = fingerprint(violation.path, violation.code, normalized)
-            baseline.entries[key] = {
-                "fingerprint": key,
-                "path": Path(violation.path).as_posix(),
-                "code": violation.code,
-                "line": violation.line,
-                "text": normalized,
-            }
-        return baseline

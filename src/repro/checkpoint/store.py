@@ -2,7 +2,7 @@
 
 A checkpoint file is one JSON header line followed by a pickle payload::
 
-    {"checkpoint": "repro.checkpoint", "version": 1, "config": "...",
+    {"checkpoint": "repro.checkpoint", "version": 2, "config": "...",
      "sim_now_ns": ..., "events_executed": ..., "payload_bytes": N,
      "sha256": "..."}\\n
     <N bytes of pickle>
@@ -28,7 +28,9 @@ import pickle
 from typing import Dict, Optional, Tuple
 
 CHECKPOINT_MAGIC = "repro.checkpoint"
-CHECKPOINT_VERSION = 1
+#: Bump whenever any class's ``SNAPSHOT_ATTRS`` changes (2: ``Link.on_loss``
+#: removed) — older payloads would unpickle into stale objects.
+CHECKPOINT_VERSION = 2
 
 #: Suffix of the one-generation history file kept beside the latest.
 PREVIOUS_SUFFIX = ".prev"

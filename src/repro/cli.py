@@ -478,7 +478,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if command == "sweep":
             return _cmd_sweep(rest)
         if command == "lint":
-            from repro.analysis.lint import main as lint_main
+            from repro.analysis.driver import main as lint_main
             return lint_main(rest)
         if command == "trace-view":
             return _cmd_trace_view(rest)

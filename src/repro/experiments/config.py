@@ -17,7 +17,6 @@ Two constructors cover the common cases:
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple, Union
 
@@ -75,13 +74,6 @@ class SystemConfig:
                              f"choose from {ALL_SYSTEMS}")
 
 
-#: The historical flat WorkloadConfig kwargs, accepted via the
-#: deprecation shim and normalized to specs by ``specs_from_legacy``.
-_LEGACY_WORKLOAD_KEYS = ("bg_load", "bg_distribution", "bg_size_cap",
-                         "incast_load", "incast_qps", "incast_scale",
-                         "incast_flow_bytes")
-
-
 @dataclass(frozen=True, init=False)
 class WorkloadConfig:
     """Traffic mix: an ordered list of composable workload specs.
@@ -93,14 +85,6 @@ class WorkloadConfig:
     flows, queries, and coflows starting in the first ``warmup_ns`` or
     last ``cooldown_ns`` of the run are excluded from every summary
     statistic (see :meth:`MetricsCollector.set_window`).
-
-    The historical flat kwargs (``bg_load=``, ``incast_scale=``, ...)
-    still construct a config — they normalize to a background+incast
-    spec pair with a DeprecationWarning, and the resulting runs are
-    digest-identical to the pre-spec implementation.  Matching read
-    accessors (``.bg_load``, ``.incast_qps``, ...) derive from the
-    first spec of the relevant kind.  Profile constructors use
-    :meth:`from_legacy`, the warning-free shim.
     """
 
     specs: Tuple[WorkloadSpec, ...] = ()
@@ -108,25 +92,8 @@ class WorkloadConfig:
     cooldown_ns: int = 0
 
     def __init__(self, specs: Optional[Sequence[WorkloadSpec]] = None, *,
-                 warmup_ns: int = 0, cooldown_ns: int = 0,
-                 **legacy) -> None:
-        if legacy:
-            unknown = [key for key in legacy
-                       if key not in _LEGACY_WORKLOAD_KEYS]
-            if unknown:
-                raise TypeError(f"unknown WorkloadConfig arguments "
-                                f"{unknown}; give a list of WorkloadSpec "
-                                f"entries or the legacy "
-                                f"{list(_LEGACY_WORKLOAD_KEYS)} kwargs")
-            if specs is not None:
-                raise TypeError("give either specs or the legacy flat "
-                                "kwargs, not both")
-            warnings.warn(
-                "flat WorkloadConfig kwargs are deprecated; pass a list "
-                "of workload specs (BackgroundSpec, IncastSpec, ...) "
-                "instead", DeprecationWarning, stacklevel=2)
-            specs = specs_from_legacy(**legacy)
-        elif specs is None:
+                 warmup_ns: int = 0, cooldown_ns: int = 0) -> None:
+        if specs is None:
             # The historical default mix: 15 % cache-follower background,
             # incast inactive.
             specs = specs_from_legacy()
@@ -140,56 +107,6 @@ class WorkloadConfig:
         object.__setattr__(self, "specs", specs)
         object.__setattr__(self, "warmup_ns", warmup_ns)
         object.__setattr__(self, "cooldown_ns", cooldown_ns)
-
-    @classmethod
-    def from_legacy(cls, **legacy) -> "WorkloadConfig":
-        """The flat-kwarg surface without the deprecation warning —
-        what the profile constructors build on."""
-        return cls(specs_from_legacy(**legacy))
-
-    def _first(self, kind: str) -> Optional[WorkloadSpec]:
-        for spec in self.specs:
-            if spec.kind == kind:
-                return spec
-        return None
-
-    # -- legacy read accessors (first spec of the kind, or the
-    # -- historical defaults when the kind is absent) -----------------------
-
-    @property
-    def bg_load(self) -> float:
-        spec = self._first("background")
-        return spec.load if spec is not None else 0.0
-
-    @property
-    def bg_distribution(self) -> str:
-        spec = self._first("background")
-        return spec.distribution if spec is not None else "cache_follower"
-
-    @property
-    def bg_size_cap(self) -> Optional[int]:
-        spec = self._first("background")
-        return spec.size_cap if spec is not None else None
-
-    @property
-    def incast_load(self) -> Optional[float]:
-        spec = self._first("incast")
-        return spec.load if spec is not None else None
-
-    @property
-    def incast_qps(self) -> Optional[float]:
-        spec = self._first("incast")
-        return spec.qps if spec is not None else None
-
-    @property
-    def incast_scale(self) -> int:
-        spec = self._first("incast")
-        return spec.scale if spec is not None else 100
-
-    @property
-    def incast_flow_bytes(self) -> int:
-        spec = self._first("incast")
-        return spec.flow_bytes if spec is not None else 40_000
 
     @property
     def total_load(self) -> float:
@@ -259,7 +176,7 @@ class ExperimentConfig:
             if isinstance(workload, WorkloadConfig):
                 return workload
             return WorkloadConfig(tuple(workload))
-        return WorkloadConfig.from_legacy(**legacy_kwargs)
+        return WorkloadConfig(specs_from_legacy(**legacy_kwargs))
 
     @classmethod
     def paper_profile(cls, system: str = "vertigo",
@@ -315,14 +232,14 @@ class ExperimentConfig:
         if topology is None:
             topology = LeafSpine(n_spines=4, n_leaves=8, hosts_per_leaf=4)
         if workload is None:
-            workload = WorkloadConfig.from_legacy(
+            workload = WorkloadConfig(specs_from_legacy(
                 bg_load=bg_load,
                 bg_distribution=bg_distribution,
                 bg_size_cap=200_000,
                 incast_load=incast_load,
                 incast_qps=incast_qps,
                 incast_scale=incast_scale,
-                incast_flow_bytes=incast_flow_bytes)
+                incast_flow_bytes=incast_flow_bytes))
         else:
             workload = cls._resolve_workload(workload, {})
         return cls(

@@ -8,7 +8,7 @@ through the parallel sweep executor and into the determinism digest
 unchanged.
 
 Timestamps are integer nanoseconds (the simulator's canonical time unit;
-``repro.analysis.lint`` rules VR003/VR005 enforce this statically) and
+``FaultSpec`` validates this, lint rule VR003 backs it statically) and
 the corruption loss draws from a named RNG stream derived from the cable
 endpoints, so fault scenarios never perturb any other component's
 randomness and digests stay reproducible.

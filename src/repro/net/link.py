@@ -56,22 +56,22 @@ class Link(Snapshot):
     Failure injection: ``up`` gates delivery (see the module docstring
     for in-flight semantics); with ``loss_rate`` > 0 each delivery is
     independently corrupted (dropped) with that probability, modelling
-    bit errors or a flaky cable.  Corruption losses are counted via
-    ``on_loss`` (legacy single-purpose hook) and every wire drop —
-    corruption or dead link — is reported to ``on_drop(packet, reason)``.
+    bit errors or a flaky cable.  Every wire drop — corruption
+    (``"link_loss"``) or dead link (``"link_down"``) — is reported to
+    ``on_drop(packet, reason)``.
     """
 
     __slots__ = ("engine", "rate_bps", "delay_ns", "dst", "dst_port",
-                 "loss_rate", "loss_rng", "on_loss", "on_drop", "losses",
-                 "up", "label", "fidelity")
+                 "loss_rate", "loss_rng", "on_drop", "losses", "up",
+                 "label", "fidelity")
 
     SNAPSHOT_ATTRS = ("engine", "rate_bps", "delay_ns", "dst", "dst_port",
-                      "loss_rate", "loss_rng", "on_loss", "on_drop",
-                      "losses", "up", "label", "fidelity")
+                      "loss_rate", "loss_rng", "on_drop", "losses", "up",
+                      "label", "fidelity")
 
     def __init__(self, engine: Engine, rate_bps: int, delay_ns: int,
                  dst: Device, dst_port: int, *, loss_rate: float = 0.0,
-                 loss_rng=None, on_loss=None,
+                 loss_rng=None,
                  on_drop: Optional["DropCallback"] = None,
                  label: str = "") -> None:
         if rate_bps <= 0:
@@ -89,7 +89,6 @@ class Link(Snapshot):
         self.dst_port = dst_port
         self.loss_rate = loss_rate
         self.loss_rng = loss_rng
-        self.on_loss = on_loss
         self.on_drop = on_drop
         self.losses = 0
         self.up = True
@@ -138,8 +137,6 @@ class Link(Snapshot):
         if self.loss_rate > 0.0 \
                 and self.loss_rng.random() < self.loss_rate:
             self.losses += 1
-            if self.on_loss is not None:
-                self.on_loss(packet)
             if self.on_drop is not None:
                 self.on_drop(packet, "link_loss")
             if self.fidelity is not None:

@@ -46,7 +46,7 @@ def advance_uid_watermark(watermark: int) -> None:
     """
     global _packet_uid
     if watermark > next(_packet_uid):
-        _packet_uid = itertools.count(watermark)  # noqa: VR004
+        _packet_uid = itertools.count(watermark)
 
 
 class PacketKind(enum.Enum):

@@ -41,7 +41,7 @@ import math
 import os
 import signal
 import threading
-import time  # noqa: VR002 - supervision measures real wall time
+import time
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,

@@ -147,7 +147,7 @@ def chrome_trace_from_blocks(runs: Sequence[RunBlock]) -> Dict[str, object]:
         for record in records:
             obj = dict(record)
             kind = obj.pop("ev")
-            ts = obj.pop("t") / 1000.0  # noqa: VR003 - µs display boundary
+            ts = obj.pop("t") / 1000.0  # µs display boundary
             if kind == "sample.port":
                 events.append({
                     "ph": "C", "ts": ts, "pid": pid,
@@ -300,7 +300,7 @@ def summarize_file(path: str) -> str:
             f"events={meta.get('events')} samples={meta.get('samples')} "
             f"dropped={meta.get('dropped_events')}")
     if t_min is not None:
-        span_ms = (t_max - t_min) / 1_000_000  # noqa: VR003 - display
+        span_ms = (t_max - t_min) / 1_000_000
         lines.append(f"time span: {t_min}..{t_max} ns ({span_ms:.3f} ms)")
     if counts:
         lines.append("records by kind:")

@@ -29,10 +29,10 @@ import sys
 from typing import Iterator, List, Optional
 
 #: Instrumented modules (append-only process-wide hook registry).
-_REGISTRY: List[str] = []  # noqa: VR004 - append-only hook registry
+_REGISTRY: List[str] = []
 
 #: The tracer currently receiving events, or None (tracing off).
-_active = None  # noqa: VR004 - process-wide tracing toggle
+_active = None
 
 
 def register(module_name: str) -> Optional[object]:

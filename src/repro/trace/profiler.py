@@ -16,7 +16,7 @@ of ``perf_counter`` calls per phase per run — nothing per event.
 from __future__ import annotations
 
 import contextlib
-import time  # noqa: VR002 - measurement harness, not simulation logic
+import time
 from typing import Dict, Iterator
 
 

@@ -14,7 +14,7 @@ reacts to ECN feedback —
 
 Everything is integer arithmetic: rates in bits/s, times in ns, and
 ``alpha`` in fixed point (:data:`ALPHA_UNIT`), so runs stay
-digest-deterministic (VR150/VR160 discipline).  The congestion window is
+digest-deterministic (lint rule VR150's discipline).  The congestion window is
 parked at ``max_cwnd`` and acts only as a safety cap on outstanding
 data; the rate is the control variable, enforced through
 :meth:`pacing_gap_ns`.

@@ -385,9 +385,8 @@ def specs_from_legacy(bg_load: float = 0.15,
                       ) -> Tuple[WorkloadSpec, ...]:
     """The historical flat ``bg_*``/``incast_*`` knobs as a spec pair.
 
-    This is the normalization shim behind the legacy
-    :class:`~repro.experiments.config.WorkloadConfig` kwargs and the
-    ``bench_profile``/``paper_profile`` keyword surface: the resulting
+    This is the one normalizer behind the ``bench_profile`` /
+    ``paper_profile`` keyword surface and the CLI flags: the resulting
     specs drive the generators through the same registry as new-style
     workloads, and runs built this way are digest-identical to the
     pre-spec implementation (regression-tested).

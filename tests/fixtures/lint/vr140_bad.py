@@ -1,11 +1,13 @@
-"""VR140 bad: the trace hook is used without the identity guard, so
-every traced-off run pays the call anyway.
+"""VR140 bad: one-line mutant of ``net/link.py`` — the module binds
+``_TRACE`` without registering, so ``hooks.activate`` never switches
+it on and its hooks silently never fire.  The guards keep every
+traced-off *and* traced-on run green (all of tier-1 passes with link
+records missing): only VR140 objects.
 """
 
-from repro.trace import hooks as _trace_hooks
-
-_TRACE = _trace_hooks.register(__name__)
+_TRACE = None
 
 
 def on_enqueue(queue, packet):
-    _TRACE.emit("enqueue", queue=queue.name, size=packet.size_bytes)
+    if _TRACE is not None:
+        _TRACE.emit("enqueue", queue=queue.name, size=packet.size_bytes)

@@ -1,4 +1,4 @@
-"""VR140 good: every hook use sits behind the zero-cost guard."""
+"""VR140 good: the module registers for the hooks it uses."""
 
 from repro.trace import hooks as _trace_hooks
 
@@ -8,7 +8,3 @@ _TRACE = _trace_hooks.register(__name__)
 def on_enqueue(queue, packet):
     if _TRACE is not None:
         _TRACE.emit("enqueue", queue=queue.name, size=packet.size_bytes)
-
-
-def on_dequeue(queue, packet):
-    _TRACE is not None and _TRACE.emit("dequeue", queue=queue.name)

@@ -1,4 +1,4 @@
-"""VR160 bad: float arithmetic inside PFC pause/threshold code.  The
+"""VR150 bad (PFC half): float arithmetic inside PFC pause/threshold code.  The
 assignments never touch a ``*_ns`` name directly, so VR100 stays
 silent — but the pause duration lands on the integer-ns calendar and
 the XOFF threshold gates integer byte counters, where float rounding

@@ -1,4 +1,4 @@
-"""VR160 good: the same PFC arithmetic kept integral end to end —
+"""VR150 good (PFC half): the same PFC arithmetic kept integral end to end —
 scale to bit-nanoseconds first, then floor-divide by the link rate,
 and size thresholds with integer division only.
 """

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, WorkloadConfig
 from repro.experiments.runner import run_experiment
 from repro.net.topology import FatTree, LeafSpine
 from repro.sim.units import MILLISECOND
+from repro.workload.spec import BackgroundSpec, IncastSpec
 
 SYSTEMS = ["ecmp", "drill", "dibs", "vertigo"]
 TRANSPORTS = ["reno", "dctcp", "swift"]
@@ -57,9 +58,9 @@ def test_single_background_flow_fct_near_ideal():
         sim_time_ns=50 * MILLISECOND)
     # Inject exactly one 100 KB flow by running the incast app with
     # scale 1 at a tiny rate.
-    config.workload = type(config.workload)(
-        bg_load=0.0, incast_qps=20.0, incast_scale=1,
-        incast_flow_bytes=100_000)
+    config.workload = WorkloadConfig((
+        BackgroundSpec(load=0.0),
+        IncastSpec(qps=20.0, scale=1, flow_bytes=100_000)))
     result = run_experiment(config)
     flows = [f for f in result.metrics.flows.values() if f.completed]
     assert flows

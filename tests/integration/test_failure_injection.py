@@ -28,11 +28,12 @@ def test_lossy_link_drops_expected_fraction():
     sink = SinkDevice()
     lost = []
     link = Link(engine, 10 ** 9, 0, sink, 0, loss_rate=0.3,
-                loss_rng=random.Random(7), on_loss=lost.append)
+                loss_rng=random.Random(7),
+                on_drop=lambda packet, reason: lost.append(reason))
     for _ in range(2000):
         link.deliver(mk_data())
     engine.run()
-    assert link.losses == len(lost)
+    assert lost == ["link_loss"] * link.losses
     assert 0.25 < link.losses / 2000 < 0.35
     assert len(sink.received) == 2000 - link.losses
 

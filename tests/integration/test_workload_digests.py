@@ -13,8 +13,6 @@ Two contracts guard the API redesign:
    serial/parallel executor boundary.
 """
 
-import warnings
-
 import pytest
 
 from repro.experiments import run_digest, run_many, run_experiment
@@ -60,19 +58,11 @@ def test_legacy_kwargs_and_explicit_specs_digest_identically():
         == run_digest(run_experiment(specs))
 
 
-def test_legacy_workload_kwargs_warn_but_build_same_config():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        flat = WorkloadConfig(bg_load=0.3, incast_qps=50, incast_scale=4)
-    assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-    specs = WorkloadConfig((BackgroundSpec(load=0.3),
-                            IncastSpec(qps=50, scale=4)))
+def test_profile_kwargs_build_the_same_config_as_specs():
+    flat = bench(bg_load=0.3, incast_qps=50, incast_scale=4).workload
+    specs = WorkloadConfig((BackgroundSpec(load=0.3, size_cap=200_000),
+                            IncastSpec(qps=50, scale=4, flow_bytes=10_000)))
     assert flat == specs
-    # The classmethod shim used by the profiles is warning-free.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        WorkloadConfig.from_legacy(bg_load=0.3)
-    assert not caught
 
 
 def test_explicit_uniform_skew_is_digest_invisible():

@@ -134,21 +134,3 @@ def test_syntax_error_module_skipped():
     })
     assert "ok.py::fine" in project.functions
     assert "broken.py" not in project.modules
-
-
-def test_unpicklable_class_detection():
-    project, _ = build(mod="""
-        import threading
-
-        class WithLock:
-            def __init__(self):
-                self._lock = threading.Lock()
-
-        class Plain:
-            def __init__(self):
-                self.n = 0
-    """)
-    by_name = {info.name: info
-               for infos in project.classes.values() for info in infos}
-    assert by_name["WithLock"].unpicklable
-    assert not by_name["Plain"].unpicklable

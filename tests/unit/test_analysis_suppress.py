@@ -1,15 +1,13 @@
-"""Pragmas, VR090 unused-suppression tracking, and the baseline."""
+"""``# noqa: VRxxx`` suppression comments and VR090 unused-suppression
+tracking."""
 
 import textwrap
 
 from repro.analysis.lint import Violation
 from repro.analysis.suppress import (
-    Baseline,
     RULE_UNUSED,
     apply_suppressions,
-    apply_suppressions_for_path,
-    fingerprint,
-    parse_pragmas,
+    parse_noqa,
 )
 
 
@@ -17,114 +15,78 @@ def v(line, code, path="mod.py"):
     return Violation(path, line, 1, code, f"{code} message")
 
 
-def test_pragma_suppresses_matching_code():
-    source = "x = bad_thing()  # repro: lint-disable VR110\n"
-    surviving, unused = apply_suppressions([v(1, "VR110")], source)
+def test_noqa_suppresses_matching_code():
+    source = "x = bad_thing()  # noqa: VR110\n"
+    surviving, unused = apply_suppressions([v(1, "VR110")], "mod.py", source)
     assert surviving == []
     assert unused == []
 
 
-def test_pragma_does_not_suppress_other_codes():
-    source = "x = bad_thing()  # repro: lint-disable VR110\n"
-    surviving, unused = apply_suppressions([v(1, "VR120")], source)
+def test_noqa_does_not_suppress_other_codes():
+    source = "x = bad_thing()  # noqa: VR110\n"
+    surviving, unused = apply_suppressions([v(1, "VR120")], "mod.py", source)
     assert [x.code for x in surviving] == ["VR120"]
-    # ... and the VR110 pragma is now unused.
+    # ... and the VR110 code is now unused.
     assert [x.code for x in unused] == [RULE_UNUSED]
 
 
-def test_pragma_multiple_codes():
-    source = "x = y  # repro: lint-disable VR110, VR120\n"
+def test_noqa_multiple_codes():
+    source = "x = y  # noqa: VR110, VR120 - free text may follow\n"
     surviving, unused = apply_suppressions(
-        [v(1, "VR110"), v(1, "VR120")], source)
+        [v(1, "VR110"), v(1, "VR120")], "mod.py", source)
     assert surviving == []
     assert unused == []
 
 
-def test_unused_pragma_reported_with_stale_code_in_message():
-    source = "x = 1  # repro: lint-disable VR130\n"
-    surviving, unused = apply_suppressions_for_path([], "mod.py", source)
+def test_unused_noqa_reported_with_stale_code_in_message():
+    source = "x = 1  # noqa: VR100\n"
+    surviving, unused = apply_suppressions([], "mod.py", source)
     assert surviving == []
     [stale] = unused
     assert stale.code == RULE_UNUSED
-    assert "VR130" in stale.message
-    assert stale.path == "mod.py"
+    assert "VR100" in stale.message
+    assert (stale.path, stale.line) == ("mod.py", 1)
 
 
-def test_pragma_outside_select_is_not_reported_unused():
+def test_noqa_outside_select_is_not_reported_unused():
     # A partial --select must not call full-run suppressions stale:
-    # VR120 never ran here, so its pragma is inapplicable, not unused.
-    source = "x = 1  # repro: lint-disable VR120\n"
-    surviving, unused = apply_suppressions([], source, select={"VR001"})
+    # VR120 never ran here, so its code is inapplicable, not unused.
+    source = "x = 1  # noqa: VR120\n"
+    surviving, unused = apply_suppressions([], "mod.py", source,
+                                           select={"VR001"})
     assert surviving == []
     assert unused == []
-    _, unused = apply_suppressions([], source, select={"VR120"})
+    _, unused = apply_suppressions([], "mod.py", source, select={"VR120"})
     assert [x.code for x in unused] == [RULE_UNUSED]
 
 
-def test_pragma_in_docstring_is_not_a_pragma():
+def test_noqa_in_docstring_is_not_a_suppression():
     source = textwrap.dedent('''
-        """Docs mention # repro: lint-disable VR110 as an example."""
+        """Docs mention # noqa: VR110 as an example."""
         x = 1
     ''').lstrip()
-    assert parse_pragmas(source) == {}
+    assert parse_noqa(source) == {}
 
 
-def test_pragma_in_string_literal_is_not_a_pragma():
-    source = 'text = "# repro: lint-disable VR110"\n'
-    assert parse_pragmas(source) == {}
+def test_noqa_in_string_literal_is_not_a_suppression():
+    source = 'text = "# noqa: VR110"\n'
+    assert parse_noqa(source) == {}
 
 
-def test_legacy_noqa_still_honored_and_untracked():
-    source = "x = bad_thing()  # noqa: VR110\n"
-    surviving, unused = apply_suppressions([v(1, "VR110")], source)
+def test_noqa_is_honored_and_tracked():
+    # The spelling everyone uses is the one that must not rot silently:
+    # a VR002 code on a line with no VR002 finding is itself a finding.
+    source = "import time  # noqa: VR002\n"
+    surviving, unused = apply_suppressions([], "mod.py", source)
     assert surviving == []
-    assert unused == []  # noqa is never reported as unused
-    # An unused noqa stays silent too (legacy behaviour).
-    surviving, unused = apply_suppressions([], "y = 1  # noqa: VR120\n")
+    [stale] = unused
+    assert stale.code == RULE_UNUSED
+    assert "VR002" in stale.message
+
+
+def test_bare_noqa_suppresses_nothing():
+    source = "timeout_ns = 1.5  # noqa\n"
+    assert parse_noqa(source) == {}
+    surviving, unused = apply_suppressions([v(1, "VR003")], "mod.py", source)
+    assert [x.code for x in surviving] == ["VR003"]
     assert unused == []
-
-
-def test_baseline_roundtrip_and_filter(tmp_path):
-    source = "flow.delay_ns = seconds()\nother = 2\n"
-    sources = {"mod.py": source}
-    finding = v(1, "VR100")
-    baseline = Baseline.from_findings([finding], sources,
-                                      path=tmp_path / "baseline.json")
-    baseline.save()
-
-    loaded = Baseline.load(tmp_path / "baseline.json")
-    fresh, matched = loaded.filter([finding], sources)
-    assert fresh == []
-    assert len(matched) == 1
-    assert loaded.stale(matched) == []
-
-
-def test_baseline_survives_line_shift(tmp_path):
-    old = {"mod.py": "flow.delay_ns = seconds()\n"}
-    finding_old = v(1, "VR100")
-    baseline = Baseline.from_findings([finding_old], old)
-
-    # Two lines inserted above: same content, new line number.
-    new = {"mod.py": "import os\n\nflow.delay_ns = seconds()\n"}
-    fresh, matched = baseline.filter([v(3, "VR100")], new)
-    assert fresh == []
-    assert len(matched) == 1
-
-
-def test_baseline_invalidated_when_flagged_line_changes(tmp_path):
-    old = {"mod.py": "flow.delay_ns = seconds()\n"}
-    baseline = Baseline.from_findings([v(1, "VR100")], old)
-
-    new = {"mod.py": "flow.delay_ns = other_seconds()\n"}
-    fresh, matched = baseline.filter([v(1, "VR100")], new)
-    assert [x.code for x in fresh] == ["VR100"]
-    assert matched == []
-    assert len(baseline.stale(matched)) == 1
-
-
-def test_fingerprint_is_stable_and_content_sensitive():
-    a = fingerprint("mod.py", "VR100", "x = 1")
-    assert a == fingerprint("mod.py", "VR100", "x = 1")
-    assert a != fingerprint("mod.py", "VR110", "x = 1")
-    assert a != fingerprint("mod.py", "VR100", "x = 2")
-    assert a != fingerprint("other.py", "VR100", "x = 1")

@@ -23,10 +23,11 @@ def test_all_knobs_flow_through():
     config = config_from_args(args)
     assert config.system.name == "dibs"
     assert config.transport_name == "swift"
-    assert config.workload.bg_load == 0.3
-    assert config.workload.incast_load == 0.1
-    assert config.workload.incast_scale == 5
-    assert config.workload.incast_flow_bytes == 2000
+    background, incast = config.workload.specs
+    assert background.load == 0.3
+    assert incast.load == 0.1
+    assert incast.scale == 5
+    assert incast.flow_bytes == 2000
     assert config.sim_time_ns == 10_000_000
     assert config.seed == 9
 
@@ -194,7 +195,7 @@ def test_warmup_applies_to_profile_workload():
     args = build_parser().parse_args(["--warmup", "5ms"])
     config = config_from_args(args)
     assert config.workload.warmup_ns == 5_000_000
-    assert config.workload.bg_load == 0.5   # CLI default mix untouched
+    assert config.workload.specs[0].load == 0.5   # CLI default mix untouched
 
 
 def test_run_with_workload_reports_cct(capsys):

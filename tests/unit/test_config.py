@@ -17,6 +17,7 @@ from repro.experiments.runner import (
 from repro.net.builder import NetworkParams
 from repro.net.topology import FatTree
 from repro.sim.units import gbps, kb, usecs
+from repro.workload.spec import BackgroundSpec, IncastSpec
 
 
 def test_system_name_validated():
@@ -28,12 +29,13 @@ def test_system_name_validated():
 
 def test_workload_rejects_double_incast_spec():
     with pytest.raises(ValueError):
-        WorkloadConfig(incast_load=0.2, incast_qps=100)
+        WorkloadConfig((IncastSpec(load=0.2, qps=100),))
 
 
 def test_workload_total_load():
-    assert WorkloadConfig(bg_load=0.5, incast_load=0.25).total_load == 0.75
-    assert WorkloadConfig(bg_load=0.5).total_load == 0.5
+    assert WorkloadConfig((BackgroundSpec(load=0.5),
+                           IncastSpec(load=0.25))).total_load == 0.75
+    assert WorkloadConfig((BackgroundSpec(load=0.5),)).total_load == 0.5
 
 
 def test_paper_profile_matches_section_4_1():
