@@ -19,8 +19,8 @@ written against but that Python itself does not enforce:
     across call boundaries) and VR150 (no float arithmetic inside the
     integer-only analytic / PFC functions).
   - :mod:`repro.analysis.rules` — VR110 (RNG stream ownership), VR120
-    (digest-escaping mutable state, ``SNAPSHOT_ATTRS`` coverage), VR140
-    (unguarded ``_TRACE`` hook use).
+    (digest-escaping mutable state), VR140 (unguarded ``_TRACE`` hook
+    use).
   - :mod:`repro.analysis.suppress` — the one suppression spelling,
     ``# noqa: VRxxx``; a code that suppresses nothing is VR090.
   - :mod:`repro.analysis.driver` — the pipeline and its CLI.

@@ -200,100 +200,7 @@ def check_vr120(project: Project, graph: CallGraph) -> List[Violation]:
                 f"{kind} '{name}' written from event-handler-reachable "
                 f"code escapes the run digest "
                 f"(path: {display_chain(project, chain)})"))
-    violations.extend(_check_snapshot_coverage(project))
     return violations
-
-
-# -- VR120 checkpoint-coverage pass --------------------------------------------
-#
-# A class implementing the Snapshot protocol serializes *exactly* its
-# SNAPSHOT_ATTRS (own + inherited): any other instance attribute is
-# silently absent after a checkpoint restore.  Flag every ``self.X``
-# assignment in a Snapshot class's methods whose name no literal
-# SNAPSHOT_ATTRS declaration in the class or its ancestors covers.
-# Deliberate exclusions carry an inline noqa comment naming VR120.
-
-
-def _snapshot_attr_decls(project: Project) -> Dict[str, Set[str]]:
-    """Class name -> literal strings in its SNAPSHOT_ATTRS declaration."""
-    decls: Dict[str, Set[str]] = {}
-    for module in project.modules.values():
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for stmt in node.body:
-                targets = ()
-                if isinstance(stmt, ast.Assign):
-                    targets = stmt.targets
-                elif isinstance(stmt, ast.AnnAssign) and stmt.value:
-                    targets = (stmt.target,)
-                if not any(isinstance(t, ast.Name)
-                           and t.id == "SNAPSHOT_ATTRS" for t in targets):
-                    continue
-                strings = decls.setdefault(node.name, set())
-                for leaf in ast.walk(stmt.value):
-                    if isinstance(leaf, ast.Constant) \
-                            and isinstance(leaf.value, str):
-                        strings.add(leaf.value)
-    return decls
-
-
-def _ancestor_names(project: Project, name: str) -> Set[str]:
-    """``name`` plus every (transitive) base-class name in the project."""
-    seen: Set[str] = {name}
-    frontier = [name]
-    while frontier:
-        for cls_info in project.classes.get(frontier.pop(), ()):
-            for base in cls_info.bases:
-                if base not in seen:
-                    seen.add(base)
-                    frontier.append(base)
-    return seen
-
-
-def _check_snapshot_coverage(project: Project) -> List[Violation]:
-    violations: List[Violation] = []
-    decls = _snapshot_attr_decls(project)
-    for cls_name, infos in sorted(project.classes.items()):
-        if cls_name == "Snapshot":
-            continue
-        ancestors = _ancestor_names(project, cls_name)
-        if "Snapshot" not in ancestors:
-            continue
-        covered: Set[str] = set()
-        for ancestor in ancestors:
-            covered |= decls.get(ancestor, set())
-        for cls_info in infos:
-            seen: Set[str] = set()
-            for method, qualname in sorted(cls_info.methods.items()):
-                func = project.functions.get(qualname)
-                if func is None:
-                    continue
-                for node in walk_shallow(func.node):
-                    hit = _self_attr_write(node)
-                    if hit is None or hit in covered or hit in seen:
-                        continue
-                    seen.add(hit)
-                    violations.append(Violation(
-                        func.path, node.lineno, node.col_offset + 1,
-                        "VR120",
-                        f"attribute 'self.{hit}' on Snapshot class "
-                        f"'{cls_name}' is missing from SNAPSHOT_ATTRS — "
-                        f"it will be absent after a checkpoint restore"))
-    return violations
-
-
-def _self_attr_write(node: ast.AST) -> Optional[str]:
-    """Attribute name when ``node`` assigns ``self.<attr>``."""
-    if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-        targets = node.targets if isinstance(node, ast.Assign) \
-            else [node.target]
-        for target in targets:
-            if isinstance(target, ast.Attribute) \
-                    and isinstance(target.value, ast.Name) \
-                    and target.value.id == "self":
-                return target.attr
-    return None
 
 
 def _global_names(node: ast.AST) -> Set[str]:

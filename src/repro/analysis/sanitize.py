@@ -24,12 +24,6 @@ Instrumented modules call :func:`register` at import time and cache the
 returned state in a module global ``_SANITIZE``; toggling re-writes that
 global in every registered module, so per-event code never pays an
 attribute lookup into this module while disabled.
-
-CLI: ``python -m repro.analysis sanitize`` measures the sanitizer's
-overhead on the simulation kernel and on one benchmark-profile
-experiment, and doubles as a smoke test that the checks execute.
-(``python -m repro.analysis.sanitize`` also works, but runpy warns
-about the module having already been imported via the package.)
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, List
 
 
 class SanitizerError(AssertionError):
@@ -109,111 +103,3 @@ def check(condition: bool, message: str, *args: object) -> None:
     checks_run += 1  # noqa: VR120
     if not condition:
         raise SanitizerError(message % args if args else message)
-
-
-# -- CLI: overhead measurement -------------------------------------------------
-
-
-def _time_kernel(n_events: int) -> float:
-    """Seconds of wall time to run ``n_events`` empty events."""
-    import time
-
-    from repro.sim.engine import Engine
-
-    engine = Engine()
-
-    def tick() -> None:
-        if engine.events_executed + executed[0] < n_events:
-            executed[0] += 1
-            engine.schedule(1, tick)
-
-    executed = [0]
-    engine.schedule(1, tick)
-    start = time.perf_counter()  # noqa: VR002 - measurement harness
-    engine.run(max_events=n_events)
-    return time.perf_counter() - start  # noqa: VR002 - measurement harness
-
-
-def _time_experiment() -> float:
-    """Seconds of wall time for one small bench-profile run."""
-    import time
-
-    from repro.experiments.config import ExperimentConfig
-    from repro.experiments.runner import run_experiment
-    from repro.sim.units import MILLISECOND
-
-    config = ExperimentConfig.bench_profile(
-        system="vertigo", transport="dctcp", bg_load=0.2, incast_qps=80,
-        incast_scale=6, sim_time_ns=20 * MILLISECOND)
-    start = time.perf_counter()  # noqa: VR002 - measurement harness
-    run_experiment(config)
-    return time.perf_counter() - start  # noqa: VR002 - measurement harness
-
-
-def _best_of(fn, repeats: int) -> float:
-    """Minimum of ``repeats`` timed runs, after one untimed warmup.
-
-    The warmup keeps allocator / bytecode-cache cold-start costs out of
-    whichever state happens to be measured first.
-    """
-    fn()
-    return min(fn() for _ in range(repeats))
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.sanitize",
-        description="Measure the runtime sanitizer's overhead (off vs on) "
-                    "on the event kernel and one bench experiment.")
-    parser.add_argument("--events", type=int, default=200_000,
-                        help="kernel events per measurement (default 200k)")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="timed repetitions per state; the minimum is "
-                             "reported (default 3)")
-    parser.add_argument("--skip-experiment", action="store_true")
-    args = parser.parse_args(argv)
-
-    rows = []
-    with scoped(False):
-        off = _best_of(lambda: _time_kernel(args.events), args.repeats)
-    with scoped(True):
-        before = checks_run
-        _time_kernel(args.events)
-        kernel_checks = checks_run - before
-        on = min(_time_kernel(args.events) for _ in range(args.repeats))
-    rows.append(("kernel", args.events, off, on, kernel_checks))
-
-    if not args.skip_experiment:
-        with scoped(False):
-            off = _best_of(_time_experiment, 1)
-        with scoped(True):
-            before = checks_run
-            _time_experiment()
-            run_checks = checks_run - before
-            on = _time_experiment()
-        rows.append(("bench-experiment", None, off, on, run_checks))
-
-    print(f"{'workload':<18} {'off_s':>8} {'on_s':>8} {'overhead':>9} "
-          f"{'checks':>10}")
-    for name, _, off, on, n_checks in rows:
-        overhead = (on - off) / off * 100 if off else float("nan")
-        print(f"{name:<18} {off:>8.3f} {on:>8.3f} {overhead:>8.1f}% "
-              f"{n_checks:>10}")
-    if any(n_checks == 0 for *_, n_checks in rows):
-        print("sanitizer executed no checks — instrumentation broken?",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    # Under ``python -m`` this file runs as ``__main__`` — a *second*
-    # module object, distinct from the ``repro.analysis.sanitize`` that
-    # the instrumented modules registered with at import time.  Delegate
-    # to the canonical instance so scoped()/checks_run observe the real
-    # registry instead of this copy's empty one.
-    from repro.analysis import sanitize as _canonical
-
-    raise SystemExit(_canonical.main())

@@ -4,17 +4,17 @@ One simulated second of a paper-scale hybrid run costs ~21 s of wall
 clock; multi-second sweep points run for minutes.  This package makes
 those runs survivable: at every checkpoint epoch the runner persists the
 *entire* live simulation — event calendar, named RNG streams, switch and
-PFC state, fidelity controllers, transports, workload cursors — and a
-killed, preempted, or crashed run resumes from its last epoch with a
-final run digest byte-identical to an uninterrupted run.
+PFC state, fidelity controllers, transports, workload cursors — as one
+plain pickle of the ``LiveRun`` object graph, and a killed, preempted,
+or crashed run resumes from its last epoch with a final run digest
+byte-identical to an uninterrupted run.
 
 Pieces:
 
-- :mod:`repro.checkpoint.protocol` — the :class:`Snapshot` protocol
-  (explicit ``snapshot_state()`` / ``restore_state()`` per component,
-  linted for coverage by VR120).
 - :mod:`repro.checkpoint.store` — atomic versioned checkpoint files
-  with content digests, one-generation fallback, progress sidecars.
+  with content digests, a derived source-code fingerprint (a checkpoint
+  from different code is refused), one-generation fallback, progress
+  sidecars.
 - :mod:`repro.checkpoint.config` — :class:`CheckpointConfig`, the knob
   carried (digest-neutrally) by ``ExperimentConfig``.
 - :mod:`repro.checkpoint.runtime` — SIGTERM/SIGINT checkpoint-then-exit
@@ -22,10 +22,9 @@ Pieces:
 """
 
 from repro.checkpoint.config import DEFAULT_CHECKPOINT_DIR, CheckpointConfig
-from repro.checkpoint.protocol import Snapshot
 from repro.checkpoint.store import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                                     CheckpointError, RunPreempted, discard,
-                                    load_latest, peek_header, progress_path,
+                                    load_latest, progress_path,
                                     read_checkpoint, read_progress,
                                     write_checkpoint, write_progress)
 
@@ -36,10 +35,8 @@ __all__ = [
     "CheckpointError",
     "DEFAULT_CHECKPOINT_DIR",
     "RunPreempted",
-    "Snapshot",
     "discard",
     "load_latest",
-    "peek_header",
     "progress_path",
     "read_checkpoint",
     "read_progress",

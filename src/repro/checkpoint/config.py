@@ -14,7 +14,7 @@ from typing import Optional
 
 from repro.sim.units import MILLISECOND
 
-#: Directory used when neither ``path`` nor ``directory`` is given.
+#: Directory used when no ``directory`` is given.
 DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
 
 
@@ -24,34 +24,25 @@ class CheckpointConfig:
 
     ``every_ns`` is the epoch length in simulated nanoseconds; the run
     loop stops at every multiple of it and persists the full simulation
-    state.  ``path`` pins the checkpoint file explicitly (single runs);
-    otherwise files land in ``directory`` keyed by the config digest, so
-    sweep points never collide and a retried run finds its own state.
+    state.  Files land in ``directory`` keyed by the config digest, so
+    sweep points never collide and a re-run of the same config finds
+    (and resumes from) its own state.
     """
 
     every_ns: int
-    path: Optional[str] = None
     directory: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.every_ns <= 0:
             raise ValueError("checkpoint interval must be positive")
-        if self.path is not None and self.directory is not None:
-            raise ValueError("give either an explicit checkpoint path or "
-                             "a directory, not both")
 
     @classmethod
-    def every_ms(cls, ms: float, *, path: Optional[str] = None,
+    def every_ms(cls, ms: float, *,
                  directory: Optional[str] = None) -> "CheckpointConfig":
         """The CLI surface: ``--checkpoint-every`` takes simulated ms."""
-        every_ns = round(ms * MILLISECOND)
-        if every_ns <= 0:
-            raise ValueError("checkpoint interval must be positive")
-        return cls(every_ns=every_ns, path=path, directory=directory)
+        return cls(every_ns=round(ms * MILLISECOND), directory=directory)
 
     def resolve_path(self, config_digest: str) -> str:
         """The checkpoint file for the run identified by this digest."""
-        if self.path is not None:
-            return self.path
         directory = self.directory or DEFAULT_CHECKPOINT_DIR
         return os.path.join(directory, f"{config_digest[:16]}.ckpt")

@@ -2,10 +2,16 @@
 
 A checkpoint file is one JSON header line followed by a pickle payload::
 
-    {"checkpoint": "repro.checkpoint", "version": 2, "config": "...",
-     "sim_now_ns": ..., "events_executed": ..., "payload_bytes": N,
-     "sha256": "..."}\\n
+    {"checkpoint": "repro.checkpoint", "version": 3, "code": "...",
+     "config": "...", "sim_now_ns": ..., "events_executed": ...,
+     "payload_bytes": N, "sha256": "..."}\\n
     <N bytes of pickle>
+
+The payload is a plain pickle of live ``repro`` objects, so it is only
+meaningful to the code that wrote it: ``code`` is a SHA-256 over the
+``repro`` package's source files (:func:`code_fingerprint`), and a file
+whose ``code`` differs from the reading process's is refused before it
+is unpickled.  ``version`` names the file format only.
 
 Writes are atomic (tmp + ``os.replace``) and keep one generation of
 history: the previous checkpoint survives as ``<path>.prev``, so a
@@ -20,6 +26,7 @@ failure manifests.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -28,9 +35,9 @@ import pickle
 from typing import Dict, Optional, Tuple
 
 CHECKPOINT_MAGIC = "repro.checkpoint"
-#: Bump whenever any class's ``SNAPSHOT_ATTRS`` changes (2: ``Link.on_loss``
-#: removed) — older payloads would unpickle into stale objects.
-CHECKPOINT_VERSION = 2
+#: The file format (header fields, framing).  Object-layout changes need
+#: no bump: the derived ``code`` header field covers them.
+CHECKPOINT_VERSION = 3
 
 #: Suffix of the one-generation history file kept beside the latest.
 PREVIOUS_SUFFIX = ".prev"
@@ -63,6 +70,24 @@ class RunPreempted(RuntimeError):
         return (RunPreempted, (self.path, self.sim_now_ns))
 
 
+@functools.lru_cache(maxsize=None)
+def code_fingerprint() -> str:
+    """SHA-256 over the ``repro`` package's ``.py`` files (relative path
+    and bytes, in sorted order).  Computed on first use only — when a
+    checkpoint is written or read — then cached for the process."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    sources = []
+    for directory, _subdirs, files in os.walk(root):
+        sources.extend(os.path.join(directory, name)
+                       for name in files if name.endswith(".py"))
+    digest = hashlib.sha256()
+    for source in sorted(sources):
+        digest.update(os.path.relpath(source, root).encode("utf-8") + b"\0")
+        with open(source, "rb") as fh:
+            digest.update(fh.read() + b"\0")
+    return digest.hexdigest()
+
+
 def _fsync_write(path: str, blob: bytes) -> None:
     with open(path, "wb") as fh:
         fh.write(blob)
@@ -82,6 +107,7 @@ def write_checkpoint(path: str, world: object, *, config_digest: str,
     header = {
         "checkpoint": CHECKPOINT_MAGIC,
         "version": CHECKPOINT_VERSION,
+        "code": code_fingerprint(),
         "config": config_digest,
         "sim_now_ns": sim_now_ns,
         "events_executed": events_executed,
@@ -114,16 +140,12 @@ def _read_header(fh: io.BufferedReader, path: str) -> Dict[str, object]:
         raise CheckpointError(
             f"{path}: checkpoint version {header.get('version')!r} "
             f"is not supported (expected {CHECKPOINT_VERSION})")
+    if header.get("code") != code_fingerprint():
+        raise CheckpointError(
+            f"{path}: checkpoint was written by different repro source "
+            f"(code {str(header.get('code'))[:12]}…, this tree is "
+            f"{code_fingerprint()[:12]}…)")
     return header
-
-
-def peek_header(path: str) -> Dict[str, object]:
-    """Read and validate only the header of a checkpoint file."""
-    try:
-        with open(path, "rb") as fh:
-            return _read_header(fh, path)
-    except OSError as exc:
-        raise CheckpointError(f"{path}: {exc}") from None
 
 
 def read_checkpoint(path: str, *, expect_config: Optional[str] = None

@@ -169,11 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seeds", type=int, default=1, metavar="N",
                         help="run N seeds (seed..seed+N-1) and print one "
                              "row per seed")
-    parser.add_argument("--restore", default=None, metavar="PATH",
-                        help="resume a single run from an explicit "
-                             "checkpoint file written by "
-                             "--checkpoint-every (the config must match "
-                             "the checkpoint's recorded digest)")
     return parser
 
 
@@ -262,10 +257,6 @@ def _cmd_run(argv: List[str]) -> int:
     if args.seeds < 1:
         print("--seeds must be >= 1", file=sys.stderr)
         return 2
-    if args.restore and args.seeds != 1:
-        print("--restore resumes exactly one run (--seeds 1)",
-              file=sys.stderr)
-        return 2
     configs = []
     try:
         for seed in range(args.seed, args.seed + args.seeds):
@@ -286,16 +277,14 @@ def _cmd_run(argv: List[str]) -> int:
               + "; ".join(spec.describe() for spec in configs[0].faults),
               file=sys.stderr)
     if len(configs) == 1:
-        if configs[0].checkpoint is not None or args.restore:
-            from repro.checkpoint import RunPreempted
+        if configs[0].checkpoint is not None:
+            from repro.checkpoint import CheckpointError, RunPreempted
             from repro.checkpoint.runtime import install_foreground_handlers
-            if configs[0].checkpoint is not None:
-                # SIGTERM/SIGINT become checkpoint-then-exit requests
-                # honoured at the next epoch boundary.
-                install_foreground_handlers()
+            # SIGTERM/SIGINT become checkpoint-then-exit requests
+            # honoured at the next epoch boundary.
+            install_foreground_handlers()
             try:
-                results = [run_experiment(configs[0],
-                                          restore=args.restore)]
+                results = [run_experiment(configs[0])]
             except RunPreempted as preempted:
                 print(f"run: preempted at "
                       f"{preempted.sim_now_ns // MILLISECOND} ms "
@@ -303,6 +292,12 @@ def _cmd_run(argv: List[str]) -> int:
                       f"{preempted.path} — re-run the same command to "
                       f"resume", file=sys.stderr)
                 return 130
+            except CheckpointError as exc:
+                # A stale or foreign file on the managed path (e.g.
+                # written by different source): never silently restart.
+                print(f"repro: error: {exc} — delete it to start over",
+                      file=sys.stderr)
+                return 1
         else:
             results = [run_experiment(configs[0])]
     else:

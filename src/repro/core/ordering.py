@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.analysis import sanitize as _sanitize
-from repro.checkpoint.protocol import Snapshot
 from repro.core.flowinfo import MarkingDiscipline
 from repro.trace import hooks as _trace_hooks
 
@@ -62,12 +61,8 @@ class _FlowOrderState:
             self.timer.stop()
 
 
-class OrderingComponent(Snapshot):
+class OrderingComponent:
     """Per-host receive-side re-sequencing shim."""
-
-    SNAPSHOT_ATTRS = ("engine", "deliver", "_raw_deliver", "_released_uids",
-                      "timeout_ns", "boost_factor", "discipline", "_flows",
-                      "packets_buffered", "timeouts_fired", "label")
 
     def __init__(self, engine: Engine, deliver: Callable[[Packet], None],
                  timeout_ns: int = DEFAULT_TIMEOUT_NS,

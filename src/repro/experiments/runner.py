@@ -14,14 +14,12 @@ from typing import Dict, Optional
 
 from repro.analysis import sanitize as _sanitize
 from repro.checkpoint import (
-    CheckpointError,
     RunPreempted,
     load_latest,
     write_checkpoint,
     write_progress,
 )
 from repro.checkpoint import discard as _discard_checkpoint
-from repro.checkpoint.protocol import Snapshot
 from repro.checkpoint.runtime import active_run, preemption_requested
 from repro.core.flowinfo import MarkingDiscipline
 from repro.experiments.config import ExperimentConfig
@@ -148,7 +146,7 @@ def resolve_transport_config(config: ExperimentConfig) -> TransportConfig:
     return transport
 
 
-class FlowKernel(Snapshot):
+class FlowKernel:
     """Opens flows: the glue between workload generators and host stacks.
 
     A picklable replacement for the historical ``open_flow`` closure —
@@ -157,9 +155,6 @@ class FlowKernel(Snapshot):
     checkpoint.  Flow ids are per-kernel, keeping same-process runs
     bit-identical for a given seed.
     """
-
-    SNAPSHOT_ATTRS = ("engine", "metrics", "network", "fidelity",
-                      "_flow_ids")
 
     def __init__(self, engine: Engine, metrics: MetricsCollector,
                  network: Network, fidelity) -> None:
@@ -201,7 +196,7 @@ class FlowKernel(Snapshot):
         self.network.hosts[src].sender_done(flow_id)
 
 
-class LiveRun(Snapshot):
+class LiveRun:
     """The complete live simulation: the object graph one checkpoint
     pickles.
 
@@ -211,12 +206,6 @@ class LiveRun(Snapshot):
     one RNG stream held by the registry and a policy) stay aliased on
     restore.  Wall-clock profiling lives *outside*, per process.
     """
-
-    SNAPSHOT_ATTRS = ("config", "engine", "rng", "metrics", "network",
-                      "pfc", "fidelity", "kernel", "generators",
-                      "telemetry", "injector", "sampler", "tracer",
-                      "uid_watermark", "restored_from_ns",
-                      "checkpoints_written")
 
     def __init__(self, config: ExperimentConfig, engine: Engine,
                  rng: RngRegistry, metrics: MetricsCollector,
@@ -333,16 +322,14 @@ class RunResult:
         return self.report().row()
 
 
-def run_experiment(config: ExperimentConfig,
-                   restore: Optional[str] = None) -> RunResult:
+def run_experiment(config: ExperimentConfig) -> RunResult:
     """Build, run, and measure one simulation.
 
     With ``config.sanitize`` the whole run — including network
     construction, so construction-bound checks attach — executes under
     the runtime invariant sanitizer.
 
-    ``restore`` resumes from an explicit checkpoint file.  With
-    ``config.checkpoint`` set, the run also *auto-resumes* from its
+    With ``config.checkpoint`` set, the run *auto-resumes* from its
     managed checkpoint (keyed by config digest) if one exists — so a
     crashed or preempted run simply reruns — and deletes it on
     successful completion.  Checkpointing never changes results: a
@@ -350,12 +337,11 @@ def run_experiment(config: ExperimentConfig,
     """
     if config.sanitize and not _sanitize.enabled():
         with _sanitize.scoped(True):
-            return _run_experiment(config, restore)
-    return _run_experiment(config, restore)
+            return _run_experiment(config)
+    return _run_experiment(config)
 
 
-def _run_experiment(config: ExperimentConfig,
-                    restore: Optional[str] = None) -> RunResult:
+def _run_experiment(config: ExperimentConfig) -> RunResult:
     from repro.experiments.digest import config_digest
 
     profiler = PhaseProfiler()
@@ -373,12 +359,7 @@ def _run_experiment(config: ExperimentConfig,
     with active_run():
         world = None
         with profiler.phase("build"):
-            if restore is not None:
-                found = load_latest(restore, expect_config=digest)
-                if found is None:
-                    raise CheckpointError(f"no checkpoint at {restore!r}")
-                _header, world, _used = found
-            elif managed_path is not None:
+            if managed_path is not None:
                 found = load_latest(managed_path, expect_config=digest)
                 if found is not None:
                     _header, world, _used = found
@@ -392,8 +373,7 @@ def _run_experiment(config: ExperimentConfig,
 
         result = _finalize(world, profiler, managed_path)
     if managed_path is not None:
-        # Managed checkpoints are consumed by successful completion;
-        # explicit --restore files are the caller's to keep.
+        # The checkpoint is consumed by successful completion.
         _discard_checkpoint(managed_path)
     return result
 
@@ -499,7 +479,7 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
 
 def _write_world_checkpoint(world: LiveRun, path: str,
                             config_digest: str) -> None:
-    """Snapshot ``world`` atomically and refresh the progress sidecar."""
+    """Persist ``world`` atomically and refresh the progress sidecar."""
     world.uid_watermark = _packet_mod.uid_watermark()
     write_checkpoint(path, world, config_digest=config_digest,
                      sim_now_ns=world.engine.now,

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
-from repro.checkpoint.protocol import Snapshot
 from repro.faults.spec import FaultSpec
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
@@ -41,14 +40,8 @@ EVENT_KINDS = {"down": "link_down", "up": "link_up", "rate": "link_rate",
                "loss": "link_loss_rate"}
 
 
-class FaultInjector(Snapshot):
+class FaultInjector:
     """Schedules and applies a fault scenario on a built network."""
-
-    # Pending fault firings live in the engine calendar (bound
-    # ``_apply`` events); the injector itself carries the applied log
-    # and the pre-created loss streams.
-    SNAPSHOT_ATTRS = ("engine", "network", "on_event", "faults", "applied",
-                      "_loss_streams")
 
     def __init__(self, engine: Engine, network: "Network",
                  rng: RngRegistry, faults: Sequence[FaultSpec],

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Type
 
-from repro.checkpoint.protocol import Snapshot
 from repro.core.flowinfo import MarkingDiscipline
 from repro.core.marking import MarkingComponent
 from repro.core.ordering import DEFAULT_TIMEOUT_NS, OrderingComponent
@@ -44,12 +43,8 @@ class HostStackConfig:
     nic_buffer_bytes: int = 512 * 1024
 
 
-class Host(Snapshot):
+class Host:
     """A server with a single access link."""
-
-    SNAPSHOT_ATTRS = ("engine", "host_id", "name", "stack", "metrics",
-                      "nic", "marking", "ordering", "senders", "receivers",
-                      "priority_map", "nic_backpressure", "_parked_senders")
 
     def __init__(self, engine: Engine, host_id: int,
                  stack: HostStackConfig, metrics: MetricsCollector) -> None:

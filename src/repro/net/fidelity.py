@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro.checkpoint.protocol import Snapshot
 from repro.net.packet import ACK_WIRE_BYTES
 from repro.trace import hooks as _trace_hooks
 
@@ -164,15 +163,8 @@ class _FlowPath:
 CASCADE_ENVELOPE_FACTOR = 5
 
 
-class FidelityController(Snapshot):
+class FidelityController:
     """Owns per-link modes, flow adoption, and the promotion epoch."""
-
-    SNAPSHOT_ATTRS = ("engine", "network", "config", "_hybrid", "_state",
-                      "_flows", "_generation", "_epoch_handle",
-                      "demote_queue_bytes", "promote_epoch_ns",
-                      "standing_queue_bytes", "demotions", "promotions",
-                      "pinned", "analytic_rounds", "analytic_flows",
-                      "cascade_links", "_cascade_warned")
 
     def __init__(self, engine: "Engine", network: "Network",
                  config: FidelityConfig) -> None:

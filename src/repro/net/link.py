@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, Union
 
-from repro.checkpoint.protocol import Snapshot
 from repro.sim.engine import Engine
 from repro.sim.units import transmission_delay_ns
 from repro.trace import hooks as _trace_hooks
@@ -50,7 +49,7 @@ class Device(Protocol):
     def receive(self, packet, in_port: int) -> None: ...
 
 
-class Link(Snapshot):
+class Link:
     """A directed channel delivering packets to a peer device's input.
 
     Failure injection: ``up`` gates delivery (see the module docstring
@@ -64,10 +63,6 @@ class Link(Snapshot):
     __slots__ = ("engine", "rate_bps", "delay_ns", "dst", "dst_port",
                  "loss_rate", "loss_rng", "on_drop", "losses", "up",
                  "label", "fidelity")
-
-    SNAPSHOT_ATTRS = ("engine", "rate_bps", "delay_ns", "dst", "dst_port",
-                      "loss_rate", "loss_rng", "on_drop", "losses", "up",
-                      "label", "fidelity")
 
     def __init__(self, engine: Engine, rate_bps: int, delay_ns: int,
                  dst: Device, dst_port: int, *, loss_rate: float = 0.0,
@@ -149,16 +144,11 @@ class Link(Snapshot):
                                   self.dst_port)
 
 
-class Port(Snapshot):
+class Port:
     """An output port: queue + attached egress link + transmit loop."""
 
     __slots__ = ("engine", "owner", "index", "queue", "link", "busy",
                  "bytes_sent", "packets_sent", "_paused", "on_drain")
-
-    # In-flight packets (scheduled ``_tx_done`` / ``deliver`` events)
-    # live in the engine calendar alongside.
-    SNAPSHOT_ATTRS = ("engine", "owner", "index", "queue", "link", "busy",
-                      "bytes_sent", "packets_sent", "_paused", "on_drain")
 
     def __init__(self, engine: Engine, owner: Device, index: int,
                  queue: "PortQueue") -> None:

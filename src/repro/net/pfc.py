@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.checkpoint.protocol import Snapshot
 from repro.trace import hooks as _trace_hooks
 
 _TRACE = _trace_hooks.register(__name__)
@@ -138,7 +137,7 @@ def resolve_thresholds(config: PfcConfig, buffer_bytes: int,
     return xoff, xon, headroom
 
 
-class PfcGate(Snapshot):
+class PfcGate:
     """Ingress-buffer accounting for one (switch, in-port, class) triple.
 
     The gate charges packets while resident at the downstream switch and
@@ -151,15 +150,6 @@ class PfcGate(Snapshot):
                  "delay_ns", "xoff", "xon", "capacity", "occupancy",
                  "paused", "paused_since", "pause_ns", "pause_events",
                  "headroom_drops")
-
-    #: Pending PAUSE/RESUME frames live in the engine calendar (they are
-    #: scheduled events), so the gate itself only carries its occupancy
-    #: and XOFF/XON machine state.
-    SNAPSHOT_ATTRS = ("engine", "network", "node", "in_port", "pclass",
-                      "upstream_port", "upstream_label",
-                      "upstream_is_switch", "delay_ns", "xoff", "xon",
-                      "capacity", "occupancy", "paused", "paused_since",
-                      "pause_ns", "pause_events", "headroom_drops")
 
     def __init__(self, engine: "Engine", network: "Network", node: str,
                  in_port: int, pclass: int, upstream_port: "Port",
@@ -250,10 +240,8 @@ class PfcGate(Snapshot):
         return span
 
 
-class PfcController(Snapshot):
+class PfcController:
     """Builds and owns every gate in the network; reporting surface."""
-
-    SNAPSHOT_ATTRS = ("engine", "config", "network", "gates")
 
     def __init__(self, engine: "Engine", config: PfcConfig,
                  network: "Network") -> None:

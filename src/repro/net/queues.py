@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Deque, List, Optional
 
 from repro.analysis import sanitize as _sanitize
-from repro.checkpoint.protocol import Snapshot
 from repro.core.scheduler import RankQueue
 from repro.net.packet import Packet
 from repro.trace import hooks as _trace_hooks
@@ -56,7 +55,7 @@ class QueueStats:
         self.last_change_ns = now_ns
 
 
-class SharedBufferPool(Snapshot):
+class SharedBufferPool:
     """Dynamic Threshold shared-buffer management (Choudhury–Hahne).
 
     The paper's switches use static per-port buffers; shared-memory
@@ -65,8 +64,6 @@ class SharedBufferPool(Snapshot):
     management (§5) — this pool implements the classic DT policy so the
     ablation benches can compare both regimes.
     """
-
-    SNAPSHOT_ATTRS = ("total_bytes", "alpha", "used_bytes")
 
     def __init__(self, total_bytes: int, alpha: float = 1.0) -> None:
         if total_bytes <= 0:
@@ -101,11 +98,8 @@ class SharedBufferPool(Snapshot):
         self.total_bytes += extra_bytes
 
 
-class _BoundedQueue(Snapshot):
+class _BoundedQueue:
     """Shared byte accounting and ECN marking for both queue flavours."""
-
-    SNAPSHOT_ATTRS = ("capacity_bytes", "ecn_threshold_bytes", "pool",
-                      "bytes", "stats", "label", "mark_hook")
 
     def __init__(self, capacity_bytes: int,
                  ecn_threshold_bytes: Optional[int] = None,
@@ -185,8 +179,6 @@ class _BoundedQueue(Snapshot):
 class DropTailQueue(_BoundedQueue):
     """FIFO output queue with optional DCTCP-style ECN marking."""
 
-    SNAPSHOT_ATTRS = _BoundedQueue.SNAPSHOT_ATTRS + ("_fifo",)
-
     def __init__(self, capacity_bytes: int,
                  ecn_threshold_bytes: Optional[int] = None,
                  pool: Optional[SharedBufferPool] = None) -> None:
@@ -220,8 +212,6 @@ class DropTailQueue(_BoundedQueue):
 
 class RankedQueue(_BoundedQueue):
     """SRPT output queue ordered by the packets' RFS rank."""
-
-    SNAPSHOT_ATTRS = _BoundedQueue.SNAPSHOT_ATTRS + ("_ranked",)
 
     def __init__(self, capacity_bytes: int,
                  ecn_threshold_bytes: Optional[int] = None,
@@ -267,7 +257,7 @@ class RankedQueue(_BoundedQueue):
         return [packet for _, packet in self._ranked.items()]
 
 
-class ClassLaneQueue(Snapshot):
+class ClassLaneQueue:
     """N per-priority-class lanes behind the single-queue interface.
 
     Each lane is a full :class:`DropTailQueue` or :class:`RankedQueue`;
@@ -280,8 +270,6 @@ class ClassLaneQueue(Snapshot):
     """
 
     __slots__ = ("lanes", "num_classes", "_label")
-
-    SNAPSHOT_ATTRS = ("lanes", "num_classes", "_label")
 
     def __init__(self, lanes) -> None:
         lanes = list(lanes)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis import sanitize as _sanitize
-from repro.checkpoint.protocol import Snapshot
 from repro.metrics.collector import NetworkCounters
 from repro.trace import hooks as _trace_hooks
 
@@ -31,12 +30,8 @@ PortQueue = Union[DropTailQueue, RankedQueue]
 DEFAULT_MAX_HOPS = 64
 
 
-class Switch(Snapshot):
+class Switch:
     """A store-and-forward switch with policy-driven output queueing."""
-
-    SNAPSHOT_ATTRS = ("engine", "name", "counters", "max_hops", "ports",
-                      "port_faces_switch", "fib", "policy", "fidelity",
-                      "pfc_gates", "_switch_ports")
 
     def __init__(self, engine: Engine, name: str, counters: NetworkCounters,
                  max_hops: int = DEFAULT_MAX_HOPS) -> None:

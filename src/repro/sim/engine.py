@@ -30,7 +30,6 @@ import heapq
 from typing import Any, Callable, Optional
 
 from repro.analysis import sanitize as _sanitize
-from repro.checkpoint.protocol import Snapshot
 from repro.trace import hooks as _trace_hooks
 
 _SANITIZE = _sanitize.register(__name__)
@@ -122,15 +121,8 @@ class RecurringEvent:
             self._event = None
 
 
-class Engine(Snapshot):
+class Engine:
     """Discrete-event simulation engine with an integer nanosecond clock."""
-
-    #: Full calendar state: the heap (with its Event handles), the
-    #: sequence counter that makes ordering deterministic, the tombstone
-    #: count, the clock, and the executed-event tally.  ``_running`` is
-    #: always False at a checkpoint boundary but restores harmlessly.
-    SNAPSHOT_ATTRS = ("_heap", "_seq", "_cancelled", "now", "_running",
-                      "events_executed")
 
     def __init__(self) -> None:
         #: Heap entries are ``(time, priority, seq, fn, args, event)``

@@ -13,17 +13,14 @@ import hashlib
 import random
 from typing import Dict
 
-from repro.checkpoint.protocol import Snapshot
 
+class RngRegistry:
+    """Factory of independent, deterministically seeded random streams.
 
-class RngRegistry(Snapshot):
-    """Factory of independent, deterministically seeded random streams."""
-
-    #: Checkpointing a registry captures every named stream *object*
-    #: (``random.Random`` pickles via its own ``getstate()``), so
-    #: components holding direct stream references stay aliased to the
-    #: registry's streams across a restore.
-    SNAPSHOT_ATTRS = ("seed", "_streams")
+    Pickling a registry (a checkpoint) captures every named stream
+    *object*, so components holding direct stream references stay
+    aliased to the registry's streams across a restore.
+    """
 
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed

@@ -23,7 +23,8 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.metrics.collector import NetworkCounters
 from repro.net.builder import Network
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
+from repro.trace.sampler import PortTick
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ class TelemetrySummary(TelemetryReport):
     deadlocks: List[DeadlockEvent] = field(default_factory=list)
 
 
-class TelemetryMonitor(TelemetryReport):
+class TelemetryMonitor(TelemetryReport, PortTick):
     """Samples a running :class:`~repro.net.builder.Network`."""
 
     #: Consecutive ticks a pause cycle must persist before it is
@@ -149,11 +150,7 @@ class TelemetryMonitor(TelemetryReport):
                  interval_ns: int = 1_000_000, *,
                  microburst_deflection_threshold: int = 10,
                  pfc=None) -> None:
-        if interval_ns <= 0:
-            raise ValueError("sampling interval must be positive")
-        self.engine = engine
-        self.network = network
-        self.interval_ns = interval_ns
+        super().__init__(engine, network, interval_ns)
         self.microburst_deflection_threshold = \
             microburst_deflection_threshold
         self.pfc = pfc
@@ -161,80 +158,43 @@ class TelemetryMonitor(TelemetryReport):
         self.events: List[CongestionEvent] = []
         self.faults: List[FaultEvent] = []
         self.deadlocks: List[DeadlockEvent] = []
-        self._last_bytes: Dict[Tuple[str, int], int] = {}
         self._last_deflections = 0
         self._last_drops = 0
         # Pause cycles seen on the previous ticks, keyed by canonical
         # cycle tuple -> consecutive-tick count (see _check_deadlock).
         self._cycle_streaks: Dict[Tuple[str, ...], int] = {}
         self._reported_cycles: set = set()
-        self._running = False
-        self._pending: Optional[Event] = None
 
     @property
     def counters(self) -> NetworkCounters:
         return self.network.metrics.counters
 
     def start(self) -> None:
-        """Begin sampling; reschedules itself until stopped."""
-        if self._running:
-            return
-        self._running = True
-        for switch in self.network.switches.values():
-            for port in switch.ports:
-                self._last_bytes[(switch.name, port.index)] = \
-                    port.bytes_sent
-        self._last_deflections = self.counters.deflections
-        self._last_drops = self.counters.total_drops
-        self._pending = self.engine.schedule(self.interval_ns, self._tick)
-
-    def stop(self) -> None:
-        """Stop sampling and cancel the pending tick.
-
-        Without this the self-rescheduling tick outlives the measured
-        window whenever the engine keeps running past it (long-horizon
-        runs, multi-phase experiments); the runner calls it at teardown.
-        """
-        if not self._running:
-            return
-        self._running = False
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
+        if self._pending is None:
+            self._last_deflections = self.counters.deflections
+            self._last_drops = self.counters.total_drops
+            super().start()
 
     def record_fault(self, kind: str, link: Tuple[str, str]) -> None:
         """Record an applied fault-injection event (injector callback)."""
         self.faults.append(FaultEvent(time_ns=self.engine.now, kind=kind,
                                       link=link))
 
-    def _tick(self) -> None:
-        if not self._running:
-            return
-        now = self.engine.now
+    def _on_tick(self, now: int) -> None:
         hottest: Optional[PortSample] = None
-        for switch in self.network.switches.values():
-            for port in switch.ports:
-                key = (switch.name, port.index)
-                sent = port.bytes_sent
-                delta = sent - self._last_bytes[key]
-                self._last_bytes[key] = sent
-                rate = port.link.rate_bps if port.link else 0
-                busy_ns = (delta * 8 * 1_000_000_000 // rate) if rate else 0
-                sample = PortSample(
-                    time_ns=now, switch=switch.name, port=port.index,
-                    # Dimensionless ns/ns and byte/byte ratios.
-                    utilization=min(1.0, busy_ns / self.interval_ns),  # noqa: VR003
-                    queue_bytes=port.queue.bytes,
-                    queue_fraction=port.queue.bytes  # noqa: VR003
-                    / port.queue.capacity_bytes)
-                self.samples.append(sample)
-                if hottest is None \
-                        or sample.utilization > hottest.utilization:
-                    hottest = sample
+        for name, port, utilization in self._port_utilizations():
+            sample = PortSample(
+                time_ns=now, switch=name, port=port.index,
+                utilization=utilization, queue_bytes=port.queue.bytes,
+                # Dimensionless byte/byte ratio.
+                queue_fraction=port.queue.bytes  # noqa: VR003
+                / port.queue.capacity_bytes)
+            self.samples.append(sample)
+            if hottest is None or sample.utilization > hottest.utilization:
+                hottest = sample
         self._classify(now, hottest)
         if self.pfc is not None:
             self._check_deadlock(now)
-        self._pending = self.engine.schedule(self.interval_ns, self._tick)
 
     def _classify(self, now: int, hottest: Optional[PortSample]) -> None:
         deflections = self.counters.deflections

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional
 
-from repro.checkpoint.protocol import Snapshot
 from repro.metrics.collector import MetricsCollector
 from repro.net.packet import (
     DEFAULT_MSS,
@@ -96,19 +95,8 @@ class _Segment:
     tx_count: int = 1
 
 
-class FlowSender(Snapshot):
+class FlowSender:
     """Window-based reliable sender for a single one-way flow."""
-
-    # Timers pickle with their bound callbacks; pending firings live in
-    # the engine calendar, which the checkpoint captures alongside.
-    SNAPSHOT_ATTRS = (
-        "engine", "host", "flow_id", "dst", "size", "config", "metrics",
-        "on_complete", "snd_una", "snd_nxt", "cwnd", "ssthresh", "dupacks",
-        "in_recovery", "recover_point", "completed", "failed", "_rto_streak",
-        "srtt_ns", "rttvar_ns", "rto_ns", "backoff", "_segments",
-        "_last_tx_ns", "_rto_timer", "_pace_timer", "_nic_blocked",
-        "_rtx_parked", "fidelity", "_analytic_round", "_analytic_pipelined",
-    )
 
     def __init__(self, engine: Engine, host, flow_id: int, dst: int,
                  size: int, config: TransportConfig,
@@ -453,15 +441,8 @@ class _Interval:
         self.end = end
 
 
-class FlowReceiver(Snapshot):
+class FlowReceiver:
     """Cumulative-ACK receiver; completion fires when every byte arrived."""
-
-    SNAPSHOT_ATTRS = (
-        "engine", "host", "flow_id", "peer", "size", "metrics",
-        "on_complete", "config", "rcv_nxt", "completed", "_max_seq_seen",
-        "_ooo", "_held_segments", "_held_ece", "_held_ts_echo", "_ack_timer",
-        "acks_sent",
-    )
 
     def __init__(self, engine: Engine, host, flow_id: int, peer: int,
                  size: int, metrics: MetricsCollector,

@@ -39,13 +39,6 @@ DEFAULT_RATE_BPS = 10_000_000_000
 class DcqcnSender(FlowSender):
     """Rate-based ECN-proportional congestion control."""
 
-    SNAPSHOT_ATTRS = FlowSender.SNAPSHOT_ATTRS + (
-        "rate_bps", "target_rate_bps", "min_rate_bps", "alpha_fp",
-        "_g_shift", "_timer_ns", "_rate_ai_bps", "_rate_hai_bps",
-        "_fast_stages", "_stage", "_window_acked", "_window_marked",
-        "_window_end", "_rate_timer",
-    )
-
     def __init__(self, engine: Engine, host, flow_id: int, dst: int,
                  size: int, config: TransportConfig,
                  metrics: MetricsCollector, on_complete=None) -> None:

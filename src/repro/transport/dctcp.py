@@ -25,10 +25,6 @@ ALPHA_GAIN = 1.0 / 16.0
 class DctcpSender(RenoSender):
     """ECN-fraction proportional congestion control."""
 
-    SNAPSHOT_ATTRS = RenoSender.SNAPSHOT_ATTRS + (
-        "alpha", "_window_acked", "_window_marked", "_window_end",
-    )
-
     def __init__(self, engine: Engine, host, flow_id: int, dst: int,
                  size: int, config: TransportConfig,
                  metrics: MetricsCollector, on_complete=None) -> None:

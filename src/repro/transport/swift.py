@@ -27,11 +27,6 @@ from repro.transport.base import FlowSender, TransportConfig
 class SwiftSender(FlowSender):
     """Target-delay AIMD with sub-packet windows and pacing."""
 
-    SNAPSHOT_ATTRS = FlowSender.SNAPSHOT_ATTRS + (
-        "min_cwnd", "_consecutive_rtos", "target_delay_ns",
-        "_last_decrease_ns",
-    )
-
     def __init__(self, engine: Engine, host, flow_id: int, dst: int,
                  size: int, config: TransportConfig,
                  metrics: MetricsCollector, on_complete=None) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from repro.checkpoint.protocol import Snapshot
 from repro.sim.engine import Engine
 from repro.sim.units import SECOND
 from repro.workload.distributions import EmpiricalCDF
@@ -34,12 +33,8 @@ def poisson_rate_for_load(load: float, n_hosts: int, host_rate_bps: int,
     return load * n_hosts * host_rate_bps / (8.0 * mean_flow_bytes)  # noqa: VR003
 
 
-class BackgroundTraffic(Snapshot):
+class BackgroundTraffic:
     """Poisson all-to-all flows from an empirical size distribution."""
-
-    SNAPSHOT_ATTRS = ("engine", "open_flow", "n_hosts", "matrix", "rng",
-                      "sizes", "until_ns", "flows_generated",
-                      "_mean_gap_ns")
 
     def __init__(self, engine: Engine, open_flow: FlowOpener, n_hosts: int,
                  host_rate_bps: int, load: float, sizes: EmpiricalCDF,

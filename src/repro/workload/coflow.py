@@ -30,7 +30,6 @@ import itertools
 import random
 from typing import Callable, List, Optional, Tuple
 
-from repro.checkpoint.protocol import Snapshot
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Engine
 from repro.sim.units import SECOND
@@ -52,7 +51,7 @@ def cps_for_load(load: float, n_hosts: int, host_rate_bps: int,
     return load * n_hosts * host_rate_bps / coflow_bits  # noqa: VR003
 
 
-class _StageBarrier(Snapshot):
+class _StageBarrier:
     """Countdown barrier releasing the next stage of one coflow.
 
     A picklable stand-in for the per-stage ``flow_done`` closure: it
@@ -61,8 +60,6 @@ class _StageBarrier(Snapshot):
     """
 
     __slots__ = ("app", "coflow_id", "members", "stage", "remaining")
-
-    SNAPSHOT_ATTRS = ("app", "coflow_id", "members", "stage", "remaining")
 
     def __init__(self, app: "CoflowApp", coflow_id: int, members,
                  stage: int, remaining: int) -> None:
@@ -79,13 +76,8 @@ class _StageBarrier(Snapshot):
                                   self.stage + 1)
 
 
-class CoflowApp(Snapshot):
+class CoflowApp:
     """Poisson coflow generator with stage barriers."""
-
-    SNAPSHOT_ATTRS = ("engine", "open_flow", "metrics", "n_hosts", "cps",
-                      "width", "stages", "pattern", "flow_bytes", "rng",
-                      "until_ns", "request_delay_ns", "matrix",
-                      "coflows_launched", "_coflow_ids", "_mean_gap_ns")
 
     def __init__(self, engine: Engine, open_flow: FlowOpener,
                  metrics: MetricsCollector, n_hosts: int, cps: float,

@@ -28,7 +28,6 @@ from __future__ import annotations
 import random
 from typing import Callable, Optional
 
-from repro.checkpoint.protocol import Snapshot
 from repro.sim.engine import Engine
 from repro.sim.units import SECOND
 from repro.workload.background import poisson_rate_for_load
@@ -38,12 +37,8 @@ from repro.workload.matrix import NodeMatrix
 FlowOpener = Callable[..., None]
 
 
-class DutyCycleTraffic(Snapshot):
+class DutyCycleTraffic:
     """Poisson flows gated to the on-window of a duty-cycled period."""
-
-    SNAPSHOT_ATTRS = ("engine", "open_flow", "n_hosts", "duty", "period_ns",
-                      "sizes", "rng", "until_ns", "matrix",
-                      "flows_generated", "on_ns", "_mean_gap_ns", "_t_on")
 
     def __init__(self, engine: Engine, open_flow: FlowOpener, n_hosts: int,
                  host_rate_bps: int, load: float, duty: float,

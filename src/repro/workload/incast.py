@@ -18,7 +18,6 @@ import itertools
 import random
 from typing import Callable, Optional
 
-from repro.checkpoint.protocol import Snapshot
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Engine
 from repro.sim.units import SECOND
@@ -36,13 +35,8 @@ def qps_for_load(load: float, n_hosts: int, host_rate_bps: int,
     return load * n_hosts * host_rate_bps / (8.0 * scale * flow_bytes)  # noqa: VR003
 
 
-class IncastApp(Snapshot):
+class IncastApp:
     """Poisson incast query generator."""
-
-    SNAPSHOT_ATTRS = ("engine", "open_flow", "metrics", "n_hosts", "matrix",
-                      "qps", "scale", "flow_bytes", "rng", "until_ns",
-                      "request_delay_ns", "queries_issued", "_query_ids",
-                      "_mean_gap_ns")
 
     def __init__(self, engine: Engine, open_flow: FlowOpener,
                  metrics: MetricsCollector, n_hosts: int, qps: float,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from typing import Dict, List, Optional
 
@@ -83,3 +84,18 @@ def drain_engine(engine: Engine, limit_ns: int = 10_000_000_000) -> None:
 
 def seeded_rng(seed: int = 42) -> random.Random:
     return random.Random(seed)
+
+
+def rewrite_checkpoint_header(path, **changes) -> None:
+    """Edit a checkpoint file's header fields in place; a ``None`` value
+    deletes the field.  The payload bytes are left untouched."""
+    with open(path, "rb") as fh:
+        line, _, payload = fh.read().partition(b"\n")
+    header = json.loads(line)
+    for key, value in changes.items():
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode() + b"\n" + payload)

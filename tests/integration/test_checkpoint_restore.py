@@ -13,22 +13,31 @@ use a self-killing runner coordinated through ``REPRO_TEST_FLAG_DIR``
 flag files, like the supervisor suite.
 """
 
+import collections
 import dataclasses
+import functools
 import multiprocessing
 import os
+import pickle
+import shutil
 import signal
 import threading
 import time
+import types
 
 import pytest
 
-from repro.checkpoint import CheckpointConfig, read_progress
-from repro.experiments import run_experiment, run_many
+from repro.checkpoint import (CheckpointConfig, CheckpointError,
+                              read_progress, store)
+from repro.experiments import run_experiment, run_many, runner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import config_digest, run_digest
 from repro.runtime.supervisor import _run_portable
 from repro.runtime import SupervisorPolicy, run_supervised
+from repro.faults import parse_faults
 from repro.sim.units import MILLISECOND
+from repro.trace import TraceConfig
+from tests.helpers import rewrite_checkpoint_header
 
 FAST_BACKOFF = {"backoff_base_s": 0.02, "backoff_cap_s": 0.1}
 
@@ -114,23 +123,100 @@ def test_sigkill_then_restore_matches_uninterrupted(tmp_path, fidelity):
     assert not os.path.exists(path)
 
 
-def test_explicit_restore_flag_equivalent(tmp_path):
-    config = _checkpointed(_config("packet"), tmp_path)
-    path = _managed_path(config)
-    _kill_child_at_half(config, path)
-    resumed = run_experiment(_checkpointed(_config("packet"), tmp_path),
-                             restore=path)
-    assert run_digest(resumed) == _reference_digest("packet")
-
-
 def test_restore_rejects_foreign_config(tmp_path):
     config = _checkpointed(_config("packet"), tmp_path)
     path = _managed_path(config)
     _kill_child_at_half(config, path)
-    from repro.checkpoint import CheckpointError
+    # Another config's checkpoint, copied onto this config's managed path.
     other = _checkpointed(_config("packet", seed=8), tmp_path)
+    shutil.copy(path, _managed_path(other))
     with pytest.raises(CheckpointError, match="belongs to config"):
-        run_experiment(other, restore=path)
+        run_experiment(other)
+
+
+def test_auto_resume_refuses_checkpoint_from_other_code(tmp_path):
+    config = _checkpointed(_config("packet"), tmp_path)
+    path = _managed_path(config)
+    _kill_child_at_half(config, path)
+    for generation in (path, path + ".prev"):
+        rewrite_checkpoint_header(generation, code="0" * 64)
+    # Surfaced, not silently restarted from scratch; the file is kept.
+    with pytest.raises(CheckpointError, match="different repro source"):
+        run_experiment(_checkpointed(_config("packet"), tmp_path))
+    assert os.path.exists(path)
+
+
+def test_checkpoint_off_run_never_computes_the_fingerprint(monkeypatch):
+    def computed():
+        raise AssertionError("code_fingerprint() called without checkpoints")
+
+    monkeypatch.setattr(store, "code_fingerprint", computed)
+    run_experiment(_config("packet", sim_ms=2))
+
+
+# -- the pickled graph drops nothing -------------------------------------------
+
+
+def _attr_names(obj):
+    names = set(getattr(obj, "__dict__", ()))
+    for cls in type(obj).__mro__:
+        slots = cls.__dict__.get("__slots__", ())
+        names.update(slot for slot in
+                     ((slots,) if isinstance(slots, str) else slots)
+                     if hasattr(obj, slot))
+    return frozenset(names)
+
+
+def _repro_objects(root):
+    """``Counter`` of ``(class, attribute names)`` over every instance of
+    a ``repro`` class reachable from ``root`` through attributes,
+    containers, partials and bound methods."""
+    seen, found, stack = {}, collections.Counter(), [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj               # pinned: ids stay unique
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset,
+                              collections.deque)):
+            stack.extend(obj)
+        elif isinstance(obj, functools.partial):
+            stack.extend((obj.func, obj.args, obj.keywords))
+        elif isinstance(obj, types.MethodType):
+            stack.append(obj.__self__)
+        elif type(obj).__module__.split(".")[0] == "repro":
+            names = _attr_names(obj)
+            found[type(obj).__qualname__, names] += 1
+            stack.extend(getattr(obj, name) for name in names)
+    return found
+
+
+@pytest.mark.parametrize("fidelity", ["packet", "hybrid"])
+def test_pickled_world_keeps_every_attribute_of_every_object(fidelity):
+    """The guard against a future ``__getstate__``/``__reduce__`` that
+    drops state: a mid-run world comes back from a pickle round trip
+    with the same ``repro`` objects carrying the same attribute names."""
+    config = _config(fidelity, sim_ms=10)
+    config.telemetry_interval_ns = MILLISECOND
+    config.trace = TraceConfig(level="flow", sample_period_ns=MILLISECOND)
+    config.faults = parse_faults(["link:leaf0-spine1:down@1ms,up@8ms"])
+    world = runner._build_world(config)
+    world.engine.run(until=config.sim_time_ns // 2)
+    before = _repro_objects(world)
+    after = _repro_objects(pickle.loads(
+        pickle.dumps(world, pickle.HIGHEST_PROTOCOL)))
+    assert sum(before.values()) > 1000
+    expected = {"LiveRun", "Engine", "Event", "Link", "Port", "Switch",
+                "Host", "DctcpSender", "FlowReceiver", "RngRegistry",
+                "FaultInjector", "TelemetryMonitor", "TraceSampler",
+                "Tracer", "MetricsCollector"}
+    if fidelity == "hybrid":
+        expected.add("FidelityController")
+    assert expected <= {kind for kind, _ in before}
+    assert after == before
 
 
 # -- SIGKILL then restore, pooled supervisor -----------------------------------

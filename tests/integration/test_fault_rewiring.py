@@ -24,6 +24,7 @@ from repro.net.topology import FatTree, LeafSpine
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MILLISECOND, SECOND
+from repro.trace import TraceConfig
 from repro.transport.reno import RenoSender
 from tests.helpers import mk_data
 
@@ -201,3 +202,29 @@ def test_telemetry_records_fault_timeline():
     summary = monitor.summary()
     assert summary.faults == monitor.faults
     assert summary.fault_count() == 2
+
+
+def test_packet_trace_records_wire_drops_and_port_dequeues():
+    """The three ``_TRACE`` hooks in net/link.py (wire drops for a dead
+    and for a lossy link, the transmit-loop dequeue) reach the trace."""
+    config = ExperimentConfig.bench_profile(
+        system="ecmp", transport="dctcp", bg_load=0.4, incast_qps=60,
+        incast_scale=6, sim_time_ns=10 * MILLISECOND, seed=3,
+        faults=parse_fault(
+            "link:leaf0-spine1:loss=0.05@0ms,down@4ms,up@7ms"))
+    config.trace = TraceConfig(level="packet")
+    result = run_experiment(config)
+    events = result.trace.events
+    counted = result.metrics.counters.drops
+    for reason in ("link_down", "link_loss"):
+        # (kind, t, node, reason, ...): node is the directed link label.
+        labels = [e[2] for e in events
+                  if e[0] == "pkt.drop" and e[3] == reason]
+        assert len(labels) == counted[reason] > 0
+        assert set(labels) <= {"leaf0->spine1", "spine1->leaf0"}
+    # Every port that transmitted a packet dequeued it first.
+    dequeues = sum(1 for e in events if e[0] == "pkt.dequeue")
+    sent = sum(port.packets_sent for switch in
+               result.network.switches.values() for port in switch.ports) \
+        + sum(host.nic.packets_sent for host in result.network.hosts)
+    assert dequeues >= sent > 0

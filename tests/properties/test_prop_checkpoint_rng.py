@@ -1,8 +1,7 @@
 """Property tests: RNG streams survive checkpoint state capture.
 
-The checkpoint subsystem snapshots every named ``random.Random`` stream
-by value (``RngRegistry.SNAPSHOT_ATTRS`` includes ``_streams``); resumed
-runs must see *exactly* the draw sequence the uninterrupted run would
+A checkpoint pickles every named ``random.Random`` stream by value (they
+ride in ``RngRegistry._streams``); resumed runs must see *exactly* the draw sequence the uninterrupted run would
 have seen.  These tests assert the underlying guarantee for every
 declared ``RNG_STREAMS`` family in the codebase: capturing a stream's
 state mid-run (``getstate`` or pickling, the checkpoint path) and
@@ -90,18 +89,18 @@ def test_pickle_roundtrip_reproduces_draws(family, seed, warmup, draws):
 @given(seed=st.integers(0, 2 ** 31))
 @settings(max_examples=10, deadline=None)
 def test_snapshot_covers_every_live_stream(seed):
-    """snapshot_state() must capture all streams created so far."""
+    """A pickled registry must capture all streams created so far."""
     registry = RngRegistry(seed)
     for family in FAMILIES:
         registry.stream(_stream_name(family))
-    state = registry.snapshot_state()
-    assert set(state["_streams"]) == {_stream_name(f) for f in FAMILIES}
-    # Mixed draws, then restore: every stream rewinds together.
     probe = {name: rng.getstate()
-             for name, rng in state["_streams"].items()}
+             for name, rng in registry._streams.items()}
     blob = pickle.dumps(registry)
+    # Mixed draws, then restore: every stream rewinds together.
     for rng in registry._streams.values():
         rng.random()
     restored = pickle.loads(blob)
+    assert restored.seed == seed
+    assert set(restored._streams) == {_stream_name(f) for f in FAMILIES}
     for name, rng in restored._streams.items():
         assert rng.getstate() == probe[name]

@@ -3,6 +3,9 @@
 import json
 import os
 import pickle
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -12,19 +15,19 @@ from repro.checkpoint import (
     RunPreempted,
     discard,
     load_latest,
-    peek_header,
     progress_path,
     read_checkpoint,
     read_progress,
     write_checkpoint,
     write_progress,
 )
-from repro.checkpoint.protocol import Snapshot
 from repro.checkpoint.store import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     PREVIOUS_SUFFIX,
+    code_fingerprint,
 )
+from tests.helpers import rewrite_checkpoint_header
 
 
 def _write(path, world, sim_now_ns=1_000, events=42, config="cfg" * 21):
@@ -43,6 +46,7 @@ def test_header_line_then_payload(tmp_path):
     assert parsed == header
     assert parsed["checkpoint"] == CHECKPOINT_MAGIC
     assert parsed["version"] == CHECKPOINT_VERSION
+    assert parsed["code"] == code_fingerprint()
     assert parsed["payload_bytes"] == len(payload)
     assert pickle.loads(payload) == {"state": [1, 2, 3]}
 
@@ -58,23 +62,76 @@ def test_read_checkpoint_roundtrip_and_config_check(tmp_path):
         read_checkpoint(str(path), expect_config="b" * 64)
 
 
-def test_peek_header_does_not_unpickle(tmp_path):
-    path = tmp_path / "run.ckpt"
-    _write(path, {"big": list(range(1000))})
-    header = peek_header(str(path))
-    assert header["checkpoint"] == CHECKPOINT_MAGIC
+_UNPICKLED = []
 
 
-def test_version_mismatch_rejected(tmp_path):
+def _trip():
+    _UNPICKLED.append("loaded")
+
+
+class _Tripwire:
+    """Records (in ``_UNPICKLED``) that its pickle was loaded."""
+
+    def __reduce__(self):
+        return (_trip, ())
+
+
+# version 2 without a ``code`` field is the format before the fingerprint.
+@pytest.mark.parametrize("changes,match", [
+    ({"version": CHECKPOINT_VERSION + 1}, "version"),
+    ({"version": 2, "code": None}, "version 2"),
+    ({"code": "0" * 64}, "different repro source"),
+    ({"code": None}, "different repro source"),
+])
+def test_foreign_version_or_code_refused_before_unpickling(tmp_path, changes,
+                                                           match):
     path = tmp_path / "run.ckpt"
-    _write(path, "x")
-    raw = path.read_bytes()
-    line, _, payload = raw.partition(b"\n")
-    header = json.loads(line)
-    header["version"] = CHECKPOINT_VERSION + 1
-    path.write_bytes(json.dumps(header).encode() + b"\n" + payload)
-    with pytest.raises(CheckpointError, match="version"):
+    _write(path, _Tripwire())
+    del _UNPICKLED[:]
+    read_checkpoint(str(path))
+    assert _UNPICKLED == ["loaded"]      # the tripwire works
+    del _UNPICKLED[:]
+    rewrite_checkpoint_header(path, **changes)
+    with pytest.raises(CheckpointError, match=match) as refusal:
         read_checkpoint(str(path))
+    assert "\n" not in str(refusal.value)
+    assert _UNPICKLED == []
+
+
+def _fingerprint_of_tree(src_root):
+    """``code_fingerprint()`` as a fresh interpreter on ``src_root`` sees it."""
+    out = subprocess.run(
+        [sys.executable, "-c", "from repro.checkpoint.store import "
+         "code_fingerprint; print(code_fingerprint())"],
+        env={**os.environ, "PYTHONPATH": str(src_root)}, check=True,
+        capture_output=True, text=True, timeout=60)
+    return out.stdout.strip()
+
+
+def test_code_fingerprint_follows_the_package_source(tmp_path):
+    import repro
+
+    shutil.copytree(os.path.dirname(repro.__file__), tmp_path / "repro",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    # An identical copy elsewhere agrees (content, not location) ...
+    assert _fingerprint_of_tree(tmp_path) == code_fingerprint()
+    # ... and an edit to any module of the package changes it.
+    with open(tmp_path / "repro" / "net" / "link.py", "a") as fh:
+        fh.write("# edited\n")
+    assert _fingerprint_of_tree(tmp_path) != code_fingerprint()
+
+
+def test_code_mismatch_falls_through_prev_to_the_same_error(tmp_path):
+    path = tmp_path / "run.ckpt"
+    _write(path, "epoch1")
+    _write(path, "epoch2")
+    previous = tmp_path / ("run.ckpt" + PREVIOUS_SUFFIX)
+    rewrite_checkpoint_header(path, code="0" * 64)
+    # Only the latest is foreign: the previous generation still loads.
+    assert load_latest(str(path))[1] == "epoch1"
+    rewrite_checkpoint_header(previous, code="0" * 64)
+    with pytest.raises(CheckpointError, match="different repro source"):
+        load_latest(str(path))
 
 
 # -- rotation and corruption fallback ------------------------------------------
@@ -167,14 +224,10 @@ def test_checkpoint_config_validation():
     with pytest.raises(ValueError):
         CheckpointConfig(every_ns=0)
     with pytest.raises(ValueError):
-        CheckpointConfig(every_ns=1, path="a", directory="b")
-    with pytest.raises(ValueError):
         CheckpointConfig.every_ms(0)
 
 
 def test_checkpoint_config_resolve_path():
-    explicit = CheckpointConfig(every_ns=1, path="here.ckpt")
-    assert explicit.resolve_path("d" * 64) == "here.ckpt"
     managed = CheckpointConfig(every_ns=1, directory="ckpts")
     assert managed.resolve_path("d" * 64) == os.path.join("ckpts",
                                                           "d" * 16 + ".ckpt")
@@ -190,36 +243,3 @@ def test_checkpoint_config_stays_out_of_config_digest():
     ticked = ExperimentConfig.bench_profile(seed=3)
     ticked.checkpoint = CheckpointConfig.every_ms(5)
     assert config_digest(plain) == config_digest(ticked)
-
-
-# -- Snapshot protocol ---------------------------------------------------------
-
-class _Base(Snapshot):
-    SNAPSHOT_ATTRS = ("a",)
-
-    def __init__(self):
-        self.a = 1
-
-
-class _Derived(_Base):
-    SNAPSHOT_ATTRS = _Base.SNAPSHOT_ATTRS + ("b",)
-
-    def __init__(self):
-        super().__init__()
-        self.b = 2
-        self.transient = "not captured"
-
-
-def test_snapshot_state_covers_declared_attrs_only():
-    obj = _Derived()
-    state = obj.snapshot_state()
-    assert state == {"a": 1, "b": 2}
-    clone = pickle.loads(pickle.dumps(obj))
-    assert clone.a == 1 and clone.b == 2
-    assert not hasattr(clone, "transient")
-
-
-def test_restore_state_sets_declared_attrs():
-    obj = _Derived()
-    obj.restore_state({"a": 10, "b": 20})
-    assert (obj.a, obj.b) == (10, 20)
