@@ -12,8 +12,11 @@ or :func:`scoped` — the following invariants are checked continuously:
 - **queue byte-accounting** (:mod:`repro.net.queues`): a queue's tracked
   ``bytes`` always equals the sum of its enqueued packets' wire sizes and
   respects its capacity;
-- **rank-queue heap invariants** (:mod:`repro.core.scheduler`): the lazy
-  twin heaps agree with the live element count and min <= max;
+- **rank-queue order** (:mod:`repro.core.scheduler`): the array is
+  strictly sorted by (rank, arrival) and holds only arrivals it issued;
+- **filter/table agreement** (:mod:`repro.core.marking`): at every
+  ``flow_done`` the cuckoo filter holds exactly one fingerprint per
+  ``(flow, seq)`` the exact tables remember;
 - **switch conservation** (:mod:`repro.net.switch`): every packet a
   switch receives is either enqueued somewhere, dropped with a reason, or
   still resident — nothing vanishes, nothing is duplicated;

@@ -4,8 +4,9 @@ Deployed as a transport-independent extension to the sender's network
 stack.  For every outgoing data packet it:
 
 1. detects re-transmissions with a cuckoo filter over a hash of the packet
-   header (fast path), backed by an exact per-flow table (the "flow info
-   hash table" of Figure 2);
+   header (fast path: one probe that stores an unseen fingerprint),
+   backed by an exact per-flow table (the "flow info hash table" of
+   Figure 2) — the paper's two lookups per packet;
 2. computes the packet's rank — under **SRPT**, the flow's remaining bytes
    including this packet (which requires the application-provided flow
    size); under **LAS** (flow aging, §4.3), the bytes the flow has already
@@ -25,6 +26,7 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
+from repro.analysis import sanitize as _sanitize
 from repro.core.cuckoo import CuckooFilter
 from repro.core.flowinfo import (
     FLOW_ID3_MASK,
@@ -36,6 +38,8 @@ from repro.core.flowinfo import (
     boost_rfs,
 )
 from repro.net.packet import Packet, PacketKind
+
+_SANITIZE = _sanitize.register(__name__)
 
 
 @dataclass
@@ -79,6 +83,13 @@ class MarkingComponent:
             return
         for seq in state.retcnt:
             self._filter.delete(self._header_hash(flow_id, seq))
+        if _SANITIZE:
+            remembered = sum(len(s.retcnt) for s in self._flows.values())
+            _sanitize.check(
+                len(self._filter) == remembered,
+                "marking filter holds %d fingerprints for %d remembered "
+                "(flow, seq) entries after flow %d finished",
+                len(self._filter), remembered, flow_id)
 
     # -- marking -------------------------------------------------------------------
 
@@ -101,13 +112,25 @@ class MarkingComponent:
             return
         self.packets_marked += 1
         packet.wire_bytes += FLOWINFO_WIRE_BYTES
-        key = self._header_hash(packet.flow_id, packet.seq)
-        # Fast-path membership via the cuckoo filter; false positives are
-        # resolved against the exact table.
-        if self._filter.contains(key) and packet.seq in state.retcnt:
+        seq = packet.seq
+        key = self._header_hash(packet.flow_id, seq)
+        # One filter probe settles the common case: an absent fingerprint
+        # is stored on the spot and the packet is a first transmission.
+        # A hit is resolved against the exact table.  ``retcnt`` holds
+        # exactly the packets whose fingerprint the filter stores, so
+        # flow_done deletes only fingerprints this flow put there.
+        if self._filter.insert_if_absent(key):
+            state.retcnt[seq] = 0
+        elif seq in state.retcnt:
             self._mark_retransmission(packet, state)
-        else:
-            self._mark_first_transmission(packet, state, key)
+            return
+        elif self._filter.insert(key):
+            # False positive on a first transmission: the packet still
+            # stores its own copy next to the one it collided with.
+            state.retcnt[seq] = 0
+        # else the filter is full and cannot remember this packet: a
+        # re-transmission of it will be marked as a first transmission.
+        self._mark_first_transmission(packet, state)
 
     def _original_rank(self, packet: Packet, state: _FlowMarkState) -> int:
         if self.discipline is MarkingDiscipline.SRPT:
@@ -118,9 +141,7 @@ class MarkingComponent:
         return packet.seq == 0
 
     def _mark_first_transmission(self, packet: Packet,
-                                 state: _FlowMarkState, key: int) -> None:
-        state.retcnt[packet.seq] = 0
-        self._filter.insert(key)
+                                 state: _FlowMarkState) -> None:
         if state.remaining is not None:
             state.remaining = max(0, state.remaining - packet.payload)
         state.attained = max(state.attained, packet.end_seq)

@@ -10,14 +10,21 @@ PIEO [Shrivastav, SIGCOMM'19]:
 2. enqueueing a displaced packet to a different queue (deflection), which
    is an ordinary enqueue here plus the extra dequeue above.
 
-``RankQueue`` implements this with a pair of lazy-deletion heaps, giving
-O(log n) push, pop-min and pop-max, with exact byte accounting.
+``RankQueue`` is PIEO's ordered list taken literally: one array kept
+sorted by ``(rank, arrival)``, whose two ends are the two pop orders.
+``push`` is a C-speed ``bisect.insort`` (binary search plus one memmove),
+``pop_min`` — the per-hop operation — is O(1) at the array's tail, and
+``pop_max`` (about one hop in eight) shifts the array once.  A port holds
+at most ~200 MTU packets, ~6.4k bare ACKs in the worst case; at those
+depths the memmove is cheaper than the second heap, the tombstone set and
+the periodic compaction a lazy double-ended heap needs, and the queue
+never holds a reference to a packet that has left it.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Generic, List, Optional, Tuple, TypeVar
+from bisect import insort
+from typing import Generic, List, Optional, Tuple, TypeVar
 
 from repro.analysis import sanitize as _sanitize
 
@@ -35,138 +42,66 @@ class RankQueue(Generic[T]):
     """
 
     def __init__(self) -> None:
-        self._min_heap: List[Tuple[int, int, T]] = []
-        self._max_heap: List[Tuple[int, int, T]] = []
-        self._dead: set[int] = set()
-        self._len = 0
+        #: ``(-rank, -seq, item)`` ascending: the minimum ``(rank, seq)``
+        #: is the *last* entry, the maximum — largest rank, latest
+        #: arrival among equals — the first.  ``seq`` is unique, so
+        #: items are never compared.
+        self._entries: List[Tuple[int, int, T]] = []
         # Per-instance FIFO tie-break sequence; a process-global counter
         # would couple independent queues' state across runs.
         self._seq = 0
 
-    #: Lazy-deleted entries are compacted away once they outnumber live
-    #: ones past this floor — unbounded, the max heap would pin every
-    #: packet that ever transited the queue (a switch queue almost never
-    #: pops max, so dead twins only die by reaching the top), growing
-    #: resident memory and checkpoint payloads linearly with history.
-    _COMPACT_FLOOR = 64
-
     def push(self, rank: int, item: T) -> None:
-        seq = self._seq
+        insort(self._entries, (-rank, -self._seq, item))
         self._seq += 1
-        heapq.heappush(self._min_heap, (rank, seq, item))
-        # Negate seq as well so that among equal ranks the *latest* arrival
-        # is at the top of the max heap (FIFO survivors at the min end).
-        heapq.heappush(self._max_heap, (-rank, -seq, item))
-        self._len += 1
         if _SANITIZE:
             self._sanitize_check()
 
-    def _compact(self) -> None:
-        """Drop dead entries once they dominate either heap.
-
-        Pop order is a pure function of the ``(rank, seq)`` keys, so
-        rebuilding the heaps from the live entries is invisible to
-        callers (and to run digests) — it only sheds the references.
-        Amortized O(1): each compaction is linear in entries that were
-        pushed exactly once since the last one.
-        """
-        if self._len == 0:
-            if self._min_heap or self._max_heap:
-                self._min_heap.clear()
-                self._max_heap.clear()
-                self._dead.clear()
-            return
-        largest = max(len(self._min_heap), len(self._max_heap))
-        if largest <= self._COMPACT_FLOOR or largest <= 2 * self._len:
-            return
-        live = [entry for entry in self._min_heap
-                if entry[1] not in self._dead]
-        self._min_heap = live[:]
-        heapq.heapify(self._min_heap)
-        self._max_heap = [(-rank, -seq, item) for rank, seq, item in live]
-        heapq.heapify(self._max_heap)
-        self._dead.clear()
-
-    def _prune_min(self) -> None:
-        heap = self._min_heap
-        while heap and heap[0][1] in self._dead:
-            self._dead.remove(heap[0][1])
-            heapq.heappop(heap)
-
-    def _prune_max(self) -> None:
-        heap = self._max_heap
-        while heap and -heap[0][1] in self._dead:
-            self._dead.remove(-heap[0][1])
-            heapq.heappop(heap)
-
     def peek_min(self) -> Optional[Tuple[int, T]]:
-        self._prune_min()
-        if not self._min_heap:
+        if not self._entries:
             return None
-        rank, _, item = self._min_heap[0]
-        return rank, item
+        neg_rank, _, item = self._entries[-1]
+        return -neg_rank, item
 
     def peek_max(self) -> Optional[Tuple[int, T]]:
-        self._prune_max()
-        if not self._max_heap:
+        if not self._entries:
             return None
-        neg_rank, _, item = self._max_heap[0]
+        neg_rank, _, item = self._entries[0]
         return -neg_rank, item
 
     def pop_min(self) -> Tuple[int, T]:
-        self._prune_min()
-        if not self._min_heap:
+        if not self._entries:
             raise IndexError("pop_min from empty RankQueue")
-        rank, seq, item = heapq.heappop(self._min_heap)
-        self._dead.add(seq)
-        self._len -= 1
-        self._compact()
+        neg_rank, _, item = self._entries.pop()
         if _SANITIZE:
             self._sanitize_check()
-        return rank, item
+        return -neg_rank, item
 
     def pop_max(self) -> Tuple[int, T]:
-        self._prune_max()
-        if not self._max_heap:
+        if not self._entries:
             raise IndexError("pop_max from empty RankQueue")
-        neg_rank, neg_seq, item = heapq.heappop(self._max_heap)
-        self._dead.add(-neg_seq)
-        self._len -= 1
-        self._compact()
+        neg_rank, _, item = self._entries.pop(0)
         if _SANITIZE:
             self._sanitize_check()
         return -neg_rank, item
 
     def _sanitize_check(self) -> None:
-        """Lazy-deletion twin heaps must agree with the live count."""
-        _sanitize.check(self._len >= 0,
-                        "RankQueue length went negative: %d", self._len)
-        live_min = sum(1 for entry in self._min_heap
-                       if entry[1] not in self._dead)
-        live_max = sum(1 for entry in self._max_heap
-                       if -entry[1] not in self._dead)
-        _sanitize.check(live_min == self._len and live_max == self._len,
-                        "RankQueue heap invariant broken: %d live in min "
-                        "heap, %d in max heap, tracked len %d",
-                        live_min, live_max, self._len)
-        if self._len:
-            low = self.peek_min()
-            high = self.peek_max()
-            _sanitize.check(low is not None and high is not None
-                            and low[0] <= high[0],
-                            "RankQueue min rank exceeds max rank: %r > %r",
-                            low, high)
+        """The array is strictly sorted and holds only issued arrivals."""
+        keys = [entry[:2] for entry in self._entries]
+        _sanitize.check(all(a < b for a, b in zip(keys, keys[1:])),
+                        "RankQueue entries out of (rank, arrival) order: %r",
+                        keys)
+        _sanitize.check(all(0 <= -neg_seq < self._seq for _, neg_seq in keys),
+                        "RankQueue holds an arrival number it never issued "
+                        "(next is %d): %r", self._seq, keys)
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._entries)
 
     def __bool__(self) -> bool:
-        return self._len > 0
+        return bool(self._entries)
 
     def items(self) -> List[Tuple[int, T]]:
         """Snapshot of live (rank, item) pairs in ascending rank order."""
-        self._prune_min()
-        live = [(rank, seq, item) for rank, seq, item in self._min_heap
-                if seq not in self._dead]
-        live.sort(key=lambda entry: (entry[0], entry[1]))
-        return [(rank, item) for rank, _, item in live]
+        return [(-neg_rank, item)
+                for neg_rank, _, item in reversed(self._entries)]

@@ -15,7 +15,9 @@ concrete policies:
 Both caches are dropped by :meth:`invalidate_cache`, which
 :meth:`repro.net.switch.Switch.topology_changed` invokes on any runtime
 FIB/port/link change.  Load-*dependent* decisions (DRILL sampling,
-power-of-two choices) are never cached.
+power-of-two choices) are never cached; the per-packet one,
+:meth:`power_of_n_choice` at two choices, is instead made without
+allocating: it draws what ``rng.sample`` would and compares two depths.
 """
 
 from __future__ import annotations
@@ -27,6 +29,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.net.packet import Packet
 from repro.net.switch import Switch
+
+
+#: Largest population for which ``random.Random.sample(population, 2)``
+#: selects from a pool copy (two plain ``_randbelow`` draws); above it
+#: ``sample`` tracks picked indices in a set and re-draws on collision.
+_SAMPLE_POOL_MAX = 21
 
 
 class ForwardingPolicy(abc.ABC):
@@ -100,14 +108,38 @@ class ForwardingPolicy(abc.ABC):
     def power_of_n_choice(self, candidates: Sequence[int], n: int) -> int:
         """Power-of-``n``-choices: sample ``n`` ports, take the least loaded.
 
-        ``n = 1`` degenerates to uniformly random selection.
+        ``n = 1`` degenerates to uniformly random selection.  The
+        per-packet case — two choices among a handful of ports — makes
+        the draws of ``rng.sample(list(candidates), 2)`` itself (same
+        values, same order, same generator state afterwards) and
+        compares the two queue depths directly; everything else goes
+        through ``rng.sample``.
         """
-        if not candidates:
+        count = len(candidates)
+        if count == 0:
             raise ValueError("no candidate ports")
-        if len(candidates) == 1:
+        if count == 1:
             return candidates[0]
         if n <= 1:
             return self.rng.choice(list(candidates))
-        sampled = candidates if len(candidates) <= n \
-            else self.rng.sample(list(candidates), n)
-        return self.least_loaded(sampled)
+        if n != 2 or count > _SAMPLE_POOL_MAX:
+            return self.least_loaded(
+                candidates if count <= n
+                else self.rng.sample(list(candidates), n))
+        if count == 2:
+            first, second = candidates
+        else:
+            # sample() draws from a pool copy and moves the pool's last
+            # entry into the first pick's vacancy before drawing again.
+            randbelow = self.rng._randbelow
+            pick = randbelow(count)
+            other = randbelow(count - 1)
+            first = candidates[pick]
+            second = candidates[count - 1 if other == pick else other]
+        ports = self.switch.ports
+        first_bytes = ports[first].queue.bytes
+        second_bytes = ports[second].queue.bytes
+        if first_bytes < second_bytes \
+                or (first_bytes == second_bytes and first < second):
+            return first
+        return second

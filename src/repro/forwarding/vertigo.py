@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.forwarding.base import ForwardingPolicy
 from repro.net.packet import Packet
@@ -67,15 +67,20 @@ class VertigoPolicy(ForwardingPolicy):
     # -- forwarding ------------------------------------------------------------
 
     def route(self, packet: Packet, in_port: int) -> None:
-        candidates = self.switch.candidates(packet.dst)
+        switch = self.switch
+        params = self.params
+        try:
+            candidates = switch.fib[packet.dst]
+        except KeyError:
+            candidates = switch.candidates(packet.dst)  # raises, named
         if not candidates:
-            self.switch.drop(packet, "no_route")
+            switch.drop(packet, "no_route")
             return
-        port = self.power_of_n_choice(candidates, self.params.fw_choices)
-        if self.switch.ports[port].fits(packet):
-            self.switch.enqueue(port, packet)
+        port = self.power_of_n_choice(candidates, params.fw_choices)
+        if switch.ports[port].queue.fits(packet):
+            switch.enqueue(port, packet)
             return
-        if self.params.scheduling:
+        if params.scheduling:
             self._displace_and_enqueue(port, packet)
         else:
             # FIFO queues cannot displace; the arriving packet detours.
@@ -111,24 +116,22 @@ class VertigoPolicy(ForwardingPolicy):
 
     # -- deflection -------------------------------------------------------------
 
-    def _deflection_targets(self, exclude: int) -> Sequence[int]:
-        return self.deflection_targets(exclude)
-
     def _deflect(self, packet: Packet, exclude: int) -> None:
         switch = self.switch
-        if not self.params.deflection:
+        params = self.params
+        if not params.deflection:
             switch.drop(packet, "selective_drop")
             return
-        if packet.deflections >= self.params.max_deflections:
+        if packet.deflections >= params.max_deflections:
             switch.drop(packet, "deflection_limit")
             return
-        targets = self._deflection_targets(exclude)
+        targets = self.deflection_targets(exclude)
         if not targets:
             switch.drop(packet, "no_deflection_target")
             return
-        chosen = self.power_of_n_choice(targets, self.params.def_choices)
+        chosen = self.power_of_n_choice(targets, params.def_choices)
         switch.deflected(packet, exclude, chosen)
-        if switch.ports[chosen].fits(packet):
+        if switch.ports[chosen].queue.fits(packet):
             switch.enqueue(chosen, packet)
             return
         # Both randomly sampled queues full: extreme congestion.  Insert

@@ -116,7 +116,7 @@ def test_ranked_queue_detects_tampered_bytes(sanitized):
         queue.pop()
 
 
-# -- rank queue: heap invariants -----------------------------------------------
+# -- rank queue: sorted-array invariants ---------------------------------------
 
 
 def test_rankqueue_clean_operations(sanitized):
@@ -128,11 +128,20 @@ def test_rankqueue_clean_operations(sanitized):
     assert rq.pop_max() == (9, "c")
 
 
-def test_rankqueue_detects_tampered_len(sanitized):
+def test_rankqueue_detects_tampered_entries(sanitized):
     rq = RankQueue()
     rq.push(5, "a")
-    rq._len += 1  # corrupt the live count
-    with pytest.raises(SanitizerError):
+    rq.push(9, "b")
+    rq._entries.reverse()  # corrupt the order
+    with pytest.raises(SanitizerError, match="order"):
+        rq.push(7, "c")
+
+
+def test_rankqueue_detects_foreign_entry(sanitized):
+    rq = RankQueue()
+    rq.push(5, "a")
+    rq._entries.insert(0, (-9, -40, "smuggled"))  # in order, never pushed
+    with pytest.raises(SanitizerError, match="never issued"):
         rq.push(7, "b")
 
 

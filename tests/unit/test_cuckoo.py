@@ -80,9 +80,62 @@ def test_capacity_validation():
 
 
 def test_seeds_give_different_layouts():
-    a = CuckooFilter(capacity=64, seed=1)
-    b = CuckooFilter(capacity=64, seed=2)
-    a.insert(99)
-    b.insert(99)
-    assert a._fingerprint(99) != b._fingerprint(99) \
-        or a._index(99) != b._index(99)
+    # Same members, different seeds: the false positives differ.
+    probes = range(10_000, 110_000)
+    hits = []
+    for seed in (1, 2):
+        filt = CuckooFilter(capacity=1024, seed=seed)
+        for item in range(700):
+            filt.insert(item)
+        hits.append({item for item in probes if filt.contains(item)})
+    assert hits[0] and hits[1] and hits[0] != hits[1]
+
+
+def test_overflow_accounting_stays_honest():
+    # Regression: a refused insert used to leave its fingerprint in a
+    # bucket and park the victim in an unbounded stash without counting
+    # either, so deleting everything drove ``size`` negative.
+    filt = CuckooFilter(capacity=16, seed=3)
+    slots = 16 + filt._bucket_size  # buckets plus the bounded stash
+    accepted = []
+    for item in range(40):
+        before = len(filt)
+        stored = filt.insert(item)
+        assert len(filt) == before + stored
+        assert len(filt) == sum(map(len, filt._buckets.values())) \
+            + len(filt._stash)
+        if stored:
+            assert filt.contains(item)
+            accepted.append(item)
+    assert 16 <= len(accepted) == len(filt) <= slots
+    assert all(filt.contains(item) for item in accepted)
+    assert 0 < filt.load_factor() <= slots / 16
+    for item in range(40):
+        filt.delete(item)
+        assert len(filt) >= 0
+    assert len(filt) == 0 and filt.load_factor() == 0.0
+    assert not any(filt._buckets.values()) and not filt._stash
+
+
+def test_insert_if_absent_stores_only_unseen_items():
+    filt = CuckooFilter(capacity=64)
+    assert filt.insert_if_absent(7)
+    assert not filt.insert_if_absent(7)
+    assert len(filt) == 1
+    assert filt.delete(7) and not filt.contains(7)
+    assert filt.insert_if_absent(7)
+
+
+def test_one_hash_per_operation(monkeypatch):
+    from repro.core import cuckoo
+
+    filt = CuckooFilter(capacity=64)
+    calls = []
+    real = cuckoo._hash64
+    monkeypatch.setattr(cuckoo, "_hash64",
+                        lambda value: calls.append(value) or real(value))
+    for operation in (filt.insert, filt.contains, filt.insert_if_absent,
+                      filt.delete, filt.delete, filt.contains):
+        calls.clear()
+        operation(12345)
+        assert len(calls) == 1, operation.__name__

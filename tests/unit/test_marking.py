@@ -167,3 +167,53 @@ def test_packets_marked_counter():
     marking.mark(mk_data(flow_id=1, seq=0, payload=1000))
     marking.mark(mk_data(flow_id=1, seq=1000, payload=1000))
     assert marking.packets_marked == 2
+
+
+def _remembered(marking):
+    return sum(len(state.retcnt) for state in marking._flows.values())
+
+
+def test_colliding_fingerprints_each_keep_their_own_copy(monkeypatch):
+    # Two (flow, seq) keys with one header hash, hence one fingerprint:
+    # the second first-transmission is a filter false positive and must
+    # still store its copy, or the first flow's flow_done would take the
+    # other's fingerprint away with it.
+    monkeypatch.setattr(MarkingComponent, "_header_hash",
+                        staticmethod(lambda flow_id, seq: 7))
+    marking = _srpt()
+    marking.register_flow(1, size=40_000)
+    marking.register_flow(2, size=40_000)
+    first = mk_data(flow_id=1, seq=0, payload=1460)
+    marking.mark(first)
+    collided = mk_data(flow_id=2, seq=0, payload=1460)
+    marking.mark(collided)
+    assert first.flowinfo.retcnt == collided.flowinfo.retcnt == 0
+    assert marking.retransmissions_detected == 0
+    assert len(marking._filter) == _remembered(marking) == 2
+
+    marking.flow_done(2)
+    assert len(marking._filter) == _remembered(marking) == 1
+    retx = mk_data(flow_id=1, seq=0, payload=1460)
+    marking.mark(retx)
+    assert marking.retransmissions_detected == 1
+    assert retx.flowinfo.retcnt == 1 and retx.flowinfo.rfs == 20_000
+    assert len(marking._filter) == 1
+
+    marking.flow_done(1)
+    assert len(marking._filter) == _remembered(marking) == 0
+
+
+def test_full_filter_forgets_instead_of_miscounting():
+    # 8 slots plus a 4-entry stash: later packets cannot be remembered.
+    marking = MarkingComponent(filter_capacity=8)
+    marking.register_flow(1, size=1 << 20)
+    for index in range(40):
+        marking.mark(mk_data(flow_id=1, seq=index * 1460, payload=1460))
+    assert 8 <= len(marking._filter) == _remembered(marking) <= 12
+    forgotten = next(seq for seq in range(0, 40 * 1460, 1460)
+                     if seq not in marking._flows[1].retcnt)
+    again = mk_data(flow_id=1, seq=forgotten, payload=1460)
+    marking.mark(again)
+    assert again.flowinfo.retcnt == 0 and marking.retransmissions_detected == 0
+    marking.flow_done(1)
+    assert len(marking._filter) == 0

@@ -109,57 +109,68 @@ def test_interleaved_operations_stay_consistent():
         assert len(queue) == len(shadow)
 
 
-def test_dead_entries_do_not_accumulate():
-    # Lazy-deleted twins must be compacted away: a switch queue that
-    # only ever pops min would otherwise retain every packet it ever
-    # forwarded in the max heap, growing memory (and checkpoint
-    # payloads) linearly with history.
+def _standing_queue(depth):
     queue = RankQueue()
-    for step in range(10_000):
+    for step in range(depth):
         queue.push(step % 97, step)
-        if step >= 8:  # steady-state occupancy of ~8 entries
-            queue.pop_min()
-    bound = max(RankQueue._COMPACT_FLOOR, 2 * len(queue))
-    assert len(queue._min_heap) <= bound
-    assert len(queue._max_heap) <= bound
+    return queue
 
 
-def test_drained_queue_releases_everything():
+def test_history_is_not_pinned():
+    # A switch queue that only ever pops min must not retain what it
+    # forwarded: memory and checkpoint payloads would otherwise grow
+    # linearly with history.
+    import pickle
+
+    fresh = _standing_queue(16)
+    worn = _standing_queue(16)
+    for step in range(16, 10_016):
+        worn.push(step % 97, step)
+        worn.pop_min()
+    assert len(worn) == 16
+    assert len(pickle.dumps(worn)) <= 2 * len(pickle.dumps(fresh))
+
+
+def test_drained_queue_holds_no_items():
+    import gc
+    import weakref
+
+    class Item:
+        pass
+
     queue = RankQueue()
+    refs = []
     for rank in range(50):
-        queue.push(rank, object())
+        item = Item()
+        refs.append(weakref.ref(item))
+        queue.push(rank, item)
+    del item
     for _ in range(25):
         queue.pop_min()
         queue.pop_max()
-    assert len(queue) == 0
-    assert queue._min_heap == [] and queue._max_heap == []
-    assert queue._dead == set()
+    gc.collect()
+    assert len(queue) == 0 and queue.items() == []
+    assert all(ref() is None for ref in refs)
 
 
-def test_compaction_preserves_pop_order():
-    # Pop order is a pure function of (rank, seq); the compaction that
-    # rebuilds the heaps must be invisible to callers.
+def test_pop_order_follows_rank_then_arrival():
+    # Pop order is a pure function of (rank, arrival): check a long mixed
+    # run against a model that re-sorts a plain list on every pop.
     import random
     rng = random.Random(7)
-
-    def drive(queue):
-        out = []
-        for step in range(3_000):
-            if rng.random() < 0.6 or not queue:
-                queue.push(rng.randrange(50), step)
-            elif rng.random() < 0.9:
-                out.append(queue.pop_min())
-            else:
-                out.append(queue.pop_max())
-        while queue:
-            out.append(queue.pop_min())
-        return out
-
-    eager = RankQueue()
-    lazy = RankQueue()
-    lazy._COMPACT_FLOOR = 10 ** 9  # compaction never triggers
-    state = rng.getstate()
-    first = drive(eager)
-    rng.setstate(state)
-    second = drive(lazy)
-    assert first == second
+    queue = RankQueue()
+    model = []
+    for step in range(3_000):
+        if rng.random() < 0.6 or not model:
+            rank = rng.randrange(50)
+            queue.push(rank, step)
+            model.append((rank, step))
+        elif rng.random() < 0.9:
+            expected = min(model)
+            assert queue.pop_min() == expected
+            model.remove(expected)
+        else:
+            expected = max(model)
+            assert queue.pop_max() == expected
+            model.remove(expected)
+    assert queue.items() == sorted(model)
