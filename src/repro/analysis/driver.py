@@ -4,17 +4,15 @@ One pass, in this order:
 
 1. **collect** — resolve the input paths to ``.py`` files (nonexistent
    or python-free inputs are one-line usage errors, exit 2);
-2. **per-file rules** — VR001–VR004 (:mod:`repro.analysis.lint`) and
-   VR140 (:mod:`repro.analysis.rules`) on every file that parses (the
-   rest are VR000);
-3. **project rules** — symbol table + call graph
-   (:mod:`repro.analysis.callgraph`), unit dataflow to fixpoint
-   (:mod:`repro.analysis.dataflow`, VR100/VR150), and the reachability
-   rules VR110/VR120;
-4. **path exemptions** — built-ins merged with ``[tool.repro.lint.exempt]``;
-5. **suppression comments** — ``# noqa: VRxxx``, tracked: a code that
+2. **rules** — one loop over the files that parse (the rest are VR000),
+   every rule a function of that file's AST: VR001–VR004
+   (:mod:`repro.analysis.lint`), VR100/VR150
+   (:mod:`repro.analysis.dataflow`), VR110/VR140
+   (:mod:`repro.analysis.rules`);
+3. **path exemptions** — built-ins merged with ``[tool.repro.lint.exempt]``;
+4. **suppression comments** — ``# noqa: VRxxx``, tracked: a code that
    suppresses nothing is VR090 (:mod:`repro.analysis.suppress`);
-6. **text findings** — one ``path:line:col: CODE message [hint: ...]``
+5. **text findings** — one ``path:line:col: CODE message [hint: ...]``
    line each on stdout, a summary line on stderr.
 
 Exit status: 0 clean, 1 findings, 2 usage.
@@ -29,23 +27,24 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import lint as lint_mod
-from repro.analysis import rules as rules_mod
-from repro.analysis.callgraph import CallGraph, Project
-from repro.analysis.dataflow import build_summaries, check_vr100, check_vr150
-from repro.analysis.lint import LintConfig, Violation, load_config
-from repro.analysis.suppress import RULE_UNUSED, apply_suppressions
+from repro.analysis.dataflow import check_vr100, check_vr150
+from repro.analysis.lint import (
+    HINTS,
+    RULES,
+    LintConfig,
+    Violation,
+    load_config,
+)
+from repro.analysis.rules import check_vr110, check_vr140
+from repro.analysis.suppress import apply_suppressions
 
-#: The complete rule catalog.
-ALL_RULES: Dict[str, str] = {
-    **lint_mod.RULES,
-    **rules_mod.RULES_VR1XX,
-    RULE_UNUSED: "unused # noqa suppression",
-}
-
-ALL_HINTS: Dict[str, str] = {
-    **lint_mod.HINTS,
-    **rules_mod.HINTS_VR1XX,
-    RULE_UNUSED: "delete the stale code from the # noqa comment",
+#: The rules that are one ``(tree, path)`` function per code; VR001–VR004
+#: share one visitor (:func:`repro.analysis.lint.check_file`).
+_SINGLE_CODE_RULES = {
+    "VR100": check_vr100,
+    "VR110": check_vr110,
+    "VR140": check_vr140,
+    "VR150": check_vr150,
 }
 
 
@@ -88,64 +87,33 @@ def read_sources(files: Sequence[Path]) -> Tuple[Dict[str, str],
     return sources, problems
 
 
-def _project_findings(sources: Dict[str, str],
-                      trees: Dict[str, ast.Module],
-                      select: frozenset) -> List[Violation]:
-    if not select & {"VR100", "VR110", "VR120", "VR150"}:
-        return []
-    project = Project.from_sources(sources, trees)
-    graph = CallGraph(project)
-    findings: List[Violation] = []
-    if select & {"VR100", "VR150"}:
-        summaries = build_summaries(project, graph)
-        if "VR100" in select:
-            findings.extend(check_vr100(project, graph, summaries))
-        if "VR150" in select:
-            findings.extend(check_vr150(project, graph, summaries))
-    if "VR110" in select:
-        findings.extend(rules_mod.check_vr110(project, graph))
-    if "VR120" in select:
-        findings.extend(rules_mod.check_vr120(project, graph))
-    return findings
-
-
 def run_analysis(sources: Dict[str, str],
                  config: LintConfig) -> List[Violation]:
-    """Steps 2–5 over in-memory ``{path: source}``; sorted findings."""
+    """Steps 2–4 over in-memory ``{path: source}``; sorted findings."""
     select = frozenset(config.select)
-    trees: Dict[str, ast.Module] = {}
-    raw: List[Violation] = []
-    for path, source in sources.items():
-        try:
-            trees[path] = ast.parse(source, filename=path)
-        except SyntaxError as exc:
-            raw.append(Violation(path, exc.lineno or 0, 0, "VR000",
-                                 f"syntax error: {exc.msg}"))
-    for path, tree in trees.items():
-        raw.extend(lint_mod.check_file(tree, path, select))
-        if "VR140" in select:
-            raw.extend(rules_mod.check_vr140(tree, path))
-    raw.extend(_project_findings(sources, trees, select))
-
-    by_path: Dict[str, List[Violation]] = {}
-    for violation in raw:
-        if not lint_mod.exempt(violation.path, violation.code, config):
-            by_path.setdefault(violation.path, []).append(violation)
-
     findings: List[Violation] = []
     for path, source in sources.items():
-        violations = by_path.get(path, [])
-        if path in trees:  # else VR000: no comments to honour
-            violations, unused = apply_suppressions(violations, path,
-                                                    source, select)
-            findings.extend(unused)
-        findings.extend(violations)
+        try:
+            tree = ast.parse(source, filename=path)
+        except SyntaxError as exc:  # no tree, no comments to honour
+            findings.append(Violation(path, exc.lineno or 0, 0, "VR000",
+                                      f"syntax error: {exc.msg}"))
+            continue
+        raw = lint_mod.check_file(tree, path, select)
+        for code, check in _SINGLE_CODE_RULES.items():
+            if code in select:
+                raw.extend(check(tree, path))
+        kept = [violation for violation in raw
+                if not lint_mod.exempt(path, violation.code, config)]
+        kept, unused = apply_suppressions(kept, path, source, select)
+        findings.extend(kept)
+        findings.extend(unused)
     findings.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return findings
 
 
 def render(violation: Violation) -> str:
-    hint = ALL_HINTS.get(violation.code)
+    hint = HINTS.get(violation.code)
     suffix = f" [hint: {hint}]" if hint else ""
     return (f"{violation.path}:{violation.line}:{violation.col}: "
             f"{violation.code} {violation.message}{suffix}")
@@ -154,11 +122,10 @@ def render(violation: Violation) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="Determinism & unit-discipline analyzer: per-file "
-                    "rules VR001-VR004, whole-program call-graph/dataflow "
-                    "rules VR100-VR150.  Suppress one finding with a "
-                    "trailing '# noqa: VRxxx' comment (stale ones are "
-                    "VR090).")
+        description="Determinism & unit-discipline analyzer: rules "
+                    "VR001-VR150, each a function of one file's AST.  "
+                    "Suppress one finding with a trailing "
+                    "'# noqa: VRxxx' comment (stale ones are VR090).")
     parser.add_argument("paths", nargs="*",
                         help="files or directories (default: "
                              "[tool.repro.lint] paths, else src)")
@@ -172,15 +139,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_rules:
-        for code in sorted(ALL_RULES):
-            print(f"{code}: {ALL_RULES[code]}")
+        for code, description in RULES.items():
+            print(f"{code}: {description}")
         return 0
 
     config = load_config(args.config)
     if args.select:
         config.select = tuple(code.strip().upper()
                               for code in args.select.split(","))
-    unknown = [code for code in config.select if code not in ALL_RULES]
+    unknown = [code for code in config.select if code not in RULES]
     if unknown:
         parser.error(f"unknown rule(s): {', '.join(unknown)} "
                      f"(see --list-rules)")

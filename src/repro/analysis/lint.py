@@ -1,4 +1,4 @@
-"""Per-file determinism & unit-discipline rules VR001–VR004.
+"""Rules VR001–VR004, the rule catalogue and the lint configuration.
 
 The simulator's two load-bearing invariants — every stochastic draw flows
 through :class:`~repro.sim.rng.RngRegistry` named streams, and all
@@ -26,17 +26,20 @@ VR004     No module-lifetime mutable state in ``repro.*``: module- or
           as ``itertools.count()``) to non-CONSTANT-case names.
 ========  =======================================================================
 
-It also owns the plumbing every rule shares: :class:`Violation`,
-:class:`LintConfig` and the ``[tool.repro.lint]`` loader (rule selection,
-default paths, per-rule path exemptions merged with the built-ins).  The
-whole-program rules live in :mod:`repro.analysis.rules` and
-:mod:`repro.analysis.dataflow`; :mod:`repro.analysis.driver` runs both
-families and is the only entry point (``python -m repro lint``).
+It also owns what every rule shares: :class:`Violation`, the one
+catalogue of codes (:data:`RULES`, :data:`HINTS`), :class:`LintConfig`
+and the ``[tool.repro.lint]`` loader (default paths, per-rule path
+exemptions merged with the built-ins).  VR110/VR140 live in
+:mod:`repro.analysis.rules`, VR100/VR150 in
+:mod:`repro.analysis.dataflow`; every rule is a function of one file's
+AST, and :mod:`repro.analysis.driver` runs them all and is the only
+entry point (``python -m repro lint``).
 """
 
 from __future__ import annotations
 
 import ast
+import os
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
@@ -44,11 +47,18 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 UNIT_SUFFIXES = ("_ns", "_bytes", "_bps")
 
+#: The rule catalogue — every code ``repro lint`` can report besides
+#: VR000 (unreadable / unparsable file), and the default selection.
 RULES: Dict[str, str] = {
     "VR001": "stochastic draw bypasses RngRegistry named streams",
     "VR002": "wall-clock read inside simulation code",
     "VR003": "float value or unrounded true division on a unit quantity",
     "VR004": "module-lifetime mutable state",
+    "VR090": "unused # noqa suppression",
+    "VR100": "float/seconds value crosses into integer-nanosecond time",
+    "VR110": "RNG stream name not declared in the module's RNG_STREAMS",
+    "VR140": "module uses _TRACE hooks without registering for them",
+    "VR150": "float arithmetic inside an integer-only (analytic/PFC) function",
 }
 
 HINTS: Dict[str, str] = {
@@ -60,6 +70,15 @@ HINTS: Dict[str, str] = {
              "use // floor division",
     "VR004": "move the state into an instance (or rename to CONSTANT_CASE "
              "if it is genuinely immutable after import)",
+    "VR090": "delete the stale code from the # noqa comment",
+    "VR100": "convert at the boundary: wrap in int()/round() where "
+             "seconds/floats become *_ns, or keep the math integral",
+    "VR110": "draw from a declared RngRegistry stream (add the name to "
+             "the module's RNG_STREAMS tuple) wired in at build time",
+    "VR140": "bind `_TRACE = <hooks>.register(__name__)` at module level; "
+             "unregistered modules are never switched on",
+    "VR150": "keep every intermediate integral: scale first, then "
+             "floor-divide (//)",
 }
 
 #: Built-in per-rule path exemptions (fnmatch patterns over posix paths).
@@ -96,14 +115,17 @@ class Violation:
 class LintConfig:
     """Effective linter configuration (defaults merged with pyproject)."""
 
-    select: Tuple[str, ...] = tuple(sorted(RULES))
+    select: Tuple[str, ...] = tuple(RULES)
     exempt: Dict[str, Tuple[str, ...]] = field(
         default_factory=lambda: dict(DEFAULT_EXEMPT))
     paths: Tuple[str, ...] = ("src",)
 
 
 def load_config(pyproject: Optional[Path] = None) -> LintConfig:
-    """Build a :class:`LintConfig` from ``[tool.repro.lint]`` if present."""
+    """Build a :class:`LintConfig` from ``[tool.repro.lint]`` if present.
+
+    Configured ``paths`` are relative to the pyproject that declares them.
+    """
     config = LintConfig()
     if pyproject is None:
         pyproject = _find_pyproject(Path.cwd())
@@ -116,10 +138,9 @@ def load_config(pyproject: Optional[Path] = None) -> LintConfig:
     with pyproject.open("rb") as handle:
         table = tomllib.load(handle)
     section = table.get("tool", {}).get("repro", {}).get("lint", {})
-    if "select" in section:
-        config.select = tuple(section["select"])
     if "paths" in section:
-        config.paths = tuple(section["paths"])
+        config.paths = tuple(os.path.relpath(pyproject.parent / entry)
+                             for entry in section["paths"])
     for code, patterns in section.get("exempt", {}).items():
         merged = config.exempt.get(code, ()) + tuple(patterns)
         config.exempt[code] = merged

@@ -103,6 +103,6 @@ def check(condition: bool, message: str, *args: object) -> None:
     """Raise :class:`SanitizerError` unless ``condition`` holds."""
     global checks_run
     # Diagnostics-only counter, deliberately outside the run digest.
-    checks_run += 1  # noqa: VR120
+    checks_run += 1
     if not condition:
         raise SanitizerError(message % args if args else message)

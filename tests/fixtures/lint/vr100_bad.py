@@ -1,7 +1,7 @@
 """VR100 bad: a seconds-float return value crosses a call boundary
-into an integer-nanosecond slot.  VR003 cannot see this (the call is
-opaque to the per-function pass); only the interprocedural summary
-knows ``propagation_delay_s`` returns seconds.
+into an integer-nanosecond slot.  VR003 cannot see this (it assumes
+calls are integral); VR100 reads the ``_s`` suffix of
+``propagation_delay_s`` as seconds without resolving the call.
 """
 
 

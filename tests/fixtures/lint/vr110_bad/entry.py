@@ -1,6 +1,6 @@
-"""VR110 bad, entry half: a forwarding-policy method reaches a global
-``random`` draw — but only through the helper module, so the finding
-requires the cross-file call graph.
+"""VR001 bad, entry half: a forwarding-policy method reaches a global
+``random`` draw through the helper module.  No rule follows the call;
+VR001 flags the draw itself, where it stands in ``helper.py``.
 """
 
 from helper import pick_port

@@ -1,4 +1,4 @@
-"""VR110 bad, helper half: the actual global-entropy sink."""
+"""VR001 bad, helper half: the actual global-entropy sink."""
 
 import random
 

@@ -1,26 +1,22 @@
 """Golden-findings suite: every rule in the catalog against fixtures.
 
 Each rule has a known-bad fixture that must fire and a known-good
-counterpart that must stay silent; the VR110 bad case spans two files,
-pinning the cross-file (interprocedural) behaviour of the call graph.
-The fixtures also carry the earn-your-keep audit (DESIGN.md, "Static
-analysis"): each re-seeded historical bug, and each one-line mutant of
-one that nothing else in tier-1 flags, is a case here.
+counterpart that must stay silent.  The fixtures also carry the
+earn-your-keep audit (DESIGN.md, "Static analysis"): each re-seeded
+historical bug, and each one-line mutant of one that nothing else in
+tier-1 flags, is a case here — and the two mutants of live code are
+re-applied to the real tree by ``test_recorded_src_mutant_fires``.
 """
 
 from pathlib import Path
 
 import pytest
 
-from repro.analysis.driver import (
-    ALL_RULES,
-    read_sources,
-    render,
-    run_analysis,
-)
-from repro.analysis.lint import LintConfig, load_config
+from repro.analysis.driver import read_sources, render, run_analysis
+from repro.analysis.lint import RULES, LintConfig, load_config
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "lint"
+ROOT = Path(__file__).resolve().parents[2]
+FIXTURES = ROOT / "tests" / "fixtures" / "lint"
 
 CASES = [
     # Re-seeded historical bugs and their one-line mutants (the audit).
@@ -37,9 +33,8 @@ CASES = [
     ("VR150", ["vr150_threshold_bad.py"], ["vr150_threshold_good.py"]),
     # Rule behaviour.
     ("VR100", ["vr100_bad.py"], ["vr100_good.py"]),
-    ("VR110", ["vr110_bad/entry.py", "vr110_bad/helper.py"],
+    ("VR001", ["vr110_bad/entry.py", "vr110_bad/helper.py"],
      ["vr110_good/entry.py", "vr110_good/helper.py"]),
-    ("VR120", ["vr120_bad.py"], ["vr120_good.py"]),
     ("VR140", ["vr140_bad.py"], ["vr140_good.py"]),
     ("VR150", ["vr150_bad.py"], ["vr150_good.py"]),
     ("VR150", ["vr150_pfc_bad.py"], ["vr150_pfc_good.py"]),
@@ -52,9 +47,8 @@ def findings(code, names):
         assert path.is_file(), f"missing fixture {path}"
     sources, unreadable = read_sources(files)
     assert not unreadable
-    # Every rule runs (VR090 only judges codes whose rule did).
-    config = LintConfig(select=tuple(ALL_RULES))
-    return [v for v in run_analysis(sources, config) if v.code == code]
+    # The default: every rule runs (VR090 only judges codes whose rule did).
+    return [v for v in run_analysis(sources, LintConfig()) if v.code == code]
 
 
 @pytest.mark.parametrize("code,bad,good", CASES,
@@ -70,36 +64,14 @@ def test_vr100_finding_names_the_seconds_source():
     assert "propagation_delay_s" in violation.message
 
 
-def test_vr110_is_interprocedural_across_files():
-    hits = findings("VR110", ["vr110_bad/entry.py", "vr110_bad/helper.py"])
-    sink = [v for v in hits if "random.choice" in v.message]
-    assert sink, "expected the global-draw sink finding"
-    # The sink lives in helper.py but is only reachable through the
-    # policy method in entry.py — the witness chain must say so.
-    assert sink[0].path.endswith("helper.py")
-    assert "forward" in sink[0].message
-    # Neither file alone produces the reachability finding.
-    alone = findings("VR110", ["vr110_bad/helper.py"])
-    assert [v for v in alone if "random.choice" in v.message] == []
-
-
-def test_vr120_names_both_kinds_of_state():
-    hits = findings("VR120", ["vr120_bad.py"])
-    messages = "\n".join(v.message for v in hits)
-    assert "SEEN_FLOWS" in messages
-    assert "generation" in messages
-
-
 def test_vr150_catches_floats_vr100_cannot_see():
-    hits = findings("VR150", ["vr150_bad.py"])
-    # Both intermediates fire even though neither target is *_ns-named
-    # (the helper's float division via its summary, and the inline one).
-    assert len(hits) == 2
-    messages = "\n".join(v.message for v in hits)
-    assert "'share'" in messages
-    assert "'serial'" in messages
-    assert "analytic" in messages
-    # ... and VR100 indeed cannot see either of them.
+    [hit] = findings("VR150", ["vr150_bad.py"])
+    # The inline intermediate fires though its target is not *_ns-named
+    # (the unsuffixed helper's result one line up is an unknown).
+    assert hit.line == 14
+    assert "'serial'" in hit.message
+    assert "analytic" in hit.message
+    # ... and VR100 indeed cannot see it.
     assert findings("VR100", ["vr150_bad.py"]) == []
 
 
@@ -120,9 +92,36 @@ def test_vr140_reports_the_missing_registration_once():
 
 
 def test_full_tree_is_clean_under_all_passes():
-    root = Path(__file__).resolve().parents[2]
-    config = load_config(root / "pyproject.toml")
-    assert set(config.select) | {"VR090"} == set(ALL_RULES)
-    sources, unreadable = read_sources(sorted((root / "src").rglob("*.py")))
+    config = load_config(ROOT / "pyproject.toml")
+    assert config.select == tuple(RULES)
+    sources, unreadable = read_sources(sorted((ROOT / "src").rglob("*.py")))
     reported = [*unreadable, *run_analysis(sources, config)]
     assert not reported, "\n".join(render(v) for v in reported)
+
+
+SRC_MUTANTS = [
+    # PR 1's float-into-integer bug where VR003 has no suffix to go on;
+    # equal to the integer whenever XOFF is even, so PFC digests hold.
+    ("VR150", "src/repro/net/pfc.py",
+     "    xon = config.xon_bytes or xoff // 2\n",
+     "    xon = config.xon_bytes or xoff / 2\n", ""),
+    # PR 1's float busy_ns, arriving through a helper: no division or
+    # float literal on the flagged line, value numerically unchanged.
+    ("VR100", "src/repro/trace/sampler.py",
+     "busy_ns = (delta * 8 * 1_000_000_000 // rate) if rate else 0\n",
+     "busy_ns = _busy_s(delta, rate) * 1_000_000_000\n",
+     "\n\ndef _busy_s(delta, rate):\n"
+     "    return delta * 8 / rate if rate else 0\n"),
+]
+
+
+@pytest.mark.parametrize("code,path,before,after,appended", SRC_MUTANTS,
+                         ids=[case[1] for case in SRC_MUTANTS])
+def test_recorded_src_mutant_fires(code, path, before, after, appended):
+    source = (ROOT / path).read_text(encoding="utf-8")
+    assert source.count(before) == 1, f"{path} no longer has the line"
+    line = source[:source.index(before)].count("\n") + 1
+    assert run_analysis({path: source}, LintConfig()) == []
+    mutant = source.replace(before, after) + appended
+    hits = run_analysis({path: mutant}, LintConfig())
+    assert [(v.line, v.code) for v in hits] == [(line, code)], hits

@@ -11,8 +11,12 @@ import textwrap
 
 import pytest
 
-from repro.analysis.driver import ALL_RULES, main, render, run_analysis
+from pathlib import Path
+
+from repro.analysis.driver import main, render, run_analysis
 from repro.analysis.lint import LintConfig, RULES, Violation, load_config
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "lint"
 
 
 def codes(source, path="src/repro/example.py", config=None):
@@ -265,7 +269,34 @@ def test_violation_render_mentions_location_and_hint():
 
 
 def test_rules_table_complete():
-    assert sorted(RULES) == ["VR001", "VR002", "VR003", "VR004"]
+    # One table: the catalogue is also the default selection.
+    assert list(RULES) == ["VR001", "VR002", "VR003", "VR004", "VR090",
+                           "VR100", "VR110", "VR140", "VR150"]
+    assert LintConfig().select == tuple(RULES)
+
+
+def test_default_selection_is_the_catalogue_without_a_lint_table(
+        tmp_path, capsys):
+    # No [tool.repro.lint] anywhere: every rule still runs.
+    pyproject = tmp_path / "pyproject.toml"
+    pyproject.write_text("[project]\nname = 'elsewhere'\n")
+    bad = [str(FIXTURES / name)
+           for name in ("vr150_threshold_bad.py", "vr140_bad.py")]
+    assert main(["--config", str(pyproject), *bad]) == 1
+    out = capsys.readouterr().out
+    assert "VR150" in out and "VR140" in out
+
+
+def test_configured_paths_are_relative_to_their_pyproject(
+        tmp_path, monkeypatch, capsys):
+    (tmp_path / "pyproject.toml").write_text(
+        '[tool.repro.lint]\npaths = ["pkg"]\n')
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "bad.py").write_text("timeout_ns = 1.5\n")
+    (tmp_path / "sub").mkdir()
+    monkeypatch.chdir(tmp_path / "sub")
+    assert main([]) == 1  # found ../pyproject.toml, linted ../pkg
+    assert "VR003" in capsys.readouterr().out
 
 
 # -- the CLI surface ----------------------------------------------------------
@@ -274,7 +305,7 @@ def test_rules_table_complete():
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ALL_RULES:
+    for code in RULES:
         assert code in out
 
 
