@@ -100,7 +100,6 @@ def test_paper_scale_hybrid_second(benchmark):
     # the scale affordable.  At this operating point (10% bg, degree-12
     # incast against a deflecting fabric) no demotion trigger fires;
     # demotion/promotion dynamics are exercised by the fault-injection
-    # and threshold tests in tests/*/test_fidelity.py and by CI's
-    # scale-smoke job.
+    # and threshold tests in tests/*/test_fidelity.py.
     assert fidelity["analytic_residency_permille"] >= 900
     assert fidelity["analytic_rounds"] > 10_000

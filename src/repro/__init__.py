@@ -6,19 +6,8 @@ implementing the Vertigo selective-deflection design, its baselines
 (ECMP, DRILL, DIBS), three transports (TCP Reno, DCTCP, Swift), leaf-spine
 and fat-tree topologies, and the paper's workloads and experiments.
 
-Quickstart — the fluent façade (:mod:`repro.api`)::
-
-    from repro import Experiment
-
-    report = (Experiment.bench()
-              .system("vertigo")
-              .transport("dctcp")
-              .workload(bg_load=0.5, incast_load=0.25)
-              .run()
-              .report())
-    print(report.row())
-
-or the explicit config layer it wraps::
+Quickstart — build an :class:`ExperimentConfig` from a profile, run it,
+read the report::
 
     from repro import ExperimentConfig, run_experiment
 
@@ -33,7 +22,6 @@ This module re-exports the blessed public surface (everything in
 change between releases.
 """
 
-from repro.api import Experiment
 from repro.experiments import (
     ExperimentConfig,
     RunReport,
@@ -56,10 +44,9 @@ from repro.workload import (
     parse_workloads,
 )
 
-__version__ = "1.3.0"
+__version__ = "2.0.0"
 
 __all__ = [
-    "Experiment",
     "ExperimentConfig",
     "RunResult",
     "RunReport",

@@ -12,8 +12,12 @@ Subcommands::
     python -m repro lint  src
     python -m repro trace-view out.jsonl --validate --chrome out.json
 
-All knobs default to the scaled bench profile (DESIGN.md); pass
-``--paper-scale`` for the full 320-server configuration (slow!).
+``run`` is one run of one config; ``sweep`` is a systems x seeds grid
+under the supervisor (N seeds of one system is ``sweep --systems X
+--seeds N --jobs J``).  All knobs default to the scaled bench profile
+(DESIGN.md); pass ``--paper-scale`` for the full 320-server
+configuration (slow!).  A flag combination that would do nothing is a
+usage error (exit 2), never a silent no-op.
 """
 
 from __future__ import annotations
@@ -24,12 +28,14 @@ from typing import List, Optional
 
 from dataclasses import replace as _replace
 
+from repro.checkpoint import CheckpointConfig, CheckpointError, RunPreempted
+from repro.checkpoint.runtime import install_foreground_handlers
 from repro.experiments.config import (
     ALL_SYSTEMS,
     ExperimentConfig,
     WorkloadConfig,
 )
-from repro.experiments.parallel import resolve_jobs, run_many
+from repro.experiments.parallel import resolve_jobs
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweeps import format_table
 from repro.faults import parse_faults
@@ -64,8 +70,9 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--incast-scale", type=int, default=12,
                         help="servers per incast query")
     parser.add_argument("--incast-flow-bytes", type=int, default=10_000)
-    parser.add_argument("--sim-ms", type=int, default=200,
-                        help="simulated milliseconds")
+    parser.add_argument("--sim-ms", type=int, default=None,
+                        help="simulated milliseconds (default: the "
+                             "profile's, 200 bench / 5000 paper)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--fat-tree", type=int, metavar="K", default=None,
                         help="use a fat-tree of degree K instead of "
@@ -122,10 +129,6 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cooldown", default=None, metavar="TIME",
                         help="exclude flows starting in the last TIME "
                              "from all summary metrics")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker processes for multi-run invocations "
-                             "(default REPRO_JOBS, else serial; "
-                             "0 = all CPUs)")
     parser.add_argument("--checkpoint-every", type=float, default=None,
                         metavar="SIM_MS", dest="checkpoint_every",
                         help="snapshot the full simulation state every "
@@ -143,8 +146,8 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
                         help="record a trace (repro.trace) and write it "
                              "as deterministic JSONL to PATH")
     parser.add_argument("--trace-level", choices=list(TRACE_LEVELS),
-                        default="flow",
-                        help="trace granularity: 'flow' (flow/query "
+                        default=None,
+                        help="trace granularity: 'flow' (default; flow/query "
                              "lifecycle + congestion-control events) or "
                              "'packet' (adds per-packet queue/deflect/"
                              "drop/ECN/ordering events)")
@@ -166,22 +169,26 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--system", choices=ALL_SYSTEMS,
                         default="vertigo")
     _add_experiment_arguments(parser)
-    parser.add_argument("--seeds", type=int, default=1, metavar="N",
-                        help="run N seeds (seed..seed+N-1) and print one "
-                             "row per seed")
     return parser
 
 
 def _trace_config_from_args(args: argparse.Namespace
                             ) -> Optional[TraceConfig]:
     if not (args.trace or args.trace_chrome):
+        if args.sample_us is not None or args.trace_level is not None:
+            raise ValueError("--sample-us/--trace-level require --trace "
+                             "or --trace-chrome")
         return None
     period = args.sample_us * 1000 if args.sample_us else None
-    return TraceConfig(level=args.trace_level, sample_period_ns=period)
+    return TraceConfig(level=args.trace_level or "flow",
+                       sample_period_ns=period)
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     if args.paper_scale:
+        if args.fat_tree:
+            raise ValueError("--paper-scale (the paper's leaf-spine) "
+                             "cannot be combined with --fat-tree")
         config = ExperimentConfig.paper_profile(
             system=args.system, transport=args.transport,
             bg_load=args.bg_load, incast_load=args.incast_load,
@@ -195,8 +202,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             bg_load=args.bg_load, incast_load=args.incast_load,
             incast_scale=args.incast_scale,
             incast_flow_bytes=args.incast_flow_bytes,
-            sim_time_ns=args.sim_ms * MILLISECOND,
             topology=topology, seed=args.seed)
+    if args.sim_ms is not None:
+        config.sim_time_ns = args.sim_ms * MILLISECOND
     if args.workloads:
         # A spec-composed mix replaces the profile's default generators
         # (the --bg-load/--incast-* knobs are ignored when --workload
@@ -211,7 +219,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     config.faults = parse_faults(args.faults)
     config.trace = _trace_config_from_args(args)
     if args.checkpoint_every is not None:
-        from repro.checkpoint import CheckpointConfig
         config.checkpoint = CheckpointConfig.every_ms(
             args.checkpoint_every, directory=args.checkpoint_dir)
     elif args.checkpoint_dir is not None:
@@ -233,9 +240,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 def _export_traces(results, args: argparse.Namespace) -> None:
     """Write the recorded traces (JSONL and/or Chrome) for a result list.
 
-    Results arrive in config order from both the serial and the parallel
-    executor, so multi-run trace files are deterministic: per-run JSONL
-    blocks concatenate in run order regardless of ``--jobs``.
+    Sweep results arrive in config order whatever ``--jobs`` is, so
+    multi-run trace files are deterministic: per-run JSONL blocks
+    concatenate in run order.
     """
     traces = [result.trace for result in results
               if result.trace is not None]
@@ -254,67 +261,47 @@ def _export_traces(results, args: argparse.Namespace) -> None:
 
 def _cmd_run(argv: List[str]) -> int:
     args = build_parser().parse_args(argv)
-    if args.seeds < 1:
-        print("--seeds must be >= 1", file=sys.stderr)
-        return 2
-    configs = []
     try:
-        for seed in range(args.seed, args.seed + args.seeds):
-            args.seed = seed
-            configs.append(config_from_args(args))
-        jobs = resolve_jobs(args.jobs)
+        config = config_from_args(args)
     except ValueError as exc:
-        # Malformed --fault directive or REPRO_JOBS/--jobs value: a
-        # usage error, reported in one line with the argparse exit code.
+        # Malformed directive or a flag that would silently do nothing:
+        # a usage error, reported in one line with the argparse exit code.
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     print(f"running {args.system}+{args.transport} on "
-          f"{configs[0].topology!r} for "
-          f"{configs[0].sim_time_ns // MILLISECOND} ms simulated "
-          f"({len(configs)} seed(s)) ...", file=sys.stderr)
-    if configs[0].faults:
+          f"{config.topology!r} for "
+          f"{config.sim_time_ns // MILLISECOND} ms simulated ...",
+          file=sys.stderr)
+    if config.faults:
         print("fault scenario: "
-              + "; ".join(spec.describe() for spec in configs[0].faults),
+              + "; ".join(spec.describe() for spec in config.faults),
               file=sys.stderr)
-    if len(configs) == 1:
-        if configs[0].checkpoint is not None:
-            from repro.checkpoint import CheckpointError, RunPreempted
-            from repro.checkpoint.runtime import install_foreground_handlers
-            # SIGTERM/SIGINT become checkpoint-then-exit requests
-            # honoured at the next epoch boundary.
-            install_foreground_handlers()
-            try:
-                results = [run_experiment(configs[0])]
-            except RunPreempted as preempted:
-                print(f"run: preempted at "
-                      f"{preempted.sim_now_ns // MILLISECOND} ms "
-                      f"simulated; checkpoint written to "
-                      f"{preempted.path} — re-run the same command to "
-                      f"resume", file=sys.stderr)
-                return 130
-            except CheckpointError as exc:
-                # A stale or foreign file on the managed path (e.g.
-                # written by different source): never silently restart.
-                print(f"repro: error: {exc} — delete it to start over",
-                      file=sys.stderr)
-                return 1
-        else:
-            results = [run_experiment(configs[0])]
-    else:
-        results = run_many(configs, jobs=jobs)
-    rows = []
-    for config, result in zip(configs, results):
-        row = result.report().row()
-        row["seed"] = config.seed
-        rows.append(row)
-    print(format_table(rows))
-    if len(results) == 1:
-        drops = results[0].metrics.counters.drops
-        if drops:
-            print("\ndrops by reason: "
-                  + ", ".join(f"{reason}={count}"
-                              for reason, count in sorted(drops.items())))
-    _export_traces(results, args)
+    if config.checkpoint is not None:
+        # SIGTERM/SIGINT become checkpoint-then-exit requests
+        # honoured at the next epoch boundary.
+        install_foreground_handlers()
+    try:
+        result = run_experiment(config)
+    except RunPreempted as preempted:
+        print(f"run: preempted at {preempted.sim_now_ns // MILLISECOND} ms "
+              f"simulated; checkpoint written to {preempted.path} — "
+              f"re-run the same command to resume", file=sys.stderr)
+        return 130
+    except CheckpointError as exc:
+        # A stale or foreign file on the managed path (e.g. written by
+        # different source): never silently restart.
+        print(f"repro: error: {exc} — delete it to start over",
+              file=sys.stderr)
+        return 1
+    row = result.report().row()
+    row["seed"] = config.seed
+    print(format_table([row]))
+    drops = result.metrics.counters.drops
+    if drops:
+        print("\ndrops by reason: "
+              + ", ".join(f"{reason}={count}"
+                          for reason, count in sorted(drops.items())))
+    _export_traces([result], args)
     return 0
 
 
@@ -331,6 +318,9 @@ def _cmd_sweep(argv: List[str]) -> int:
                              "compared in the paper)")
     parser.add_argument("--seeds", type=int, default=1, metavar="N",
                         help="seeds per system (seed..seed+N-1)")
+    parser.add_argument("--jobs", type=int, default=None, metavar="N",
+                        help="worker processes (default REPRO_JOBS, else "
+                             "serial; 0 = all CPUs)")
     parser.add_argument("--journal", default=None, metavar="PATH",
                         help="append every completed point to a JSONL "
                              "journal at PATH (start fresh)")
@@ -374,6 +364,11 @@ def _cmd_sweep(argv: List[str]) -> int:
     if args.journal and args.resume:
         print("repro: error: pass either --journal (start fresh) or "
               "--resume (continue), not both", file=sys.stderr)
+        return 2
+    if args.stall_timeout is not None and args.checkpoint_every is None:
+        # The stall watchdog polls the checkpoint progress sidecar.
+        print("repro: error: --stall-timeout requires --checkpoint-every",
+              file=sys.stderr)
         return 2
     base_seed = args.seed
     configs = []

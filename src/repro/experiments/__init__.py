@@ -1,4 +1,4 @@
-"""Experiment harness: configuration, runner, and sweep helpers.
+"""The experiment harness: configuration, runner, and sweep helpers.
 
 This is the top-level entry point most users want::
 

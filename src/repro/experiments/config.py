@@ -1,4 +1,4 @@
-"""Experiment configuration.
+"""Configuration of one experiment.
 
 An :class:`ExperimentConfig` fully determines a simulation run: topology,
 physical parameters, the evaluated system (forwarding + host stack), the

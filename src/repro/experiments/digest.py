@@ -102,7 +102,8 @@ def sweep_digest(entries: Iterable) -> str:
     ``entries`` may mix :class:`RunResult` objects (hashed via
     :func:`run_digest`) and pre-computed digest strings.  A resumed sweep
     is correct exactly when its sweep digest matches the uninterrupted
-    run's — the chaos-smoke CI job compares the two byte for byte.
+    run's — ``tests/integration/test_runtime_chaos.py`` compares the
+    two byte for byte.
     """
     parts = []
     for entry in entries:

@@ -15,7 +15,7 @@ serial-vs-parallel digest integration tests enforce this):
 - ``jobs <= 0`` means "one worker per CPU".
 
 Concurrency comes from the ``jobs`` argument, the ``REPRO_JOBS``
-environment variable, or ``--jobs`` on the CLIs that expose it.
+environment variable, or ``repro sweep --jobs``.
 """
 
 from __future__ import annotations

@@ -1,23 +1,21 @@
 """The unified result surface of a run: :class:`RunReport`.
 
-Historically a run's outcome was read through three partial surfaces —
-``RunResult.row()`` (the paper's summary metrics), ad-hoc reads of
-``MetricsCollector``, and ``TelemetryMonitor.summary()`` — each with its
-own shape.  ``RunReport`` replaces them with one documented object that
-``format_table``, the benchmark harness, and the CLI all consume.
+One documented object for everything a run produced — the paper's
+summary metrics, counters, telemetry, trace and fidelity/PFC sections —
+that ``format_table``, the benchmark harness, and the CLI all consume.
 
 Schema (``to_dict()``), by section:
 
-- ``row`` — the paper-figure summary row, unchanged from the historical
-  ``RunResult.row()`` keys (``system``, ``transport``, ``load_pct``,
+- ``row`` — the paper-figure summary row, the keys of
+  ``RunResult.row()`` (``system``, ``transport``, ``load_pct``,
   ``mean_fct_s``, ``p99_fct_s``, ``mean_qct_s``, ``p99_qct_s``,
   ``flow_completion_pct``, ``query_completion_pct``, ``goodput_gbps``,
   ``drop_pct``, ``deflections``, ``mean_hops``, ``reordered``,
   ``retransmissions``).  The determinism digest hashes this row, so its
   keys and values are stable by contract.  Runs that recorded coflows
   append the :data:`COFLOW_ROW_KEYS` columns (``mean_cct_s``,
-  ``p99_cct_s``, ``coflow_completion_pct``); coflow-free rows keep the
-  historical shape exactly.
+  ``p99_cct_s``, ``coflow_completion_pct``); coflow-free rows carry
+  exactly the keys above.
 - ``run`` — run identity and volume: ``seed``, ``sim_time_ns``,
   ``events_executed``, ``bg_flows_generated``, ``queries_issued``,
   ``flows_recorded``, ``queries_recorded`` (plus ``coflows_launched``

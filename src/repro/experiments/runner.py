@@ -1,4 +1,4 @@
-"""Experiment runner: config → wired network → workload → results.
+"""The experiment runner: config → wired network → workload → results.
 
 ``run_experiment`` is deterministic for a given :class:`ExperimentConfig`
 (all randomness flows from the seed through named RNG streams).

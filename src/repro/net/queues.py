@@ -46,13 +46,6 @@ class QueueStats:
     dequeued: int = 0
     ecn_marked: int = 0
     max_bytes: int = 0
-    # Time-weighted occupancy integral (byte·ns) for mean queue depth.
-    occupancy_integral: int = 0
-    last_change_ns: int = 0
-
-    def record_occupancy(self, now_ns: int, bytes_now: int) -> None:
-        self.occupancy_integral += bytes_now * (now_ns - self.last_change_ns)
-        self.last_change_ns = now_ns
 
 
 class SharedBufferPool:
@@ -138,7 +131,6 @@ class _BoundedQueue:
                 self.mark_hook()
             if _TRACE is not None and _TRACE.packets:
                 _TRACE.pkt_ecn(now_ns, self.label, packet)
-        self.stats.record_occupancy(now_ns, self.bytes)
         self.bytes += packet.wire_bytes
         if self.pool is not None:
             self.pool.on_push(packet.wire_bytes)
@@ -146,8 +138,7 @@ class _BoundedQueue:
         if self.bytes > self.stats.max_bytes:
             self.stats.max_bytes = self.bytes
 
-    def _on_pop(self, packet: Packet, now_ns: int) -> None:
-        self.stats.record_occupancy(now_ns, self.bytes)
+    def _on_pop(self, packet: Packet) -> None:
         self.bytes -= packet.wire_bytes
         if self.pool is not None:
             self.pool.on_pop(packet.wire_bytes)
@@ -195,7 +186,7 @@ class DropTailQueue(_BoundedQueue):
 
     def pop(self, now_ns: int = 0) -> Packet:
         packet = self._fifo.popleft()
-        self._on_pop(packet, now_ns)
+        self._on_pop(packet)
         if _SANITIZE:
             self._sanitize_check()
         return packet
@@ -229,7 +220,7 @@ class RankedQueue(_BoundedQueue):
 
     def pop(self, now_ns: int = 0) -> Packet:
         _, packet = self._ranked.pop_min()
-        self._on_pop(packet, now_ns)
+        self._on_pop(packet)
         if _SANITIZE:
             self._sanitize_check()
         return packet
@@ -242,7 +233,7 @@ class RankedQueue(_BoundedQueue):
     def pop_tail(self, now_ns: int = 0) -> Packet:
         """Extract the largest-RFS packet (PIEO tail extraction)."""
         _, packet = self._ranked.pop_max()
-        self._on_pop(packet, now_ns)
+        self._on_pop(packet)
         if _SANITIZE:
             self._sanitize_check()
         return packet
@@ -329,9 +320,6 @@ class ClassLaneQueue:
             merged.dequeued += stats.dequeued
             merged.ecn_marked += stats.ecn_marked
             merged.max_bytes += stats.max_bytes
-            merged.occupancy_integral += stats.occupancy_integral
-            if stats.last_change_ns > merged.last_change_ns:
-                merged.last_change_ns = stats.last_change_ns
         return merged
 
     @property

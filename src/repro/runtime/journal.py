@@ -6,8 +6,8 @@ moves on, so an OOM kill, a power cut, or a Ctrl-C can lose at most the
 point that was in flight.  ``repro sweep --resume <journal>`` reloads
 the journal, skips every point whose config digest already has an ``ok``
 entry, and re-runs the rest — producing final results digest-identical
-to an uninterrupted sweep (the chaos-smoke CI job enforces this byte for
-byte).
+to an uninterrupted sweep (``tests/integration/test_runtime_chaos.py``
+enforces this byte for byte).
 
 File format — one JSON object per line:
 

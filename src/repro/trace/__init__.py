@@ -4,7 +4,7 @@ The observability layer for experiment runs:
 
 - :class:`TraceConfig` selects what to record (``level="flow"`` or
   ``"packet"``, optional sampler period, ring-buffer bounds); pass it
-  via ``ExperimentConfig.trace`` or ``Experiment.trace(...)``.
+  via ``ExperimentConfig.trace``.
 - :class:`Tracer` / :class:`TraceData` are the live sink and the
   detached, picklable record of one run (``RunResult.trace``).
 - :mod:`repro.trace.hooks` is the zero-cost-off hook registry the

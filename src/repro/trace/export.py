@@ -11,14 +11,14 @@ parallel sweep executor:
   accounting) followed by its event records then its sample records,
   each ``{"ev": <kind>, "t": <ns>, ...}`` per the
   :data:`~repro.trace.tracer.EVENT_FIELDS` schema.  Multi-run files
-  (``--seeds N``) concatenate per-run blocks in run order.
+  (``repro sweep --trace``) concatenate per-run blocks in run order.
 - **Chrome trace_event JSON** — loadable in Perfetto / ``chrome://
   tracing``: packet/flow events become instant events on per-node
   threads, port-queue and flow-cwnd samples become counter tracks, and
   each run is a separate process.
 
-:func:`validate_lines` checks a JSONL export against the schema; the CI
-trace-smoke job and ``python -m repro trace-view --validate`` run it.
+:func:`validate_lines` checks a JSONL export against the schema;
+``python -m repro trace-view --validate`` runs it.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ from repro.experiments import run_digest, run_experiment, run_many
 from repro.experiments.config import ExperimentConfig
 from repro.net.pfc import PfcConfig
 from repro.sim.units import MILLISECOND
+from repro.trace import TraceConfig
 
 
 def _config(seed=7, system="ecmp", transport="dcqcn", **pfc_kwargs):
@@ -32,8 +33,9 @@ def _config(seed=7, system="ecmp", transport="dcqcn", **pfc_kwargs):
 
 
 def test_default_headroom_is_lossless_with_real_pauses():
-    result = run_experiment(_config(enabled=True, num_classes=2,
-                                    priority_map=(0, 1)))
+    config = _config(enabled=True, num_classes=2, priority_map=(0, 1))
+    config.trace = TraceConfig(level="flow")
+    result = run_experiment(config)
     counters = result.metrics.counters
     assert counters.total_drops == 0          # lossless, edge to edge
     pfc = result.pfc
@@ -41,6 +43,9 @@ def test_default_headroom_is_lossless_with_real_pauses():
     assert pfc["pause_ns"] > 0
     assert pfc["headroom_drops"] == 0
     assert pfc["pauses"] == sorted(pfc["pauses"])
+    # ... and every pause is visible, hop by hop, in the trace.
+    kinds = result.trace.counts()
+    assert kinds["pfc.pause"] > 0 and kinds["pfc.resume"] > 0
 
 
 def test_zero_headroom_drops_and_reports_consistently():

@@ -6,20 +6,26 @@ or through the parallel sweep executor, and enabling tracing never
 perturbs the simulation itself.
 """
 
+import dataclasses
+
 import pytest
 
-from repro import Experiment, run_digest
+from repro import ExperimentConfig, run_digest, run_experiment
 from repro.experiments import run_many
+from repro.sim.units import MILLISECOND
 from repro.trace import TraceConfig, jsonl_lines, write_jsonl
 
 
-def traced_experiment(level="packet"):
-    return (Experiment.bench()
-            .system("vertigo")
-            .transport("dctcp")
-            .workload(bg_load=0.3, incast_load=0.1, incast_scale=4)
-            .sim_ms(10)
-            .trace(level=level, sample_us=1000))
+def bench_config(seed=1, trace=None):
+    config = ExperimentConfig.bench_profile(
+        system="vertigo", transport="dctcp", bg_load=0.3, incast_load=0.1,
+        incast_scale=4, sim_time_ns=10 * MILLISECOND, seed=seed)
+    return dataclasses.replace(config, trace=trace)
+
+
+def traced_config(level="packet", seed=1):
+    return bench_config(seed, TraceConfig(level=level,
+                                          sample_period_ns=1_000_000))
 
 
 def jsonl_text(results):
@@ -31,11 +37,10 @@ def jsonl_text(results):
 
 @pytest.mark.parametrize("level", ["flow", "packet"])
 def test_serial_vs_parallel_traces_byte_identical(level):
-    configs = [traced_experiment(level).seed(seed).build()
-               for seed in (1, 2)]
-    serial = run_many(configs, jobs=1)
-    parallel = run_many([traced_experiment(level).seed(seed).build()
-                         for seed in (1, 2)], jobs=2)
+    serial = run_many([traced_config(level, seed) for seed in (1, 2)],
+                      jobs=1)
+    parallel = run_many([traced_config(level, seed) for seed in (1, 2)],
+                        jobs=2)
     assert jsonl_text(serial) == jsonl_text(parallel)
     assert [run_digest(r) for r in serial] == \
         [run_digest(r) for r in parallel]
@@ -44,22 +49,14 @@ def test_serial_vs_parallel_traces_byte_identical(level):
 
 
 def test_tracing_does_not_perturb_the_simulation():
-    def base():
-        return (Experiment.bench()
-                .system("vertigo")
-                .transport("dctcp")
-                .workload(bg_load=0.3, incast_load=0.1, incast_scale=4)
-                .sim_ms(10)
-                .seed(5))
-
-    untraced = base().run()
+    untraced = run_experiment(bench_config(seed=5))
     # Pure event tracing adds zero engine events and changes nothing.
-    traced = base().trace(level="packet").run()
+    traced = run_experiment(bench_config(5, TraceConfig(level="packet")))
     assert traced.row() == untraced.row()
     assert traced.engine.events_executed == untraced.engine.events_executed
     # The sampler schedules its own (read-only) ticks — results still
     # identical, events_executed grows by exactly the tick count.
-    sampled = base().trace(level="packet", sample_us=1000).run()
+    sampled = run_experiment(traced_config("packet", seed=5))
     assert sampled.row() == untraced.row()
     ticks = len({record[1] for record in sampled.trace.samples
                  if record[0] == "sample.port"})
@@ -70,30 +67,15 @@ def test_tracing_does_not_perturb_the_simulation():
 
 def test_untraced_digest_unchanged_by_trace_feature():
     """An untraced run's digest must not mention tracing at all."""
-    result = (Experiment.bench().system("vertigo").transport("dctcp")
-              .workload(bg_load=0.2).sim_ms(5).run())
+    result = run_experiment(bench_config())
     assert result.trace is None
     digest_1 = run_digest(result)
     digest_2 = run_digest(result)
     assert digest_1 == digest_2
 
 
-def test_facade_round_trip_digest_identity():
-    """Experiment-built and config-built runs are the same run."""
-    from repro import ExperimentConfig, run_experiment
-
-    facade = (Experiment.bench().system("dibs").transport("reno")
-              .workload(bg_load=0.25, incast_load=0.05, incast_scale=4)
-              .sim_ms(10).seed(4).run())
-    direct = run_experiment(ExperimentConfig.bench_profile(
-        system="dibs", transport="reno", bg_load=0.25, incast_load=0.05,
-        incast_scale=4, sim_time_ns=10_000_000, seed=4))
-    assert run_digest(facade) == run_digest(direct)
-
-
 def test_multi_seed_jsonl_file_concatenates_in_run_order(tmp_path):
-    results = (traced_experiment("flow")
-               .run_seeds([3, 1, 2]))
+    results = run_many([traced_config("flow", seed) for seed in (3, 1, 2)])
     path = str(tmp_path / "multi.jsonl")
     write_jsonl([r.trace for r in results], path)
     import json
@@ -103,7 +85,7 @@ def test_multi_seed_jsonl_file_concatenates_in_run_order(tmp_path):
 
 
 def test_trace_config_rides_config_through_workers():
-    config = traced_experiment("flow").seed(7).build()
+    config = traced_config("flow", seed=7)
     assert config.trace == TraceConfig(level="flow",
                                        sample_period_ns=1_000_000)
     [result] = run_many([config], jobs=2)
@@ -113,6 +95,6 @@ def test_trace_config_rides_config_through_workers():
 
 def test_traced_run_without_checkpointing_is_one_engine_span():
     """Checkpointing off = one epoch = one engine.run() call."""
-    result = traced_experiment("flow").seed(7).run()
+    result = run_experiment(traced_config("flow", seed=7))
     assert result.config.checkpoint is None
     assert result.trace.counts()["engine.span"] == 1

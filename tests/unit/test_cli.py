@@ -43,11 +43,21 @@ def test_paper_scale_flag():
     args = build_parser().parse_args(["--paper-scale"])
     config = config_from_args(args)
     assert config.topology.n_hosts == 320
+    assert config.sim_time_ns == 5_000_000_000    # the profile's default
+    args = build_parser().parse_args(["--paper-scale", "--sim-ms", "10"])
+    assert config_from_args(args).sim_time_ns == 10_000_000
 
 
 def test_invalid_system_rejected():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["--system", "bogus"])
+
+
+@pytest.mark.parametrize("flag", ["--seeds", "--jobs"])
+def test_run_is_one_run_multi_seed_flags_belong_to_sweep(flag):
+    with pytest.raises(SystemExit) as usage:
+        build_parser().parse_args([flag, "2"])
+    assert usage.value.code == 2
 
 
 def test_bare_invocation_is_a_usage_error(capsys):
@@ -56,6 +66,12 @@ def test_bare_invocation_is_a_usage_error(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "expected a subcommand" in captured.err
+
+
+def assert_one_line_usage_error(capsys):
+    lines = [line for line in capsys.readouterr().err.splitlines() if line]
+    assert len(lines) == 1
+    assert lines[0].startswith("repro: error:")
 
 
 TINY = ["--bg-load", "0.05", "--incast-load", "0.02",
@@ -67,6 +83,33 @@ def test_run_subcommand_runs_tiny_experiment(capsys):
     assert main(["run", "--system", "ecmp", *TINY]) == 0
     out = capsys.readouterr().out
     assert "mean_fct_s" in out and "ecmp" in out
+
+
+def test_checkpointed_run_prints_the_same_row_and_consumes_its_file(
+        tmp_path, capsys):
+    assert main(["run", *TINY]) == 0
+    plain = capsys.readouterr().out
+    assert main(["run", *TINY, "--checkpoint-every", "2",
+                 "--checkpoint-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == plain
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sanitized_run_with_a_fault_scenario(capsys):
+    assert main(["run", *TINY, "--sanitize", "--fault",
+                 "link:leaf0-spine1:down@1ms,up@3ms"]) == 0
+    assert "fault scenario:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--paper-scale", "--fat-tree", "4"],
+    ["run", *TINY, "--sample-us", "100"],
+    ["run", *TINY, "--trace-level", "packet"],
+    ["sweep", "--systems", "ecmp", *TINY, "--stall-timeout", "5"],
+])
+def test_flags_that_would_do_nothing_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    assert_one_line_usage_error(capsys)
 
 
 def test_trace_flags_write_valid_jsonl_and_chrome(tmp_path, capsys):
@@ -125,10 +168,7 @@ def test_malformed_fault_is_one_line_usage_error(capsys):
                  ["sweep", "--systems", "ecmp", *TINY,
                   "--fault", "link:a-b:flap@1ms"]):
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        lines = [line for line in err.splitlines() if line]
-        assert len(lines) == 1
-        assert lines[0].startswith("repro: error:")
+        assert_one_line_usage_error(capsys)
 
 
 def test_bad_repro_jobs_is_usage_error(monkeypatch, capsys):
@@ -136,7 +176,8 @@ def test_bad_repro_jobs_is_usage_error(monkeypatch, capsys):
     assert main(["sweep", "--systems", "ecmp", *TINY]) == 2
     err = capsys.readouterr().err
     assert "REPRO_JOBS" in err
-    assert main(["run", *TINY, "--seeds", "2"]) == 2
+    assert main(["sweep", "--systems", "vertigo", "--seeds", "2",
+                 *TINY]) == 2
     assert "REPRO_JOBS" in capsys.readouterr().err
 
 
@@ -169,8 +210,8 @@ def test_lint_subcommand_clean_tree():
 
 def test_multi_seed_traces_concatenate_in_seed_order(tmp_path, capsys):
     jsonl = str(tmp_path / "seeds.jsonl")
-    code = main(["run", "--system", "vertigo", *TINY,
-                 "--seeds", "2", "--trace", jsonl])
+    code = main(["sweep", "--systems", "vertigo", "--seeds", "2", *TINY,
+                 "--trace", jsonl])
     assert code == 0
     import json
     seeds = [json.loads(line)["seed"] for line in open(jsonl)
@@ -213,7 +254,4 @@ def test_malformed_workload_is_one_line_usage_error(capsys):
                  ["sweep", "--systems", "ecmp", *TINY,
                   "--workload", "background:load=much"]):
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        lines = [line for line in err.splitlines() if line]
-        assert len(lines) == 1
-        assert lines[0].startswith("repro: error:")
+        assert_one_line_usage_error(capsys)

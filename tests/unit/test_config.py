@@ -1,4 +1,4 @@
-"""Experiment configuration and derived parameters."""
+"""ExperimentConfig and its derived parameters."""
 
 import pytest
 

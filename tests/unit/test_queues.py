@@ -128,14 +128,6 @@ def test_stats_track_max_occupancy_and_counts():
     assert stats.max_bytes == 3000
 
 
-def test_occupancy_integral_time_weighted():
-    queue = DropTailQueue(100_000)
-    packet = mk_data(payload=960)  # 1000 wire bytes
-    queue.push(packet, now_ns=0)
-    queue.pop(now_ns=100)  # held 1000 bytes for 100 ns
-    assert queue.stats.occupancy_integral == 1000 * 100
-
-
 def test_packets_snapshot():
     fifo = DropTailQueue(100_000)
     a, b = mk_data(seq=0), mk_data(seq=1000)
