@@ -7,7 +7,9 @@ concrete policies:
 - a per-(flow, src, dst) cache of *static* hash-based port choices
   (:meth:`flow_hash_port`) — the hash is a pure function of the flow key
   and the per-switch salt, so the cached decision is byte-identical to
-  recomputing it on every packet;
+  recomputing it on every packet (ECMP, for which this is the whole
+  routing decision, probes the cache itself and calls
+  :meth:`flow_hash_port` only to fill it);
 - a per-excluded-port cache of deflection target tuples
   (:meth:`deflection_targets`) — the switch-facing port set only changes
   when the topology does.

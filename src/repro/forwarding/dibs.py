@@ -44,7 +44,7 @@ class DibsPolicy(ForwardingPolicy):
         if port is None:
             switch.drop(packet, "no_route")
             return
-        if switch.ports[port].fits(packet):
+        if switch.ports[port].queue.fits(packet):
             switch.enqueue(port, packet)
             return
         # Deflect the arriving packet to a random port with space.
@@ -52,7 +52,7 @@ class DibsPolicy(ForwardingPolicy):
             switch.drop(packet, "deflection_limit")
             return
         targets = [target for target in self._deflection_targets(port)
-                   if switch.ports[target].fits(packet)]
+                   if switch.ports[target].queue.fits(packet)]
         if not targets:
             switch.drop(packet, "deflect_failed")
             return

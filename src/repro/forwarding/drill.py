@@ -57,7 +57,7 @@ class DrillPolicy(ForwardingPolicy):
             if self.m:
                 self._memory[candidates] = tuple(
                     p for _, p in scored[:self.m])
-        if switch.ports[port].fits(packet):
+        if switch.ports[port].queue.fits(packet):
             switch.enqueue(port, packet)
         else:
             switch.drop(packet, "overflow")

@@ -31,11 +31,15 @@ class EcmpPolicy(ForwardingPolicy):
         self._salt = rng.getrandbits(32)
 
     def route(self, packet: Packet, in_port: int) -> None:
-        port = self.flow_hash_port(packet, self._salt)
+        port = self._flow_port_cache.get(
+            (packet.flow_id, packet.src, packet.dst))
         if port is None:
-            self.switch.drop(packet, "no_route")
-            return
-        if self.switch.ports[port].fits(packet):
-            self.switch.enqueue(port, packet)
+            port = self.flow_hash_port(packet, self._salt)
+            if port is None:
+                self.switch.drop(packet, "no_route")
+                return
+        switch = self.switch
+        if switch.ports[port].queue.fits(packet):
+            switch.enqueue(port, packet)
         else:
-            self.switch.drop(packet, "overflow")
+            switch.drop(packet, "overflow")

@@ -53,7 +53,7 @@ class LetFlowPolicy(ForwardingPolicy):
         else:
             port = entry[0]
         self._flowlets[packet.flow_id] = (port, now)
-        if self.switch.ports[port].fits(packet):
+        if self.switch.ports[port].queue.fits(packet):
             self.switch.enqueue(port, packet)
         else:
             self.switch.drop(packet, "overflow")

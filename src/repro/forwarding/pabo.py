@@ -41,7 +41,7 @@ class PaboPolicy(ForwardingPolicy):
         if port is None:
             switch.drop(packet, "no_route")
             return
-        if switch.ports[port].fits(packet):
+        if switch.ports[port].queue.fits(packet):
             switch.enqueue(port, packet)
             return
         # Bounce the packet back where it came from.  Host-facing input
@@ -50,7 +50,7 @@ class PaboPolicy(ForwardingPolicy):
         if (packet.deflections >= self.max_bounces
                 or in_port >= len(switch.ports)
                 or not switch.port_faces_switch[in_port]
-                or not switch.ports[in_port].fits(packet)):
+                or not switch.ports[in_port].queue.fits(packet)):
             switch.drop(packet, "bounce_failed")
             return
         switch.deflected(packet, port, in_port)

@@ -163,10 +163,11 @@ class Host:
             packet.pclass = pmap[packet.flow_id % len(pmap)]
         if self.marking is not None:
             self.marking.mark(packet)
-        if self.nic.fits(packet):
+        nic = self.nic
+        if nic.queue.fits(packet):
             if _TRACE is not None and _TRACE.packets:
                 _TRACE.pkt_enqueue(self.engine.now, self.name, 0, packet)
-            self.nic.enqueue(packet)
+            nic.enqueue(packet)
         else:
             counters = self.metrics.counters
             counters.drops["host_nic_overflow"] += 1
@@ -197,13 +198,14 @@ class Host:
             if _TRACE is not None and _TRACE.packets:
                 _TRACE.pkt_deliver(self.engine.now, self.name, packet)
             receiver = self.receivers.get(packet.flow_id)
-            if (self.ordering is not None and receiver is not None
-                    and not receiver.completed):
+            if receiver is None:
+                return
+            if self.ordering is not None and not receiver.completed:
                 self.ordering.on_packet(packet)
             else:
                 # Straggler duplicates of completed flows bypass the
                 # ordering shim so its per-flow state is not re-created.
-                self._deliver_data(packet)
+                receiver.on_data(packet)
         else:
             sender = self.senders.get(packet.flow_id)
             if sender is not None:

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable, Optional, Protocol, Union
 
 from repro.sim.engine import Engine
-from repro.sim.units import transmission_delay_ns
+from repro.sim.units import SECOND
 from repro.trace import hooks as _trace_hooks
 
 _TRACE = _trace_hooks.register(__name__)
@@ -119,7 +119,12 @@ class Link:
     # -- dataplane ------------------------------------------------------------
 
     def deliver(self, packet) -> None:
-        """Schedule arrival at the peer after the propagation delay."""
+        """Schedule arrival at the peer after the propagation delay.
+
+        The one home of the down and loss semantics and their drop,
+        fidelity and trace hooks; a port whose link is up and lossless
+        schedules the arrival itself (:meth:`Port._tx_done`).
+        """
         if not self.up:
             if self.on_drop is not None:
                 self.on_drop(packet, "link_down")
@@ -178,17 +183,17 @@ class Port:
     def enqueue(self, packet) -> None:
         """Enqueue a packet that is known to fit, and kick the transmitter."""
         self.queue.push(packet, self.engine.now)
-        self._try_transmit()
+        if not self.busy:
+            self._try_transmit()
 
     def occupancy_bytes(self) -> int:
         return self.queue.bytes
 
-    def fits(self, packet) -> bool:
-        return self.queue.fits(packet)
-
     def kick(self) -> None:
-        """Restart the transmit loop (after a link comes back up)."""
-        self._try_transmit()
+        """Restart the transmit loop (the link came back up, or PFC
+        released a class)."""
+        if not self.busy and self.queue.bytes:
+            self._try_transmit()
 
     def pfc_hold(self, pclass: int, hold: bool) -> None:
         """PFC PAUSE/RESUME for one priority class (repro.net.pfc).
@@ -201,28 +206,33 @@ class Port:
             self._paused |= 1 << pclass
         else:
             self._paused &= ~(1 << pclass)
-            self._try_transmit()
+            self.kick()
 
     def _try_transmit(self) -> None:
-        if self.busy or self.link is None or not self.link.up \
-                or not self.queue:
+        """Start serializing the next packet.
+
+        Entered only with the port idle and the queue non-empty (every
+        caller checks both); what remains to decide here is whether the
+        link can carry a packet and whether PFC lets one go.
+        """
+        link = self.link
+        if link is None or not link.up:
             return
+        engine = self.engine
+        now = engine.now
         if self._paused:
-            pop_unpaused = getattr(self.queue, "pop_unpaused", None)
-            if pop_unpaused is None:
-                return  # laneless queue: any held class holds the port
-            packet = pop_unpaused(self._paused, self.engine.now)
+            packet = self.queue.pop_unpaused(self._paused, now)
             if packet is None:
                 return  # every non-empty lane is held
         else:
-            packet = self.queue.pop(self.engine.now)
+            packet = self.queue.pop(now)
         if _TRACE is not None and _TRACE.packets:
-            _TRACE.pkt_dequeue(self.engine.now, self.owner.name, self.index,
-                               packet)
+            _TRACE.pkt_dequeue(now, self.owner.name, self.index, packet)
         self.busy = True
-        tx_delay = transmission_delay_ns(packet.wire_bytes,
-                                         self.link.rate_bps)
-        self.engine.schedule_fast(tx_delay, self._tx_done, packet)
+        # transmission_delay_ns(), inline: Link keeps rate_bps positive.
+        engine.schedule_fast(
+            -(-packet.wire_bytes * 8 * SECOND // link.rate_bps),
+            self._tx_done, packet)
         if self.on_drain is not None:
             self.on_drain()
 
@@ -234,5 +244,15 @@ class Port:
             # Store-and-forward: the packet leaves this switch now, so
             # its PFC ingress-buffer charge is released (repro.net.pfc).
             packet.pfc_gate.release(packet)
-        self.link.deliver(packet)
-        self._try_transmit()
+        link = self.link
+        if link.up and not link.loss_rate:
+            self.engine.schedule_fast(link.delay_ns, link.dst.receive,
+                                      packet, link.dst_port)
+        else:
+            # Dead or lossy cable: the drop, trace and fidelity hooks
+            # live in Link.deliver.
+            link.deliver(packet)
+        # Every packet has a header, so "holds bytes" is "non-empty" —
+        # an attribute read where bool(queue) is a Python call.
+        if self.queue.bytes:
+            self._try_transmit()

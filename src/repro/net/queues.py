@@ -12,13 +12,17 @@ Two queue flavours back switch ports:
 Both account occupancy in bytes against a fixed capacity (the paper uses
 300 KB per port).  Overflow *policy* — drop, deflect, displace — is decided
 by the forwarding policy in :mod:`repro.forwarding`; the queues only
-report whether a packet fits.
+report whether a packet fits.  That ``fits`` is the capacity test of a
+hop: ``push`` does its accounting inline (bytes, counters, shared pool,
+ECN mark) behind a guard that raises for a caller that did not ask, and
+``pop`` undoes it inline — the per-packet path makes no helper calls.
 
 :class:`ClassLaneQueue` composes N of either flavour into per-priority-
 class lanes behind the same interface: ``push``/``fits`` route by the
 packet's ``pclass``, ``pop`` serves lanes in strict priority order
 (lane 0 first), and ``pop_unpaused`` additionally skips lanes held by
-PFC PAUSE (:mod:`repro.net.pfc`).  A port owns a lane queue only when
+PFC PAUSE (:mod:`repro.net.pfc`; the plain queues have it too: any held
+class holds a laneless queue whole).  A port owns a lane queue only when
 the experiment configures more than one priority class, so the
 single-class datapath is byte-identical to the plain queues.
 """
@@ -122,27 +126,13 @@ class _BoundedQueue:
                               self.pool.free_bytes))
         return self.capacity_bytes - self.bytes
 
-    def _on_push(self, packet: Packet, now_ns: int) -> None:
-        if (self.ecn_threshold_bytes is not None and packet.ecn_capable
-                and self.bytes >= self.ecn_threshold_bytes):
-            packet.ecn_ce = True
-            self.stats.ecn_marked += 1
-            if self.mark_hook is not None:
-                self.mark_hook()
-            if _TRACE is not None and _TRACE.packets:
-                _TRACE.pkt_ecn(now_ns, self.label, packet)
-        self.bytes += packet.wire_bytes
-        if self.pool is not None:
-            self.pool.on_push(packet.wire_bytes)
-        self.stats.enqueued += 1
-        if self.bytes > self.stats.max_bytes:
-            self.stats.max_bytes = self.bytes
-
-    def _on_pop(self, packet: Packet) -> None:
-        self.bytes -= packet.wire_bytes
-        if self.pool is not None:
-            self.pool.on_pop(packet.wire_bytes)
-        self.stats.dequeued += 1
+    def pop_unpaused(self, paused_mask: int,
+                     now_ns: int = 0) -> Optional[Packet]:
+        """Pop for a port under PFC PAUSE: a laneless queue serves every
+        class from one line, so any held class holds it (None)."""
+        if paused_mask:
+            return None
+        return self.pop(now_ns)
 
     def packets(self) -> List[Packet]:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -177,16 +167,40 @@ class DropTailQueue(_BoundedQueue):
         self._fifo: Deque[Packet] = deque()
 
     def push(self, packet: Packet, now_ns: int = 0) -> None:
-        if not self.fits(packet):
+        wire = packet.wire_bytes
+        occupied = self.bytes
+        pool = self.pool
+        if pool is not None:
+            if not pool.admits(occupied, wire):
+                raise OverflowError("push to full DropTailQueue")
+        elif occupied + wire > self.capacity_bytes:
             raise OverflowError("push to full DropTailQueue")
-        self._on_push(packet, now_ns)
+        stats = self.stats
+        if (self.ecn_threshold_bytes is not None and packet.ecn_capable
+                and occupied >= self.ecn_threshold_bytes):
+            packet.ecn_ce = True
+            stats.ecn_marked += 1
+            if self.mark_hook is not None:
+                self.mark_hook()
+            if _TRACE is not None and _TRACE.packets:
+                _TRACE.pkt_ecn(now_ns, self.label, packet)
+        self.bytes = occupied = occupied + wire
+        if pool is not None:
+            pool.on_push(wire)
+        stats.enqueued += 1
+        if occupied > stats.max_bytes:
+            stats.max_bytes = occupied
         self._fifo.append(packet)
         if _SANITIZE:
             self._sanitize_check()
 
     def pop(self, now_ns: int = 0) -> Packet:
         packet = self._fifo.popleft()
-        self._on_pop(packet)
+        wire = packet.wire_bytes
+        self.bytes -= wire
+        if self.pool is not None:
+            self.pool.on_pop(wire)
+        self.stats.dequeued += 1
         if _SANITIZE:
             self._sanitize_check()
         return packet
@@ -211,16 +225,40 @@ class RankedQueue(_BoundedQueue):
         self._ranked: RankQueue[Packet] = RankQueue()
 
     def push(self, packet: Packet, now_ns: int = 0) -> None:
-        if not self.fits(packet):
+        wire = packet.wire_bytes
+        occupied = self.bytes
+        pool = self.pool
+        if pool is not None:
+            if not pool.admits(occupied, wire):
+                raise OverflowError("push to full RankedQueue")
+        elif occupied + wire > self.capacity_bytes:
             raise OverflowError("push to full RankedQueue")
-        self._on_push(packet, now_ns)
+        stats = self.stats
+        if (self.ecn_threshold_bytes is not None and packet.ecn_capable
+                and occupied >= self.ecn_threshold_bytes):
+            packet.ecn_ce = True
+            stats.ecn_marked += 1
+            if self.mark_hook is not None:
+                self.mark_hook()
+            if _TRACE is not None and _TRACE.packets:
+                _TRACE.pkt_ecn(now_ns, self.label, packet)
+        self.bytes = occupied = occupied + wire
+        if pool is not None:
+            pool.on_push(wire)
+        stats.enqueued += 1
+        if occupied > stats.max_bytes:
+            stats.max_bytes = occupied
         self._ranked.push(packet.rank(), packet)
         if _SANITIZE:
             self._sanitize_check()
 
     def pop(self, now_ns: int = 0) -> Packet:
         _, packet = self._ranked.pop_min()
-        self._on_pop(packet)
+        wire = packet.wire_bytes
+        self.bytes -= wire
+        if self.pool is not None:
+            self.pool.on_pop(wire)
+        self.stats.dequeued += 1
         if _SANITIZE:
             self._sanitize_check()
         return packet
@@ -233,7 +271,11 @@ class RankedQueue(_BoundedQueue):
     def pop_tail(self, now_ns: int = 0) -> Packet:
         """Extract the largest-RFS packet (PIEO tail extraction)."""
         _, packet = self._ranked.pop_max()
-        self._on_pop(packet)
+        wire = packet.wire_bytes
+        self.bytes -= wire
+        if self.pool is not None:
+            self.pool.on_pop(wire)
+        self.stats.dequeued += 1
         if _SANITIZE:
             self._sanitize_check()
         return packet
@@ -300,7 +342,10 @@ class ClassLaneQueue:
 
     @property
     def bytes(self) -> int:
-        return sum(lane.bytes for lane in self.lanes)
+        total = 0
+        for lane in self.lanes:
+            total += lane.bytes
+        return total
 
     @property
     def capacity_bytes(self) -> int:

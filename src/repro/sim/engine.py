@@ -237,29 +237,34 @@ class Engine:
         pop = heapq.heappop
         horizon = _NO_HORIZON if until is None else until
         limit = _NO_LIMIT if max_events is None else max_events
+        # Callbacks read ``self.now``; only this loop writes it, so a
+        # local mirror serves the loop's own comparisons.  The sanitizer
+        # flag is rewritten between runs, never during one.
+        now = self.now
+        sanitize = _SANITIZE
         try:
             while heap:
-                entry = heap[0]
-                event = entry[5]
+                entry = pop(heap)
+                time, _, _, fn, args, event = entry
                 if event is not None and event.cancelled:
-                    pop(heap)
                     self._cancelled -= 1
                     continue
-                time = entry[0]
                 if time > horizon:
+                    # The one entry beyond the horizon goes back with its
+                    # original (time, priority, seq) key.
+                    heapq.heappush(heap, entry)
                     break
-                pop(heap)
-                if _SANITIZE:
+                if sanitize:
                     _sanitize.check(type(time) is int,
                                     "event time must be an integer "
                                     "nanosecond count, got %r", time)
-                    _sanitize.check(time >= self.now,
+                    _sanitize.check(time >= now,
                                     "event calendar ran backwards: "
-                                    "%r < now=%d", time, self.now)
-                if time < self.now:  # pragma: no cover - invariant
+                                    "%r < now=%d", time, now)
+                if time < now:  # pragma: no cover - invariant
                     raise RuntimeError("event scheduled in the past")
-                self.now = time
-                entry[3](*entry[4])
+                self.now = now = time
+                fn(*args)
                 executed += 1
                 if executed >= limit:
                     break

@@ -14,6 +14,7 @@ connections, and the paper measures data transfer latency only.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Optional
@@ -84,7 +85,18 @@ class TransportConfig:
     dcqcn_fast_recovery_stages: int = 5
 
     def with_overrides(self, **kwargs) -> "TransportConfig":
-        return replace(self, **kwargs)
+        """This config with some fields replaced.
+
+        Senders derive theirs once per flow from the same host config, so
+        the result is computed once per distinct (config, overrides).
+        """
+        return _derived_config(self, tuple(sorted(kwargs.items())))
+
+
+@functools.lru_cache(maxsize=256)
+def _derived_config(config: TransportConfig,
+                    overrides: tuple) -> TransportConfig:
+    return replace(config, **dict(overrides))
 
 
 @dataclass
@@ -97,6 +109,10 @@ class _Segment:
 
 class FlowSender:
     """Window-based reliable sender for a single one-way flow."""
+
+    #: Floor of the congestion window in packets (Swift sets a
+    #: sub-packet one per instance).
+    min_cwnd = 1.0
 
     def __init__(self, engine: Engine, host, flow_id: int, dst: int,
                  size: int, config: TransportConfig,
@@ -188,15 +204,11 @@ class FlowSender:
 
     # -- transmission --------------------------------------------------------------
 
-    def _inflight_packets(self) -> int:
-        return len(self._segments)
-
     def _window_packets(self) -> int:
         return max(1, math.floor(self.cwnd))
 
     def _clamp_cwnd(self) -> None:
-        low = getattr(self, "min_cwnd", 1.0)
-        self.cwnd = min(max(self.cwnd, low), self.config.max_cwnd)
+        self.cwnd = min(max(self.cwnd, self.min_cwnd), self.config.max_cwnd)
 
     def _maybe_send(self) -> None:
         if self.completed or self.failed:
@@ -208,8 +220,10 @@ class FlowSender:
             # analytic path: collapse the next window into one event.
             self._start_analytic_round()
             return
-        while (self.snd_nxt < self.size
-               and self._inflight_packets() < self._window_packets()):
+        # Nothing below moves cwnd, so the window is read once.
+        window = self._window_packets()
+        segments = self._segments
+        while self.snd_nxt < self.size and len(segments) < window:
             gap = self.pacing_gap_ns()
             if gap > 0:
                 wait = self._last_tx_ns + gap - self.engine.now
@@ -350,9 +364,17 @@ class FlowSender:
         acked = packet.ack_no - self.snd_una
         self.snd_una = packet.ack_no
         self._rto_streak = 0
-        for seq in [s for s in self._segments
-                    if s + self._segments[s].payload <= self.snd_una]:
-            del self._segments[seq]
+        # Segments enter in ascending seq order (snd_nxt only grows, a
+        # retransmission updates its entry in place), so the ones a
+        # cumulative ACK covers are a prefix of the dict.
+        segments = self._segments
+        covered = []
+        for seq, segment in segments.items():
+            if seq + segment.payload > packet.ack_no:
+                break
+            covered.append(seq)
+        for seq in covered:
+            del segments[seq]
         self.dupacks = 0
         self.backoff = 1
 
@@ -470,27 +492,30 @@ class FlowReceiver:
     def on_data(self, packet: Packet) -> None:
         if packet.kind is not PacketKind.DATA:
             raise ValueError("FlowReceiver.on_data got a non-data packet")
-        if packet.seq < self._max_seq_seen:
+        seq = packet.seq
+        end = seq + packet.payload
+        if seq < self._max_seq_seen:
             self.metrics.counters.reordered_arrivals += 1
-        self._max_seq_seen = max(self._max_seq_seen, packet.seq)
+        else:
+            self._max_seq_seen = seq
 
-        in_order = packet.seq <= self.rcv_nxt < packet.end_seq
-        if packet.end_seq > self.rcv_nxt:
-            if packet.seq > self.rcv_nxt:
-                self._ooo[packet.seq] = max(self._ooo.get(packet.seq, 0),
-                                            packet.end_seq)
+        in_order = seq <= self.rcv_nxt < end
+        if end > self.rcv_nxt:
+            ooo = self._ooo
+            if seq > self.rcv_nxt:
+                ooo[seq] = max(ooo.get(seq, 0), end)
             else:
-                self.rcv_nxt = packet.end_seq
+                self.rcv_nxt = end
             # Drain any now-contiguous buffered segments.
-            advanced = True
+            advanced = bool(ooo)
             while advanced:
                 advanced = False
-                for seq in sorted(self._ooo):
-                    if seq > self.rcv_nxt:
+                for held in sorted(ooo):
+                    if held > self.rcv_nxt:
                         break
-                    end = self._ooo.pop(seq)
-                    if end > self.rcv_nxt:
-                        self.rcv_nxt = end
+                    held_end = ooo.pop(held)
+                    if held_end > self.rcv_nxt:
+                        self.rcv_nxt = held_end
                     advanced = True
                     break
 

@@ -20,6 +20,7 @@ default).
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -75,12 +76,12 @@ class EmpiricalCDF:
         return max(1, round(self.quantile(rng.random())))
 
     def mean(self) -> float:
-        """Mean of the interpolated distribution (numeric quadrature)."""
-        steps = 4096
-        total = 0.0
-        for i in range(steps):
-            total += self.quantile((i + 0.5) / steps)
-        return total / steps
+        """Mean of the interpolated distribution (numeric quadrature).
+
+        Every traffic generator of every run asks for it, so it is
+        computed once per process per set of breakpoints.
+        """
+        return _quadrature_mean(tuple(zip(self._values, self._probs)))
 
     def truncated(self, cap: int) -> "EmpiricalCDF":
         """Distribution with all mass above ``cap`` collapsed onto ``cap``."""
@@ -93,6 +94,16 @@ class EmpiricalCDF:
             points.append((value, prob))
         points.append((cap, 1.0))
         return EmpiricalCDF(points, name=f"{self.name}<=cap{cap}")
+
+
+@functools.lru_cache(maxsize=64)
+def _quadrature_mean(points: Tuple[Tuple[float, float], ...]) -> float:
+    cdf = EmpiricalCDF(points)
+    steps = 4096
+    total = 0.0
+    for i in range(steps):
+        total += cdf.quantile((i + 0.5) / steps)
+    return total / steps
 
 
 def web_search() -> EmpiricalCDF:

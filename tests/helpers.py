@@ -71,7 +71,7 @@ def fill_queue(switch: Switch, port: int, *, payload: int = 1460,
         packet = mk_data(flow_id=flow_id, seq=seq, payload=payload)
         if rank is not None:
             packet.flowinfo = FlowInfo(rfs=rank)
-        if not switch.ports[port].fits(packet):
+        if not switch.ports[port].queue.fits(packet):
             return count
         switch.ports[port].queue.push(packet, switch.engine.now)
         seq += payload

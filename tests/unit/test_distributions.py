@@ -105,3 +105,38 @@ def test_mean_matches_sampled_mean():
     rng = random.Random(3)
     sampled = sum(dist.sample(rng) for _ in range(20_000)) / 20_000
     assert sampled == pytest.approx(dist.mean(), rel=0.15)
+
+
+def _fresh_quadrature(dist):
+    """The mean as the uncached loop computes it, step by step."""
+    steps = 4096
+    total = 0.0
+    for i in range(steps):
+        total += dist.quantile((i + 0.5) / steps)
+    return total / steps
+
+
+@pytest.mark.parametrize(
+    "dist", [make() for make in DISTRIBUTIONS.values()]
+    + [get_distribution("web_search", truncate_at=2_000_000)],
+    ids=lambda dist: dist.name)
+def test_memoised_mean_is_the_quadrature_bit_for_bit(dist):
+    # ``_mean_gap_ns`` is derived from it and reaches the run digest.
+    assert dist.mean() == _fresh_quadrature(dist)
+    assert dist.mean() == _fresh_quadrature(dist)  # second read: the memo
+
+
+def test_mean_is_computed_once_per_set_of_breakpoints(monkeypatch):
+    calls = []
+    real = EmpiricalCDF.quantile
+    monkeypatch.setattr(
+        EmpiricalCDF, "quantile",
+        lambda self, u: calls.append(u) or real(self, u))
+    points = [(10, 0.0), (70, 0.5), (903, 1.0)]  # no other test's
+    first = EmpiricalCDF(points, name="a").mean()
+    evaluated = len(calls)
+    assert evaluated > 0
+    assert EmpiricalCDF(points, name="b").mean() == first
+    assert len(calls) == evaluated  # same breakpoints: no second quadrature
+    assert EmpiricalCDF(points, name="a").truncated(500).mean() < first
+    assert len(calls) > evaluated   # other breakpoints: their own

@@ -113,6 +113,39 @@ def test_max_events_bound():
     assert engine.pending() == 7
 
 
+def test_run_until_leaves_the_next_event_pending_with_its_key():
+    engine = Engine()
+    order = []
+    engine.schedule(10, order.append, "at-horizon")
+    late = engine.schedule(11, order.append, "late", priority=3)
+    engine.schedule_fast(11, order.append, "late-fast")
+    key = (late.time, late.priority, late.seq)
+    assert engine.run(until=10) == 1
+    assert order == ["at-horizon"] and engine.now == 10
+    assert engine.pending() == 2 and engine.peek_time() == 11
+    # The entry looked at and put back is the very one scheduled.
+    assert [entry[:3] for entry in engine._heap if entry[5] is late] == [key]
+    assert engine.run(until=10) == 0  # looking again changes nothing
+    assert engine.pending() == 2
+    engine.run()
+    # Priority 0 (the fast path) still runs before priority 3.
+    assert order == ["at-horizon", "late-fast", "late"]
+
+
+def test_max_events_executes_exactly_that_many():
+    engine = Engine()
+    order = []
+    dead = engine.schedule(1, order.append, "cancelled")
+    for tag in range(5):
+        engine.schedule_fast(2 + tag, order.append, tag)
+    dead.cancel()  # a skipped tombstone is not an executed event
+    assert engine.run(max_events=2) == 2
+    assert order == [0, 1] and engine.now == 3
+    assert engine.run(max_events=2) == 2
+    assert engine.run(max_events=2) == 1
+    assert order == [0, 1, 2, 3, 4] and engine.events_executed == 5
+
+
 def test_events_executed_accumulates():
     engine = Engine()
     engine.schedule(1, lambda: None)
