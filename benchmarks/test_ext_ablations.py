@@ -84,8 +84,8 @@ def test_ext3_delayed_acks(benchmark):
             for label, delayed in (("per-pkt", False), ("delack", True)):
                 config = bench_config(system, "dctcp", bg_load=0.40,
                                       incast_load=0.25)
-                config.transport = config.transport.with_overrides(
-                    delayed_ack=delayed)
+                config.transport = replace(config.transport,
+                                           delayed_ack=delayed)
                 rows.append(run_row(
                     config, extra={"series": f"{system}/{label}"}))
         return rows

@@ -6,7 +6,7 @@ Rule      Checks
 VR110     RNG stream declaration: every literal stream name passed to
           ``.stream(...)`` (or the static prefix of an f-string) must be
           listed in the module's ``RNG_STREAMS`` tuple; entries ending
-          in ``:`` declare a prefix family, e.g. ``"linkloss:"``.
+          in ``:`` declare a prefix family, e.g. ``"faultloss:"``.
 VR140     Trace-hook registration: a module that uses ``_TRACE.<...>``
           must bind it via ``_TRACE = <hooks>.register(__name__)`` —
           the registry rewrites the global only in registered modules.

@@ -144,7 +144,8 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
                              "config digest")
     parser.add_argument("--trace", default=None, metavar="PATH",
                         help="record a trace (repro.trace) and write it "
-                             "as deterministic JSONL to PATH")
+                             "as deterministic JSONL to PATH (trace-view "
+                             "--chrome converts it for Perfetto)")
     parser.add_argument("--trace-level", choices=list(TRACE_LEVELS),
                         default=None,
                         help="trace granularity: 'flow' (default; flow/query "
@@ -154,9 +155,6 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sample-us", type=int, default=None, metavar="N",
                         help="also sample port queues/utilization and "
                              "flow cwnd every N microseconds of sim time")
-    parser.add_argument("--trace-chrome", default=None, metavar="PATH",
-                        help="additionally export the trace as Chrome "
-                             "trace_event JSON (Perfetto-openable)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,10 +172,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _trace_config_from_args(args: argparse.Namespace
                             ) -> Optional[TraceConfig]:
-    if not (args.trace or args.trace_chrome):
+    if not args.trace:
         if args.sample_us is not None or args.trace_level is not None:
-            raise ValueError("--sample-us/--trace-level require --trace "
-                             "or --trace-chrome")
+            raise ValueError("--sample-us/--trace-level require --trace")
         return None
     period = args.sample_us * 1000 if args.sample_us else None
     return TraceConfig(level=args.trace_level or "flow",
@@ -224,10 +221,15 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     elif args.checkpoint_dir is not None:
         raise ValueError("--checkpoint-dir requires --checkpoint-every")
     if args.demote_shares is not None:
+        if args.fidelity == "packet":
+            raise ValueError("--demote-shares requires --fidelity hybrid "
+                             "or flow")
         config.fidelity = FidelityConfig(mode=args.fidelity,
                                          demote_shares=args.demote_shares)
     else:
         config.fidelity = FidelityConfig(mode=args.fidelity)
+    if args.pfc_headroom is not None and not args.pfc:
+        raise ValueError("--pfc-headroom requires --pfc")
     if args.pfc or args.pfc_classes > 1:
         num_classes = args.pfc_classes
         config.pfc = PfcConfig(
@@ -238,7 +240,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def _export_traces(results, args: argparse.Namespace) -> None:
-    """Write the recorded traces (JSONL and/or Chrome) for a result list.
+    """Write the recorded traces of a result list as JSONL (``--trace``).
 
     Sweep results arrive in config order whatever ``--jobs`` is, so
     multi-run trace files are deterministic: per-run JSONL blocks
@@ -248,15 +250,10 @@ def _export_traces(results, args: argparse.Namespace) -> None:
               if result.trace is not None]
     if not traces:
         return
-    from repro.trace.export import write_chrome_trace, write_jsonl
-    if args.trace:
-        lines = write_jsonl(traces, args.trace)
-        print(f"trace: wrote {lines} JSONL lines ({len(traces)} run(s)) "
-              f"to {args.trace}", file=sys.stderr)
-    if args.trace_chrome:
-        count = write_chrome_trace(traces, args.trace_chrome)
-        print(f"trace: wrote {count} Chrome trace events to "
-              f"{args.trace_chrome}", file=sys.stderr)
+    from repro.trace.export import write_jsonl
+    lines = write_jsonl(traces, args.trace)
+    print(f"trace: wrote {lines} JSONL lines ({len(traces)} run(s)) "
+          f"to {args.trace}", file=sys.stderr)
 
 
 def _cmd_run(argv: List[str]) -> int:
@@ -332,17 +329,18 @@ def _cmd_sweep(argv: List[str]) -> int:
                         metavar="SECONDS", dest="run_timeout",
                         help="per-run wall-clock deadline; overdue runs "
                              "are killed and classified 'timeout' "
-                             "(default REPRO_RUN_TIMEOUT_S, else none)")
-    parser.add_argument("--max-retries", type=int, default=None,
-                        metavar="N", dest="max_retries",
+                             "(default none)")
+    parser.add_argument("--max-retries", type=int, metavar="N",
+                        dest="max_retries",
+                        default=SupervisorPolicy.max_retries,
                         help="retries per point for crashes/timeouts/"
-                             "transient errors (default REPRO_MAX_RETRIES, "
-                             "else 2)")
-    parser.add_argument("--preempt-grace", type=float, default=None,
-                        metavar="SECONDS", dest="preempt_grace",
+                             "transient errors (default %(default)s)")
+    parser.add_argument("--preempt-grace", type=float, metavar="SECONDS",
+                        dest="preempt_grace",
+                        default=SupervisorPolicy.preempt_grace_s,
                         help="grace window between the watchdog's SIGTERM "
                              "(checkpoint-then-exit) and the SIGKILL "
-                             "fallback (default 5)")
+                             "fallback (default %(default)s)")
     parser.add_argument("--stall-timeout", type=float, default=None,
                         metavar="SECONDS", dest="stall_timeout",
                         help="flag a run as stalled when its simulated "
@@ -379,14 +377,10 @@ def _cmd_sweep(argv: List[str]) -> int:
                 args.seed = seed
                 configs.append(config_from_args(args))
         jobs = resolve_jobs(args.jobs)
-        overrides = {}
-        if args.preempt_grace is not None:
-            overrides["preempt_grace_s"] = args.preempt_grace
-        if args.stall_timeout is not None:
-            overrides["stall_timeout_s"] = args.stall_timeout
-        policy = SupervisorPolicy.from_env(run_timeout_s=args.run_timeout,
-                                           max_retries=args.max_retries,
-                                           **overrides)
+        policy = SupervisorPolicy(max_retries=args.max_retries,
+                                  run_timeout_s=args.run_timeout,
+                                  preempt_grace_s=args.preempt_grace,
+                                  stall_timeout_s=args.stall_timeout)
     except ValueError as exc:
         # Malformed --fault directive, REPRO_JOBS/--jobs, or a
         # supervision knob: a usage error, one line, exit status 2.

@@ -61,12 +61,6 @@ class SystemConfig:
     #: None = auto-derive from the network (time to traverse it with
     #: almost-full buffers, §3.3.2 — 360 us at the paper's full scale).
     ordering_timeout_ns: Optional[int] = None
-    drill_d: int = 2
-    drill_m: int = 1
-    dibs_max_deflections: int = 32
-    #: None = auto-derive (a couple of base RTTs).
-    letflow_gap_ns: Optional[int] = None
-    pabo_max_bounces: int = 16
 
     def __post_init__(self) -> None:
         if self.name not in ALL_SYSTEMS:

@@ -22,8 +22,8 @@ Schema (``to_dict()``), by section:
   and ``coflows_recorded`` for coflow runs).
 - ``drops`` — per-reason drop counters (sorted by reason).
 - ``telemetry`` — congestion-monitor section (``mean_utilization``,
-  ``microbursts``, ``persistent``, ``fault_events``, ``samples``) or
-  None when no monitor was attached.
+  ``microbursts``, ``persistent``, ``fault_events``, ``samples``,
+  ``pfc_deadlocks``) or None when no monitor was attached.
 - ``trace`` — observability section (``level``, ``events``, ``samples``,
   ``dropped_events``, ``dropped_samples``, per-kind ``counts``) or None
   when tracing was off.

@@ -82,68 +82,57 @@ def derive_ordering_timeout(params: NetworkParams) -> int:
     return host_drain + 2 * fabric_drain
 
 
+#: Systems whose policy takes no per-run parameter: the policy's own
+#: defaults (DRILL(2, 1), DIBS's and PABO's budgets) are the one spelling.
+_PLAIN_POLICIES = {"ecmp": EcmpPolicy, "drill": DrillPolicy,
+                   "dibs": DibsPolicy, "pabo": PaboPolicy}
+
+
 def _policy_factory(config: ExperimentConfig):
-    system = config.system
-    name = system.name
-    if name == "ecmp":
-        return lambda switch, rng: EcmpPolicy(switch, rng)
-    if name == "drill":
-        return lambda switch, rng: DrillPolicy(switch, rng, d=system.drill_d,
-                                               m=system.drill_m)
-    if name == "dibs":
-        return lambda switch, rng: DibsPolicy(
-            switch, rng, max_deflections=system.dibs_max_deflections)
+    name = config.system.name
     if name == "vertigo":
-        return lambda switch, rng: VertigoPolicy(switch, rng,
-                                                 system.vertigo_switch)
+        params = config.system.vertigo_switch
+        return lambda switch, rng: VertigoPolicy(switch, rng, params)
     if name == "letflow":
-        gap = system.letflow_gap_ns \
-            if system.letflow_gap_ns is not None \
-            else 2 * config.network.base_rtt_ns()
+        # Flowlet gap: a couple of base RTTs (LetFlow's guidance).
+        gap = 2 * config.network.base_rtt_ns()
         return lambda switch, rng: LetFlowPolicy(switch, rng,
                                                  flowlet_gap_ns=gap)
-    if name == "pabo":
-        return lambda switch, rng: PaboPolicy(
-            switch, rng, max_bounces=system.pabo_max_bounces)
-    raise ValueError(f"unknown system {name!r}")
+    return _PLAIN_POLICIES[name]
 
 
 def resolve_transport_config(config: ExperimentConfig) -> TransportConfig:
-    """Fill the auto-derived transport knobs for this topology/system."""
+    """The transport config the hosts run: topology-derived inputs filled.
+
+    The one home of the "non-positive = auto" rule of
+    ``swift_target_delay_ns`` / ``dcqcn_rate_bps`` / ``dcqcn_timer_ns``.
+    """
     transport = config.transport
+    network = config.network
+    filled = {}
     if config.transport_name == "swift":
-        if transport.swift_target_delay_ns <= 0:
-            transport = transport.with_overrides(
-                swift_target_delay_ns=derive_swift_target(config.network,
-                                                          transport.mss))
+        target = transport.swift_target_delay_ns
+        if target <= 0:
+            target = derive_swift_target(network, transport.mss)
+            filled["swift_target_delay_ns"] = target
         # Swift keeps fine-grained retransmission timers (a few target
         # delays), not TCP's 10 ms-class minRTO (paper [47]).
-        fine_rto = max(1_000_000, 4 * transport.swift_target_delay_ns)
+        fine_rto = max(1_000_000, 4 * target)
         if transport.min_rto_ns > fine_rto:
-            transport = transport.with_overrides(
-                min_rto_ns=fine_rto, init_rto_ns=min(transport.init_rto_ns,
-                                                     8 * fine_rto))
+            filled["min_rto_ns"] = fine_rto
+            filled["init_rto_ns"] = min(transport.init_rto_ns, 8 * fine_rto)
     if config.transport_name == "dcqcn":
-        # DCQCN rate knobs scale with the line rate the sender drives.
-        line_rate = config.network.host_rate_bps
-        overrides = {}
         if transport.dcqcn_rate_bps <= 0:
-            overrides["dcqcn_rate_bps"] = line_rate
+            filled["dcqcn_rate_bps"] = network.host_rate_bps
         if transport.dcqcn_timer_ns <= 0:
             # Increase period: a few base RTTs, so fast recovery spans
             # roughly the feedback loop it is probing.
-            overrides["dcqcn_timer_ns"] = 2 * config.network.base_rtt_ns()
-        if transport.dcqcn_rate_ai_bps <= 0:
-            overrides["dcqcn_rate_ai_bps"] = max(1, line_rate // 200)
-        if transport.dcqcn_rate_hai_bps <= 0:
-            overrides["dcqcn_rate_hai_bps"] = max(1, line_rate // 20)
-        if overrides:
-            transport = transport.with_overrides(**overrides)
-    if config.system.name == "dibs" and transport.fast_retransmit:
+            filled["dcqcn_timer_ns"] = 2 * network.base_rtt_ns()
+    if config.system.name == "dibs":
         # DIBS disables fast retransmit to tolerate deflection reordering
         # (paper §2), leaving RTOs as the only loss recovery.
-        transport = transport.with_overrides(fast_retransmit=False)
-    return transport
+        filled["fast_retransmit"] = False
+    return replace(transport, **filled)
 
 
 class FlowKernel:

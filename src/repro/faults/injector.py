@@ -37,7 +37,7 @@ RNG_STREAMS = ("faultloss:",)
 
 #: ``on_event(kind, link)`` notification labels per spec kind.
 EVENT_KINDS = {"down": "link_down", "up": "link_up", "rate": "link_rate",
-               "loss": "link_loss_rate"}
+               "loss": "link_loss"}
 
 
 class FaultInjector:

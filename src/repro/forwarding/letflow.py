@@ -20,7 +20,7 @@ from repro.net.switch import Switch
 from repro.sim.units import usecs
 
 #: Default flowlet inactivity gap.  LetFlow suggests on the order of the
-#: network RTT; the runner can override per profile.
+#: network RTT; the runner passes two base RTTs of the network it builds.
 DEFAULT_FLOWLET_GAP_NS = usecs(500)
 
 

@@ -174,9 +174,6 @@ class MetricsCollector:
                               query_id)
         return record
 
-    def flow_progress(self, flow_id: int, delivered_bytes: int) -> None:
-        self.flows[flow_id].bytes_delivered = delivered_bytes
-
     def flow_completed(self, flow_id: int, end_ns: int) -> None:
         record = self.flows.get(flow_id)
         if record is None or record.end_ns is not None:

@@ -29,7 +29,7 @@ from repro.net.queues import (
     RankedQueue,
     SharedBufferPool,
 )
-from repro.net.switch import DEFAULT_MAX_HOPS, Switch
+from repro.net.switch import Switch
 from repro.net.topology import Topology
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
@@ -39,7 +39,7 @@ PolicyFactory = Callable[[Switch, "RngRegistry"], object]
 
 #: Named RNG streams this module owns (checked by lint rule VR110);
 #: trailing-colon entries declare per-entity stream-name prefixes.
-RNG_STREAMS = ("linkloss:", "policy:")
+RNG_STREAMS = ("policy:",)
 
 
 def cable_key(a: str, b: str) -> Tuple[str, str]:
@@ -62,10 +62,6 @@ class NetworkParams:
     fabric_link_delay_ns: int = usecs(1)
     buffer_bytes: int = kb(300)          # per-port buffer capacity
     ecn_threshold_bytes: Optional[int] = None
-    max_hops: int = DEFAULT_MAX_HOPS
-    #: Failure injection: independent per-delivery loss probability on
-    #: every link (0 = perfect links, the default).
-    link_loss_rate: float = 0.0
     #: Shared-buffer switches: Dynamic Threshold alpha.  None (default)
     #: keeps the paper's static per-port buffers; a value turns each
     #: switch's port buffers into one DT-managed shared pool of
@@ -226,11 +222,6 @@ def build_network(engine: Engine, topology: Topology, params: NetworkParams,
 
     def make_link(rate_bps: int, delay_ns: int, dst, dst_port: int,
                   name: str) -> Link:
-        if params.link_loss_rate > 0.0:
-            return Link(engine, rate_bps, delay_ns, dst, dst_port,
-                        loss_rate=params.link_loss_rate,
-                        loss_rng=rng.stream(f"linkloss:{name}"),
-                        on_drop=count_wire_drop, label=name)
         return Link(engine, rate_bps, delay_ns, dst, dst_port,
                     on_drop=count_wire_drop, label=name)
 
@@ -274,8 +265,7 @@ def build_network(engine: Engine, topology: Topology, params: NetworkParams,
         return queue
 
     for name in topology.switch_names:
-        network.switches[name] = Switch(engine, name, metrics.counters,
-                                        max_hops=params.max_hops)
+        network.switches[name] = Switch(engine, name, metrics.counters)
 
     for host_id in range(topology.n_hosts):
         host = Host(engine, host_id, stack, metrics)

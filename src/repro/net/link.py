@@ -186,9 +186,6 @@ class Port:
         if not self.busy:
             self._try_transmit()
 
-    def occupancy_bytes(self) -> int:
-        return self.queue.bytes
-
     def kick(self) -> None:
         """Restart the transmit loop (the link came back up, or PFC
         released a class)."""

@@ -27,18 +27,17 @@ PortQueue = Union[DropTailQueue, RankedQueue]
 
 #: Hop budget; packets exceeding it are dropped (guards deflection loops,
 #: mirroring the IP TTL that bounds DIBS-style deflection in practice).
-DEFAULT_MAX_HOPS = 64
+MAX_HOPS = 64
 
 
 class Switch:
     """A store-and-forward switch with policy-driven output queueing."""
 
-    def __init__(self, engine: Engine, name: str, counters: NetworkCounters,
-                 max_hops: int = DEFAULT_MAX_HOPS) -> None:
+    def __init__(self, engine: Engine, name: str,
+                 counters: NetworkCounters) -> None:
         self.engine = engine
         self.name = name
         self.counters = counters
-        self.max_hops = max_hops
         self.ports: List[Port] = []
         #: Per-port peer kind: True if the link on that port faces a switch.
         self.port_faces_switch: List[bool] = []
@@ -91,7 +90,7 @@ class Switch:
             self._receive_sanitized(packet, in_port)
             return
         packet.hops += 1
-        if packet.hops > self.max_hops:
+        if packet.hops > MAX_HOPS:
             self.drop(packet, "hop_limit")
             return
         gates = self.pfc_gates
@@ -115,7 +114,7 @@ class Switch:
         resident_before = self._resident_packets()
         drops_before = self.counters.total_drops
         packet.hops += 1
-        if packet.hops > self.max_hops:
+        if packet.hops > MAX_HOPS:
             self.drop(packet, "hop_limit")
         else:
             gates = self.pfc_gates

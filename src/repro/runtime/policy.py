@@ -11,25 +11,15 @@ the retry schedule of a supervised sweep is itself deterministic — the
 same failures produce the same waits, run after run.  Backoff never
 touches any simulation stream: the supervisor lives entirely outside
 simulated time.
-
-Environment variables (CLI flags override them):
-
-- ``REPRO_RUN_TIMEOUT_S`` — per-run wall-clock deadline in (fractional)
-  seconds; unset/empty disables deadlines.
-- ``REPRO_MAX_RETRIES`` — retry attempts after the first try (default 2).
 """
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.sim.rng import RngRegistry
-
-ENV_RUN_TIMEOUT = "REPRO_RUN_TIMEOUT_S"
-ENV_MAX_RETRIES = "REPRO_MAX_RETRIES"
 
 #: Named RNG streams this module owns (checked by lint rule VR110).
 RNG_STREAMS = ("runtime.backoff",)
@@ -37,33 +27,6 @@ RNG_STREAMS = ("runtime.backoff",)
 #: Terminal classifications of one sweep point under supervision.
 #: ``aborted`` marks points cancelled by an interrupt before finishing.
 RUN_STATUSES = ("ok", "timeout", "crashed", "failed", "aborted")
-
-
-def _env_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be a number of seconds, "
-                         f"got {raw!r}") from None
-    if value <= 0:
-        raise ValueError(f"{name} must be positive, got {raw!r}")
-    return value
-
-
-def _env_int(name: str) -> Optional[int]:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
-    if value < 0:
-        raise ValueError(f"{name} cannot be negative, got {raw!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -98,27 +61,6 @@ class SupervisorPolicy:
             raise ValueError("stall_timeout_s must be positive (or None)")
         if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
             raise ValueError("backoff intervals cannot be negative")
-
-    @classmethod
-    def from_env(cls, *, run_timeout_s: Optional[float] = None,
-                 max_retries: Optional[int] = None,
-                 **overrides) -> "SupervisorPolicy":
-        """Resolve a policy from explicit values, else the environment.
-
-        Explicit arguments win over ``REPRO_RUN_TIMEOUT_S`` /
-        ``REPRO_MAX_RETRIES``; malformed environment values raise
-        ``ValueError`` with a one-line message.
-        """
-        if run_timeout_s is None:
-            run_timeout_s = _env_float(ENV_RUN_TIMEOUT)
-        if max_retries is None:
-            max_retries = _env_int(ENV_MAX_RETRIES)
-        kwargs = dict(overrides)
-        if run_timeout_s is not None:
-            kwargs["run_timeout_s"] = run_timeout_s
-        if max_retries is not None:
-            kwargs["max_retries"] = max_retries
-        return cls(**kwargs)
 
     def backoff_stream(self) -> random.Random:
         """The named, seeded jitter stream (fresh per supervised sweep)."""

@@ -342,7 +342,7 @@ class SweepSupervisor:
                  on_outcome: Optional[Callable[[RunOutcome], None]] = None
                  ) -> None:
         self.configs = list(configs)
-        self.policy = policy or SupervisorPolicy.from_env()
+        self.policy = policy or SupervisorPolicy()
         self.jobs = resolve_jobs(jobs)
         self.runner: Runner = runner or _run_portable
         self.on_outcome = on_outcome

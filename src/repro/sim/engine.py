@@ -228,9 +228,12 @@ class Engine:
 
         Returns the number of events executed during this call.  When
         ``until`` is given the clock is advanced to exactly ``until`` on
-        return, even if the calendar drained earlier.
+        return, even if the calendar drained earlier — unless the
+        ``max_events`` budget stopped the run first: events may still be
+        pending before ``until``, so the clock stays at the last one run.
         """
         executed = 0
+        out_of_budget = False
         self._running = True
         span_start = self.now  # for the once-per-call trace span, not per event
         heap = self._heap
@@ -267,10 +270,11 @@ class Engine:
                 fn(*args)
                 executed += 1
                 if executed >= limit:
+                    out_of_budget = True
                     break
         finally:
             self._running = False
-        if until is not None and self.now < until:
+        if until is not None and not out_of_budget and self.now < until:
             self.now = until
         self.events_executed += executed
         if _TRACE is not None:

@@ -17,14 +17,12 @@ The observability layer for experiment runs:
 """
 
 from repro.trace.export import (
-    chrome_trace,
     convert_jsonl_to_chrome,
     jsonl_lines,
     read_jsonl,
     summarize_file,
     validate_file,
     validate_lines,
-    write_chrome_trace,
     write_jsonl,
 )
 from repro.trace.profiler import PhaseProfiler
@@ -49,13 +47,11 @@ __all__ = [
     "TraceData",
     "TraceSampler",
     "Tracer",
-    "chrome_trace",
     "convert_jsonl_to_chrome",
     "jsonl_lines",
     "read_jsonl",
     "summarize_file",
     "validate_file",
     "validate_lines",
-    "write_chrome_trace",
     "write_jsonl",
 ]

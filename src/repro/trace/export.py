@@ -1,10 +1,11 @@
 """Deterministic trace serialization: JSONL and Chrome ``trace_event``.
 
-Two export formats, both pure functions of the recorded
+Two formats, both pure functions of the recorded
 :class:`~repro.trace.tracer.TraceData` (canonical JSON: sorted keys,
 fixed separators, no wall-clock fields), so the same seeded run yields
 byte-identical files whether it executed serially or through the
-parallel sweep executor:
+parallel sweep executor.  A run writes JSONL; the Chrome view is a
+conversion of that file (``trace-view --chrome``):
 
 - **JSONL** — one JSON object per line.  Each run contributes a
   ``trace.meta`` header line (schema version, run identity, ring-buffer
@@ -110,16 +111,6 @@ def read_jsonl(path: str) -> List[RunBlock]:
     return runs
 
 
-def _trace_blocks(traces: Sequence[TraceData]) -> List[RunBlock]:
-    """In-memory traces → the same run blocks :func:`read_jsonl` yields."""
-    blocks: List[RunBlock] = []
-    for data in traces:
-        records = [record_to_object(record) for record in data.events]
-        records += [record_to_object(record) for record in data.samples]
-        blocks.append((meta_record(data), records))
-    return blocks
-
-
 def chrome_trace_from_blocks(runs: Sequence[RunBlock]) -> Dict[str, object]:
     """Chrome ``trace_event`` view of one or more runs.
 
@@ -172,32 +163,14 @@ def chrome_trace_from_blocks(runs: Sequence[RunBlock]) -> Dict[str, object]:
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def chrome_trace(traces: Sequence[TraceData]) -> Dict[str, object]:
-    """Chrome ``trace_event`` view of in-memory run traces."""
-    return chrome_trace_from_blocks(_trace_blocks(traces))
-
-
-def _write_chrome(view: Dict[str, object], path: str) -> int:
-    with open(path, "w") as handle:
+def convert_jsonl_to_chrome(jsonl_path: str, out_path: str) -> int:
+    """JSONL file → Chrome trace file (``trace-view --chrome``, the one
+    way to a Chrome trace); returns the number of trace events."""
+    view = chrome_trace_from_blocks(read_jsonl(jsonl_path))
+    with open(out_path, "w") as handle:
         handle.write(_dumps(view))
         handle.write("\n")
     return len(view["traceEvents"])
-
-
-def write_chrome_trace(traces: Sequence[TraceData], path: str) -> int:
-    """Write the Chrome trace JSON; returns the number of trace events."""
-    return _write_chrome(chrome_trace(traces), path)
-
-
-def convert_jsonl_to_chrome(jsonl_path: str, out_path: str) -> int:
-    """JSONL file → Chrome trace file (``trace-view --chrome``).
-
-    Byte-identical to :func:`write_chrome_trace` over the same runs: the
-    Chrome view is a pure function of the run blocks, whether they came
-    from memory or were parsed back off disk.
-    """
-    return _write_chrome(chrome_trace_from_blocks(read_jsonl(jsonl_path)),
-                         out_path)
 
 
 # -- validation -----------------------------------------------------------------

@@ -14,9 +14,8 @@ connections, and the paper measures data transfer latency only.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.metrics.collector import MetricsCollector
@@ -36,67 +35,46 @@ from repro.trace import hooks as _trace_hooks
 _TRACE = _trace_hooks.register(__name__)
 
 
+#: RTO ceiling, for the estimator and for exponential backoff alike.
+MAX_RTO_NS = 8 * SECOND
+#: Duplicate ACKs that trigger fast retransmit (RFC 5681).
+DUPACK_THRESHOLD = 3
+#: Ceiling of the congestion window in packets (DCQCN parks there).
+MAX_CWND = 1000.0
+#: Give up on a flow after this many consecutive RTOs (TCP's R2
+#: threshold).  With exponential backoff this is far beyond any
+#: simulated window; it exists so an unreachable peer cannot generate
+#: events forever.
+MAX_CONSECUTIVE_RTOS = 20
+#: How long a delayed-ACK receiver holds a lone segment.
+DELAYED_ACK_TIMEOUT_NS = 500_000
+
+
 @dataclass(frozen=True)
 class TransportConfig:
-    """Transport parameters (paper §4.1 defaults)."""
+    """Transport parameters (paper §4.1 defaults).
+
+    Only what some caller sets is a field; every other transport
+    constant lives next to the code that uses it (above, or as a class
+    attribute of its sender).
+    """
 
     mss: int = DEFAULT_MSS
     init_cwnd: float = 10.0          # packets (paper: TCP initial window 10)
     init_rto_ns: int = 1 * SECOND    # paper: initial RTO 1 s
     min_rto_ns: int = 10 * MILLISECOND  # paper: minRTO 10 ms
-    max_rto_ns: int = 8 * SECOND
-    dupack_threshold: int = 3
     fast_retransmit: bool = True     # DIBS disables this (paper §2)
-    ecn_capable: bool = False
-    max_cwnd: float = 1000.0
-    #: NewReno partial-ACK handling (RFC 6582): during fast recovery, a
-    #: new ACK below the recovery point immediately retransmits the next
-    #: hole instead of waiting for three more dupacks.
-    newreno: bool = True
     #: Delayed ACKs: acknowledge every second segment, or after
-    #: ``delayed_ack_timeout_ns`` — off by default (per-packet ACKs, the
-    #: common datacenter-simulation setting).
+    #: :data:`DELAYED_ACK_TIMEOUT_NS` — off by default (per-packet ACKs,
+    #: the common datacenter-simulation setting).
     delayed_ack: bool = False
-    delayed_ack_timeout_ns: int = 500_000
-    #: Give up on a flow after this many consecutive RTOs (TCP's R2
-    #: threshold).  With exponential backoff this is far beyond any
-    #: simulated window; it exists so an unreachable peer cannot generate
-    #: events forever.
-    max_consecutive_rtos: int = 20
-    # Swift-specific knobs (ignored by Reno/DCTCP).  A non-positive target
-    # delay means "auto": the experiment runner derives it from the
-    # topology's base RTT (Swift's base-plus-scaling target, folded).
-    swift_target_delay_ns: int = 0
-    swift_ai: float = 1.0
-    swift_beta: float = 0.8
-    swift_max_mdf: float = 0.5
-    swift_min_cwnd: float = 0.01
-    # DCQCN-specific knobs (ignored by the window-based transports).
-    # Non-positive rate/timer/step values mean "auto": the experiment
-    # runner derives them from the topology's line rate
-    # (repro.experiments.runner.resolve_transport_config).
-    dcqcn_rate_bps: int = 0          # initial = line rate
-    dcqcn_min_rate_bps: int = 1_000_000
-    #: Alpha EWMA gain g = 1 / 2**shift (default 1/16, the paper's g).
-    dcqcn_alpha_g_shift: int = 4
-    dcqcn_timer_ns: int = 0          # rate-increase period (auto ~55 us)
-    dcqcn_rate_ai_bps: int = 0       # additive step (auto: line rate / 200)
-    dcqcn_rate_hai_bps: int = 0      # hyper step (auto: line rate / 20)
-    dcqcn_fast_recovery_stages: int = 5
-
-    def with_overrides(self, **kwargs) -> "TransportConfig":
-        """This config with some fields replaced.
-
-        Senders derive theirs once per flow from the same host config, so
-        the result is computed once per distinct (config, overrides).
-        """
-        return _derived_config(self, tuple(sorted(kwargs.items())))
-
-
-@functools.lru_cache(maxsize=256)
-def _derived_config(config: TransportConfig,
-                    overrides: tuple) -> TransportConfig:
-    return replace(config, **dict(overrides))
+    # Topology-derived inputs.  Non-positive means "auto": the experiment
+    # runner fills them from the network parameters
+    # (repro.experiments.runner.resolve_transport_config, the one home
+    # of that rule); a sender built without the runner needs them set.
+    swift_target_delay_ns: int = 0   # Swift's folded base-plus-scaling target
+    dcqcn_rate_bps: int = 0          # DCQCN line (= initial) rate
+    dcqcn_timer_ns: int = 0          # DCQCN rate-increase period
 
 
 @dataclass
@@ -110,9 +88,11 @@ class _Segment:
 class FlowSender:
     """Window-based reliable sender for a single one-way flow."""
 
-    #: Floor of the congestion window in packets (Swift sets a
-    #: sub-packet one per instance).
+    #: Floor of the congestion window in packets (Swift's is sub-packet).
     min_cwnd = 1.0
+    #: Whether data packets ask switches for ECN marks; a property of
+    #: the congestion control, not of the run.
+    ecn_capable = False
 
     def __init__(self, engine: Engine, host, flow_id: int, dst: int,
                  size: int, config: TransportConfig,
@@ -208,7 +188,7 @@ class FlowSender:
         return max(1, math.floor(self.cwnd))
 
     def _clamp_cwnd(self) -> None:
-        self.cwnd = min(max(self.cwnd, self.min_cwnd), self.config.max_cwnd)
+        self.cwnd = min(max(self.cwnd, self.min_cwnd), MAX_CWND)
 
     def _maybe_send(self) -> None:
         if self.completed or self.failed:
@@ -244,7 +224,7 @@ class FlowSender:
         now = self.engine.now
         packet = data_packet(self.host.host_id, self.dst, self.flow_id, seq,
                              payload, mss=self.config.mss,
-                             ecn_capable=self.config.ecn_capable,
+                             ecn_capable=self.ecn_capable,
                              sent_at=now, tx_count=tx_count)
         segment = self._segments.get(seq)
         if segment is None:
@@ -386,9 +366,9 @@ class FlowSender:
         if self.in_recovery:
             if self.snd_una >= self.recover_point:
                 self.in_recovery = False
-            elif self.config.newreno:
-                # Partial ACK (RFC 6582): the next hole is lost too —
-                # retransmit it now rather than stalling to an RTO.
+            else:
+                # NewReno partial ACK (RFC 6582): the next hole is lost
+                # too — retransmit it now rather than stalling to an RTO.
                 self._retransmit_head()
 
         self.on_new_ack_cc(acked, rtt_ns, packet.ece)
@@ -408,7 +388,7 @@ class FlowSender:
     def _on_dupack(self) -> None:
         self.dupacks += 1
         if (self.config.fast_retransmit and not self.in_recovery
-                and self.dupacks >= self.config.dupack_threshold):
+                and self.dupacks >= DUPACK_THRESHOLD):
             self.in_recovery = True
             self.recover_point = self.snd_nxt
             if _TRACE is not None:
@@ -426,8 +406,7 @@ class FlowSender:
             self.rttvar_ns = (3 * self.rttvar_ns + delta) // 4
             self.srtt_ns = (7 * self.srtt_ns + rtt_ns) // 8
         base = self.srtt_ns + max(4 * self.rttvar_ns, 1000)
-        self.rto_ns = min(max(base, self.config.min_rto_ns),
-                          self.config.max_rto_ns)
+        self.rto_ns = min(max(base, self.config.min_rto_ns), MAX_RTO_NS)
 
     # -- RTO ----------------------------------------------------------------------
 
@@ -435,7 +414,7 @@ class FlowSender:
         if self.completed or self.failed or not self._segments:
             return
         self._rto_streak += 1
-        if self._rto_streak > self.config.max_consecutive_rtos:
+        if self._rto_streak > MAX_CONSECUTIVE_RTOS:
             # Unreachable peer: abort like TCP past its R2 threshold.
             self.failed = True
             self.metrics.counters.aborted_flows += 1
@@ -449,18 +428,8 @@ class FlowSender:
         self._clamp_cwnd()
         self.backoff = min(self.backoff * 2, 64)
         self._retransmit_head()
-        delay = min(self.rto_ns * self.backoff, self.config.max_rto_ns)
+        delay = min(self.rto_ns * self.backoff, MAX_RTO_NS)
         self._rto_timer.start(delay)
-
-
-class _Interval:
-    """Half-open received-byte interval bookkeeping for the receiver."""
-
-    __slots__ = ("start", "end")
-
-    def __init__(self, start: int, end: int) -> None:
-        self.start = start
-        self.end = end
 
 
 class FlowReceiver:
@@ -573,7 +542,7 @@ class FlowReceiver:
         if self._held_segments >= 2:
             self._flush_ack()
         elif not self._ack_timer.armed:
-            self._ack_timer.start(self.config.delayed_ack_timeout_ns)
+            self._ack_timer.start(DELAYED_ACK_TIMEOUT_NS)
 
     def _flush_ack(self) -> None:
         if self._held_segments == 0 and self.config.delayed_ack:

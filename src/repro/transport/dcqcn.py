@@ -15,9 +15,12 @@ reacts to ECN feedback —
 Everything is integer arithmetic: rates in bits/s, times in ns, and
 ``alpha`` in fixed point (:data:`ALPHA_UNIT`), so runs stay
 digest-deterministic (lint rule VR150's discipline).  The congestion window is
-parked at ``max_cwnd`` and acts only as a safety cap on outstanding
+parked at ``MAX_CWND`` and acts only as a safety cap on outstanding
 data; the rate is the control variable, enforced through
-:meth:`pacing_gap_ns`.
+:meth:`pacing_gap_ns`.  The line rate and the increase period come from
+the config (the runner derives both from the network); every other
+constant is a class attribute, and the additive and hyper-additive
+steps are fixed fractions of the line rate.
 """
 
 from __future__ import annotations
@@ -28,40 +31,41 @@ from repro.metrics.collector import MetricsCollector
 from repro.net.packet import HEADER_BYTES
 from repro.sim.engine import Engine
 from repro.sim.timers import Timer
-from repro.transport.base import FlowSender, TransportConfig
+from repro.transport.base import MAX_CWND, FlowSender, TransportConfig
 
 #: Fixed-point unit for the marked-fraction EWMA ``alpha`` (1.0 == UNIT).
 ALPHA_UNIT = 1 << 20
-#: Fallback line rate for standalone (runner-less) construction.
-DEFAULT_RATE_BPS = 10_000_000_000
 
 
 class DcqcnSender(FlowSender):
     """Rate-based ECN-proportional congestion control."""
 
+    ecn_capable = True
+    #: Floor of the sending rate.
+    MIN_RATE_BPS = 1_000_000
+    #: Alpha EWMA gain g = 1 / 2**shift (1/16, the paper's g).
+    ALPHA_G_SHIFT = 4
+    #: Timer periods spent halving the gap to the target before the
+    #: additive stage, and again before the hyper-additive one.
+    FAST_RECOVERY_STAGES = 5
+
     def __init__(self, engine: Engine, host, flow_id: int, dst: int,
                  size: int, config: TransportConfig,
                  metrics: MetricsCollector, on_complete=None) -> None:
-        super().__init__(engine, host, flow_id, dst, size,
-                         config.with_overrides(
-                             ecn_capable=True,
-                             init_cwnd=config.max_cwnd),
-                         metrics, on_complete=on_complete)
-        config = self.config
-        line_rate = config.dcqcn_rate_bps \
-            if config.dcqcn_rate_bps > 0 else DEFAULT_RATE_BPS
+        super().__init__(engine, host, flow_id, dst, size, config, metrics,
+                         on_complete=on_complete)
+        line_rate = config.dcqcn_rate_bps
+        if line_rate <= 0 or config.dcqcn_timer_ns <= 0:
+            raise ValueError("DcqcnSender needs dcqcn_rate_bps and "
+                             "dcqcn_timer_ns > 0 (the experiment runner "
+                             "derives them)")
+        self.cwnd = MAX_CWND
         self.rate_bps = line_rate
         self.target_rate_bps = line_rate
-        self.min_rate_bps = max(1, config.dcqcn_min_rate_bps)
         self.alpha_fp = ALPHA_UNIT  # conservative initial estimate
-        self._g_shift = config.dcqcn_alpha_g_shift
-        self._timer_ns = config.dcqcn_timer_ns \
-            if config.dcqcn_timer_ns > 0 else 55_000
-        self._rate_ai_bps = config.dcqcn_rate_ai_bps \
-            if config.dcqcn_rate_ai_bps > 0 else max(1, line_rate // 200)
-        self._rate_hai_bps = config.dcqcn_rate_hai_bps \
-            if config.dcqcn_rate_hai_bps > 0 else max(1, line_rate // 20)
-        self._fast_stages = config.dcqcn_fast_recovery_stages
+        self._timer_ns = config.dcqcn_timer_ns
+        self._rate_ai_bps = max(1, line_rate // 200)
+        self._rate_hai_bps = max(1, line_rate // 20)
         self._stage = 0
         self._window_acked = 0
         self._window_marked = 0
@@ -99,7 +103,7 @@ class DcqcnSender(FlowSender):
         if self._window_acked > 0:
             fraction_fp = (self._window_marked * ALPHA_UNIT
                            // self._window_acked)
-            shift = self._g_shift
+            shift = self.ALPHA_G_SHIFT
             self.alpha_fp += (fraction_fp >> shift) - (self.alpha_fp >> shift)
             if self._window_marked > 0:
                 self._cut_rate()
@@ -112,13 +116,13 @@ class DcqcnSender(FlowSender):
         self.target_rate_bps = self.rate_bps
         cut = self.rate_bps * (2 * ALPHA_UNIT - self.alpha_fp) \
             // (2 * ALPHA_UNIT)
-        self.rate_bps = max(self.min_rate_bps, cut)
+        self.rate_bps = max(self.MIN_RATE_BPS, cut)
         self._stage = 0
         self._rate_timer.start(self._timer_ns)
 
     def _on_rate_timer(self) -> None:
-        if self._stage >= self._fast_stages:
-            if self._stage >= 2 * self._fast_stages:
+        if self._stage >= self.FAST_RECOVERY_STAGES:
+            if self._stage >= 2 * self.FAST_RECOVERY_STAGES:
                 self.target_rate_bps += self._rate_hai_bps
             else:
                 self.target_rate_bps += self._rate_ai_bps
@@ -130,7 +134,7 @@ class DcqcnSender(FlowSender):
         # Loss (only possible with PFC off or zero headroom) is treated
         # as the strongest congestion signal: halve and restart recovery.
         self.target_rate_bps = self.rate_bps
-        self.rate_bps = max(self.min_rate_bps, self.rate_bps // 2)
+        self.rate_bps = max(self.MIN_RATE_BPS, self.rate_bps // 2)
         self._stage = 0
         self._rate_timer.start(self._timer_ns)
 

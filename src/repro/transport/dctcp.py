@@ -25,11 +25,12 @@ ALPHA_GAIN = 1.0 / 16.0
 class DctcpSender(RenoSender):
     """ECN-fraction proportional congestion control."""
 
+    ecn_capable = True
+
     def __init__(self, engine: Engine, host, flow_id: int, dst: int,
                  size: int, config: TransportConfig,
                  metrics: MetricsCollector, on_complete=None) -> None:
-        super().__init__(engine, host, flow_id, dst, size,
-                         config.with_overrides(ecn_capable=True), metrics,
+        super().__init__(engine, host, flow_id, dst, size, config, metrics,
                          on_complete=on_complete)
         self.alpha = 1.0  # conservative initial estimate, per the RFC
         self._window_acked = 0

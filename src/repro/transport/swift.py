@@ -7,7 +7,8 @@ RTT.  Its distinguishing capability for extreme incast is letting the
 congestion window fall *below one packet*: ``cwnd = 0.5`` sends one packet
 every two RTTs via pacing, so thousands of synchronized senders can share
 one downlink without loss (paper §4.2).  An RTO collapses the window to
-``min_cwnd``.
+``min_cwnd``.  The gains are Swift's published constants, class
+attributes here; only the target delay varies with the network.
 
 Simulation timestamps are exact, which matches Swift's reliance on NIC
 hardware timestamps.  The single fixed ``target_delay`` stands in for
@@ -27,17 +28,27 @@ from repro.transport.base import FlowSender, TransportConfig
 class SwiftSender(FlowSender):
     """Target-delay AIMD with sub-packet windows and pacing."""
 
+    min_cwnd = 0.01
+    #: Additive increase per RTT, in packets.
+    AI = 1.0
+    #: Multiplicative-decrease gain on the delay excess.
+    BETA = 0.8
+    #: Largest fraction of the window one decision may remove.
+    MAX_MDF = 0.5
+    #: Consecutive timeouts before collapsing to min_cwnd
+    #: (Swift's RETX_RESET_THRESHOLD).
+    RETX_RESET_THRESHOLD = 5
+
     def __init__(self, engine: Engine, host, flow_id: int, dst: int,
                  size: int, config: TransportConfig,
                  metrics: MetricsCollector, on_complete=None) -> None:
         super().__init__(engine, host, flow_id, dst, size, config, metrics,
                          on_complete=on_complete)
-        self.min_cwnd = config.swift_min_cwnd
+        if config.swift_target_delay_ns <= 0:
+            raise ValueError("SwiftSender needs swift_target_delay_ns > 0 "
+                             "(the experiment runner derives it)")
         self._consecutive_rtos = 0
-        # Non-positive = auto; fall back to a conservative 100 us so a
-        # bare SwiftSender (unit tests) still behaves sensibly.
-        self.target_delay_ns = config.swift_target_delay_ns \
-            if config.swift_target_delay_ns > 0 else 100_000
+        self.target_delay_ns = config.swift_target_delay_ns
         self._last_decrease_ns = -(10 ** 18)
 
     # -- pacing -------------------------------------------------------------------
@@ -65,40 +76,32 @@ class SwiftSender(FlowSender):
         self._consecutive_rtos = 0
         if rtt_ns is None:
             return
-        config = self.config
         target = self.target_delay_ns
         if rtt_ns < target:
-            acked_packets = max(1, acked_bytes // config.mss)
+            acked_packets = max(1, acked_bytes // self.config.mss)
             if self.cwnd >= 1.0:
-                self.cwnd += config.swift_ai * acked_packets / self.cwnd
+                self.cwnd += self.AI * acked_packets / self.cwnd
             else:
-                self.cwnd += config.swift_ai * acked_packets * self.cwnd
+                self.cwnd += self.AI * acked_packets * self.cwnd
         elif self._can_decrease():
             # Dimensionless delay-excess ratio (Swift's multiplicative
             # decrease operates on fractions of the measured RTT).
             excess = (rtt_ns - target) / rtt_ns  # noqa: VR003
-            factor = max(1 - config.swift_beta * excess,
-                         1 - config.swift_max_mdf)
+            factor = max(1 - self.BETA * excess, 1 - self.MAX_MDF)
             self.cwnd = max(self.cwnd * factor, self.min_cwnd)
             self._last_decrease_ns = self.engine.now
 
     def on_fast_retransmit_cc(self) -> None:
         if self._can_decrease():
-            self.cwnd = max(self.cwnd * (1 - self.config.swift_max_mdf),
-                            self.min_cwnd)
+            self.cwnd = max(self.cwnd * (1 - self.MAX_MDF), self.min_cwnd)
             self._last_decrease_ns = self.engine.now
-
-    #: Consecutive timeouts before collapsing to min_cwnd
-    #: (Swift's RETX_RESET_THRESHOLD).
-    RETX_RESET_THRESHOLD = 5
 
     def on_rto_cc(self) -> None:
         self._consecutive_rtos += 1
         if self._consecutive_rtos >= self.RETX_RESET_THRESHOLD:
             self.cwnd = self.min_cwnd
         else:
-            self.cwnd = max(self.cwnd * (1 - self.config.swift_max_mdf),
-                            self.min_cwnd)
+            self.cwnd = max(self.cwnd * (1 - self.MAX_MDF), self.min_cwnd)
         self._last_decrease_ns = self.engine.now
 
     def cc_state(self) -> tuple:

@@ -29,7 +29,6 @@ from repro.workload.spec import (
     specs_from_legacy,
 )
 from repro.workload.matrix import NodeMatrix
-from repro.workload.background import BackgroundTraffic
 from repro.workload.incast import IncastApp
 from repro.workload.coflow import CoflowApp
 from repro.workload.dutycycle import DutyCycleTraffic
@@ -45,7 +44,6 @@ __all__ = [
     "cache_follower",
     "data_mining",
     "web_search",
-    "BackgroundTraffic",
     "IncastApp",
     "CoflowApp",
     "DutyCycleTraffic",

@@ -34,6 +34,7 @@ from repro.workload.background import poisson_rate_for_load
 from repro.workload.distributions import EmpiricalCDF
 from repro.workload.matrix import NodeMatrix
 
+#: open_flow(src, dst, size, is_incast, query_id) -> None
 FlowOpener = Callable[..., None]
 
 

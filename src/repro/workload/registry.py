@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Optional
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.workload.background import BackgroundTraffic
 from repro.workload.coflow import CoflowApp, cps_for_load
 from repro.workload.distributions import get_distribution
 from repro.workload.dutycycle import DutyCycleTraffic
@@ -76,13 +75,12 @@ def _matrix(spec, ctx: WorkloadContext) -> Optional[NodeMatrix]:
 
 
 def _build_background(spec: BackgroundSpec, ctx: WorkloadContext, rng):
-    if spec.load <= 0:
-        return None
-    sizes = get_distribution(spec.distribution, truncate_at=spec.size_cap)
-    return BackgroundTraffic(ctx.engine, ctx.open_flow, ctx.n_hosts,
-                             ctx.host_rate_bps, spec.load, sizes, rng,
-                             until_ns=ctx.until_ns,
-                             matrix=_matrix(spec, ctx))
+    # Plain Poisson background is the duty-cycle generator always on,
+    # draw for draw (on-window == period, whatever the period).
+    return _build_duty_cycle(
+        DutyCycleSpec(load=spec.load, duty=1.0,
+                      distribution=spec.distribution,
+                      size_cap=spec.size_cap, skew=spec.skew), ctx, rng)
 
 
 def _build_incast(spec: IncastSpec, ctx: WorkloadContext, rng):

@@ -273,7 +273,9 @@ def test_pool_sigkill_resumes_to_reference_digest(flag_dir, tmp_path,
 
 
 def test_run_timeout_preempts_and_resumes_across_attempts(tmp_path):
-    config = _checkpointed(_config("packet", sim_ms=80), tmp_path,
+    # ~1.2 s of work against a 0.45 s deadline: at 80 ms the run had come
+    # to finish in ~0.5 s and beat the watchdog about every other time.
+    config = _checkpointed(_config("packet", sim_ms=160), tmp_path,
                            every_ms=20)
     policy = SupervisorPolicy(run_timeout_s=0.45, preempt_grace_s=10.0,
                               max_retries=8, **FAST_BACKOFF)
@@ -282,7 +284,7 @@ def test_run_timeout_preempts_and_resumes_across_attempts(tmp_path):
     outcome = report.outcomes[0]
     assert outcome.attempts >= 2          # at least one preempt-resume cycle
     assert report.results[0].checkpoint["restored_from_ns"] is not None
-    reference = run_digest(run_experiment(_config("packet", sim_ms=80)))
+    reference = run_digest(run_experiment(_config("packet", sim_ms=160)))
     assert run_digest(report.results[0]) == reference
 
 

@@ -6,11 +6,22 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.faults import parse_faults
 from repro.net.link import Link
 from repro.sim.engine import Engine
 from repro.sim.units import MILLISECOND
 from tests.helpers import SinkDevice, mk_data
-from dataclasses import replace
+
+
+def lossy_everywhere(config, loss_rate):
+    """``config`` with a loss fault from t=0 on every cable of the fabric
+    (the one way to make a cable lossy)."""
+    topology = config.topology
+    cables = [(topology.host_tor(host), f"h{host}")
+              for host in range(topology.n_hosts)]
+    cables += topology.switch_adjacency
+    return config.with_faults(parse_faults(
+        f"link:{a}-{b}:loss={loss_rate}@0" for a, b in cables))
 
 
 def test_link_loss_rate_validation():
@@ -54,8 +65,7 @@ def test_transports_survive_one_percent_link_loss(system):
         system=system, transport="dctcp", bg_load=0.1, incast_qps=60,
         incast_scale=4, incast_flow_bytes=5_000,
         sim_time_ns=80 * MILLISECOND)
-    config.network = replace(config.network, link_loss_rate=0.01)
-    result = run_experiment(config)
+    result = run_experiment(lossy_everywhere(config, 0.01))
     counters = result.metrics.counters
     assert counters.drops["link_loss"] > 0
     # Reliability recovers: a solid majority of flows still complete.
@@ -69,7 +79,7 @@ def test_loss_counted_deterministically():
             system="ecmp", transport="dctcp", bg_load=0.1, incast_qps=40,
             incast_scale=3, incast_flow_bytes=4_000,
             sim_time_ns=30 * MILLISECOND)
-        config.network = replace(config.network, link_loss_rate=0.02)
-        return run_experiment(config).metrics.counters.drops["link_loss"]
+        return run_experiment(lossy_everywhere(config, 0.02)) \
+            .metrics.counters.drops["link_loss"]
 
     assert run() == run() > 0

@@ -16,11 +16,11 @@ import pytest
 
 from repro.experiments import run_digest
 from repro.experiments.config import ExperimentConfig
+from repro.experiments import runner
 from repro.experiments.runner import run_experiment
 from repro.net.link import Port
 from repro.net.queues import _BoundedQueue
 from repro.sim.units import MILLISECOND
-from repro.transport import base as transport_base
 from repro.transport.base import FlowSender
 from repro.workload.distributions import EmpiricalCDF
 
@@ -44,7 +44,7 @@ def spied_run(request):
     record = {"system": request.param, "tries": 0, "fits": Counter(),
               "started": False, "late_replace": 0, "late_mean_steps": 0}
     real_try, real_fits = Port._try_transmit, _BoundedQueue.fits
-    real_start, real_replace = FlowSender.start, transport_base.replace
+    real_start, real_replace = FlowSender.start, runner.replace
     real_quantile = EmpiricalCDF.quantile
 
     def spy_try(self):
@@ -73,7 +73,7 @@ def spied_run(request):
         patch.setattr(Port, "_try_transmit", spy_try)
         patch.setattr(_BoundedQueue, "fits", spy_fits)
         patch.setattr(FlowSender, "start", spy_start)
-        patch.setattr(transport_base, "replace", spy_replace)
+        patch.setattr(runner, "replace", spy_replace)
         patch.setattr(EmpiricalCDF, "quantile", spy_quantile)
         record["result"] = run_experiment(_config(request.param))
     return record
@@ -124,8 +124,8 @@ def test_capacity_is_tested_once_per_admission(spied_run):
 
 def test_nothing_fixed_per_run_is_rederived_per_flow(spied_run):
     assert len(spied_run["result"].metrics.flows) > 100
-    # The per-transport config (dataclasses.replace of a 30-field frozen
-    # dataclass) and the size distribution's mean (a 4,096-step
-    # quadrature over quantile()) exist before the first flow starts.
+    # The resolved transport config (the runner's one dataclasses.replace)
+    # and the size distribution's mean (a 4,096-step quadrature over
+    # quantile()) exist before the first flow starts.
     assert spied_run["late_replace"] == 0
     assert spied_run["late_mean_steps"] == 0

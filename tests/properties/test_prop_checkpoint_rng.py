@@ -48,7 +48,7 @@ def test_families_discovered():
     # shrinks, the walk above broke and the property tests below are
     # vacuous.
     assert {"runtime.backoff", "workload.matrix"} <= set(FAMILIES)
-    assert any(f.startswith("linkloss") for f in FAMILIES)
+    assert any(f.startswith("policy") for f in FAMILIES)
     assert any(f.startswith("faultloss") for f in FAMILIES)
 
 

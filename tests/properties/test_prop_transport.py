@@ -14,7 +14,8 @@ from repro.transport.reno import RenoSender
 from repro.transport.swift import SwiftSender
 from tests.unit.test_transport_base import loopback
 
-FAST_RTO = TransportConfig(min_rto_ns=500_000, init_rto_ns=500_000)
+FAST_RTO = TransportConfig(mss=1000, min_rto_ns=500_000, init_rto_ns=500_000,
+                           swift_target_delay_ns=100_000)
 
 
 @given(st.sets(st.integers(0, 20), max_size=8),
@@ -30,9 +31,8 @@ def test_any_single_loss_pattern_still_delivers(loss_indices, sender_cls):
         return index in loss_indices and packet.tx_count == 1
 
     size = 21 * 1000
-    config = FAST_RTO.with_overrides(mss=1000)
     sender, receiver, metrics, _, _ = loopback(
-        engine, size=size, drop=drop, config=config,
+        engine, size=size, drop=drop, config=FAST_RTO,
         sender_cls=sender_cls)
     sender.start()
     engine.run(until=5_000_000_000)
@@ -52,9 +52,8 @@ def test_random_loss_rate_eventually_completes(rate, seed):
     def drop(packet):
         return rng.random() < rate
 
-    config = FAST_RTO.with_overrides(mss=1000)
     sender, receiver, _, _, _ = loopback(engine, size=10_000, drop=drop,
-                                         config=config)
+                                         config=FAST_RTO)
     sender.start()
     engine.run(until=60_000_000_000)
     assert receiver.completed

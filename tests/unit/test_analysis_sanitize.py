@@ -13,6 +13,7 @@ from repro.analysis.sanitize import SanitizerError
 from repro.core.ordering import OrderingComponent
 from repro.core.scheduler import RankQueue
 from repro.net.queues import DropTailQueue, RankedQueue
+from repro.net.switch import MAX_HOPS
 from repro.sim.engine import Engine
 from tests.helpers import make_switch, mk_data
 
@@ -203,7 +204,7 @@ def test_switch_drop_satisfies_conservation(sanitized):
 
     switch.policy = EcmpPolicy(switch, seeded_rng())
     packet = mk_data(dst=0)
-    packet.hops = switch.max_hops
+    packet.hops = MAX_HOPS
     switch.receive(packet, in_port=1)  # hop-limit drop, still conserved
     assert metrics.counters.drops["hop_limit"] == 1
 

@@ -106,27 +106,25 @@ def test_sanitized_run_with_a_fault_scenario(capsys):
     ["run", *TINY, "--sample-us", "100"],
     ["run", *TINY, "--trace-level", "packet"],
     ["sweep", "--systems", "ecmp", *TINY, "--stall-timeout", "5"],
+    ["run", *TINY, "--pfc-headroom", "3000"],
+    ["run", *TINY, "--pfc-classes", "2", "--pfc-headroom", "3000"],
+    ["run", *TINY, "--demote-shares", "8"],
 ])
 def test_flags_that_would_do_nothing_are_usage_errors(argv, capsys):
     assert main(argv) == 2
     assert_one_line_usage_error(capsys)
 
 
-def test_trace_flags_write_valid_jsonl_and_chrome(tmp_path, capsys):
+def test_trace_flags_write_valid_jsonl(tmp_path, capsys):
     jsonl = str(tmp_path / "t.jsonl")
-    chrome = str(tmp_path / "t.json")
     code = main(["run", "--system", "vertigo", *TINY,
                  "--trace", jsonl, "--trace-level", "packet",
-                 "--sample-us", "1000", "--trace-chrome", chrome])
+                 "--sample-us", "1000"])
     assert code == 0
     capsys.readouterr()
 
     from repro.trace import validate_file
     assert validate_file(jsonl) == []
-
-    import json
-    view = json.load(open(chrome))
-    assert view["traceEvents"]
 
     code = main(["trace-view", jsonl, "--validate"])
     assert code == 0
@@ -148,7 +146,8 @@ def test_trace_view_chrome_conversion(tmp_path, capsys):
     assert main(["trace-view", jsonl, "--chrome", out]) == 0
     capsys.readouterr()
     import json
-    assert json.load(open(out))["displayTimeUnit"] == "ms"
+    view = json.load(open(out))
+    assert view["displayTimeUnit"] == "ms" and view["traceEvents"]
 
 
 def test_sweep_subcommand(capsys):
@@ -181,10 +180,10 @@ def test_bad_repro_jobs_is_usage_error(monkeypatch, capsys):
     assert "REPRO_JOBS" in capsys.readouterr().err
 
 
-def test_bad_run_timeout_env_is_usage_error(monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_RUN_TIMEOUT_S", "soon")
-    assert main(["sweep", "--systems", "ecmp", *TINY]) == 2
-    assert "REPRO_RUN_TIMEOUT_S" in capsys.readouterr().err
+def test_bad_run_timeout_is_usage_error(capsys):
+    assert main(["sweep", "--systems", "ecmp", *TINY,
+                 "--run-timeout", "-1"]) == 2
+    assert_one_line_usage_error(capsys)
 
 
 def test_sweep_rejects_journal_plus_resume(tmp_path, capsys):

@@ -13,6 +13,8 @@ def _bare_sender(cls, engine=None, size=1_000_000, **config_kwargs):
     engine = engine or Engine()
     metrics = MetricsCollector()
     host = StubHost(engine, 1)
+    # The runner derives Swift's target; a bare sender is handed one.
+    config_kwargs.setdefault("swift_target_delay_ns", 100_000)
     config = TransportConfig(**config_kwargs)
     sender = cls(engine, host, 7, 2, size, config, metrics)
     return sender, engine
@@ -62,7 +64,7 @@ def test_reno_min_ssthresh_floor():
 
 def test_dctcp_is_always_ecn_capable():
     sender, _ = _bare_sender(DctcpSender)
-    assert sender.config.ecn_capable
+    assert sender.ecn_capable
 
 
 def test_dctcp_cut_proportional_to_alpha():
@@ -153,21 +155,18 @@ def test_swift_decreases_above_target_once_per_rtt():
 
 def test_swift_decrease_bounded_by_max_mdf():
     sender, _ = _bare_sender(SwiftSender, init_cwnd=10.0,
-                             swift_target_delay_ns=10_000,
-                             swift_max_mdf=0.5)
+                             swift_target_delay_ns=10_000)
     sender.on_new_ack_cc(1460, rtt_ns=10_000_000, ece=False)  # huge RTT
-    assert sender.cwnd == 5.0  # capped at 50% per decision
+    assert sender.cwnd == 10.0 * (1 - SwiftSender.MAX_MDF)  # capped
 
 
 def test_swift_cwnd_can_fall_below_one():
     sender, engine = _bare_sender(SwiftSender, init_cwnd=1.0,
-                                  swift_target_delay_ns=10_000,
-                                  swift_min_cwnd=0.01)
+                                  swift_target_delay_ns=10_000)
     for step in range(20):
         engine.now += 10_000_000  # allow once-per-RTT decreases
         sender.on_new_ack_cc(1460, rtt_ns=1_000_000, ece=False)
-    assert sender.cwnd < 1.0
-    assert sender.cwnd >= 0.01
+    assert SwiftSender.min_cwnd <= sender.cwnd < 1.0
 
 
 def test_swift_pacing_gap_below_one_packet():
@@ -180,18 +179,16 @@ def test_swift_pacing_gap_below_one_packet():
 
 
 def test_swift_rto_single_is_md_not_reset():
-    sender, _ = _bare_sender(SwiftSender, init_cwnd=8.0,
-                             swift_max_mdf=0.5, swift_min_cwnd=0.01)
+    sender, _ = _bare_sender(SwiftSender, init_cwnd=8.0)
     sender.on_rto_cc()
     assert sender.cwnd == 4.0  # one timeout: multiplicative decrease
 
 
 def test_swift_consecutive_rtos_reset_to_min():
-    sender, _ = _bare_sender(SwiftSender, init_cwnd=8.0,
-                             swift_min_cwnd=0.01)
+    sender, _ = _bare_sender(SwiftSender, init_cwnd=8.0)
     for _ in range(SwiftSender.RETX_RESET_THRESHOLD):
         sender.on_rto_cc()
-    assert sender.cwnd == 0.01
+    assert sender.cwnd == SwiftSender.min_cwnd
 
 
 def test_swift_ack_resets_rto_streak():
@@ -204,7 +201,8 @@ def test_swift_ack_resets_rto_streak():
 
 def test_swift_end_to_end_transfer():
     engine = Engine()
-    sender, receiver, _, _, _ = loopback(engine, size=50_000,
+    config = TransportConfig(swift_target_delay_ns=100_000)
+    sender, receiver, _, _, _ = loopback(engine, size=50_000, config=config,
                                          sender_cls=SwiftSender)
     sender.start()
     engine.run()
@@ -213,8 +211,7 @@ def test_swift_end_to_end_transfer():
 
 def test_swift_paced_transfer_below_one_packet():
     engine = Engine()
-    config = TransportConfig(init_cwnd=0.5, swift_target_delay_ns=30_000,
-                             swift_min_cwnd=0.01)
+    config = TransportConfig(init_cwnd=0.5, swift_target_delay_ns=30_000)
     sender, receiver, _, src, _ = loopback(engine, size=5_000,
                                            config=config,
                                            sender_cls=SwiftSender)

@@ -2,7 +2,7 @@
 
 from repro.net.packet import PacketKind
 from repro.sim.engine import Engine
-from repro.transport.base import TransportConfig
+from repro.transport.base import DELAYED_ACK_TIMEOUT_NS, TransportConfig
 from tests.unit.test_transport_base import loopback
 
 
@@ -31,14 +31,15 @@ def test_delayed_ack_halves_ack_count():
 
 def test_delayed_ack_timer_flushes_odd_segment():
     engine = Engine()
-    config = TransportConfig(delayed_ack=True, init_cwnd=1.0,
-                             delayed_ack_timeout_ns=200_000)
+    config = TransportConfig(delayed_ack=True, init_cwnd=1.0)
     sender, receiver, _, _, dst = loopback(engine, size=100_000,
                                            config=config)
     sender.start()
-    # One segment in flight; the delayed-ACK timer must fire so the
-    # sender is not stalled until RTO.
-    engine.run(until=2_000_000)
+    # One segment in flight: it is held for the timeout, and then the
+    # delayed-ACK timer must fire so the sender is not stalled until RTO.
+    engine.run(until=DELAYED_ACK_TIMEOUT_NS)
+    assert not dst.sent and sender.snd_una == 0
+    engine.run(until=2 * DELAYED_ACK_TIMEOUT_NS)
     acks = [p for p in dst.sent if p.kind is PacketKind.ACK]
     assert acks, "delayed-ACK timer never flushed"
     assert sender.snd_una > 0
@@ -105,7 +106,7 @@ def test_newreno_partial_ack_retransmits_next_hole():
             return True
         return False
 
-    config = TransportConfig(newreno=True, min_rto_ns=50_000_000,
+    config = TransportConfig(min_rto_ns=50_000_000,
                              init_rto_ns=50_000_000)
     sender, receiver, metrics, _, _ = loopback(engine, size=30_000,
                                                drop=drop, config=config)
@@ -115,25 +116,3 @@ def test_newreno_partial_ack_retransmits_next_hole():
     # Both holes repaired without any RTO (huge RTO would dominate FCT).
     assert metrics.flows[7].fct_ns < 10_000_000
     assert metrics.counters.retransmissions == 2
-
-
-def test_without_newreno_second_hole_costs_rto():
-    engine = Engine()
-    lost = {1460, 4380}
-
-    def drop(packet):
-        if packet.kind is PacketKind.DATA and packet.seq in lost \
-                and packet.tx_count == 1:
-            lost.discard(packet.seq)
-            return True
-        return False
-
-    config = TransportConfig(newreno=False, min_rto_ns=5_000_000,
-                             init_rto_ns=5_000_000)
-    sender, receiver, metrics, _, _ = loopback(engine, size=30_000,
-                                               drop=drop, config=config)
-    sender.start()
-    engine.run()
-    assert receiver.completed
-    # Reno without partial-ACK recovery pays at least one RTO here.
-    assert metrics.flows[7].fct_ns >= 5_000_000

@@ -146,6 +146,20 @@ def test_max_events_executes_exactly_that_many():
     assert order == [0, 1, 2, 3, 4] and engine.events_executed == 5
 
 
+def test_budget_stop_does_not_jump_the_clock_past_pending_events():
+    engine = Engine()
+    order = []
+    engine.schedule(5, order.append, 5)
+    engine.schedule(10, order.append, 10)
+    assert engine.run(until=100, max_events=1) == 1
+    assert engine.now == 5 and engine.pending() == 1
+    assert engine.run() == 1  # was: "event scheduled in the past"
+    assert order == [5, 10] and engine.now == 10
+    # Ending on the horizon or an empty calendar still advances to it.
+    assert engine.run(until=100, max_events=1) == 0
+    assert engine.now == 100
+
+
 def test_events_executed_accumulates():
     engine = Engine()
     engine.schedule(1, lambda: None)

@@ -12,7 +12,7 @@ from repro.net.pfc import (
 )
 from repro.net.queues import ClassLaneQueue, DropTailQueue, RankedQueue
 from repro.sim.engine import Engine
-from repro.transport.base import TransportConfig
+from repro.transport.base import MAX_CWND, TransportConfig
 from repro.transport.dcqcn import ALPHA_UNIT, DcqcnSender
 from tests.unit.test_transport_base import StubHost
 
@@ -206,29 +206,31 @@ def test_lane_for_returns_the_class_lane():
 # -- DCQCN --------------------------------------------------------------------
 
 
-def _dcqcn(**config_kwargs):
+def _dcqcn():
+    """A bare sender at 10 Gbps; the runner would derive both inputs."""
     engine = Engine()
     sender = DcqcnSender(engine, StubHost(engine, 1), 7, 2, 1_000_000,
-                         TransportConfig(**config_kwargs),
+                         TransportConfig(dcqcn_rate_bps=10_000_000_000,
+                                         dcqcn_timer_ns=55_000),
                          MetricsCollector())
     return sender, engine
 
 
 def test_dcqcn_parks_cwnd_and_forces_ecn():
     sender, _ = _dcqcn()
-    assert sender.config.ecn_capable
-    assert sender.cwnd == sender.config.max_cwnd
+    assert sender.ecn_capable
+    assert sender.cwnd == MAX_CWND
 
 
 def test_dcqcn_state_is_all_integer():
-    sender, _ = _dcqcn(dcqcn_rate_bps=10_000_000_000)
+    sender, _ = _dcqcn()
     for value in (sender.rate_bps, sender.target_rate_bps,
                   sender.alpha_fp, sender.pacing_gap_ns()):
         assert isinstance(value, int)
 
 
 def test_dcqcn_marked_window_cuts_rate_towards_alpha():
-    sender, _ = _dcqcn(dcqcn_rate_bps=10_000_000_000)
+    sender, _ = _dcqcn()
     sender.alpha_fp = ALPHA_UNIT  # worst case: everything marked
     before = sender.rate_bps
     sender.snd_una = 100_000
@@ -238,12 +240,12 @@ def test_dcqcn_marked_window_cuts_rate_towards_alpha():
     sender._end_observation_window()
     assert sender.target_rate_bps == before  # pre-cut rate is the target
     assert sender.rate_bps < before
-    assert sender.rate_bps >= sender.min_rate_bps
+    assert sender.rate_bps >= sender.MIN_RATE_BPS
     assert sender._stage == 0
 
 
 def test_dcqcn_unmarked_window_decays_alpha_keeps_rate():
-    sender, _ = _dcqcn(dcqcn_rate_bps=10_000_000_000)
+    sender, _ = _dcqcn()
     before_rate, before_alpha = sender.rate_bps, sender.alpha_fp
     sender.snd_una = 100_000
     sender._window_end = 0
@@ -255,28 +257,28 @@ def test_dcqcn_unmarked_window_decays_alpha_keeps_rate():
 
 
 def test_dcqcn_timer_recovers_then_increases():
-    sender, _ = _dcqcn(dcqcn_rate_bps=10_000_000_000,
-                       dcqcn_fast_recovery_stages=2)
+    sender, _ = _dcqcn()
     sender.rate_bps = 1_000_000_000
     sender.target_rate_bps = 2_000_000_000
     sender._on_rate_timer()
     assert sender.rate_bps == 1_500_000_000   # fast recovery: halve gap
+    for _ in range(sender.FAST_RECOVERY_STAGES - 1):
+        sender._on_rate_timer()
     assert sender.target_rate_bps == 2_000_000_000
-    sender._on_rate_timer()
     target = sender.target_rate_bps
     sender._on_rate_timer()                   # past fast stages
     assert sender.target_rate_bps == target + sender._rate_ai_bps
 
 
 def test_dcqcn_rto_halves_rate():
-    sender, _ = _dcqcn(dcqcn_rate_bps=10_000_000_000)
+    sender, _ = _dcqcn()
     sender.on_rto_cc()
     assert sender.rate_bps == 5_000_000_000
     assert sender.cc_state()[0] == "dcqcn"
 
 
 def test_dcqcn_pacing_gap_tracks_rate():
-    sender, _ = _dcqcn(dcqcn_rate_bps=10_000_000_000)
+    sender, _ = _dcqcn()
     slow = sender.pacing_gap_ns()
     sender.rate_bps *= 2
     assert sender.pacing_gap_ns() * 2 == slow

@@ -1,9 +1,8 @@
-"""Supervision policy: env resolution and deterministic backoff."""
+"""Supervision policy: validation and deterministic backoff."""
 
 import pytest
 
 from repro.runtime import SupervisorPolicy
-from repro.runtime.policy import ENV_MAX_RETRIES, ENV_RUN_TIMEOUT
 
 
 def test_defaults():
@@ -12,44 +11,6 @@ def test_defaults():
     assert policy.run_timeout_s is None
     assert policy.backoff_base_s == 0.25
     assert policy.backoff_cap_s == 8.0
-
-
-def test_from_env_reads_variables(monkeypatch):
-    monkeypatch.setenv(ENV_RUN_TIMEOUT, "12.5")
-    monkeypatch.setenv(ENV_MAX_RETRIES, "5")
-    policy = SupervisorPolicy.from_env()
-    assert policy.run_timeout_s == 12.5
-    assert policy.max_retries == 5
-
-
-def test_explicit_arguments_win_over_env(monkeypatch):
-    monkeypatch.setenv(ENV_RUN_TIMEOUT, "12.5")
-    monkeypatch.setenv(ENV_MAX_RETRIES, "5")
-    policy = SupervisorPolicy.from_env(run_timeout_s=3.0, max_retries=1)
-    assert policy.run_timeout_s == 3.0
-    assert policy.max_retries == 1
-
-
-def test_env_whitespace_and_empty_tolerated(monkeypatch):
-    monkeypatch.setenv(ENV_RUN_TIMEOUT, "  2.0  ")
-    assert SupervisorPolicy.from_env().run_timeout_s == 2.0
-    monkeypatch.setenv(ENV_RUN_TIMEOUT, "   ")
-    assert SupervisorPolicy.from_env().run_timeout_s is None
-
-
-@pytest.mark.parametrize("name,value", [
-    (ENV_RUN_TIMEOUT, "soon"),
-    (ENV_RUN_TIMEOUT, "-1"),
-    (ENV_RUN_TIMEOUT, "0"),
-    (ENV_MAX_RETRIES, "often"),
-    (ENV_MAX_RETRIES, "-2"),
-])
-def test_malformed_env_raises_one_line_valueerror(monkeypatch, name, value):
-    monkeypatch.setenv(name, value)
-    with pytest.raises(ValueError) as excinfo:
-        SupervisorPolicy.from_env()
-    assert name in str(excinfo.value)
-    assert "\n" not in str(excinfo.value)
 
 
 def test_constructor_validation():

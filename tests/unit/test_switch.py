@@ -3,6 +3,7 @@
 import pytest
 
 from repro.forwarding.ecmp import EcmpPolicy
+from repro.net.switch import MAX_HOPS
 from repro.sim.engine import Engine
 from tests.helpers import make_switch, mk_data, seeded_rng
 
@@ -24,7 +25,7 @@ def test_hop_limit_drops():
     switch, _, metrics = make_switch(engine)
     switch.policy = EcmpPolicy(switch, seeded_rng())
     packet = mk_data(dst=0)
-    packet.hops = switch.max_hops  # next hop exceeds the budget
+    packet.hops = MAX_HOPS  # next hop exceeds the budget
     switch.receive(packet, in_port=1)
     engine.run()
     assert metrics.counters.drops["hop_limit"] == 1

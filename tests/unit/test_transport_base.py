@@ -250,19 +250,3 @@ def test_sender_stops_timers_on_completion():
     assert sender.completed
     assert not sender._rto_timer.armed
     assert engine.pending() == 0
-
-
-def test_with_overrides_is_computed_once_per_config_and_overrides():
-    config = TransportConfig(mss=1000)
-    derived = config.with_overrides(ecn_capable=True)
-    assert derived == TransportConfig(mss=1000, ecn_capable=True)
-    assert config.with_overrides(ecn_capable=True) is derived
-    # Keyword order is not part of the key; the values are.
-    both = config.with_overrides(ecn_capable=True, init_cwnd=4.0)
-    assert config.with_overrides(init_cwnd=4.0, ecn_capable=True) is both
-    assert both != derived and both.init_cwnd == 4.0
-    assert config.with_overrides(ecn_capable=False) == config
-    # Another base config is another entry.
-    other = TransportConfig(mss=1200).with_overrides(ecn_capable=True)
-    assert other != derived and other.mss == 1200
-    assert not config.ecn_capable  # the source is frozen, never touched

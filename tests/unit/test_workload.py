@@ -7,8 +7,9 @@ import pytest
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Engine
 from repro.sim.units import SECOND
-from repro.workload.background import BackgroundTraffic, poisson_rate_for_load
+from repro.workload.background import poisson_rate_for_load
 from repro.workload.distributions import cache_follower
+from repro.workload.dutycycle import DutyCycleTraffic
 from repro.workload.incast import IncastApp, qps_for_load
 
 
@@ -18,6 +19,12 @@ class FlowLog:
 
     def __call__(self, src, dst, size, is_incast=False, query_id=None):
         self.flows.append((src, dst, size, is_incast, query_id))
+
+
+def background(engine, log, **kwargs):
+    """Plain Poisson background: the duty-cycle generator, always on."""
+    return DutyCycleTraffic(engine, log, duty=1.0, period_ns=1_000_000,
+                            **kwargs)
 
 
 def test_poisson_rate_formula():
@@ -30,10 +37,9 @@ def test_background_offered_load_close_to_target():
     engine = Engine()
     log = FlowLog()
     sizes = cache_follower().truncated(200_000)
-    traffic = BackgroundTraffic(engine, log, n_hosts=16,
-                                host_rate_bps=10 ** 9, load=0.5,
-                                sizes=sizes, rng=random.Random(1),
-                                until_ns=SECOND)
+    traffic = background(engine, log, n_hosts=16, host_rate_bps=10 ** 9,
+                         load=0.5, sizes=sizes, rng=random.Random(1),
+                         until_ns=SECOND)
     traffic.start()
     engine.run(until=SECOND)
     offered = sum(size for _, _, size, _, _ in log.flows) * 8
@@ -44,11 +50,9 @@ def test_background_offered_load_close_to_target():
 def test_background_src_dst_distinct_and_in_range():
     engine = Engine()
     log = FlowLog()
-    traffic = BackgroundTraffic(engine, log, n_hosts=4,
-                                host_rate_bps=10 ** 9, load=0.3,
-                                sizes=cache_follower(),
-                                rng=random.Random(2),
-                                until_ns=SECOND // 10)
+    traffic = background(engine, log, n_hosts=4, host_rate_bps=10 ** 9,
+                         load=0.3, sizes=cache_follower(),
+                         rng=random.Random(2), until_ns=SECOND // 10)
     traffic.start()
     engine.run(until=SECOND // 10)
     assert log.flows
@@ -60,10 +64,9 @@ def test_background_src_dst_distinct_and_in_range():
 def test_background_zero_load_generates_nothing():
     engine = Engine()
     log = FlowLog()
-    traffic = BackgroundTraffic(engine, log, n_hosts=4,
-                                host_rate_bps=10 ** 9, load=0.0,
-                                sizes=cache_follower(),
-                                rng=random.Random(3), until_ns=SECOND)
+    traffic = background(engine, log, n_hosts=4, host_rate_bps=10 ** 9,
+                         load=0.0, sizes=cache_follower(),
+                         rng=random.Random(3), until_ns=SECOND)
     traffic.start()
     engine.run(until=SECOND)
     assert log.flows == []
@@ -72,11 +75,9 @@ def test_background_zero_load_generates_nothing():
 def test_background_stops_at_horizon():
     engine = Engine()
     log = FlowLog()
-    traffic = BackgroundTraffic(engine, log, n_hosts=4,
-                                host_rate_bps=10 ** 9, load=0.5,
-                                sizes=cache_follower(),
-                                rng=random.Random(4),
-                                until_ns=SECOND // 100)
+    traffic = background(engine, log, n_hosts=4, host_rate_bps=10 ** 9,
+                         load=0.5, sizes=cache_follower(),
+                         rng=random.Random(4), until_ns=SECOND // 100)
     traffic.start()
     engine.run()
     assert engine.now <= SECOND // 100
@@ -85,10 +86,9 @@ def test_background_stops_at_horizon():
 
 def test_background_needs_two_hosts():
     with pytest.raises(ValueError):
-        BackgroundTraffic(Engine(), FlowLog(), n_hosts=1,
-                          host_rate_bps=10 ** 9, load=0.5,
-                          sizes=cache_follower(),
-                          rng=random.Random(0), until_ns=SECOND)
+        background(Engine(), FlowLog(), n_hosts=1, host_rate_bps=10 ** 9,
+                   load=0.5, sizes=cache_follower(),
+                   rng=random.Random(0), until_ns=SECOND)
 
 
 def test_qps_for_load_formula():
