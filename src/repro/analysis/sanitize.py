@@ -21,7 +21,12 @@ or :func:`scoped` — the following invariants are checked continuously:
   switch receives is either enqueued somewhere, dropped with a reason, or
   still resident — nothing vanishes, nothing is duplicated;
 - **release-exactly-once** (:mod:`repro.core.ordering`): the RX ordering
-  shim never releases the same packet object twice.
+  shim never releases the same packet object twice;
+- **whole trace records** (:mod:`repro.trace.tracer`): every sealed
+  chunk of the flat record log, and the detached log, is a run of
+  records each starting with a known kind and ending exactly at the
+  chunk's end — a hook that lays down the wrong number of values is
+  caught at the next seal.
 
 Instrumented modules call :func:`register` at import time and cache the
 returned state in a module global ``_SANITIZE``; toggling re-writes that

@@ -176,7 +176,9 @@ def _trace_config_from_args(args: argparse.Namespace
         if args.sample_us is not None or args.trace_level is not None:
             raise ValueError("--sample-us/--trace-level require --trace")
         return None
-    period = args.sample_us * 1000 if args.sample_us else None
+    # --sample-us 0 reaches TraceConfig as a period of 0, which it
+    # rejects like a negative one: a flag that would do nothing.
+    period = args.sample_us * 1000 if args.sample_us is not None else None
     return TraceConfig(level=args.trace_level or "flow",
                        sample_period_ns=period)
 
@@ -252,8 +254,32 @@ def _export_traces(results, args: argparse.Namespace) -> None:
         return
     from repro.trace.export import write_jsonl
     lines = write_jsonl(traces, args.trace)
-    print(f"trace: wrote {lines} JSONL lines ({len(traces)} run(s)) "
-          f"to {args.trace}", file=sys.stderr)
+    message = (f"trace: wrote {lines} JSONL lines ({len(traces)} run(s)) "
+               f"to {args.trace}")
+    overflowed = [data for data in traces
+                  if data.dropped_events or data.dropped_samples]
+    if overflowed:
+        # A full ring buffer discards its oldest records: say so, and
+        # say what part of each run the file still covers.
+        message += (
+            f" - RING BUFFERS OVERFLOWED, oldest records dropped: "
+            f"{sum(data.dropped_events for data in overflowed)} events and "
+            f"{sum(data.dropped_samples for data in overflowed)} samples ("
+            + "; ".join(_retained_span(data) for data in overflowed)
+            + "); shorten the run or sample less often")
+    print(message, file=sys.stderr)
+
+
+def _retained_span(data) -> str:
+    """``seed=N: events kept A-B ms, samples kept C-D ms`` for one trace."""
+    end_ms = data.meta.get("sim_time_ns", 0) / MILLISECOND
+    kept = []
+    for name, log in (("events", data.events), ("samples", data.samples)):
+        first = next(iter(log), None)
+        if first is not None:
+            kept.append(f"{name} kept {first[1] / MILLISECOND:.3f}-"
+                        f"{end_ms:.3f} ms")
+    return f"seed={data.meta.get('seed')}: " + ", ".join(kept)
 
 
 def _cmd_run(argv: List[str]) -> int:

@@ -182,13 +182,14 @@ class TelemetryMonitor(TelemetryReport, PortTick):
 
     def _on_tick(self, now: int) -> None:
         hottest: Optional[PortSample] = None
-        for name, port, utilization in self._port_utilizations():
+        for (name, index, _port, queue, _lanes), utilization \
+                in zip(self._ports, self._utilizations()):
             sample = PortSample(
-                time_ns=now, switch=name, port=port.index,
-                utilization=utilization, queue_bytes=port.queue.bytes,
+                time_ns=now, switch=name, port=index,
+                utilization=utilization, queue_bytes=queue.bytes,
                 # Dimensionless byte/byte ratio.
-                queue_fraction=port.queue.bytes  # noqa: VR003
-                / port.queue.capacity_bytes)
+                queue_fraction=queue.bytes  # noqa: VR003
+                / queue.capacity_bytes)
             self.samples.append(sample)
             if hottest is None or sample.utilization > hottest.utilization:
                 hottest = sample

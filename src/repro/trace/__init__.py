@@ -3,10 +3,12 @@
 The observability layer for experiment runs:
 
 - :class:`TraceConfig` selects what to record (``level="flow"`` or
-  ``"packet"``, optional sampler period, ring-buffer bounds); pass it
-  via ``ExperimentConfig.trace``.
+  ``"packet"``, optional sampler period, ring bounds); pass it via
+  ``ExperimentConfig.trace``.
 - :class:`Tracer` / :class:`TraceData` are the live sink and the
-  detached, picklable record of one run (``RunResult.trace``).
+  detached, picklable record of one run (``RunResult.trace``); both
+  hold records end to end in the flat chunks of a
+  :class:`~repro.trace.tracer.RecordLog`.
 - :mod:`repro.trace.hooks` is the zero-cost-off hook registry the
   instrumented engine/switch/link/host/transport modules register with.
 - :class:`TraceSampler` records periodic port-queue / link-utilization /

@@ -25,7 +25,16 @@ conversion of that file (``trace-view --chrome``):
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.trace.tracer import EVENT_FIELDS, TRACE_SCHEMA, TraceData
 
@@ -52,25 +61,73 @@ def meta_record(data: TraceData) -> Dict[str, object]:
     return record
 
 
-def record_to_object(record: tuple) -> Dict[str, object]:
-    """One stored event/sample tuple → its JSONL object."""
-    kind = record[0]
-    fields = EVENT_FIELDS[kind]
-    obj: Dict[str, object] = {"ev": kind, "t": record[1]}
-    for name, value in zip(fields, record[2:]):
-        if isinstance(value, tuple):
-            value = list(value)
-        obj[name] = value
-    return obj
+#: Fields whose floats are rounded to six decimals on the way out: the
+#: sampler records ``cwnd`` and the congestion-control detail raw.
+_ROUNDED_FIELDS = ("cwnd", "cc")
+
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+_Writers = Dict[type, Callable[[object], str]]
+
+
+class _JsonStrings(dict):
+    """``json.dumps`` of each distinct string, computed once (a trace
+    repeats a few node names and reasons many thousand times)."""
+
+    def __missing__(self, text: str) -> str:
+        encoded = self[text] = json.dumps(text)
+        return encoded
+
+
+def _writers(strings: _JsonStrings, rounding: bool) -> _Writers:
+    """The JSON text of a recorded value, by its type; with ``rounding``,
+    of its floats rounded to six decimals."""
+    writers: _Writers = {
+        int: str,
+        float: ((lambda value: float.__repr__(round(value, 6)))
+                if rounding else float.__repr__),
+        str: strings.__getitem__,
+        bool: _LITERALS.__getitem__,
+        type(None): _LITERALS.__getitem__,
+    }
+    writers[tuple] = lambda items: "[" + ",".join(
+        [writers[type(item)](item) for item in items]) + "]"
+    return writers
+
+
+def _line_plans() -> Dict[str, Tuple[str, List[Tuple[int, _Writers]]]]:
+    """Per kind: its JSONL line with the keys in sorted order and a
+    ``%s`` for each value, and ``(record position, writers)`` for the
+    values that fill them, in that order."""
+    strings = _JsonStrings()
+    plain, rounding = _writers(strings, False), _writers(strings, True)
+    plans = {}
+    for kind, fields in EVENT_FIELDS.items():
+        names = ("ev", "t") + fields
+        keys = sorted(names)
+        template = ",".join(
+            json.dumps(key) + ":" + (json.dumps(kind) if key == "ev"
+                                     else "%s") for key in keys)
+        plans[kind] = ("{" + template + "}", [
+            (names.index(key), rounding if key in _ROUNDED_FIELDS else plain)
+            for key in keys if key != "ev"])
+    return plans
 
 
 def jsonl_lines(data: TraceData) -> Iterator[str]:
-    """Canonical JSONL lines for one run: meta, events, samples."""
+    """Canonical JSONL lines for one run: meta, events, samples.
+
+    Each record line is, byte for byte, ``json.dumps`` of the record's
+    object with sorted keys and ``(",", ":")`` separators — written
+    through a per-kind template rather than through a dict per line.
+    """
     yield _dumps(meta_record(data))
-    for record in data.events:
-        yield _dumps(record_to_object(record))
-    for record in data.samples:
-        yield _dumps(record_to_object(record))
+    plans = _line_plans()
+    for log in (data.events, data.samples):
+        for record in log:
+            template, plan = plans[record[0]]
+            yield template % tuple([writers[type(record[position])](
+                record[position]) for position, writers in plan])
 
 
 def write_jsonl(traces: Sequence[TraceData], path: str) -> int:
@@ -271,7 +328,8 @@ def summarize_file(path: str) -> str:
             f"  seed={meta.get('seed')} system={meta.get('system')} "
             f"transport={meta.get('transport')} level={meta.get('level')} "
             f"events={meta.get('events')} samples={meta.get('samples')} "
-            f"dropped={meta.get('dropped_events')}")
+            f"dropped_events={meta.get('dropped_events')} "
+            f"dropped_samples={meta.get('dropped_samples')}")
     if t_min is not None:
         span_ms = (t_max - t_min) / 1_000_000
         lines.append(f"time span: {t_min}..{t_max} ns ({span_ms:.3f} ms)")

@@ -1,8 +1,8 @@
 """Periodic time-series samplers for a traced run.
 
 The sampler schedules itself on the simulation engine every
-``TraceConfig.sample_period_ns`` and records, into the tracer's bounded
-ring buffers:
+``TraceConfig.sample_period_ns`` and records, into the tracer's sample
+log:
 
 - **per-port queue state** — occupancy in bytes and packets (for
   Vertigo's ranked queues the packet count *is* the rank-queue
@@ -14,19 +14,19 @@ ring buffers:
   :meth:`~repro.transport.base.FlowSender.cc_state`, for every active
   sender.
 
-Sampling never mutates simulation state: a traced run executes the
-exact same packet schedule as an untraced one (the sampler's own ticks
-are extra calendar entries, which is why the determinism digest covers
-traces only when tracing is enabled).
+Values are recorded raw: the exporter owns the rounding of ``cwnd`` and
+of the ``cc`` detail.  Sampling never mutates simulation state: a traced
+run executes the exact same packet schedule as an untraced one (the
+sampler's own ticks are extra calendar entries, which is why the
+determinism digest covers traces only when tracing is enabled).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.net.builder import Network
-    from repro.net.link import Port
     from repro.sim.engine import Engine, Event
     from repro.trace.tracer import Tracer
 
@@ -35,10 +35,11 @@ class PortTick:
     """A self-rescheduling tick over every switch port of a network.
 
     The one port sampler: it owns the calendar scaffolding (one pending
-    event per consumer, at that consumer's own period) and the per-port
-    ``bytes_sent`` delta -> busy time -> utilization arithmetic.
-    Consumers (:class:`TraceSampler`, the telemetry monitor) subclass
-    it, implement :meth:`_on_tick`, and read :meth:`_port_utilizations`.
+    event per consumer, at that consumer's own period), the table of
+    ports a tick walks, and the per-port ``bytes_sent`` delta -> busy
+    time -> utilization arithmetic.  Consumers (:class:`TraceSampler`,
+    the telemetry monitor) subclass it, implement :meth:`_on_tick`, and
+    pair :attr:`_ports` with :meth:`_utilizations`.
     """
 
     def __init__(self, engine: "Engine", network: "Network",
@@ -48,17 +49,22 @@ class PortTick:
         self.engine = engine
         self.network = network
         self.period_ns = period_ns
-        self._last_bytes: Dict[Tuple[str, int], int] = {}
+        #: One row per switch port, built by :meth:`start`: ``(switch
+        #: name, port index, port, its queue, the queue's lanes or None)``.
+        self._ports: List[tuple] = []
+        #: ``bytes_sent`` of each row's port at the previous tick.
+        self._last_bytes: List[int] = []
         self._pending: Optional["Event"] = None
 
     def start(self) -> None:
         """Begin sampling; reschedules itself until stopped."""
         if self._pending is not None:
             return
-        for switch in self.network.switches.values():
-            for port in switch.ports:
-                self._last_bytes[(switch.name, port.index)] = \
-                    port.bytes_sent
+        self._ports = [(switch.name, port.index, port, port.queue,
+                        getattr(port.queue, "lanes", None))
+                       for switch in self.network.switches.values()
+                       for port in switch.ports]
+        self._last_bytes = [row[2].bytes_sent for row in self._ports]
         self._pending = self.engine.schedule(self.period_ns, self._tick)
 
     def stop(self) -> None:
@@ -78,22 +84,21 @@ class PortTick:
     def _on_tick(self, now: int) -> None:
         raise NotImplementedError
 
-    def _port_utilizations(self) -> Iterator[Tuple[str, "Port", float]]:
-        """``(switch name, port, link utilization over the last period)``
-        for every switch port, advancing the byte baselines."""
-        last_bytes = self._last_bytes
+    def _utilizations(self) -> List[float]:
+        """Link utilization over the last period for each row of
+        :attr:`_ports`, advancing the byte baselines."""
         period = self.period_ns
-        for switch in self.network.switches.values():
-            name = switch.name
-            for port in switch.ports:
-                key = (name, port.index)
-                sent = port.bytes_sent
-                delta = sent - last_bytes[key]
-                last_bytes[key] = sent
-                rate = port.link.rate_bps if port.link is not None else 0
-                busy_ns = (delta * 8 * 1_000_000_000 // rate) if rate else 0
-                # Dimensionless ns/ns ratio at the reporting boundary.
-                yield name, port, min(1.0, busy_ns / period)  # noqa: VR003
+        sent_now = [row[2].bytes_sent for row in self._ports]
+        utilizations = []
+        for row, sent, last in zip(self._ports, sent_now, self._last_bytes):
+            delta = sent - last
+            link = row[2].link
+            rate = link.rate_bps if link is not None else 0
+            busy_ns = (delta * 8 * 1_000_000_000 // rate) if rate else 0
+            # Dimensionless ns/ns ratio at the reporting boundary.
+            utilizations.append(min(1.0, busy_ns / period))  # noqa: VR003
+        self._last_bytes = sent_now
+        return utilizations
 
 
 class TraceSampler(PortTick):
@@ -105,28 +110,42 @@ class TraceSampler(PortTick):
         self.tracer = tracer
 
     def _on_tick(self, now: int) -> None:
-        tracer = self.tracer
-        for name, port, utilization in self._port_utilizations():
-            queue = port.queue
-            tracer.sample_port(now, name, port.index, queue.bytes,
-                               len(queue), utilization)
-            lanes = getattr(queue, "lanes", None)
+        # The tick's records, laid end to end as the tracer's log holds
+        # them (kind, t, then the kind's EVENT_FIELDS).
+        values: list = []
+        lane_records = flow_records = 0
+        # Equal congestion-control details within a tick share one
+        # tuple (most flows of a tick sit in the same state): the log
+        # then retains a handful of containers per tick, not one per flow.
+        shared: Dict[tuple, tuple] = {}
+        for (name, index, _port, queue, lanes), utilization \
+                in zip(self._ports, self._utilizations()):
+            values += ("sample.port", now, name, index, queue.bytes,
+                       len(queue), utilization)
             if lanes is not None:
                 # Priority-class egress: one sample per lane too.
                 for pclass, lane in enumerate(lanes):
-                    tracer.sample_lane(now, name, port.index, pclass,
-                                       lane.bytes, len(lane))
+                    values += ("sample.lane", now, name, index, pclass,
+                               lane.bytes, len(lane))
+                lane_records += len(lanes)
         for host in self.network.hosts:
+            name = host.name
             for flow_id, sender in host.senders.items():
                 if sender.completed or sender.failed:
                     continue
-                tracer.sample_flow(
-                    now, host.name, flow_id, round(sender.cwnd, 6),
-                    sender.srtt_ns, len(sender._segments),
-                    sender.snd_una, sender.cc_state())
+                cc = sender.cc_state()
+                values += ("sample.flow", now, name, flow_id, sender.cwnd,
+                           sender.srtt_ns, len(sender._segments),
+                           sender.snd_una, shared.setdefault(cc, cc))
+                flow_records += 1
+        counts: Dict[str, int] = {"sample.port": len(self._ports),
+                                  "sample.lane": lane_records,
+                                  "sample.flow": flow_records}
         fidelity = self.network.fidelity
         if fidelity is not None:
             analytic_links, packet_links = fidelity.link_mode_counts()
-            tracer.sample_fid(now, analytic_links, packet_links,
-                              fidelity.demotions, fidelity.promotions,
-                              fidelity.analytic_rounds)
+            values += ("sample.fid", now, analytic_links, packet_links,
+                       fidelity.demotions, fidelity.promotions,
+                       fidelity.analytic_rounds)
+            counts["sample.fid"] = 1
+        self.tracer.sample_tick(values, counts)

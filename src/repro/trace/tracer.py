@@ -2,9 +2,10 @@
 
 A :class:`Tracer` receives events from the hook points wired through the
 engine, switch, link, host, ordering, metrics, and transport layers
-(see :mod:`repro.trace.hooks`) and appends them to bounded ring buffers
-as plain tuples — no per-event object allocation beyond the tuple
-itself, following the allocation discipline of the event kernel.
+(see :mod:`repro.trace.hooks`) and lays their values end to end into the
+flat chunks of a :class:`RecordLog` — no per-record container survives
+the hook, so a traced run gives the garbage collector nothing more to
+walk than an untraced one.
 
 Two trace levels exist (:class:`TraceConfig.level`):
 
@@ -21,26 +22,32 @@ whether it executed serially or in a sweep worker process.  Wall-clock
 profiling lives in :mod:`repro.trace.profiler` and is deliberately kept
 out of the deterministic record stream.
 
-Every event tuple starts with ``(kind, t, ...)``; :data:`EVENT_FIELDS`
-names the remaining fields per kind and drives the JSONL export
-(:mod:`repro.trace.export`).
+Every record starts with ``kind, t``; :data:`EVENT_FIELDS` names the
+remaining fields per kind, fixes how many values a record occupies
+(:data:`ARITY`) and drives the JSONL export (:mod:`repro.trace.export`).
+Nothing is formatted at record time: values are stored as the hook
+received them and the exporter owns every rounding.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
+
+from repro.analysis import sanitize as _sanitize
+
+_SANITIZE = _sanitize.register(__name__)
 
 TRACE_SCHEMA = 1
 
 #: Valid trace levels, in increasing verbosity.
 TRACE_LEVELS = ("flow", "packet")
 
-#: Field names per event kind, *after* the leading ``(kind, t)`` pair.
-#: This is the trace schema: the JSONL exporter zips these names with
-#: the tuple tail, and the validator checks them.
+#: Field names per event kind, *after* the leading ``kind, t`` pair.
+#: This is the trace schema: the record log takes each kind's arity from
+#: it, the JSONL exporter its line templates, and the validator checks
+#: files against it.
 EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     # Packet-scope dataplane events (level = "packet").
     "pkt.enqueue": ("node", "port", "flow", "seq", "bytes"),
@@ -91,15 +98,26 @@ EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
 PACKET_KINDS = frozenset(k for k in EVENT_FIELDS
                          if k.startswith(("pkt.", "ord.")))
 
+#: Values one record occupies in a flat chunk: its kind, its time and its
+#: :data:`EVENT_FIELDS`.  A chunk has no other structure, so a hook that
+#: lays down any other number of values corrupts every record after it.
+ARITY: Dict[str, int] = {kind: len(fields) + 2
+                         for kind, fields in EVENT_FIELDS.items()}
+
+#: Records per sealed chunk (a sampler tick is never split, so a sample
+#: chunk may run over by up to one tick).
+CHUNK_RECORDS = 4096
+
 
 @dataclass(frozen=True)
 class TraceConfig:
     """What to record and how much memory the recording may hold.
 
-    ``max_events`` / ``max_samples`` bound the ring buffers: when a
-    buffer is full the *oldest* records are discarded (the counts of
-    everything ever emitted are kept, so exports report the loss).  The
-    discipline is deterministic — same run, same retained window.
+    ``max_events`` / ``max_samples`` bound the two record logs: each
+    retains exactly its newest N records and discards older ones (the
+    counts of everything ever emitted are kept, so exports report the
+    loss).  The discipline is deterministic — same run, same retained
+    window.
     """
 
     level: str = "flow"
@@ -122,6 +140,125 @@ class TraceConfig:
         return self.level == "packet"
 
 
+class RecordLog:
+    """One stream of records, laid end to end in flat chunks.
+
+    A record is ``ARITY[kind]`` consecutive values beginning with its
+    kind; nothing else marks where it ends.  A recorder extends
+    :attr:`open` (``log.open += (kind, t, ...)``), counts the record in
+    :attr:`tally` and off :attr:`room`, and calls :meth:`seal` when
+    ``room`` runs out; sealed chunks are immutable tuples.
+
+    The log is a ring over its newest ``bound`` records: :meth:`seal`
+    lets whole chunks fall off the old end during the run and
+    :meth:`frozen` trims the oldest retained chunk, so a detached log
+    holds exactly the newest ``bound``.  ``len`` and iteration cover the
+    retained records, oldest first, each as the tuple
+    ``(kind, t, *values)``.
+    """
+
+    __slots__ = ("bound", "chunks", "sizes", "open", "room", "tally")
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        #: Sealed chunks, oldest first, and the records each one holds.
+        self.chunks: List[tuple] = []
+        self.sizes: List[int] = []
+        #: The chunk being written, and the records it has room left for.
+        self.open: list = []
+        self.room = CHUNK_RECORDS
+        #: Records ever laid down per kind, discarded ones included.
+        self.tally: Dict[str, int] = dict.fromkeys(EVENT_FIELDS, 0)
+
+    def seal(self) -> None:
+        """Close the open chunk; drop the chunks that now lie wholly
+        outside the newest-``bound`` window."""
+        records = CHUNK_RECORDS - self.room
+        if _SANITIZE:
+            _check_chunk(self.open, records)
+        self.chunks.append(tuple(self.open))
+        self.sizes.append(records)
+        self.open = []
+        self.room = CHUNK_RECORDS
+        self._drop_beyond_bound()
+
+    def _drop_beyond_bound(self) -> int:
+        """Discard whole chunks older than the newest ``bound`` records;
+        returns how many records of the oldest chunk left are too."""
+        sizes = self.sizes
+        excess = sum(sizes) - self.bound
+        while excess > 0 and excess >= sizes[0]:
+            excess -= sizes.pop(0)
+            del self.chunks[0]
+        return max(excess, 0)
+
+    def frozen(self) -> "RecordLog":
+        """A detached copy of exactly the newest ``bound`` records (this
+        log is left as it is; sealed chunks are shared, not copied)."""
+        log = RecordLog(self.bound)
+        log.chunks = self.chunks + [tuple(self.open)]
+        log.sizes = self.sizes + [CHUNK_RECORDS - self.room]
+        log.tally = dict(self.tally)
+        excess = log._drop_beyond_bound()
+        if excess:
+            chunk, offset = log.chunks[0], 0
+            for _ in range(excess):
+                offset += ARITY[chunk[offset]]
+            log.chunks[0] = chunk[offset:]
+            log.sizes[0] -= excess
+        if _SANITIZE:
+            for chunk, records in zip(log.chunks, log.sizes):
+                _check_chunk(chunk, records)
+        return log
+
+    def __len__(self) -> int:
+        return sum(self.sizes) + CHUNK_RECORDS - self.room
+
+    def __iter__(self) -> Iterator[tuple]:
+        arity = ARITY
+        for chunk in (*self.chunks, tuple(self.open)):
+            offset, end = 0, len(chunk)
+            while offset < end:
+                start = offset
+                offset += arity[chunk[start]]
+                yield chunk[start:offset]
+
+    @property
+    def emitted(self) -> int:
+        """Records ever laid down, discarded ones included."""
+        return sum(self.tally.values())
+
+    @property
+    def dropped(self) -> int:
+        return self.emitted - len(self)
+
+    def counts(self) -> Dict[str, int]:
+        """Retained records per kind: the tally, unless the ring has
+        discarded some of what it counted."""
+        if not self.dropped:
+            return {kind: n for kind, n in self.tally.items() if n}
+        counts: Dict[str, int] = {}
+        for record in self:
+            counts[record[0]] = counts.get(record[0], 0) + 1
+        return counts
+
+
+def _check_chunk(chunk, records: int) -> None:
+    """Sanitizer: ``chunk`` is exactly ``records`` whole records."""
+    offset, walked, end = 0, 0, len(chunk)
+    while offset < end:
+        kind = chunk[offset]
+        known = type(kind) is str and kind in ARITY
+        _sanitize.check(known, "trace chunk: %r at offset %d is not a "
+                        "record kind (some hook laid down the wrong "
+                        "number of values before it)", kind, offset)
+        offset += ARITY[kind]
+        walked += 1
+    _sanitize.check(offset == end and walked == records,
+                    "trace chunk: %d records ending at %d, expected %d "
+                    "ending at %d", walked, offset, records, end)
+
+
 @dataclass
 class TraceData:
     """A detached, picklable trace: what a :class:`Tracer` observed.
@@ -132,30 +269,33 @@ class TraceData:
     """
 
     config: TraceConfig
+    #: Retained event and sample records, read-only (``len``, iteration).
+    events: RecordLog
+    samples: RecordLog
     #: Run identity stamped by the runner: seed, system, transport,
     #: sim_time_ns, topology.
     meta: Dict[str, object] = field(default_factory=dict)
-    events: List[tuple] = field(default_factory=list)
-    samples: List[tuple] = field(default_factory=list)
-    emitted_events: int = 0
-    emitted_samples: int = 0
+
+    @property
+    def emitted_events(self) -> int:
+        return self.events.emitted
+
+    @property
+    def emitted_samples(self) -> int:
+        return self.samples.emitted
 
     @property
     def dropped_events(self) -> int:
-        return self.emitted_events - len(self.events)
+        return self.events.dropped
 
     @property
     def dropped_samples(self) -> int:
-        return self.emitted_samples - len(self.samples)
+        return self.samples.dropped
 
     def counts(self) -> Dict[str, int]:
         """Number of retained records per event kind (sorted by kind)."""
-        tally: Dict[str, int] = {}
-        for record in self.events:
-            tally[record[0]] = tally.get(record[0], 0) + 1
-        for record in self.samples:
-            tally[record[0]] = tally.get(record[0], 0) + 1
-        return dict(sorted(tally.items()))
+        return dict(sorted({**self.events.counts(),
+                            **self.samples.counts()}.items()))
 
     def digest(self) -> str:
         """SHA-256 over the canonical JSONL export of this trace."""
@@ -172,169 +312,231 @@ class Tracer:
     """Live event sink bound to one simulation run.
 
     Hook sites guard with ``if _TRACE is not None`` and, for
-    packet-scope events, ``_TRACE.packets``; the record methods then do
-    nothing but append a tuple to a bounded deque.
+    packet-scope events, ``_TRACE.packets``; a record method then lays
+    its values into the open chunk of a :class:`RecordLog`, counts the
+    record, and seals the chunk when it is full — nothing else.
     """
 
-    __slots__ = ("config", "packets", "_events", "_samples",
-                 "emitted_events", "emitted_samples")
+    __slots__ = ("config", "packets", "_events", "_samples")
 
     def __init__(self, config: Optional[TraceConfig] = None) -> None:
         self.config = config or TraceConfig()
         #: Hot-path flag: are packet-scope events recorded?
         self.packets = self.config.packets
-        self._events: Deque[tuple] = deque(maxlen=self.config.max_events)
-        self._samples: Deque[tuple] = deque(maxlen=self.config.max_samples)
-        self.emitted_events = 0
-        self.emitted_samples = 0
+        self._events = RecordLog(self.config.max_events)
+        self._samples = RecordLog(self.config.max_samples)
 
     # -- packet-scope hooks (call sites also check ``.packets``) --------------
 
     def pkt_enqueue(self, t: int, node: str, port: int, packet) -> None:
-        self.emitted_events += 1
-        self._events.append(("pkt.enqueue", t, node, port, packet.flow_id,
-                             packet.seq, packet.wire_bytes))
+        log = self._events
+        log.open += ("pkt.enqueue", t, node, port, packet.flow_id, packet.seq,
+                     packet.wire_bytes)
+        log.tally["pkt.enqueue"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def pkt_dequeue(self, t: int, node: str, port: int, packet) -> None:
-        self.emitted_events += 1
-        self._events.append(("pkt.dequeue", t, node, port, packet.flow_id,
-                             packet.seq, packet.wire_bytes))
+        log = self._events
+        log.open += ("pkt.dequeue", t, node, port, packet.flow_id, packet.seq,
+                     packet.wire_bytes)
+        log.tally["pkt.dequeue"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def pkt_deflect(self, t: int, node: str, from_port: int, to_port: int,
                     packet) -> None:
-        self.emitted_events += 1
-        self._events.append(("pkt.deflect", t, node, from_port, to_port,
-                             packet.flow_id, packet.seq,
-                             packet.deflections))
+        log = self._events
+        log.open += ("pkt.deflect", t, node, from_port, to_port,
+                     packet.flow_id, packet.seq, packet.deflections)
+        log.tally["pkt.deflect"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def pkt_drop(self, t: int, node: str, reason: str, packet) -> None:
-        self.emitted_events += 1
-        self._events.append(("pkt.drop", t, node, reason, packet.flow_id,
-                             packet.seq, packet.wire_bytes))
+        log = self._events
+        log.open += ("pkt.drop", t, node, reason, packet.flow_id, packet.seq,
+                     packet.wire_bytes)
+        log.tally["pkt.drop"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def pkt_ecn(self, t: int, node: str, packet) -> None:
-        self.emitted_events += 1
-        self._events.append(("pkt.ecn", t, node, packet.flow_id,
-                             packet.seq))
+        log = self._events
+        log.open += ("pkt.ecn", t, node, packet.flow_id, packet.seq)
+        log.tally["pkt.ecn"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def pkt_deliver(self, t: int, node: str, packet) -> None:
-        self.emitted_events += 1
-        self._events.append(("pkt.deliver", t, node, packet.flow_id,
-                             packet.seq, packet.wire_bytes, packet.hops,
-                             packet.deflections))
+        log = self._events
+        log.open += ("pkt.deliver", t, node, packet.flow_id, packet.seq,
+                     packet.wire_bytes, packet.hops, packet.deflections)
+        log.tally["pkt.deliver"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def ord_hold(self, t: int, node: str, flow: int, tag: int) -> None:
-        self.emitted_events += 1
-        self._events.append(("ord.hold", t, node, flow, tag))
+        log = self._events
+        log.open += ("ord.hold", t, node, flow, tag)
+        log.tally["ord.hold"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def ord_release(self, t: int, node: str, flow: int, tag: int,
                     why: str) -> None:
-        self.emitted_events += 1
-        self._events.append(("ord.release", t, node, flow, tag, why))
+        log = self._events
+        log.open += ("ord.release", t, node, flow, tag, why)
+        log.tally["ord.release"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     # -- flow-scope hooks ------------------------------------------------------
 
     def flow_start(self, t: int, flow: int, src: int, dst: int, size: int,
                    is_incast: bool, query: Optional[int]) -> None:
-        self.emitted_events += 1
-        self._events.append(("flow.start", t, flow, src, dst, size,
-                             is_incast, query))
+        log = self._events
+        log.open += ("flow.start", t, flow, src, dst, size, is_incast, query)
+        log.tally["flow.start"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def flow_end(self, t: int, flow: int, fct_ns: int) -> None:
-        self.emitted_events += 1
-        self._events.append(("flow.end", t, flow, fct_ns))
+        log = self._events
+        log.open += ("flow.end", t, flow, fct_ns)
+        log.tally["flow.end"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def flow_rtx(self, t: int, flow: int, seq: int, tx_count: int) -> None:
-        self.emitted_events += 1
-        self._events.append(("flow.rtx", t, flow, seq, tx_count))
+        log = self._events
+        log.open += ("flow.rtx", t, flow, seq, tx_count)
+        log.tally["flow.rtx"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def query_start(self, t: int, query: int, client: int,
                     n_flows: int) -> None:
-        self.emitted_events += 1
-        self._events.append(("query.start", t, query, client, n_flows))
+        log = self._events
+        log.open += ("query.start", t, query, client, n_flows)
+        log.tally["query.start"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def query_end(self, t: int, query: int, qct_ns: int) -> None:
-        self.emitted_events += 1
-        self._events.append(("query.end", t, query, qct_ns))
+        log = self._events
+        log.open += ("query.end", t, query, qct_ns)
+        log.tally["query.end"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def coflow_start(self, t: int, coflow: int, pattern: str,
                      n_flows: int, stages: int) -> None:
-        self.emitted_events += 1
-        self._events.append(("coflow.start", t, coflow, pattern, n_flows,
-                             stages))
+        log = self._events
+        log.open += ("coflow.start", t, coflow, pattern, n_flows, stages)
+        log.tally["coflow.start"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def coflow_stage(self, t: int, coflow: int, stage: int,
                      n_flows: int) -> None:
-        self.emitted_events += 1
-        self._events.append(("coflow.stage", t, coflow, stage, n_flows))
+        log = self._events
+        log.open += ("coflow.stage", t, coflow, stage, n_flows)
+        log.tally["coflow.stage"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def coflow_end(self, t: int, coflow: int, cct_ns: int) -> None:
-        self.emitted_events += 1
-        self._events.append(("coflow.end", t, coflow, cct_ns))
+        log = self._events
+        log.open += ("coflow.end", t, coflow, cct_ns)
+        log.tally["coflow.end"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def cc_fastrtx(self, t: int, flow: int) -> None:
-        self.emitted_events += 1
-        self._events.append(("cc.fastrtx", t, flow))
+        log = self._events
+        log.open += ("cc.fastrtx", t, flow)
+        log.tally["cc.fastrtx"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def cc_rto(self, t: int, flow: int, rto_ns: int) -> None:
-        self.emitted_events += 1
-        self._events.append(("cc.rto", t, flow, rto_ns))
+        log = self._events
+        log.open += ("cc.rto", t, flow, rto_ns)
+        log.tally["cc.rto"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def fid_mode(self, t: int, link: str, mode: str, why: str) -> None:
-        self.emitted_events += 1
-        self._events.append(("fid.mode", t, link, mode, why))
+        log = self._events
+        log.open += ("fid.mode", t, link, mode, why)
+        log.tally["fid.mode"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def pfc_pause(self, t: int, node: str, port: int, pclass: int,
                   qbytes: int) -> None:
-        self.emitted_events += 1
-        self._events.append(("pfc.pause", t, node, port, pclass, qbytes))
+        log = self._events
+        log.open += ("pfc.pause", t, node, port, pclass, qbytes)
+        log.tally["pfc.pause"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def pfc_resume(self, t: int, node: str, port: int, pclass: int,
                    qbytes: int) -> None:
-        self.emitted_events += 1
-        self._events.append(("pfc.resume", t, node, port, pclass, qbytes))
+        log = self._events
+        log.open += ("pfc.resume", t, node, port, pclass, qbytes)
+        log.tally["pfc.resume"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
     def engine_span(self, t_end: int, t_start: int, events: int) -> None:
-        self.emitted_events += 1
-        self._events.append(("engine.span", t_end, t_start, events))
+        log = self._events
+        log.open += ("engine.span", t_end, t_start, events)
+        log.tally["engine.span"] += 1
+        log.room -= 1
+        if not log.room:
+            log.seal()
 
-    # -- sampler hooks ---------------------------------------------------------
+    # -- sampler hook ----------------------------------------------------------
 
-    def sample_port(self, t: int, node: str, port: int, qbytes: int,
-                    qpkts: int, util: float) -> None:
-        self.emitted_samples += 1
-        self._samples.append(("sample.port", t, node, port, qbytes, qpkts,
-                              util))
-
-    def sample_lane(self, t: int, node: str, port: int, pclass: int,
-                    qbytes: int, qpkts: int) -> None:
-        self.emitted_samples += 1
-        self._samples.append(("sample.lane", t, node, port, pclass, qbytes,
-                              qpkts))
-
-    def sample_flow(self, t: int, node: str, flow: int, cwnd: float,
-                    srtt_ns: Optional[int], inflight: int, acked: int,
-                    cc: tuple) -> None:
-        self.emitted_samples += 1
-        self._samples.append(("sample.flow", t, node, flow, cwnd, srtt_ns,
-                              inflight, acked, cc))
-
-    def sample_fid(self, t: int, analytic_links: int, packet_links: int,
-                   demotions: int, promotions: int,
-                   analytic_rounds: int) -> None:
-        self.emitted_samples += 1
-        self._samples.append(("sample.fid", t, analytic_links, packet_links,
-                              demotions, promotions, analytic_rounds))
+    def sample_tick(self, values: list, counts: Dict[str, int]) -> None:
+        """One sampler tick: ``values`` is whole ``sample.*`` records
+        laid end to end, ``counts`` how many of each kind."""
+        log = self._samples
+        log.open += values
+        for kind, count in counts.items():
+            log.tally[kind] += count
+            log.room -= count
+        if log.room <= 0:
+            log.seal()
 
     # -- teardown --------------------------------------------------------------
 
     def detach(self, meta: Optional[Dict[str, object]] = None) -> TraceData:
-        """Freeze the observations into a picklable :class:`TraceData`."""
-        return TraceData(
-            config=self.config,
-            meta=dict(meta or {}),
-            events=list(self._events),
-            samples=list(self._samples),
-            emitted_events=self.emitted_events,
-            emitted_samples=self.emitted_samples,
-        )
+        """The observations so far as a picklable :class:`TraceData`."""
+        return TraceData(config=self.config,
+                         events=self._events.frozen(),
+                         samples=self._samples.frozen(),
+                         meta=dict(meta or {}))

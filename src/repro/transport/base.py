@@ -178,7 +178,10 @@ class FlowSender:
         """JSON-safe per-transport detail for the flow sampler.
 
         Subclasses return a flat tuple of their distinguishing state
-        (e.g. DCTCP's alpha); the base sender has none.
+        (e.g. DCTCP's alpha) as it stands — the trace exporter rounds
+        floats to six decimals — with one type per position, so that
+        equal tuples export alike (the sampler lets the flows of a tick
+        share them); the base sender has none.
         """
         return ()
 

@@ -60,7 +60,7 @@ class DctcpSender(RenoSender):
         self._window_end = self.snd_nxt
 
     def cc_state(self) -> tuple:
-        return ("dctcp", round(self.alpha, 6))
+        return ("dctcp", self.alpha)
 
 
 def marking_threshold_bytes(mss: int,

@@ -34,6 +34,6 @@ class RenoSender(FlowSender):
         self.cwnd = 1.0
 
     def cc_state(self) -> tuple:
-        ssthresh = None if self.ssthresh == float("inf") \
-            else round(self.ssthresh, 6)
-        return ("reno", ssthresh)
+        # An unset ssthresh is infinite, which JSON cannot carry.
+        return ("reno", None if self.ssthresh == float("inf")
+                else self.ssthresh)

@@ -99,3 +99,40 @@ def rewrite_checkpoint_header(path, **changes) -> None:
             header[key] = value
     with open(path, "wb") as fh:
         fh.write(json.dumps(header).encode() + b"\n" + payload)
+
+
+def trace_fingerprint(result, n_lines: int = 24) -> Dict[str, object]:
+    """What a pinned-trace test stores about one traced run: the trace
+    digest, the report's trace section, and every k-th line of the JSONL
+    export (so a mismatch can be localised without the parent tree)."""
+    from repro.trace import jsonl_lines
+
+    lines = list(jsonl_lines(result.trace))
+    stride = max(1, len(lines) // n_lines)
+    return {"digest": result.trace.digest(),
+            "section": result.report().to_dict()["trace"],
+            "lines": {str(i): lines[i]
+                      for i in range(0, len(lines), stride)}}
+
+
+def explain_trace_mismatch(result, pinned: Dict[str, object]) -> str:
+    """Where a traced run departs from its pin: the first stored JSONL
+    line that differs, else the first differing kind count."""
+    from repro.trace import jsonl_lines
+
+    lines = list(jsonl_lines(result.trace))
+    for index, expected in sorted((int(i), line)
+                                  for i, line in pinned["lines"].items()):
+        got = lines[index] if index < len(lines) else "<no such line>"
+        if got != expected:
+            return (f"JSONL line {index} differs:\n  pinned {expected}\n"
+                    f"  got    {got}")
+    section = result.report().to_dict()["trace"]
+    want, have = pinned["section"]["counts"], section["counts"]
+    for kind in sorted(set(want) | set(have)):
+        if want.get(kind) != have.get(kind):
+            return (f"{kind}: {have.get(kind)} records, pinned "
+                    f"{want.get(kind)}")
+    return (f"no stored line or kind count differs: digest "
+            f"{result.trace.digest()} (pinned {pinned['digest']}), "
+            f"section {section} (pinned {pinned['section']})")

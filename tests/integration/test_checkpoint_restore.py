@@ -28,15 +28,18 @@ import types
 import pytest
 
 from repro.checkpoint import (CheckpointConfig, CheckpointError,
-                              read_progress, store)
+                              RunPreempted, read_progress, store)
 from repro.experiments import run_experiment, run_many, runner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import config_digest, run_digest
 from repro.runtime.supervisor import _run_portable
 from repro.runtime import SupervisorPolicy, run_supervised
 from repro.faults import parse_faults
+from repro.net.fidelity import FidelityConfig
 from repro.sim.units import MILLISECOND
-from repro.trace import TraceConfig
+from repro.trace import TraceConfig, jsonl_lines
+from repro.trace import hooks as trace_hooks
+from repro.trace import tracer as tracer_mod
 from tests.helpers import rewrite_checkpoint_header
 
 FAST_BACKOFF = {"backoff_base_s": 0.02, "backoff_cap_s": 0.1}
@@ -204,7 +207,10 @@ def test_pickled_world_keeps_every_attribute_of_every_object(fidelity):
     config.trace = TraceConfig(level="flow", sample_period_ns=MILLISECOND)
     config.faults = parse_faults(["link:leaf0-spine1:down@1ms,up@8ms"])
     world = runner._build_world(config)
-    world.engine.run(until=config.sim_time_ns // 2)
+    # Under the hooks, so that the pickled tracer holds records.
+    with trace_hooks.activated(world.tracer):
+        world.engine.run(until=config.sim_time_ns // 2)
+    assert world.tracer._events.open and world.tracer._samples.open
     before = _repro_objects(world)
     after = _repro_objects(pickle.loads(
         pickle.dumps(world, pickle.HIGHEST_PROTOCOL)))
@@ -212,11 +218,64 @@ def test_pickled_world_keeps_every_attribute_of_every_object(fidelity):
     expected = {"LiveRun", "Engine", "Event", "Link", "Port", "Switch",
                 "Host", "DctcpSender", "FlowReceiver", "RngRegistry",
                 "FaultInjector", "TelemetryMonitor", "TraceSampler",
-                "Tracer", "MetricsCollector"}
+                "Tracer", "RecordLog", "MetricsCollector"}
     if fidelity == "hybrid":
         expected.add("FidelityController")
     assert expected <= {kind for kind, _ in before}
     assert after == before
+
+
+# -- a traced run resumes its trace ---------------------------------------------
+
+
+def _jsonl(result):
+    return "\n".join(jsonl_lines(result.trace))
+
+
+@pytest.mark.filterwarnings("ignore:fidelity demotion cascade")
+@pytest.mark.parametrize("fidelity", ["packet", "hybrid"])
+def test_restored_traced_run_exports_the_uninterrupted_bytes(
+        tmp_path, monkeypatch, fidelity):
+    """The tracer and its log ride in the checkpoint: sealed chunks, the
+    partial open chunk and the tallies all come back, and the resumed
+    run's JSONL is the uninterrupted checkpointed run's, byte for byte."""
+    # Small chunks, so that 4 ms of records seals several of them.
+    monkeypatch.setattr(tracer_mod, "CHUNK_RECORDS", 256)
+
+    def traced(directory):
+        config = ExperimentConfig.bench_profile(
+            system="vertigo", transport="dctcp", bg_load=0.5,
+            incast_load=0.25, sim_time_ns=10 * MILLISECOND, seed=7)
+        if fidelity == "hybrid":
+            # Demotes early: fid.mode, sample.fid and packet events.
+            config.fidelity = FidelityConfig(mode="hybrid", demote_shares=2)
+        config.trace = TraceConfig(level="packet",
+                                   sample_period_ns=MILLISECOND // 2)
+        return _checkpointed(config, directory, every_ms=4)
+
+    reference = run_experiment(traced(tmp_path / "uninterrupted"))
+    assert reference.checkpoint["checkpoints_written"] == 2
+    assert reference.trace.counts()["engine.span"] == 3
+
+    # Preempted at the first epoch boundary: checkpoint, then stop.
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "preemption_requested", lambda: True)
+        with pytest.raises(RunPreempted):
+            run_experiment(traced(tmp_path))
+
+    config = traced(tmp_path)
+    _header, world, _used = store.load_latest(
+        _managed_path(config), expect_config=config_digest(config))
+    assert world.engine.now == 4 * MILLISECOND
+    events = world.tracer._events
+    assert events.chunks and events.open      # sealed chunks + a partial
+    assert world.tracer._samples.chunks
+
+    resumed = run_experiment(config)
+    assert resumed.checkpoint["restored_from_ns"] == 4 * MILLISECOND
+    assert _jsonl(resumed) == _jsonl(reference)
+    assert resumed.report().to_dict()["trace"] \
+        == reference.report().to_dict()["trace"]
 
 
 # -- SIGKILL then restore, pooled supervisor -----------------------------------

@@ -15,6 +15,8 @@ from repro.core.scheduler import RankQueue
 from repro.net.queues import DropTailQueue, RankedQueue
 from repro.net.switch import MAX_HOPS
 from repro.sim.engine import Engine
+from repro.trace import TraceConfig, Tracer
+from repro.trace import tracer as tracer_mod
 from tests.helpers import make_switch, mk_data
 
 
@@ -242,3 +244,39 @@ def test_ordering_unsanitized_has_no_wrapper():
     with sanitize.scoped(False):
         ordering = OrderingComponent(engine, delivered.append)
     assert ordering.deliver == delivered.append
+
+
+# -- trace log: whole records, chunk by chunk -----------------------------------
+
+
+def test_trace_log_clean_recording_passes(sanitized, monkeypatch):
+    monkeypatch.setattr(tracer_mod, "CHUNK_RECORDS", 4)
+    tracer = Tracer(TraceConfig(max_events=6))
+    for i in range(11):                       # seals two chunks, trims
+        tracer.flow_end(i, flow=i, fct_ns=i)
+    assert [record[1] for record in tracer.detach().events] \
+        == [5, 6, 7, 8, 9, 10]
+
+
+def test_trace_log_detects_tampered_sealed_chunk(sanitized, monkeypatch):
+    """One value too many (what a hook with a wrong arity lays down)
+    shifts every later record start off a kind: caught when the chunk
+    is sealed."""
+    monkeypatch.setattr(tracer_mod, "CHUNK_RECORDS", 4)
+    tracer = Tracer(TraceConfig())
+    tracer.flow_end(1, flow=1, fct_ns=1)
+    tracer._events.open.append(99)
+    tracer.flow_end(2, flow=2, fct_ns=2)
+    tracer.flow_end(3, flow=3, fct_ns=3)
+    with pytest.raises(SanitizerError, match="99 at offset 4 is not a "
+                                             "record kind"):
+        tracer.flow_end(4, flow=4, fct_ns=4)
+
+
+def test_trace_log_detects_short_record_at_detach(sanitized):
+    tracer = Tracer(TraceConfig())
+    tracer.flow_end(1, flow=1, fct_ns=1)
+    del tracer._events.open[-1]
+    with pytest.raises(SanitizerError, match="1 records ending at 4, "
+                                             "expected 1 ending at 3"):
+        tracer.detach()

@@ -109,6 +109,7 @@ def test_sanitized_run_with_a_fault_scenario(capsys):
     ["run", *TINY, "--pfc-headroom", "3000"],
     ["run", *TINY, "--pfc-classes", "2", "--pfc-headroom", "3000"],
     ["run", *TINY, "--demote-shares", "8"],
+    ["run", *TINY, "--trace", "t.jsonl", "--sample-us", "0"],
 ])
 def test_flags_that_would_do_nothing_are_usage_errors(argv, capsys):
     assert main(argv) == 2
@@ -131,6 +132,55 @@ def test_trace_flags_write_valid_jsonl(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "1 run(s)" in out
     assert "records by kind" in out
+
+
+def test_ring_overflow_is_loud_on_run_and_in_trace_view(tmp_path, capsys):
+    """A 1 us sampler fills the default 200,000-sample ring inside 3 ms:
+    the run says what it discarded and what the file still covers, and
+    trace-view repeats both drop counts."""
+    jsonl = str(tmp_path / "t.jsonl")
+    assert main(["run", *TINY[:-1], "3", "--trace", jsonl,
+                 "--sample-us", "1"]) == 0
+    [line] = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("trace: wrote")]
+    import json
+    records = [json.loads(text) for text in open(jsonl)]
+    dropped = records[0]["dropped_samples"]
+    assert dropped > 50_000 and records[0]["dropped_events"] == 0
+    first_sample_ns = next(record["t"] for record in records
+                           if record["ev"].startswith("sample."))
+    assert "RING BUFFERS OVERFLOWED" in line
+    assert f"dropped: 0 events and {dropped} samples" in line
+    assert f"samples kept {first_sample_ns / 1e6:.3f}-3.000 ms" in line
+
+    assert main(["trace-view", jsonl]) == 0
+    assert f"samples=200000 dropped_events=0 dropped_samples={dropped}" \
+        in capsys.readouterr().out
+
+
+def test_trace_line_stays_quiet_without_overflow_and_sums_over_runs(
+        tmp_path, capsys):
+    from argparse import Namespace
+    from types import SimpleNamespace
+
+    from repro.cli import _export_traces
+    from repro.trace import TraceConfig, Tracer
+
+    def traced(seed, max_events):
+        tracer = Tracer(TraceConfig(max_events=max_events))
+        for t in range(5):
+            tracer.flow_end(t * 1_000_000, flow=t, fct_ns=1)
+        return SimpleNamespace(trace=tracer.detach(
+            meta={"seed": seed, "sim_time_ns": 5_000_000}))
+
+    args = Namespace(trace=str(tmp_path / "t.jsonl"))
+    _export_traces([traced(1, 10), traced(2, 10)], args)
+    assert capsys.readouterr().err == \
+        f"trace: wrote 12 JSONL lines (2 run(s)) to {args.trace}\n"
+    _export_traces([traced(1, 2), traced(2, 10), traced(3, 4)], args)
+    err = capsys.readouterr().err
+    assert "dropped: 4 events and 0 samples (seed=1: events kept " \
+           "3.000-5.000 ms; seed=3: events kept 1.000-5.000 ms)" in err
 
 
 def test_trace_view_flags_invalid_file(tmp_path, capsys):

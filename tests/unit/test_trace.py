@@ -1,7 +1,15 @@
-"""repro.trace core: hook registry, tracer, ring buffers, levels."""
+"""repro.trace core: hook registry, tracer, record log, ring, levels."""
+
+import collections
 
 import pytest
 
+from repro import ExperimentConfig
+from repro.analysis import sanitize
+from repro.experiments import runner
+from repro.net.fidelity import FidelityConfig
+from repro.net.pfc import PfcConfig
+from repro.sim.units import MILLISECOND
 from repro.trace import (
     EVENT_FIELDS,
     PACKET_KINDS,
@@ -9,6 +17,7 @@ from repro.trace import (
     Tracer,
 )
 from repro.trace import hooks
+from repro.trace.tracer import ARITY, CHUNK_RECORDS
 
 
 @pytest.fixture(autouse=True)
@@ -72,13 +81,19 @@ def test_event_ring_buffer_bounds_memory():
     assert [record[2] for record in data.events] == list(range(15, 25))
 
 
+def port_sample(t, qbytes=0):
+    """One ``sample.port`` record, laid out as the sampler lays it."""
+    return ["sample.port", t, "leaf0", 0, qbytes, 1, 0.5]
+
+
 def test_sample_ring_buffer_bounds_memory():
     tracer = Tracer(TraceConfig(max_samples=4))
     for i in range(9):
-        tracer.sample_port(i, "leaf0", 0, qbytes=i, qpkts=1, util=0.5)
+        tracer.sample_tick(port_sample(i, qbytes=i), {"sample.port": 1})
     data = tracer.detach(meta={})
     assert len(data.samples) == 4
     assert data.dropped_samples == 5
+    assert [record[4] for record in data.samples] == [5, 6, 7, 8]
 
 
 def test_detach_carries_meta_and_counts():
@@ -92,27 +107,214 @@ def test_detach_carries_meta_and_counts():
     assert len(data.digest()) == 64
 
 
+def test_detach_leaves_the_tracer_recording():
+    tracer = Tracer(TraceConfig())
+    tracer.flow_end(1, flow=1, fct_ns=1)
+    first = tracer.detach()
+    tracer.flow_end(2, flow=2, fct_ns=2)
+    assert list(first.events) == [("flow.end", 1, 1, 1)]
+    assert list(tracer.detach().events) == [("flow.end", 1, 1, 1),
+                                            ("flow.end", 2, 2, 2)]
+
+
+# -- the arity table ---------------------------------------------------------
+#
+# The log's only structure is ARITY (values per record, from
+# EVENT_FIELDS): a hook that lays down one value too many corrupts every
+# record after it.  Every public hook is called once here.
+
+
+class Pkt:
+    flow_id = 3
+    seq = 7
+    wire_bytes = 1500
+    deflections = 2
+    hops = 4
+
+
+#: hook name -> (the kind it emits, the arguments after ``t``).
+EVENT_HOOKS = {
+    "pkt_enqueue": ("pkt.enqueue", ("leaf0", 0, Pkt)),
+    "pkt_dequeue": ("pkt.dequeue", ("leaf0", 0, Pkt)),
+    "pkt_deflect": ("pkt.deflect", ("leaf0", 0, 1, Pkt)),
+    "pkt_drop": ("pkt.drop", ("leaf0", "queue_overflow", Pkt)),
+    "pkt_ecn": ("pkt.ecn", ("leaf0", Pkt)),
+    "pkt_deliver": ("pkt.deliver", ("h1", Pkt)),
+    "ord_hold": ("ord.hold", ("h1", 3, 9)),
+    "ord_release": ("ord.release", ("h1", 3, 9, "drain")),
+    "flow_start": ("flow.start", (3, 0, 1, 3000, False, None)),
+    "flow_end": ("flow.end", (3, 89)),
+    "flow_rtx": ("flow.rtx", (3, 7, 2)),
+    "query_start": ("query.start", (1, 0, 12)),
+    "query_end": ("query.end", (1, 500)),
+    "coflow_start": ("coflow.start", (1, "shuffle", 16, 2)),
+    "coflow_stage": ("coflow.stage", (1, 0, 16)),
+    "coflow_end": ("coflow.end", (1, 900)),
+    "cc_fastrtx": ("cc.fastrtx", (3,)),
+    "cc_rto": ("cc.rto", (3, 10_000_000)),
+    "fid_mode": ("fid.mode", ("leaf0->h1", "packet", "shares")),
+    "pfc_pause": ("pfc.pause", ("leaf0", 1, 0, 9000)),
+    "pfc_resume": ("pfc.resume", ("leaf0", 1, 0, 3000)),
+    "engine_span": ("engine.span", (0, 1234)),
+}
+
+
 def test_schema_field_tuples_match_recorders():
-    """Every recorded tuple must line up with its EVENT_FIELDS row."""
-    tracer = Tracer(TraceConfig(level="packet"))
+    """Every public hook is in the table, lays down exactly its kind's
+    arity, and every kind of the schema has a recorder."""
+    hooks_defined = {name for name, member in vars(Tracer).items()
+                     if callable(member) and not name.startswith("_")
+                     and name not in ("detach", "sample_tick")}
+    assert hooks_defined == set(EVENT_HOOKS)
+    event_kinds = {kind for kind, _ in EVENT_HOOKS.values()}
+    assert len(event_kinds) == len(EVENT_HOOKS)
+    # The remaining kinds are the sampler's (see the tick test below).
+    assert set(EVENT_FIELDS) - event_kinds == {
+        "sample.port", "sample.lane", "sample.flow", "sample.fid"}
+    for hook, (kind, args) in EVENT_HOOKS.items():
+        tracer = Tracer(TraceConfig(level="packet"))
+        getattr(tracer, hook)(11, *args)
+        laid = tracer._events.open
+        assert laid[:2] == [kind, 11], hook
+        assert len(laid) == len(EVENT_FIELDS[kind]) + 2 == ARITY[kind], hook
+        data = tracer.detach()
+        assert list(data.events) == [tuple(laid)], hook
+        assert data.counts() == {kind: 1}, hook
 
-    class Pkt:
-        flow_id = 3
-        seq = 7
-        wire_bytes = 1500
-        deflections = 2
-        hops = 4
 
-    pkt = Pkt()
-    tracer.pkt_enqueue(1, "leaf0", 0, pkt)
-    tracer.pkt_dequeue(2, "leaf0", 0, pkt)
-    tracer.pkt_deflect(3, "leaf0", 0, 1, pkt)
-    tracer.pkt_drop(4, "leaf0", "queue_overflow", pkt)
-    tracer.pkt_ecn(5, "leaf0", pkt)
-    tracer.pkt_deliver(6, "h1", pkt)
-    tracer.ord_hold(7, "h1", flow=3, tag=9)
-    tracer.ord_release(8, "h1", flow=3, tag=9, why="drain")
-    data = tracer.detach(meta={})
-    for record in data.events:
-        kind = record[0]
-        assert len(record) == 2 + len(EVENT_FIELDS[kind]), kind
+def test_sampler_tick_lays_down_whole_records_of_all_four_sample_kinds():
+    """One tick over a PFC + hybrid world emits sample.port / .lane /
+    .flow / .fid; the sanitizer's chunk walk (every record start a known
+    kind, the last record ending at the chunk's end, as many records as
+    the sampler reported) holds their arity."""
+    config = ExperimentConfig.bench_profile(
+        system="ecmp", transport="dcqcn", bg_load=0.5, incast_load=0.25,
+        sim_time_ns=MILLISECOND, seed=1)
+    config.pfc = PfcConfig(enabled=True, num_classes=2, priority_map=(0, 1))
+    config.fidelity = FidelityConfig(mode="hybrid")
+    config.trace = TraceConfig(level="flow", sample_period_ns=MILLISECOND)
+    with sanitize.scoped(True):
+        world = runner._build_world(config)
+        world.engine.run(until=MILLISECOND // 2)
+        world.sampler._on_tick(world.engine.now)
+        data = world.tracer.detach()
+    kinds = data.counts()
+    assert set(kinds) == {"sample.port", "sample.lane", "sample.flow",
+                          "sample.fid"}
+    assert kinds["sample.lane"] == 2 * kinds["sample.port"]
+    for record in data.samples:
+        assert len(record) == len(EVENT_FIELDS[record[0]]) + 2
+
+
+# -- ring semantics across chunk boundaries ----------------------------------
+
+
+def record_mixed(tracer, n):
+    """``n`` event records of three different arities."""
+    for i in range(n):
+        if i % 3 == 0:
+            tracer.cc_fastrtx(i, flow=i)
+        elif i % 3 == 1:
+            tracer.flow_end(i, flow=i, fct_ns=2 * i)
+        else:
+            tracer.pfc_pause(i, "leaf0", 1, 0, qbytes=i)
+
+
+@pytest.mark.parametrize("bound", [
+    CHUNK_RECORDS // 2,               # smaller than one chunk
+    CHUNK_RECORDS,                    # exactly one chunk
+    CHUNK_RECORDS * 5 // 2,           # two and a half chunks
+])
+@pytest.mark.parametrize("extra", [0, 1, CHUNK_RECORDS + 7])
+def test_event_ring_retains_exactly_the_newest_records(bound, extra):
+    total = bound + extra
+    unbounded = Tracer(TraceConfig())
+    bounded = Tracer(TraceConfig(max_events=bound))
+    record_mixed(unbounded, total)
+    record_mixed(bounded, total)
+    everything = list(unbounded.detach().events)
+    data = bounded.detach()
+    assert len(everything) == total
+    assert list(data.events) == everything[-bound:]
+    assert len(data.events) == bound
+    assert data.emitted_events == total
+    assert data.dropped_events == extra
+    walked = collections.Counter(record[0] for record in data.events)
+    assert data.counts() == dict(sorted(walked.items()))
+    # Whole chunks fell off during the run (at each seal): the live log
+    # holds less than the bound plus two chunks.
+    assert len(bounded._events) < bound + 2 * CHUNK_RECORDS
+
+
+def test_sample_ring_retains_exactly_the_newest_records():
+    bound = CHUNK_RECORDS + CHUNK_RECORDS // 2
+    per_tick, ticks = 7, 3 * CHUNK_RECORDS // 7
+    unbounded = Tracer(TraceConfig())
+    bounded = Tracer(TraceConfig(max_samples=bound))
+    for tracer in (unbounded, bounded):
+        for t in range(ticks):
+            values = []
+            for i in range(per_tick):
+                values += port_sample(t, qbytes=i)
+            tracer.sample_tick(values, {"sample.port": per_tick})
+    everything = list(unbounded.detach().samples)
+    data = bounded.detach()
+    assert list(data.samples) == everything[-bound:]
+    assert data.emitted_samples == ticks * per_tick
+    assert data.dropped_samples == ticks * per_tick - bound
+    assert data.counts() == {"sample.port": bound}
+
+
+# -- what a record costs -----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def packet_traced_world():
+    """A 10 ms packet-traced, 100 us-sampled bench run, kept live."""
+    config = ExperimentConfig.bench_profile(
+        system="vertigo", transport="dctcp", bg_load=0.5, incast_load=0.25,
+        sim_time_ns=10 * MILLISECOND, seed=1)
+    config.trace = TraceConfig(level="packet", sample_period_ns=100_000)
+    world = runner._build_world(config)
+    with hooks.activated(world.tracer):
+        world.engine.run(until=config.sim_time_ns)
+    return world
+
+
+def test_no_per_record_container_survives_the_run(packet_traced_world):
+    data = packet_traced_world.tracer.detach()
+    records = len(data.events) + len(data.samples)
+    assert records > 40_000
+    chunks = data.events.chunks + data.samples.chunks
+    # The recorder's own containers: the chunks and their two indexes.
+    assert len(chunks) + 4 <= records / 1000
+    for chunk in data.events.chunks:
+        assert type(chunk) is tuple
+        assert all(type(value) in (int, str, bool, type(None))
+                   for value in chunk)
+    # Samples nest only the congestion-control detail, and equal details
+    # within a tick are one shared tuple.
+    nested = [value for chunk in data.samples.chunks for value in chunk
+              if type(value) not in (int, str, float, type(None))]
+    assert {type(value) for value in nested} == {tuple}
+    flow_samples = data.counts()["sample.flow"]
+    assert len(nested) == flow_samples
+    assert len({id(value) for value in nested}) < flow_samples / 5
+
+
+def test_sampler_tick_formats_nothing(packet_traced_world, monkeypatch):
+    import builtins
+
+    calls = []
+    real_round = builtins.round
+
+    def counting_round(*args):
+        calls.append(args)
+        return real_round(*args)
+
+    monkeypatch.setattr(builtins, "round", counting_round)
+    sampler = packet_traced_world.sampler
+    before = packet_traced_world.tracer.detach().emitted_samples
+    sampler._on_tick(packet_traced_world.engine.now)
+    assert packet_traced_world.tracer.detach().emitted_samples > before
+    assert calls == []

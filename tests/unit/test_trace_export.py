@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.trace import (
+    EVENT_FIELDS,
     TraceConfig,
     Tracer,
     convert_jsonl_to_chrome,
@@ -16,25 +17,26 @@ from repro.trace import (
 )
 
 
+class Pkt:
+    flow_id = 1
+    seq = 0
+    wire_bytes = 1500
+    deflections = 1
+    hops = 3
+
+
 def make_trace(seed=1):
     tracer = Tracer(TraceConfig(level="packet"))
-
-    class Pkt:
-        flow_id = seed
-        seq = 0
-        wire_bytes = 1500
-        deflections = 1
-        hops = 3
-
     tracer.flow_start(10, flow=seed, src="h0", dst="h1", size=3000,
                       is_incast=False, query=None)
     tracer.pkt_enqueue(20, "leaf0", 0, Pkt())
     tracer.pkt_deflect(25, "leaf0", 0, 1, Pkt())
     tracer.pkt_drop(30, "leaf0", "queue_overflow", Pkt())
     tracer.flow_end(99, flow=seed, fct_ns=89)
-    tracer.sample_port(50, "leaf0", 0, qbytes=4500, qpkts=3, util=0.75)
-    tracer.sample_flow(50, "h0", flow=seed, cwnd=4.5, srtt_ns=8000,
-                       inflight=2, acked=1, cc=("dctcp", 0.1))
+    tracer.sample_tick(
+        ["sample.port", 50, "leaf0", 0, 4500, 3, 0.75,
+         "sample.flow", 50, "h0", seed, 4.5, 8000, 2, 1, ("dctcp", 0.1)],
+        {"sample.port": 1, "sample.flow": 1})
     return tracer.detach(meta={"seed": seed, "system": "vertigo",
                                "transport": "dctcp"})
 
@@ -54,6 +56,50 @@ def test_jsonl_lines_are_canonical_json():
     for line in jsonl_lines(make_trace()):
         assert line == json.dumps(json.loads(line), sort_keys=True,
                                   separators=(",", ":"))
+
+
+def reference_line(record):
+    """The dict-per-line exporter the templates replaced: field names
+    zipped with the values, ``cwnd`` and the ``cc`` floats rounded to six
+    decimals, ``json.dumps`` with sorted keys."""
+    def rounded(value):
+        return round(value, 6) if isinstance(value, float) else value
+
+    obj = {"ev": record[0], "t": record[1]}
+    for name, value in zip(EVENT_FIELDS[record[0]], record[2:]):
+        if name == "cwnd":
+            value = rounded(value)
+        elif name == "cc":
+            value = [rounded(item) for item in value]
+        obj[name] = value
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def test_template_lines_match_the_reference_exporter_on_awkward_values():
+    tracer = Tracer(TraceConfig(level="packet"))
+    tracer.flow_start(1, flow=2 ** 70, src=0, dst=31, size=1, is_incast=True,
+                      query=7)
+    tracer.flow_start(2, flow=-1, src="h\u00e9", dst='q"uo\\te', size=0,
+                      is_incast=False, query=None)
+    tracer.pkt_drop(3, "leaf0\n", "100% \u2028 %s", Pkt())
+    tracer.coflow_start(4, coflow=1, pattern="", n_flows=0, stages=1)
+    tracer.sample_tick(
+        # util is exported as recorded; cwnd and the cc floats rounded.
+        ["sample.port", 5, "s", 0, 0, 0, 0.123456789012,
+         "sample.flow", 5, "h0", 1, 10, None, 0, 0, (),
+         "sample.flow", 5, "h0", 2, 2.00000049, 8000, 2, 1,
+         ("reno", None),
+         "sample.flow", 5, "h0", 3, 3.3e-6, 1, 2, 3,
+         ("dcqcn", 160_000_000, 0.1234567, 1e22),
+         "sample.fid", 5, 1, 2, 3, 4, 5],
+        {"sample.port": 1, "sample.flow": 3, "sample.fid": 1})
+    data = tracer.detach()
+    lines = list(jsonl_lines(data))[1:]
+    records = list(data.events) + list(data.samples)
+    assert lines == [reference_line(record) for record in records]
+    assert '"util":0.123456789012' in lines[4]
+    assert '"cwnd":2.0,' in lines[6] and '"cwnd":3e-06,' in lines[7]
+    assert '"cc":["dcqcn",160000000,0.123457,1e+22]' in lines[7]
 
 
 def test_jsonl_export_validates_clean(tmp_path):
