@@ -6,16 +6,18 @@ packet-level Python, which needs tens of minutes per simulated second
 at this scale.  The hybrid fidelity engine (:mod:`repro.net.fidelity`)
 makes the configuration tractable: links stay analytic while quiet and
 demote to packet fidelity only where congestion signals appear, so the
-run below covers >= 1 s of simulated time in about a CI-minute of wall
-clock while still resolving tens of thousands of flows and hundreds of
-incast queries.
+run below covers 1 s of simulated time in about 9 s of wall clock and
+130 MiB of peak RSS (measured: 9.2 s, 128 MiB, 0.83 KiB of RSS per flow
+on the 2-vCPU reference box; ``bench_results/paper_scale.txt``) while
+resolving ~157,000 flows and ~1,900 incast queries.
 
 This is the feasibility gate for paper-scale reproduction work: if it
-regresses (wall time explodes or analytic residency collapses), the
-hybrid engine no longer carries the full-scale runs the ROADMAP needs.
+regresses (wall time or memory explodes, or analytic residency
+collapses), the hybrid engine no longer carries the full-scale runs.
 """
 
 import dataclasses
+import resource
 import time
 
 from common import emit, once
@@ -29,10 +31,10 @@ from repro.sim.units import SECOND
 #: workload at the paper's scale, and the ISSUE's feasibility floor.
 SIM_TIME_NS = 1 * SECOND
 
-COLUMNS = ["system", "transport", "sim_s", "wall_s", "events",
-           "flows_recorded", "queries_recorded", "query_completion_pct",
-           "mean_qct_s", "analytic_residency_permille", "demotions",
-           "promotions"]
+COLUMNS = ["system", "transport", "sim_s", "wall_s", "peak_rss_mb",
+           "rss_kb_per_flow", "events", "flows_recorded", "queries_recorded",
+           "query_completion_pct", "mean_qct_s",
+           "analytic_residency_permille", "demotions", "promotions"]
 
 
 #: The bench profile's (and the paper's) incast fan-in.
@@ -66,6 +68,9 @@ def test_paper_scale_hybrid_second(benchmark):
         return result, time.perf_counter() - start
 
     result, wall = once(benchmark, run)
+    # This process's high-water mark (KiB on Linux), as the ledger reads
+    # it: the interpreter and pytest included, nearly all of it the run.
+    peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     fidelity = result.fidelity
     report = result.report()
     row = {
@@ -73,6 +78,8 @@ def test_paper_scale_hybrid_second(benchmark):
         "transport": result.config.transport_name,
         "sim_s": result.config.sim_time_ns / SECOND,  # noqa: VR003
         "wall_s": round(wall, 1),
+        "peak_rss_mb": round(peak_rss_kb / 1024, 1),
+        "rss_kb_per_flow": round(peak_rss_kb / len(result.metrics.flows), 2),
         "events": result.engine.events_executed,
         "flows_recorded": len(result.metrics.flows),
         "queries_recorded": len(result.metrics.queries),

@@ -56,7 +56,8 @@ def main() -> None:
                              is_incast=True)
         network.hosts[0].open_receiver(flow_id, server, size)
         sender = network.hosts[server].open_sender(
-            flow_id, 0, size, on_complete=lambda f=flow_id: done.append(f))
+            flow_id, 0, size,
+            on_complete=lambda sender: done.append(sender.flow_id))
         sender.start()
 
     engine.run(until=100 * MILLISECOND)

@@ -156,7 +156,8 @@ INDEX = [
      "All evaluation runs use the full 320-server leaf-spine (10/40 "
      "Gbps, 300 KB buffers) for multiple simulated seconds.",
      "With --fidelity hybrid the full paper geometry covers one "
-     "simulated second in ~21 s of wall clock (1-CPU container): ~157k "
+     "simulated second in ~9 s of wall clock and ~130 MiB of peak RSS "
+     "(2-vCPU reference box; 0.83 KiB per flow): ~157k "
      "flows and ~1.9k degree-12 incast queries at 100% completion, "
      "1000 permille analytic residency. Accuracy contract (p50 25% / "
      "p99 40% vs packet) validated at bench scale and 80 servers; see "

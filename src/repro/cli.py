@@ -423,6 +423,10 @@ def _cmd_sweep(argv: List[str]) -> int:
                   if manifest["resumed"] else "")
                + f" in {report.wall_s:.1f}s")
     print(summary, file=sys.stderr)
+    if manifest["stale_payloads"]:
+        print(f"sweep: {manifest['stale_payloads']} journaled results could "
+              f"not be read under this code and were re-run",
+              file=sys.stderr)
     for failure in manifest["failures"]:
         reached = ""
         if failure.get("last_sim_ns") is not None:

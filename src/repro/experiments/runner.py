@@ -9,8 +9,7 @@ from __future__ import annotations
 import itertools
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from functools import partial
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.analysis import sanitize as _sanitize
 from repro.checkpoint import (
@@ -139,10 +138,12 @@ class FlowKernel:
     """Opens flows: the glue between workload generators and host stacks.
 
     A picklable replacement for the historical ``open_flow`` closure —
-    generators hold a bound :meth:`open_flow`, and completion callbacks
-    are partials of bound methods, so the whole callback web rides in a
-    checkpoint.  Flow ids are per-kernel, keeping same-process runs
-    bit-identical for a given seed.
+    generators hold a bound :meth:`open_flow`, and every flow's
+    endpoints share the kernel's two completion callbacks (bound
+    methods made once, called with the endpoint), so nothing is built
+    per flow and the whole callback web rides in a checkpoint.  Flow
+    ids are per-kernel, keeping same-process runs bit-identical for a
+    given seed.
     """
 
     def __init__(self, engine: Engine, metrics: MetricsCollector,
@@ -152,6 +153,12 @@ class FlowKernel:
         self.network = network
         self.fidelity = fidelity
         self._flow_ids = itertools.count(1)
+        # Bound once: every endpoint of every flow holds these two.
+        self._on_rx_done = self._rx_done
+        self._on_tx_done = self._tx_done
+        #: flow id -> generator barrier callback (coflow stages), for
+        #: the flows that have one; popped when the flow completes.
+        self._barriers: Dict[int, Callable[[int], None]] = {}
 
     def open_flow(self, src: int, dst: int, size: int,
                   is_incast: bool = False, query_id: Optional[int] = None,
@@ -160,29 +167,30 @@ class FlowKernel:
         self.metrics.flow_started(flow_id, src, dst, size, self.engine.now,
                                   is_incast=is_incast, query_id=query_id,
                                   coflow_id=coflow_id)
-        src_host = self.network.hosts[src]
-        dst_host = self.network.hosts[dst]
-        dst_host.open_receiver(
-            flow_id, src, size,
-            on_complete=partial(self._rx_done, flow_id, dst, on_done))
-        sender = src_host.open_sender(
-            flow_id, dst, size,
-            on_complete=partial(self._tx_done, flow_id, src))
+        if on_done is not None:
+            self._barriers[flow_id] = on_done
+        hosts = self.network.hosts
+        hosts[dst].open_receiver(flow_id, src, size,
+                                 on_complete=self._on_rx_done)
+        sender = hosts[src].open_sender(flow_id, dst, size,
+                                        on_complete=self._on_tx_done)
         if self.fidelity is not None:
             self.fidelity.adopt(sender)
         sender.start()
 
-    def _rx_done(self, flow_id: int, dst: int, on_done) -> None:
-        dst_host = self.network.hosts[dst]
-        if dst_host.ordering is not None:
-            dst_host.ordering.flow_done(flow_id)
+    def _rx_done(self, receiver) -> None:
+        flow_id = receiver.flow_id
+        ordering = receiver.host.ordering
+        if ordering is not None:
+            ordering.flow_done(flow_id)
         # Generator barrier callback (coflow stages); fires after
         # metrics.flow_completed has recorded the flow.
+        on_done = self._barriers.pop(flow_id, None)
         if on_done is not None:
             on_done(flow_id)
 
-    def _tx_done(self, flow_id: int, src: int) -> None:
-        self.network.hosts[src].sender_done(flow_id)
+    def _tx_done(self, sender) -> None:
+        sender.host.sender_done(sender.flow_id)
 
 
 class LiveRun:

@@ -94,9 +94,10 @@ class Host:
     # -- TX path ---------------------------------------------------------------------
 
     def open_sender(self, flow_id: int, dst: int, size: int,
-                    on_complete: Optional[Callable[[], None]] = None
+                    on_complete: Optional[Callable[[FlowSender], None]] = None
                     ) -> FlowSender:
-        """Create (but do not start) the sending endpoint of a flow."""
+        """Create (but do not start) the sending endpoint of a flow;
+        ``on_complete`` is called with the sender once it finishes."""
         sender = self.stack.transport_cls(
             self.engine, self, flow_id, dst, size, self.stack.transport,
             self.metrics, on_complete=on_complete)
@@ -179,9 +180,10 @@ class Host:
     # -- RX path -----------------------------------------------------------------------
 
     def open_receiver(self, flow_id: int, peer: int, size: int,
-                      on_complete: Optional[Callable[[], None]] = None
-                      ) -> FlowReceiver:
-        """Create the receiving endpoint of a flow destined to this host."""
+                      on_complete: Optional[Callable[[FlowReceiver], None]]
+                      = None) -> FlowReceiver:
+        """Create the receiving endpoint of a flow destined to this host;
+        ``on_complete`` is called with the receiver once it finishes."""
         receiver = self.receivers.get(flow_id)
         if receiver is None:
             receiver = FlowReceiver(self.engine, self, flow_id, peer, size,

@@ -142,24 +142,33 @@ class _LinkState:
         self.last_epoch_bytes = 0
 
 
+_Hops = Tuple[Tuple["Link", _LinkState], ...]
+
+
 class _FlowPath:
-    """The resolved directed-link path of one adopted flow."""
+    """The resolved path of one adopted flow."""
 
-    __slots__ = ("path", "generation", "round_path")
+    __slots__ = ("hops", "generation", "round_path", "receiver")
 
-    def __init__(self, path: Tuple["Link", ...], generation: int) -> None:
-        self.path = path
+    def __init__(self, hops: _Hops, generation: int, receiver) -> None:
+        #: ``((link, _LinkState), ...)`` from the source NIC to the
+        #: destination: each link's controller state is resolved when
+        #: the path is, not per hop per round.
+        self.hops = hops
         self.generation = generation
-        #: The path claimed by the round in flight (released when the
-        #: round completes), or None.  Kept separately from ``path`` so
+        #: The hops claimed by the round in flight (released when the
+        #: round completes), or None.  Kept separately from ``hops`` so
         #: a mid-round topology refresh cannot unbalance the counters.
-        self.round_path: Optional[Tuple["Link", ...]] = None
+        self.round_path: Optional[_Hops] = None
+        #: The flow's receiving endpoint as found at adoption (None for
+        #: a sender adopted without one).
+        self.receiver = receiver
 
 
 #: A link whose share count reaches this multiple of ``demote_shares``
 #: is in demotion-cascade territory: fan-in far beyond the documented
-#: envelope (see ROADMAP item 1 / benchmarks/test_paper_scale.py), where
-#: hybrid mode silently degrades toward all-packet fidelity.
+#: envelope (DESIGN.md "Hybrid fidelity" / benchmarks/test_paper_scale.py),
+#: where hybrid mode silently degrades toward all-packet fidelity.
 CASCADE_ENVELOPE_FACTOR = 5
 
 
@@ -228,29 +237,34 @@ class FidelityController:
 
     def adopt(self, sender) -> None:
         """Register a starting flow: resolve its path and claim shares."""
-        path = self._resolve_path(sender.host.host_id, sender.dst,
-                                  sender.flow_id)
-        if path is None:
+        hops = self._resolve_hops(sender)
+        if hops is None:
             return
-        self._flows[sender.flow_id] = _FlowPath(path, self._generation)
-        for link in path:
-            state = self._state[link]
+        receiver = self.network.hosts[sender.dst].receivers.get(
+            sender.flow_id)
+        self._flows[sender.flow_id] = _FlowPath(hops, self._generation,
+                                                receiver)
+        self._claim_shares(hops)
+        sender.fidelity = self
+
+    def _claim_shares(self, hops: _Hops) -> None:
+        demote_shares = self.config.demote_shares
+        for link, state in hops:
             state.shares += 1
-            if state.shares >= self.config.demote_shares:
+            if state.shares >= demote_shares:
                 self._demote(link, "shares")
                 self._check_cascade(link, state)
-        sender.fidelity = self
 
     def flow_stopped(self, sender) -> None:
         """Release the flow's shares (idempotent)."""
         flow = self._flows.pop(sender.flow_id, None)
         if flow is None:
             return
-        for link in flow.path:
-            self._state[link].shares -= 1
+        for _link, state in flow.hops:
+            state.shares -= 1
         if flow.round_path is not None:
-            for link in flow.round_path:
-                self._state[link].active -= 1
+            for _link, state in flow.round_path:
+                state.active -= 1
             flow.round_path = None
 
     def flow_analytic(self, sender) -> bool:
@@ -261,34 +275,35 @@ class FidelityController:
         if flow.generation != self._generation:
             if not self._refresh_path(sender, flow):
                 return False
-        state = self._state
-        for link in flow.path:
-            if not state[link].analytic:
+        for _link, state in flow.hops:
+            if not state.analytic:
                 return False
         return True
 
     def _refresh_path(self, sender, flow: _FlowPath) -> bool:
         """Re-resolve a path invalidated by a topology change."""
-        path = self._resolve_path(sender.host.host_id, sender.dst,
-                                  sender.flow_id)
-        if path is None:
+        hops = self._resolve_hops(sender)
+        if hops is None:
             # No surviving route: the flow falls back to packets (where
             # the dataplane turns it into no_route drops and an abort).
             self.flow_stopped(sender)
             sender.fidelity = None
             return False
-        if path != flow.path:
-            for link in flow.path:
-                self._state[link].shares -= 1
-            for link in path:
-                state = self._state[link]
-                state.shares += 1
-                if state.shares >= self.config.demote_shares:
-                    self._demote(link, "shares")
-                    self._check_cascade(link, state)
-            flow.path = path
+        if hops != flow.hops:
+            for _link, state in flow.hops:
+                state.shares -= 1
+            self._claim_shares(hops)
+            flow.hops = hops
         flow.generation = self._generation
         return True
+
+    def _resolve_hops(self, sender) -> Optional[_Hops]:
+        path = self._resolve_path(sender.host.host_id, sender.dst,
+                                  sender.flow_id)
+        if path is None:
+            return None
+        state = self._state
+        return tuple([(link, state[link]) for link in path])
 
     def _resolve_path(self, src: int, dst: int,
                       flow_id: int) -> Optional[Tuple["Link", ...]]:
@@ -344,28 +359,30 @@ class FidelityController:
         by ~one RTT per window.
         """
         flow = self._flows[sender.flow_id]
-        state = self._state
+        hops = flow.hops
         rtt_ns = 0
         bottleneck_bps = 0
         standing = self.standing_queue_bytes
-        for link in flow.path:
-            link_state = state[link]
-            link_state.active += 1
+        # Wire bits of the first packet plus its ACK, times ns per s:
+        # the same numerator on every hop.
+        echo_bits_e9 = (first_wire_bytes + ACK_WIRE_BYTES) * 8 * 1_000_000_000
+        for link, link_state in hops:
+            active = link_state.active + 1
+            link_state.active = active
             rate = link.rate_bps
-            rtt_ns += 2 * link.delay_ns
-            rtt_ns += ((first_wire_bytes + ACK_WIRE_BYTES)
-                       * 8 * 1_000_000_000) // rate
+            rtt_ns += 2 * link.delay_ns + echo_bits_e9 // rate
             queue_bytes = link_state.port.queue.bytes
-            if link_state.active > 1:
+            if active > 1:
                 # DCTCP-style control holds a contended queue near the
                 # marking threshold; charge that standing occupancy on
                 # hops where rounds actually overlap.
                 queue_bytes += standing
-            rtt_ns += (queue_bytes * 8 * 1_000_000_000) // rate
-            share_bps = rate // link_state.active
+            if queue_bytes:
+                rtt_ns += (queue_bytes * 8 * 1_000_000_000) // rate
+            share_bps = rate // active
             if bottleneck_bps == 0 or share_bps < bottleneck_bps:
                 bottleneck_bps = share_bps
-        flow.round_path = flow.path
+        flow.round_path = hops
         if bottleneck_bps < 1:
             bottleneck_bps = 1
         rest = round_wire_bytes - first_wire_bytes
@@ -383,19 +400,17 @@ class FidelityController:
         flow = self._flows.get(sender.flow_id)
         if flow is None or flow.round_path is None:
             return
-        state = self._state
-        for link in flow.round_path:
-            state[link].active -= 1
+        for _link, state in flow.round_path:
+            state.active -= 1
         flow.round_path = None
 
-    def deliver_analytic(self, flow_id: int, dst: int, end: int) -> None:
+    def deliver_analytic(self, sender, end: int) -> None:
         """Advance the receiving endpoint past analytically-sent bytes."""
-        receiver = self.network.hosts[dst].receivers.get(flow_id)
-        if receiver is None:
+        receiver = self._flows[sender.flow_id].receiver
+        if receiver is None or receiver.completed:
             return
-        was_completed = receiver.completed
         receiver.on_analytic_bytes(end)
-        if receiver.completed and not was_completed:
+        if receiver.completed:
             self.analytic_flows += 1
 
     # -- demotion triggers (dataplane hooks) ----------------------------------
@@ -471,7 +486,7 @@ class FidelityController:
                 f"({envelope}); hybrid mode is degrading to packet "
                 f"fidelity on the incast neighbourhood — raise "
                 f"demote_shares or accept packet fidelity for this point "
-                f"(ROADMAP item 1)",
+                f"(DESIGN.md, \"Hybrid fidelity\")",
                 RuntimeWarning, stacklevel=2)
 
     # -- mode transitions -----------------------------------------------------

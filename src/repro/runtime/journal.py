@@ -22,8 +22,10 @@ File format — one JSON object per line:
 Matching is by config digest, not by index, so a resumed sweep may
 reorder, extend, or subset the original point list and still reuse every
 completed point that is still part of it.  Payloads are verified against
-their recorded run digest on load; an entry that fails verification (or
-a line truncated by the crash itself) is ignored and the point re-runs.
+their recorded run digest on load; an entry that fails verification is
+ignored and the point re-runs — counted in ``stale_payloads``, so a
+journal written by older code is redone loudly rather than silently —
+and a line truncated by the crash itself is skipped.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ class SweepJournal:
         #: Lines that could not be parsed on load (e.g. a write truncated
         #: by the crash being recovered from); they are skipped, not fatal.
         self.skipped_lines = 0
+        #: ``ok`` entries asked for whose payload could not be decoded,
+        #: or no longer hashes to its recorded run digest, under this
+        #: code (a journal from before a layout change): each re-runs.
+        self.stale_payloads = 0
 
     # -- constructors ----------------------------------------------------------
 
@@ -167,7 +173,8 @@ class SweepJournal:
 
         Only ``ok`` entries count as completed; the decoded payload is
         re-hashed and must match the recorded run digest, so a corrupt
-        or stale payload silently falls back to re-running the point.
+        or stale payload falls back to re-running the point and is
+        counted in :attr:`stale_payloads`.
         """
         entry = self.entries.get(digest)
         if not entry or entry.get("status") != "ok":
@@ -177,11 +184,12 @@ class SweepJournal:
             return None
         try:
             result = decode_result(payload)
-        except Exception:  # corrupt payload: re-run the point
-            return None
-        if run_digest(result) != entry.get("run_digest"):
-            return None
-        return result
+            if run_digest(result) == entry.get("run_digest"):
+                return result
+        except Exception:  # corrupt or stale payload: re-run the point
+            pass
+        self.stale_payloads += 1
+        return None
 
     def close(self) -> None:
         if not self._handle.closed:

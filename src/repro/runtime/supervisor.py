@@ -149,6 +149,9 @@ class SweepReport:
     profile: Dict[str, float] = field(default_factory=dict)
     #: Journal file these outcomes were appended to, or None.
     journal_path: Optional[str] = None
+    #: Journaled ``ok`` results that could not be read back under this
+    #: code on resume; their points were re-run.
+    stale_payloads: int = 0
 
     @property
     def ok(self) -> bool:
@@ -171,6 +174,7 @@ class SweepReport:
             "points": len(self.outcomes),
             "ok": counts.get("ok", 0),
             "resumed": sum(1 for o in self.outcomes if o.resumed),
+            "stale_payloads": self.stale_payloads,
             "interrupted": self.interrupted,
             "counts": counts,
             "stalls": [outcome.index for outcome in self.outcomes
@@ -426,7 +430,9 @@ class SweepSupervisor:
             wall_s=round(wall_s, 6),
             profile=profiler.report(),
             journal_path=self._journal.path
-            if self._journal is not None else None)
+            if self._journal is not None else None,
+            stale_payloads=self._journal.stale_payloads
+            if self._journal is not None else 0)
 
     # -- bookkeeping -----------------------------------------------------------
 

@@ -16,6 +16,8 @@ from repro.sim.engine import Engine, Event
 class Timer:
     """A one-shot timer that can be (re)started, stopped, and queried."""
 
+    __slots__ = ("_engine", "_callback", "_args", "_event")
+
     def __init__(self, engine: Engine, callback: Callable[..., Any],
                  *args: Any) -> None:
         self._engine = engine

@@ -77,16 +77,36 @@ class TransportConfig:
     dcqcn_timer_ns: int = 0          # DCQCN rate-increase period
 
 
-@dataclass
 class _Segment:
-    seq: int
-    payload: int
-    last_tx_ns: int
-    tx_count: int = 1
+    """One outstanding (sent, not yet cumulatively acknowledged) segment."""
+
+    __slots__ = ("seq", "payload", "last_tx_ns", "tx_count")
+
+    def __init__(self, seq: int, payload: int, last_tx_ns: int,
+                 tx_count: int = 1) -> None:
+        self.seq = seq
+        self.payload = payload
+        self.last_tx_ns = last_tx_ns
+        self.tx_count = tx_count
 
 
 class FlowSender:
-    """Window-based reliable sender for a single one-way flow."""
+    """Window-based reliable sender for a single one-way flow.
+
+    Slotted, like every per-flow class: a subclass declares the slots of
+    its own attributes (one that forgets grows a ``__dict__`` back), and
+    per-transport constants stay class attributes.  ``on_complete`` is
+    called with the sender itself, so every flow can share one callback.
+    """
+
+    __slots__ = ("engine", "host", "flow_id", "dst", "size", "config",
+                 "metrics", "on_complete", "snd_una", "snd_nxt", "cwnd",
+                 "ssthresh", "dupacks", "in_recovery", "recover_point",
+                 "completed", "failed", "_rto_streak", "srtt_ns",
+                 "rttvar_ns", "rto_ns", "backoff", "_segments",
+                 "_last_tx_ns", "_rto_timer", "_pace_timer", "_nic_blocked",
+                 "_rtx_parked", "fidelity", "_analytic_round",
+                 "_analytic_pipelined")
 
     #: Floor of the congestion window in packets (Swift's is sub-packet).
     min_cwnd = 1.0
@@ -97,7 +117,8 @@ class FlowSender:
     def __init__(self, engine: Engine, host, flow_id: int, dst: int,
                  size: int, config: TransportConfig,
                  metrics: MetricsCollector,
-                 on_complete: Optional[Callable[[], None]] = None) -> None:
+                 on_complete: Optional[Callable[["FlowSender"], None]] = None
+                 ) -> None:
         if size <= 0:
             raise ValueError("flow size must be positive")
         self.engine = engine
@@ -127,8 +148,12 @@ class FlowSender:
 
         self._segments: Dict[int, _Segment] = {}
         self._last_tx_ns = -(10 ** 18)
-        self._rto_timer = Timer(engine, self._on_rto)
-        self._pace_timer = Timer(engine, self._maybe_send)
+        #: Built on first arm.  A flow that only ever runs analytic
+        #: rounds transmits nothing and needs neither; holding no bound
+        #: method of itself, it is freed the moment it is done instead
+        #: of waiting for the cycle collector.
+        self._rto_timer: Optional[Timer] = None
+        self._pace_timer: Optional[Timer] = None
         #: Lossless-edge hook (repro.host): bound ``Host.nic_blocked``,
         #: or None for host doubles without an edge model.
         self._nic_blocked = getattr(host, "nic_blocked", None)
@@ -152,8 +177,10 @@ class FlowSender:
         self._maybe_send()
 
     def stop(self) -> None:
-        self._rto_timer.stop()
-        self._pace_timer.stop()
+        if self._rto_timer is not None:
+            self._rto_timer.stop()
+        if self._pace_timer is not None:
+            self._pace_timer.stop()
         if self.fidelity is not None:
             self.fidelity.flow_stopped(self)
             self.fidelity = None
@@ -211,6 +238,9 @@ class FlowSender:
             if gap > 0:
                 wait = self._last_tx_ns + gap - self.engine.now
                 if wait > 0:
+                    if self._pace_timer is None:
+                        self._pace_timer = Timer(self.engine,
+                                                 self._maybe_send)
                     self._pace_timer.start(wait)
                     return
             payload = min(self.config.mss, self.size - self.snd_nxt)
@@ -244,8 +274,11 @@ class FlowSender:
             if _TRACE is not None:
                 _TRACE.flow_rtx(now, self.flow_id, seq, tx_count)
         self.host.send_packet(packet)
-        if not self._rto_timer.armed:
-            self._rto_timer.start(self.rto_ns)
+        timer = self._rto_timer
+        if timer is None:
+            timer = self._rto_timer = Timer(self.engine, self._on_rto)
+        if not timer.armed:
+            timer.start(self.rto_ns)
 
     def nic_unblocked(self) -> None:
         """Edge backpressure released: the host NIC drained (repro.host)."""
@@ -293,7 +326,8 @@ class FlowSender:
         self.snd_nxt = end
         self._last_tx_ns = self.engine.now
         self._analytic_round = end
-        self._rto_timer.stop()
+        if self._rto_timer is not None:
+            self._rto_timer.stop()
         self.engine.schedule_fast(round_ns, self._finish_analytic_round,
                                   end, rtt_ns)
 
@@ -318,12 +352,12 @@ class FlowSender:
         self._clamp_cwnd()
         fidelity = self.fidelity
         if fidelity is not None:
-            fidelity.deliver_analytic(self.flow_id, self.dst, end)
+            fidelity.deliver_analytic(self, end)
         if self.snd_una >= self.size:
             self.completed = True
             self.stop()
             if self.on_complete is not None:
-                self.on_complete()
+                self.on_complete(self)
             return
         self._maybe_send()
 
@@ -381,11 +415,11 @@ class FlowSender:
             self.completed = True
             self.stop()
             if self.on_complete is not None:
-                self.on_complete()
+                self.on_complete(self)
             return
         if self._segments:
             self._rto_timer.start(self.rto_ns)
-        else:
+        elif self._rto_timer is not None:
             self._rto_timer.stop()
 
     def _on_dupack(self) -> None:
@@ -436,11 +470,24 @@ class FlowSender:
 
 
 class FlowReceiver:
-    """Cumulative-ACK receiver; completion fires when every byte arrived."""
+    """Cumulative-ACK receiver; completion fires when every byte arrived.
+
+    ``on_complete`` is called once, with the receiver itself.  The host
+    keeps a finished receiver (straggler duplicates are still counted
+    and acknowledged), so it holds only what it can still use: the ACK
+    timer exists only under delayed ACKs, the out-of-order buffer from
+    the first gap until completion, the callback until it fires.
+    """
+
+    __slots__ = ("engine", "host", "flow_id", "peer", "size", "metrics",
+                 "on_complete", "config", "rcv_nxt", "completed",
+                 "_max_seq_seen", "_ooo", "_held_segments", "_held_ece",
+                 "_held_ts_echo", "_ack_timer", "acks_sent")
 
     def __init__(self, engine: Engine, host, flow_id: int, peer: int,
                  size: int, metrics: MetricsCollector,
-                 on_complete: Optional[Callable[[], None]] = None,
+                 on_complete: Optional[Callable[["FlowReceiver"], None]]
+                 = None,
                  config: Optional[TransportConfig] = None) -> None:
         self.engine = engine
         self.host = host
@@ -453,12 +500,15 @@ class FlowReceiver:
         self.rcv_nxt = 0
         self.completed = False
         self._max_seq_seen = -1
-        self._ooo: Dict[int, int] = {}  # seq -> end_seq of buffered segments
+        #: seq -> end_seq of buffered segments; None while (and once)
+        #: nothing can be out of order.
+        self._ooo: Optional[Dict[int, int]] = None
         # Delayed-ACK state.
         self._held_segments = 0
         self._held_ece = False
         self._held_ts_echo = -1
-        self._ack_timer = Timer(engine, self._flush_ack)
+        self._ack_timer = Timer(engine, self._flush_ack) \
+            if self.config.delayed_ack else None
         self.acks_sent = 0
 
     def on_data(self, packet: Packet) -> None:
@@ -475,6 +525,8 @@ class FlowReceiver:
         if end > self.rcv_nxt:
             ooo = self._ooo
             if seq > self.rcv_nxt:
+                if ooo is None:
+                    ooo = self._ooo = {}
                 ooo[seq] = max(ooo.get(seq, 0), end)
             else:
                 self.rcv_nxt = end
@@ -498,10 +550,7 @@ class FlowReceiver:
         done = self.rcv_nxt >= self.size
         self._ack_policy(packet, in_order=in_order, done=done)
         if done and not self.completed:
-            self.completed = True
-            self.metrics.flow_completed(self.flow_id, self.engine.now)
-            if self.on_complete is not None:
-                self.on_complete()
+            self._complete()
 
     def on_analytic_bytes(self, end: int) -> None:
         """Advance past bytes delivered by an analytic round (no ACK:
@@ -514,10 +563,19 @@ class FlowReceiver:
         if record is not None and record.end_ns is None:
             record.bytes_delivered = min(self.rcv_nxt, self.size)
         if self.rcv_nxt >= self.size:
-            self.completed = True
-            self.metrics.flow_completed(self.flow_id, self.engine.now)
-            if self.on_complete is not None:
-                self.on_complete()
+            self._complete()
+
+    def _complete(self) -> None:
+        """Every byte arrived: record it, fire the callback once, and
+        let go of both it and the out-of-order buffer (past ``size`` no
+        segment can be out of order)."""
+        self.completed = True
+        self._ooo = None
+        self.metrics.flow_completed(self.flow_id, self.engine.now)
+        on_complete = self.on_complete
+        if on_complete is not None:
+            self.on_complete = None
+            on_complete(self)
 
     def _ack_policy(self, data: Packet, *, in_order: bool,
                     done: bool) -> None:
@@ -548,7 +606,8 @@ class FlowReceiver:
             self._ack_timer.start(DELAYED_ACK_TIMEOUT_NS)
 
     def _flush_ack(self) -> None:
-        if self._held_segments == 0 and self.config.delayed_ack:
+        """Acknowledge the held run (delayed ACKs only)."""
+        if self._held_segments == 0:
             return
         self._emit_ack(ece=self._held_ece, ts_echo=self._held_ts_echo)
         self._held_segments = 0

@@ -40,6 +40,10 @@ ALPHA_UNIT = 1 << 20
 class DcqcnSender(FlowSender):
     """Rate-based ECN-proportional congestion control."""
 
+    __slots__ = ("rate_bps", "target_rate_bps", "alpha_fp", "_timer_ns",
+                 "_rate_ai_bps", "_rate_hai_bps", "_stage", "_window_acked",
+                 "_window_marked", "_window_end", "_rate_timer")
+
     ecn_capable = True
     #: Floor of the sending rate.
     MIN_RATE_BPS = 1_000_000

@@ -25,6 +25,8 @@ ALPHA_GAIN = 1.0 / 16.0
 class DctcpSender(RenoSender):
     """ECN-fraction proportional congestion control."""
 
+    __slots__ = ("alpha", "_window_acked", "_window_marked", "_window_end")
+
     ecn_capable = True
 
     def __init__(self, engine: Engine, host, flow_id: int, dst: int,

@@ -15,6 +15,8 @@ from repro.transport.base import FlowSender
 class RenoSender(FlowSender):
     """Classic loss-based AIMD."""
 
+    __slots__ = ()
+
     MIN_SSTHRESH = 2.0
 
     def on_new_ack_cc(self, acked_bytes: int, rtt_ns: Optional[int],

@@ -28,6 +28,9 @@ from repro.transport.base import FlowSender, TransportConfig
 class SwiftSender(FlowSender):
     """Target-delay AIMD with sub-packet windows and pacing."""
 
+    __slots__ = ("_consecutive_rtos", "target_delay_ns",
+                 "_last_decrease_ns")
+
     min_cwnd = 0.01
     #: Additive increase per RTT, in packets.
     AI = 1.0

@@ -169,3 +169,60 @@ def test_fidelity_sweep_hybrid_matches_packet_within_tolerance(instance):
                 f"{attr} p{point}: packet {packet_q} vs hybrid "
                 f"{hybrid_q} ({100 * error:.1f}% > "
                 f"{100 * tolerances[point]:.0f}% tolerance)")
+
+
+# -- metamorphic: a hybrid run that never goes analytic is packet mode --------
+
+def _flow_tuples(result):
+    return [(f.flow_id, f.src, f.dst, f.size, f.start_ns, f.end_ns,
+             f.bytes_delivered, f.is_incast, f.query_id, f.retransmissions)
+            for f in sorted(result.metrics.flows.values(),
+                            key=lambda f: f.flow_id)]
+
+
+def _query_tuples(result):
+    return [(q.query_id, q.client, q.start_ns, q.n_flows, q.flows_done,
+             q.end_ns)
+            for q in sorted(result.metrics.queries.values(),
+                            key=lambda q: q.query_id)]
+
+
+@pytest.mark.filterwarnings("ignore:fidelity demotion cascade")
+@pytest.mark.parametrize("system,transport", [
+    ("vertigo", "dctcp"), ("ecmp", "reno"), ("dibs", "dctcp")])
+def test_hybrid_that_demotes_every_path_is_packet_mode(system, transport):
+    """``demote_shares=1`` demotes every link of a path when its flow is
+    adopted (quiet links promote back at epochs, the next adoption
+    demotes them again), so no round is ever analytic and the controller
+    may only watch: same flows, queries, drops and summary row as packet
+    mode, at the cost of exactly its own epoch ticks."""
+    sim_time_ns = 10 * MILLISECOND
+
+    def config(**fidelity_kwargs):
+        base = ExperimentConfig.bench_profile(
+            system=system, transport=transport, bg_load=0.4,
+            incast_load=0.3, incast_scale=10, sim_time_ns=sim_time_ns,
+            seed=1)
+        return dataclasses.replace(
+            base, fidelity=FidelityConfig(**fidelity_kwargs))
+
+    packet = run_experiment(config(mode="packet"))
+    hybrid = run_experiment(config(mode="hybrid", demote_shares=1))
+    fidelity = hybrid.fidelity
+    assert fidelity["analytic_rounds"] == 0
+    assert fidelity["demotions"] > 0 and fidelity["promotions"] > 0
+    assert packet.metrics.counters.forwarded > 5_000
+
+    flows, hybrid_flows = _flow_tuples(packet), _flow_tuples(hybrid)
+    differing = [pair for pair in zip(flows, hybrid_flows)
+                 if pair[0] != pair[1]]
+    assert not differing, f"first differing flow: {differing[0]}"
+    assert len(flows) == len(hybrid_flows)
+    assert _query_tuples(hybrid) == _query_tuples(packet)
+    assert hybrid.metrics.counters.drops == packet.metrics.counters.drops
+    # Canonical text: an undefined mean is NaN in both rows.
+    assert repr(hybrid.row()) == repr(packet.row())
+    ticks = sim_time_ns // hybrid.network.fidelity.promote_epoch_ns
+    assert ticks > 0
+    assert hybrid.engine.events_executed \
+        == packet.engine.events_executed + ticks

@@ -1,5 +1,7 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, config_from_args, main
@@ -251,6 +253,26 @@ def test_sweep_journal_then_resume_skips_completed(tmp_path, capsys):
                  "--resume", journal]) == 0
     err = capsys.readouterr().err
     assert "1 resumed from journal" in err
+    assert "could not be read" not in err
+
+
+def test_sweep_resume_says_when_journaled_results_were_redone(tmp_path,
+                                                              capsys):
+    journal = tmp_path / "sweep.jsonl"
+    assert main(["sweep", "--systems", "ecmp,vertigo", *TINY,
+                 "--journal", str(journal)]) == 0
+    first = capsys.readouterr().out
+    header, ecmp, vertigo = journal.read_text().splitlines()
+    entry = json.loads(ecmp)
+    entry["payload"] = entry["payload"][:-8]  # as unreadable as a stale one
+    journal.write_text("\n".join([header, json.dumps(entry), vertigo]) + "\n")
+    assert main(["sweep", "--systems", "ecmp,vertigo", *TINY,
+                 "--resume", str(journal)]) == 0
+    out, err = capsys.readouterr()
+    assert out == first
+    assert "1 resumed from journal" in err
+    assert "sweep: 1 journaled results could not be read under this " \
+           "code and were re-run" in err
 
 
 def test_lint_subcommand_clean_tree():

@@ -170,6 +170,16 @@ def test_flow_mode_ignores_congestion_demotions_but_not_faults():
     assert not controller._state[result.network.links[(a, b)]].analytic
 
 
+def test_cascade_warns_once_and_points_at_the_design_doc():
+    with pytest.warns(RuntimeWarning, match="demotion cascade") as caught:
+        result = _hybrid_result(demote_shares=1)
+    assert len(caught) == 1
+    message = str(caught[0].message)
+    assert 'DESIGN.md, "Hybrid fidelity"' in message
+    assert "ROADMAP" not in message
+    assert result.notices["fidelity_cascade_links"] >= 1
+
+
 # -- round timing -------------------------------------------------------------
 
 def test_analytic_round_math_is_integer_ns():

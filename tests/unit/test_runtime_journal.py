@@ -1,6 +1,8 @@
 """Sweep journal: roundtrip, verification, and crash tolerance."""
 
+import base64
 import json
+import pickle
 
 import pytest
 
@@ -30,6 +32,7 @@ def test_roundtrip_ok_entry(tmp_path, tiny_result):
         assert run_digest(loaded) == run_digest(result)
         assert journal.entries[digest]["attempts"] == 1
         assert journal.skipped_lines == 0
+        assert journal.stale_payloads == 0
 
 
 def test_non_ok_entries_do_not_resume(tmp_path, tiny_result):
@@ -40,6 +43,9 @@ def test_non_ok_entries_do_not_resume(tmp_path, tiny_result):
         journal.record(digest, 0, "failed", 3, 1.0, error="boom")
     with SweepJournal.resume(path) as journal:
         assert journal.completed_result(digest) is None
+        # Never completed is not stale: nothing readable was lost.
+        assert journal.completed_result("not-in-the-journal") is None
+        assert journal.stale_payloads == 0
 
 
 def test_latest_entry_wins(tmp_path, tiny_result):
@@ -80,6 +86,7 @@ def test_corrupt_payload_forces_rerun(tmp_path, tiny_result):
     open(path, "w").write("\n".join(lines) + "\n")
     with SweepJournal.resume(path) as journal:
         assert journal.completed_result(digest) is None
+        assert journal.stale_payloads == 1
 
 
 def test_digest_mismatch_forces_rerun(tmp_path, tiny_result):
@@ -95,6 +102,26 @@ def test_digest_mismatch_forces_rerun(tmp_path, tiny_result):
     open(path, "w").write("\n".join(lines) + "\n")
     with SweepJournal.resume(path) as journal:
         assert journal.completed_result(digest) is None
+        assert journal.stale_payloads == 1
+
+
+def test_payload_of_another_layout_counts_as_stale(tmp_path, tiny_result):
+    """A payload that unpickles into something this code cannot digest
+    (what a journal written before a layout change holds)."""
+    config, result = tiny_result
+    digest = config_digest(config)
+    path = str(tmp_path / "j.jsonl")
+    with SweepJournal.create(path, n_points=1) as journal:
+        journal.record(digest, 0, "ok", 1, 0.5, result=result)
+    lines = open(path).read().splitlines()
+    entry = json.loads(lines[1])
+    entry["payload"] = base64.b64encode(
+        pickle.dumps({"not": "a RunResult"})).decode()
+    lines[1] = json.dumps(entry)
+    open(path, "w").write("\n".join(lines) + "\n")
+    with SweepJournal.resume(path) as journal:
+        assert journal.completed_result(digest) is None
+        assert journal.stale_payloads == 1
 
 
 def test_resume_rejects_non_journal_files(tmp_path):
