@@ -3,5 +3,5 @@
 import sys
 import os
 
-# Allow `import common` / `from benchmarks import common` from bench files.
+# Allow `from figures import ...` from bench files.
 sys.path.insert(0, os.path.dirname(__file__))

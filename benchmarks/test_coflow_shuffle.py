@@ -2,34 +2,21 @@
 
 A two-stage all-to-all shuffle (width 6, so 72 flows per coflow with a
 barrier between the stages) arrives as a Poisson process on top of
-light background traffic.  The coflow completion time — last flow of
-the last stage — is the job-level metric the coflow literature argues
-networks should be judged by: one straggling flow holds the whole
-stage barrier.
+light background traffic; the metric is the coflow completion time.
 
-Three fabrics absorb the same shuffle mix:
-
-- **Vertigo + DCTCP** — selective deflection spreads each stage's
-  synchronized burst across the fabric;
-- **ECMP + DCTCP** — hash placement, drops + retransmissions resolve
-  the burst;
-- **ECMP + DCQCN + PFC** — the RoCE-style lossless fabric: no drops,
-  but PFC pause head-of-line blocking stalls whole stages at once.
-
-Every configuration must be digest-stable across repeat runs (CCT
-accounting and the stage barriers are deterministic by construction).
+Three fabrics absorb the same shuffle mix: Vertigo + DCTCP (selective
+deflection), ECMP + DCTCP (hash placement, drops + retransmissions) and
+ECMP + DCQCN + PFC (the RoCE-style lossless fabric).  Each runs twice:
+CCT accounting and the stage barriers are deterministic by construction.
 """
 
-from common import emit, once
+from figures import Claim, Figure, Point, run_figure
 
 from repro.experiments.config import ExperimentConfig, WorkloadConfig
 from repro.experiments.digest import run_digest
-from repro.experiments.runner import run_experiment
 from repro.net.pfc import PfcConfig
 from repro.sim.units import MILLISECOND
 from repro.workload.spec import BackgroundSpec, CoflowSpec
-
-SIM_TIME_NS = 120 * MILLISECOND
 
 #: (label, system, transport, lossless)
 FABRICS = [
@@ -37,9 +24,8 @@ FABRICS = [
     ("ecmp+dctcp", "ecmp", "dctcp", False),
     ("ecmp+dcqcn+pfc", "ecmp", "dcqcn", True),
 ]
-
-COLUMNS = ["fabric", "mean_cct_s", "p99_cct_s", "coflow_completion_pct",
-           "mean_fct_s", "drop_pct", "deflections", "retransmissions"]
+VERTIGO, ECMP, LOSSLESS = (
+    {"fabric": label, "run": 1} for label, _, _, _ in FABRICS)
 
 
 def _config(system: str, transport: str, lossless: bool) -> ExperimentConfig:
@@ -51,7 +37,7 @@ def _config(system: str, transport: str, lossless: bool) -> ExperimentConfig:
     ))
     config = ExperimentConfig.bench_profile(
         system=system, transport=transport, workload=workload,
-        sim_time_ns=SIM_TIME_NS, seed=7)
+        sim_time_ns=120 * MILLISECOND, seed=7)
     if lossless:
         # XOFF under the 30 KB bench port buffer; auto headroom keeps
         # the fabric lossless while DCQCN's ECN loop reacts.
@@ -61,39 +47,43 @@ def _config(system: str, transport: str, lossless: bool) -> ExperimentConfig:
     return config
 
 
-def _measure(label, system, transport, lossless):
-    result = run_experiment(_config(system, transport, lossless))
-    repeat = run_experiment(_config(system, transport, lossless))
-    assert run_digest(result) == run_digest(repeat), \
-        f"{label} is not digest-stable"
-    row = result.report().row()
-    row["fabric"] = label
-    assert result.coflows_launched > 0
-    assert "mean_cct_s" in row   # CCT is first-class for coflow runs
-    return row
+FIGURES = [Figure(
+    id="coflow_shuffle",
+    title="two-stage shuffle CCT across fabrics (each run twice)",
+    paper="No paper counterpart: Vertigo is evaluated on flow- and "
+          "query-level tails; the coflow literature judges a fabric by the "
+          "coflow completion time (last flow of the last stage), where one "
+          "straggler holds a whole stage barrier — the synchronized-burst "
+          "shape deflection targets.",
+    points=[Point(_config(*fabric), {"fabric": label, "run": run})
+            for label, *fabric in FABRICS for run in (1, 2)],
+    row=lambda result: {"digest": run_digest(result)[:16],
+                        "coflows_launched": result.coflows_launched},
+    columns=["fabric", "run", "mean_cct_s", "p99_cct_s",
+             "coflow_completion_pct", "mean_fct_s", "drop_pct",
+             "deflections", "retransmissions", "coflows_launched", "digest"],
+    claims=[
+        Claim("every fabric is digest-stable across its two runs",
+              lambda v: v.all("digest", run=1) == v.all("digest", run=2)),
+        Claim("every run launched coflows",
+              lambda v: min(v.all("coflows_launched")) > 0),
+        Claim("CCT is first-class: every coflow run reports a mean CCT",
+              lambda v: len(v.all("mean_cct_s")) == 2 * len(FABRICS)),
+        Claim("deflection beats hash placement on mean CCT",
+              lambda v: v("mean_cct_s", **VERTIGO) < v("mean_cct_s", **ECMP)),
+        Claim("deflection beats the pause loop on mean CCT",
+              lambda v: v("mean_cct_s", **VERTIGO)
+              < v("mean_cct_s", **LOSSLESS)),
+        Claim("more coflows finish under deflection than on the lossless "
+              "fabric, and more there than under plain ECMP",
+              lambda v: v("coflow_completion_pct", **VERTIGO)
+              > v("coflow_completion_pct", **LOSSLESS)
+              > v("coflow_completion_pct", **ECMP)),
+        Claim("the lossless fabric really was lossless",
+              lambda v: v("drop_pct", **LOSSLESS) == 0.0),
+    ],
+)]
 
 
 def test_coflow_shuffle_cct(benchmark):
-    def sweep():
-        return [_measure(*fabric) for fabric in FABRICS]
-
-    rows = once(benchmark, sweep)
-    emit("coflow_shuffle", "two-stage shuffle CCT across fabrics", rows,
-         COLUMNS,
-         notes="coflow completion time (last flow of the last stage); "
-               "barriers make one straggler stall the whole stage.")
-
-    def col(label, key):
-        return next(r[key] for r in rows if r["fabric"] == label)
-
-    # Deflection beats both hash placement and the pause loop on the
-    # job-level metric: faster coflows, and more of them finish.
-    assert col("vertigo+dctcp", "mean_cct_s") \
-        < col("ecmp+dctcp", "mean_cct_s")
-    assert col("vertigo+dctcp", "mean_cct_s") \
-        < col("ecmp+dcqcn+pfc", "mean_cct_s")
-    assert col("vertigo+dctcp", "coflow_completion_pct") \
-        > col("ecmp+dcqcn+pfc", "coflow_completion_pct") \
-        > col("ecmp+dctcp", "coflow_completion_pct")
-    # The lossless fabric really was lossless.
-    assert col("ecmp+dcqcn+pfc", "drop_pct") == 0.0
+    run_figure(benchmark, *FIGURES)

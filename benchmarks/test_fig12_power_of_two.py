@@ -1,58 +1,50 @@
 """Figure 12: random vs power-of-two choices for forwarding (FW) and
-deflection (DEF), on leaf-spine and fat-tree.
-
-Expected shape: random deflection targets (1DEF) raise drops versus
-power-of-two (2DEF) — paper: up to 47% more — and the gap fades at high
-load where free buffer is scarce everywhere.
-"""
+deflection (DEF), on leaf-spine and fat-tree."""
 
 import pytest
 
-from common import bench_config, emit, incast_loads_for_totals, once, run_row
+from figures import (Claim, Figure, Point, bench_config,
+                     incast_loads_for_totals, run_figure)
 from repro.forwarding.vertigo import VertigoSwitchParams
 from repro.net.topology import FatTree
 
-GRID = [
-    ("1FW-1DEF", VertigoSwitchParams(fw_choices=1, def_choices=1)),
-    ("1FW-2DEF", VertigoSwitchParams(fw_choices=1, def_choices=2)),
-    ("2FW-1DEF", VertigoSwitchParams(fw_choices=2, def_choices=1)),
-    ("2FW-2DEF", VertigoSwitchParams(fw_choices=2, def_choices=2)),
-]
+GRID = [(f"{fw}FW-{deflect}DEF",
+         VertigoSwitchParams(fw_choices=fw, def_choices=deflect))
+        for fw in (1, 2) for deflect in (1, 2)]
 BG = 0.50
-COLUMNS = ["variant", "load_pct", "mean_qct_s", "drop_pct",
-           "query_completion_pct", "deflections"]
 
 
-@pytest.mark.parametrize("topo_name,totals", [
-    ("leafspine", [0.60, 0.75, 0.90]),
-    ("fattree", [0.60, 0.85]),
-])
-def test_fig12_choice_grid(benchmark, topo_name, totals):
-    def sweep():
-        rows = []
-        for name, params in GRID:
-            for incast in incast_loads_for_totals(BG, totals):
-                kwargs = {"vertigo_switch": params}
-                if topo_name == "fattree":
-                    kwargs["topology"] = FatTree(4)
-                    kwargs["incast_scale"] = 6
-                config = bench_config("vertigo", "dctcp", bg_load=BG,
-                                      incast_load=incast, **kwargs)
-                rows.append(run_row(config, extra={"variant": name}))
-        return rows
-
-    rows = once(benchmark, sweep)
-    emit(f"fig12_{topo_name}",
-         f"random vs power-of-two FW/DEF ({topo_name})", rows, COLUMNS,
-         notes="paper Fig. 12: 1DEF raises drops up to 47% over 2DEF; "
-               "gap fades as load grows.")
-
+def _figure(topo_name, totals, **topology):
     low = round(100 * totals[0])
+    return Figure(
+        id=f"fig12_{topo_name}",
+        title=f"random vs power-of-two FW/DEF ({topo_name})",
+        paper="Random deflection targets raise drop probability by up to "
+              "47% vs power-of-two; the gap fades as load grows.",
+        points=[Point(bench_config("vertigo", "dctcp", bg_load=BG,
+                                   incast_load=incast,
+                                   vertigo_switch=params, **topology),
+                      {"variant": name})
+                for name, params in GRID
+                for incast in incast_loads_for_totals(BG, totals)],
+        columns=["variant", "load_pct", "mean_qct_s", "drop_pct",
+                 "query_completion_pct", "deflections"],
+        claims=[
+            Claim(f"power-of-two deflection drops at most 1.2x what random "
+                  f"deflection drops at {low}% load (like-for-like 2FW)",
+                  lambda v: v("drop_pct", variant="2FW-2DEF", load_pct=low)
+                  <= 1.2 * v("drop_pct", variant="2FW-1DEF", load_pct=low)),
+        ],
+    )
 
-    def drops(variant, load):
-        return next(r["drop_pct"] for r in rows if r["variant"] == variant
-                    and r["load_pct"] == load)
 
-    # Power-of-two deflection reduces drops at the low/medium load point
-    # (compare like-for-like forwarding).
-    assert drops("2FW-2DEF", low) <= drops("2FW-1DEF", low) * 1.2
+FIGURES = [
+    _figure("leafspine", [0.60, 0.75, 0.90]),
+    _figure("fattree", [0.60, 0.85], topology=FatTree(4), incast_scale=6),
+]
+
+
+@pytest.mark.parametrize("figure", FIGURES,
+                         ids=["leafspine-totals0", "fattree-totals1"])
+def test_fig12_choice_grid(benchmark, figure):
+    run_figure(benchmark, figure)

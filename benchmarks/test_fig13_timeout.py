@@ -1,44 +1,42 @@
 """Figure 13: sensitivity of flow completion times to the reordering
 timeout (tau).
 
-Paper sweeps tau from 120 us to 1.08 ms around its derived 360 us and
-finds the latency penalty of a mis-set timeout bounded (a few ms).  The
+Paper sweeps tau from 120 us to 1.08 ms around its derived 360 us; the
 bench sweeps the same 1/3x..3x band around the *derived* tau of the
-scaled network.  Expected shape: mean FCT varies little across the
-sweep; very small taus raise spurious retransmissions, very large ones
-pad the tail.
+scaled network.
 """
 
-from common import bench_config, emit, once, run_row
+from figures import Claim, Figure, Point, bench_config, run_figure
 from repro.experiments.runner import derive_ordering_timeout
 
-COLUMNS = ["tau_us", "mean_fct_s", "p99_fct_s", "mean_qct_s",
-           "retransmissions", "reordered"]
+LOAD = dict(bg_load=0.40, incast_load=0.35)
+TAU0 = derive_ordering_timeout(bench_config("vertigo", **LOAD).network)
+TAUS = [TAU0 // 3, (2 * TAU0) // 3, TAU0, 2 * TAU0, 3 * TAU0]
+SHORTEST_US, LONGEST_US = round(TAUS[0] / 1000), round(TAUS[-1] / 1000)
+
+FIGURES = [Figure(
+    id="fig13",
+    title=f"reordering timeout (tau) sweep around the derived "
+          f"{TAU0 / 1000:.0f} us (paper: 360 us at full scale)",
+    paper="The reordering-timeout setting has a bounded effect on FCT "
+          "(penalty of a few ms at worst).",
+    points=[Point(bench_config("vertigo", "dctcp", **LOAD,
+                               ordering_timeout_ns=tau),
+                  {"tau_us": round(tau / 1000)}) for tau in TAUS],
+    columns=["tau_us", "mean_fct_s", "p99_fct_s", "mean_qct_s",
+             "retransmissions", "reordered"],
+    claims=[
+        Claim("the worst mean FCT of the sweep is within 2.5x of the best",
+              lambda v: max(v.all("mean_fct_s"))
+              < 2.5 * min(v.all("mean_fct_s"))),
+        Claim("the shortest timeout retransmits at least half as much as "
+              "the longest (shorter never *reduces* spurious "
+              "retransmissions)",
+              lambda v: v("retransmissions", tau_us=SHORTEST_US)
+              >= 0.5 * v("retransmissions", tau_us=LONGEST_US)),
+    ],
+)]
 
 
 def test_fig13_ordering_timeout(benchmark):
-    base_config = bench_config("vertigo", "dctcp", bg_load=0.40,
-                               incast_load=0.35)
-    tau0 = derive_ordering_timeout(base_config.network)
-    taus = [tau0 // 3, (2 * tau0) // 3, tau0, 2 * tau0, 3 * tau0]
-
-    def sweep():
-        rows = []
-        for tau in taus:
-            config = bench_config("vertigo", "dctcp", bg_load=0.40,
-                                  incast_load=0.35,
-                                  ordering_timeout_ns=tau)
-            rows.append(run_row(config,
-                                extra={"tau_us": round(tau / 1000)}))
-        return rows
-
-    rows = once(benchmark, sweep)
-    emit("fig13", "reordering timeout (tau) sweep", rows, COLUMNS,
-         notes=f"derived tau for this network: {tau0/1000:.0f} us "
-               "(paper derives 360 us at full scale). paper Fig. 13: "
-               "bounded effect across the whole sweep.")
-    # Bounded effect: worst mean FCT within a small factor of the best.
-    fcts = [row["mean_fct_s"] for row in rows]
-    assert max(fcts) < 2.5 * min(fcts)
-    # Shorter timeouts never *reduce* spurious retransmissions.
-    assert rows[0]["retransmissions"] >= rows[-1]["retransmissions"] * 0.5
+    run_figure(benchmark, *FIGURES)

@@ -1,15 +1,10 @@
 """Figure 5: mean/p99 FCT and QCT vs aggregate load at three background
-levels (25%, 50%, 75%), all systems on DCTCP.
-
-Expected shape: Vertigo delivers steadily low QCT at every load; DIBS is
-competitive while the background is light but degrades fast as load
-grows; ECMP and DRILL suffer at the last hop regardless.
-"""
+levels (25%, 50%, 75%), all systems on DCTCP."""
 
 import pytest
 
-from common import (bench_config, emit, incast_loads_for_totals, once,
-                    sweep_rows)
+from figures import (Claim, Figure, Point, bench_config,
+                     incast_loads_for_totals, run_figure)
 
 SYSTEMS = ["ecmp", "drill", "dibs", "vertigo"]
 SWEEP = {
@@ -18,35 +13,43 @@ SWEEP = {
     0.75: [0.80, 0.90],
 }
 
-COLUMNS = ["system", "bg_pct", "load_pct", "mean_fct_s", "p99_fct_s",
-           "mean_qct_s", "p99_qct_s", "query_completion_pct", "drop_pct"]
+
+def _figure(bg_load, totals):
+    bg_pct, top = round(100 * bg_load), round(100 * max(totals))
+    at_top = {"load_pct": top}
+    return Figure(
+        id=f"fig5_bg{bg_pct}",
+        title=f"load sweep at {bg_pct}% background (DCTCP)",
+        paper="Vertigo holds steady mean/p99 FCT+QCT at every load mix; "
+              "DIBS's QCT and FCT blow up with a 10-point load increase "
+              "(6x / 21x); at 90% load Vertigo cuts DRILL/DIBS mean FCT by "
+              "5.1x / 2.7x.",
+        points=[Point(bench_config(system, "dctcp", bg_load=bg_load,
+                                   incast_load=incast), {"bg_pct": bg_pct})
+                for system in SYSTEMS
+                for incast in incast_loads_for_totals(bg_load, totals)],
+        columns=["system", "bg_pct", "load_pct", "mean_fct_s", "p99_fct_s",
+                 "mean_qct_s", "p99_qct_s", "query_completion_pct",
+                 "drop_pct"],
+        claims=[
+            *(Claim(f"Vertigo's mean QCT is below {other}'s at {top}% load",
+                    lambda v, other=other:
+                    v("mean_qct_s", system="vertigo", **at_top)
+                    < v("mean_qct_s", system=other, **at_top))
+              for other in ("ecmp", "drill")),
+            Claim(f"Vertigo completes at least as many queries as DIBS at "
+                  f"{top}% load",
+                  lambda v:
+                  v("query_completion_pct", system="vertigo", **at_top)
+                  >= v("query_completion_pct", system="dibs", **at_top)),
+        ],
+    )
 
 
-@pytest.mark.parametrize("bg_load", sorted(SWEEP))
-def test_fig5_load_sweep(benchmark, bg_load):
-    def sweep():
-        configs, extras = [], []
-        for system in SYSTEMS:
-            for incast in incast_loads_for_totals(bg_load, SWEEP[bg_load]):
-                configs.append(bench_config(system, "dctcp",
-                                            bg_load=bg_load,
-                                            incast_load=incast))
-                extras.append({"bg_pct": round(100 * bg_load)})
-        return sweep_rows(configs, extras)
+FIGURES = [_figure(bg_load, totals) for bg_load, totals in SWEEP.items()]
 
-    rows = once(benchmark, sweep)
-    emit(f"fig5_bg{round(100 * bg_load)}",
-         f"load sweep at {round(100 * bg_load)}% background (DCTCP)",
-         rows, COLUMNS,
-         notes="paper Fig. 5: Vertigo steady across loads; DIBS degrades "
-               "as load grows.")
-    # Vertigo's mean QCT beats ECMP and DRILL at the highest swept load.
-    top = max(SWEEP[bg_load])
-    by_system = {row["system"]: row for row in rows
-                 if row["load_pct"] == round(100 * top)}
-    assert by_system["vertigo"]["mean_qct_s"] \
-        < by_system["ecmp"]["mean_qct_s"]
-    assert by_system["vertigo"]["mean_qct_s"] \
-        < by_system["drill"]["mean_qct_s"]
-    assert by_system["vertigo"]["query_completion_pct"] \
-        >= by_system["dibs"]["query_completion_pct"]
+
+# The ids are the background loads (CI names test_fig5_load_sweep[0.25]).
+@pytest.mark.parametrize("figure", FIGURES, ids=[str(bg) for bg in SWEEP])
+def test_fig5_load_sweep(benchmark, figure):
+    run_figure(benchmark, figure)

@@ -1,20 +1,8 @@
 """Figure 6: mean QCT across transports (TCP, DCTCP, Swift) plus the QCT
-distribution at 75% load.
+distribution at the top load (85% here, 75% in the paper)."""
 
-Expected shape (paper §4.2): replacing DCTCP with TCP collapses DIBS
-(which relies on DCTCP and disables fast retransmit) while Vertigo stays
-efficient under all three transports; Swift alone helps every system,
-and Vertigo+Swift is the best combination with near-zero drops.
-"""
-
-from common import (
-    bench_config,
-    emit,
-    incast_loads_for_totals,
-    once,
-    percentiles_row,
-)
-from repro.experiments.runner import run_experiment
+from figures import (Claim, Figure, Point, bench_config,
+                     incast_loads_for_totals, percentiles, run_figure)
 
 SERIES = [
     ("dibs", "reno"), ("dibs", "dctcp"), ("dibs", "swift"),
@@ -24,52 +12,69 @@ SERIES = [
 BG = 0.25
 TOTALS = [0.45, 0.65, 0.85]
 
-COLUMNS = ["system", "transport", "load_pct", "mean_qct_s",
-           "query_completion_pct", "drop_pct"]
-CDF_COLUMNS = ["system", "transport", "p25", "p50", "p75", "p90", "p99",
-               "n"]
+PAPER = ("Replacing DCTCP with TCP leads to up to 10x jump in DIBS's QCT "
+         "and expedites collapse; Vertigo+TCP outperforms alternatives "
+         "that use DCTCP and sits close to Vertigo+DCTCP; Swift variants "
+         "dominate.")
+
+POINTS = [Point(bench_config(system, transport, bg_load=BG,
+                             incast_load=incast))
+          for system, transport in SERIES
+          for incast in incast_loads_for_totals(BG, TOTALS)]
+
+
+def _vertigo_qct_band(v):
+    qcts = [v("mean_qct_s", system="vertigo", transport=transport,
+              load_pct=85) for transport in ("reno", "dctcp")]
+    return max(qcts) < 3 * min(qcts)
+
+
+def _vertigo_completion_band(v):
+    done = v.all("query_completion_pct", system="vertigo", load_pct=85)
+    return max(done) - min(done) < 20
+
+
+# Mean QCT over *completed* queries understates a collapsed system (it
+# only finishes the easy queries), so the load-bearing claims compare
+# completion percentages.
+FIGURES = [
+    Figure(
+        id="fig6a",
+        title="mean QCT across transports (25% bg + incast sweep)",
+        paper=PAPER, points=POINTS,
+        columns=["system", "transport", "load_pct", "mean_qct_s",
+                 "query_completion_pct", "drop_pct"],
+        claims=[
+            Claim("DIBS depends on DCTCP: under TCP Reno it completes fewer "
+                  "queries at 65% load",
+                  lambda v: v("query_completion_pct", system="dibs",
+                              transport="reno", load_pct=65)
+                  < v("query_completion_pct", system="dibs",
+                      transport="dctcp", load_pct=65)),
+            Claim("Vertigo's mean QCT at 85% load stays within 3x across "
+                  "Reno and DCTCP",
+                  _vertigo_qct_band),
+            Claim("Vertigo's query completion at 85% load varies by under "
+                  "20 points across the three transports",
+                  _vertigo_completion_band),
+            Claim("Vertigo+TCP completes more queries than DIBS+DCTCP at "
+                  "85% load (the paper's headline for Fig. 6)",
+                  lambda v: v("query_completion_pct", system="vertigo",
+                              transport="reno", load_pct=85)
+                  > v("query_completion_pct", system="dibs",
+                      transport="dctcp", load_pct=85)),
+        ]),
+    Figure(
+        id="fig6b",
+        title="QCT distribution at 85% load (percentiles of Fig. 6b CDF)",
+        paper=PAPER,
+        points=[point for point in POINTS
+                if round(100 * point.config.workload.total_load) == 85],
+        row=lambda result: percentiles(result.metrics.qct_samples_s()),
+        columns=["system", "transport", "p25", "p50", "p75", "p90", "p99",
+                 "n"]),
+]
 
 
 def test_fig6_transport_sweep(benchmark):
-    def sweep():
-        rows, cdf_rows = [], []
-        for system, transport in SERIES:
-            for incast in incast_loads_for_totals(BG, TOTALS):
-                result = run_experiment(bench_config(
-                    system, transport, bg_load=BG, incast_load=incast))
-                rows.append(result.row())
-                if round(100 * (BG + incast)) == 85:
-                    cdf_rows.append(percentiles_row(
-                        result.metrics.qct_samples_s(),
-                        {"system": system, "transport": transport}))
-        return rows, cdf_rows
-
-    rows, cdf_rows = once(benchmark, sweep)
-    emit("fig6a", "mean QCT across transports (25% bg + incast sweep)",
-         rows, COLUMNS,
-         notes="paper Fig. 6a: DIBS+TCP up to 10x worse than DIBS+DCTCP; "
-               "Vertigo efficient under every transport.")
-    emit("fig6b", "QCT distribution at 85% load (percentiles of Fig. 6b "
-         "CDF)", cdf_rows, CDF_COLUMNS)
-
-    def metric(system, transport, load, key="mean_qct_s"):
-        return next(r[key] for r in rows
-                    if r["system"] == system and r["transport"] == transport
-                    and r["load_pct"] == load)
-
-    # Mean QCT over *completed* queries understates a collapsed system
-    # (it only finishes the easy queries), so the load-bearing checks
-    # use completion percentages.
-    completion = "query_completion_pct"
-    # DIBS depends on DCTCP: TCP Reno makes it clearly worse at load.
-    assert metric("dibs", "reno", 65, completion) \
-        < metric("dibs", "dctcp", 65, completion)
-    # Vertigo is transport-agnostic: within a small factor across stacks.
-    vertigo_qcts = [metric("vertigo", t, 85) for t in ("reno", "dctcp")]
-    assert max(vertigo_qcts) < 3 * min(vertigo_qcts)
-    vertigo_comps = [metric("vertigo", t, 85, completion)
-                     for t in ("reno", "dctcp", "swift")]
-    assert max(vertigo_comps) - min(vertigo_comps) < 20
-    # Vertigo+TCP outperforms DIBS+DCTCP (paper's headline for Fig. 6).
-    assert metric("vertigo", "reno", 85, completion) \
-        > metric("dibs", "dctcp", 85, completion)
+    run_figure(benchmark, *FIGURES)

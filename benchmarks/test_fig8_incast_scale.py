@@ -2,50 +2,48 @@
 size, 50% background load.
 
 Paper sweeps 50..450 servers of 320 at 4000 QPS x 40 KB; the bench
-profile sweeps the same fractions of its 32 hosts.  Expected shape: as
-fan-in grows every system completes fewer queries, but Vertigo completes
-up to an order of magnitude more than the alternatives; everyone's FCT
-climbs.
+profile sweeps the same fractions of its 32 hosts.
 """
 
-from common import BENCH_SIM_TIME_NS, bench_config, emit, once, sweep_rows
+from figures import Claim, Figure, Point, bench_config, run_figure
 
 SYSTEMS = ["ecmp", "drill", "dibs", "vertigo"]
 #: Fractions of the host pool queried, mirroring 50..450 of 320 hosts.
 SCALES = [4, 8, 16, 24]
+TOP = SCALES[-1]
 QPS = 350.0
 FLOW_BYTES = 10_000
 
-COLUMNS = ["system", "incast_scale", "query_completion_pct", "mean_qct_s",
-           "mean_fct_s", "p99_fct_s", "drop_pct"]
+
+FIGURES = [Figure(
+    id="fig8",
+    title="incast scale sweep (50% bg, fixed QPS and flow size)",
+    paper="As incast scale grows 50->450, every system struggles but "
+          "Vertigo completes up to 10x more queries; everyone's FCT climbs.",
+    points=[Point(bench_config(system, "dctcp", bg_load=0.50,
+                               incast_qps=QPS, incast_scale=scale,
+                               incast_flow_bytes=FLOW_BYTES),
+                  {"incast_scale": scale})
+            for system in SYSTEMS for scale in SCALES],
+    columns=["system", "incast_scale", "query_completion_pct", "mean_qct_s",
+             "mean_fct_s", "p99_fct_s", "drop_pct"],
+    claims=[
+        *(Claim(f"Vertigo completes at least as many queries as {other} "
+                f"at fan-in {TOP}",
+                lambda v, other=other:
+                v("query_completion_pct", system="vertigo", incast_scale=TOP)
+                >= v("query_completion_pct", system=other, incast_scale=TOP))
+          for other in ("ecmp", "drill", "dibs")),
+        *(Claim(f"scale hurts {system}: no more completions at fan-in "
+                f"{TOP} than at {SCALES[0]} (5-point allowance)",
+                lambda v, system=system:
+                v("query_completion_pct", system=system, incast_scale=TOP)
+                <= v("query_completion_pct", system=system,
+                     incast_scale=SCALES[0]) + 5)
+          for system in SYSTEMS),
+    ],
+)]
 
 
 def test_fig8_incast_scale(benchmark):
-    def sweep():
-        configs, extras = [], []
-        for system in SYSTEMS:
-            for scale in SCALES:
-                configs.append(bench_config(system, "dctcp", bg_load=0.50,
-                                            incast_qps=QPS,
-                                            incast_scale=scale,
-                                            incast_flow_bytes=FLOW_BYTES))
-                extras.append({"incast_scale": scale})
-        return sweep_rows(configs, extras)
-
-    rows = once(benchmark, sweep)
-    emit("fig8", "incast scale sweep (50% bg, fixed QPS and flow size)",
-         rows, COLUMNS,
-         notes="paper Fig. 8: only Vertigo sustains query completions at "
-               "large fan-in (up to 10x more than others).")
-
-    def completion(system, scale):
-        return next(r["query_completion_pct"] for r in rows
-                    if r["system"] == system and r["incast_scale"] == scale)
-
-    top = SCALES[-1]
-    for system in ("ecmp", "drill", "dibs"):
-        assert completion("vertigo", top) >= completion(system, top)
-    # Scale hurts everyone: each system completes fewer queries at the
-    # largest fan-in than the smallest.
-    for system in SYSTEMS:
-        assert completion(system, top) <= completion(system, SCALES[0]) + 5
+    run_figure(benchmark, *FIGURES)

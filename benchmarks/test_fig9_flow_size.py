@@ -2,54 +2,51 @@
 background load.
 
 Paper grows response flows from 1 KB to 180 KB at scale 100 x 4000 QPS;
-the bench sweeps the same buffer-relative range.  Expected shape:
-systems that ignore remaining flow size fail to treat the larger incast
-flows well and QCT inflates steeply; Vertigo identifies halfway-completed
-flows and keeps finishing queries (paper: 68%/58% lower mean QCT than
-DIBS/ECMP at the largest size).
+the bench sweeps the same buffer-relative range.
 """
 
-from common import bench_config, emit, once, run_row
+from figures import Claim, Figure, Point, bench_config, run_figure
 
 SERIES = [("ecmp", "reno"), ("ecmp", "dctcp"), ("drill", "dctcp"),
           ("dibs", "dctcp"), ("vertigo", "dctcp")]
 FLOW_SIZES = [2_000, 10_000, 25_000, 45_000]
 SCALE = 8
 QPS = 300.0
+#: The cells every claim compares: DCTCP rows at the largest flow size.
+LARGEST = {"transport": "dctcp",
+           "incast_flow_kb": FLOW_SIZES[-1] / 1000}
 
-COLUMNS = ["system", "transport", "incast_flow_kb",
-           "query_completion_pct", "mean_qct_s", "drop_pct"]
+
+FIGURES = [Figure(
+    id="fig9",
+    title="incast flow size sweep (50% bg)",
+    paper="Growing incast flows 1->180 KB: systems without flow-size "
+          "information misclassify large incast flows; at 180 KB Vertigo's "
+          "mean QCT is 68%/58% below DIBS/ECMP+DCTCP.",
+    points=[Point(bench_config(system, transport, bg_load=0.50,
+                               incast_qps=QPS, incast_scale=SCALE,
+                               incast_flow_bytes=size),
+                  {"incast_flow_kb": size / 1000})
+            for system, transport in SERIES for size in FLOW_SIZES],
+    columns=["system", "transport", "incast_flow_kb",
+             "query_completion_pct", "mean_qct_s", "drop_pct"],
+    claims=[
+        Claim("Vertigo's mean QCT is below DIBS's at the largest flow size",
+              lambda v: v("mean_qct_s", system="vertigo", **LARGEST)
+              < v("mean_qct_s", system="dibs", **LARGEST)),
+        # ECMP may complete *zero* queries at the largest size (its mean
+        # QCT is then NaN), so it is compared on completion.
+        Claim("Vertigo completes more queries than ECMP+DCTCP at the "
+              "largest flow size",
+              lambda v: v("query_completion_pct", system="vertigo", **LARGEST)
+              > v("query_completion_pct", system="ecmp", **LARGEST)),
+        Claim("Vertigo completes at least as many queries as DIBS at the "
+              "largest flow size",
+              lambda v: v("query_completion_pct", system="vertigo", **LARGEST)
+              >= v("query_completion_pct", system="dibs", **LARGEST)),
+    ],
+)]
 
 
 def test_fig9_incast_flow_size(benchmark):
-    def sweep():
-        rows = []
-        for system, transport in SERIES:
-            for size in FLOW_SIZES:
-                config = bench_config(system, transport, bg_load=0.50,
-                                      incast_qps=QPS, incast_scale=SCALE,
-                                      incast_flow_bytes=size)
-                rows.append(run_row(config,
-                                    extra={"incast_flow_kb": size / 1000}))
-        return rows
-
-    rows = once(benchmark, sweep)
-    emit("fig9", "incast flow size sweep (50% bg)", rows, COLUMNS,
-         notes="paper Fig. 9: Vertigo's mean QCT 58-68% below "
-               "ECMP+DCTCP/DIBS at the largest flow size.")
-
-    largest = FLOW_SIZES[-1]
-
-    def metric(system, transport, key):
-        return next(r[key] for r in rows
-                    if r["system"] == system and r["transport"] == transport
-                    and r["incast_flow_kb"] == largest / 1000)
-
-    assert metric("vertigo", "dctcp", "mean_qct_s") \
-        < metric("dibs", "dctcp", "mean_qct_s")
-    # ECMP may complete *zero* queries at the largest size (mean QCT is
-    # then NaN), so compare on completion, which is robust either way.
-    assert metric("vertigo", "dctcp", "query_completion_pct") \
-        > metric("ecmp", "dctcp", "query_completion_pct")
-    assert metric("vertigo", "dctcp", "query_completion_pct") \
-        >= metric("dibs", "dctcp", "query_completion_pct")
+    run_figure(benchmark, *FIGURES)

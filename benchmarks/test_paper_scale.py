@@ -1,15 +1,9 @@
 """Paper-scale feasibility: one simulated second on the full fabric.
 
-The paper's experiments run the 320-server leaf-spine (10 Gbps access,
-40 Gbps fabric) for multiple simulated seconds — far beyond pure
-packet-level Python, which needs tens of minutes per simulated second
-at this scale.  The hybrid fidelity engine (:mod:`repro.net.fidelity`)
-makes the configuration tractable: links stay analytic while quiet and
-demote to packet fidelity only where congestion signals appear, so the
-run below covers 1 s of simulated time in about 9 s of wall clock and
-130 MiB of peak RSS (measured: 9.2 s, 128 MiB, 0.83 KiB of RSS per flow
-on the 2-vCPU reference box; ``bench_results/paper_scale.txt``) while
-resolving ~157,000 flows and ~1,900 incast queries.
+The hybrid fidelity engine (:mod:`repro.net.fidelity`) makes the
+paper's 320-server leaf-spine tractable in Python: links stay analytic
+while quiet and demote to packet fidelity only where congestion signals
+appear.
 
 This is the feasibility gate for paper-scale reproduction work: if it
 regresses (wall time or memory explodes, or analytic residency
@@ -18,24 +12,12 @@ collapses), the hybrid engine no longer carries the full-scale runs.
 
 import dataclasses
 import resource
-import time
 
-from common import emit, once
+from figures import Claim, Figure, Point, run_figure
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
 from repro.net.fidelity import FidelityConfig
 from repro.sim.units import SECOND
-
-#: One simulated second: several thousand incast queries' worth of
-#: workload at the paper's scale, and the ISSUE's feasibility floor.
-SIM_TIME_NS = 1 * SECOND
-
-COLUMNS = ["system", "transport", "sim_s", "wall_s", "peak_rss_mb",
-           "rss_kb_per_flow", "events", "flows_recorded", "queries_recorded",
-           "query_completion_pct", "mean_qct_s",
-           "analytic_residency_permille", "demotions", "promotions"]
-
 
 #: The bench profile's (and the paper's) incast fan-in.
 INCAST_DEGREE = 12
@@ -43,70 +25,78 @@ INCAST_DEGREE = 12
 
 def paper_hybrid_config() -> ExperimentConfig:
     # The demotion threshold is pinned to ~5x the incast degree via the
-    # now-explicit ``demote_shares`` knob (EXPERIMENTS.md, "Hybrid
-    # fidelity"): worst-case link convergence at fan-in 12 stays well
-    # inside it, so the fabric stays analytic.  Wider fan-in (48+)
-    # makes overlapping queries converge past the guard, and one shares
-    # demotion at this scale seeds a packet-mode cascade (queue and
-    # deflection signals from the demoted flows' real traffic) that
-    # multiplies the event count ~60x — the regime where you want
-    # either full packet fidelity or a raised threshold, not a gate.
+    # explicit ``demote_shares`` knob: worst-case link convergence at
+    # fan-in 12 stays well inside it, so the fabric stays analytic
+    # (EXPERIMENTS.md "Paper scale" says what wider fan-in does).
     config = ExperimentConfig.paper_profile(
         system="vertigo", transport="dctcp", bg_load=0.1,
         incast_qps=2000.0, incast_scale=INCAST_DEGREE,
         incast_flow_bytes=40_000)
-    config.sim_time_ns = SIM_TIME_NS
+    # One simulated second: several thousand incast queries' worth of
+    # workload at the paper's scale.
+    config.sim_time_ns = 1 * SECOND
     fidelity = FidelityConfig(mode="hybrid",
                               demote_shares=max(64, 5 * INCAST_DEGREE))
     return dataclasses.replace(config, fidelity=fidelity)
 
 
-def test_paper_scale_hybrid_second(benchmark):
-    def run():
-        start = time.perf_counter()
-        result = run_experiment(paper_hybrid_config())
-        return result, time.perf_counter() - start
-
-    result, wall = once(benchmark, run)
+def _feasibility(result):
     # This process's high-water mark (KiB on Linux), as the ledger reads
     # it: the interpreter and pytest included, nearly all of it the run.
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    fidelity = result.fidelity
-    report = result.report()
-    row = {
-        "system": result.config.system.name,
-        "transport": result.config.transport_name,
-        "sim_s": result.config.sim_time_ns / SECOND,  # noqa: VR003
-        "wall_s": round(wall, 1),
+    run = result.report().run
+    return {
+        "n_hosts": result.config.topology.n_hosts,
+        "sim_s": result.engine.now / SECOND,
+        "wall_s": round(sum(result.profile.values()), 1),
         "peak_rss_mb": round(peak_rss_kb / 1024, 1),
-        "rss_kb_per_flow": round(peak_rss_kb / len(result.metrics.flows), 2),
-        "events": result.engine.events_executed,
-        "flows_recorded": len(result.metrics.flows),
-        "queries_recorded": len(result.metrics.queries),
-        "query_completion_pct": report.summary["query_completion_pct"],
-        "mean_qct_s": report.summary["mean_qct_s"],
-        "analytic_residency_permille":
-            fidelity["analytic_residency_permille"],
-        "demotions": fidelity["demotions"],
-        "promotions": fidelity["promotions"],
+        "rss_kb_per_flow": round(peak_rss_kb / run["flows_recorded"], 2),
+        "events": run["events_executed"],
+        "flows_recorded": run["flows_recorded"],
+        "queries_recorded": run["queries_recorded"],
+        **{key: result.fidelity[key] for key in (
+            "analytic_residency_permille", "analytic_rounds", "demotions",
+            "promotions")},
     }
-    emit("paper_scale", "320-server leaf-spine, 1 simulated second, "
-         "hybrid fidelity", [row], COLUMNS,
-         notes="feasibility gate: the paper-scale fabric must cover "
-               ">= 1 s of simulated time in CI-budget wall clock.")
 
-    # Full paper geometry actually ran for the full simulated second.
-    assert result.config.topology.n_hosts == 320
-    assert result.engine.now >= SIM_TIME_NS
-    # The run is substantive, not idle: tens of thousands of flows and
-    # hundreds of fan-in queries resolved.
-    assert len(result.metrics.flows) > 10_000
-    assert len(result.metrics.queries) > 100
-    assert report.summary["query_completion_pct"] > 50
-    # The fabric stayed dominantly analytic — the property that makes
-    # the scale affordable.  At this operating point (10% bg, degree-12
-    # incast against a deflecting fabric) no demotion trigger fires;
-    # demotion/promotion dynamics are exercised by the fault-injection
-    # and threshold tests in tests/*/test_fidelity.py.
-    assert fidelity["analytic_residency_permille"] >= 900
-    assert fidelity["analytic_rounds"] > 10_000
+
+FIGURES = [Figure(
+    id="paper_scale",
+    title="320-server leaf-spine, 1 simulated second, hybrid fidelity",
+    paper="All evaluation runs use the full 320-server leaf-spine (10 Gbps "
+          "access, 40 Gbps fabric, 300 KB buffers) for multiple simulated "
+          "seconds — far beyond pure packet-level Python, which sustains "
+          "~100 k events/s (tens of minutes per simulated second at that "
+          "scale).",
+    points=[Point(paper_hybrid_config())],
+    row=_feasibility,
+    # The row measures the process the run happened in: run it here.
+    jobs=1,
+    columns=["system", "transport", "n_hosts", "sim_s", "wall_s",
+             "peak_rss_mb", "rss_kb_per_flow", "events", "flows_recorded",
+             "queries_recorded", "query_completion_pct", "mean_qct_s",
+             "analytic_residency_permille", "analytic_rounds", "demotions",
+             "promotions"],
+    claims=[
+        Claim("the full paper geometry ran", lambda v: v("n_hosts") == 320),
+        Claim("it covered the full simulated second",
+              lambda v: v("sim_s") >= 1),
+        Claim("substantive, not idle: over 10,000 flows resolved",
+              lambda v: v("flows_recorded") > 10_000),
+        Claim("over 100 fan-in queries resolved",
+              lambda v: v("queries_recorded") > 100),
+        Claim("over half of the queries completed",
+              lambda v: v("query_completion_pct") > 50),
+        # No demotion trigger fires at this operating point; demotion
+        # and promotion are exercised by tests/*/test_fidelity.py.
+        Claim("the fabric stayed dominantly analytic (>= 900 permille), "
+              "which is what makes the scale affordable",
+              lambda v: v("analytic_residency_permille") >= 900),
+        Claim("over 10,000 analytic rounds were modelled",
+              lambda v: v("analytic_rounds") > 10_000),
+    ],
+)]
+
+
+def test_paper_scale_hybrid_second(benchmark):
+    run_figure(benchmark, *FIGURES)

@@ -1,31 +1,19 @@
 """Deflection vs. lossless fabric under paper-geometry incast.
 
-The PR's acceptance experiment: the same degree-24 incast burst on the
-320-server leaf-spine, absorbed two ways —
-
-- **ECMP + DCQCN + PFC** (the RoCE-style lossless fabric): zero drops
-  end to end, but the XOFF/XON pause loop spreads congestion off the
-  incast path — victim ports upstream of the hotspot accumulate pause
-  time even though their traffic never touches the incast destination;
-- **Vertigo + DCTCP** (the paper's system): the fabric stays lossy,
-  deflection absorbs the burst in-network, and the query tail comes out
-  *lower* because nothing head-of-line blocks innocent traffic.
-
-Both runs use the hybrid fidelity engine with an explicit
-``demote_shares`` threshold sized for the fan-in (EXPERIMENTS.md), so
-the incast paths run at packet fidelity while the quiet remainder of
-the fabric stays analytic.  Both configurations must be digest-stable
-across repeated runs — the lossless datapath (class lanes, pause
-events, edge backpressure) is deterministic, not just plausible.
+The same degree-24 incast burst on the 320-server leaf-spine, absorbed
+by **ECMP + DCQCN + PFC** (the RoCE-style lossless fabric) and by
+**Vertigo + DCTCP** (the paper's system, lossy).  Both use the hybrid
+fidelity engine with an explicit ``demote_shares`` threshold sized for
+the fan-in (EXPERIMENTS.md), so the incast paths run at packet fidelity
+while the quiet remainder of the fabric stays analytic.  Each runs
+twice: the lossless datapath (class lanes, pause events, edge
+backpressure) is deterministic, not just plausible.
 """
 
-import time
-
-from common import emit, once
+from figures import Claim, Figure, Point, run_figure
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import run_digest
-from repro.experiments.runner import run_experiment
 from repro.net.fidelity import FidelityConfig
 from repro.net.pfc import PfcConfig
 from repro.sim.units import MILLISECOND
@@ -34,11 +22,8 @@ from repro.sim.units import MILLISECOND
 #: burst genuinely overwhelms the victim downlink and the PFC pause
 #: loop engages through the fabric, not just at the edge.
 INCAST_SCALE = 24
-SIM_TIME_NS = 30 * MILLISECOND
-
-COLUMNS = ["system", "transport", "lossless", "wall_s", "drops",
-           "pause_events", "fabric_pauses", "pause_ms", "p99_qct_s",
-           "mean_qct_s", "analytic_residency_permille"]
+LOSSLESS, VERTIGO = ({"lossless": lossless, "run": 1}
+                     for lossless in (True, False))
 
 
 def _config(system: str, transport: str, lossless: bool) -> ExperimentConfig:
@@ -47,7 +32,7 @@ def _config(system: str, transport: str, lossless: bool) -> ExperimentConfig:
         incast_qps=500.0, incast_scale=INCAST_SCALE,
         incast_flow_bytes=40_000)
     config.seed = 11
-    config.sim_time_ns = SIM_TIME_NS
+    config.sim_time_ns = 30 * MILLISECOND
     # Fan-in 24 with overlapping queries converges past the default
     # demotion threshold; 8 shares pins the incast paths to packet
     # fidelity (where PFC lives) while the rest stays analytic.
@@ -62,74 +47,74 @@ def _config(system: str, transport: str, lossless: bool) -> ExperimentConfig:
     return config
 
 
-def _fabric_pauses(pfc: dict) -> int:
-    """Pause entries whose upstream is a switch, not a host NIC.
-
-    These are the congestion-spreading witnesses: a leaf pausing a
-    spine holds *every* flow transiting that spine egress — victim
-    ports far from the incast destination — not just the burst.
-    """
-    return sum(1 for entry in pfc["pauses"]
-               if not str(entry[0]).startswith("h"))
-
-
-def _measure(system: str, transport: str, lossless: bool):
-    start = time.perf_counter()
-    result = run_experiment(_config(system, transport, lossless))
-    wall = time.perf_counter() - start
-    repeat = run_experiment(_config(system, transport, lossless))
-    assert run_digest(result) == run_digest(repeat), \
-        f"{system}+{transport} lossless={lossless} is not digest-stable"
-    summary = result.report().summary
-    pfc = result.pfc
-    row = {
-        "system": system,
-        "transport": transport,
-        "lossless": lossless,
-        "wall_s": round(wall, 1),
+def _pauses(result):
+    pfc = result.pfc or {}
+    return {
+        "lossless": result.pfc is not None,
+        "n_hosts": result.config.topology.n_hosts,
+        "wall_s": round(sum(result.profile.values()), 1),
         "drops": result.metrics.counters.total_drops,
-        "pause_events": pfc["pause_events"] if pfc else 0,
-        "fabric_pauses": _fabric_pauses(pfc) if pfc else 0,
-        "pause_ms": (pfc["pause_ns"] // 1_000_000) if pfc else 0,
-        "p99_qct_s": summary["p99_qct_s"],
-        "mean_qct_s": summary["mean_qct_s"],
+        "pause_events": pfc.get("pause_events", 0),
+        # Pause entries whose upstream is a switch, not a host NIC: the
+        # congestion-spreading witnesses.  A leaf pausing a spine holds
+        # *every* flow transiting that spine egress — victim ports far
+        # from the incast destination — not just the burst.
+        "fabric_pauses": sum(1 for entry in pfc.get("pauses", ())
+                             if not str(entry[0]).startswith("h")),
+        "pause_ms": pfc.get("pause_ns", 0) / 1e6,
+        "headroom_drops": pfc.get("headroom_drops", 0),
         "analytic_residency_permille":
             result.fidelity["analytic_residency_permille"],
+        "demotions": result.fidelity["demotions"],
+        "digest": run_digest(result)[:16],
     }
-    return result, row
+
+
+FIGURES = [Figure(
+    id="pfc_incast",
+    title="degree-24 incast on the paper fabric: PFC lossless vs. Vertigo "
+          "deflection (each run twice)",
+    paper="Vertigo's implicit comparison point — the RoCE-style answer to "
+          "burst loss is not to deflect but to forbid loss: per-priority "
+          "PAUSE (PFC) plus rate-based DCQCN.  The paper argues deflection "
+          "absorbs bursts in-network without the lossless fabric's side "
+          "effects.",
+    points=[Point(_config(system, transport, lossless), {"run": run})
+            for system, transport, lossless in (("ecmp", "dcqcn", True),
+                                                ("vertigo", "dctcp", False))
+            for run in (1, 2)],
+    row=_pauses,
+    columns=["system", "transport", "lossless", "run", "n_hosts", "wall_s",
+             "drops", "pause_events", "fabric_pauses", "pause_ms",
+             "headroom_drops", "p99_qct_s", "mean_qct_s",
+             "analytic_residency_permille", "demotions", "digest"],
+    claims=[
+        Claim("both fabrics are digest-stable across their two runs",
+              lambda v: v.all("digest", run=1) == v.all("digest", run=2)),
+        Claim("every run is the 320-host paper geometry",
+              lambda v: set(v.all("n_hosts")) == {320}),
+        Claim("every run stays dominantly analytic (> 500 permille)",
+              lambda v: min(v.all("analytic_residency_permille")) > 500),
+        Claim("every run demotes its incast paths to packets",
+              lambda v: min(v.all("demotions")) > 0),
+        # Lossless edge to edge — and not because it was idle.
+        Claim("the lossless fabric drops nothing",
+              lambda v: v("drops", **LOSSLESS) == 0),
+        Claim("the lossless fabric's pause machinery engaged",
+              lambda v: v("pause_events", **LOSSLESS) > 0),
+        Claim("it paused switch-to-switch links off the incast path",
+              lambda v: v("fabric_pauses", **LOSSLESS) > 0),
+        Claim("it spent time paused", lambda v: v("pause_ms", **LOSSLESS) > 0),
+        Claim("its headroom never overflowed",
+              lambda v: v("headroom_drops", **LOSSLESS) == 0),
+        Claim("Vertigo's p99 QCT on the same burst is below the lossless "
+              "fabric's",
+              lambda v: v("p99_qct_s", **VERTIGO) < v("p99_qct_s", **LOSSLESS)),
+        Claim("Vertigo never pauses",
+              lambda v: v("pause_events", **VERTIGO) == 0),
+    ],
+)]
 
 
 def test_pfc_incast_lossless_vs_deflection(benchmark):
-    def run():
-        lossless = _measure("ecmp", "dcqcn", lossless=True)
-        vertigo = _measure("vertigo", "dctcp", lossless=False)
-        return lossless, vertigo
-
-    (lossless, row_l), (vertigo, row_v) = once(benchmark, run)
-    emit("pfc_incast", "degree-24 incast on the paper fabric: "
-         "PFC lossless vs. Vertigo deflection", [row_l, row_v], COLUMNS,
-         notes="lossless absorbs the burst with zero drops but spreads "
-               "congestion (fabric pause entries); deflection keeps the "
-               "query tail lower.")
-
-    # Paper geometry, inside the hybrid envelope: the fabric stays
-    # dominantly analytic, with the incast paths demoted to packets.
-    for result in (lossless, vertigo):
-        assert result.config.topology.n_hosts == 320
-        assert result.fidelity["analytic_residency_permille"] > 500
-        assert result.fidelity["demotions"] > 0
-
-    # The lossless fabric really is lossless, edge to edge — and not
-    # because it was idle: the pause machinery engaged, including on
-    # switch-to-switch links off the incast path.
-    assert row_l["drops"] == 0
-    assert row_l["pause_events"] > 0
-    assert row_l["fabric_pauses"] > 0
-    assert lossless.pfc["pause_ns"] > 0
-    assert lossless.pfc["headroom_drops"] == 0
-
-    # Vertigo absorbs the same burst in-network with a lower query
-    # tail: deflection spreads the burst across spines instead of
-    # head-of-line blocking the fabric behind PAUSE frames.
-    assert row_v["p99_qct_s"] < row_l["p99_qct_s"]
-    assert row_v["pause_events"] == 0
+    run_figure(benchmark, *FIGURES)

@@ -1,62 +1,55 @@
-"""§2 micro-observations that motivate the design:
+"""§2 micro-observations that motivate the design, at ~35% load: what
+random deflection does to reordering, loss, path length and mice
+(<100 KB in the paper: <24 KB scaled) FCT, and what choosing the
+less-loaded of two sampled queues ("power of two choices") changes."""
 
-- at ~35% load, random deflection multiplies transport-visible
-  reordering and raises loss versus ECMP;
-- deflecting to the less-loaded of two sampled queues ("power of two
-  choices") cuts loss versus a single random choice (paper: 54.5%);
-- deflection lengthens paths (paper: ~20% more hops at 50% load);
-- random deflection inflates mice (<100 KB here: <24 KB scaled) queueing
-  and FCT.
-"""
-
-from common import bench_config, emit, once
-from repro.experiments.runner import run_experiment
+from figures import Claim, Figure, Point, bench_config, run_figure
 from repro.forwarding.vertigo import VertigoSwitchParams
 
-COLUMNS = ["series", "reordered", "drop_pct", "mean_hops",
-           "mice_mean_fct_ms", "mean_fct_s"]
+LOAD = dict(bg_load=0.20, incast_load=0.15)
 
 
-def _row(name, config):
-    result = run_experiment(config)
-    row = result.row()
-    row["series"] = name
-    row["mice_mean_fct_ms"] = 1000 * result.metrics.mean_fct_s(
-        background_only=True, max_size=24_000)
-    return row
+def _mice(result):
+    return {"mice_mean_fct_ms": 1000 * result.metrics.mean_fct_s(
+        background_only=True, max_size=24_000)}
+
+
+FIGURES = [Figure(
+    id="sec2",
+    title="low-load deflection pathologies (35% load)",
+    paper="At ~35% load: random deflection raises reordering ~10x and loss "
+          "+57% vs ECMP; power-of-two deflection cuts loss ~54.5%; paths "
+          "lengthen ~20%; mice FCT +40%.",
+    points=[
+        Point(bench_config("ecmp", "dctcp", **LOAD), {"series": "ecmp"}),
+        Point(bench_config("dibs", "dctcp", **LOAD),
+              {"series": "random-deflection"}),
+        # Deflection with power-of-two target choice, no SRPT and no
+        # host shims: isolates the "where to deflect" question.
+        Point(bench_config(
+            "vertigo", "dctcp", ordering=False,
+            vertigo_switch=VertigoSwitchParams(fw_choices=1, def_choices=2,
+                                               scheduling=False), **LOAD),
+              {"series": "po2-deflection"}),
+    ],
+    row=_mice,
+    columns=["series", "reordered", "drop_pct", "mean_hops",
+             "mice_mean_fct_ms", "mean_fct_s"],
+    claims=[
+        Claim("random deflection more than doubles transport-visible "
+              "reordering over ECMP",
+              lambda v: v("reordered", series="random-deflection")
+              > 2 * max(1, v("reordered", series="ecmp"))),
+        Claim("random deflection lengthens paths by over 10%",
+              lambda v: v("mean_hops", series="random-deflection")
+              > 1.1 * v("mean_hops", series="ecmp")),
+        Claim("power-of-two deflection drops no more than random "
+              "deflection (1.5x + 0.05 points allowance)",
+              lambda v: v("drop_pct", series="po2-deflection")
+              <= 1.5 * v("drop_pct", series="random-deflection") + 0.05),
+    ],
+)]
 
 
 def test_sec2_low_load_observations(benchmark):
-    def sweep():
-        load = dict(bg_load=0.20, incast_load=0.15)
-        rows = [
-            _row("ecmp", bench_config("ecmp", "dctcp", **load)),
-            _row("random-deflection", bench_config("dibs", "dctcp",
-                                                   **load)),
-            # Deflection with power-of-two target choice, no SRPT and no
-            # host shims: isolates the "where to deflect" question.
-            _row("po2-deflection", bench_config(
-                "vertigo", "dctcp", ordering=False,
-                vertigo_switch=VertigoSwitchParams(fw_choices=1,
-                                                   def_choices=2,
-                                                   scheduling=False),
-                **load)),
-        ]
-        return rows
-
-    rows = once(benchmark, sweep)
-    emit("sec2", "low-load deflection pathologies (35% load)", rows,
-         COLUMNS,
-         notes="paper §2: random deflection raises reordering ~10x and "
-               "loss +57% vs ECMP; po2 target choice cuts deflection "
-               "loss ~54%; paths lengthen ~20%.")
-    by = {row["series"]: row for row in rows}
-    # Deflection multiplies transport-visible reordering vs ECMP.
-    assert by["random-deflection"]["reordered"] \
-        > 2 * max(1, by["ecmp"]["reordered"])
-    # Deflection extends paths.
-    assert by["random-deflection"]["mean_hops"] \
-        > 1.1 * by["ecmp"]["mean_hops"]
-    # Power-of-two deflection drops no more than random deflection.
-    assert by["po2-deflection"]["drop_pct"] \
-        <= by["random-deflection"]["drop_pct"] * 1.5 + 0.05
+    run_figure(benchmark, *FIGURES)

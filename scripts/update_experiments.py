@@ -1,195 +1,52 @@
 #!/usr/bin/env python3
-"""Assemble EXPERIMENTS.md from bench_results/ plus the paper-claim index.
+"""Render the per-figure regions of EXPERIMENTS.md.
 
-Run after a full ``pytest benchmarks/ --benchmark-only`` pass::
+Run after a ``pytest benchmarks/ --benchmark-only`` pass::
 
-    python scripts/update_experiments.py
+    PYTHONPATH=src python scripts/update_experiments.py
+
+Each ``<!-- figure:ID -->`` … ``<!-- /figure:ID -->`` region is replaced
+by the figure's paper sentence (``benchmarks/figures.py::registry``),
+its verdict lines and its table (``bench_results/ID.txt``).  Everything
+outside the regions is hand-written and left byte-for-byte alone.
 """
-
-from __future__ import annotations
 
 import os
-import textwrap
+import re
+import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-RESULTS = os.path.join(ROOT, "bench_results")
 OUT = os.path.join(ROOT, "EXPERIMENTS.md")
+sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
 
-HEADER = """\
-# EXPERIMENTS — paper vs. measured
+from figures import registry, split_result  # noqa: E402
 
-Regenerate everything with ``pytest benchmarks/ --benchmark-only`` and then
-``python scripts/update_experiments.py``.  Measured numbers come from the
-scaled bench profile (32 hosts, 200/160 Mbps, 30 KB buffers, 120 ms
-windows — DESIGN.md explains the ratio-preserving scaling), so absolute
-seconds are not comparable to the paper's 320-host, 10/40 Gbps, 5 s
-setup; the *shape* — who wins, by what rough factor, where crossovers
-fall — is the reproduction target.  Full regenerated tables live in
-``bench_results/``.
-"""
 
-#: experiment id -> (result files, paper claim, what to compare).
-INDEX = [
-    ("Figure 1", ["fig1"],
-     "Random deflection (DIBS) wins at low load but 'starts to break as "
-     "the aggregate load passes 65%': query completions collapse, QCT/FCT "
-     "overtake ECMP baselines, paths lengthen ~20%, elephant goodput "
-     "craters.",
-     "DIBS completes 95% of queries at 35% load (vs ~30% for "
-     "ECMP) with 6x lower QCT, then collapses to ~3% completion at 90% "
-     "load with flow completion below TCP/ECMP; its mean hop count is "
-     "~40% above ECMP (paper ~20%) and elephant goodput falls 669 -> 93 "
-     "Mbps across the sweep. Shape reproduced; our deflected packets "
-     "circulate somewhat more than the paper's because the scaled fabric "
-     "links are not 4x faster than host links."),
-    ("Figure 5", ["fig5_bg25", "fig5_bg50", "fig5_bg75"],
-     "Vertigo holds steady mean/p99 FCT+QCT at every load mix; DIBS's "
-     "QCT and FCT blow up with a 10-point load increase (6x / 21x); "
-     "at 90% load Vertigo cuts DRILL/DIBS mean FCT by 5.1x / 2.7x.",
-     "Vertigo has the lowest mean QCT at every swept point and "
-     "stays within a ~2x band across 45->90% load while DIBS's QCT grows "
-     "3-5x and its completions halve; at the top load Vertigo beats "
-     "DRILL/DIBS mean FCT by roughly 2-3x. Shape reproduced."),
-    ("Figure 6", ["fig6a", "fig6b"],
-     "Replacing DCTCP with TCP leads to up to 10x jump in DIBS's QCT and "
-     "expedites collapse; Vertigo+TCP outperforms alternatives that use "
-     "DCTCP and sits close to Vertigo+DCTCP; Swift variants dominate.",
-     "DIBS+TCP is multiple-fold worse than DIBS+DCTCP at 85% "
-     "load (completion 20% vs 65% band) while Vertigo's QCT varies by "
-     "<2x across Reno/DCTCP; Vertigo+TCP < DIBS+DCTCP. Shape reproduced; "
-     "our Swift baselines complete fewer queries than the paper's within "
-     "the short scaled window (censoring, see DESIGN.md ratios)."),
-    ("Figure 7", ["fig7_dctcp", "fig7_swift"],
-     "In a fat-tree, Vertigo cuts ECMP's QCT by 71% (DCTCP) and 98% "
-     "(Swift) under 50%+25% load, improves random deflection's tail, and "
-     "Vertigo+Swift shows near-zero drops.",
-     "On fat-tree k=4: Vertigo's QCT percentiles sit at or below "
-     "ECMP's and DIBS's across the three mixes under DCTCP; with Swift "
-     "drops are near zero for Vertigo. Shape reproduced at reduced "
-     "magnitude (k=4 has 4 hosts/pod, so incast fan-in is limited)."),
-    ("Table 2", ["table2"],
-     "Completion at 75% load — DCTCP: 78.5/96.1/98.0% of flows and "
-     "28.4/71.3/93.0% of queries for ECMP/DIBS/Vertigo; Swift lifts "
-     "everyone (97.7/99.4/99.8 and 79.9/99.1/99.6).",
-     "same ordering ECMP < DIBS <= Vertigo on both metrics "
-     "under DCTCP, and Swift lifts ECMP's flow completion markedly. "
-     "Our absolute completion percentages are lower (short window)."),
-    ("Figure 8", ["fig8"],
-     "As incast scale grows 50->450, every system struggles but Vertigo "
-     "completes up to 10x more queries; everyone's FCT climbs.",
-     "at the largest fan-in (24 of 32 hosts) Vertigo completes "
-     "the most queries of all systems (multi-fold over ECMP/DRILL) and "
-     "every system completes fewer than at the smallest fan-in. Shape "
-     "reproduced."),
-    ("Figure 9", ["fig9"],
-     "Growing incast flows 1->180 KB: systems without flow-size "
-     "information misclassify large incast flows; at 180 KB Vertigo's "
-     "mean QCT is 68%/58% below DIBS/ECMP+DCTCP.",
-     "With a 2->45 KB sweep (same buffer-relative range): Vertigo's "
-     "mean QCT at the largest size is well below DIBS and ECMP+DCTCP. "
-     "Shape reproduced."),
-    ("Figure 10", ["fig10"],
-     "At fixed 80% load with growing burstiness, QCT rises for all; "
-     "Vertigo stays steadily low; DIBS fails once buffers hold "
-     "background flows.",
-     "Vertigo 0.007->0.031 s mean QCT across the sweep (best "
-     "everywhere, 94->54% completions) while DIBS collapses from 76% to "
-     "7% completion. Shape reproduced."),
-    ("Figure 11a", ["fig11a"],
-     "Disabling deflection: 13x QCT at the lowest load (6x more loss). "
-     "Disabling scheduling: up to 110% higher QCT at high load (random-"
-     "deflection-like). Disabling ordering: minimal QCT impact but "
-     "FCT/goodput suffer via shrunken windows.",
-     "no-deflection 6.4x QCT at 35% load with ~100x the drop "
-     "rate; no-scheduling 2.8x QCT at 85% load (completion 80 -> 30%); "
-     "no-ordering leaves QCT within noise while transport-visible "
-     "reordering triples. Shape reproduced."),
-    ("Figure 11b", ["fig11b"],
-     "Boosting is essential (completion drops 65% without it); factors "
-     "above 2x add little.",
-     "At the heavy 85% point, disabling boosting cuts query completion "
-     "from ~84% to ~58% (re-transmitted packets keep their large RFS and "
-     "are re-deflected/dropped), matching 'completion drops sharply "
-     "without boosting'; 4x is indistinguishable from 2x ('above 2x adds "
-     "little'). New finding: 8x *degrades* — at 3 rotations per "
-     "retransmission the 32-bit RFS wraps after a few retries and the "
-     "rank ordering corrupts, an inherent cost of the rotation-based "
-     "reversible encoding and a concrete reason to default to 2x."),
-    ("Figure 12", ["fig12_leafspine", "fig12_fattree"],
-     "Random deflection targets raise drop probability by up to 47% vs "
-     "power-of-two; the gap fades as load grows.",
-     "2DEF drops at or below 1DEF at the low/medium point on "
-     "both topologies, gap narrowing with load. Shape reproduced at "
-     "smaller magnitude."),
-    ("Table 3", ["table3"],
-     "LAS (flow aging) is worse than SRPT (up to 30% higher mean QCT) "
-     "but still beats ECMP and DIBS by 52%/70% at 85% load.",
-     "vertigo-LAS within ~15% of vertigo-SRPT and clearly "
-     "below ECMP/DIBS at the top load. Shape reproduced."),
-    ("Figure 13", ["fig13"],
-     "The reordering-timeout setting has a bounded effect on FCT "
-     "(penalty of a few ms at worst).",
-     "mean FCT varies by <2.5x across a 9x tau sweep around "
-     "the derived value; smaller taus produce more spurious "
-     "retransmissions. Shape reproduced. (The derivation itself yields "
-     "exactly the paper's 360 us at full scale — tested.)"),
-    ("§2 micro-observations", ["sec2"],
-     "At ~35% load: random deflection raises reordering ~10x and loss "
-     "+57% vs ECMP; power-of-two deflection cuts loss ~54.5%; paths "
-     "lengthen ~20%; mice FCT +40%.",
-     "random deflection multiplies transport-visible "
-     "reordering >2x over ECMP and lengthens paths >10%; po2 deflection "
-     "drops no more than random. Directionally reproduced; exact "
-     "factors differ with scale."),
-    ("Extension ablations (beyond the paper)", ["ext1", "ext2", "ext3"],
-     "No paper counterpart — design-space ablations DESIGN.md calls "
-     "out: PABO-style bounce and LetFlow flowlet switching as extra "
-     "deflection/balancing baselines; Dynamic-Threshold shared buffers "
-     "vs the paper's static per-port buffers; delayed vs per-packet "
-     "ACKs.",
-     "Vertigo dominates both related-work alternatives at the heavy "
-     "point; DT shared buffers narrow but do not close the gap for "
-     "drop-based ECMP; the system ordering is insensitive to the ACK "
-     "policy."),
-    ("Paper scale (hybrid fidelity, beyond the bench profile)",
-     ["paper_scale"],
-     "All evaluation runs use the full 320-server leaf-spine (10/40 "
-     "Gbps, 300 KB buffers) for multiple simulated seconds.",
-     "With --fidelity hybrid the full paper geometry covers one "
-     "simulated second in ~9 s of wall clock and ~130 MiB of peak RSS "
-     "(2-vCPU reference box; 0.83 KiB per flow): ~157k "
-     "flows and ~1.9k degree-12 incast queries at 100% completion, "
-     "1000 permille analytic residency. Accuracy contract (p50 25% / "
-     "p99 40% vs packet) validated at bench scale and 80 servers; see "
-     "DESIGN.md 'Hybrid fidelity'."),
-    ("§4.4 host datapath", ["(pytest-benchmark timings)"],
-     "Two extra cuckoo lookups cost ~300 ns; marking changes throughput "
-     "by <0.1% (DPDK/C on Xeon).",
-     "In CPython (absolute numbers not comparable): "
-     "cuckoo lookup is ~microseconds; the retransmission-detection path "
-     "(filter hit + boost) stays within the same order as first-"
-     "transmission marking; the ordering component's in-order fast path "
-     "is O(1) per packet. Relative claims hold; absolute ns are a "
-     "language artifact."),
-]
+def render(text: str) -> str:
+    """``text`` (EXPERIMENTS.md) with every figure's region re-rendered."""
+    for figure in registry().values():
+        with open(figure.result_path) as handle:
+            table, verdicts = split_result(handle.read())
+        verdicts = "".join(f"- {line}\n" for line in verdicts)
+        begin, end = (f"<!-- {slash}figure:{figure.id} -->\n"
+                      for slash in ("", "/"))
+        region = (f"{begin}**Paper:** {figure.paper}\n\n{verdicts}\n"
+                  f"<details><summary>{figure.id}</summary>\n\n"
+                  f"```\n{table}\n```\n</details>\n{end}")
+        text, count = re.subn(re.escape(begin) + ".*?" + re.escape(end),
+                              lambda _: region, text, flags=re.S)
+        if count != 1:
+            raise SystemExit(f"EXPERIMENTS.md has {count} regions for "
+                             f"figure {figure.id!r}; it needs exactly one")
+    return text
 
 
 def main() -> None:
-    sections = [HEADER]
-    for title, files, paper, measured in INDEX:
-        sections.append(f"\n## {title}\n")
-        sections.append(f"**Paper:** {paper}\n")
-        sections.append(f"**Measured:** {measured}\n")
-        for name in files:
-            path = os.path.join(RESULTS, f"{name}.txt")
-            if os.path.exists(path):
-                with open(path) as handle:
-                    table = handle.read().rstrip()
-                sections.append(f"\n<details><summary>{name}</summary>\n\n"
-                                f"```\n{table}\n```\n</details>\n")
+    with open(OUT) as handle:
+        rendered = render(handle.read())
     with open(OUT, "w") as handle:
-        handle.write("\n".join(sections))
-    print(f"wrote {OUT}")
+        handle.write(rendered)
+    print(f"rendered {OUT}")
 
 
 if __name__ == "__main__":

@@ -63,13 +63,14 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
                         default="dctcp",
                         help="transport; 'dcqcn' is the rate-based "
                              "lossless-fabric control (pair with --pfc)")
-    parser.add_argument("--bg-load", type=float, default=0.5,
+    parser.add_argument("--bg-load", type=float, default=None,
                         help="background load fraction (default 0.5)")
-    parser.add_argument("--incast-load", type=float, default=0.25,
+    parser.add_argument("--incast-load", type=float, default=None,
                         help="incast load fraction (default 0.25)")
-    parser.add_argument("--incast-scale", type=int, default=12,
-                        help="servers per incast query")
-    parser.add_argument("--incast-flow-bytes", type=int, default=10_000)
+    parser.add_argument("--incast-scale", type=int, default=None,
+                        help="servers per incast query (default 12)")
+    parser.add_argument("--incast-flow-bytes", type=int, default=None,
+                        help="bytes per incast response (default 10000)")
     parser.add_argument("--sim-ms", type=int, default=None,
                         help="simulated milliseconds (default: the "
                              "profile's, 200 bench / 5000 paper)")
@@ -116,7 +117,7 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workload", action="append", default=[],
                         metavar="SPEC", dest="workloads",
                         help="compose the traffic mix from workload specs "
-                             "(replaces --bg-load/--incast-* when given), "
+                             "(instead of --bg-load/--incast-*), "
                              "e.g. background:load=0.3,dist=web_search or "
                              "incast:scale=24,load=0.1 or "
                              "coflow:width=8,stages=2,load=0.2 or "
@@ -183,31 +184,37 @@ def _trace_config_from_args(args: argparse.Namespace
                        sample_period_ns=period)
 
 
+#: The profile's default traffic mix, one entry per mix flag.
+_MIX_DEFAULTS = {"bg_load": 0.5, "incast_load": 0.25, "incast_scale": 12,
+                 "incast_flow_bytes": 10_000}
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    mix = {key: getattr(args, key) for key in _MIX_DEFAULTS}
+    given = [key for key, value in mix.items() if value is not None]
+    if args.workloads and given:
+        raise ValueError("--workload composes the whole traffic mix; "
+                         + "/".join("--" + key.replace("_", "-")
+                                    for key in given)
+                         + " would be ignored")
+    mix = {key: _MIX_DEFAULTS[key] if value is None else value
+           for key, value in mix.items()}
     if args.paper_scale:
         if args.fat_tree:
             raise ValueError("--paper-scale (the paper's leaf-spine) "
                              "cannot be combined with --fat-tree")
         config = ExperimentConfig.paper_profile(
-            system=args.system, transport=args.transport,
-            bg_load=args.bg_load, incast_load=args.incast_load,
-            incast_scale=args.incast_scale,
-            incast_flow_bytes=args.incast_flow_bytes)
+            system=args.system, transport=args.transport, **mix)
         config.seed = args.seed
     else:
         topology = FatTree(args.fat_tree) if args.fat_tree else None
         config = ExperimentConfig.bench_profile(
-            system=args.system, transport=args.transport,
-            bg_load=args.bg_load, incast_load=args.incast_load,
-            incast_scale=args.incast_scale,
-            incast_flow_bytes=args.incast_flow_bytes,
+            system=args.system, transport=args.transport, **mix,
             topology=topology, seed=args.seed)
     if args.sim_ms is not None:
         config.sim_time_ns = args.sim_ms * MILLISECOND
     if args.workloads:
-        # A spec-composed mix replaces the profile's default generators
-        # (the --bg-load/--incast-* knobs are ignored when --workload
-        # is given).
+        # A spec-composed mix replaces the profile's default generators.
         config.workload = WorkloadConfig(parse_workloads(args.workloads))
     if args.warmup or args.cooldown:
         config.workload = _replace(

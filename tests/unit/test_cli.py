@@ -112,6 +112,8 @@ def test_sanitized_run_with_a_fault_scenario(capsys):
     ["run", *TINY, "--pfc-classes", "2", "--pfc-headroom", "3000"],
     ["run", *TINY, "--demote-shares", "8"],
     ["run", *TINY, "--trace", "t.jsonl", "--sample-us", "0"],
+    ["run", "--sim-ms", "5", "--workload", "background:load=0.1",
+     "--bg-load", "0.3"],
 ])
 def test_flags_that_would_do_nothing_are_usage_errors(argv, capsys):
     assert main(argv) == 2
@@ -320,9 +322,10 @@ def test_run_with_workload_reports_cct(capsys):
 
 def test_malformed_workload_is_one_line_usage_error(capsys):
     """A bad --workload directive exits 2, mirroring --fault."""
-    for argv in (["run", *TINY, "--workload", "warp"],
-                 ["run", *TINY, "--workload", "coflow:pattern=ring"],
-                 ["sweep", "--systems", "ecmp", *TINY,
+    for argv in (["run", "--sim-ms", "5", "--workload", "warp"],
+                 ["run", "--sim-ms", "5", "--workload",
+                  "coflow:pattern=ring"],
+                 ["sweep", "--systems", "ecmp", "--sim-ms", "5",
                   "--workload", "background:load=much"]):
         assert main(argv) == 2
         assert_one_line_usage_error(capsys)
