@@ -9,6 +9,7 @@ or :func:`scoped` — the following invariants are checked continuously:
 - **event-time monotonicity** (:mod:`repro.sim.engine`): the calendar
   never runs backwards and every event time / delay is an ``int``
   (a float sneaking in would silently break nanosecond discipline);
+- **lazy-clock epoch** (:mod:`repro.transport.dcqcn`): never ahead of ``now``;
 - **queue byte-accounting** (:mod:`repro.net.queues`): a queue's tracked
   ``bytes`` always equals the sum of its enqueued packets' wire sizes and
   respects its capacity;

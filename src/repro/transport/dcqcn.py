@@ -8,9 +8,11 @@ reacts to ECN feedback —
   window of ACKed bytes (standing in for the NIC's CNP stream); a window
   containing marks cuts the rate multiplicatively by ``alpha / 2`` and
   snapshots the pre-cut rate as the recovery target.
-- **increase**: a periodic timer first closes half the gap to the target
-  each period (*fast recovery*), then grows the target additively, then
-  hyper-additively — the standard three DCQCN stages.
+- **increase**: each period first closes half the gap to the target
+  (*fast recovery*), then grows the target additively, then
+  hyper-additively.  A tick is never an event: nobody sees it until the
+  flow next reads its rate, so every reader first applies the ``(now -
+  epoch) // period`` ticks due (at *t*, before what the flow does at *t*).
 
 Everything is integer arithmetic: rates in bits/s, times in ns, and
 ``alpha`` in fixed point (:data:`ALPHA_UNIT`), so runs stay
@@ -27,11 +29,13 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.analysis import sanitize as _sanitize
 from repro.metrics.collector import MetricsCollector
 from repro.net.packet import HEADER_BYTES
 from repro.sim.engine import Engine
-from repro.sim.timers import Timer
 from repro.transport.base import MAX_CWND, FlowSender, TransportConfig
+
+_SANITIZE = _sanitize.register(__name__)
 
 #: Fixed-point unit for the marked-fraction EWMA ``alpha`` (1.0 == UNIT).
 ALPHA_UNIT = 1 << 20
@@ -42,7 +46,8 @@ class DcqcnSender(FlowSender):
 
     __slots__ = ("rate_bps", "target_rate_bps", "alpha_fp", "_timer_ns",
                  "_rate_ai_bps", "_rate_hai_bps", "_stage", "_window_acked",
-                 "_window_marked", "_window_end", "_rate_timer")
+                 "_window_marked", "_window_end", "_rate_epoch", "_wire_ns",
+                 "_gap_ns")
 
     ecn_capable = True
     #: Floor of the sending rate.
@@ -74,24 +79,28 @@ class DcqcnSender(FlowSender):
         self._window_acked = 0
         self._window_marked = 0
         self._window_end = 0
-        self._rate_timer = Timer(engine, self._on_rate_timer)
+        self._rate_epoch = engine.now  # when the increase clock restarted
+        self._wire_ns = (config.mss + HEADER_BYTES) * 8 * 1_000_000_000
+        self._gap_ns = self._wire_ns // line_rate  # kept where the rate moves
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> None:
-        self._rate_timer.start(self._timer_ns)
+        self._rate_epoch = self.engine.now
         super().start()
 
     def stop(self) -> None:
-        self._rate_timer.stop()
+        self._catch_up()
+        self._timer_ns = 1 << 62  # stopped: no tick is ever due again
         super().stop()
 
     # -- rate enforcement ----------------------------------------------------
 
     def pacing_gap_ns(self) -> int:
         """Serialization time of one full segment at the current rate."""
-        wire_bits = (self.config.mss + HEADER_BYTES) * 8
-        return wire_bits * 1_000_000_000 // self.rate_bps
+        if self.engine.now - self._rate_epoch >= self._timer_ns:
+            self._catch_up()
+        return self._gap_ns
 
     # -- congestion-control hooks --------------------------------------------
 
@@ -110,37 +119,42 @@ class DcqcnSender(FlowSender):
             shift = self.ALPHA_G_SHIFT
             self.alpha_fp += (fraction_fp >> shift) - (self.alpha_fp >> shift)
             if self._window_marked > 0:
-                self._cut_rate()
+                self._cut_rate(2 * ALPHA_UNIT - self.alpha_fp)
         self._window_acked = 0
         self._window_marked = 0
         self._window_end = self.snd_nxt
 
-    def _cut_rate(self) -> None:
-        """Multiplicative decrease by alpha/2; pre-cut rate is the target."""
+    def _cut_rate(self, keep_fp: int) -> None:
+        """Cut to ``keep_fp / 2`` of the rate, which becomes the target."""
+        self._catch_up()
         self.target_rate_bps = self.rate_bps
-        cut = self.rate_bps * (2 * ALPHA_UNIT - self.alpha_fp) \
-            // (2 * ALPHA_UNIT)
+        cut = self.rate_bps * keep_fp // (2 * ALPHA_UNIT)
         self.rate_bps = max(self.MIN_RATE_BPS, cut)
+        self._gap_ns = self._wire_ns // self.rate_bps
         self._stage = 0
-        self._rate_timer.start(self._timer_ns)
+        self._rate_epoch = self.engine.now
 
-    def _on_rate_timer(self) -> None:
-        if self._stage >= self.FAST_RECOVERY_STAGES:
-            if self._stage >= 2 * self.FAST_RECOVERY_STAGES:
-                self.target_rate_bps += self._rate_hai_bps
-            else:
-                self.target_rate_bps += self._rate_ai_bps
-        self._stage += 1
-        self.rate_bps = (self.rate_bps + self.target_rate_bps) // 2
-        self._rate_timer.start(self._timer_ns)
+    def _catch_up(self) -> None:
+        """Apply every whole tick of the increase clock that is due."""
+        ticks = (self.engine.now - self._rate_epoch) // self._timer_ns
+        if _SANITIZE:
+            _sanitize.check(ticks >= 0, "DCQCN rate epoch is ahead of now")
+        for _ in range(ticks):
+            if self._stage >= self.FAST_RECOVERY_STAGES:
+                if self._stage >= 2 * self.FAST_RECOVERY_STAGES:
+                    self.target_rate_bps += self._rate_hai_bps
+                else:
+                    self.target_rate_bps += self._rate_ai_bps
+            self._stage += 1
+            self.rate_bps = (self.rate_bps + self.target_rate_bps) // 2
+        self._rate_epoch += ticks * self._timer_ns
+        self._gap_ns = self._wire_ns // self.rate_bps
 
     def on_rto_cc(self) -> None:
         # Loss (only possible with PFC off or zero headroom) is treated
         # as the strongest congestion signal: halve and restart recovery.
-        self.target_rate_bps = self.rate_bps
-        self.rate_bps = max(self.MIN_RATE_BPS, self.rate_bps // 2)
-        self._stage = 0
-        self._rate_timer.start(self._timer_ns)
+        self._cut_rate(ALPHA_UNIT)
 
     def cc_state(self) -> tuple:
+        self._catch_up()
         return ("dcqcn", self.rate_bps, self.alpha_fp)

@@ -36,6 +36,7 @@ from repro.runtime.supervisor import _run_portable
 from repro.runtime import SupervisorPolicy, run_supervised
 from repro.faults import parse_faults
 from repro.net.fidelity import FidelityConfig
+from repro.net.pfc import PfcConfig
 from repro.sim.units import MILLISECOND
 from repro.trace import TraceConfig, jsonl_lines
 from repro.trace import hooks as trace_hooks
@@ -276,6 +277,45 @@ def test_restored_traced_run_exports_the_uninterrupted_bytes(
     assert _jsonl(resumed) == _jsonl(reference)
     assert resumed.report().to_dict()["trace"] \
         == reference.report().to_dict()["trace"]
+
+
+# -- DCQCN's rate clock is state, not a calendar entry ---------------------------
+
+
+def test_dcqcn_clock_survives_a_restore_mid_period(tmp_path, monkeypatch):
+    """The increase clock is ``(epoch, now)``: a DCQCN+PFC run preempted
+    between two ticks, with ticks owed that nobody has read yet, restores
+    to the uninterrupted digest."""
+
+    def lossless(directory=None):
+        config = ExperimentConfig.bench_profile(
+            system="ecmp", transport="dcqcn", bg_load=0.5, incast_load=0.25,
+            incast_scale=12, sim_time_ns=10 * MILLISECOND, seed=1)
+        config.pfc = PfcConfig(enabled=True, num_classes=2,
+                               priority_map=(0, 1))
+        return config if directory is None \
+            else _checkpointed(config, directory, every_ms=3)
+
+    reference = run_digest(run_experiment(lossless()))
+    with monkeypatch.context() as patch:
+        patch.setattr(runner, "preemption_requested", lambda: True)
+        with pytest.raises(RunPreempted):
+            run_experiment(lossless(tmp_path))
+
+    config = lossless(tmp_path)
+    _header, world, _used = store.load_latest(
+        _managed_path(config), expect_config=config_digest(config))
+    now = world.engine.now
+    assert now == 3 * MILLISECOND
+    phases = [divmod(now - sender._rate_epoch, sender._timer_ns)
+              for host in world.network.hosts
+              for sender in host.senders.values()]
+    assert any(into_period for _owed, into_period in phases)
+    assert any(owed for owed, _into_period in phases)
+
+    resumed = run_experiment(config)
+    assert resumed.checkpoint["restored_from_ns"] == 3 * MILLISECOND
+    assert run_digest(resumed) == reference
 
 
 # -- SIGKILL then restore, pooled supervisor -----------------------------------

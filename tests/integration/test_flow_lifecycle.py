@@ -16,6 +16,7 @@ cannot use.
 import dataclasses
 import functools
 import gc
+import hashlib
 import inspect
 import sys
 import tracemalloc
@@ -26,13 +27,18 @@ import pytest
 
 from repro.experiments import run_digest, runner
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import FlowKernel, run_experiment
+from repro.experiments.runner import EngineStats, FlowKernel, run_experiment
 from repro.faults.spec import FaultSpec
 from repro.net.fidelity import FidelityConfig, FidelityController
+from repro.net.pfc import PfcConfig
+from repro.sim.engine import Engine
 from repro.sim.timers import Timer
 from repro.sim.units import MILLISECOND
+from repro.trace import TraceConfig, jsonl_lines
 from repro.transport import TRANSPORTS
-from repro.transport.base import FlowReceiver, FlowSender, _Segment
+from repro.transport.base import (FlowReceiver, FlowSender, TransportConfig,
+                                  _Segment)
+from repro.transport.dcqcn import DcqcnSender
 from repro.workload.spec import BackgroundSpec, CoflowSpec
 
 #: Digests of the five runs at the commit before the rewrite.
@@ -44,7 +50,7 @@ PINNED = {
     "flow-fault":
         "9910615de0aea77ce1714fbca6f2623a67af0388ca5abc49bf5f6706e9348df3",
     "hybrid-dcqcn":
-        "9602a415115add05e414351668a8c97cc2309f9a408631f5bc49e847999200b5",
+        "952df2ed159d16f7b42f8374af12c1c9cdae515d7eef4086fc05fec20e66aae2",
     "packet-coflow-delack":
         "7c335c94de5d03836299dc7df8d36613d695a0165ab768cca9e020a9bc5d8714",
 }
@@ -210,8 +216,8 @@ def test_no_per_flow_object_in_a_run_has_a_dict(spied_run):
     senders, receivers = _endpoints(spied_run["result"])
     timers = [timer for endpoint in senders + receivers
               for timer in (getattr(endpoint, name, None) for name in
-                            ("_rto_timer", "_pace_timer", "_rate_timer",
-                             "_ack_timer")) if timer is not None]
+                            ("_rto_timer", "_pace_timer", "_ack_timer"))
+              if timer is not None]
     segments = [segment for sender in senders
                 for segment in sender._segments.values()]
     assert senders and receivers
@@ -252,3 +258,156 @@ def test_a_finished_flow_retains_at_most_650_bytes():
     full_bytes, full_done = retained(10)
     assert full_done - half_done >= 1000
     assert (full_bytes - half_bytes) / (full_done - half_done) <= 650
+
+
+# -- DCQCN's rate clock: evaluated when read, never an event ------------------
+#
+# Three 10 ms DCQCN runs — lossless (2-class PFC, traced with the flow
+# sampler reading ``cc_state``), lossy (PFC off, RTOs short enough to
+# fire, so ``on_rto_cc`` and drops occur) and the all-analytic
+# ``hybrid-dcqcn`` above — pinned at the *stats* level at the commit
+# before the rate clock became lazy: ``run_digest`` with
+# ``events_executed`` blanked (what the simulator spent, not what the
+# network did) and, for the traced run, the JSONL minus its one
+# ``engine.span`` line.  The budgets below are what the eager per-flow
+# rate timer broke.
+
+DCQCN_STATS = {
+    "lossless-traced":
+        ("3ddf659043a669887578f68761751fec9c9e129db972e5cc8e89d8292ca11895",
+         "ed7d0b13fe1ad11706fe678f23f2dd9807683b6b428b5293c9afae16ec1b8751"),
+    "lossy":
+        ("1c2492aa262d0ef2a864a80ad8a5a4fb6b7c271bfc2093d0830fa9ff9a259805",
+         None),
+    "hybrid-dcqcn":
+        ("41aefb4966e2695a210bad355f89d7cee71f4c6d58b7bb18e1c2c65c79a9f1d5",
+         None),
+}
+
+#: ``events_executed`` per ``Port._tx_done``: recorded 2.4084 and 2.2401
+#: (the eager clock: 2.5240 and 2.3161).  The gap widens with the horizon,
+#: as more flows sit parked while their clock would have ticked.
+EVENTS_PER_TX_BUDGET = {"lossless-traced": 2.41, "lossy": 2.25}
+
+
+def _dcqcn_config(case):
+    if case == "hybrid-dcqcn":
+        return _config(case)
+    config = ExperimentConfig.bench_profile(
+        system="ecmp", transport="dcqcn", bg_load=0.5, incast_load=0.25,
+        incast_scale=12, sim_time_ns=10 * MILLISECOND, seed=1)
+    if case == "lossy":
+        return dataclasses.replace(config, transport=TransportConfig(
+            init_rto_ns=MILLISECOND, min_rto_ns=MILLISECOND // 2))
+    return dataclasses.replace(
+        config,
+        pfc=PfcConfig(enabled=True, num_classes=2, priority_map=(0, 1)),
+        trace=TraceConfig(level="flow", sample_period_ns=500_000))
+
+
+@pytest.fixture(scope="module", params=sorted(DCQCN_STATS))
+def dcqcn_run(request):
+    record = {"case": request.param, "timer_callbacks": Counter(),
+              "rto_cuts": 0}
+    real_schedule, real_rto_cc = Engine.schedule, DcqcnSender.on_rto_cc
+
+    def spy_schedule(self, delay, fn, *args, **kwargs):
+        timer = getattr(fn, "__self__", None)
+        if isinstance(timer, Timer):
+            callback = timer._callback
+            owner = getattr(callback, "__self__", None)
+            record["timer_callbacks"][
+                type(owner).__name__, callback.__name__] += 1
+        return real_schedule(self, delay, fn, *args, **kwargs)
+
+    def spy_rto_cc(self):
+        record["rto_cuts"] += 1
+        real_rto_cc(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Engine, "schedule", spy_schedule)
+        patch.setattr(DcqcnSender, "on_rto_cc", spy_rto_cc)
+        record["result"] = run_experiment(_dcqcn_config(request.param))
+    return record
+
+
+def test_dcqcn_stats_are_the_pinned_ones_and_the_run_takes_its_branch(
+        dcqcn_run):
+    case, result = dcqcn_run["case"], dcqcn_run["result"]
+    blanked = dataclasses.replace(
+        result.portable(), trace=None,
+        engine=EngineStats(now=result.engine.now, events_executed=0))
+    jsonl = None
+    if result.trace is not None:
+        lines = list(jsonl_lines(result.trace))
+        kept = [line for line in lines if '"ev":"engine.span"' not in line]
+        assert len(kept) == len(lines) - 1
+        jsonl = hashlib.sha256(
+            "".join(line + "\n" for line in kept).encode()).hexdigest()
+    assert (run_digest(blanked), jsonl) == DCQCN_STATS[case]
+    counters = result.metrics.counters
+    if case == "lossless-traced":
+        assert counters.total_drops == 0 and result.pfc["pause_events"] > 0
+        assert result.trace.counts()["sample.flow"] > 1000
+    elif case == "lossy":
+        assert counters.total_drops > 0 and dcqcn_run["rto_cuts"] > 0
+    else:
+        assert result.fidelity["analytic_rounds"] > 0
+
+
+def test_a_dcqcn_run_schedules_no_rate_tick(dcqcn_run):
+    """The increase clock touches nothing the world can see until the
+    flow next reads its rate, so it is never a calendar entry: the only
+    timers a DCQCN sender arms are the base sender's two."""
+    armed = {name for (owner, name), _count
+             in dcqcn_run["timer_callbacks"].items()
+             if owner == "DcqcnSender"}
+    assert armed <= {"_on_rto", "_maybe_send"}
+    if dcqcn_run["case"] != "hybrid-dcqcn":  # which transmits nothing
+        assert armed == {"_on_rto", "_maybe_send"}
+
+
+def test_events_per_transmission_stay_in_budget(dcqcn_run):
+    case, result = dcqcn_run["case"], dcqcn_run["result"]
+    if case == "hybrid-dcqcn":
+        pytest.skip("all-analytic: no packet is transmitted")
+    sent = sum(port.packets_sent
+               for port in result.network.tx_ports.values())
+    assert sent > 5000
+    assert result.engine.events_executed \
+        <= EVENTS_PER_TX_BUDGET[case] * sent
+
+
+def test_a_finished_dcqcn_sender_is_freed_by_reference_count():
+    """PR 22's rule for the base sender, held for the rate-based one: a
+    flow that only ran analytic rounds holds no ``Timer`` and no bound
+    method of itself when it finishes, so the host letting go of it
+    frees it without the cycle collector."""
+    held = []
+    real_tx_done = FlowKernel._tx_done
+
+    def spy_tx_done(self, sender):
+        values = [(name, getattr(sender, name, None))
+                  for cls in type(sender).__mro__[:-1]
+                  for name in cls.__slots__]
+        held.append([name for name, value in values
+                     if isinstance(value, Timer)
+                     or getattr(value, "__self__", None) is sender])
+        real_tx_done(self, sender)
+
+    def alive():
+        return sum(type(obj) is DcqcnSender for obj in gc.get_objects())
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(FlowKernel, "_tx_done", spy_tx_done)
+            result = run_experiment(_config("hybrid-dcqcn"))
+        after = alive()
+    finally:
+        gc.enable()
+    assert len(held) > 50 and not any(held)
+    assert after - before \
+        == sum(len(host.senders) for host in result.network.hosts)

@@ -257,16 +257,20 @@ def test_dcqcn_unmarked_window_decays_alpha_keeps_rate():
 
 
 def test_dcqcn_timer_recovers_then_increases():
-    sender, _ = _dcqcn()
+    sender, engine = _dcqcn()
     sender.rate_bps = 1_000_000_000
     sender.target_rate_bps = 2_000_000_000
-    sender._on_rate_timer()
-    assert sender.rate_bps == 1_500_000_000   # fast recovery: halve gap
-    for _ in range(sender.FAST_RECOVERY_STAGES - 1):
-        sender._on_rate_timer()
+
+    def after_periods(n):
+        # The clock is read, not scheduled: cc_state() applies what is due.
+        engine.run(until=engine.now + n * 55_000)
+        return sender.cc_state()[1]
+
+    assert after_periods(1) == 1_500_000_000  # fast recovery: halve gap
+    after_periods(sender.FAST_RECOVERY_STAGES - 1)
     assert sender.target_rate_bps == 2_000_000_000
     target = sender.target_rate_bps
-    sender._on_rate_timer()                   # past fast stages
+    after_periods(1)                          # past fast stages
     assert sender.target_rate_bps == target + sender._rate_ai_bps
 
 
@@ -279,6 +283,6 @@ def test_dcqcn_rto_halves_rate():
 
 def test_dcqcn_pacing_gap_tracks_rate():
     sender, _ = _dcqcn()
-    slow = sender.pacing_gap_ns()
-    sender.rate_bps *= 2
-    assert sender.pacing_gap_ns() * 2 == slow
+    fast = sender.pacing_gap_ns()
+    sender.on_rto_cc()  # halves the rate; the cached gap must follow
+    assert sender.pacing_gap_ns() == 2 * fast
