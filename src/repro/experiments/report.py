@@ -22,8 +22,8 @@ Schema (``to_dict()``), by section:
   and ``coflows_recorded`` for coflow runs).
 - ``drops`` — per-reason drop counters (sorted by reason).
 - ``telemetry`` — congestion-monitor section (``mean_utilization``,
-  ``microbursts``, ``persistent``, ``fault_events``, ``samples``,
-  ``pfc_deadlocks``) or None when no monitor was attached.
+  ``microbursts``, ``persistent``, ``samples``) or None when no monitor
+  was attached.
 - ``trace`` — observability section (``level``, ``events``, ``samples``,
   ``dropped_events``, ``dropped_samples``, per-kind ``counts``) or None
   when tracing was off.
@@ -36,8 +36,9 @@ Schema (``to_dict()``), by section:
   ``(priority class, reason)``; summing over classes reproduces
   ``drops`` exactly (see :mod:`repro.net.pfc`).
 - ``pfc`` — lossless-fabric section (gate count, pause events/time,
-  headroom drops, per-direction pause table; see :mod:`repro.net.pfc`)
-  or None when PFC is off.
+  headroom drops, per-direction pause table, and ``deadlocks`` only
+  when some gates can never drain; see :mod:`repro.net.pfc`) or None
+  when PFC is off.
 """
 
 from __future__ import annotations

@@ -260,6 +260,8 @@ class RunResult:
     queries_issued: int
     #: Coflows launched by coflow generators; 0 when none configured.
     coflows_launched: int = 0
+    #: The congestion monitor (``config.telemetry_interval_ns``),
+    #: detached from the live run, or None.
     telemetry: Optional[object] = None
     #: Detached observability record (``config.trace`` enabled), or None.
     trace: Optional[TraceData] = None
@@ -290,20 +292,17 @@ class RunResult:
         """A picklable copy safe to ship between processes.
 
         Drops the live network (hosts and switches hold closures), keeps
-        the full metrics, and snapshots the engine counters; an attached
-        telemetry monitor is reduced to its
-        :class:`~repro.telemetry.monitor.TelemetrySummary`.
+        the full metrics, and snapshots the engine counters; the
+        telemetry monitor was detached from the live run at finalize.
         """
-        telemetry = self.telemetry
-        if telemetry is not None and hasattr(telemetry, "summary"):
-            telemetry = telemetry.summary()
         return RunResult(
             config=self.config, metrics=self.metrics, network=None,
             engine=EngineStats(now=self.engine.now,
                                events_executed=self.engine.events_executed),
             bg_flows_generated=self.bg_flows_generated,
             queries_issued=self.queries_issued,
-            coflows_launched=self.coflows_launched, telemetry=telemetry,
+            coflows_launched=self.coflows_launched,
+            telemetry=self.telemetry,
             trace=self.trace, profile=dict(self.profile),
             fidelity=self.fidelity, pfc=self.pfc,
             checkpoint=self.checkpoint, notices=dict(self.notices))
@@ -448,17 +447,14 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
         from repro.telemetry import TelemetryMonitor
 
         telemetry = TelemetryMonitor(
-            engine, network, interval_ns=config.telemetry_interval_ns,
-            pfc=pfc)
+            engine, network, interval_ns=config.telemetry_interval_ns)
         telemetry.start()
 
     injector = None
     if config.faults:
         from repro.faults import FaultInjector
 
-        injector = FaultInjector(
-            engine, network, rng, config.faults,
-            on_event=telemetry.record_fault if telemetry else None)
+        injector = FaultInjector(engine, network, rng, config.faults)
         injector.schedule()
 
     sampler = None
@@ -534,9 +530,10 @@ def _finalize(world: LiveRun, profiler: PhaseProfiler,
     engine = world.engine
     with profiler.phase("finalize"):
         if world.telemetry is not None:
-            # Detach the monitor from the calendar so its self-rescheduling
-            # tick cannot outlive the measured window.
-            world.telemetry.stop()
+            # Off the calendar, so its self-rescheduling tick cannot
+            # outlive the measured window, and off the live world, so
+            # the result carries the monitor itself.
+            world.telemetry.detach()
         if world.sampler is not None:
             world.sampler.stop()
 

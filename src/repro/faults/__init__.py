@@ -14,8 +14,8 @@ surviving edges and invalidates every memoized forwarding decision.
 
 Scenarios thread through :class:`~repro.experiments.config.ExperimentConfig`
 (``faults=...``), the CLI (``--fault link:leaf0-spine1:down@50ms,up@120ms``)
-and the determinism digest; the telemetry monitor records each applied
-fault on its congestion-event timeline.
+and the determinism digest; ``FaultInjector.applied`` is the run's
+fault timeline.
 """
 
 from repro.faults.injector import FAULT_PRIORITY, FaultInjector

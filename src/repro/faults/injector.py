@@ -12,13 +12,12 @@ Determinism: specs are sorted by ``(at_ns, spec order)`` before
 scheduling, corruption loss draws from a per-cable named RNG stream
 created eagerly at construction (so stream creation order never depends
 on event interleaving), and every application is recorded on
-``applied`` and optionally reported to an ``on_event`` callback (the
-telemetry monitor's fault timeline).
+``applied`` — the run's fault timeline.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from repro.faults.spec import FaultSpec
 from repro.sim.engine import Engine
@@ -35,21 +34,14 @@ FAULT_PRIORITY = -1
 #: one per-cable loss stream, keyed by the canonical cable name.
 RNG_STREAMS = ("faultloss:",)
 
-#: ``on_event(kind, link)`` notification labels per spec kind.
-EVENT_KINDS = {"down": "link_down", "up": "link_up", "rate": "link_rate",
-               "loss": "link_loss"}
-
 
 class FaultInjector:
     """Schedules and applies a fault scenario on a built network."""
 
     def __init__(self, engine: Engine, network: "Network",
-                 rng: RngRegistry, faults: Sequence[FaultSpec],
-                 on_event: Optional[Callable[[str, Tuple[str, str]], None]]
-                 = None) -> None:
+                 rng: RngRegistry, faults: Sequence[FaultSpec]) -> None:
         self.engine = engine
         self.network = network
-        self.on_event = on_event
         self.faults = tuple(faults)
         #: (time_ns, spec) log of faults applied so far, in order.
         self.applied: List[Tuple[int, FaultSpec]] = []
@@ -95,5 +87,3 @@ class FaultInjector:
             network.set_cable_loss(a, b, spec.loss_rate,
                                    self._loss_streams.get(spec.link))
         self.applied.append((self.engine.now, spec))
-        if self.on_event is not None:
-            self.on_event(EVENT_KINDS[spec.kind], spec.link)

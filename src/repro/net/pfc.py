@@ -31,10 +31,12 @@ residency is bounded by the sum of gate capacities and tail-drop at the
 egress queue cannot occur.  Shared-buffer (DT) switches are mutually
 exclusive with PFC for this reason.
 
-The gate map is also the input for PFC *deadlock* detection: a cyclic
-buffer dependency shows up as a cycle in the waits-on graph over
-currently-paused switch-to-switch gates (:meth:`PfcController.paused_edges`),
-which the telemetry monitor watches for (``repro.telemetry``).
+The controller also owns the run's *deadlock* verdict, taken once at
+the end from the gates and the switches' queued packets
+(:meth:`PfcController.deadlocked`): a gate is deadlocked when nothing it
+charges can ever leave, because every byte waits in a lane held by
+another deadlocked gate.  A pause cycle that is merely standing at some
+instant is not one.
 """
 
 from __future__ import annotations
@@ -146,15 +148,14 @@ class PfcGate:
     """
 
     __slots__ = ("engine", "network", "node", "in_port", "pclass",
-                 "upstream_port", "upstream_label", "upstream_is_switch",
-                 "delay_ns", "xoff", "xon", "capacity", "occupancy",
-                 "paused", "paused_since", "pause_ns", "pause_events",
-                 "headroom_drops")
+                 "upstream_port", "upstream_label", "delay_ns", "xoff",
+                 "xon", "capacity", "occupancy", "paused", "paused_since",
+                 "pause_ns", "pause_events", "headroom_drops")
 
     def __init__(self, engine: "Engine", network: "Network", node: str,
                  in_port: int, pclass: int, upstream_port: "Port",
-                 upstream_label: str, upstream_is_switch: bool,
-                 delay_ns: int, xoff: int, xon: int, headroom: int) -> None:
+                 upstream_label: str, delay_ns: int, xoff: int, xon: int,
+                 headroom: int) -> None:
         self.engine = engine
         self.network = network
         self.node = node                  # downstream switch name
@@ -162,7 +163,6 @@ class PfcGate:
         self.pclass = pclass
         self.upstream_port = upstream_port
         self.upstream_label = upstream_label
-        self.upstream_is_switch = upstream_is_switch
         self.delay_ns = delay_ns          # reverse-link PAUSE propagation
         self.xoff = xoff
         self.xon = xon
@@ -273,8 +273,7 @@ class PfcController:
             upstream_port = self.network.tx_ports[(src_label, dst_label)]
             lane_gates = tuple(
                 PfcGate(self.engine, self.network, node, in_port, pclass,
-                        upstream_port, src_label,
-                        src_label in switches, link.delay_ns,
+                        upstream_port, src_label, link.delay_ns,
                         xoff, xon, headroom)
                 for pclass in range(self.config.num_classes))
             per_switch.setdefault(node, {})[in_port] = lane_gates
@@ -284,29 +283,67 @@ class PfcController:
 
     # -- reporting ------------------------------------------------------------
 
-    def paused_edges(self) -> List[Tuple[str, str]]:
-        """Waits-on edges (upstream, downstream) over paused fabric gates.
+    def deadlocked(self) -> List[PfcGate]:
+        """Gates that can never drain again, in gate order.
 
-        Only switch-to-switch gates participate: hosts cannot complete a
-        buffer-dependency cycle (they sink what they receive).
+        The greatest set of occupied gates whose every charged byte is
+        queued in an egress lane held by a paused gate of the set.  A
+        byte that is serializing, or queued in a lane nothing holds, or
+        held by a gate whose RESUME is already on its way, will move;
+        so will everything waiting on it.  The set is what is left once
+        no member waits on a non-member (a fixed-point peel).
         """
-        return [(gate.upstream_label, gate.node) for gate in self.gates
-                if gate.paused and gate.upstream_is_switch]
-
-    def total_pause_ns(self, now_ns: int) -> int:
-        return sum(gate.pause_time_ns(now_ns) for gate in self.gates)
+        queued: Dict[PfcGate, int] = {}
+        holders: Dict[PfcGate, set] = {}
+        moving = set()
+        for switch in self.network.switches.values():
+            for port in switch.ports:
+                for packet in port.queue.packets():
+                    gate = packet.pfc_gate
+                    queued[gate] = queued.get(gate, 0) + packet.pfc_held
+                    pclass = packet.pclass
+                    holder = None
+                    if port._paused >> pclass & 1:
+                        link = port.link
+                        holder = link.dst.pfc_gates[link.dst_port][pclass]
+                    if holder is None or not holder.paused:
+                        moving.add(gate)
+                    else:
+                        holders.setdefault(gate, set()).add(holder)
+        stuck = [gate for gate in self.gates
+                 if gate.occupancy and gate not in moving
+                 and queued.get(gate, 0) == gate.occupancy]
+        while True:
+            members = set(stuck)
+            kept = [gate for gate in stuck if holders[gate] <= members]
+            if len(kept) == len(stuck):
+                return kept
+            stuck = kept
 
     def summary(self, now_ns: int) -> dict:
-        """Deterministic, digest-safe (all-integer) PFC summary."""
+        """Deterministic, digest-safe PFC summary (integer bytes and ns).
+
+        ``deadlocks`` (``[upstream, node, class, paused_since]`` per
+        :meth:`deadlocked` gate, ``paused_since`` None for a member that
+        waits without having paused) appears only when there is one: a
+        deadlock never drains, so the horizon sees every one that formed.
+        """
         pauses = sorted(
             [gate.upstream_label, gate.node, gate.pclass,
              gate.pause_events, gate.pause_time_ns(now_ns)]
             for gate in self.gates if gate.pause_events > 0)
-        return {
+        summary = {
             "gates": len(self.gates),
             "pause_events": sum(g.pause_events for g in self.gates),
-            "pause_ns": self.total_pause_ns(now_ns),
+            "pause_ns": sum(g.pause_time_ns(now_ns) for g in self.gates),
             "paused_at_end": sum(1 for g in self.gates if g.paused),
             "headroom_drops": sum(g.headroom_drops for g in self.gates),
             "pauses": pauses,
         }
+        deadlocks = sorted(
+            [gate.upstream_label, gate.node, gate.pclass,
+             gate.paused_since if gate.paused else None]
+            for gate in self.deadlocked())
+        if deadlocks:
+            summary["deadlocks"] = deadlocks
+        return summary

@@ -7,17 +7,16 @@ per packet* instead.  :class:`TelemetryMonitor` implements that sketch:
 periodic sampling of port utilization, queue occupancy, and the
 network-wide deflection rate, plus a simple event detector that
 classifies intervals as micro-bursty (deflections spike, drops do not)
-or persistently congested (drops occur).
+or persistently congested (drops occur).  It is the congestion monitor
+and nothing else: fault applications are the injector's own log
+(``FaultInjector.applied``) and the PFC deadlock verdict is the PFC
+controller's (``PfcController.deadlocked``).
 """
 
 from repro.telemetry.monitor import (
     CongestionEvent,
-    FaultEvent,
     PortSample,
     TelemetryMonitor,
-    TelemetryReport,
-    TelemetrySummary,
 )
 
-__all__ = ["TelemetryMonitor", "TelemetrySummary", "TelemetryReport",
-           "PortSample", "CongestionEvent", "FaultEvent"]
+__all__ = ["TelemetryMonitor", "PortSample", "CongestionEvent"]

@@ -184,26 +184,6 @@ def test_held_queue_drains_after_link_up():
     assert metrics.counters.drops["link_down"] == 0
 
 
-def test_telemetry_records_fault_timeline():
-    config = _failure_config("vertigo")
-    config.telemetry_interval_ns = MILLISECOND
-    result = run_experiment(config)
-    monitor = result.telemetry
-    kinds = [(event.kind, event.link) for event in monitor.faults]
-    assert kinds == [("link_down", ("leaf0", "spine1")),
-                     ("link_up", ("leaf0", "spine1"))]
-    assert [e.time_ns for e in monitor.faults] \
-        == [8 * MILLISECOND, 20 * MILLISECOND]
-    # Faults interleave with congestion events on the merged timeline.
-    timeline = monitor.timeline()
-    assert all(timeline[i].time_ns <= timeline[i + 1].time_ns
-               for i in range(len(timeline) - 1))
-    # The portable summary carries the fault records across processes.
-    summary = monitor.summary()
-    assert summary.faults == monitor.faults
-    assert summary.fault_count() == 2
-
-
 def test_packet_trace_records_wire_drops_and_port_dequeues():
     """The three ``_TRACE`` hooks in net/link.py (wire drops for a dead
     and for a lossy link, the transmit-loop dequeue) reach the trace."""

@@ -10,9 +10,9 @@ Covers the PR's behavioural contracts:
 - PFC-enabled runs stay digest-deterministic, serial vs parallel;
 - the default config (one lane, PFC off) hashes identically to a config
   that never mentions PFC — the seed-digest regression gate;
-- a cyclic buffer dependency (vertigo deflection's up-down-up paths
-  under tiny XOFF) is detected and *reported* by telemetry while the
-  run itself completes normally.
+- a deadlock is what never drains, not a pause cycle that happens to
+  be standing when it is looked at: gates paused at the horizon of an
+  up-down fabric are not reported.
 """
 
 from repro.experiments import run_digest, run_experiment, run_many
@@ -96,22 +96,40 @@ def test_pfc_run_digest_is_repeatable():
         == run_digest(run_experiment(config_b))
 
 
-def test_cyclic_buffer_dependency_is_detected_not_hung():
-    # Vertigo deflection forwards up-down-up, so under a tiny XOFF the
-    # pause graph closes into a leaf/spine cycle that cannot drain;
-    # the run must still complete (sim-time horizon) and telemetry must
-    # name the cycle.
+def _lossless_pfc_config(seed=1000):
+    """The benchmark ledger's ``lossless-pfc`` point at 10 ms."""
+    config = ExperimentConfig.bench_profile(
+        system="ecmp", transport="dcqcn", bg_load=0.5, incast_load=0.25,
+        incast_scale=12, sim_time_ns=10 * MILLISECOND, seed=seed)
+    config.pfc = PfcConfig(enabled=True, num_classes=2, priority_map=(0, 1))
+    return config
+
+
+def test_gates_paused_at_the_horizon_are_not_deadlocks():
+    # ECMP on a leaf-spine routes up-down only: every chain of waits ends
+    # at a host downlink that nothing pauses, so gates still paused when
+    # the horizon cuts the run are mid-episode, not stuck.
+    result = run_experiment(_lossless_pfc_config())
+    assert result.pfc["paused_at_end"] > 0
+    assert "deadlocks" not in result.pfc
+
+
+def test_transient_pause_cycles_are_not_deadlocks():
+    # Vertigo + DCQCN under a tiny XOFF.  A per-tick walk that called any
+    # strongly connected set of paused switch-to-switch gates lasting 3
+    # ticks a deadlock named a leaf/spine cycle here; on the ledger's
+    # lossless-pfc it reported 30 / 25 / 26 / 24 / 14 such "deadlocks" in
+    # 60 ms on sub-seeds 1000-1004 at a 100 us tick (0 / 1 / 2 / 1 / 0 at
+    # 1 ms).  None of them is one: with PFC on the lanes are unbounded,
+    # so Vertigo never deflects and every route stays up-down, and no
+    # gate of this run is stuck at its horizon.
     config = ExperimentConfig.bench_profile(
         system="vertigo", transport="dcqcn", bg_load=0.9,
         incast_load=0.3, incast_scale=16, sim_time_ns=10 * MILLISECOND,
         seed=3)
     config.pfc = PfcConfig(enabled=True, xoff_bytes=2_000, xon_bytes=500)
-    config.telemetry_interval_ns = 100_000
     result = run_experiment(config)
-    deadlocks = result.telemetry.section()["pfc_deadlocks"]
-    assert deadlocks, "expected a detected PFC deadlock cycle"
-    time_ns, cycle = deadlocks[0]
-    assert time_ns <= config.sim_time_ns
-    assert len(cycle) >= 2                    # a real multi-switch cycle
-    assert any(name.startswith("leaf") for name in cycle)
-    assert any(name.startswith("spine") for name in cycle)
+    assert result.metrics.counters.deflections == 0
+    assert result.engine.now == config.sim_time_ns
+    assert result.pfc["pause_events"] > 0
+    assert "deadlocks" not in result.pfc

@@ -2,18 +2,25 @@
 
 import pytest
 
+from repro.forwarding.ecmp import EcmpPolicy
+from repro.host.host import HostStackConfig
 from repro.metrics.collector import MetricsCollector
+from repro.net.builder import NetworkParams, build_network
 from repro.net.packet import data_packet
 from repro.net.pfc import (
     MTU_WIRE_BYTES,
     PfcConfig,
+    PfcController,
     PfcGate,
     resolve_thresholds,
 )
 from repro.net.queues import ClassLaneQueue, DropTailQueue, RankedQueue
+from repro.net.topology import LeafSpine
 from repro.sim.engine import Engine
+from repro.sim.rng import RngRegistry
 from repro.transport.base import MAX_CWND, TransportConfig
 from repro.transport.dcqcn import ALPHA_UNIT, DcqcnSender
+from repro.transport.reno import RenoSender
 from tests.unit.test_transport_base import StubHost
 
 
@@ -80,8 +87,7 @@ class StubNetwork:
 def _gate(engine, xoff=3000, xon=1000, headroom=2000):
     port = StubPort()
     gate = PfcGate(engine, StubNetwork(), "leaf0", 0, 0, port, "spine0",
-                   True, delay_ns=100, xoff=xoff, xon=xon,
-                   headroom=headroom)
+                   delay_ns=100, xoff=xoff, xon=xon, headroom=headroom)
     return gate, port
 
 
@@ -153,6 +159,98 @@ def test_release_clears_packet_charge_fields():
     assert packet.pfc_held == packet.wire_bytes
     gate.release(packet)
     assert packet.pfc_gate is None and packet.pfc_held == 0
+
+
+# -- the deadlock verdict -----------------------------------------------------
+#
+# Hand-built states on a 2-spine, 2-leaf fabric with two classes: packets
+# are charged to a gate and queued at its switch without a transmitter
+# ever being kicked, then the engine delivers the PAUSE frames.  The
+# deadlock lives on class 1, so a holder looked up without its class
+# (class 0's idle gate) finds nothing.  Each test kills a recorded
+# mutant of PfcController.deadlocked: the cycle test "holder looked up
+# without its class"; the unheld-lane test "some byte held" for "every
+# byte" and "single peel pass" (the waiting gate is two peels from the
+# byte that moves); the serializing test "serializing bytes ignored"
+# and "single peel pass"; the RESUME test "holder's own state ignored".
+
+
+def _fabric():
+    engine = Engine()
+    config = PfcConfig(enabled=True, num_classes=2, priority_map=(0, 1),
+                       xoff_bytes=3_000, xon_bytes=1_500)
+    network = build_network(
+        engine, LeafSpine(2, 2, 1), NetworkParams(), MetricsCollector(),
+        HostStackConfig(transport_cls=RenoSender),
+        lambda switch, rng: EcmpPolicy(switch, rng), RngRegistry(1),
+        pfc=config)
+    pfc = PfcController(engine, config, network)
+    pfc.install()
+    return engine, network, pfc
+
+
+def _gate_at(network, upstream, node, pclass=1):
+    """The ``pclass`` gate at ``node`` charging what ``upstream`` sends."""
+    in_port = network.links[(upstream, node)].dst_port
+    return network.switches[node].pfc_gates[in_port][pclass]
+
+
+def _park(network, gate, toward=None, pclass=1):
+    """Charge a 1500-byte packet to ``gate``; queue it at the gate's
+    switch on the port toward ``toward`` (None: it is serializing)."""
+    packet = _classed(pclass, payload=1460)
+    gate.charge(packet)
+    if toward is not None:
+        network.tx_ports[(gate.node, toward)].queue.push(packet)
+
+
+def _cycle_with_a_waiter():
+    """leaf0 and spine0 each hold the other's class-1 lane (both gates
+    at XOFF), and a gate at leaf0 fed by spine1 waits behind the cycle."""
+    engine, network, pfc = _fabric()
+    at_leaf = _gate_at(network, "spine0", "leaf0")
+    at_spine = _gate_at(network, "leaf0", "spine0")
+    waiter = _gate_at(network, "spine1", "leaf0")
+    for _ in range(2):
+        _park(network, at_leaf, toward="spine0")
+        _park(network, at_spine, toward="leaf0")
+    _park(network, waiter, toward="spine0")        # below XOFF
+    return engine, network, pfc, at_leaf
+
+
+def test_deadlocked_cycle_and_its_waiter_are_reported():
+    engine, _, pfc, _ = _cycle_with_a_waiter()
+    engine.run()                                    # PAUSEs land
+    assert len(pfc.deadlocked()) == 3
+    assert pfc.summary(engine.now)["deadlocks"] == [
+        ["leaf0", "spine0", 1, 0],
+        ["spine0", "leaf0", 1, 0],
+        ["spine1", "leaf0", 1, None],
+    ]
+
+
+def test_a_byte_in_an_unheld_lane_breaks_the_deadlock():
+    engine, network, pfc, at_leaf = _cycle_with_a_waiter()
+    _park(network, at_leaf, toward="h0")            # host lanes never held
+    engine.run()
+    assert pfc.deadlocked() == []
+    assert "deadlocks" not in pfc.summary(engine.now)
+
+
+def test_a_serializing_byte_breaks_the_deadlock():
+    engine, network, pfc, at_leaf = _cycle_with_a_waiter()
+    _park(network, at_leaf)                         # charged, not queued
+    engine.run()
+    assert pfc.deadlocked() == []
+    assert "deadlocks" not in pfc.summary(engine.now)
+
+
+def test_a_resume_on_the_wire_breaks_the_deadlock():
+    engine, network, pfc, _ = _cycle_with_a_waiter()
+    engine.run()
+    at_spine = _gate_at(network, "leaf0", "spine0")
+    at_spine._resume()               # leaf0's lane is held until it lands
+    assert pfc.deadlocked() == []
 
 
 # -- ClassLaneQueue -----------------------------------------------------------

@@ -1,5 +1,7 @@
 """Deflection-aware telemetry monitor (§5 extension)."""
 
+import pickle
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig
@@ -121,41 +123,26 @@ def test_stop_halts_sampling():
     assert max(s.time_ns for s in monitor.samples) > 1_000_000
 
 
-def test_summary_is_detached_snapshot():
-    engine, network = _idle_network()
-    monitor = TelemetryMonitor(engine, network, interval_ns=100_000)
-    monitor.start()
-    engine.run(until=250_000)
-    monitor.record_fault("link_down", ("leaf0", "spine0"))
-    summary = monitor.summary()
-    n_samples, n_faults = len(summary.samples), len(summary.faults)
-    # Later monitor activity must not leak into the snapshot.
-    engine.run(until=1_000_000)
-    monitor.record_fault("link_up", ("leaf0", "spine0"))
-    assert len(summary.samples) == n_samples
-    assert len(summary.faults) == n_faults
-    assert len(monitor.samples) > n_samples
-    # The shared report surface computes identically on both types.
-    assert summary.mean_utilization() == pytest.approx(
-        sum(s.utilization for s in summary.samples) / n_samples)
-    assert summary.fault_count() == 1
-
-
-def test_record_fault_lands_on_timeline():
+def test_detached_monitor_keeps_its_observations():
     engine, network = _idle_network()
     monitor = TelemetryMonitor(engine, network, interval_ns=100_000,
                                microburst_deflection_threshold=1)
     monitor.start()
     network.metrics.counters.deflections += 3
-    engine.run(until=150_000)
-    monitor.record_fault("link_down", ("leaf0", "spine1"))
     engine.run(until=250_000)
-    monitor.record_fault("link_up", ("leaf0", "spine1"))
-    assert [f.kind for f in monitor.faults] == ["link_down", "link_up"]
-    assert [f.time_ns for f in monitor.faults] == [150_000, 250_000]
-    timeline = monitor.timeline()
-    # Congestion events and fault events interleave in time order.
-    assert [type(e).__name__ for e in timeline] \
-        == ["CongestionEvent", "FaultEvent", "FaultEvent"]
-    assert all(timeline[i].time_ns <= timeline[i + 1].time_ns
-               for i in range(len(timeline) - 1))
+    monitor.detach()
+    n_samples = len(monitor.samples)
+    n_ports = sum(len(s.ports) for s in network.switches.values())
+    assert n_samples == 2 * n_ports               # ticks at 100 and 200 us
+    # Off the calendar: the engine running on adds nothing ...
+    engine.run(until=1_000_000)
+    assert len(monitor.samples) == n_samples
+    # ... and off the live world, so the monitor itself is the record.
+    assert monitor.engine is None and monitor.network is None
+    assert monitor._ports == []
+    restored = pickle.loads(pickle.dumps(monitor))
+    assert restored.samples == monitor.samples
+    assert restored.microburst_count() == 1
+    assert restored.section() == monitor.section()
+    assert restored.mean_utilization() == pytest.approx(
+        sum(s.utilization for s in monitor.samples) / n_samples)
