@@ -39,7 +39,6 @@ from repro.workload import (
     CoflowSpec,
     DutyCycleSpec,
     IncastSpec,
-    SkewSpec,
     WorkloadSpec,
     parse_workloads,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "IncastSpec",
     "CoflowSpec",
     "DutyCycleSpec",
-    "SkewSpec",
     "parse_workloads",
     "LeafSpine",
     "FatTree",

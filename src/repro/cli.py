@@ -122,8 +122,7 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
                              "incast:scale=24,load=0.1 or "
                              "coflow:width=8,stages=2,load=0.2 or "
                              "duty_cycle:load=0.3,duty=0.1,period=1ms; "
-                             "add skew=zipf|hotrack|permutation for a "
-                             "skewed matrix; repeatable")
+                             "repeatable")
     parser.add_argument("--warmup", default=None, metavar="TIME",
                         help="exclude flows starting in the first TIME "
                              "(e.g. 10ms) from all summary metrics")

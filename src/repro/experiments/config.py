@@ -17,7 +17,7 @@ Two constructors cover the common cases:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.checkpoint.config import CheckpointConfig
@@ -28,12 +28,7 @@ from repro.forwarding.vertigo import VertigoSwitchParams
 from repro.net.builder import NetworkParams
 from repro.net.fidelity import FidelityConfig
 from repro.net.pfc import PfcConfig
-from repro.net.topology import (
-    FatTree,
-    LeafSpine,
-    Topology,
-    paper_leaf_spine,
-)
+from repro.net.topology import LeafSpine, Topology, paper_leaf_spine
 from repro.sim.units import MILLISECOND, SECOND, gbps, kb, mbps, usecs
 from repro.trace.tracer import TraceConfig
 from repro.transport.base import TransportConfig
@@ -157,28 +152,12 @@ class ExperimentConfig:
 
     # -- profiles --------------------------------------------------------------------
 
-    @staticmethod
-    def _resolve_workload(workload, legacy_kwargs) -> WorkloadConfig:
-        """A profile's ``workload=`` parameter: a ready
-        :class:`WorkloadConfig`, a sequence of specs, or None (fall back
-        to the profile's legacy flat kwargs)."""
-        if workload is not None:
-            if legacy_kwargs:
-                raise TypeError(
-                    "give either workload= or the legacy bg_*/incast_* "
-                    "kwargs, not both")
-            if isinstance(workload, WorkloadConfig):
-                return workload
-            return WorkloadConfig(tuple(workload))
-        return WorkloadConfig(specs_from_legacy(**legacy_kwargs))
-
     @classmethod
     def paper_profile(cls, system: str = "vertigo",
                       transport: str = "dctcp",
-                      workload: Optional[Union[WorkloadConfig,
-                                               Sequence[WorkloadSpec]]] = None,
                       **workload_kwargs) -> "ExperimentConfig":
-        """The paper's full-scale leaf-spine setup (§4.1)."""
+        """The paper's full-scale leaf-spine setup (§4.1); the traffic mix
+        is :func:`~repro.workload.spec.specs_from_legacy`'s keywords."""
         return cls(
             topology=paper_leaf_spine(),
             network=NetworkParams(host_rate_bps=gbps(10),
@@ -186,7 +165,7 @@ class ExperimentConfig:
                                   buffer_bytes=kb(300)),
             system=SystemConfig(name=system),
             transport_name=transport,
-            workload=cls._resolve_workload(workload, workload_kwargs),
+            workload=WorkloadConfig(specs_from_legacy(**workload_kwargs)),
             sim_time_ns=5 * SECOND,
         )
 
@@ -197,7 +176,6 @@ class ExperimentConfig:
                       incast_qps: Optional[float] = None,
                       incast_scale: int = 12,
                       incast_flow_bytes: int = 10_000,
-                      bg_distribution: str = "cache_follower",
                       workload: Optional[Union[WorkloadConfig,
                                                Sequence[WorkloadSpec]]] = None,
                       sim_time_ns: int = 200 * MILLISECOND,
@@ -228,14 +206,13 @@ class ExperimentConfig:
         if workload is None:
             workload = WorkloadConfig(specs_from_legacy(
                 bg_load=bg_load,
-                bg_distribution=bg_distribution,
                 bg_size_cap=200_000,
                 incast_load=incast_load,
                 incast_qps=incast_qps,
                 incast_scale=incast_scale,
                 incast_flow_bytes=incast_flow_bytes))
-        else:
-            workload = cls._resolve_workload(workload, {})
+        elif not isinstance(workload, WorkloadConfig):
+            workload = WorkloadConfig(workload)
         return cls(
             topology=topology,
             network=NetworkParams(host_rate_bps=mbps(200),
@@ -252,22 +229,3 @@ class ExperimentConfig:
             faults=tuple(faults),
             seed=seed,
         )
-
-    @classmethod
-    def bench_fat_tree(cls, system: str = "vertigo",
-                       transport: str = "dctcp", k: int = 4,
-                       **kwargs) -> "ExperimentConfig":
-        """Scaled fat-tree variant of the bench profile."""
-        return cls.bench_profile(system=system, transport=transport,
-                                 topology=FatTree(k), **kwargs)
-
-    def with_system(self, system: str, **system_kwargs) -> "ExperimentConfig":
-        clone = replace(self)
-        clone.system = SystemConfig(name=system, **system_kwargs)
-        return clone
-
-    def with_faults(self, faults: Sequence[FaultSpec]
-                    ) -> "ExperimentConfig":
-        clone = replace(self)
-        clone.faults = tuple(faults)
-        return clone

@@ -438,8 +438,7 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
     generators = build_workload(workload, WorkloadContext(
         engine=engine, open_flow=kernel.open_flow, metrics=metrics,
         n_hosts=config.topology.n_hosts,
-        host_rate_bps=network_params.host_rate_bps,
-        rack_of=config.topology.host_tor, rng=rng,
+        host_rate_bps=network_params.host_rate_bps, rng=rng,
         until_ns=config.sim_time_ns))
 
     telemetry = None

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
+from repro.faults.spec import cable_key
 from repro.host.host import Host, HostStackConfig
 from repro.metrics.collector import MetricsCollector
 from repro.net.link import Link, Port
@@ -40,11 +41,6 @@ PolicyFactory = Callable[[Switch, "RngRegistry"], object]
 #: Named RNG streams this module owns (checked by lint rule VR110);
 #: trailing-colon entries declare per-entity stream-name prefixes.
 RNG_STREAMS = ("policy:",)
-
-
-def cable_key(a: str, b: str) -> Tuple[str, str]:
-    """Canonical (sorted) endpoint pair naming a full-duplex cable."""
-    return (a, b) if a <= b else (b, a)
 
 
 def host_label(host_id: int) -> str:

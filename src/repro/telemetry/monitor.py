@@ -65,7 +65,7 @@ class TelemetryMonitor(PortTick):
         self._last_drops = 0
 
     def start(self) -> None:
-        if self._pending is None:
+        if self._ticks is None:
             counters = self.network.metrics.counters
             self._last_deflections = counters.deflections
             self._last_drops = counters.total_drops
@@ -78,7 +78,8 @@ class TelemetryMonitor(PortTick):
         self._ports = []
         self._last_bytes = []
 
-    def _on_tick(self, now: int) -> None:
+    def _on_tick(self) -> None:
+        now = self.engine.now
         hottest: Optional[PortSample] = None
         for (name, index, _port, queue, _lanes), utilization \
                 in zip(self._ports, self._utilizations()):

@@ -27,19 +27,21 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.net.builder import Network
-    from repro.sim.engine import Engine, Event
+    from repro.sim.engine import Engine, RecurringEvent
     from repro.trace.tracer import Tracer
 
 
 class PortTick:
-    """A self-rescheduling tick over every switch port of a network.
+    """A periodic tick over every switch port of a network.
 
-    The one port sampler: it owns the calendar scaffolding (one pending
-    event per consumer, at that consumer's own period), the table of
-    ports a tick walks, and the per-port ``bytes_sent`` delta -> busy
-    time -> utilization arithmetic.  Consumers (:class:`TraceSampler`,
-    the telemetry monitor) subclass it, implement :meth:`_on_tick`, and
-    pair :attr:`_ports` with :meth:`_utilizations`.
+    The one port sampler: it owns the table of ports a tick walks and
+    the per-port ``bytes_sent`` delta -> busy time -> utilization
+    arithmetic, and fires through the engine's one self-rescheduling
+    mechanism (:meth:`~repro.sim.engine.Engine.schedule_every`), one
+    series per consumer at that consumer's own period.  Consumers
+    (:class:`TraceSampler`, the telemetry monitor) subclass it,
+    implement :meth:`_on_tick`, and pair :attr:`_ports` with
+    :meth:`_utilizations`.
     """
 
     def __init__(self, engine: "Engine", network: "Network",
@@ -54,34 +56,32 @@ class PortTick:
         self._ports: List[tuple] = []
         #: ``bytes_sent`` of each row's port at the previous tick.
         self._last_bytes: List[int] = []
-        self._pending: Optional["Event"] = None
+        self._ticks: Optional["RecurringEvent"] = None
 
     def start(self) -> None:
-        """Begin sampling; reschedules itself until stopped."""
-        if self._pending is not None:
+        """Begin sampling; ticks every period until stopped."""
+        if self._ticks is not None:
             return
         self._ports = [(switch.name, port.index, port, port.queue,
                         getattr(port.queue, "lanes", None))
                        for switch in self.network.switches.values()
                        for port in switch.ports]
         self._last_bytes = [row[2].bytes_sent for row in self._ports]
-        self._pending = self.engine.schedule(self.period_ns, self._tick)
+        self._ticks = self.engine.schedule_every(self.period_ns,
+                                                 self._on_tick)
 
     def stop(self) -> None:
         """Cancel the pending tick (runner teardown).
 
-        Without this the self-rescheduling tick outlives the measured
-        window whenever the engine keeps running past it.
+        Without this the series outlives the measured window whenever
+        the engine keeps running past it.
         """
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
+        if self._ticks is not None:
+            self._ticks.stop()
+            self._ticks = None
 
-    def _tick(self) -> None:
-        self._on_tick(self.engine.now)
-        self._pending = self.engine.schedule(self.period_ns, self._tick)
-
-    def _on_tick(self, now: int) -> None:
+    def _on_tick(self) -> None:
+        """One sample at ``engine.now``; schedules nothing."""
         raise NotImplementedError
 
     def _utilizations(self) -> List[float]:
@@ -109,7 +109,8 @@ class TraceSampler(PortTick):
         super().__init__(engine, network, period_ns)
         self.tracer = tracer
 
-    def _on_tick(self, now: int) -> None:
+    def _on_tick(self) -> None:
+        now = self.engine.now
         # The tick's records, laid end to end as the tracer's log holds
         # them (kind, t, then the kind's EVENT_FIELDS).
         values: list = []

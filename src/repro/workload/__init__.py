@@ -3,9 +3,8 @@
 Generators (empirical background traffic, incast queries, coflow
 shuffles, duty-cycle bursts) are described by frozen
 :class:`~repro.workload.spec.WorkloadSpec` entries, resolved by the
-registry (:mod:`repro.workload.registry`), and pick their endpoints
-through the shared skewed traffic-matrix layer
-(:mod:`repro.workload.matrix`).
+registry (:mod:`repro.workload.registry`), and pick uniformly random
+endpoints (:mod:`repro.workload.matrix`).
 """
 
 from repro.workload.distributions import (
@@ -20,7 +19,6 @@ from repro.workload.spec import (
     CoflowSpec,
     DutyCycleSpec,
     IncastSpec,
-    SkewSpec,
     WORKLOAD_KINDS,
     WorkloadParseError,
     WorkloadSpec,
@@ -28,7 +26,6 @@ from repro.workload.spec import (
     parse_workloads,
     specs_from_legacy,
 )
-from repro.workload.matrix import NodeMatrix
 from repro.workload.incast import IncastApp
 from repro.workload.coflow import CoflowApp
 from repro.workload.dutycycle import DutyCycleTraffic
@@ -47,13 +44,11 @@ __all__ = [
     "IncastApp",
     "CoflowApp",
     "DutyCycleTraffic",
-    "NodeMatrix",
     "WorkloadSpec",
     "BackgroundSpec",
     "IncastSpec",
     "CoflowSpec",
     "DutyCycleSpec",
-    "SkewSpec",
     "WORKLOAD_KINDS",
     "WorkloadParseError",
     "parse_workload",

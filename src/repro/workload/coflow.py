@@ -20,21 +20,21 @@ Two stage patterns:
 A stage opens only after every flow of the previous stage has been
 fully received (the barrier the straggler literature studies), driven
 by per-flow completion callbacks from the experiment runner.  Coflow
-arrivals are Poisson at ``cps`` coflows/s; member sets come from the
-shared traffic matrix, so rack skew concentrates whole shuffles.
+arrivals are Poisson at ``cps`` coflows/s; member sets are uniformly
+random hosts.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Engine
 from repro.sim.units import SECOND
 from repro.trace import hooks as _trace_hooks
-from repro.workload.matrix import NodeMatrix
+from repro.workload.matrix import pick_servers, pick_src
 
 _TRACE = _trace_hooks.register(__name__)
 
@@ -83,8 +83,7 @@ class CoflowApp:
                  metrics: MetricsCollector, n_hosts: int, cps: float,
                  width: int, stages: int, pattern: str, flow_bytes: int,
                  rng: random.Random, until_ns: int,
-                 request_delay_ns: int = 2_000,
-                 matrix: Optional[NodeMatrix] = None) -> None:
+                 request_delay_ns: int = 2_000) -> None:
         members_needed = 2 * width if pattern == "shuffle" else width + 1
         if members_needed > n_hosts:
             raise ValueError(
@@ -102,7 +101,6 @@ class CoflowApp:
         self.rng = rng
         self.until_ns = until_ns
         self.request_delay_ns = request_delay_ns
-        self.matrix = matrix if matrix is not None else NodeMatrix(n_hosts)
         self.coflows_launched = 0
         # Coflow ids are per-app (not process-global) so runs in the same
         # process stay bit-identical for a given seed.
@@ -135,15 +133,15 @@ class CoflowApp:
     def _launch_coflow(self) -> None:
         coflow_id = next(self._coflow_ids)
         if self.pattern == "shuffle":
-            first = self.matrix.pick_src(self.rng)
-            rest = self.matrix.pick_servers(self.rng, first,
-                                            2 * self.width - 1)
+            first = pick_src(self.rng, self.n_hosts)
+            rest = pick_servers(self.rng, self.n_hosts, first,
+                                2 * self.width - 1)
             nodes = [first] + rest
             members: Tuple = (tuple(nodes[:self.width]),
                               tuple(nodes[self.width:]))
         else:
-            root = self.matrix.pick_src(self.rng)
-            workers = self.matrix.pick_servers(self.rng, root, self.width)
+            root = pick_src(self.rng, self.n_hosts)
+            workers = pick_servers(self.rng, self.n_hosts, root, self.width)
             members = (root, tuple(workers))
         self.metrics.coflow_started(coflow_id, self.engine.now,
                                     n_flows=self.flows_per_coflow,

@@ -26,13 +26,13 @@ the first and last periods via the workload's warmup/cooldown window
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.sim.engine import Engine
 from repro.sim.units import SECOND
 from repro.workload.background import poisson_rate_for_load
 from repro.workload.distributions import EmpiricalCDF
-from repro.workload.matrix import NodeMatrix
+from repro.workload.matrix import pick_dst, pick_src
 
 #: open_flow(src, dst, size, is_incast, query_id) -> None
 FlowOpener = Callable[..., None]
@@ -44,8 +44,7 @@ class DutyCycleTraffic:
     def __init__(self, engine: Engine, open_flow: FlowOpener, n_hosts: int,
                  host_rate_bps: int, load: float, duty: float,
                  period_ns: int, sizes: EmpiricalCDF, rng: random.Random,
-                 until_ns: int,
-                 matrix: Optional[NodeMatrix] = None) -> None:
+                 until_ns: int) -> None:
         if n_hosts < 2:
             raise ValueError("duty-cycle traffic needs at least two hosts")
         if not 0.0 < duty <= 1.0:
@@ -60,7 +59,6 @@ class DutyCycleTraffic:
         self.sizes = sizes
         self.rng = rng
         self.until_ns = until_ns
-        self.matrix = matrix if matrix is not None else NodeMatrix(n_hosts)
         self.flows_generated = 0
         self.on_ns = max(1, round(period_ns * duty))
         rate_per_s = poisson_rate_for_load(load, n_hosts, host_rate_bps,
@@ -86,8 +84,8 @@ class DutyCycleTraffic:
             self.engine.schedule_at(when, self._launch_flow)
 
     def _launch_flow(self) -> None:
-        src = self.matrix.pick_src(self.rng)
-        dst = self.matrix.pick_dst(self.rng, src)
+        src = pick_src(self.rng, self.n_hosts)
+        dst = pick_dst(self.rng, self.n_hosts, src)
         size = self.sizes.sample(self.rng)
         self.open_flow(src, dst, size, is_incast=False, query_id=None)
         self.flows_generated += 1

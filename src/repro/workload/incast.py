@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Engine
 from repro.sim.units import SECOND
-from repro.workload.matrix import NodeMatrix
+from repro.workload.matrix import pick_servers, pick_src
 
 FlowOpener = Callable[..., None]
 
@@ -41,8 +41,7 @@ class IncastApp:
     def __init__(self, engine: Engine, open_flow: FlowOpener,
                  metrics: MetricsCollector, n_hosts: int, qps: float,
                  scale: int, flow_bytes: int, rng: random.Random,
-                 until_ns: int, request_delay_ns: int = 2_000,
-                 matrix: Optional[NodeMatrix] = None) -> None:
+                 until_ns: int, request_delay_ns: int = 2_000) -> None:
         if scale >= n_hosts:
             raise ValueError(
                 f"incast scale {scale} must be below host count {n_hosts}")
@@ -50,10 +49,6 @@ class IncastApp:
         self.open_flow = open_flow
         self.metrics = metrics
         self.n_hosts = n_hosts
-        # Client and server picks go through the shared traffic-matrix
-        # layer; the default uniform matrix reproduces the historical
-        # inline draws exactly (digest regression-tested).
-        self.matrix = matrix if matrix is not None else NodeMatrix(n_hosts)
         self.qps = qps
         self.scale = scale
         self.flow_bytes = flow_bytes
@@ -78,8 +73,8 @@ class IncastApp:
             self.engine.schedule_at(when, self._issue_query)
 
     def _issue_query(self) -> None:
-        client = self.matrix.pick_src(self.rng)
-        servers = self._pick_servers(client)
+        client = pick_src(self.rng, self.n_hosts)
+        servers = pick_servers(self.rng, self.n_hosts, client, self.scale)
         query_id = next(self._query_ids)
         self.metrics.query_started(query_id, client, self.engine.now,
                                    n_flows=len(servers))
@@ -91,6 +86,3 @@ class IncastApp:
             self.engine.schedule_fast(delay, self.open_flow, server, client,
                                       self.flow_bytes, True, query_id)
         self._schedule_next()
-
-    def _pick_servers(self, client: int) -> list:
-        return self.matrix.pick_servers(self.rng, client, self.scale)

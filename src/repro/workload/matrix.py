@@ -1,183 +1,32 @@
-"""Shared traffic-matrix layer: skewed source/destination selection.
+"""Endpoint picks: independent, uniformly random hosts (the paper's
+traffic matrix, §4.1).
 
-Every workload generator routes its node picks through a
-:class:`NodeMatrix` built from the generator's :class:`SkewSpec`, so
-matrix skew applies uniformly to background flows, incast server sets,
-coflow member sets, and duty-cycle bursts alike.
-
-The ``uniform`` matrix reproduces the historical inline draws bit for
-bit — same RNG calls in the same order — which keeps run digests of
-every pre-existing configuration byte-identical (regression-tested in
-``tests/integration/test_workload_digests.py``):
-
-- ``pick_src``:       ``rng.randrange(n)``
-- ``pick_dst``:       ``d = rng.randrange(n - 1); d + 1 if d >= src else d``
-- ``pick_servers``:   ``pool = [0..n) - {client}; rng.sample(pool, count)``
-
-Weighted skews (``zipf``, ``hotrack``) draw via inverse-CDF on a
-cumulative weight table (one ``rng.random()`` per pick, rejection for
-distinctness constraints).  ``permutation`` fixes a random derangement
-at construction time — drawn from the dedicated ``workload.matrix``
-setup stream, never from the generator's own stream — and thereafter
-picks destinations without consuming any randomness.
+Every generator picks its endpoints through these three functions.
+Each makes the same ``random.Random`` calls in the same order as the
+draws the generators were written with, which is what keeps every
+pinned run digest byte-identical
+(``tests/integration/test_workload_digests.py``).  Too few hosts for a
+pick is the ``ValueError`` ``random`` itself raises.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from typing import Callable, List, Optional, Sequence
-
-from repro.workload.spec import SkewSpec, UNIFORM_SKEW
+from typing import List
 
 
-class NodeMatrix:
-    """Skew-aware node selection over ``n_hosts`` hosts.
+def pick_src(rng, n_hosts: int) -> int:
+    """One source host."""
+    return rng.randrange(n_hosts)
 
-    ``rack_of`` maps a host id to its rack label (the topology's
-    ``host_tor``); it is only required for the ``hotrack`` skew.
-    ``setup_rng`` is only required for ``permutation`` and is consumed
-    exactly once, at construction.
-    """
 
-    def __init__(self, n_hosts: int, skew: SkewSpec = UNIFORM_SKEW, *,
-                 rack_of: Optional[Callable[[int], str]] = None,
-                 setup_rng=None) -> None:
-        if n_hosts < 2:
-            raise ValueError("a traffic matrix needs at least two hosts")
-        self.n_hosts = n_hosts
-        self.skew = skew
-        self._cum: Optional[List[float]] = None
-        self._total = 0.0
-        self._eligible = n_hosts
-        self._perm: Optional[List[int]] = None
-        if skew.kind == "zipf":
-            self._set_weights([1.0 / (i + 1) ** skew.zipf_s
-                               for i in range(n_hosts)])
-        elif skew.kind == "hotrack":
-            if rack_of is None:
-                raise ValueError("hotrack skew needs a topology rack map")
-            self._set_weights(self._hotrack_weights(rack_of))
-        elif skew.kind == "permutation":
-            if setup_rng is None:
-                raise ValueError("permutation skew needs a setup RNG")
-            self._perm = self._derangement(setup_rng)
+def pick_dst(rng, n_hosts: int, src: int) -> int:
+    """One destination host, never ``src``."""
+    dst = rng.randrange(n_hosts - 1)
+    return dst + 1 if dst >= src else dst
 
-    def _set_weights(self, weights: Sequence[float]) -> None:
-        cum: List[float] = []
-        total = 0.0
-        eligible = 0
-        for weight in weights:
-            total += weight
-            cum.append(total)
-            if weight > 0.0:
-                eligible += 1
-        self._cum, self._total, self._eligible = cum, total, eligible
 
-    def _hotrack_weights(self, rack_of: Callable[[int], str]) -> List[float]:
-        racks: List[str] = []
-        for host in range(self.n_hosts):
-            rack = rack_of(host)
-            if rack not in racks:
-                racks.append(rack)
-        hot = {rack for rack in racks[:self.skew.hot_racks]}
-        if len(hot) >= len(racks):
-            raise ValueError(
-                f"hot_racks={self.skew.hot_racks} covers all "
-                f"{len(racks)} racks; lower it or use uniform skew")
-        n_hot = sum(1 for h in range(self.n_hosts) if rack_of(h) in hot)
-        n_cold = self.n_hosts - n_hot
-        hot_w = self.skew.hot_fraction / n_hot
-        cold_w = (1.0 - self.skew.hot_fraction) / n_cold
-        return [hot_w if rack_of(h) in hot else cold_w
-                for h in range(self.n_hosts)]
-
-    def _derangement(self, setup_rng) -> List[int]:
-        perm = list(range(self.n_hosts))
-        setup_rng.shuffle(perm)
-        # Rotate any fixed points among themselves so every host sends
-        # to a partner other than itself.
-        fixed = [i for i in range(self.n_hosts) if perm[i] == i]
-        if len(fixed) == 1:
-            # A lone fixed point cannot rotate with itself; swap it with
-            # a neighbour instead.  Since i was the only host mapping to
-            # i, perm[j] != i, so the transposition leaves perm[i] != i
-            # and perm[j] = i != j — no new fixed point.
-            i = fixed[0]
-            j = (i + 1) % self.n_hosts
-            perm[i], perm[j] = perm[j], perm[i]
-        else:
-            for k, i in enumerate(fixed):
-                perm[i] = fixed[(k + 1) % len(fixed)]
-        return perm
-
-    def _weighted(self, rng) -> int:
-        assert self._cum is not None
-        return bisect_right(self._cum, rng.random() * self._total)
-
-    def pick_src(self, rng) -> int:
-        """One source host.  Sources follow the weight table for
-        zipf/hotrack; permutation keeps sources uniform (the skew is
-        entirely in who each source talks to)."""
-        if self._cum is None:
-            return rng.randrange(self.n_hosts)
-        return self._weighted(rng)
-
-    def pick_dst(self, rng, src: int) -> int:
-        """One destination host, never equal to ``src``."""
-        if self._perm is not None:
-            return self._perm[src]
-        if self._cum is None:
-            dst = rng.randrange(self.n_hosts - 1)
-            return dst + 1 if dst >= src else dst
-        if self._eligible - (1 if self._host_eligible(src) else 0) < 1:
-            raise ValueError(
-                f"{self.skew.kind} skew leaves no pickable destination "
-                f"other than host {src}")
-        while True:
-            dst = self._weighted(rng)
-            if dst != src:
-                return dst
-
-    def pick_servers(self, rng, client: int, count: int) -> List[int]:
-        """``count`` distinct hosts, none equal to ``client``.
-
-        Uniform reproduces the legacy incast draw exactly.  Weighted
-        skews sample without replacement by rejection.  Permutation is
-        deterministic: the ``count`` hosts after the client's fixed
-        partner (wrapping, skipping the client) — a rack-aligned
-        server set when the permutation maps into one rack.
-        """
-        if count >= self.n_hosts:
-            raise ValueError(
-                f"cannot pick {count} servers from {self.n_hosts} hosts "
-                f"excluding the client")
-        if self._perm is not None:
-            servers: List[int] = []
-            node = self._perm[client]
-            while len(servers) < count:
-                if node != client:
-                    servers.append(node)
-                node = (node + 1) % self.n_hosts
-            return servers
-        if self._cum is None:
-            pool = list(range(self.n_hosts))
-            pool.remove(client)
-            return rng.sample(pool, count)
-        eligible = self._eligible - (1 if self._host_eligible(client) else 0)
-        if count > eligible:
-            raise ValueError(
-                f"{self.skew.kind} skew leaves only {eligible} pickable "
-                f"servers; cannot pick {count}")
-        chosen: List[int] = []
-        seen = {client}
-        while len(chosen) < count:
-            node = self._weighted(rng)
-            if node not in seen:
-                seen.add(node)
-                chosen.append(node)
-        return chosen
-
-    def _host_eligible(self, host: int) -> bool:
-        assert self._cum is not None
-        before = self._cum[host - 1] if host else 0.0
-        return self._cum[host] > before
+def pick_servers(rng, n_hosts: int, client: int, count: int) -> List[int]:
+    """``count`` distinct hosts, none of them ``client``."""
+    pool = list(range(n_hosts))
+    pool.remove(client)
+    return rng.sample(pool, count)

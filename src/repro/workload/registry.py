@@ -13,14 +13,13 @@ RNG stream discipline: the first spec of each kind owns the kind-named
 stream (``"background"``, ``"incast"``, ``"coflow"``, ``"duty_cycle"``
 — the first two being the streams the pre-spec runner used, another
 digest-compatibility requirement); the *n*-th duplicate of a kind owns
-``"<kind>:<n>"``.  Permutation-skew matrices additionally consume the
-shared ``"workload.matrix"`` setup stream, once each, at build time.
+``"<kind>:<n>"``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Engine
@@ -29,7 +28,6 @@ from repro.workload.coflow import CoflowApp, cps_for_load
 from repro.workload.distributions import get_distribution
 from repro.workload.dutycycle import DutyCycleTraffic
 from repro.workload.incast import IncastApp, qps_for_load
-from repro.workload.matrix import NodeMatrix
 from repro.workload.spec import (
     BackgroundSpec,
     CoflowSpec,
@@ -40,11 +38,9 @@ from repro.workload.spec import (
 
 #: Named RNG streams this module owns (checked by lint rule VR110).
 #: Plain names are the first spec of each kind; the ``<kind>:`` prefix
-#: families cover duplicate specs; ``workload.matrix`` seeds
-#: permutation-skew matrix setup.
+#: families cover duplicate specs.
 RNG_STREAMS = ("background", "incast", "coflow", "duty_cycle",
-               "background:", "incast:", "coflow:", "duty_cycle:",
-               "workload.matrix")
+               "background:", "incast:", "coflow:", "duty_cycle:")
 
 
 @dataclass
@@ -56,22 +52,8 @@ class WorkloadContext:
     metrics: MetricsCollector
     n_hosts: int
     host_rate_bps: int
-    #: host id -> rack (ToR) label; required only by hotrack skew.
-    rack_of: Callable[[int], str]
     rng: RngRegistry
     until_ns: int
-
-
-def _matrix(spec, ctx: WorkloadContext) -> Optional[NodeMatrix]:
-    """The spec's traffic matrix — None for uniform, letting the
-    generator build its own default (identical draws either way)."""
-    skew = spec.skew
-    if skew.is_uniform:
-        return None
-    setup_rng = ctx.rng.stream("workload.matrix") \
-        if skew.kind == "permutation" else None
-    return NodeMatrix(ctx.n_hosts, skew, rack_of=ctx.rack_of,
-                      setup_rng=setup_rng)
 
 
 def _build_background(spec: BackgroundSpec, ctx: WorkloadContext, rng):
@@ -80,7 +62,7 @@ def _build_background(spec: BackgroundSpec, ctx: WorkloadContext, rng):
     return _build_duty_cycle(
         DutyCycleSpec(load=spec.load, duty=1.0,
                       distribution=spec.distribution,
-                      size_cap=spec.size_cap, skew=spec.skew), ctx, rng)
+                      size_cap=spec.size_cap), ctx, rng)
 
 
 def _build_incast(spec: IncastSpec, ctx: WorkloadContext, rng):
@@ -92,7 +74,7 @@ def _build_incast(spec: IncastSpec, ctx: WorkloadContext, rng):
         return None
     return IncastApp(ctx.engine, ctx.open_flow, ctx.metrics, ctx.n_hosts,
                      qps, spec.scale, spec.flow_bytes, rng,
-                     until_ns=ctx.until_ns, matrix=_matrix(spec, ctx))
+                     until_ns=ctx.until_ns)
 
 
 def _build_coflow(spec: CoflowSpec, ctx: WorkloadContext, rng):
@@ -104,8 +86,7 @@ def _build_coflow(spec: CoflowSpec, ctx: WorkloadContext, rng):
         return None
     return CoflowApp(ctx.engine, ctx.open_flow, ctx.metrics, ctx.n_hosts,
                      cps, spec.width, spec.stages, spec.pattern,
-                     spec.flow_bytes, rng, until_ns=ctx.until_ns,
-                     matrix=_matrix(spec, ctx))
+                     spec.flow_bytes, rng, until_ns=ctx.until_ns)
 
 
 def _build_duty_cycle(spec: DutyCycleSpec, ctx: WorkloadContext, rng):
@@ -115,8 +96,7 @@ def _build_duty_cycle(spec: DutyCycleSpec, ctx: WorkloadContext, rng):
     return DutyCycleTraffic(ctx.engine, ctx.open_flow, ctx.n_hosts,
                             ctx.host_rate_bps, spec.load, spec.duty,
                             spec.period_ns, sizes, rng,
-                            until_ns=ctx.until_ns,
-                            matrix=_matrix(spec, ctx))
+                            until_ns=ctx.until_ns)
 
 
 #: kind -> builder(spec, ctx, rng_stream) -> generator or None.

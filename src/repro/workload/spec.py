@@ -5,24 +5,19 @@ one traffic generator: Poisson ``background`` flows, ``incast`` queries,
 ``coflow`` shuffles (all-to-all or partition–aggregate stages, measured
 by coflow completion time), and ``duty_cycle`` bursts (the same bytes
 per period delivered at varying burstiness, after network_tester's
-duty-cycle sweeps).  Specs are frozen, hashable and picklable, so they
-ride inside :class:`~repro.experiments.config.ExperimentConfig` through
-the parallel sweep executor unchanged.
-
-Every spec carries a :class:`SkewSpec` that shapes its source and
-destination picks through the shared traffic-matrix layer
-(:mod:`repro.workload.matrix`): ``uniform`` (the paper's default, which
-reproduces the historical draws bit for bit), ``zipf`` hot hosts,
-``hotrack`` rack concentration, or a fixed random ``permutation``.
+duty-cycle sweeps).  Every generator picks uniformly random endpoints
+(:mod:`repro.workload.matrix`).  Specs are frozen, hashable and
+picklable, so they ride inside
+:class:`~repro.experiments.config.ExperimentConfig` through the
+parallel sweep executor unchanged.
 
 The CLI grammar (``--workload``, mirroring ``--fault``) packs one spec
-per directive::
+per directive, each key with one spelling (:data:`_KEYS`)::
 
     background:load=0.3,dist=web_search,cap=200000
-    incast:scale=24,load=0.1
+    incast:scale=24,load=0.1,bytes=20000
     coflow:width=8,stages=2,load=0.2,pattern=shuffle
     duty_cycle:load=0.3,duty=0.1,period=1ms
-    background:load=0.4,skew=zipf,zipf_s=1.4
 
 Times accept ``ns``/``us``/``ms``/``s`` suffixes (bare integers are
 nanoseconds).  A malformed directive raises :class:`WorkloadParseError`
@@ -32,16 +27,13 @@ error with exit status 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, ClassVar, Dict, Optional, Tuple
 
 from repro.faults.spec import parse_time_ns
 
 #: Registered generator kinds, in their canonical order.
 WORKLOAD_KINDS = ("background", "incast", "coflow", "duty_cycle")
-
-#: Node-selection skews understood by the traffic-matrix layer.
-SKEW_KINDS = ("uniform", "zipf", "hotrack", "permutation")
 
 #: Coflow stage patterns.
 COFLOW_PATTERNS = ("shuffle", "partition_aggregate")
@@ -54,46 +46,6 @@ class WorkloadParseError(ValueError):
     callers keep working; the CLI catches it to report a one-line
     usage error (exit status 2), mirroring ``--fault``.
     """
-
-
-@dataclass(frozen=True)
-class SkewSpec:
-    """How a generator picks nodes from the traffic matrix.
-
-    - ``uniform`` — independent uniform picks (the paper's model; exact
-      bit-for-bit reproduction of the historical draws).
-    - ``zipf`` — host ``i`` weighted ``1/(i+1)**zipf_s``; low-numbered
-      hosts (the first racks) become hot.
-    - ``hotrack`` — hosts in the first ``hot_racks`` racks carry
-      ``hot_fraction`` of all picks, the rest spread uniformly.
-    - ``permutation`` — a fixed random derangement: each source sends
-      to one fixed partner (drawn once per run from the
-      ``workload.matrix`` RNG stream).
-    """
-
-    kind: str = "uniform"
-    zipf_s: float = 1.2
-    hot_fraction: float = 0.5
-    hot_racks: int = 1
-
-    def __post_init__(self) -> None:
-        if self.kind not in SKEW_KINDS:
-            raise ValueError(f"unknown skew {self.kind!r}; "
-                             f"choose from {SKEW_KINDS}")
-        if self.zipf_s <= 0:
-            raise ValueError("zipf_s must be positive")
-        if not 0.0 < self.hot_fraction <= 1.0:
-            raise ValueError("hot_fraction must be in (0, 1]")
-        if self.hot_racks < 1:
-            raise ValueError("hot_racks must be at least 1")
-
-    @property
-    def is_uniform(self) -> bool:
-        return self.kind == "uniform"
-
-
-#: The default (uniform) skew shared by every spec.
-UNIFORM_SKEW = SkewSpec()
 
 
 @dataclass(frozen=True)
@@ -123,7 +75,6 @@ class BackgroundSpec(WorkloadSpec):
     load: float = 0.15
     distribution: str = "cache_follower"
     size_cap: Optional[int] = None
-    skew: SkewSpec = field(default_factory=SkewSpec)
 
     def __post_init__(self) -> None:
         if self.load < 0:
@@ -146,7 +97,6 @@ class IncastSpec(WorkloadSpec):
     qps: Optional[float] = None
     scale: int = 100
     flow_bytes: int = 40_000
-    skew: SkewSpec = field(default_factory=SkewSpec)
 
     def __post_init__(self) -> None:
         if self.load is not None and self.qps is not None:
@@ -179,7 +129,6 @@ class CoflowSpec(WorkloadSpec):
     flow_bytes: int = 40_000
     load: Optional[float] = None
     cps: Optional[float] = None
-    skew: SkewSpec = field(default_factory=SkewSpec)
 
     def __post_init__(self) -> None:
         if self.pattern not in COFLOW_PATTERNS:
@@ -219,7 +168,6 @@ class DutyCycleSpec(WorkloadSpec):
     period_ns: int = 1_000_000
     distribution: str = "cache_follower"
     size_cap: Optional[int] = None
-    skew: SkewSpec = field(default_factory=SkewSpec)
 
     def __post_init__(self) -> None:
         if self.load < 0:
@@ -262,22 +210,21 @@ def _opt_int(text: str) -> Optional[int]:
     return int(text)
 
 
-#: Per-kind key tables: directive key -> (spec field, converter).
+#: Per-kind key tables: directive key -> (spec field, converter).  One
+#: spelling per field, the short one (``dist``, ``cap``, ``bytes``,
+#: ``period``); any other key is an "unknown option" parse error.
 _Converter = Callable[[str], object]
 _KEYS: Dict[str, Dict[str, Tuple[str, _Converter]]] = {
     "background": {
         "load": ("load", float),
         "dist": ("distribution", str),
-        "distribution": ("distribution", str),
         "cap": ("size_cap", _opt_int),
-        "size_cap": ("size_cap", _opt_int),
     },
     "incast": {
         "load": ("load", _opt_float),
         "qps": ("qps", _opt_float),
         "scale": ("scale", int),
         "bytes": ("flow_bytes", int),
-        "flow_bytes": ("flow_bytes", int),
     },
     "coflow": {
         "load": ("load", _opt_float),
@@ -286,26 +233,14 @@ _KEYS: Dict[str, Dict[str, Tuple[str, _Converter]]] = {
         "stages": ("stages", int),
         "pattern": ("pattern", str),
         "bytes": ("flow_bytes", int),
-        "flow_bytes": ("flow_bytes", int),
     },
     "duty_cycle": {
         "load": ("load", float),
         "duty": ("duty", float),
         "period": ("period_ns", parse_time_ns),
-        "period_ns": ("period_ns", parse_time_ns),
         "dist": ("distribution", str),
-        "distribution": ("distribution", str),
         "cap": ("size_cap", _opt_int),
-        "size_cap": ("size_cap", _opt_int),
     },
-}
-
-#: Skew keys accepted by every kind -> (SkewSpec field, converter).
-_SKEW_KEYS: Dict[str, Tuple[str, _Converter]] = {
-    "skew": ("kind", str),
-    "zipf_s": ("zipf_s", float),
-    "hot_fraction": ("hot_fraction", float),
-    "hot_racks": ("hot_racks", int),
 }
 
 
@@ -313,20 +248,17 @@ def parse_workload(directive: str) -> WorkloadSpec:
     """Parse one ``--workload`` directive into its spec.
 
     Grammar: ``<kind>[:<key>=<value>[,<key>=<value>...]]`` where
-    ``<kind>`` is a :data:`WORKLOAD_KINDS` entry (``duty-cycle`` is
-    accepted for ``duty_cycle``) and the keys are the spec's fields
-    (plus the shared skew keys ``skew``/``zipf_s``/``hot_fraction``/
-    ``hot_racks``).
+    ``<kind>`` is a :data:`WORKLOAD_KINDS` entry and the keys are the
+    kind's :data:`_KEYS`.
     """
     head, _, body = directive.strip().partition(":")
-    kind = head.strip().lower().replace("-", "_")
+    kind = head.strip().lower()
     if kind not in SPEC_CLASSES:
         raise WorkloadParseError(
             f"unknown workload kind {head.strip()!r}; "
             f"choose from {WORKLOAD_KINDS}")
     keys = _KEYS[kind]
     kwargs: Dict[str, object] = {}
-    skew_kwargs: Dict[str, object] = {}
     for pair in body.split(",") if body else ():
         pair = pair.strip()
         if not pair:
@@ -337,32 +269,17 @@ def parse_workload(directive: str) -> WorkloadSpec:
             raise WorkloadParseError(
                 f"workload option {pair!r} has no =<value> "
                 f"(in {directive!r})")
-        target = keys.get(key) or _SKEW_KEYS.get(key)
-        if target is None:
+        if key not in keys:
             raise WorkloadParseError(
                 f"unknown {kind} option {key!r} in {directive!r}; "
-                f"choose from {sorted([*keys, *_SKEW_KEYS])}")
-        field_name, converter = target
+                f"choose from {sorted(keys)}")
+        field_name, converter = keys[key]
         try:
-            converted = converter(value.strip())
+            kwargs[field_name] = converter(value.strip())
         except ValueError as exc:
             raise WorkloadParseError(
                 f"cannot parse {key}={value.strip()!r} in "
                 f"{directive!r}: {exc}") from None
-        if key in _SKEW_KEYS:
-            skew_kwargs[field_name] = converted
-        else:
-            kwargs[field_name] = converted
-    if skew_kwargs:
-        if "kind" not in skew_kwargs:
-            raise WorkloadParseError(
-                f"skew options {sorted(skew_kwargs)} need skew=<kind> "
-                f"in {directive!r}; choose from {SKEW_KINDS}")
-        try:
-            kwargs["skew"] = SkewSpec(**skew_kwargs)
-        except ValueError as exc:
-            raise WorkloadParseError(
-                f"bad skew in {directive!r}: {exc}") from None
     try:
         return SPEC_CLASSES[kind](**kwargs)
     except ValueError as exc:
@@ -376,7 +293,6 @@ def parse_workloads(directives) -> Tuple[WorkloadSpec, ...]:
 
 
 def specs_from_legacy(bg_load: float = 0.15,
-                      bg_distribution: str = "cache_follower",
                       bg_size_cap: Optional[int] = None,
                       incast_load: Optional[float] = None,
                       incast_qps: Optional[float] = None,
@@ -392,8 +308,7 @@ def specs_from_legacy(bg_load: float = 0.15,
     pre-spec implementation (regression-tested).
     """
     return (
-        BackgroundSpec(load=bg_load, distribution=bg_distribution,
-                       size_cap=bg_size_cap),
+        BackgroundSpec(load=bg_load, size_cap=bg_size_cap),
         IncastSpec(load=incast_load, qps=incast_qps, scale=incast_scale,
                    flow_bytes=incast_flow_bytes),
     )

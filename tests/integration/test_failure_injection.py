@@ -1,5 +1,6 @@
 """Failure injection: random link loss (flaky cables / bit errors)."""
 
+import dataclasses
 import random
 
 import pytest
@@ -20,7 +21,7 @@ def lossy_everywhere(config, loss_rate):
     cables = [(topology.host_tor(host), f"h{host}")
               for host in range(topology.n_hosts)]
     cables += topology.switch_adjacency
-    return config.with_faults(parse_faults(
+    return dataclasses.replace(config, faults=parse_faults(
         f"link:{a}-{b}:loss={loss_rate}@0" for a, b in cables))
 
 

@@ -149,7 +149,7 @@ def _pinned_configs():
         "coflow-swift": dataclasses.replace(
             bench("ecmp", "swift", workload=parse_workloads([
                 "coflow:width=4,stages=2,cps=1500,pattern=shuffle,"
-                "flow_bytes=6000"])),
+                "bytes=6000"])),
             transport=TransportConfig(init_rto_ns=MILLISECOND,
                                       min_rto_ns=MILLISECOND // 2),
             trace=TraceConfig(level="packet", sample_period_ns=500_000)),

@@ -4,12 +4,11 @@ Two contracts guard the API redesign:
 
 1. **Legacy compatibility** — a config built from the historical flat
    kwargs (``bg_load=``, ``incast_qps=``, ...) must be digest-identical
-   to the same mix written as explicit specs, and the uniform skew must
-   reproduce the pre-spec seed digest byte for byte (the inline draws
-   were moved into :class:`~repro.workload.matrix.NodeMatrix` without
-   changing a single RNG call).
-2. **Determinism of the new generators** — coflow, duty-cycle, and
-   every skew must digest identically across repeat runs and across the
+   to the same mix written as explicit specs, and the uniform endpoint
+   picks (:mod:`repro.workload.matrix`) must reproduce the pre-spec
+   seed digest byte for byte.
+2. **Determinism of the new generators** — coflow and duty-cycle must
+   digest identically across repeat runs and across the
    serial/parallel executor boundary.
 """
 
@@ -23,7 +22,6 @@ from repro.workload.spec import (
     CoflowSpec,
     DutyCycleSpec,
     IncastSpec,
-    SkewSpec,
 )
 
 #: The bench-profile digest of the seed implementation (captured before
@@ -65,14 +63,6 @@ def test_profile_kwargs_build_the_same_config_as_specs():
     assert flat == specs
 
 
-def test_explicit_uniform_skew_is_digest_invisible():
-    plain = bench(workload=WorkloadConfig((BackgroundSpec(load=0.3),)))
-    explicit = bench(workload=WorkloadConfig((
-        BackgroundSpec(load=0.3, skew=SkewSpec(kind="uniform")),)))
-    assert run_digest(run_experiment(plain)) \
-        == run_digest(run_experiment(explicit))
-
-
 NEW_WORKLOADS = {
     "coflow_shuffle": WorkloadConfig((
         CoflowSpec(width=4, stages=2, cps=2000, flow_bytes=5_000),)),
@@ -82,12 +72,6 @@ NEW_WORKLOADS = {
     "duty_cycle": WorkloadConfig(
         (DutyCycleSpec(load=0.3, duty=0.2, period_ns=MILLISECOND // 2),),
         warmup_ns=MILLISECOND, cooldown_ns=MILLISECOND),
-    "zipf_mix": WorkloadConfig((
-        BackgroundSpec(load=0.2, skew=SkewSpec(kind="zipf", zipf_s=1.4)),
-        IncastSpec(qps=60, scale=5,
-                   skew=SkewSpec(kind="hotrack", hot_fraction=0.7)),)),
-    "permutation": WorkloadConfig((
-        BackgroundSpec(load=0.25, skew=SkewSpec(kind="permutation")),)),
     "duplicate_kinds": WorkloadConfig((
         BackgroundSpec(load=0.1),
         BackgroundSpec(load=0.1, distribution="web_search",

@@ -47,7 +47,7 @@ def test_families_discovered():
     # The four known declaration sites must all be visible; if this
     # shrinks, the walk above broke and the property tests below are
     # vacuous.
-    assert {"runtime.backoff", "workload.matrix"} <= set(FAMILIES)
+    assert {"runtime.backoff", "background"} <= set(FAMILIES)
     assert any(f.startswith("policy") for f in FAMILIES)
     assert any(f.startswith("faultloss") for f in FAMILIES)
 

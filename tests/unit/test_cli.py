@@ -326,6 +326,11 @@ def test_malformed_workload_is_one_line_usage_error(capsys):
                  ["run", "--sim-ms", "5", "--workload",
                   "coflow:pattern=ring"],
                  ["sweep", "--systems", "ecmp", "--sim-ms", "5",
-                  "--workload", "background:load=much"]):
+                  "--workload", "background:load=much"],
+                 # Removed spellings: no skew, no long key aliases.
+                 ["run", "--sim-ms", "5", "--workload",
+                  "background:load=0.1,skew=zipf"],
+                 ["run", "--sim-ms", "5", "--workload",
+                  "background:distribution=web_search"]):
         assert main(argv) == 2
         assert_one_line_usage_error(capsys)

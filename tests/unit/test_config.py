@@ -62,17 +62,12 @@ def test_bench_profile_shapes():
 
 
 def test_bench_fat_tree_profile():
-    config = ExperimentConfig.bench_fat_tree(k=4)
+    # The fat-tree bench profile is the bench profile on a k=4 fat-tree
+    # (what ``--fat-tree 4`` builds).
+    config = ExperimentConfig.bench_profile(topology=FatTree(4))
     assert isinstance(config.topology, FatTree)
     assert config.topology.n_hosts == 16
-
-
-def test_with_system_clones():
-    base = ExperimentConfig.bench_profile(system="vertigo")
-    clone = base.with_system("dibs")
-    assert clone.system.name == "dibs"
-    assert base.system.name == "vertigo"
-    assert clone.workload == base.workload
+    assert config.network == ExperimentConfig.bench_profile().network
 
 
 def test_ecn_threshold_full_scale_is_65_packets():

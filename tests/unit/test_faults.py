@@ -1,8 +1,11 @@
 """Fault specs, the --fault grammar, and link/network runtime rewiring."""
 
+import pickle
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.digest import config_digest
 from repro.faults import (
     FaultInjector,
     FaultSpec,
@@ -277,11 +280,15 @@ def test_injector_rate_and_loss_faults():
 
 
 def test_config_with_faults_round_trip():
+    # A fault scenario rides the config through a pickle (the sweep
+    # executor's path) unchanged and keys the point's config digest.
     specs = parse_fault("link:leaf0-spine1:down@5ms,up@12ms")
     config = ExperimentConfig.bench_profile(system="ecmp", faults=specs)
     assert config.faults == specs
-    clone = config.with_faults(())
-    assert clone.faults == () and config.faults == specs
+    clone = pickle.loads(pickle.dumps(config))
+    assert clone.faults == specs
+    assert config_digest(clone) == config_digest(config) \
+        != config_digest(ExperimentConfig.bench_profile(system="ecmp"))
 
 
 def test_cable_key():

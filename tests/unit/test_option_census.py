@@ -1,15 +1,18 @@
 """Option census: every user-settable value, as one snapshot.
 
 Each field of the config dataclasses reachable from ``ExperimentConfig``
-/ ``SupervisorPolicy``, each environment variable ``src/`` reads and
-each ``--flag`` of the four subcommands is listed here once.  A new
-option is therefore a deliberate edit of one list (and of DESIGN.md's
-"Options and who sets them" table, which names the caller that needs
-it); a value nobody sets belongs next to the code that uses it instead.
+/ ``SupervisorPolicy``, each field of the workload and fault specs, each
+``--workload`` directive key, each keyword of the two profiles, each
+environment variable ``src/`` reads and each ``--flag`` of the four
+subcommands is listed here once.  A new option is therefore a deliberate
+edit of one list (and of DESIGN.md's "Options and who sets them" table,
+which names the caller that needs it); a value nobody sets belongs next
+to the code that uses it instead.
 """
 
 import argparse
 import dataclasses
+import inspect
 import pathlib
 import re
 
@@ -23,6 +26,7 @@ from repro.experiments.config import (
     SystemConfig,
     WorkloadConfig,
 )
+from repro.faults.spec import FaultSpec
 from repro.forwarding.vertigo import VertigoSwitchParams
 from repro.metrics.collector import MetricsCollector
 from repro.net.builder import NetworkParams
@@ -33,6 +37,15 @@ from repro.sim.engine import Engine
 from repro.trace.tracer import TraceConfig
 from repro.transport import TRANSPORTS
 from repro.transport.base import TransportConfig
+from repro.workload import spec as workload_spec
+from repro.workload.spec import (
+    SPEC_CLASSES,
+    BackgroundSpec,
+    CoflowSpec,
+    DutyCycleSpec,
+    IncastSpec,
+    specs_from_legacy,
+)
 from tests.unit.test_transport_base import StubHost
 
 CONFIG_FIELDS = {
@@ -69,6 +82,39 @@ CONFIG_FIELDS = {
         "backoff_base_s", "backoff_cap_s", "backoff_seed"],
 }
 
+#: The values one workload generator is configured by.
+SPEC_FIELDS = {
+    BackgroundSpec: ["load", "distribution", "size_cap"],
+    IncastSpec: ["load", "qps", "scale", "flow_bytes"],
+    CoflowSpec: ["width", "stages", "pattern", "flow_bytes", "load", "cps"],
+    DutyCycleSpec: ["load", "duty", "period_ns", "distribution",
+                    "size_cap"],
+}
+
+FAULT_FIELDS = ["kind", "link", "at_ns", "rate_bps", "loss_rate"]
+
+#: ``--workload <kind>:<key>=<value>`` keys, one spelling per field.
+DIRECTIVE_KEYS = {
+    "background": ["cap", "dist", "load"],
+    "incast": ["bytes", "load", "qps", "scale"],
+    "coflow": ["bytes", "cps", "load", "pattern", "stages", "width"],
+    "duty_cycle": ["cap", "dist", "duty", "load", "period"],
+}
+
+#: Each profile's keywords; a ``**`` entry forwards to the list below it.
+PROFILE_KEYWORDS = {
+    "bench_profile": [
+        "system", "transport", "bg_load", "incast_load", "incast_qps",
+        "incast_scale", "incast_flow_bytes", "workload", "sim_time_ns",
+        "topology", "faults", "seed", "**system_kwargs"],
+    "paper_profile": ["system", "transport", "**workload_kwargs"],
+}
+
+#: ``paper_profile(**workload_kwargs)`` -> ``specs_from_legacy``;
+#: ``bench_profile(**system_kwargs)`` -> ``SystemConfig`` (above).
+LEGACY_KEYWORDS = ["bg_load", "bg_size_cap", "incast_load", "incast_qps",
+                   "incast_scale", "incast_flow_bytes"]
+
 ENV_VARS = ["REPRO_JOBS", "REPRO_SANITIZE"]
 
 _EXPERIMENT_FLAGS = [
@@ -97,6 +143,47 @@ def test_config_fields_snapshot(cls):
 
 def test_config_field_total():
     assert sum(len(names) for names in CONFIG_FIELDS.values()) == 70
+
+
+def _names(fn):
+    return [("**" if param.kind is param.VAR_KEYWORD else "") + param.name
+            for param in inspect.signature(fn).parameters.values()]
+
+
+@pytest.mark.parametrize("cls", [*SPEC_FIELDS, FaultSpec],
+                         ids=lambda c: c.__name__)
+def test_spec_fields_snapshot(cls):
+    expected = SPEC_FIELDS.get(cls, FAULT_FIELDS)
+    assert [f.name for f in dataclasses.fields(cls)] == expected
+
+
+def test_spec_value_total():
+    assert list(SPEC_CLASSES.values()) == list(SPEC_FIELDS)
+    assert sum(len(dataclasses.fields(cls))
+               for cls in SPEC_CLASSES.values()) == 18
+
+
+@pytest.mark.parametrize("kind", list(DIRECTIVE_KEYS))
+def test_directive_keys_snapshot(kind):
+    keys = workload_spec._KEYS[kind]
+    assert sorted(keys) == DIRECTIVE_KEYS[kind]
+    # One spelling per field: the keys name every field exactly once.
+    fields = [field for field, _ in keys.values()]
+    assert sorted(fields) == sorted(SPEC_FIELDS[SPEC_CLASSES[kind]])
+
+
+def test_directive_key_total():
+    assert list(workload_spec._KEYS) == list(DIRECTIVE_KEYS)
+    assert sum(len(keys) for keys in workload_spec._KEYS.values()) == 18
+
+
+@pytest.mark.parametrize("profile", list(PROFILE_KEYWORDS))
+def test_profile_keywords_snapshot(profile):
+    assert _names(getattr(ExperimentConfig, profile)) \
+        == PROFILE_KEYWORDS[profile]
+    assert _names(specs_from_legacy) == LEGACY_KEYWORDS
+    with pytest.raises(TypeError):
+        getattr(ExperimentConfig, profile)(bg_distribution="web_search")
 
 
 def test_env_vars_snapshot():

@@ -196,7 +196,7 @@ def test_sampler_tick_lays_down_whole_records_of_all_four_sample_kinds():
     with sanitize.scoped(True):
         world = runner._build_world(config)
         world.engine.run(until=MILLISECOND // 2)
-        world.sampler._on_tick(world.engine.now)
+        world.sampler._on_tick()
         data = world.tracer.detach()
     kinds = data.counts()
     assert set(kinds) == {"sample.port", "sample.lane", "sample.flow",
@@ -315,6 +315,6 @@ def test_sampler_tick_formats_nothing(packet_traced_world, monkeypatch):
     monkeypatch.setattr(builtins, "round", counting_round)
     sampler = packet_traced_world.sampler
     before = packet_traced_world.tracer.detach().emitted_samples
-    sampler._on_tick(packet_traced_world.engine.now)
+    sampler._on_tick()
     assert packet_traced_world.tracer.detach().emitted_samples > before
     assert calls == []

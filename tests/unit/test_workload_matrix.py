@@ -1,166 +1,64 @@
-"""The shared traffic-matrix layer: uniform legacy equivalence and skews."""
+"""Endpoint picks: the three uniform draws replay the legacy RNG calls."""
 
 import random
-from collections import Counter
 
 import pytest
 
-from repro.workload.matrix import NodeMatrix
-from repro.workload.spec import SkewSpec
+from repro.workload.matrix import pick_dst, pick_servers, pick_src
 
 
-def rack_of(host):
-    """Four hosts per rack, like a small leaf-spine."""
-    return f"leaf{host // 4}"
-
-
-# -- uniform: bit-for-bit legacy equivalence ---------------------------------
+# -- bit-for-bit legacy equivalence ------------------------------------------
 
 def test_uniform_pick_src_matches_legacy_draws():
-    matrix = NodeMatrix(16)
     a, b = random.Random(7), random.Random(7)
     for _ in range(200):
-        assert matrix.pick_src(a) == b.randrange(16)
+        assert pick_src(a, 16) == b.randrange(16)
 
 
 def test_uniform_pick_dst_matches_legacy_draws():
-    matrix = NodeMatrix(16)
     a, b = random.Random(8), random.Random(8)
     for src in list(range(16)) * 10:
-        dst = matrix.pick_dst(a, src)
+        dst = pick_dst(a, 16, src)
         legacy = b.randrange(15)
         legacy = legacy + 1 if legacy >= src else legacy
         assert dst == legacy and dst != src
 
 
 def test_uniform_pick_servers_matches_legacy_draws():
-    matrix = NodeMatrix(16)
     a, b = random.Random(9), random.Random(9)
     for client in range(16):
-        servers = matrix.pick_servers(a, client, 5)
+        servers = pick_servers(a, 16, client, 5)
         pool = list(range(16))
         pool.remove(client)
         assert servers == b.sample(pool, 5)
 
 
-# -- invariants common to every skew -----------------------------------------
+# -- invariants ----------------------------------------------------------------
 
-@pytest.mark.parametrize("skew", [
-    SkewSpec(),
-    SkewSpec(kind="zipf", zipf_s=1.2),
-    SkewSpec(kind="hotrack", hot_fraction=0.7, hot_racks=1),
-    SkewSpec(kind="permutation"),
-])
+# ``skew`` is a node distribution given by its three picks; uniform is
+# the only one.
+@pytest.mark.parametrize("skew", [(pick_src, pick_dst, pick_servers)])
 def test_picks_in_range_and_distinct(skew):
-    matrix = NodeMatrix(16, skew, rack_of=rack_of,
-                        setup_rng=random.Random(0))
+    src_of, dst_of, servers_of = skew
     rng = random.Random(1)
     for _ in range(300):
-        src = matrix.pick_src(rng)
-        dst = matrix.pick_dst(rng, src)
+        src = src_of(rng, 16)
+        dst = dst_of(rng, 16, src)
         assert 0 <= src < 16 and 0 <= dst < 16 and src != dst
     for client in range(16):
-        servers = matrix.pick_servers(rng, client, 6)
+        servers = servers_of(rng, 16, client, 6)
         assert len(servers) == len(set(servers)) == 6
         assert client not in servers
         assert all(0 <= s < 16 for s in servers)
-
-
-# -- zipf --------------------------------------------------------------------
-
-def test_zipf_concentrates_on_low_hosts():
-    matrix = NodeMatrix(16, SkewSpec(kind="zipf", zipf_s=1.5))
-    rng = random.Random(2)
-    counts = Counter(matrix.pick_src(rng) for _ in range(4000))
-    # Host 0 carries by far the most traffic; the tail is long but thin.
-    assert counts[0] > counts[8] > 0 or counts[8] == 0
-    assert counts[0] / 4000 > 0.25
-
-
-# -- hotrack -----------------------------------------------------------------
-
-def test_hotrack_hot_fraction_lands_on_first_rack():
-    skew = SkewSpec(kind="hotrack", hot_fraction=0.8, hot_racks=1)
-    matrix = NodeMatrix(16, skew, rack_of=rack_of)
-    rng = random.Random(3)
-    picks = [matrix.pick_src(rng) for _ in range(4000)]
-    hot = sum(1 for p in picks if p < 4)   # rack leaf0 = hosts 0..3
-    assert hot / 4000 == pytest.approx(0.8, abs=0.05)
-
-
-def test_hotrack_needs_rack_map_and_cold_racks():
-    with pytest.raises(ValueError):
-        NodeMatrix(16, SkewSpec(kind="hotrack"))
-    with pytest.raises(ValueError):
-        NodeMatrix(8, SkewSpec(kind="hotrack", hot_racks=2),
-                   rack_of=rack_of)   # 8 hosts -> 2 racks, all hot
-
-
-# -- permutation -------------------------------------------------------------
-
-def test_permutation_is_fixed_derangement():
-    matrix = NodeMatrix(16, SkewSpec(kind="permutation"),
-                        setup_rng=random.Random(4))
-    rng = random.Random(5)
-    partners = {src: matrix.pick_dst(rng, src) for src in range(16)}
-    assert all(partners[src] != src for src in range(16))
-    assert len(set(partners.values())) == 16   # a bijection
-    # Picks are fixed: asking again returns the same partner...
-    assert all(matrix.pick_dst(rng, src) == partners[src]
-               for src in range(16))
-    # ...and consumes no randomness at all.
-    state_before = rng.getstate()
-    matrix.pick_dst(rng, 3)
-    assert rng.getstate() == state_before
-
-
-def test_permutation_has_no_fixed_point_across_seed_sweep():
-    # A shuffle leaves exactly one fixed point with probability ~1/e;
-    # the old rotation fix-up was a no-op in that case and let hosts
-    # send to themselves.  Sweep many setup seeds to cover it.
-    for seed in range(2000):
-        matrix = NodeMatrix(8, SkewSpec(kind="permutation"),
-                            setup_rng=random.Random(seed))
-        perm = matrix._perm
-        assert sorted(perm) == list(range(8)), seed   # still a bijection
-        assert all(perm[i] != i for i in range(8)), seed
-
-
-def test_permutation_needs_setup_rng():
-    with pytest.raises(ValueError):
-        NodeMatrix(16, SkewSpec(kind="permutation"))
-
-
-def test_permutation_servers_exclude_client_and_wrap():
-    matrix = NodeMatrix(8, SkewSpec(kind="permutation"),
-                        setup_rng=random.Random(6))
-    rng = random.Random(7)
-    for client in range(8):
-        servers = matrix.pick_servers(rng, client, 7)
-        assert sorted(servers) == [h for h in range(8) if h != client]
 
 
 # -- errors ------------------------------------------------------------------
 
 def test_matrix_needs_two_hosts():
     with pytest.raises(ValueError):
-        NodeMatrix(1)
+        pick_dst(random.Random(0), 1, 0)
 
 
 def test_pick_servers_rejects_impossible_count():
-    matrix = NodeMatrix(8)
     with pytest.raises(ValueError):
-        matrix.pick_servers(random.Random(0), 0, 8)
-
-
-def test_pick_dst_rejects_src_as_only_eligible_host():
-    # hot_fraction=1.0 with a single-host hot rack gives every other
-    # host weight 0: picking a destination for that host must raise
-    # instead of spinning in the rejection loop forever.
-    skew = SkewSpec(kind="hotrack", hot_fraction=1.0, hot_racks=1)
-    matrix = NodeMatrix(8, skew, rack_of=lambda h: f"leaf{h}")
-    rng = random.Random(0)
-    with pytest.raises(ValueError):
-        matrix.pick_dst(rng, 0)
-    # Other sources still resolve (to the lone hot host).
-    assert matrix.pick_dst(rng, 1) == 0
+        pick_servers(random.Random(0), 8, 0, 8)

@@ -9,7 +9,6 @@ from repro.workload.spec import (
     CoflowSpec,
     DutyCycleSpec,
     IncastSpec,
-    SkewSpec,
     WorkloadParseError,
     WorkloadSpec,
     parse_workload,
@@ -27,17 +26,10 @@ def test_parse_bare_kinds_give_defaults():
     assert parse_workload("duty_cycle") == DutyCycleSpec()
 
 
-def test_parse_duty_cycle_accepts_hyphen():
-    assert parse_workload("duty-cycle:duty=0.5") == DutyCycleSpec(duty=0.5)
-
-
-def test_parse_background_options_and_aliases():
+def test_parse_background_options():
     spec = parse_workload("background:load=0.3,dist=web_search,cap=200000")
     assert spec == BackgroundSpec(load=0.3, distribution="web_search",
                                   size_cap=200_000)
-    alias = parse_workload(
-        "background:load=0.3,distribution=web_search,size_cap=200000")
-    assert alias == spec
 
 
 def test_parse_incast_options():
@@ -57,15 +49,6 @@ def test_parse_duty_cycle_period_accepts_time_suffix():
     spec = parse_workload("duty_cycle:load=0.3,duty=0.1,period=1ms")
     assert spec == DutyCycleSpec(load=0.3, duty=0.1, period_ns=1_000_000)
     assert parse_workload("duty_cycle:period=500").period_ns == 500
-
-
-def test_parse_skew_options():
-    spec = parse_workload("background:load=0.4,skew=zipf,zipf_s=1.4")
-    assert spec.skew == SkewSpec(kind="zipf", zipf_s=1.4)
-    spec = parse_workload(
-        "incast:skew=hotrack,hot_fraction=0.8,hot_racks=2")
-    assert spec.skew == SkewSpec(kind="hotrack", hot_fraction=0.8,
-                                 hot_racks=2)
 
 
 def test_parse_whitespace_and_case_tolerated():
@@ -89,9 +72,16 @@ def test_parse_workloads_returns_tuple_in_order():
     "incast:load=0.1,qps=50",                # both load and qps
     "duty_cycle:duty=0",                     # duty out of range
     "duty_cycle:period=0",                   # non-positive period
-    "background:zipf_s=1.4",                 # skew option without skew=
-    "background:skew=diagonal",              # unknown skew kind
-    "background:skew=zipf,zipf_s=-1",        # bad skew parameter
+    # Removed spellings are unknown options (or kinds), not aliases.
+    "background:zipf_s=1.4",
+    "background:skew=diagonal",
+    "background:skew=zipf,zipf_s=-1",
+    "background:distribution=web_search",
+    "background:size_cap=1000",
+    "incast:flow_bytes=20000",
+    "coflow:flow_bytes=20000",
+    "duty_cycle:period_ns=1ms",
+    "duty-cycle:duty=0.5",
 ])
 def test_parse_errors_are_workload_parse_errors(directive):
     with pytest.raises(WorkloadParseError):
@@ -104,6 +94,9 @@ def test_parse_errors_are_workload_parse_errors(directive):
 def test_parse_error_names_the_directive():
     with pytest.raises(WorkloadParseError, match="burst"):
         parse_workload("background:burst=9")
+    with pytest.raises(WorkloadParseError,
+                       match="unknown background option 'skew'"):
+        parse_workload("background:load=0.1,skew=zipf")
 
 
 # -- spec validation ---------------------------------------------------------
@@ -128,10 +121,10 @@ def test_coflow_spec_rejects_load_and_cps():
     lambda: DutyCycleSpec(duty=1.5),
     lambda: DutyCycleSpec(period_ns=0),
     lambda: DutyCycleSpec(period_ns=1.5e6),   # float ns rejected
-    lambda: SkewSpec(kind="diagonal"),
-    lambda: SkewSpec(zipf_s=0),
-    lambda: SkewSpec(hot_fraction=0.0),
-    lambda: SkewSpec(hot_racks=0),
+    lambda: IncastSpec(flow_bytes=0),
+    lambda: CoflowSpec(flow_bytes=0),
+    lambda: DutyCycleSpec(load=-0.1),
+    lambda: DutyCycleSpec(size_cap=0),
 ])
 def test_spec_validation(bad):
     with pytest.raises(ValueError):
@@ -153,11 +146,11 @@ def test_offered_load():
 
 
 def test_specs_are_frozen_hashable_picklable():
-    spec = CoflowSpec(width=4, skew=SkewSpec(kind="zipf"))
+    spec = CoflowSpec(width=4, pattern="partition_aggregate")
     with pytest.raises(Exception):
         spec.width = 8
     assert hash(spec) == hash(CoflowSpec(width=4,
-                                         skew=SkewSpec(kind="zipf")))
+                                         pattern="partition_aggregate"))
     assert pickle.loads(pickle.dumps(spec)) == spec
     assert isinstance(spec, WorkloadSpec)
 
