@@ -35,7 +35,6 @@ from repro.experiments.config import (
     ExperimentConfig,
     WorkloadConfig,
 )
-from repro.experiments.parallel import resolve_jobs
 from repro.experiments.runner import run_experiment
 from repro.experiments.sweeps import format_table
 from repro.faults import parse_faults
@@ -44,7 +43,7 @@ from repro.workload.spec import parse_workloads
 from repro.net.fidelity import FIDELITY_MODES, FidelityConfig
 from repro.net.pfc import PfcConfig
 from repro.net.topology import FatTree
-from repro.runtime import SupervisorPolicy, run_supervised
+from repro.runtime import SupervisorPolicy, SweepSupervisor
 from repro.sim.units import MILLISECOND
 from repro.trace.tracer import TRACE_LEVELS, TraceConfig
 
@@ -391,10 +390,6 @@ def _cmd_sweep(argv: List[str]) -> int:
     if args.seeds < 1:
         print("--seeds must be >= 1", file=sys.stderr)
         return 2
-    if args.journal and args.resume:
-        print("repro: error: pass either --journal (start fresh) or "
-              "--resume (continue), not both", file=sys.stderr)
-        return 2
     if args.stall_timeout is not None and args.checkpoint_every is None:
         # The stall watchdog polls the checkpoint progress sidecar.
         print("repro: error: --stall-timeout requires --checkpoint-every",
@@ -408,20 +403,22 @@ def _cmd_sweep(argv: List[str]) -> int:
                 args.system = system
                 args.seed = seed
                 configs.append(config_from_args(args))
-        jobs = resolve_jobs(args.jobs)
         policy = SupervisorPolicy(max_retries=args.max_retries,
                                   run_timeout_s=args.run_timeout,
                                   preempt_grace_s=args.preempt_grace,
                                   stall_timeout_s=args.stall_timeout)
+        supervisor = SweepSupervisor(configs, jobs=args.jobs, policy=policy,
+                                     journal=args.journal,
+                                     resume=args.resume)
     except ValueError as exc:
-        # Malformed --fault directive, REPRO_JOBS/--jobs, or a
-        # supervision knob: a usage error, one line, exit status 2.
+        # Malformed --fault directive, REPRO_JOBS/--jobs, a supervision
+        # knob, or a journal that cannot be used as asked: a usage
+        # error, one line, exit status 2, before any point runs.
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     print(f"sweeping {len(systems)} system(s) x {args.seeds} seed(s) = "
           f"{len(configs)} run(s) ...", file=sys.stderr)
-    report = run_supervised(configs, jobs=jobs, policy=policy,
-                            journal=args.journal, resume=args.resume)
+    report = supervisor.run()
     print(format_table(report.rows()))
     manifest = report.manifest()
     summary = (f"sweep: {manifest['ok']}/{manifest['points']} point(s) ok"
@@ -429,10 +426,15 @@ def _cmd_sweep(argv: List[str]) -> int:
                   if manifest["resumed"] else "")
                + f" in {report.wall_s:.1f}s")
     print(summary, file=sys.stderr)
+    unread = []
     if manifest["stale_payloads"]:
-        print(f"sweep: {manifest['stale_payloads']} journaled results could "
-              f"not be read under this code and were re-run",
-              file=sys.stderr)
+        unread.append(f"{manifest['stale_payloads']} journaled results "
+                      f"could not be read under this code and were re-run")
+    if manifest["skipped_lines"]:
+        unread.append(f"{manifest['skipped_lines']} unreadable journal "
+                      f"line(s) were skipped")
+    if unread:
+        print("sweep: " + "; ".join(unread), file=sys.stderr)
     for failure in manifest["failures"]:
         reached = ""
         if failure.get("last_sim_ns") is not None:
@@ -472,20 +474,25 @@ def _cmd_trace_view(argv: List[str]) -> int:
         summarize_file,
         validate_file,
     )
-    if args.validate:
-        problems = validate_file(args.path)
-        if problems:
-            for problem in problems:
-                print(problem, file=sys.stderr)
-            print(f"{args.path}: {len(problems)} problem(s)",
+    try:
+        if args.validate:
+            problems = validate_file(args.path)
+            if problems:
+                for problem in problems:
+                    print(problem, file=sys.stderr)
+                print(f"{args.path}: {len(problems)} problem(s)",
+                      file=sys.stderr)
+                return 1
+            print(f"{args.path}: valid", file=sys.stderr)
+        print(summarize_file(args.path))
+        if args.chrome:
+            count = convert_jsonl_to_chrome(args.path, args.chrome)
+            print(f"wrote {count} Chrome trace events to {args.chrome}",
                   file=sys.stderr)
-            return 1
-        print(f"{args.path}: valid", file=sys.stderr)
-    print(summarize_file(args.path))
-    if args.chrome:
-        count = convert_jsonl_to_chrome(args.path, args.chrome)
-        print(f"wrote {count} Chrome trace events to {args.chrome}",
-              file=sys.stderr)
+    except (OSError, ValueError) as exc:
+        # A missing file or a line that is not a trace record.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -291,21 +291,16 @@ class RunResult:
     def portable(self) -> "RunResult":
         """A picklable copy safe to ship between processes.
 
-        Drops the live network (hosts and switches hold closures), keeps
-        the full metrics, and snapshots the engine counters; the
-        telemetry monitor was detached from the live run at finalize.
+        Drops the live network (hosts and switches hold closures),
+        snapshots the engine counters and copies the two dicts a caller
+        may write to; every other field is shared as is (the telemetry
+        monitor was detached from the live run at finalize).
         """
-        return RunResult(
-            config=self.config, metrics=self.metrics, network=None,
+        return replace(
+            self, network=None,
             engine=EngineStats(now=self.engine.now,
                                events_executed=self.engine.events_executed),
-            bg_flows_generated=self.bg_flows_generated,
-            queries_issued=self.queries_issued,
-            coflows_launched=self.coflows_launched,
-            telemetry=self.telemetry,
-            trace=self.trace, profile=dict(self.profile),
-            fidelity=self.fidelity, pfc=self.pfc,
-            checkpoint=self.checkpoint, notices=dict(self.notices))
+            profile=dict(self.profile), notices=dict(self.notices))
 
     def report(self):
         """The unified :class:`~repro.experiments.report.RunReport`."""

@@ -1,11 +1,10 @@
 """repro.runtime — crash-tolerant supervised sweep execution.
 
-The harness-side counterpart to :mod:`repro.faults` (PR 3 made the
-*simulated network* fault-tolerant; this package makes the *harness that
-runs it* fault-tolerant): a supervisor that survives worker crashes,
-kills stuck runs on a wall-clock deadline, retries transient failures
-with deterministic backoff, journals every completion for
-checkpoint/resume, and degrades gracefully on SIGINT/SIGTERM.
+The harness-side counterpart to :mod:`repro.faults` (which makes the
+*simulated network* fault-tolerant): a supervisor that survives worker
+crashes, kills stuck runs on a wall-clock deadline, retries transient
+failures with deterministic backoff, journals every terminal outcome
+for resume, and degrades gracefully on SIGINT/SIGTERM.
 
 Quickstart::
 
@@ -14,15 +13,18 @@ Quickstart::
     report = run_supervised(configs, jobs=4,
                             policy=SupervisorPolicy(max_retries=3,
                                                     run_timeout_s=120),
-                            journal="sweep.jsonl")
-    if not report.ok:
-        print(report.manifest())
+                            journal="sweep.jsonl")  # must be new or empty
+    for row in report.manifest()["failures"]:  # one RunOutcome.row() each
+        print(row["status"], row["system"], row["seed"], row["error"])
 
-Resume after a crash or Ctrl-C::
+Resume after a crash or Ctrl-C (completed points are read back, not
+re-run)::
 
     report = run_supervised(configs, jobs=4, resume="sweep.jsonl")
 
-See DESIGN.md ("Runtime supervision") for the failure model.
+A journal path that cannot be used as asked raises :class:`JournalError`
+before any point runs.  See DESIGN.md ("Runtime supervision") for the
+failure model and the record's keys.
 """
 
 from repro.runtime.journal import JournalError, SweepJournal

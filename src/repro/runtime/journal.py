@@ -1,31 +1,17 @@
 """Append-only sweep journal: crash-safe checkpoint/resume for sweeps.
 
-Every terminal outcome of a supervised sweep point is appended to a
-JSONL journal and flushed (``flush`` + ``fsync``) before the supervisor
-moves on, so an OOM kill, a power cut, or a Ctrl-C can lose at most the
-point that was in flight.  ``repro sweep --resume <journal>`` reloads
-the journal, skips every point whose config digest already has an ``ok``
-entry, and re-runs the rest — producing final results digest-identical
-to an uninterrupted sweep (``tests/integration/test_runtime_chaos.py``
-enforces this byte for byte).
-
-File format — one JSON object per line:
-
-- header (first line): ``{"journal": "repro.sweep", "version": 1,
-  "points": N}``
-- completion lines: ``{"digest": <config digest>, "index": i,
-  "status": "ok" | "timeout" | "crashed" | "failed" | "aborted",
-  "attempts": n, "wall_s": w, "error": msg-or-null,
-  "run_digest": <run digest or null>, "payload": <base64 pickle of
-  RunResult.portable() for ok entries, else null>}``
-
-Matching is by config digest, not by index, so a resumed sweep may
-reorder, extend, or subset the original point list and still reuse every
-completed point that is still part of it.  Payloads are verified against
-their recorded run digest on load; an entry that fails verification is
-ignored and the point re-runs — counted in ``stale_payloads``, so a
-journal written by older code is redone loudly rather than silently —
-and a line truncated by the crash itself is skipped.
+One JSON object per line, each flushed and fsynced before the
+supervisor moves on, so a crash loses at most the point in flight: a
+header ``{"journal": "repro.sweep", "version": 1, "points": N}``, then
+one :meth:`RunOutcome.line <repro.runtime.supervisor.RunOutcome.line>`
+per terminal outcome.  ``--resume`` matches lines by config digest (so
+a resumed sweep may reorder, extend or subset its points), re-verifies
+each ``ok`` payload against its run digest and re-runs what it cannot
+read under this code (``stale_payloads``); a line that is not a JSON
+object — most likely torn by the crash itself — is skipped
+(``skipped_lines``).  A file that cannot be opened, has no header, or
+already holds data when a fresh journal is asked for is a
+:class:`JournalError`.
 """
 
 from __future__ import annotations
@@ -45,7 +31,7 @@ JOURNAL_VERSION = 1
 
 
 class JournalError(ValueError):
-    """The journal file is not a repro sweep journal."""
+    """The journal file cannot be used as asked."""
 
 
 def encode_result(result: RunResult) -> str:
@@ -59,18 +45,27 @@ def decode_result(payload: str) -> RunResult:
     return pickle.loads(base64.b64decode(payload.encode()))
 
 
+def _parse(text: str) -> Optional[dict]:
+    """One journal line as a JSON object, or None."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    return value if isinstance(value, dict) else None
+
+
 class SweepJournal:
     """Append-only JSONL record of a supervised sweep's completions."""
 
     def __init__(self, path: str, handle: io.TextIOBase,
-                 entries: Optional[Dict[str, dict]] = None) -> None:
+                 entries: Optional[Dict[str, dict]] = None,
+                 skipped_lines: int = 0) -> None:
         self.path = path
         self._handle = handle
-        #: Latest journal entry per config digest (all statuses).
+        #: Latest journal line per config digest (all statuses).
         self.entries: Dict[str, dict] = entries or {}
-        #: Lines that could not be parsed on load (e.g. a write truncated
-        #: by the crash being recovered from); they are skipped, not fatal.
-        self.skipped_lines = 0
+        #: Lines skipped on load: not a JSON object with a digest.
+        self.skipped_lines = skipped_lines
         #: ``ok`` entries asked for whose payload could not be decoded,
         #: or no longer hashes to its recorded run digest, under this
         #: code (a journal from before a layout change): each re-runs.
@@ -80,8 +75,15 @@ class SweepJournal:
 
     @classmethod
     def create(cls, path: str, n_points: int) -> "SweepJournal":
-        """Start a fresh journal (truncates an existing file)."""
-        handle = open(path, "w", encoding="utf-8")
+        """Start a fresh journal; a file that already holds data is
+        refused rather than truncated."""
+        if os.path.exists(path) and os.path.getsize(path):
+            raise JournalError(f"journal {path} already holds data: pass "
+                               f"--resume to continue it, or delete it")
+        try:
+            handle = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise JournalError(f"cannot create journal: {exc}") from exc
         journal = cls(path, handle)
         journal._append({"journal": JOURNAL_MAGIC,
                          "version": JOURNAL_VERSION, "points": n_points})
@@ -89,48 +91,30 @@ class SweepJournal:
 
     @classmethod
     def resume(cls, path: str) -> "SweepJournal":
-        """Open an existing journal, loading its completed entries.
-
-        New completions append to the same file, so an interrupted
-        *resume* can itself be resumed.
-        """
-        entries: Dict[str, dict] = {}
-        skipped = 0
-        header_seen = False
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    # Most likely the torn final write of the crash we
-                    # are recovering from; the point simply re-runs.
-                    skipped += 1
-                    continue
-                if not header_seen:
-                    if record.get("journal") != JOURNAL_MAGIC:
-                        raise JournalError(
-                            f"{path} is not a repro sweep journal "
-                            f"(missing header)")
-                    if record.get("version") != JOURNAL_VERSION:
-                        raise JournalError(
-                            f"{path}: unsupported journal version "
-                            f"{record.get('version')!r}")
-                    header_seen = True
-                    continue
-                digest = record.get("digest")
-                if isinstance(digest, str):
-                    entries[digest] = record  # latest entry wins
-                else:
-                    skipped += 1
-        if not header_seen:
-            raise JournalError(f"{path} is empty (no journal header)")
-        handle = open(path, "a", encoding="utf-8")
-        journal = cls(path, handle, entries)
-        journal.skipped_lines = skipped
-        return journal
+        """Open an existing journal, loading its entries; completions
+        append to the same file, so an interrupted resume resumes too."""
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                lines = [_parse(text) for text in handle if text.strip()]
+            if not lines:
+                raise JournalError(f"{path} is empty (no journal header)")
+            header = lines[0] or {}
+            if header.get("journal") != JOURNAL_MAGIC:
+                raise JournalError(f"{path} is not a repro sweep journal "
+                                   f"(no header on its first line)")
+            if header.get("version") != JOURNAL_VERSION:
+                raise JournalError(f"{path}: unsupported journal version "
+                                   f"{header.get('version')!r}")
+            handle = open(path, "a", encoding="utf-8")
+        except OSError as exc:
+            raise JournalError(f"cannot open journal: {exc}") from exc
+        # A line that is not an object with a digest is most likely the
+        # torn final write of the crash being recovered from: skipped,
+        # and its point re-runs.
+        kept = [line for line in lines[1:]
+                if line and isinstance(line.get("digest"), str)]
+        return cls(path, handle, {line["digest"]: line for line in kept},
+                   skipped_lines=len(lines) - 1 - len(kept))
 
     # -- recording -------------------------------------------------------------
 
@@ -145,47 +129,28 @@ class SweepJournal:
             # fsync; flushed-but-unsynced is still best effort.
             return
 
-    def record(self, digest: str, index: int, status: str, attempts: int,
-               wall_s: float, error: Optional[str] = None,
-               result: Optional[RunResult] = None) -> None:
-        """Append one terminal outcome; flushed before returning."""
-        entry = {
-            "digest": digest,
-            "index": index,
-            "status": status,
-            "attempts": attempts,
-            "wall_s": round(wall_s, 6),
-            "error": error,
-            "run_digest": run_digest(result) if result is not None else None,
-            "payload": encode_result(result) if result is not None else None,
-            # Checkpoint lineage: {"restored_from_ns", "checkpoints_written",
-            # "path"} when the run was checkpointed or restored, else None.
-            "checkpoint": getattr(result, "checkpoint", None)
-            if result is not None else None,
-        }
-        self._append(entry)
-        self.entries[digest] = entry
+    def record(self, outcome) -> None:
+        """Append one terminal outcome's line, flushed on return."""
+        line = outcome.line()
+        self._append(line)
+        self.entries[outcome.digest] = line
 
     # -- resume reads ----------------------------------------------------------
 
-    def completed_result(self, digest: str) -> Optional[RunResult]:
-        """The verified result for ``digest``, or None if it must re-run.
+    def completed(self, digest: str):
+        """The ``ok`` outcome journaled for ``digest``, or None: the
+        point re-runs.  A payload that does not decode to its recorded
+        run digest under this code counts in :attr:`stale_payloads`."""
+        # Deferred: the supervisor module imports this one.
+        from repro.runtime.supervisor import RunOutcome
 
-        Only ``ok`` entries count as completed; the decoded payload is
-        re-hashed and must match the recorded run digest, so a corrupt
-        or stale payload falls back to re-running the point and is
-        counted in :attr:`stale_payloads`.
-        """
-        entry = self.entries.get(digest)
-        if not entry or entry.get("status") != "ok":
-            return None
-        payload = entry.get("payload")
-        if not payload:
+        line = self.entries.get(digest)
+        if not line or line.get("status") != "ok" or not line.get("payload"):
             return None
         try:
-            result = decode_result(payload)
-            if run_digest(result) == entry.get("run_digest"):
-                return result
+            outcome = RunOutcome.from_line(line)
+            if run_digest(outcome.result) == outcome.run_digest:
+                return outcome
         except Exception:  # corrupt or stale payload: re-run the point
             pass
         self.stale_payloads += 1

@@ -3,27 +3,11 @@
 :class:`SweepSupervisor` is the only thing in ``src/`` that builds a
 process pool.  Every attempt of every point goes through one
 submit/complete loop, and what happens when an attempt ends is decided
-by one pure function, :func:`transition` (the table is printed in
-DESIGN.md, "Runtime supervision"):
-
-- **Crash detection & pool rebuild.**  A worker dying (SIGKILL, OOM,
-  segfault) breaks the whole :class:`~concurrent.futures.ProcessPoolExecutor`;
-  the supervisor reaps what is left of it, rebuilds it, and re-queues
-  every run that was in flight — completed results are never lost.
-- **Per-run wall-clock deadlines.**  The loop's deadline scan kills the
-  pool when a run overshoots ``run_timeout_s`` and that run is
-  classified ``timeout``; runs that merely shared the pool are re-queued
-  free.
-- **Bounded retry with deterministic backoff.**  Transient failures are
-  retried up to ``max_retries`` times with exponential backoff whose
-  jitter draws from a named, seeded RNG stream; a run failing twice
-  with the *same* exception is deterministic and fails fast.
-- **Journaling.**  Every terminal outcome is appended to a
-  :class:`~repro.runtime.journal.SweepJournal` and flushed, enabling
-  ``--resume`` to skip completed points.
-- **Graceful degradation.**  SIGINT/SIGTERM stop the sweep at the next
-  safe point, reap the workers, flush the journal, and return a partial
-  :class:`SweepReport` whose failure manifest names every missing point.
+by one pure function, :func:`transition` (its table, and the crash,
+deadline, retry and interrupt handling around it, are in DESIGN.md,
+"Runtime supervision").  Every terminal outcome is one
+:class:`RunOutcome` — the journal line, the failure-manifest row and
+what ``--resume`` reads back.
 
 Supervision is zero-cost when idle: a serial sweep with no deadline
 drives the same loop with each run executed inline and completed
@@ -50,18 +34,18 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 from repro.analysis import sanitize as _sanitize
 from repro.checkpoint.runtime import install_worker_handlers
 from repro.checkpoint.store import RunPreempted, read_progress
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.digest import config_digest, sweep_digest
+from repro.experiments.digest import config_digest, run_digest, sweep_digest
 from repro.experiments.parallel import resolve_jobs
 from repro.experiments.report import placeholder_row
 from repro.experiments.runner import RunResult, run_experiment
-from repro.runtime.journal import SweepJournal
+from repro.runtime.journal import SweepJournal, decode_result, encode_result
 from repro.runtime.policy import RUN_STATUSES, SupervisorPolicy
 from repro.trace.profiler import PhaseProfiler
 
@@ -101,35 +85,78 @@ def _run_portable(config: ExperimentConfig) -> RunResult:
 
 @dataclass
 class RunOutcome:
-    """Terminal classification of one sweep point under supervision."""
+    """One sweep point's record: its terminal classification.
+
+    The fields down to ``last_events`` are the record, and every view of
+    a point is built from them: :meth:`row` is the failure manifest's
+    row, :meth:`line` the journal line (the record plus the result's run
+    digest, payload and checkpoint lineage) and :meth:`from_line` its
+    inverse.  The fields after it are what this process holds.
+    """
 
     index: int
-    config: ExperimentConfig
-    digest: str
-    status: str  # one of RUN_STATUSES
-    attempts: int
-    wall_s: float
+    digest: str                      # config digest
+    status: str                      # one of RUN_STATUSES
+    attempts: int = 0                # charged attempts
+    wall_s: float = 0.0              # wall time of the charged attempts
     error: Optional[str] = None
+    #: The point's seed and system, taken from ``config`` when given.
+    seed: Optional[int] = None
+    system: Optional[str] = None
+    #: The watchdog saw the simulated clock stop for ``stall_timeout_s``.
+    stalled: bool = False
+    #: How far a failed run last got (its checkpoint progress sidecar).
+    last_sim_ns: Optional[int] = None
+    last_events: Optional[int] = None
+    # -- not recorded ----------------------------------------------------
+    config: Optional[ExperimentConfig] = None
     result: Optional[RunResult] = None
     #: True when the result was reloaded from a journal, not re-run.
     resumed: bool = False
-    #: True when the progress watchdog saw the simulated clock stop
-    #: advancing for longer than ``stall_timeout_s`` (flag, not a kill).
-    stalled: bool = False
-    #: Last simulated timestamp / event count the run was known to have
-    #: reached (from its checkpoint progress sidecar); None when the run
-    #: completed normally or was never checkpointed.
-    last_sim_ns: Optional[int] = None
-    last_events: Optional[int] = None
+    #: ``run_digest(result)`` once the journal line or resume needed it.
+    run_digest: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.status not in RUN_STATUSES:
             raise ValueError(f"unknown run status {self.status!r}; "
                              f"choose from {RUN_STATUSES}")
+        if self.config is not None:
+            self.seed = self.config.seed
+            self.system = self.config.system.name
 
     @property
     def ok(self) -> bool:
         return self.status == "ok"
+
+    def row(self) -> Dict[str, object]:
+        """The record: one failure-manifest row, the core of a line."""
+        return {name: getattr(self, name) for name in _RECORD}
+
+    def line(self) -> Dict[str, object]:
+        """The journal line: the record plus the result's run digest,
+        payload and checkpoint lineage (None without a result)."""
+        result = self.result
+        if result is not None and self.run_digest is None:
+            self.run_digest = run_digest(result)
+        return {**self.row(), "run_digest": self.run_digest,
+                "payload": None if result is None else encode_result(result),
+                "checkpoint": None if result is None else result.checkpoint}
+
+    @classmethod
+    def from_line(cls, line: Dict[str, object]) -> "RunOutcome":
+        """The inverse of :meth:`line`.  A key the line lacks (a line
+        written by older code) takes its default; one this code does not
+        know is ignored."""
+        payload = line.get("payload")
+        return cls(**{name: line[name] for name in _RECORD if name in line},
+                   run_digest=line.get("run_digest"),
+                   result=decode_result(payload) if payload else None)
+
+
+#: The recorded fields of :class:`RunOutcome`, in declaration order.
+_RECORD = tuple(f.name for f in fields(RunOutcome)
+                if f.name not in ("config", "result", "resumed",
+                                  "run_digest"))
 
 
 @dataclass
@@ -152,6 +179,8 @@ class SweepReport:
     #: Journaled ``ok`` results that could not be read back under this
     #: code on resume; their points were re-run.
     stale_payloads: int = 0
+    #: Journal lines skipped on resume: not a JSON object with a digest.
+    skipped_lines: int = 0
 
     @property
     def ok(self) -> bool:
@@ -175,22 +204,12 @@ class SweepReport:
             "ok": counts.get("ok", 0),
             "resumed": sum(1 for o in self.outcomes if o.resumed),
             "stale_payloads": self.stale_payloads,
+            "skipped_lines": self.skipped_lines,
             "interrupted": self.interrupted,
             "counts": counts,
             "stalls": [outcome.index for outcome in self.outcomes
                        if outcome.stalled],
-            "failures": [{
-                "index": outcome.index,
-                "digest": outcome.digest,
-                "status": outcome.status,
-                "attempts": outcome.attempts,
-                "error": outcome.error,
-                "seed": outcome.config.seed,
-                "system": outcome.config.system.name,
-                "last_sim_ns": outcome.last_sim_ns,
-                "last_events": outcome.last_events,
-                "stalled": outcome.stalled,
-            } for outcome in self.failures()],
+            "failures": [outcome.row() for outcome in self.failures()],
         }
 
     def rows(self) -> List[Dict[str, object]]:
@@ -205,26 +224,25 @@ class SweepReport:
         degraded = not self.ok
         rows = []
         for outcome in self.outcomes:
-            if outcome.ok:
-                row = outcome.result.row()
-                row["seed"] = outcome.config.seed
-                if degraded:
-                    row["status"] = "ok"
-            else:
-                row = placeholder_row(outcome.config, outcome.status)
-                row["seed"] = outcome.config.seed
+            row = outcome.result.row() if outcome.ok \
+                else placeholder_row(outcome.config, outcome.status)
+            row["seed"] = outcome.seed
+            if outcome.ok and degraded:
+                row["status"] = "ok"
             rows.append(row)
         return rows
 
     def sweep_digest(self) -> str:
         """Order-sensitive digest over the whole sweep.
 
-        Completed points contribute their run digest; missing points
-        contribute a ``!<status>`` marker (so a degraded sweep can never
-        collide with a complete one).
+        Completed points contribute their run digest (the one their
+        record holds, when journaling or resume computed it); missing
+        points contribute a ``!<status>`` marker (so a degraded sweep can
+        never collide with a complete one).
         """
         return sweep_digest([
-            outcome.result if outcome.ok else f"!{outcome.status}"
+            (outcome.run_digest or outcome.result) if outcome.ok
+            else f"!{outcome.status}"
             for outcome in self.outcomes
         ])
 
@@ -335,7 +353,12 @@ class _Flight:
 
 
 class SweepSupervisor:
-    """Run a config list to completion despite crashes and stalls."""
+    """Run a config list to completion despite crashes and stalls.
+
+    The journal is opened (``journal=``) or read back (``resume=``) here,
+    so a bad journal path is a :class:`JournalError` before any point
+    runs.
+    """
 
     def __init__(self, configs: Iterable[ExperimentConfig], *,
                  jobs: Optional[int] = None,
@@ -351,13 +374,16 @@ class SweepSupervisor:
         self.runner: Runner = runner or _run_portable
         self.on_outcome = on_outcome
         if journal is not None and resume is not None:
-            raise ValueError("pass either journal= (start fresh) or "
-                             "resume= (continue an existing journal)")
-        self._journal_path = journal
-        self._resume_path = resume
+            raise ValueError("journal and resume are exclusive: start a "
+                             "fresh journal or continue one, not both")
         self._digests = [config_digest(config) for config in self.configs]
         self._outcomes: Dict[int, RunOutcome] = {}
         self._journal: Optional[SweepJournal] = None
+        if resume is not None:
+            self._journal = SweepJournal.resume(resume)
+            self._load_resumed()
+        elif journal is not None:
+            self._journal = SweepJournal.create(journal, len(self.configs))
         self._stop = threading.Event()
         self._interrupt_signum: Optional[int] = None
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -391,14 +417,9 @@ class SweepSupervisor:
     def run(self) -> SweepReport:
         started = time.monotonic()  # noqa: VR002 - harness wall clock
         profiler = PhaseProfiler()
-        points = range(len(self.configs))
-        if self._resume_path is not None:
-            self._journal = SweepJournal.resume(self._resume_path)
-            self._load_resumed()
-        elif self._journal_path is not None:
-            self._journal = SweepJournal.create(self._journal_path,
-                                                len(self.configs))
-        pending = [index for index in points if index not in self._outcomes]
+        pending = [_Point(index) for index in range(len(self.configs))
+                   if index not in self._outcomes]
+        journal = self._journal
         try:
             with self._trap_signals():
                 try:
@@ -408,46 +429,35 @@ class SweepSupervisor:
                     self._stop.set()
                     if self._interrupt_signum is None:
                         self._interrupt_signum = signal.SIGINT
-            # Anything without a terminal outcome was cut off.
-            for index in points:
-                if index not in self._outcomes:
-                    self._outcomes[index] = RunOutcome(
-                        index=index, config=self.configs[index],
-                        digest=self._digests[index], status="aborted",
-                        attempts=0, wall_s=0.0,
-                        error="interrupted before completion")
-                    if self._journal is not None:
-                        self._journal.record(
-                            self._digests[index], index, "aborted", 0, 0.0,
-                            error=self._outcomes[index].error)
+            # Anything without a terminal outcome was cut off; it keeps
+            # the attempts it was charged.
+            for point in pending:
+                if point.index not in self._outcomes:
+                    self._finish(point, "aborted",
+                                 error="interrupted before completion")
         finally:
-            if self._journal is not None:
-                self._journal.close()
+            if journal is not None:
+                journal.close()
         wall_s = time.monotonic() - started  # noqa: VR002 - harness wall clock
         return SweepReport(
-            outcomes=[self._outcomes[index] for index in points],
+            outcomes=[self._outcomes[index]
+                      for index in range(len(self.configs))],
             interrupted=self.interrupted or self._stop.is_set(),
             wall_s=round(wall_s, 6),
             profile=profiler.report(),
-            journal_path=self._journal.path
-            if self._journal is not None else None,
-            stale_payloads=self._journal.stale_payloads
-            if self._journal is not None else 0)
+            journal_path=None if journal is None else journal.path,
+            stale_payloads=0 if journal is None else journal.stale_payloads,
+            skipped_lines=0 if journal is None else journal.skipped_lines)
 
     # -- bookkeeping -----------------------------------------------------------
 
     def _load_resumed(self) -> None:
-        journal = self._journal
         for index, digest in enumerate(self._digests):
-            result = journal.completed_result(digest)
-            if result is None:
-                continue
-            entry = journal.entries[digest]
-            self._outcomes[index] = RunOutcome(
-                index=index, config=self.configs[index], digest=digest,
-                status="ok", attempts=int(entry.get("attempts", 1)),
-                wall_s=float(entry.get("wall_s", 0.0)), result=result,
-                resumed=True)
+            outcome = self._journal.completed(digest)
+            if outcome is not None:
+                self._outcomes[index] = replace(
+                    outcome, index=index, config=self.configs[index],
+                    resumed=True)
 
     def _checkpoint_path(self, index: int) -> Optional[str]:
         """Managed checkpoint path of point ``index``, or None."""
@@ -462,26 +472,22 @@ class SweepSupervisor:
                 stalled: bool = False) -> None:
         """Record the terminal outcome of ``point`` (journal, callback)."""
         index = point.index
-        last_sim = last_events = None
+        outcome = RunOutcome(
+            index=index, digest=self._digests[index], status=status,
+            attempts=point.attempts, wall_s=round(point.wall_s, 6),
+            error=error, stalled=stalled, config=self.configs[index],
+            result=result)
         if status != "ok" \
                 and (path := self._checkpoint_path(index)) is not None:
             # Failure-manifest provenance: how far the run was last
             # known to have got (its progress sidecar).
             progress = read_progress(path)
             if progress is not None:
-                last_sim = progress.get("sim_now_ns")
-                last_events = progress.get("events_executed")
-        outcome = RunOutcome(
-            index=index, config=self.configs[index],
-            digest=self._digests[index], status=status,
-            attempts=point.attempts, wall_s=round(point.wall_s, 6),
-            error=error, result=result, stalled=stalled,
-            last_sim_ns=last_sim, last_events=last_events)
+                outcome.last_sim_ns = progress.get("sim_now_ns")
+                outcome.last_events = progress.get("events_executed")
         self._outcomes[index] = outcome
         if self._journal is not None:
-            self._journal.record(outcome.digest, index, status,
-                                 outcome.attempts, outcome.wall_s,
-                                 error=error, result=result)
+            self._journal.record(outcome)
         if self.on_outcome is not None:
             self.on_outcome(outcome)
 
@@ -550,7 +556,7 @@ class SweepSupervisor:
 
     # -- the loop --------------------------------------------------------------
 
-    def _run_points(self, pending: List[int],
+    def _run_points(self, pending: List[_Point],
                     profiler: PhaseProfiler) -> None:
         """Drive every pending point to a terminal outcome (or a stop).
 
@@ -561,7 +567,7 @@ class SweepSupervisor:
         """
         policy = self.policy
         rng = policy.backoff_stream()
-        queue = deque(_Point(index) for index in pending)
+        queue = deque(pending)
         inflight: Dict[Future, _Flight] = {}
         try:
             while (queue or inflight) and not self._stop.is_set():

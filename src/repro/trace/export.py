@@ -149,22 +149,34 @@ def write_jsonl(traces: Sequence[TraceData], path: str) -> int:
 RunBlock = tuple
 
 
-def read_jsonl(path: str) -> List[RunBlock]:
-    """Parse a JSONL trace file back into per-run ``(meta, records)``."""
-    runs: List[RunBlock] = []
+def _objects(path: str) -> Iterator[Dict[str, object]]:
+    """The JSON object of each non-blank line of ``path``; a line that
+    is not one is a ``ValueError`` naming it."""
     with open(path) as handle:
-        for line in handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            if obj.get("ev") == "trace.meta":
-                runs.append((obj, []))
-            elif runs:
-                runs[-1][1].append(obj)
-            else:
-                raise ValueError(f"{path}: record before any trace.meta "
-                                 f"header")
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(
+                    f"{path}: line {lineno}: not JSON ({exc})") from exc
+            if not isinstance(obj, dict):
+                raise ValueError(f"{path}: line {lineno}: not a JSON object")
+            yield obj
+
+
+def read_jsonl(path: str) -> List[RunBlock]:
+    """Parse a JSONL trace file back into per-run ``(meta, records)``."""
+    runs: List[RunBlock] = []
+    for obj in _objects(path):
+        if obj.get("ev") == "trace.meta":
+            runs.append((obj, []))
+        elif runs:
+            runs[-1][1].append(obj)
+        else:
+            raise ValueError(f"{path}: record before any trace.meta header")
     return runs
 
 
@@ -302,26 +314,21 @@ def summarize_file(path: str) -> str:
     t_min: Optional[int] = None
     t_max: Optional[int] = None
     deflections = 0
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            kind = obj.get("ev", "?")
-            if kind == "trace.meta":
-                runs.append(obj)
-                continue
-            counts[kind] = counts.get(kind, 0) + 1
-            t = obj.get("t")
-            if isinstance(t, int):
-                t_min = t if t_min is None else min(t_min, t)
-                t_max = t if t_max is None else max(t_max, t)
-            if kind == "pkt.drop":
-                reason = obj.get("reason", "?")
-                drops[reason] = drops.get(reason, 0) + 1
-            elif kind == "pkt.deflect":
-                deflections += 1
+    for obj in _objects(path):
+        kind = obj.get("ev", "?")
+        if kind == "trace.meta":
+            runs.append(obj)
+            continue
+        counts[kind] = counts.get(kind, 0) + 1
+        t = obj.get("t")
+        if isinstance(t, int):
+            t_min = t if t_min is None else min(t_min, t)
+            t_max = t if t_max is None else max(t_max, t)
+        if kind == "pkt.drop":
+            reason = obj.get("reason", "?")
+            drops[reason] = drops.get(reason, 0) + 1
+        elif kind == "pkt.deflect":
+            deflections += 1
     lines = [f"{len(runs)} run(s), {sum(counts.values())} records"]
     for meta in runs:
         lines.append(

@@ -12,6 +12,7 @@ named by the ``REPRO_TEST_FLAG_DIR`` environment variable, which pool
 workers inherit.
 """
 
+import json
 import os
 import time
 
@@ -22,7 +23,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import run_digest, sweep_digest
 from repro.runtime.supervisor import _run_portable
 from repro.experiments.sweeps import format_table
-from repro.runtime import SupervisorPolicy, run_supervised
+from repro.runtime import SupervisorPolicy, SweepSupervisor, run_supervised
 from repro.sim.units import MILLISECOND
 
 FAST_BACKOFF = {"backoff_base_s": 0.02, "backoff_cap_s": 0.1}
@@ -175,3 +176,87 @@ def test_degraded_report_rows_manifest_and_table(flag_dir):
     # A degraded sweep can never digest-collide with a complete one.
     complete = run_supervised(configs, jobs=1)
     assert report.sweep_digest() != complete.sweep_digest()
+
+
+# -- one record per point --------------------------------------------------------
+
+
+def _journal_lines(path):
+    return [json.loads(text) for text in open(path)][1:]  # header first
+
+
+def test_manifest_rows_are_the_journal_lines_without_the_result(tmp_path):
+    journal = str(tmp_path / "j.jsonl")
+    report = run_supervised(_configs(2), jobs=1, journal=journal,
+                            policy=SupervisorPolicy(max_retries=5,
+                                                    **FAST_BACKOFF),
+                            runner=_always_valueerror)
+    lines = _journal_lines(journal)
+    for line in lines:
+        for key in ("run_digest", "payload", "checkpoint"):
+            assert line.pop(key) is None
+    assert report.manifest()["failures"] == lines
+    assert [row["attempts"] for row in lines] == [2, 2]
+    assert [row["seed"] for row in lines] == [1, 2]
+
+
+def test_lines_with_only_the_older_nine_keys_resume_bit_exactly(tmp_path):
+    journal = tmp_path / "j.jsonl"
+    configs = _configs(2)
+    run_supervised(configs, jobs=1, journal=str(journal))
+    header, *lines = journal.read_text().splitlines()
+    older = ("digest", "index", "status", "attempts", "wall_s", "error",
+             "run_digest", "payload", "checkpoint")
+    journal.write_text("\n".join([header] + [
+        json.dumps({key: json.loads(line)[key] for key in older})
+        for line in lines]) + "\n")
+    resumed = run_supervised(configs, jobs=1, resume=str(journal))
+    assert all(outcome.resumed for outcome in resumed.outcomes)
+    assert [outcome.config.seed for outcome in resumed.outcomes] == [1, 2]
+    assert resumed.sweep_digest() == sweep_digest(run_many(configs, jobs=1))
+
+
+def _fail_seed_one(config):
+    if config.seed == 1:
+        raise RuntimeError("transient glitch")
+    return _run_portable(config)
+
+
+def test_interrupted_point_keeps_its_charged_attempts(tmp_path):
+    """Seed 1 fails once and backs off; seed 2 completes and stops the
+    sweep, so seed 1 is cut off after one charged attempt."""
+    journal = str(tmp_path / "j.jsonl")
+    box = {}
+    box["sup"] = SweepSupervisor(
+        _configs(2), jobs=1, journal=journal, runner=_fail_seed_one,
+        policy=SupervisorPolicy(max_retries=2, backoff_base_s=60,
+                                backoff_cap_s=60),
+        on_outcome=lambda outcome: box["sup"].request_stop())
+    report = box["sup"].run()
+    cut, done = report.outcomes
+    assert (cut.status, done.status) == ("aborted", "ok")
+    assert cut.attempts == 1 and cut.wall_s > 0
+    [row] = report.manifest()["failures"]
+    assert row["attempts"] == 1
+    assert _journal_lines(journal)[-1]["attempts"] == 1
+
+
+def test_run_digest_is_computed_once_per_journaled_point_and_never_else(
+        tmp_path, monkeypatch):
+    import repro.runtime.journal as journal_module
+    import repro.runtime.supervisor as supervisor_module
+
+    calls = []
+
+    def counted(result):
+        calls.append(result)
+        return run_digest(result)
+
+    for module in (journal_module, supervisor_module):
+        monkeypatch.setattr(module, "run_digest", counted)
+    run_supervised(_configs(2), jobs=1)
+    assert calls == []
+    report = run_supervised(_configs(2), jobs=1,
+                            journal=str(tmp_path / "j.jsonl"))
+    report.sweep_digest()
+    assert len(calls) == 2

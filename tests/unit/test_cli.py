@@ -191,6 +191,18 @@ def test_trace_view_flags_invalid_file(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"ev":"bogus.kind","t":1}\n')
     assert main(["trace-view", str(bad), "--validate"]) == 1
+    capsys.readouterr()
+    # A missing file, or a line that is JSON but not an object: one
+    # line, no traceback.
+    missing = str(tmp_path / "missing.jsonl")
+    not_object = tmp_path / "list.jsonl"
+    not_object.write_text("[1,2]\n")
+    for argv in (["trace-view", missing], ["trace-view", missing, "--validate"],
+                 ["trace-view", str(not_object)],
+                 ["trace-view", str(not_object),
+                  "--chrome", str(tmp_path / "out.json")]):
+        assert main(argv) == 1
+        assert_one_line_usage_error(capsys)
 
 
 def test_trace_view_chrome_conversion(tmp_path, capsys):
@@ -244,6 +256,50 @@ def test_sweep_rejects_journal_plus_resume(tmp_path, capsys):
     assert main(["sweep", "--systems", "ecmp", *TINY,
                  "--journal", str(tmp_path / "a.jsonl"),
                  "--resume", str(tmp_path / "b.jsonl")]) == 2
+    assert_one_line_usage_error(capsys)
+
+
+@pytest.mark.parametrize("flag, name, content", [
+    ("--resume", "missing.jsonl", None),
+    ("--resume", "j.jsonl", "[1,2]\n"),
+    ("--resume", "j.jsonl", "{torn\nnot json either\n"),
+    ("--journal", "no-such-dir/j.jsonl", None),
+], ids=["missing", "non-object-header", "unparsable", "missing-dir"])
+def test_unusable_journal_is_one_line_usage_error(tmp_path, capsys, flag,
+                                                  name, content):
+    """One line and exit 2, before the sweep starts (no "sweeping" line)."""
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(content)
+    assert main(["sweep", "--systems", "ecmp", *TINY, flag, str(path)]) == 2
+    assert_one_line_usage_error(capsys)
+
+
+def test_sweep_journal_refuses_to_truncate_a_journal(tmp_path, capsys):
+    journal = tmp_path / "sweep.jsonl"
+    argv = ["sweep", "--systems", "ecmp", *TINY, "--journal", str(journal)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    finished = journal.read_text()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error:") and err.count("\n") == 1
+    assert "pass --resume to continue it, or delete it" in err
+    assert journal.read_text() == finished
+
+
+def test_sweep_resume_counts_skipped_journal_lines(tmp_path, capsys):
+    journal = tmp_path / "sweep.jsonl"
+    assert main(["sweep", "--systems", "ecmp", *TINY,
+                 "--journal", str(journal)]) == 0
+    capsys.readouterr()
+    with open(journal, "a", encoding="utf-8") as handle:
+        handle.write("[1,2]\n")
+    assert main(["sweep", "--systems", "ecmp", *TINY,
+                 "--resume", str(journal)]) == 0
+    err = capsys.readouterr().err
+    assert "1 resumed from journal" in err
+    assert "sweep: 1 unreadable journal line(s) were skipped" in err
 
 
 def test_sweep_journal_then_resume_skips_completed(tmp_path, capsys):

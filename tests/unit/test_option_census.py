@@ -3,8 +3,8 @@
 Each field of the config dataclasses reachable from ``ExperimentConfig``
 / ``SupervisorPolicy``, each field of the workload and fault specs, each
 ``--workload`` directive key, each keyword of the two profiles, each
-environment variable ``src/`` reads and each ``--flag`` of the four
-subcommands is listed here once.  A new option is therefore a deliberate
+environment variable ``src/`` reads, each key of a sweep point's record
+and each ``--flag`` of the four subcommands is listed here once.  A new option is therefore a deliberate
 edit of one list (and of DESIGN.md's "Options and who sets them" table,
 which names the caller that needs it); a value nobody sets belongs next
 to the code that uses it instead.
@@ -33,6 +33,7 @@ from repro.net.builder import NetworkParams
 from repro.net.fidelity import FidelityConfig
 from repro.net.pfc import PfcConfig
 from repro.runtime.policy import SupervisorPolicy
+from repro.runtime.supervisor import RunOutcome
 from repro.sim.engine import Engine
 from repro.trace.tracer import TraceConfig
 from repro.transport import TRANSPORTS
@@ -125,6 +126,12 @@ _EXPERIMENT_FLAGS = [
     "--sample-us", "--sanitize", "--seed", "--sim-ms", "--trace",
     "--trace-level", "--transport", "--warmup", "--workload"]
 
+#: One sweep point's record (``RunOutcome``): the failure-manifest row.
+RECORD_KEYS = ["index", "digest", "status", "attempts", "wall_s", "error",
+               "seed", "system", "stalled", "last_sim_ns", "last_events"]
+#: The journal line: the record plus what only a result has.
+LINE_KEYS = RECORD_KEYS + ["run_digest", "payload", "checkpoint"]
+
 CLI_FLAGS = {
     "run": sorted(_EXPERIMENT_FLAGS + ["--system"]),
     "sweep": sorted(_EXPERIMENT_FLAGS + [
@@ -192,6 +199,12 @@ def test_env_vars_snapshot():
         read.update(re.findall(r"""os\.environ(?:\.get\(|\[)\s*["'](\w+)""",
                                path.read_text()))
     assert sorted(read) == ENV_VARS
+
+
+def test_record_keys_snapshot():
+    outcome = RunOutcome(0, "digest", "failed")
+    assert list(outcome.row()) == RECORD_KEYS
+    assert list(outcome.line()) == LINE_KEYS
 
 
 @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
