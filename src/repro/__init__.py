@@ -19,8 +19,11 @@ read the report::
 
 This module re-exports the blessed public surface (everything in
 ``__all__``); anything else is an internal layer whose import path may
-change between releases.
+change between releases.  The sweep executor's names load on first
+access, so ``import repro`` starts no process-pool machinery.
 """
+
+from importlib import import_module
 
 from repro.experiments import (
     ExperimentConfig,
@@ -32,7 +35,6 @@ from repro.experiments import (
 )
 from repro.faults import FaultSpec, parse_faults
 from repro.net import FatTree, LeafSpine
-from repro.runtime import SupervisorPolicy, SweepReport, run_supervised
 from repro.trace import TraceConfig
 from repro.workload import (
     BackgroundSpec,
@@ -44,6 +46,22 @@ from repro.workload import (
 )
 
 __version__ = "2.0.0"
+
+#: Name -> the module that defines it, imported on first access.
+_LAZY = {"SupervisorPolicy": "repro.runtime",
+         "SweepReport": "repro.runtime",
+         "run_supervised": "repro.runtime"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_LAZY[name]), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "ExperimentConfig",

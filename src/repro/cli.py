@@ -40,12 +40,10 @@ from repro.experiments.sweeps import format_table
 from repro.faults import parse_faults
 from repro.faults.spec import parse_time_ns
 from repro.workload.spec import parse_workloads
-from repro.net.fidelity import FIDELITY_MODES, FidelityConfig
-from repro.net.pfc import PfcConfig
+from repro.net.builder import FIDELITY_MODES, FidelityConfig, PfcConfig
 from repro.net.topology import FatTree
-from repro.runtime import SupervisorPolicy, SweepSupervisor
 from repro.sim.units import MILLISECOND
-from repro.trace.tracer import TRACE_LEVELS, TraceConfig
+from repro.trace.config import TRACE_LEVELS, TraceConfig
 
 SUBCOMMANDS = ("run", "sweep", "lint", "trace-view")
 
@@ -334,6 +332,9 @@ def _cmd_run(argv: List[str]) -> int:
 
 
 def _cmd_sweep(argv: List[str]) -> int:
+    # The sweep executor (a process pool) loads only for this command.
+    from repro.runtime import SupervisorPolicy, SweepSupervisor
+
     parser = argparse.ArgumentParser(
         prog="repro sweep",
         description="Run a systems x seeds grid under the crash-tolerant "

@@ -25,12 +25,10 @@ from repro.core.flowinfo import MarkingDiscipline
 from repro.core.ordering import DEFAULT_TIMEOUT_NS
 from repro.faults.spec import FaultSpec
 from repro.forwarding.vertigo import VertigoSwitchParams
-from repro.net.builder import NetworkParams
-from repro.net.fidelity import FidelityConfig
-from repro.net.pfc import PfcConfig
+from repro.net.builder import FidelityConfig, NetworkParams, PfcConfig
 from repro.net.topology import LeafSpine, Topology, paper_leaf_spine
 from repro.sim.units import MILLISECOND, SECOND, gbps, kb, mbps, usecs
-from repro.trace.tracer import TraceConfig
+from repro.trace.config import TraceConfig
 from repro.transport.base import TransportConfig
 from repro.workload.spec import WorkloadSpec, specs_from_legacy
 

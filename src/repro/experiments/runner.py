@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.analysis import sanitize as _sanitize
 from repro.checkpoint import (
@@ -32,16 +32,17 @@ from repro.forwarding.vertigo import VertigoPolicy
 from repro.host.host import HostStackConfig
 from repro.metrics.collector import MetricsCollector
 from repro.net.builder import Network, NetworkParams, build_network
-from repro.net.fidelity import FidelityController
-from repro.net.pfc import PfcController
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.trace import PhaseProfiler, TraceData, Tracer, TraceSampler
 from repro.trace import hooks as _trace_hooks
+from repro.trace.profiler import PhaseProfiler
 from repro.transport import TRANSPORTS
 from repro.transport.base import TransportConfig
 from repro.transport.dctcp import DEFAULT_MARKING_THRESHOLD_PKTS
 from repro.workload.registry import WorkloadContext, build_workload
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.trace.tracer import TraceData
 
 
 def derive_ecn_threshold(params: NetworkParams, mss: int) -> int:
@@ -370,8 +371,17 @@ def _run_experiment(config: ExperimentConfig) -> RunResult:
 
 
 def _build_world(config: ExperimentConfig) -> LiveRun:
-    """Construct the full live simulation for ``config`` (build phase)."""
-    tracer = Tracer(config.trace) if config.trace is not None else None
+    """Construct the full live simulation for ``config`` (build phase).
+
+    Each optional subsystem (tracer, PFC, fidelity, telemetry, faults)
+    is imported where it is built: a run loads only the machinery its
+    config turns on.
+    """
+    tracer = None
+    if config.trace is not None:
+        from repro.trace.tracer import Tracer
+
+        tracer = Tracer(config.trace)
     engine = Engine()
     rng = RngRegistry(config.seed)
     metrics = MetricsCollector()
@@ -408,6 +418,8 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
 
     pfc = None
     if config.pfc.enabled:
+        from repro.net.pfc import PfcController
+
         pfc = PfcController(engine, config.pfc, network)
         pfc.install()
         network.pfc = pfc
@@ -416,6 +428,8 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
 
     fidelity = None
     if config.fidelity.active:
+        from repro.net.fidelity import FidelityController
+
         fidelity = FidelityController(engine, network, config.fidelity)
         fidelity.install()
 
@@ -446,13 +460,15 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
 
     injector = None
     if config.faults:
-        from repro.faults import FaultInjector
+        from repro.faults.injector import FaultInjector
 
         injector = FaultInjector(engine, network, rng, config.faults)
         injector.schedule()
 
     sampler = None
     if tracer is not None and config.trace.sample_period_ns:
+        from repro.trace.sampler import TraceSampler
+
         sampler = TraceSampler(engine, network, tracer,
                                config.trace.sample_period_ns)
         sampler.start()

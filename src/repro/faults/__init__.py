@@ -15,10 +15,12 @@ surviving edges and invalidates every memoized forwarding decision.
 Scenarios thread through :class:`~repro.experiments.config.ExperimentConfig`
 (``faults=...``), the CLI (``--fault link:leaf0-spine1:down@50ms,up@120ms``)
 and the determinism digest; ``FaultInjector.applied`` is the run's
-fault timeline.
+fault timeline.  The injector loads on first use of its names: a healthy
+run never imports it.
 """
 
-from repro.faults.injector import FAULT_PRIORITY, FaultInjector
+from importlib import import_module
+
 from repro.faults.spec import (
     FAULT_KINDS,
     FaultParseError,
@@ -29,6 +31,21 @@ from repro.faults.spec import (
     parse_rate_bps,
     parse_time_ns,
 )
+
+#: Name -> the module that defines it, imported on first access.
+_LAZY = {"FAULT_PRIORITY": "repro.faults.injector",
+         "FaultInjector": "repro.faults.injector"}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_LAZY[name]), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "FAULT_KINDS",

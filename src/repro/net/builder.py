@@ -12,6 +12,11 @@ as ``h<id>``), tracks the set of dead cables, and recomputes every
 switch FIB over the surviving edges on demand
 (:meth:`Network.rebuild_routes`).  The topology object itself is never
 mutated, so configs can share one across runs.
+
+The network's config blocks live here too — :class:`NetworkParams`,
+:class:`PfcConfig` and :class:`FidelityConfig` — so building a config
+never loads the PFC or fidelity controller (:mod:`repro.net.pfc`,
+:mod:`repro.net.fidelity`); the runner imports each where it builds it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from repro.faults.spec import cable_key
 from repro.host.host import Host, HostStackConfig
 from repro.metrics.collector import MetricsCollector
 from repro.net.link import Link, Port
-from repro.net.pfc import PfcConfig
 from repro.net.queues import (
     ClassLaneQueue,
     DropTailQueue,
@@ -77,6 +81,115 @@ class NetworkParams:
         prop = 2 * (2 * self.host_link_delay_ns
                     + 4 * self.fabric_link_delay_ns)
         return data_ser + prop
+
+
+@dataclass(frozen=True)
+class PfcConfig:
+    """Priority-class lanes and (optionally) lossless PFC.
+
+    ``num_classes`` alone splits every switch egress queue into strict-
+    priority lanes (lane 0 drains first); ``enabled`` additionally turns
+    on the per-ingress XOFF/XON PAUSE machinery (:mod:`repro.net.pfc`).
+    All byte thresholds are integers; 0 (or None for headroom) means
+    "derive from the network parameters"
+    (:func:`repro.net.pfc.resolve_thresholds`).
+    """
+
+    enabled: bool = False
+    num_classes: int = 1
+    #: Flow → class map: a flow with id ``f`` uses class
+    #: ``priority_map[f % len(priority_map)]`` for every packet (data
+    #: and ACKs).  The default maps everything to class 0.
+    priority_map: Tuple[int, ...] = (0,)
+    xoff_bytes: int = 0            # 0 = auto: buffer / (2 * num_classes)
+    xon_bytes: int = 0             # 0 = auto: xoff / 2
+    #: None = auto (2 x one-way BDP + 2 MTU, lossless); 0 is honoured
+    #: literally and *does* drop post-XOFF arrivals (reason
+    #: ``pfc_headroom``).
+    headroom_bytes: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.num_classes < 1:
+            raise ValueError("num_classes must be >= 1")
+        if not self.priority_map:
+            raise ValueError("priority_map cannot be empty")
+        for pclass in self.priority_map:
+            if not 0 <= pclass < self.num_classes:
+                raise ValueError(
+                    f"priority_map entry {pclass} outside "
+                    f"[0, {self.num_classes})")
+        if self.xoff_bytes < 0 or self.xon_bytes < 0:
+            raise ValueError("PFC thresholds cannot be negative")
+        if self.xoff_bytes and self.xon_bytes > self.xoff_bytes:
+            raise ValueError("XON threshold must not exceed XOFF")
+        if self.headroom_bytes is not None and self.headroom_bytes < 0:
+            raise ValueError("headroom cannot be negative")
+
+    @property
+    def configured(self) -> bool:
+        """True when this config changes the datapath at all."""
+        return self.enabled or self.num_classes > 1
+
+    def digest_view(self) -> Tuple:
+        """The digest-relevant projection (order is part of the format)."""
+        return (self.enabled, self.num_classes, self.priority_map,
+                self.xoff_bytes, self.xon_bytes, self.headroom_bytes)
+
+
+FIDELITY_MODES = ("packet", "flow", "hybrid")
+
+
+@dataclass(frozen=True)
+class FidelityConfig:
+    """Fidelity policy block — every field is a digest input.
+
+    ``mode`` selects the engine: ``packet`` (no controller, today's
+    behaviour), ``flow`` (links never demote except by fault pinning),
+    or ``hybrid`` (demote on congestion signals, promote after a quiet
+    epoch; :mod:`repro.net.fidelity`).  Thresholds of 0 mean "auto":
+    resolved deterministically from the network parameters when the
+    controller is installed.
+    """
+
+    mode: str = "packet"
+    #: Demote a link once this many concurrent flows share it.  Moderate
+    #: fan-in (the paper's incast degree included, and overlapping
+    #: queries) is *modelled* by the analytic fair share; this trigger
+    #: is for pathological convergence beyond what deflection absorbs,
+    #: where the fair-share model stops tracking the loss tail.  The
+    #: default is ~5x the paper's incast degree; lower it for systems
+    #: without burst absorption (e.g. plain ECMP baselines).
+    demote_shares: int = 64
+    #: Demote on queue depth >= this many bytes (0 = auto: the ECN
+    #: threshold if configured, else a quarter of the port buffer).
+    demote_queue_bytes: int = 0
+    #: Promotion epoch length (0 = auto: max(1 ms, 8 x base RTT)).
+    promote_epoch_ns: int = 0
+    #: Promote only when epoch utilization is at or below this (0-1000).
+    promote_util_permille: int = 400
+
+    def __post_init__(self) -> None:
+        if self.mode not in FIDELITY_MODES:
+            raise ValueError(
+                f"fidelity mode must be one of {FIDELITY_MODES}, "
+                f"got {self.mode!r}")
+        if self.demote_shares < 1:
+            raise ValueError("demote_shares must be >= 1")
+        if self.demote_queue_bytes < 0:
+            raise ValueError("demote_queue_bytes cannot be negative")
+        if self.promote_epoch_ns < 0:
+            raise ValueError("promote_epoch_ns cannot be negative")
+        if not 0 <= self.promote_util_permille <= 1000:
+            raise ValueError("promote_util_permille must be in [0, 1000]")
+
+    @property
+    def active(self) -> bool:
+        return self.mode != "packet"
+
+    def digest_view(self) -> Tuple:
+        """The canonical tuple fed into the run digest."""
+        return (self.mode, self.demote_shares, self.demote_queue_bytes,
+                self.promote_epoch_ns, self.promote_util_permille)
 
 
 class Network:

@@ -40,10 +40,12 @@ Boundary-conversion invariants (what keeps digests deterministic):
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
+# FIDELITY_MODES and FidelityConfig stay importable from here: pickled
+# configs name this path.
+from repro.net.builder import FIDELITY_MODES, FidelityConfig
 from repro.net.packet import ACK_WIRE_BYTES
 from repro.trace import hooks as _trace_hooks
 
@@ -54,8 +56,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Link, Port
     from repro.sim.engine import Engine
 
-FIDELITY_MODES = ("packet", "flow", "hybrid")
-
 #: Knuth multiplicative hash constant; picks one FIB candidate per flow
 #: deterministically (mirrors the flow-hash idea the policies use).
 _PATH_HASH = 2654435761
@@ -63,58 +63,6 @@ _PATH_HASH = 2654435761
 #: Safety bound on analytic path resolution (matches the dataplane's
 #: deflection hop budget in spirit; shortest paths are far shorter).
 _MAX_PATH_HOPS = 64
-
-
-@dataclass(frozen=True)
-class FidelityConfig:
-    """Fidelity policy block — every field is a digest input.
-
-    ``mode`` selects the engine: ``packet`` (no controller, today's
-    behaviour), ``flow`` (links never demote except by fault pinning),
-    or ``hybrid`` (demote on congestion signals, promote after a quiet
-    epoch).  Thresholds of 0 mean "auto": resolved deterministically
-    from the network parameters when the controller is installed.
-    """
-
-    mode: str = "packet"
-    #: Demote a link once this many concurrent flows share it.  Moderate
-    #: fan-in (the paper's incast degree included, and overlapping
-    #: queries) is *modelled* by the analytic fair share; this trigger
-    #: is for pathological convergence beyond what deflection absorbs,
-    #: where the fair-share model stops tracking the loss tail.  The
-    #: default is ~5x the paper's incast degree; lower it for systems
-    #: without burst absorption (e.g. plain ECMP baselines).
-    demote_shares: int = 64
-    #: Demote on queue depth >= this many bytes (0 = auto: the ECN
-    #: threshold if configured, else a quarter of the port buffer).
-    demote_queue_bytes: int = 0
-    #: Promotion epoch length (0 = auto: max(1 ms, 8 x base RTT)).
-    promote_epoch_ns: int = 0
-    #: Promote only when epoch utilization is at or below this (0-1000).
-    promote_util_permille: int = 400
-
-    def __post_init__(self) -> None:
-        if self.mode not in FIDELITY_MODES:
-            raise ValueError(
-                f"fidelity mode must be one of {FIDELITY_MODES}, "
-                f"got {self.mode!r}")
-        if self.demote_shares < 1:
-            raise ValueError("demote_shares must be >= 1")
-        if self.demote_queue_bytes < 0:
-            raise ValueError("demote_queue_bytes cannot be negative")
-        if self.promote_epoch_ns < 0:
-            raise ValueError("promote_epoch_ns cannot be negative")
-        if not 0 <= self.promote_util_permille <= 1000:
-            raise ValueError("promote_util_permille must be in [0, 1000]")
-
-    @property
-    def active(self) -> bool:
-        return self.mode != "packet"
-
-    def digest_view(self) -> Tuple:
-        """The canonical tuple fed into the run digest."""
-        return (self.mode, self.demote_shares, self.demote_queue_bytes,
-                self.promote_epoch_ns, self.promote_util_permille)
 
 
 class _LinkState:

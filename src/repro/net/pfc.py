@@ -41,9 +41,10 @@ instant is not one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
+# PfcConfig stays importable from here: pickled configs name this path.
+from repro.net.builder import PfcConfig
 from repro.trace import hooks as _trace_hooks
 
 _TRACE = _trace_hooks.register(__name__)
@@ -61,58 +62,6 @@ PAUSE_PRIORITY = -1
 
 #: Wire MTU used by the default headroom rule (full-size data segment).
 MTU_WIRE_BYTES = 1500
-
-
-@dataclass(frozen=True)
-class PfcConfig:
-    """Priority-class lanes and (optionally) lossless PFC.
-
-    ``num_classes`` alone splits every switch egress queue into strict-
-    priority lanes (lane 0 drains first); ``enabled`` additionally turns
-    on the per-ingress XOFF/XON PAUSE machinery.  All byte thresholds
-    are integers; 0 (or None for headroom) means "derive from the
-    network parameters" (:func:`resolve_thresholds`).
-    """
-
-    enabled: bool = False
-    num_classes: int = 1
-    #: Flow → class map: a flow with id ``f`` uses class
-    #: ``priority_map[f % len(priority_map)]`` for every packet (data
-    #: and ACKs).  The default maps everything to class 0.
-    priority_map: Tuple[int, ...] = (0,)
-    xoff_bytes: int = 0            # 0 = auto: buffer / (2 * num_classes)
-    xon_bytes: int = 0             # 0 = auto: xoff / 2
-    #: None = auto (2 x one-way BDP + 2 MTU, lossless); 0 is honoured
-    #: literally and *does* drop post-XOFF arrivals (reason
-    #: ``pfc_headroom``).
-    headroom_bytes: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.num_classes < 1:
-            raise ValueError("num_classes must be >= 1")
-        if not self.priority_map:
-            raise ValueError("priority_map cannot be empty")
-        for pclass in self.priority_map:
-            if not 0 <= pclass < self.num_classes:
-                raise ValueError(
-                    f"priority_map entry {pclass} outside "
-                    f"[0, {self.num_classes})")
-        if self.xoff_bytes < 0 or self.xon_bytes < 0:
-            raise ValueError("PFC thresholds cannot be negative")
-        if self.xoff_bytes and self.xon_bytes > self.xoff_bytes:
-            raise ValueError("XON threshold must not exceed XOFF")
-        if self.headroom_bytes is not None and self.headroom_bytes < 0:
-            raise ValueError("headroom cannot be negative")
-
-    @property
-    def configured(self) -> bool:
-        """True when this config changes the datapath at all."""
-        return self.enabled or self.num_classes > 1
-
-    def digest_view(self) -> Tuple:
-        """The digest-relevant projection (order is part of the format)."""
-        return (self.enabled, self.num_classes, self.priority_map,
-                self.xoff_bytes, self.xon_bytes, self.headroom_bytes)
 
 
 def resolve_thresholds(config: PfcConfig, buffer_bytes: int,

@@ -37,6 +37,15 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
+# Pool workers fork from this process: the subsystems a point's config
+# may turn on, which the runner imports only where it builds them, are
+# compiled here once instead of in every worker of every pool.
+import repro.faults.injector
+import repro.net.fidelity
+import repro.net.pfc
+import repro.telemetry.monitor
+import repro.trace.sampler
+import repro.trace.tracer
 from repro.analysis import sanitize as _sanitize
 from repro.checkpoint.runtime import install_worker_handlers
 from repro.checkpoint.store import RunPreempted, read_progress

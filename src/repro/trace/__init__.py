@@ -16,28 +16,43 @@ The observability layer for experiment runs:
   run phases (excluded from deterministic exports).
 - :mod:`repro.trace.export` serializes traces as deterministic JSONL and
   Chrome ``trace_event`` JSON (Perfetto-openable) and validates them.
+
+The recorder, sampler and exporter load on first use of one of their
+names: an untraced run never imports them.
 """
 
-from repro.trace.export import (
-    convert_jsonl_to_chrome,
-    jsonl_lines,
-    read_jsonl,
-    summarize_file,
-    validate_file,
-    validate_lines,
-    write_jsonl,
-)
+from importlib import import_module
+
+from repro.trace.config import TRACE_LEVELS, TraceConfig
 from repro.trace.profiler import PhaseProfiler
-from repro.trace.sampler import TraceSampler
-from repro.trace.tracer import (
-    EVENT_FIELDS,
-    PACKET_KINDS,
-    TRACE_LEVELS,
-    TRACE_SCHEMA,
-    TraceConfig,
-    TraceData,
-    Tracer,
-)
+
+#: Name -> the module that defines it, imported on first access.
+_LAZY = {
+    "EVENT_FIELDS": "repro.trace.tracer",
+    "PACKET_KINDS": "repro.trace.tracer",
+    "TRACE_SCHEMA": "repro.trace.tracer",
+    "TraceData": "repro.trace.tracer",
+    "Tracer": "repro.trace.tracer",
+    "TraceSampler": "repro.trace.sampler",
+    "convert_jsonl_to_chrome": "repro.trace.export",
+    "jsonl_lines": "repro.trace.export",
+    "read_jsonl": "repro.trace.export",
+    "summarize_file": "repro.trace.export",
+    "validate_file": "repro.trace.export",
+    "validate_lines": "repro.trace.export",
+    "write_jsonl": "repro.trace.export",
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(_LAZY[name]), name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))
+
 
 __all__ = [
     "EVENT_FIELDS",

@@ -36,13 +36,13 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis import sanitize as _sanitize
+# TRACE_LEVELS and TraceConfig stay importable from here: pickled configs
+# name this path.
+from repro.trace.config import TRACE_LEVELS, TraceConfig
 
 _SANITIZE = _sanitize.register(__name__)
 
 TRACE_SCHEMA = 1
-
-#: Valid trace levels, in increasing verbosity.
-TRACE_LEVELS = ("flow", "packet")
 
 #: Field names per event kind, *after* the leading ``kind, t`` pair.
 #: This is the trace schema: the record log takes each kind's arity from
@@ -107,37 +107,6 @@ ARITY: Dict[str, int] = {kind: len(fields) + 2
 #: Records per sealed chunk (a sampler tick is never split, so a sample
 #: chunk may run over by up to one tick).
 CHUNK_RECORDS = 4096
-
-
-@dataclass(frozen=True)
-class TraceConfig:
-    """What to record and how much memory the recording may hold.
-
-    ``max_events`` / ``max_samples`` bound the two record logs: each
-    retains exactly its newest N records and discards older ones (the
-    counts of everything ever emitted are kept, so exports report the
-    loss).  The discipline is deterministic — same run, same retained
-    window.
-    """
-
-    level: str = "flow"
-    #: Periodic sampler interval; None disables the samplers.
-    sample_period_ns: Optional[int] = None
-    max_events: int = 1_000_000
-    max_samples: int = 200_000
-
-    def __post_init__(self) -> None:
-        if self.level not in TRACE_LEVELS:
-            raise ValueError(f"unknown trace level {self.level!r}; "
-                             f"choose from {TRACE_LEVELS}")
-        if self.sample_period_ns is not None and self.sample_period_ns <= 0:
-            raise ValueError("sample period must be positive")
-        if self.max_events <= 0 or self.max_samples <= 0:
-            raise ValueError("ring buffer bounds must be positive")
-
-    @property
-    def packets(self) -> bool:
-        return self.level == "packet"
 
 
 class RecordLog:
