@@ -30,7 +30,7 @@ from repro.core.flowinfo import (
     unboost_rfs,
 )
 from repro.core.marking import MarkingComponent
-from repro.core.ordering import OrderingComponent, OrderingState
+from repro.core.ordering import OrderingComponent
 from repro.core.scheduler import RankQueue
 from repro.core.wire import (
     decode_ipv4_option,
@@ -45,7 +45,6 @@ __all__ = [
     "MarkingDiscipline",
     "MarkingComponent",
     "OrderingComponent",
-    "OrderingState",
     "RankQueue",
     "boost_rfs",
     "rotl32",

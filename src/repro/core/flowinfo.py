@@ -93,7 +93,3 @@ class FlowInfo:
     def original_rfs(self, boost_factor: int = 2) -> int:
         """The RFS as first marked, undoing any boosting rotations."""
         return unboost_rfs(self.rfs, self.retcnt, boost_factor)
-
-    def copy(self) -> "FlowInfo":
-        return FlowInfo(rfs=self.rfs, retcnt=self.retcnt,
-                        flow_id3=self.flow_id3, first=self.first)

@@ -22,9 +22,9 @@ never starved by deflection.
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Dict, Optional
+from zlib import crc32
 
 from repro.analysis import sanitize as _sanitize
 from repro.core.cuckoo import CuckooFilter
@@ -45,9 +45,10 @@ _SANITIZE = _sanitize.register(__name__)
 @dataclass
 class _FlowMarkState:
     size: Optional[int]          # advance flow size (None under LAS)
-    remaining: Optional[int]     # SRPT bookkeeping
-    attained: int = 0            # LAS bookkeeping
     retcnt: Dict[int, int] = field(default_factory=dict)  # seq -> retcnt
+    #: CRC of ``"flow_id:"``, taken at the first mark; continued with the
+    #: sequence number it is the CRC of ``"flow_id:seq"``.
+    prefix: Optional[int] = None
 
 
 class MarkingComponent:
@@ -56,7 +57,7 @@ class MarkingComponent:
     def __init__(self, discipline: MarkingDiscipline = MarkingDiscipline.SRPT,
                  boost_factor: int = 2, boosting: bool = True,
                  filter_capacity: int = 1 << 15, seed: int = 0) -> None:
-        self.discipline = discipline
+        self._srpt = discipline is MarkingDiscipline.SRPT
         self.boost_factor = boost_factor
         self.boosting = boosting
         self._filter = CuckooFilter(capacity=filter_capacity, seed=seed)
@@ -72,17 +73,18 @@ class MarkingComponent:
         ``size`` is the application-provided flow size; it may be ``None``
         under LAS, which needs no advance knowledge.
         """
-        if self.discipline is MarkingDiscipline.SRPT and size is None:
+        if self._srpt and size is None:
             raise ValueError("SRPT marking requires the flow size upfront")
-        self._flows[flow_id] = _FlowMarkState(size=size, remaining=size)
+        self._flows[flow_id] = _FlowMarkState(size)
 
     def flow_done(self, flow_id: int) -> None:
         """Drop per-flow state and evict its entries from the filter."""
         state = self._flows.pop(flow_id, None)
         if state is None:
             return
+        prefix = state.prefix
         for seq in state.retcnt:
-            self._filter.delete(self._header_hash(flow_id, seq))
+            self._filter.delete(crc32(str(seq).encode(), prefix))
         if _SANITIZE:
             remembered = sum(len(s.retcnt) for s in self._flows.values())
             _sanitize.check(
@@ -93,18 +95,14 @@ class MarkingComponent:
 
     # -- marking -------------------------------------------------------------------
 
-    @staticmethod
-    def _header_hash(flow_id: int, seq: int) -> int:
-        """CRC over the invariant header fields (paper: CRC + cuckoo)."""
-        return zlib.crc32(f"{flow_id}:{seq}".encode())
-
     def mark(self, packet: Packet) -> None:
         """Attach the flowinfo header (and its 7 wire bytes, Figure 3)."""
         if packet.kind is not PacketKind.DATA:
             packet.flowinfo = FlowInfo(rfs=min(packet.wire_bytes, RFS_MASK))
             packet.wire_bytes += FLOWINFO_WIRE_BYTES
             return
-        state = self._flows.get(packet.flow_id)
+        flow_id = packet.flow_id
+        state = self._flows.get(flow_id)
         if state is None:
             # Unregistered flow (defensive): rank by wire size.
             packet.flowinfo = FlowInfo(rfs=min(packet.wire_bytes, RFS_MASK))
@@ -113,7 +111,14 @@ class MarkingComponent:
         self.packets_marked += 1
         packet.wire_bytes += FLOWINFO_WIRE_BYTES
         seq = packet.seq
-        key = self._header_hash(packet.flow_id, seq)
+        # SRPT ranks by the flow's remaining bytes including this
+        # packet, LAS by the bytes it has already sent.
+        rank = min(state.size - seq if self._srpt else seq, RFS_MASK)
+        prefix = state.prefix
+        if prefix is None:
+            prefix = state.prefix = crc32(f"{flow_id}:".encode())
+        # CRC over the invariant header fields (paper: CRC + cuckoo).
+        key = crc32(str(seq).encode(), prefix)
         # One filter probe settles the common case: an absent fingerprint
         # is stored on the spot and the packet is a first transmission.
         # A hit is resolved against the exact table.  ``retcnt`` holds
@@ -122,7 +127,7 @@ class MarkingComponent:
         if self._filter.insert_if_absent(key):
             state.retcnt[seq] = 0
         elif seq in state.retcnt:
-            self._mark_retransmission(packet, state)
+            self._mark_retransmission(packet, state, rank)
             return
         elif self._filter.insert(key):
             # False positive on a first transmission: the packet still
@@ -130,37 +135,20 @@ class MarkingComponent:
             state.retcnt[seq] = 0
         # else the filter is full and cannot remember this packet: a
         # re-transmission of it will be marked as a first transmission.
-        self._mark_first_transmission(packet, state)
+        packet.flowinfo = FlowInfo(rfs=rank, retcnt=0,
+                                   flow_id3=flow_id & FLOW_ID3_MASK,
+                                   first=seq == 0)
 
-    def _original_rank(self, packet: Packet, state: _FlowMarkState) -> int:
-        if self.discipline is MarkingDiscipline.SRPT:
-            return min(state.size - packet.seq, RFS_MASK)
-        return min(packet.seq, RFS_MASK)  # LAS: attained service
-
-    def _is_first_packet(self, packet: Packet) -> bool:
-        return packet.seq == 0
-
-    def _mark_first_transmission(self, packet: Packet,
-                                 state: _FlowMarkState) -> None:
-        if state.remaining is not None:
-            state.remaining = max(0, state.remaining - packet.payload)
-        state.attained = max(state.attained, packet.end_seq)
-        packet.flowinfo = FlowInfo(
-            rfs=self._original_rank(packet, state),
-            retcnt=0,
-            flow_id3=packet.flow_id & FLOW_ID3_MASK,
-            first=self._is_first_packet(packet))
-
-    def _mark_retransmission(self, packet: Packet,
-                             state: _FlowMarkState) -> None:
+    def _mark_retransmission(self, packet: Packet, state: _FlowMarkState,
+                             original: int) -> None:
         self.retransmissions_detected += 1
-        retcnt = min(state.retcnt[packet.seq] + 1, RETCNT_MAX)
-        state.retcnt[packet.seq] = retcnt
-        original = self._original_rank(packet, state)
+        seq = packet.seq
+        retcnt = min(state.retcnt[seq] + 1, RETCNT_MAX)
+        state.retcnt[seq] = retcnt
         wire_rfs = boost_rfs(original, retcnt, self.boost_factor) \
             if self.boosting else original
         packet.flowinfo = FlowInfo(
             rfs=wire_rfs,
             retcnt=retcnt if self.boosting else 0,
             flow_id3=packet.flow_id & FLOW_ID3_MASK,
-            first=self._is_first_packet(packet))
+            first=seq == 0)

@@ -17,19 +17,20 @@ runs the paper's three-state machine:
   recovery — fast retransmit included — takes over).
 
 Boosted re-transmissions are first un-rotated (``retcnt`` left rotations)
-to recover the original RFS.  Under SRPT the expected RFS *decreases* by
-each delivered payload; under LAS the attained-service tag *increases* —
-the ``direction`` of the state machine is the only difference.
+to recover the original RFS; with ``retcnt == 0`` the wire RFS is it.
+Under SRPT the expected RFS *decreases* by each delivered payload; under
+LAS the attained-service tag *increases* — the direction, resolved at
+construction, is the only difference.  A flow is in Init while it has no
+expectation and Out-of-order while its buffer holds packets.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.analysis import sanitize as _sanitize
-from repro.core.flowinfo import MarkingDiscipline
+from repro.core.flowinfo import MarkingDiscipline, rotations_for_factor
 from repro.trace import hooks as _trace_hooks
 
 _SANITIZE = _sanitize.register(__name__)
@@ -43,17 +44,10 @@ from repro.sim.units import usecs
 DEFAULT_TIMEOUT_NS = usecs(360)
 
 
-class OrderingState(enum.Enum):
-    INIT = "init"
-    IN_ORDER = "in_order"
-    OUT_OF_ORDER = "out_of_order"
-
-
 @dataclass
 class _FlowOrderState:
     expected: Optional[int] = None          # original-RFS of the next packet
     buffer: Dict[int, Tuple[Packet, int]] = field(default_factory=dict)
-    state: OrderingState = OrderingState.INIT
     timer: Optional[Timer] = None
 
     def stop_timer(self) -> None:
@@ -82,8 +76,15 @@ class OrderingComponent:
             # construction so the off path pays nothing per packet.
             self.deliver = self._checked_deliver
         self.timeout_ns = timeout_ns
+        rotations_for_factor(boost_factor)  # a bad factor fails here
         self.boost_factor = boost_factor
-        self.discipline = discipline
+        srpt = discipline is MarkingDiscipline.SRPT
+        #: Tag change per payload byte; *early* (belongs later in the
+        #: flow) is ``(tag - expected) * _step > 0``.
+        self._step = -1 if srpt else 1
+        #: Expectation after a flow's last packet (LAS has none).
+        self._final_expected = 0 if srpt else None
+        self._head = max if srpt else min  # buffered tag released next
         self._flows: Dict[int, _FlowOrderState] = {}
         self.packets_buffered = 0
         self.timeouts_fired = 0
@@ -96,19 +97,6 @@ class OrderingComponent:
                         "twice", packet.uid, packet.flow_id)
         self._released_uids.add(packet.uid)
         self._raw_deliver(packet)
-
-    # -- tag arithmetic -----------------------------------------------------------
-
-    def _next_expected(self, tag: int, payload: int) -> int:
-        if self.discipline is MarkingDiscipline.SRPT:
-            return tag - payload
-        return tag + payload
-
-    def _is_early(self, tag: int, expected: int) -> bool:
-        """Early = belongs later in the flow than the expected packet."""
-        if self.discipline is MarkingDiscipline.SRPT:
-            return tag < expected
-        return tag > expected
 
     # -- flow lifecycle -------------------------------------------------------------
 
@@ -131,23 +119,37 @@ class OrderingComponent:
     # -- main entry -----------------------------------------------------------------
 
     def on_packet(self, packet: Packet) -> None:
-        if packet.kind is not PacketKind.DATA or packet.flowinfo is None:
+        info = packet.flowinfo
+        if info is None or packet.kind is not PacketKind.DATA:
             self.deliver(packet)
             return
-        tag = packet.flowinfo.original_rfs(self.boost_factor)
-        state = self._flows.get(packet.flow_id)
+        tag = info.original_rfs(self.boost_factor) if info.retcnt \
+            else info.rfs
+        flow_id = packet.flow_id
+        state = self._flows.get(flow_id)
+        if state is not None and tag == state.expected:
+            # In-order receive.  An empty buffer has no armed timer, and
+            # deliver() may end the flow (completion calls flow_done).
+            state.expected = expected = tag + self._step * packet.payload
+            self.deliver(packet)
+            if state.buffer:
+                self._drain_buffer(state, flow_id)
+            elif expected == self._final_expected:
+                self._flows.pop(flow_id, None)
+            return
         if state is None:
-            state = _FlowOrderState()
-            self._flows[packet.flow_id] = state
-
+            state = self._flows[flow_id] = _FlowOrderState()
         if state.expected is None:
             # Still in Init: the flow's first packet has not been seen.
-            self._on_packet_init(packet, tag, state)
-        elif tag == state.expected:
-            self._deliver_in_order(packet, tag, state)
-            self._drain_buffer(state, packet.flow_id)
-        elif self._is_early(tag, state.expected):
-            self._buffer_early(packet, tag, state, packet.flow_id)
+            if info.first:
+                state.expected = tag
+                self._deliver_in_order(packet, tag, state)
+                self._drain_buffer(state, flow_id)
+            else:
+                # The first packet is missing: out-of-order from birth.
+                self._buffer_early(packet, tag, state, flow_id)
+        elif (tag - state.expected) * self._step > 0:
+            self._buffer_early(packet, tag, state, flow_id)
         else:
             # Late packet: delayed re-transmission or duplicate of bytes
             # already released — pass it up immediately (§3.3.2, event 3).
@@ -155,20 +157,9 @@ class OrderingComponent:
 
     # -- state transitions -------------------------------------------------------------
 
-    def _on_packet_init(self, packet: Packet, tag: int,
-                        state: _FlowOrderState) -> None:
-        if packet.flowinfo.first:
-            state.expected = tag
-            self._deliver_in_order(packet, tag, state)
-            self._drain_buffer(state, packet.flow_id)
-        else:
-            # The flow's first packet is missing: out-of-order from birth.
-            self._buffer_early(packet, tag, state, packet.flow_id)
-
     def _deliver_in_order(self, packet: Packet, tag: int,
                           state: _FlowOrderState) -> None:
-        state.expected = self._next_expected(tag, packet.payload)
-        state.state = OrderingState.IN_ORDER
+        state.expected = tag + self._step * packet.payload
         self.deliver(packet)
         self._check_flow_complete(packet.flow_id, state)
 
@@ -176,8 +167,7 @@ class OrderingComponent:
                              state: _FlowOrderState) -> None:
         # Under SRPT the expectation hits exactly zero after the last
         # packet; transition back to "waiting for a new flow".
-        if (self.discipline is MarkingDiscipline.SRPT
-                and state.expected == 0 and not state.buffer):
+        if state.expected == self._final_expected and not state.buffer:
             state.stop_timer()
             self._flows.pop(flow_id, None)
 
@@ -189,7 +179,6 @@ class OrderingComponent:
         self.packets_buffered += 1
         if _TRACE is not None and _TRACE.packets:
             _TRACE.ord_hold(self.engine.now, self.label, flow_id, tag)
-        state.state = OrderingState.OUT_OF_ORDER
         if state.timer is None:
             state.timer = Timer(self.engine, self._on_timeout, flow_id)
         if not state.timer.armed:
@@ -197,7 +186,7 @@ class OrderingComponent:
 
     def _drain_buffer(self, state: _FlowOrderState, flow_id: int) -> None:
         """Deliver buffered packets that are now contiguous (event 2)."""
-        while state.expected is not None and state.expected in state.buffer:
+        while state.expected in state.buffer:
             tag = state.expected
             packet, _ = state.buffer.pop(tag)
             if _TRACE is not None and _TRACE.packets:
@@ -211,20 +200,12 @@ class OrderingComponent:
             self._rearm(state)
         else:
             state.stop_timer()
-            state.state = OrderingState.IN_ORDER
 
     def _rearm(self, state: _FlowOrderState) -> None:
         """Re-arm the timeout, crediting the wait already served (§3.3.2)."""
-        head_tag = self._head_tag(state)
-        _, arrived = state.buffer[head_tag]
+        _, arrived = state.buffer[self._head(state.buffer)]
         remaining = self.timeout_ns - (self.engine.now - arrived)
         state.timer.start(max(1, remaining))
-
-    def _head_tag(self, state: _FlowOrderState) -> int:
-        """Buffered tag closest to the expectation (next release head)."""
-        if self.discipline is MarkingDiscipline.SRPT:
-            return max(state.buffer)
-        return min(state.buffer)
 
     def _on_timeout(self, flow_id: int) -> None:
         state = self._flows.get(flow_id)
@@ -234,21 +215,19 @@ class OrderingComponent:
         # Release the contiguous run at the head of the out-of-order
         # buffer up to the next gap, and move the expectation past it so
         # the transport sees the loss and can fast-retransmit (event 4).
-        tag = self._head_tag(state)
+        tag = self._head(state.buffer)
         while True:
             packet, _ = state.buffer.pop(tag)
             if _TRACE is not None and _TRACE.packets:
                 _TRACE.ord_release(self.engine.now, self.label, flow_id,
                                    tag, "timeout")
-            state.expected = self._next_expected(tag, packet.payload)
+            state.expected = tag + self._step * packet.payload
             self.deliver(packet)
             next_tag = state.expected
             if next_tag not in state.buffer:
                 break
             tag = next_tag
-        state.state = OrderingState.IN_ORDER
         self._check_flow_complete(flow_id, state)
         live = self._flows.get(flow_id)
         if live is state and state.buffer:
-            state.state = OrderingState.OUT_OF_ORDER
             self._rearm(state)

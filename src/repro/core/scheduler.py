@@ -19,6 +19,8 @@ at most ~200 MTU packets, ~6.4k bare ACKs in the worst case; at those
 depths the memmove is cheaper than the second heap, the tombstone set and
 the periodic compaction a lazy double-ended heap needs, and the queue
 never holds a reference to a packet that has left it.
+A switch port's :class:`repro.net.queues.RankedQueue` keeps the same
+array inline; the sanitizer holds both to :func:`check_entries`.
 """
 
 from __future__ import annotations
@@ -31,6 +33,18 @@ from repro.analysis import sanitize as _sanitize
 _SANITIZE = _sanitize.register(__name__)
 
 T = TypeVar("T")
+
+
+def check_entries(entries: List[Tuple[int, int, T]], issued: int) -> None:
+    """Sanitizer: ``(-rank, -arrival, item)`` entries are strictly
+    ascending and hold only the ``issued`` arrival numbers handed out."""
+    keys = [entry[:2] for entry in entries]
+    _sanitize.check(all(a < b for a, b in zip(keys, keys[1:])),
+                    "RankQueue entries out of (rank, arrival) order: %r",
+                    keys)
+    _sanitize.check(all(0 <= -neg_seq < issued for _, neg_seq in keys),
+                    "RankQueue holds an arrival number it never issued "
+                    "(next is %d): %r", issued, keys)
 
 
 class RankQueue(Generic[T]):
@@ -86,14 +100,7 @@ class RankQueue(Generic[T]):
         return -neg_rank, item
 
     def _sanitize_check(self) -> None:
-        """The array is strictly sorted and holds only issued arrivals."""
-        keys = [entry[:2] for entry in self._entries]
-        _sanitize.check(all(a < b for a, b in zip(keys, keys[1:])),
-                        "RankQueue entries out of (rank, arrival) order: %r",
-                        keys)
-        _sanitize.check(all(0 <= -neg_seq < self._seq for _, neg_seq in keys),
-                        "RankQueue holds an arrival number it never issued "
-                        "(next is %d): %r", self._seq, keys)
+        check_entries(self._entries, self._seq)
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple, Union
 
 from repro.checkpoint.config import CheckpointConfig
-from repro.core.flowinfo import MarkingDiscipline
+from repro.core.flowinfo import MarkingDiscipline, rotations_for_factor
 from repro.core.ordering import DEFAULT_TIMEOUT_NS
 from repro.faults.spec import FaultSpec
 from repro.forwarding.vertigo import VertigoSwitchParams
@@ -59,6 +59,9 @@ class SystemConfig:
         if self.name not in ALL_SYSTEMS:
             raise ValueError(f"unknown system {self.name!r}; "
                              f"choose from {ALL_SYSTEMS}")
+        # Boosting rotates the RFS field: only a power of two can be
+        # undone at the receiver, so any other factor fails before a run.
+        rotations_for_factor(self.boost_factor)
 
 
 @dataclass(frozen=True, init=False)

@@ -132,12 +132,20 @@ class ForwardingPolicy(abc.ABC):
             first, second = candidates
         else:
             # sample() draws from a pool copy and moves the pool's last
-            # entry into the first pick's vacancy before drawing again.
-            randbelow = self.rng._randbelow
-            pick = randbelow(count)
-            other = randbelow(count - 1)
+            # entry into the first pick's vacancy before drawing again;
+            # each draw is _randbelow's getrandbits loop.
+            getrandbits = self.rng.getrandbits
+            bits = count.bit_length()
+            pick = getrandbits(bits)
+            while pick >= count:
+                pick = getrandbits(bits)
+            rest = count - 1
+            bits = rest.bit_length()
+            other = getrandbits(bits)
+            while other >= rest:
+                other = getrandbits(bits)
             first = candidates[pick]
-            second = candidates[count - 1 if other == pick else other]
+            second = candidates[rest if other == pick else other]
         ports = self.switch.ports
         first_bytes = ports[first].queue.bytes
         second_bytes = ports[second].queue.bytes

@@ -96,10 +96,11 @@ class VertigoPolicy(ForwardingPolicy):
         """
         queue = self._ranked_lane(port, packet)
         assert isinstance(queue, RankedQueue)
+        rank = packet.rank()
         victims: List[Packet] = []
         while not queue.fits(packet):
-            tail = queue.peek_tail()
-            if tail is None or tail.rank() <= packet.rank():
+            tail_rank = queue.tail_rank()
+            if tail_rank is None or tail_rank <= rank:
                 # Arriving packet has the largest remaining flow size:
                 # it detours, together with any already-displaced
                 # victims (restoring them is not always possible under
@@ -152,9 +153,10 @@ class VertigoPolicy(ForwardingPolicy):
         if not self.params.scheduling or not isinstance(queue, RankedQueue):
             switch.drop(packet, "congestion_drop")
             return
+        rank = packet.rank()
         while not queue.fits(packet):
-            tail = queue.peek_tail()
-            if tail is None or tail.rank() <= packet.rank():
+            tail_rank = queue.tail_rank()
+            if tail_rank is None or tail_rank <= rank:
                 switch.drop(packet, "congestion_drop")
                 return
             victim = queue.pop_tail(switch.engine.now)

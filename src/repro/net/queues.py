@@ -29,12 +29,13 @@ single-class datapath is byte-identical to the plain queues.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional
+from dataclasses import dataclass
+from typing import Deque, List, Optional, Tuple
 
 from repro.analysis import sanitize as _sanitize
-from repro.core.scheduler import RankQueue
+from repro.core.scheduler import check_entries
 from repro.net.packet import Packet
 from repro.trace import hooks as _trace_hooks
 
@@ -216,13 +217,16 @@ class DropTailQueue(_BoundedQueue):
 
 
 class RankedQueue(_BoundedQueue):
-    """SRPT output queue ordered by the packets' RFS rank."""
+    """SRPT output queue ordered by the packets' RFS rank
+    (:meth:`Packet.rank`, read once at push): a ``RankQueue`` array,
+    ``(-rank, -arrival, packet)`` ascending, kept inline."""
 
     def __init__(self, capacity_bytes: int,
                  ecn_threshold_bytes: Optional[int] = None,
                  pool: Optional[SharedBufferPool] = None) -> None:
         super().__init__(capacity_bytes, ecn_threshold_bytes, pool)
-        self._ranked: RankQueue[Packet] = RankQueue()
+        self._entries: List[Tuple[int, int, Packet]] = []
+        self._arrivals = 0
 
     def push(self, packet: Packet, now_ns: int = 0) -> None:
         wire = packet.wire_bytes
@@ -248,12 +252,16 @@ class RankedQueue(_BoundedQueue):
         stats.enqueued += 1
         if occupied > stats.max_bytes:
             stats.max_bytes = occupied
-        self._ranked.push(packet.rank(), packet)
+        info = packet.flowinfo
+        arrival = self._arrivals
+        self._arrivals = arrival + 1
+        insort(self._entries,
+               (-(info.rfs if info is not None else wire), -arrival, packet))
         if _SANITIZE:
             self._sanitize_check()
 
     def pop(self, now_ns: int = 0) -> Packet:
-        _, packet = self._ranked.pop_min()
+        packet = self._entries.pop()[2]
         wire = packet.wire_bytes
         self.bytes -= wire
         if self.pool is not None:
@@ -263,14 +271,14 @@ class RankedQueue(_BoundedQueue):
             self._sanitize_check()
         return packet
 
-    def peek_tail(self) -> Optional[Packet]:
-        """The buffered packet with the largest RFS (deflection candidate)."""
-        entry = self._ranked.peek_max()
-        return entry[1] if entry else None
+    def tail_rank(self) -> Optional[int]:
+        """The largest buffered rank (the displacement candidate's)."""
+        entries = self._entries
+        return -entries[0][0] if entries else None
 
     def pop_tail(self, now_ns: int = 0) -> Packet:
         """Extract the largest-RFS packet (PIEO tail extraction)."""
-        _, packet = self._ranked.pop_max()
+        packet = self._entries.pop(0)[2]
         wire = packet.wire_bytes
         self.bytes -= wire
         if self.pool is not None:
@@ -281,13 +289,17 @@ class RankedQueue(_BoundedQueue):
         return packet
 
     def __len__(self) -> int:
-        return len(self._ranked)
+        return len(self._entries)
 
     def __bool__(self) -> bool:
-        return bool(self._ranked)
+        return bool(self._entries)
 
     def packets(self) -> List[Packet]:
-        return [packet for _, packet in self._ranked.items()]
+        return [packet for _, _, packet in reversed(self._entries)]
+
+    def _sanitize_check(self) -> None:
+        super()._sanitize_check()
+        check_entries(self._entries, self._arrivals)
 
 
 class ClassLaneQueue:

@@ -2,7 +2,10 @@
 marking filter must agree with.
 
 A small fixed-seed vertigo+dctcp incast with drops and re-transmissions
-is run once; the tests read it from different sides.
+is run once; the tests read it from different sides.  The call budgets
+say "per-run constants are resolved once": an unboosted tag is read off
+the wire, a power-of-two draw is ``getrandbits``, and a ranked port's
+sorted array is its own.
 """
 
 import random
@@ -12,8 +15,12 @@ import pytest
 
 from repro.analysis import sanitize as _sanitize
 from repro.core import cuckoo
+from repro.core.flowinfo import FlowInfo
+from repro.core.ordering import OrderingComponent
+from repro.core.scheduler import RankQueue
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
+from repro.net.queues import RankedQueue
 from repro.sim.units import MILLISECOND
 
 
@@ -25,11 +32,17 @@ def _config():
 
 @pytest.fixture(scope="module")
 def spied_run():
-    """The run, with hash calls, filter deletes and ``sample`` callers
+    """The run, with hash calls, filter deletes, ``sample`` and
+    ``_randbelow`` callers, un-rotations and ``RankQueue`` calls
     recorded."""
-    record = {"hashes": 0, "deletes": 0, "filters": 0, "samplers": set()}
+    record = {"hashes": 0, "deletes": 0, "filters": 0, "samplers": set(),
+              "randbelow": set(), "unrotated": [], "boosted_arrivals": 0,
+              "rank_queue_calls": 0}
     real_hash, real_delete = cuckoo._hash64, cuckoo.CuckooFilter.delete
     real_init, real_sample = cuckoo.CuckooFilter.__init__, random.Random.sample
+    real_randbelow = random.Random._randbelow
+    real_original_rfs = FlowInfo.original_rfs
+    real_on_packet = OrderingComponent.on_packet
 
     def spy_hash(value):
         record["hashes"] += 1
@@ -47,11 +60,36 @@ def spied_run():
         record["samplers"].add(sys._getframe(1).f_code.co_filename)
         return real_sample(self, *args, **kwargs)
 
+    def spy_randbelow(self, n):
+        record["randbelow"].add(sys._getframe(1).f_code.co_filename)
+        return real_randbelow(self, n)
+
+    def spy_original_rfs(self, *args):
+        record["unrotated"].append(self.retcnt)
+        return real_original_rfs(self, *args)
+
+    def spy_on_packet(self, packet):
+        info = packet.flowinfo
+        record["boosted_arrivals"] += info is not None and info.retcnt > 0
+        real_on_packet(self, packet)
+
+    def counted(method):
+        def spy(self, *args, **kwargs):
+            record["rank_queue_calls"] += 1
+            return method(self, *args, **kwargs)
+        return spy
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cuckoo, "_hash64", spy_hash)
         patch.setattr(cuckoo.CuckooFilter, "delete", spy_delete)
         patch.setattr(cuckoo.CuckooFilter, "__init__", spy_init)
         patch.setattr(random.Random, "sample", spy_sample)
+        patch.setattr(random.Random, "_randbelow", spy_randbelow)
+        patch.setattr(FlowInfo, "original_rfs", spy_original_rfs)
+        patch.setattr(OrderingComponent, "on_packet", spy_on_packet)
+        for name, method in vars(RankQueue).items():
+            if callable(method):
+                patch.setattr(RankQueue, name, counted(method))
         record["result"] = run_experiment(_config())
     return record
 
@@ -84,6 +122,27 @@ def test_forwarding_never_calls_sample_at_two_choices(spied_run):
     assert params.fw_choices == 2 and params.def_choices == 2
     assert not [name for name in spied_run["samplers"]
                 if "forwarding" in name]
+
+
+def test_forwarding_never_calls_randbelow_at_two_choices(spied_run):
+    # Each draw is Random._randbelow's getrandbits loop, made in place.
+    assert not [name for name in spied_run["randbelow"]
+                if "forwarding" in name]
+
+
+def test_only_boosted_arrivals_are_unrotated(spied_run):
+    # retcnt == 0 carries the original RFS: the shim reads it as is.
+    unrotated = spied_run["unrotated"]
+    assert unrotated and all(retcnt > 0 for retcnt in unrotated)
+    assert len(unrotated) == spied_run["boosted_arrivals"]
+
+
+def test_ranked_ports_keep_their_own_sorted_array(spied_run):
+    network = spied_run["result"].network
+    assert all(isinstance(port.queue, RankedQueue)
+               for switch in network.switches.values()
+               for port in switch.ports)
+    assert spied_run["rank_queue_calls"] == 0
 
 
 def test_filter_agrees_with_the_exact_tables(spied_run):

@@ -119,6 +119,16 @@ def test_ranked_queue_detects_tampered_bytes(sanitized):
         queue.pop()
 
 
+def test_ranked_queue_detects_tampered_order(sanitized):
+    # A port's sorted array is its own, held to RankQueue's invariants.
+    queue = RankedQueue(10_000)
+    queue.push(mk_data(payload=1000))
+    queue.push(mk_data(payload=500))
+    queue._entries.reverse()
+    with pytest.raises(SanitizerError, match="order"):
+        queue.push(mk_data(payload=700))
+
+
 # -- rank queue: sorted-array invariants ---------------------------------------
 
 

@@ -112,3 +112,14 @@ def test_vertigo_system_kwargs_flow_through():
                                             ordering=False)
     assert config.system.boost_factor == 8
     assert not config.system.ordering
+
+
+@pytest.mark.parametrize("factor", [3, 0, -2, 6])
+def test_boost_factor_that_cannot_be_unrotated_fails_at_config_time(factor):
+    # Not mid-run at the first boosted re-transmission, and not never
+    # when the ordering shim is off.
+    with pytest.raises(ValueError, match="power of two"):
+        ExperimentConfig.bench_profile(system="vertigo",
+                                       boost_factor=factor, ordering=False)
+    with pytest.raises(ValueError, match="power of two"):
+        SystemConfig(boost_factor=factor)

@@ -84,11 +84,3 @@ def test_flowinfo_validates_field_ranges():
 def test_flowinfo_original_rfs():
     info = FlowInfo(rfs=boost_rfs(30_000, 3), retcnt=3)
     assert info.original_rfs() == 30_000
-
-
-def test_flowinfo_copy_is_independent():
-    info = FlowInfo(rfs=100, retcnt=2, flow_id3=3, first=True)
-    clone = info.copy()
-    clone.rfs = 200
-    assert info.rfs == 100
-    assert clone.retcnt == 2 and clone.flow_id3 == 3 and clone.first

@@ -1,6 +1,7 @@
 """Vertigo TX marking component (paper §3.1)."""
 
 from repro.core.flowinfo import MarkingDiscipline, RETCNT_MAX
+from repro.core import marking as marking_module
 from repro.core.marking import MarkingComponent
 from repro.net.packet import ack_packet
 from tests.helpers import mk_data
@@ -178,8 +179,7 @@ def test_colliding_fingerprints_each_keep_their_own_copy(monkeypatch):
     # the second first-transmission is a filter false positive and must
     # still store its copy, or the first flow's flow_done would take the
     # other's fingerprint away with it.
-    monkeypatch.setattr(MarkingComponent, "_header_hash",
-                        staticmethod(lambda flow_id, seq: 7))
+    monkeypatch.setattr(marking_module, "crc32", lambda data, prefix=0: 7)
     marking = _srpt()
     marking.register_flow(1, size=40_000)
     marking.register_flow(2, size=40_000)

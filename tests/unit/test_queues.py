@@ -85,9 +85,11 @@ def test_ranked_peek_and_pop_tail():
     low, high = _marked(10), _marked(99_999)
     queue.push(low)
     queue.push(high)
-    assert queue.peek_tail() is high
+    assert queue.tail_rank() == 99_999
     assert queue.pop_tail() is high
-    assert queue.peek_tail() is low
+    assert queue.tail_rank() == 10
+    assert queue.pop_tail() is low
+    assert queue.tail_rank() is None
 
 
 def test_ranked_byte_accounting_with_tail_pops():
