@@ -119,21 +119,20 @@ class Packet:
 
 
 def data_packet(src: int, dst: int, flow_id: int, seq: int, payload: int,
-                *, mss: int = DEFAULT_MSS, ecn_capable: bool = False,
+                mss: int = DEFAULT_MSS, ecn_capable: bool = False,
                 sent_at: int = -1, tx_count: int = 1) -> Packet:
-    """Construct a data segment with the standard header overhead."""
+    """Construct a data segment with the standard header overhead.
+
+    Fields bind positionally, in order: keyword binding costs more."""
     if payload <= 0 or payload > mss:
         raise ValueError(f"payload {payload} outside (0, {mss}]")
-    return Packet(src=src, dst=dst, flow_id=flow_id, kind=PacketKind.DATA,
-                  seq=seq, payload=payload,
-                  wire_bytes=payload + HEADER_BYTES,
-                  ecn_capable=ecn_capable, sent_at=sent_at,
-                  tx_count=tx_count)
+    return Packet(src, dst, flow_id, PacketKind.DATA, seq, payload, 0,
+                  payload + HEADER_BYTES, ecn_capable, False, False, -1,
+                  sent_at, tx_count)
 
 
 def ack_packet(src: int, dst: int, flow_id: int, ack_no: int, *,
                ece: bool = False, ts_echo: int = -1) -> Packet:
     """Construct a cumulative ACK for ``flow_id`` (src is the data receiver)."""
-    return Packet(src=src, dst=dst, flow_id=flow_id, kind=PacketKind.ACK,
-                  ack_no=ack_no, wire_bytes=ACK_WIRE_BYTES, ece=ece,
-                  ts_echo=ts_echo)
+    return Packet(src, dst, flow_id, PacketKind.ACK, 0, 0, ack_no,
+                  ACK_WIRE_BYTES, False, False, ece, ts_echo)

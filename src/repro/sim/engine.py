@@ -17,11 +17,11 @@ Two scheduling paths share the calendar:
   transmit completions).  No handle object is created; the tuple goes
   straight into the heap.
 
-Lazy cancellation alone would let tombstones accumulate (a transport
-resetting its retransmission timer on every ACK cancels an entry each
-time).  The calendar therefore compacts itself whenever more than half
-of a non-trivial heap is cancelled, keeping memory and heap-sift costs
-proportional to the *live* event count.
+A re-arm to the same or a later deadline (a transport pushing its
+retransmission timer back on every ACK) moves in place, so tombstones
+come only from cancellation; the calendar compacts itself whenever more
+than half of a non-trivial heap is cancelled, keeping memory and
+heap-sift costs proportional to the *live* event count.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ class Event:
     Events are returned by :meth:`Engine.schedule` and may be cancelled.
     Cancellation is lazy: the heap entry stays in place and is skipped
     when popped (the calendar compacts itself when tombstones dominate).
+    ``time``/``seq`` are its key; its heap entry may lag (``reschedule``).
     """
 
     __slots__ = ("engine", "time", "priority", "seq", "fn", "args",
@@ -76,10 +77,6 @@ class Event:
         if len(heap) >= COMPACTION_MIN_ENTRIES \
                 and engine._cancelled * 2 > len(heap):
             engine._compact()
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time, other.priority, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = " cancelled" if self.cancelled else ""
@@ -159,6 +156,27 @@ class Engine:
         heapq.heappush(self._heap, (time, priority, seq, fn, args, event))
         return event
 
+    def reschedule(self, event: Event, delay: int) -> Event:
+        """Give pending ``event`` the key :meth:`schedule` would (``delay``
+        ns from now, a fresh ``seq``) and return it, moved in place — the
+        run loop re-files its old heap entry — unless the new time is
+        earlier: then it is cancelled and a new event returned."""
+        if delay < 0:
+            raise ValueError(f"cannot schedule into the past (delay={delay})")
+        if _SANITIZE:
+            _sanitize.check(type(delay) is int and not event.cancelled,
+                            "reschedule() needs a pending event and an "
+                            "integer delay, got %r, %r", event, delay)
+        time = self.now + delay
+        if time < event.time:
+            event.cancel()
+            return self.schedule(delay, event.fn, *event.args,
+                                 priority=event.priority)
+        event.time = time
+        event.seq = self._seq
+        self._seq += 1
+        return event
+
     def schedule_fast(self, delay: int, fn: Callable[..., Any],
                       *args: Any) -> None:
         """Schedule a callback that will never be cancelled (priority 0).
@@ -215,11 +233,15 @@ class Engine:
         """Timestamp of the next pending (non-cancelled) event, or None."""
         heap = self._heap
         while heap:
-            event = heap[0][5]
-            if event is None or not event.cancelled:
-                return heap[0][0]
-            heapq.heappop(heap)
-            self._cancelled -= 1
+            time, _, seq, fn, args, event = heap[0]
+            if event is None or event.seq == seq and not event.cancelled:
+                return time
+            if event.cancelled:
+                heapq.heappop(heap)
+                self._cancelled -= 1
+            else:  # moved later in place: re-file under its key
+                heapq.heapreplace(heap, (event.time, event.priority,
+                                         event.seq, fn, args, event))
         return None
 
     def run(self, until: Optional[int] = None,
@@ -248,10 +270,19 @@ class Engine:
         try:
             while heap:
                 entry = pop(heap)
-                time, _, _, fn, args, event = entry
-                if event is not None and event.cancelled:
-                    self._cancelled -= 1
-                    continue
+                time, _, seq, fn, args, event = entry
+                if event is not None:
+                    if event.cancelled:
+                        self._cancelled -= 1
+                        continue
+                    if event.seq != seq:  # moved later: re-file, uncounted
+                        if sanitize:
+                            _sanitize.check(
+                                (event.time, event.seq) > (time, seq),
+                                "re-filed event %r moved earlier", event)
+                        heapq.heappush(heap, (event.time, event.priority,
+                                              event.seq, fn, args, event))
+                        continue
                 if time > horizon:
                     # The one entry beyond the horizon goes back with its
                     # original (time, priority, seq) key.

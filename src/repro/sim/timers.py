@@ -2,7 +2,8 @@
 
 Transports and the Vertigo ordering component need timers that are
 frequently re-armed (RTO, pacing, reordering timeout).  ``Timer`` wraps
-the cancel-and-reschedule pattern so the owning code never touches raw
+the re-arm (:meth:`~repro.sim.engine.Engine.reschedule`, in place
+unless the deadline moves earlier) so the owning code never touches raw
 :class:`~repro.sim.engine.Event` handles.
 """
 
@@ -42,8 +43,11 @@ class Timer:
 
     def start(self, delay: int) -> None:
         """Arm (or re-arm) the timer to fire ``delay`` ns from now."""
-        self.stop()
-        self._event = self._engine.schedule(delay, self._fire)
+        event = self._event
+        if event is None or event.cancelled:
+            self._event = self._engine.schedule(delay, self._fire)
+        else:
+            self._event = self._engine.reschedule(event, delay)
 
     def stop(self) -> None:
         if self._event is not None:

@@ -113,6 +113,12 @@ class FlowSender:
     #: Whether data packets ask switches for ECN marks; a property of
     #: the congestion control, not of the run.
     ecn_capable = False
+    #: Whether the class overrides :meth:`pacing_gap_ns` (set per class).
+    paced = False
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.paced = cls.pacing_gap_ns is not FlowSender.pacing_gap_ns
 
     def __init__(self, engine: Engine, host, flow_id: int, dst: int,
                  size: int, config: TransportConfig,
@@ -234,10 +240,10 @@ class FlowSender:
         window = self._window_packets()
         segments = self._segments
         while self.snd_nxt < self.size and len(segments) < window:
-            gap = self.pacing_gap_ns()
-            if gap > 0:
+            if self.paced:
+                gap = self.pacing_gap_ns()
                 wait = self._last_tx_ns + gap - self.engine.now
-                if wait > 0:
+                if gap > 0 and wait > 0:
                     if self._pace_timer is None:
                         self._pace_timer = Timer(self.engine,
                                                  self._maybe_send)
@@ -256,9 +262,8 @@ class FlowSender:
         self._analytic_pipelined = False
         now = self.engine.now
         packet = data_packet(self.host.host_id, self.dst, self.flow_id, seq,
-                             payload, mss=self.config.mss,
-                             ecn_capable=self.ecn_capable,
-                             sent_at=now, tx_count=tx_count)
+                             payload, self.config.mss, self.ecn_capable,
+                             now, tx_count)
         segment = self._segments.get(seq)
         if segment is None:
             self._segments[seq] = _Segment(seq, payload, now, tx_count)
@@ -319,7 +324,7 @@ class FlowSender:
         first_wire = min(mss, round_bytes) + HEADER_BYTES
         round_ns, rtt_ns = fidelity.analytic_round_ns(
             self, round_wire, first_wire, self._analytic_pipelined)
-        gap_ns = self.pacing_gap_ns()
+        gap_ns = self.pacing_gap_ns() if self.paced else 0
         if gap_ns > 0 and round_ns < n_packets * gap_ns:
             round_ns = n_packets * gap_ns
         end = start + round_bytes
@@ -339,25 +344,15 @@ class FlowSender:
             self.fidelity.round_finished(self)
         if self.completed or self.failed:
             return
-        acked = end - self.snd_una
-        if acked <= 0:  # stale (straggler ACK advanced us further)
+        if end <= self.snd_una:  # stale (straggler ACK advanced us further)
             self._maybe_send()
             return
-        self.snd_una = end
-        self._rto_streak = 0
-        self.dupacks = 0
-        self.backoff = 1
-        self._update_rtt(rtt_ns)
-        self.on_new_ack_cc(acked, rtt_ns, False)
-        self._clamp_cwnd()
+        self._advance(end, rtt_ns, False)
         fidelity = self.fidelity
         if fidelity is not None:
             fidelity.deliver_analytic(self, end)
         if self.snd_una >= self.size:
-            self.completed = True
-            self.stop()
-            if self.on_complete is not None:
-                self.on_complete(self)
+            self._finish()
             return
         self._maybe_send()
 
@@ -371,56 +366,72 @@ class FlowSender:
             # an ACK mid-analytic-round; the round completion event is
             # the single source of window advancement while it is armed.
             return
-        if packet.ack_no > self.snd_una:
-            self._on_new_ack(packet)
-        elif packet.ack_no == self.snd_una and self._segments:
+        ack_no = packet.ack_no
+        if ack_no > self.snd_una:
+            ts_echo = packet.ts_echo
+            self._advance(ack_no, self.engine.now - ts_echo
+                          if ts_echo >= 0 else None, packet.ece)
+            if self.snd_una >= self.size:
+                self._finish()
+                return
+            if self._segments:
+                self._rto_timer.start(self.rto_ns)
+            elif self._rto_timer is not None:
+                self._rto_timer.stop()
+        elif ack_no == self.snd_una and self._segments:
             self._on_dupack()
         self._maybe_send()
 
-    def _on_new_ack(self, packet: Packet) -> None:
-        acked = packet.ack_no - self.snd_una
-        self.snd_una = packet.ack_no
+    def _advance(self, ack_no: int, rtt_ns: Optional[int],
+                 ece: bool) -> None:
+        """Advance the window to ``ack_no``: what every window-advancing
+        acknowledgement does, a packet ACK or an analytic round's end
+        (which has no segments, no recovery and never an ECN echo)."""
+        acked = ack_no - self.snd_una
+        self.snd_una = ack_no
         self._rto_streak = 0
         # Segments enter in ascending seq order (snd_nxt only grows, a
         # retransmission updates its entry in place), so the ones a
         # cumulative ACK covers are a prefix of the dict.
         segments = self._segments
-        covered = []
-        for seq, segment in segments.items():
-            if seq + segment.payload > packet.ack_no:
+        while segments:
+            seq = next(iter(segments))
+            if seq + segments[seq].payload > ack_no:
                 break
-            covered.append(seq)
-        for seq in covered:
             del segments[seq]
         self.dupacks = 0
         self.backoff = 1
 
-        rtt_ns: Optional[int] = None
-        if packet.ts_echo >= 0:
-            rtt_ns = self.engine.now - packet.ts_echo
-            self._update_rtt(rtt_ns)
+        if rtt_ns is not None:
+            # RFC 6298 estimator, integer ns.
+            srtt = self.srtt_ns
+            if srtt is None:
+                srtt = rtt_ns
+                self.rttvar_ns = rtt_ns // 2
+            else:
+                self.rttvar_ns = (3 * self.rttvar_ns
+                                  + abs(rtt_ns - srtt)) // 4
+                srtt = (7 * srtt + rtt_ns) // 8
+            self.srtt_ns = srtt
+            base = srtt + max(4 * self.rttvar_ns, 1000)
+            self.rto_ns = min(max(base, self.config.min_rto_ns), MAX_RTO_NS)
 
         if self.in_recovery:
-            if self.snd_una >= self.recover_point:
+            if ack_no >= self.recover_point:
                 self.in_recovery = False
             else:
                 # NewReno partial ACK (RFC 6582): the next hole is lost
                 # too — retransmit it now rather than stalling to an RTO.
                 self._retransmit_head()
 
-        self.on_new_ack_cc(acked, rtt_ns, packet.ece)
+        self.on_new_ack_cc(acked, rtt_ns, ece)
         self._clamp_cwnd()
 
-        if self.snd_una >= self.size:
-            self.completed = True
-            self.stop()
-            if self.on_complete is not None:
-                self.on_complete(self)
-            return
-        if self._segments:
-            self._rto_timer.start(self.rto_ns)
-        elif self._rto_timer is not None:
-            self._rto_timer.stop()
+    def _finish(self) -> None:  # every byte is acknowledged
+        self.completed = True
+        self.stop()
+        if self.on_complete is not None:
+            self.on_complete(self)
 
     def _on_dupack(self) -> None:
         self.dupacks += 1
@@ -433,17 +444,6 @@ class FlowSender:
             self.on_fast_retransmit_cc()
             self._clamp_cwnd()
             self._retransmit_head()
-
-    def _update_rtt(self, rtt_ns: int) -> None:
-        if self.srtt_ns is None:
-            self.srtt_ns = rtt_ns
-            self.rttvar_ns = rtt_ns // 2
-        else:
-            delta = abs(rtt_ns - self.srtt_ns)
-            self.rttvar_ns = (3 * self.rttvar_ns + delta) // 4
-            self.srtt_ns = (7 * self.srtt_ns + rtt_ns) // 8
-        base = self.srtt_ns + max(4 * self.rttvar_ns, 1000)
-        self.rto_ns = min(max(base, self.config.min_rto_ns), MAX_RTO_NS)
 
     # -- RTO ----------------------------------------------------------------------
 
@@ -480,7 +480,7 @@ class FlowReceiver:
     """
 
     __slots__ = ("engine", "host", "flow_id", "peer", "size", "metrics",
-                 "on_complete", "config", "rcv_nxt", "completed",
+                 "_record", "on_complete", "config", "rcv_nxt", "completed",
                  "_max_seq_seen", "_ooo", "_held_segments", "_held_ece",
                  "_held_ts_echo", "_ack_timer", "acks_sent")
 
@@ -495,6 +495,8 @@ class FlowReceiver:
         self.peer = peer
         self.size = size
         self.metrics = metrics
+        #: None for a flow the collector does not know; records outlive us.
+        self._record = metrics.flows.get(flow_id)
         self.on_complete = on_complete
         self.config = config or TransportConfig()
         self.rcv_nxt = 0
@@ -521,34 +523,41 @@ class FlowReceiver:
         else:
             self._max_seq_seen = seq
 
-        in_order = seq <= self.rcv_nxt < end
-        if end > self.rcv_nxt:
+        rcv_nxt = self.rcv_nxt
+        in_order = seq <= rcv_nxt < end
+        if end > rcv_nxt:
             ooo = self._ooo
-            if seq > self.rcv_nxt:
+            if seq > rcv_nxt:
                 if ooo is None:
                     ooo = self._ooo = {}
                 ooo[seq] = max(ooo.get(seq, 0), end)
             else:
-                self.rcv_nxt = end
-            # Drain any now-contiguous buffered segments.
-            advanced = bool(ooo)
-            while advanced:
-                advanced = False
+                rcv_nxt = end
+            if ooo:
+                # Drain the now-contiguous buffered segments.  Keys
+                # ascend and rcv_nxt only grows, so one sorted pass
+                # meets them in the order repeated minimum-pops would.
                 for held in sorted(ooo):
-                    if held > self.rcv_nxt:
+                    if held > rcv_nxt:
                         break
                     held_end = ooo.pop(held)
-                    if held_end > self.rcv_nxt:
-                        self.rcv_nxt = held_end
-                    advanced = True
-                    break
+                    if held_end > rcv_nxt:
+                        rcv_nxt = held_end
+            self.rcv_nxt = rcv_nxt
 
-        record = self.metrics.flows.get(self.flow_id)
+        record = self._record
         if record is not None and record.end_ns is None:
-            record.bytes_delivered = min(self.rcv_nxt, self.size)
+            record.bytes_delivered = min(rcv_nxt, self.size)
 
-        done = self.rcv_nxt >= self.size
-        self._ack_policy(packet, in_order=in_order, done=done)
+        done = rcv_nxt >= self.size
+        if self._ack_timer is None:  # per-packet ACKs
+            ack = ack_packet(self.host.host_id, self.peer, self.flow_id,
+                             rcv_nxt, ece=packet.ecn_ce,
+                             ts_echo=packet.sent_at)
+            self.acks_sent += 1
+            self.host.send_packet(ack)
+        else:
+            self._delayed_ack(packet, in_order, done)
         if done and not self.completed:
             self._complete()
 
@@ -559,7 +568,7 @@ class FlowReceiver:
             return
         if end > self.rcv_nxt:
             self.rcv_nxt = end
-        record = self.metrics.flows.get(self.flow_id)
+        record = self._record
         if record is not None and record.end_ns is None:
             record.bytes_delivered = min(self.rcv_nxt, self.size)
         if self.rcv_nxt >= self.size:
@@ -577,13 +586,9 @@ class FlowReceiver:
             self.on_complete = None
             on_complete(self)
 
-    def _ack_policy(self, data: Packet, *, in_order: bool,
-                    done: bool) -> None:
-        """Per-packet ACKs, or delayed ACKs with the DCTCP-style rule
-        that a change in the CE marking flushes immediately."""
-        if not self.config.delayed_ack:
-            self._emit_ack(ece=data.ecn_ce, ts_echo=data.sent_at)
-            return
+    def _delayed_ack(self, data: Packet, in_order: bool, done: bool) -> None:
+        """Delayed ACKs, with the DCTCP-style rule that a change in the
+        CE marking flushes immediately."""
         ce_changed = (self._held_segments > 0
                       and data.ecn_ce != self._held_ece)
         if ce_changed:
@@ -609,14 +614,12 @@ class FlowReceiver:
         """Acknowledge the held run (delayed ACKs only)."""
         if self._held_segments == 0:
             return
-        self._emit_ack(ece=self._held_ece, ts_echo=self._held_ts_echo)
+        ack = ack_packet(self.host.host_id, self.peer, self.flow_id,
+                         self.rcv_nxt, ece=self._held_ece,
+                         ts_echo=self._held_ts_echo)
+        self.acks_sent += 1
+        self.host.send_packet(ack)
         self._held_segments = 0
         self._held_ece = False
         self._held_ts_echo = -1
         self._ack_timer.stop()
-
-    def _emit_ack(self, *, ece: bool, ts_echo: int) -> None:
-        ack = ack_packet(self.host.host_id, self.peer, self.flow_id,
-                         self.rcv_nxt, ece=ece, ts_echo=ts_echo)
-        self.acks_sent += 1
-        self.host.send_packet(ack)

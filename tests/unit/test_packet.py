@@ -1,11 +1,14 @@
 """Packet construction."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.flowinfo import FlowInfo
 from repro.net.packet import (
     ACK_WIRE_BYTES,
     HEADER_BYTES,
+    Packet,
     PacketKind,
     ack_packet,
     data_packet,
@@ -52,3 +55,37 @@ def test_ecn_fields_default_off():
     assert not packet.ecn_capable and not packet.ecn_ce
     marked = data_packet(1, 2, 7, 0, 100, ecn_capable=True)
     assert marked.ecn_capable
+
+
+def _fields(packet):
+    """Every field but the identity-only ``uid``."""
+    return {field.name: getattr(packet, field.name)
+            for field in dataclasses.fields(Packet) if field.name != "uid"}
+
+
+@pytest.mark.parametrize("ecn_capable", [False, True])
+def test_data_packet_equals_keyword_construction(ecn_capable):
+    # The constructors bind fields positionally: a reordered Packet
+    # field must fail here, not shift values silently.
+    built = data_packet(3, 4, 9, 2920, 1000, 1460, ecn_capable, 777, 2)
+    keyword = Packet(src=3, dst=4, flow_id=9, kind=PacketKind.DATA,
+                     seq=2920, payload=1000, wire_bytes=1000 + HEADER_BYTES,
+                     ecn_capable=ecn_capable, sent_at=777, tx_count=2)
+    assert _fields(built) == _fields(keyword)
+
+
+@pytest.mark.parametrize("ece", [False, True])
+def test_ack_packet_equals_keyword_construction(ece):
+    built = ack_packet(4, 3, 9, 3920, ece=ece, ts_echo=777)
+    keyword = Packet(src=4, dst=3, flow_id=9, kind=PacketKind.ACK,
+                     ack_no=3920, wire_bytes=ACK_WIRE_BYTES, ece=ece,
+                     ts_echo=777)
+    assert _fields(built) == _fields(keyword)
+
+
+def test_data_packet_payload_edges():
+    with pytest.raises(ValueError):
+        data_packet(1, 2, 7, 0, 0)
+    with pytest.raises(ValueError):
+        data_packet(1, 2, 7, 0, 1461, 1460)
+    assert data_packet(1, 2, 7, 0, 1460, 1460).payload == 1460
