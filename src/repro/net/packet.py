@@ -123,16 +123,19 @@ def data_packet(src: int, dst: int, flow_id: int, seq: int, payload: int,
                 sent_at: int = -1, tx_count: int = 1) -> Packet:
     """Construct a data segment with the standard header overhead.
 
-    Fields bind positionally, in order: keyword binding costs more."""
+    Every field binds positionally, in order: keyword binding and the
+    ``uid`` factory cost more than the rest of construction."""
     if payload <= 0 or payload > mss:
         raise ValueError(f"payload {payload} outside (0, {mss}]")
     return Packet(src, dst, flow_id, PacketKind.DATA, seq, payload, 0,
                   payload + HEADER_BYTES, ecn_capable, False, False, -1,
-                  sent_at, tx_count)
+                  sent_at, tx_count, None, 0, 0, 0, None, 0,
+                  next(_packet_uid))
 
 
 def ack_packet(src: int, dst: int, flow_id: int, ack_no: int, *,
                ece: bool = False, ts_echo: int = -1) -> Packet:
     """Construct a cumulative ACK for ``flow_id`` (src is the data receiver)."""
     return Packet(src, dst, flow_id, PacketKind.ACK, 0, 0, ack_no,
-                  ACK_WIRE_BYTES, False, False, ece, ts_echo)
+                  ACK_WIRE_BYTES, False, False, ece, ts_echo, -1, 1, None, 0,
+                  0, 0, None, 0, next(_packet_uid))

@@ -77,19 +77,6 @@ class TransportConfig:
     dcqcn_timer_ns: int = 0          # DCQCN rate-increase period
 
 
-class _Segment:
-    """One outstanding (sent, not yet cumulatively acknowledged) segment."""
-
-    __slots__ = ("seq", "payload", "last_tx_ns", "tx_count")
-
-    def __init__(self, seq: int, payload: int, last_tx_ns: int,
-                 tx_count: int = 1) -> None:
-        self.seq = seq
-        self.payload = payload
-        self.last_tx_ns = last_tx_ns
-        self.tx_count = tx_count
-
-
 class FlowSender:
     """Window-based reliable sender for a single one-way flow.
 
@@ -103,7 +90,7 @@ class FlowSender:
                  "metrics", "on_complete", "snd_una", "snd_nxt", "cwnd",
                  "ssthresh", "dupacks", "in_recovery", "recover_point",
                  "completed", "failed", "_rto_streak", "srtt_ns",
-                 "rttvar_ns", "rto_ns", "backoff", "_segments",
+                 "rttvar_ns", "rto_ns", "backoff", "_segments", "_head_tx",
                  "_last_tx_ns", "_rto_timer", "_pace_timer", "_nic_blocked",
                  "_rtx_parked", "fidelity", "_analytic_round",
                  "_analytic_pipelined")
@@ -152,7 +139,12 @@ class FlowSender:
         self.rto_ns = config.init_rto_ns
         self.backoff = 1
 
-        self._segments: Dict[int, _Segment] = {}
+        #: seq -> payload of every outstanding (sent, not yet cumulatively
+        #: acknowledged) segment.  Only the head is ever retransmitted, so
+        #: one count, reset as the head moves, is every segment's
+        #: transmission count: ``_head_tx`` for the head, 1 for the rest.
+        self._segments: Dict[int, int] = {}
+        self._head_tx = 1
         self._last_tx_ns = -(10 ** 18)
         #: Built on first arm.  A flow that only ever runs analytic
         #: rounds transmits nothing and needs neither; holding no bound
@@ -160,9 +152,11 @@ class FlowSender:
         #: of waiting for the cycle collector.
         self._rto_timer: Optional[Timer] = None
         self._pace_timer: Optional[Timer] = None
-        #: Lossless-edge hook (repro.host): bound ``Host.nic_blocked``,
-        #: or None for host doubles without an edge model.
-        self._nic_blocked = getattr(host, "nic_blocked", None)
+        #: Lossless-edge hook (repro.host): bound ``Host.nic_blocked`` if
+        #: the host parks senders (switched on before any flow opens),
+        #: else None: without backpressure it always answers False.
+        self._nic_blocked = host.nic_blocked \
+            if getattr(host, "nic_backpressure", False) else None
         #: True when a head retransmission is waiting out NIC
         #: backpressure (lossless edge, repro.host).
         self._rtx_parked = False
@@ -264,14 +258,11 @@ class FlowSender:
         packet = data_packet(self.host.host_id, self.dst, self.flow_id, seq,
                              payload, self.config.mss, self.ecn_capable,
                              now, tx_count)
-        segment = self._segments.get(seq)
-        if segment is None:
-            self._segments[seq] = _Segment(seq, payload, now, tx_count)
-        else:
-            segment.last_tx_ns = now
-            segment.tx_count = tx_count
         self._last_tx_ns = now
-        if tx_count > 1:
+        if tx_count == 1:
+            self._segments[seq] = payload
+        else:
+            self._head_tx = tx_count
             self.metrics.counters.retransmissions += 1
             record = self.metrics.flows.get(self.flow_id)
             if record is not None:
@@ -293,15 +284,15 @@ class FlowSender:
         self._maybe_send()
 
     def _retransmit_head(self) -> None:
-        segment = self._segments.get(self.snd_una)
-        if segment is None:
+        payload = self._segments.get(self.snd_una)
+        if payload is None:
             # Head segment unknown (e.g. all data acked meanwhile).
             return
         if self._nic_blocked is not None \
-                and self._nic_blocked(self, segment.payload + HEADER_BYTES):
+                and self._nic_blocked(self, payload + HEADER_BYTES):
             self._rtx_parked = True
             return
-        self._transmit(segment.seq, segment.payload, segment.tx_count + 1)
+        self._transmit(self.snd_una, payload, self._head_tx + 1)
 
     # -- analytic fast path (hybrid fidelity) -------------------------------------
 
@@ -396,9 +387,10 @@ class FlowSender:
         segments = self._segments
         while segments:
             seq = next(iter(segments))
-            if seq + segments[seq].payload > ack_no:
+            if seq + segments[seq] > ack_no:
                 break
             del segments[seq]
+        self._head_tx = 1
         self.dupacks = 0
         self.backoff = 1
 

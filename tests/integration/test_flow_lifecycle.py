@@ -36,8 +36,7 @@ from repro.sim.timers import Timer
 from repro.sim.units import MILLISECOND
 from repro.trace import TraceConfig, jsonl_lines
 from repro.transport import TRANSPORTS
-from repro.transport.base import (FlowReceiver, FlowSender, TransportConfig,
-                                  _Segment)
+from repro.transport.base import FlowReceiver, FlowSender, TransportConfig
 from repro.transport.dcqcn import DcqcnSender
 from repro.workload.spec import BackgroundSpec, CoflowSpec
 
@@ -218,16 +217,14 @@ def test_no_per_flow_object_in_a_run_has_a_dict(spied_run):
               for timer in (getattr(endpoint, name, None) for name in
                             ("_rto_timer", "_pace_timer", "_ack_timer"))
               if timer is not None]
-    segments = [segment for sender in senders
-                for segment in sender._segments.values()]
     assert senders and receivers
     if spied_run["case"] == "packet-coflow-delack":
-        assert timers and segments
-    for obj in senders + receivers + timers + segments:
+        assert timers
+    for obj in senders + receivers + timers:
         assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
-@pytest.mark.parametrize("cls", [Timer, FlowReceiver, _Segment, FlowSender,
+@pytest.mark.parametrize("cls", [Timer, FlowReceiver, FlowSender,
                                  *TRANSPORTS.values()],
                          ids=lambda cls: cls.__name__)
 def test_every_per_flow_class_declares_its_slots(cls):
