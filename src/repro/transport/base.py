@@ -390,7 +390,7 @@ class FlowSender:
             if seq + segments[seq] > ack_no:
                 break
             del segments[seq]
-        self._head_tx = 1
+            self._head_tx = 1  # a new head: sent once so far
         self.dupacks = 0
         self.backoff = 1
 
