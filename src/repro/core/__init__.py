@@ -10,8 +10,9 @@ This package implements the three components of Vertigo (CoNEXT 2021):
 - :mod:`repro.core.ordering` — the transport-independent RX-path ordering
   component (Init / In-order / Out-of-order state machine with the
   reordering timeout).
-- :mod:`repro.core.scheduler` — the PIEO-style rank queue abstraction used
-  by Vertigo switches (min-dequeue + tail extract).
+- :mod:`repro.core.scheduler` — the PIEO-style rank queue (min-dequeue +
+  tail extract): the reference that the sanitizer and tests hold a switch
+  port's inline sorted array (:class:`repro.net.queues.RankedQueue`) to.
 - :mod:`repro.core.cuckoo` — a cuckoo filter, used by the marking and
   ordering components for fast duplicate detection.
 

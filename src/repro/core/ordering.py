@@ -109,8 +109,8 @@ class OrderingComponent:
             # the transport can re-ACK, never silently swallow bytes.
             for tag in sorted(state.buffer, reverse=True):
                 if _TRACE is not None and _TRACE.packets:
-                    _TRACE.ord_release(self.engine.now, self.label,
-                                       flow_id, tag, "stale")
+                    _TRACE.record(("ord.release", self.engine.now,
+                                   self.label, flow_id, tag, "stale"))
                 self.deliver(state.buffer[tag][0])
 
     def active_flows(self) -> int:
@@ -178,7 +178,8 @@ class OrderingComponent:
         state.buffer[tag] = (packet, self.engine.now)
         self.packets_buffered += 1
         if _TRACE is not None and _TRACE.packets:
-            _TRACE.ord_hold(self.engine.now, self.label, flow_id, tag)
+            _TRACE.record(("ord.hold", self.engine.now, self.label, flow_id,
+                           tag))
         if state.timer is None:
             state.timer = Timer(self.engine, self._on_timeout, flow_id)
         if not state.timer.armed:
@@ -190,8 +191,8 @@ class OrderingComponent:
             tag = state.expected
             packet, _ = state.buffer.pop(tag)
             if _TRACE is not None and _TRACE.packets:
-                _TRACE.ord_release(self.engine.now, self.label, flow_id,
-                                   tag, "drain")
+                _TRACE.record(("ord.release", self.engine.now, self.label,
+                               flow_id, tag, "drain"))
             self._deliver_in_order(packet, tag, state)
         live = self._flows.get(flow_id)
         if live is not state:
@@ -219,8 +220,8 @@ class OrderingComponent:
         while True:
             packet, _ = state.buffer.pop(tag)
             if _TRACE is not None and _TRACE.packets:
-                _TRACE.ord_release(self.engine.now, self.label, flow_id,
-                                   tag, "timeout")
+                _TRACE.record(("ord.release", self.engine.now, self.label,
+                               flow_id, tag, "timeout"))
             state.expected = tag + self._step * packet.payload
             self.deliver(packet)
             next_tag = state.expected

@@ -167,15 +167,18 @@ class Host:
         nic = self.nic
         if nic.queue.fits(packet):
             if _TRACE is not None and _TRACE.packets:
-                _TRACE.pkt_enqueue(self.engine.now, self.name, 0, packet)
+                _TRACE.record(("pkt.enqueue", self.engine.now, self.name, 0,
+                               packet.flow_id, packet.seq,
+                               packet.wire_bytes))
             nic.enqueue(packet)
         else:
             counters = self.metrics.counters
             counters.drops["host_nic_overflow"] += 1
             counters.class_drops[(packet.pclass, "host_nic_overflow")] += 1
             if _TRACE is not None and _TRACE.packets:
-                _TRACE.pkt_drop(self.engine.now, self.name,
-                                "host_nic_overflow", packet)
+                _TRACE.record(("pkt.drop", self.engine.now, self.name,
+                               "host_nic_overflow", packet.flow_id,
+                               packet.seq, packet.wire_bytes))
 
     # -- RX path -----------------------------------------------------------------------
 
@@ -198,7 +201,9 @@ class Host:
             counters.delivered += 1
             counters.hops_delivered += packet.hops
             if _TRACE is not None and _TRACE.packets:
-                _TRACE.pkt_deliver(self.engine.now, self.name, packet)
+                _TRACE.record(("pkt.deliver", self.engine.now, self.name,
+                               packet.flow_id, packet.seq, packet.wire_bytes,
+                               packet.hops, packet.deflections))
             receiver = self.receivers.get(packet.flow_id)
             if receiver is None:
                 return

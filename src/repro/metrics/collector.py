@@ -170,8 +170,8 @@ class MetricsCollector:
                             query_id=query_id, coflow_id=coflow_id)
         self.flows[flow_id] = record
         if _TRACE is not None:
-            _TRACE.flow_start(start_ns, flow_id, src, dst, size, is_incast,
-                              query_id)
+            _TRACE.record(("flow.start", start_ns, flow_id, src, dst, size,
+                           is_incast, query_id))
         return record
 
     def flow_completed(self, flow_id: int, end_ns: int) -> None:
@@ -183,22 +183,23 @@ class MetricsCollector:
         record.end_ns = end_ns
         record.bytes_delivered = record.size
         if _TRACE is not None:
-            _TRACE.flow_end(end_ns, flow_id, record.fct_ns)
+            _TRACE.record(("flow.end", end_ns, flow_id, record.fct_ns))
         if record.query_id is not None:
             query = self.queries[record.query_id]
             query.flows_done += 1
             if query.flows_done == query.n_flows and query.end_ns is None:
                 query.end_ns = end_ns
                 if _TRACE is not None:
-                    _TRACE.query_end(end_ns, query.query_id, query.qct_ns)
+                    _TRACE.record(("query.end", end_ns, query.query_id,
+                                   query.qct_ns))
         if record.coflow_id is not None:
             coflow = self.coflows[record.coflow_id]
             coflow.flows_done += 1
             if coflow.flows_done == coflow.n_flows and coflow.end_ns is None:
                 coflow.end_ns = end_ns
                 if _TRACE is not None:
-                    _TRACE.coflow_end(end_ns, coflow.coflow_id,
-                                      coflow.cct_ns)
+                    _TRACE.record(("coflow.end", end_ns, coflow.coflow_id,
+                                   coflow.cct_ns))
 
     # -- query lifecycle ----------------------------------------------------
 
@@ -208,7 +209,8 @@ class MetricsCollector:
                              start_ns=start_ns, n_flows=n_flows)
         self.queries[query_id] = record
         if _TRACE is not None:
-            _TRACE.query_start(start_ns, query_id, client, n_flows)
+            _TRACE.record(("query.start", start_ns, query_id, client,
+                           n_flows))
         return record
 
     # -- coflow lifecycle ----------------------------------------------------
@@ -219,8 +221,8 @@ class MetricsCollector:
                               n_flows=n_flows, stages=stages)
         self.coflows[coflow_id] = record
         if _TRACE is not None:
-            _TRACE.coflow_start(start_ns, coflow_id, pattern, n_flows,
-                                stages)
+            _TRACE.record(("coflow.start", start_ns, coflow_id, pattern,
+                           n_flows, stages))
         return record
 
     # -- summaries -----------------------------------------------------------

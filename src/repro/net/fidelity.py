@@ -450,7 +450,7 @@ class FidelityController:
         state.analytic_ns += now - state.analytic_since
         self.demotions += 1
         if _TRACE is not None:
-            _TRACE.fid_mode(now, link.label, "packet", why)
+            _TRACE.record(("fid.mode", now, link.label, "packet", why))
 
     def _promote(self, link: "Link") -> None:
         state = self._state[link]
@@ -458,7 +458,8 @@ class FidelityController:
         state.analytic_since = self.engine.now
         self.promotions += 1
         if _TRACE is not None:
-            _TRACE.fid_mode(self.engine.now, link.label, "flow", "quiet")
+            _TRACE.record(("fid.mode", self.engine.now, link.label, "flow",
+                           "quiet"))
 
     def _on_epoch(self) -> None:
         """Promote every demoted link that stayed quiet this epoch."""

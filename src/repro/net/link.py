@@ -131,8 +131,9 @@ class Link:
             if self.fidelity is not None:
                 self.fidelity.on_wire_drop(self)
             if _TRACE is not None and _TRACE.packets:
-                _TRACE.pkt_drop(self.engine.now, self.label, "link_down",
-                                packet)
+                _TRACE.record(("pkt.drop", self.engine.now, self.label,
+                               "link_down", packet.flow_id, packet.seq,
+                               packet.wire_bytes))
             return
         if self.loss_rate > 0.0 \
                 and self.loss_rng.random() < self.loss_rate:
@@ -142,8 +143,9 @@ class Link:
             if self.fidelity is not None:
                 self.fidelity.on_wire_drop(self)
             if _TRACE is not None and _TRACE.packets:
-                _TRACE.pkt_drop(self.engine.now, self.label, "link_loss",
-                                packet)
+                _TRACE.record(("pkt.drop", self.engine.now, self.label,
+                               "link_loss", packet.flow_id, packet.seq,
+                               packet.wire_bytes))
             return
         self.engine.schedule_fast(self.delay_ns, self.dst.receive, packet,
                                   self.dst_port)
@@ -224,7 +226,8 @@ class Port:
         else:
             packet = self.queue.pop(now)
         if _TRACE is not None and _TRACE.packets:
-            _TRACE.pkt_dequeue(now, self.owner.name, self.index, packet)
+            _TRACE.record(("pkt.dequeue", now, self.owner.name, self.index,
+                           packet.flow_id, packet.seq, packet.wire_bytes))
         self.busy = True
         # transmission_delay_ns(), inline: Link keeps rate_bps positive.
         engine.schedule_fast(

@@ -158,8 +158,8 @@ class PfcGate:
         self.paused_since = now
         self.pause_events += 1
         if _TRACE is not None:
-            _TRACE.pfc_pause(now, self.node, self.in_port, self.pclass,
-                             self.occupancy)
+            _TRACE.record(("pfc.pause", now, self.node, self.in_port,
+                           self.pclass, self.occupancy))
         self.engine.schedule(self.delay_ns, self._hold_upstream, True,
                              priority=PAUSE_PRIORITY)
 
@@ -168,8 +168,8 @@ class PfcGate:
         self.paused = False
         self.pause_ns += now - self.paused_since
         if _TRACE is not None:
-            _TRACE.pfc_resume(now, self.node, self.in_port, self.pclass,
-                              self.occupancy)
+            _TRACE.record(("pfc.resume", now, self.node, self.in_port,
+                           self.pclass, self.occupancy))
         self.engine.schedule(self.delay_ns, self._hold_upstream, False,
                              priority=PAUSE_PRIORITY)
 

@@ -184,7 +184,8 @@ class DropTailQueue(_BoundedQueue):
             if self.mark_hook is not None:
                 self.mark_hook()
             if _TRACE is not None and _TRACE.packets:
-                _TRACE.pkt_ecn(now_ns, self.label, packet)
+                _TRACE.record(("pkt.ecn", now_ns, self.label,
+                               packet.flow_id, packet.seq))
         self.bytes = occupied = occupied + wire
         if pool is not None:
             pool.on_push(wire)
@@ -245,7 +246,8 @@ class RankedQueue(_BoundedQueue):
             if self.mark_hook is not None:
                 self.mark_hook()
             if _TRACE is not None and _TRACE.packets:
-                _TRACE.pkt_ecn(now_ns, self.label, packet)
+                _TRACE.record(("pkt.ecn", now_ns, self.label,
+                               packet.flow_id, packet.seq))
         self.bytes = occupied = occupied + wire
         if pool is not None:
             pool.on_push(wire)

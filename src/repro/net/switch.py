@@ -151,7 +151,9 @@ class Switch:
         """Enqueue a packet that the policy verified to fit."""
         self.counters.forwarded += 1
         if _TRACE is not None and _TRACE.packets:
-            _TRACE.pkt_enqueue(self.engine.now, self.name, port_index, packet)
+            _TRACE.record(("pkt.enqueue", self.engine.now, self.name,
+                           port_index, packet.flow_id, packet.seq,
+                           packet.wire_bytes))
         port = self.ports[port_index]
         port.enqueue(packet)
         if self.fidelity is not None:
@@ -167,8 +169,9 @@ class Switch:
         packet.deflections += 1
         self.counters.deflections += 1
         if _TRACE is not None and _TRACE.packets:
-            _TRACE.pkt_deflect(self.engine.now, self.name, from_port,
-                               to_port, packet)
+            _TRACE.record(("pkt.deflect", self.engine.now, self.name,
+                           from_port, to_port, packet.flow_id, packet.seq,
+                           packet.deflections))
         if self.fidelity is not None:
             self.fidelity.on_deflection(self.ports[from_port].link,
                                         self.ports[to_port].link)
@@ -183,7 +186,8 @@ class Switch:
         self.counters.drops[reason] += 1
         self.counters.class_drops[(packet.pclass, reason)] += 1
         if _TRACE is not None and _TRACE.packets:
-            _TRACE.pkt_drop(self.engine.now, self.name, reason, packet)
+            _TRACE.record(("pkt.drop", self.engine.now, self.name, reason,
+                           packet.flow_id, packet.seq, packet.wire_bytes))
 
     def queue_bytes(self, port_index: int) -> int:
         return self.ports[port_index].queue.bytes

@@ -309,7 +309,7 @@ class Engine:
             self.now = until
         self.events_executed += executed
         if _TRACE is not None:
-            _TRACE.engine_span(self.now, span_start, executed)
+            _TRACE.record(("engine.span", self.now, span_start, executed))
         return executed
 
     def pending(self) -> int:

@@ -5,12 +5,16 @@ The observability layer for experiment runs:
 - :class:`TraceConfig` selects what to record (``level="flow"`` or
   ``"packet"``, optional sampler period, ring bounds); pass it via
   ``ExperimentConfig.trace``.
+- :data:`EVENT_FIELDS` is the trace schema: the one statement of each
+  record kind's fields, in the order a record lays them down.
 - :class:`Tracer` / :class:`TraceData` are the live sink and the
   detached, picklable record of one run (``RunResult.trace``); both
   hold records end to end in the flat chunks of a
-  :class:`~repro.trace.tracer.RecordLog`.
+  :class:`~repro.trace.tracer.RecordLog`.  Every event site hands
+  ``Tracer.record`` one ``(kind, t, *fields)`` tuple.
 - :mod:`repro.trace.hooks` is the zero-cost-off hook registry the
-  instrumented engine/switch/link/host/transport modules register with.
+  instrumented engine/network/host/transport/metrics modules register
+  with.
 - :class:`TraceSampler` records periodic port-queue / link-utilization /
   flow-cwnd time series; :class:`PhaseProfiler` attributes wall time to
   run phases (excluded from deterministic exports).

@@ -149,21 +149,30 @@ def write_jsonl(traces: Sequence[TraceData], path: str) -> int:
 RunBlock = tuple
 
 
+def _parsed(lines: Iterable[str]) -> Iterator[tuple]:
+    """``(lineno, value, error)`` for each non-blank JSONL line: the
+    decoded value, or ``None`` and the reason it is not JSON."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            yield lineno, None, f"not JSON ({exc})"
+            continue
+        yield lineno, value, None
+
+
 def _objects(path: str) -> Iterator[Dict[str, object]]:
     """The JSON object of each non-blank line of ``path``; a line that
     is not one is a ``ValueError`` naming it."""
     with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"{path}: line {lineno}: not JSON ({exc})") from exc
-            if not isinstance(obj, dict):
-                raise ValueError(f"{path}: line {lineno}: not a JSON object")
+        for lineno, obj, error in _parsed(handle):
+            if error is None and not isinstance(obj, dict):
+                error = "not a JSON object"
+            if error is not None:
+                raise ValueError(f"{path}: line {lineno}: {error}")
             yield obj
 
 
@@ -255,15 +264,10 @@ def validate_lines(lines: Iterable[str]) -> List[str]:
     problems: List[str] = []
     saw_any = False
     saw_meta = False
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, obj, error in _parsed(lines):
         saw_any = True
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            problems.append(f"line {lineno}: not JSON ({exc})")
+        if error is not None:
+            problems.append(f"line {lineno}: {error}")
             continue
         if not isinstance(obj, dict) or "ev" not in obj:
             problems.append(f"line {lineno}: missing 'ev' field")
@@ -271,10 +275,11 @@ def validate_lines(lines: Iterable[str]) -> List[str]:
         kind = obj["ev"]
         if kind == "trace.meta":
             saw_meta = True
-            if obj.get("schema") != TRACE_SCHEMA:
-                problems.append(
-                    f"line {lineno}: unsupported schema "
-                    f"{obj.get('schema')!r} (expected {TRACE_SCHEMA})")
+            schema = obj.get("schema")
+            # Exact types: JSON ``true`` is a bool, an int equal to 1.
+            if type(schema) is not int or schema != TRACE_SCHEMA:
+                problems.append(f"line {lineno}: unsupported schema "
+                                f"{schema!r} (expected {TRACE_SCHEMA})")
             continue
         if not saw_meta:
             problems.append(f"line {lineno}: record before any trace.meta "
@@ -284,7 +289,7 @@ def validate_lines(lines: Iterable[str]) -> List[str]:
         if fields is None:
             problems.append(f"line {lineno}: unknown event kind {kind!r}")
             continue
-        if not isinstance(obj.get("t"), int) or obj["t"] < 0:
+        if type(obj.get("t")) is not int or obj["t"] < 0:
             problems.append(f"line {lineno}: {kind}: 't' must be a "
                             f"non-negative integer nanosecond count")
         missing = [name for name in fields if name not in obj]
@@ -321,7 +326,7 @@ def summarize_file(path: str) -> str:
             continue
         counts[kind] = counts.get(kind, 0) + 1
         t = obj.get("t")
-        if isinstance(t, int):
+        if type(t) is int:
             t_min = t if t_min is None else min(t_min, t)
             t_max = t if t_max is None else max(t_max, t)
         if kind == "pkt.drop":

@@ -1,6 +1,6 @@
 """Zero-cost-off trace hook registry.
 
-The dataplane's hot paths carry trace hook points that must cost nothing
+The dataplane's hot paths carry trace record sites that must cost nothing
 while tracing is off (the overwhelmingly common case; the benchmark
 ledger's ``trace.overhead_pct`` tracks the on-cost).  The mechanism is
 the same one the runtime sanitizer uses
@@ -10,8 +10,10 @@ import time and cache the *active tracer* in a module global::
     from repro.trace import hooks as _trace_hooks
     _TRACE = _trace_hooks.register(__name__)
 
-and guard every hook with ``if _TRACE is not None:`` — a module-global
-load plus an identity test, the cheapest toggle Python offers.
+and guard every site with ``if _TRACE is not None:`` — a module-global
+load plus an identity test, the cheapest toggle Python offers — before
+handing the whole record to ``_TRACE.record((kind, t, *fields))``
+(packet-scope sites also test ``_TRACE.packets``).
 :func:`activate` rewrites that global in every registered module with
 the live :class:`~repro.trace.tracer.Tracer`; :func:`deactivate`
 restores ``None``.

@@ -1,10 +1,11 @@
 """Structured trace recording: configuration, live tracer, detached data.
 
-A :class:`Tracer` receives events from the hook points wired through the
-engine, switch, link, host, ordering, metrics, and transport layers
-(see :mod:`repro.trace.hooks`) and lays their values end to end into the
+A :class:`Tracer` receives records from the sites wired through the
+engine, network, host, ordering, metrics, transport and workload layers
+(see :mod:`repro.trace.hooks`): each site calls :meth:`Tracer.record`
+with the whole record as one tuple, which is laid end to end into the
 flat chunks of a :class:`RecordLog` — no per-record container survives
-the hook, so a traced run gives the garbage collector nothing more to
+the call, so a traced run gives the garbage collector nothing more to
 walk than an untraced one.
 
 Two trace levels exist (:class:`TraceConfig.level`):
@@ -22,11 +23,13 @@ whether it executed serially or in a sweep worker process.  Wall-clock
 profiling lives in :mod:`repro.trace.profiler` and is deliberately kept
 out of the deterministic record stream.
 
-Every record starts with ``kind, t``; :data:`EVENT_FIELDS` names the
-remaining fields per kind, fixes how many values a record occupies
-(:data:`ARITY`) and drives the JSONL export (:mod:`repro.trace.export`).
-Nothing is formatted at record time: values are stored as the hook
-received them and the exporter owns every rounding.
+Every record is ``(kind, t, *fields)``; :data:`EVENT_FIELDS` names the
+fields per kind in the order a site lays them down, and is the only
+statement of a record's layout: it fixes how many values a record
+occupies (:data:`ARITY`) and drives the JSONL export and validation
+(:mod:`repro.trace.export`).  Nothing is formatted at record time:
+values are stored as the site passed them and the exporter owns every
+rounding.
 """
 
 from __future__ import annotations
@@ -45,9 +48,9 @@ _SANITIZE = _sanitize.register(__name__)
 TRACE_SCHEMA = 1
 
 #: Field names per event kind, *after* the leading ``kind, t`` pair.
-#: This is the trace schema: the record log takes each kind's arity from
-#: it, the JSONL exporter its line templates, and the validator checks
-#: files against it.
+#: This is the trace schema: every record site lays its fields down in
+#: this order, the record log takes each kind's arity from it, the JSONL
+#: exporter its line templates, and the validator checks files against it.
 EVENT_FIELDS: Dict[str, Tuple[str, ...]] = {
     # Packet-scope dataplane events (level = "packet").
     "pkt.enqueue": ("node", "port", "flow", "seq", "bytes"),
@@ -99,7 +102,7 @@ PACKET_KINDS = frozenset(k for k in EVENT_FIELDS
                          if k.startswith(("pkt.", "ord.")))
 
 #: Values one record occupies in a flat chunk: its kind, its time and its
-#: :data:`EVENT_FIELDS`.  A chunk has no other structure, so a hook that
+#: :data:`EVENT_FIELDS`.  A chunk has no other structure, so a site that
 #: lays down any other number of values corrupts every record after it.
 ARITY: Dict[str, int] = {kind: len(fields) + 2
                          for kind, fields in EVENT_FIELDS.items()}
@@ -113,7 +116,7 @@ class RecordLog:
     """One stream of records, laid end to end in flat chunks.
 
     A record is ``ARITY[kind]`` consecutive values beginning with its
-    kind; nothing else marks where it ends.  A recorder extends
+    kind; nothing else marks where it ends.  The tracer extends
     :attr:`open` (``log.open += (kind, t, ...)``), counts the record in
     :attr:`tally` and off :attr:`room`, and calls :meth:`seal` when
     ``room`` runs out; sealed chunks are immutable tuples.
@@ -219,7 +222,7 @@ def _check_chunk(chunk, records: int) -> None:
         kind = chunk[offset]
         known = type(kind) is str and kind in ARITY
         _sanitize.check(known, "trace chunk: %r at offset %d is not a "
-                        "record kind (some hook laid down the wrong "
+                        "record kind (some site laid down the wrong "
                         "number of values before it)", kind, offset)
         offset += ARITY[kind]
         walked += 1
@@ -280,10 +283,11 @@ class TraceData:
 class Tracer:
     """Live event sink bound to one simulation run.
 
-    Hook sites guard with ``if _TRACE is not None`` and, for
-    packet-scope events, ``_TRACE.packets``; a record method then lays
+    Record sites guard with ``if _TRACE is not None`` and, for
+    packet-scope kinds, ``_TRACE.packets``, then call :meth:`record`;
+    the sampler calls :meth:`sample_tick` once per tick.  Either lays
     its values into the open chunk of a :class:`RecordLog`, counts the
-    record, and seals the chunk when it is full — nothing else.
+    records, and seals the chunk when it is full — nothing else.
     """
 
     __slots__ = ("config", "packets", "_events", "_samples")
@@ -295,200 +299,15 @@ class Tracer:
         self._events = RecordLog(self.config.max_events)
         self._samples = RecordLog(self.config.max_samples)
 
-    # -- packet-scope hooks (call sites also check ``.packets``) --------------
-
-    def pkt_enqueue(self, t: int, node: str, port: int, packet) -> None:
+    def record(self, values: tuple) -> None:
+        """One event record: ``values`` is the whole record ``(kind, t,
+        *fields)`` in :data:`EVENT_FIELDS` order."""
         log = self._events
-        log.open += ("pkt.enqueue", t, node, port, packet.flow_id, packet.seq,
-                     packet.wire_bytes)
-        log.tally["pkt.enqueue"] += 1
+        log.open += values
+        log.tally[values[0]] += 1
         log.room -= 1
         if not log.room:
             log.seal()
-
-    def pkt_dequeue(self, t: int, node: str, port: int, packet) -> None:
-        log = self._events
-        log.open += ("pkt.dequeue", t, node, port, packet.flow_id, packet.seq,
-                     packet.wire_bytes)
-        log.tally["pkt.dequeue"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def pkt_deflect(self, t: int, node: str, from_port: int, to_port: int,
-                    packet) -> None:
-        log = self._events
-        log.open += ("pkt.deflect", t, node, from_port, to_port,
-                     packet.flow_id, packet.seq, packet.deflections)
-        log.tally["pkt.deflect"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def pkt_drop(self, t: int, node: str, reason: str, packet) -> None:
-        log = self._events
-        log.open += ("pkt.drop", t, node, reason, packet.flow_id, packet.seq,
-                     packet.wire_bytes)
-        log.tally["pkt.drop"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def pkt_ecn(self, t: int, node: str, packet) -> None:
-        log = self._events
-        log.open += ("pkt.ecn", t, node, packet.flow_id, packet.seq)
-        log.tally["pkt.ecn"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def pkt_deliver(self, t: int, node: str, packet) -> None:
-        log = self._events
-        log.open += ("pkt.deliver", t, node, packet.flow_id, packet.seq,
-                     packet.wire_bytes, packet.hops, packet.deflections)
-        log.tally["pkt.deliver"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def ord_hold(self, t: int, node: str, flow: int, tag: int) -> None:
-        log = self._events
-        log.open += ("ord.hold", t, node, flow, tag)
-        log.tally["ord.hold"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def ord_release(self, t: int, node: str, flow: int, tag: int,
-                    why: str) -> None:
-        log = self._events
-        log.open += ("ord.release", t, node, flow, tag, why)
-        log.tally["ord.release"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    # -- flow-scope hooks ------------------------------------------------------
-
-    def flow_start(self, t: int, flow: int, src: int, dst: int, size: int,
-                   is_incast: bool, query: Optional[int]) -> None:
-        log = self._events
-        log.open += ("flow.start", t, flow, src, dst, size, is_incast, query)
-        log.tally["flow.start"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def flow_end(self, t: int, flow: int, fct_ns: int) -> None:
-        log = self._events
-        log.open += ("flow.end", t, flow, fct_ns)
-        log.tally["flow.end"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def flow_rtx(self, t: int, flow: int, seq: int, tx_count: int) -> None:
-        log = self._events
-        log.open += ("flow.rtx", t, flow, seq, tx_count)
-        log.tally["flow.rtx"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def query_start(self, t: int, query: int, client: int,
-                    n_flows: int) -> None:
-        log = self._events
-        log.open += ("query.start", t, query, client, n_flows)
-        log.tally["query.start"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def query_end(self, t: int, query: int, qct_ns: int) -> None:
-        log = self._events
-        log.open += ("query.end", t, query, qct_ns)
-        log.tally["query.end"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def coflow_start(self, t: int, coflow: int, pattern: str,
-                     n_flows: int, stages: int) -> None:
-        log = self._events
-        log.open += ("coflow.start", t, coflow, pattern, n_flows, stages)
-        log.tally["coflow.start"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def coflow_stage(self, t: int, coflow: int, stage: int,
-                     n_flows: int) -> None:
-        log = self._events
-        log.open += ("coflow.stage", t, coflow, stage, n_flows)
-        log.tally["coflow.stage"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def coflow_end(self, t: int, coflow: int, cct_ns: int) -> None:
-        log = self._events
-        log.open += ("coflow.end", t, coflow, cct_ns)
-        log.tally["coflow.end"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def cc_fastrtx(self, t: int, flow: int) -> None:
-        log = self._events
-        log.open += ("cc.fastrtx", t, flow)
-        log.tally["cc.fastrtx"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def cc_rto(self, t: int, flow: int, rto_ns: int) -> None:
-        log = self._events
-        log.open += ("cc.rto", t, flow, rto_ns)
-        log.tally["cc.rto"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def fid_mode(self, t: int, link: str, mode: str, why: str) -> None:
-        log = self._events
-        log.open += ("fid.mode", t, link, mode, why)
-        log.tally["fid.mode"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def pfc_pause(self, t: int, node: str, port: int, pclass: int,
-                  qbytes: int) -> None:
-        log = self._events
-        log.open += ("pfc.pause", t, node, port, pclass, qbytes)
-        log.tally["pfc.pause"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def pfc_resume(self, t: int, node: str, port: int, pclass: int,
-                   qbytes: int) -> None:
-        log = self._events
-        log.open += ("pfc.resume", t, node, port, pclass, qbytes)
-        log.tally["pfc.resume"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    def engine_span(self, t_end: int, t_start: int, events: int) -> None:
-        log = self._events
-        log.open += ("engine.span", t_end, t_start, events)
-        log.tally["engine.span"] += 1
-        log.room -= 1
-        if not log.room:
-            log.seal()
-
-    # -- sampler hook ----------------------------------------------------------
 
     def sample_tick(self, values: list, counts: Dict[str, int]) -> None:
         """One sampler tick: ``values`` is whole ``sample.*`` records
@@ -500,8 +319,6 @@ class Tracer:
             log.room -= count
         if log.room <= 0:
             log.seal()
-
-    # -- teardown --------------------------------------------------------------
 
     def detach(self, meta: Optional[Dict[str, object]] = None) -> TraceData:
         """The observations so far as a picklable :class:`TraceData`."""

@@ -268,7 +268,7 @@ class FlowSender:
             if record is not None:
                 record.retransmissions += 1
             if _TRACE is not None:
-                _TRACE.flow_rtx(now, self.flow_id, seq, tx_count)
+                _TRACE.record(("flow.rtx", now, self.flow_id, seq, tx_count))
         self.host.send_packet(packet)
         timer = self._rto_timer
         if timer is None:
@@ -432,7 +432,7 @@ class FlowSender:
             self.in_recovery = True
             self.recover_point = self.snd_nxt
             if _TRACE is not None:
-                _TRACE.cc_fastrtx(self.engine.now, self.flow_id)
+                _TRACE.record(("cc.fastrtx", self.engine.now, self.flow_id))
             self.on_fast_retransmit_cc()
             self._clamp_cwnd()
             self._retransmit_head()
@@ -452,7 +452,8 @@ class FlowSender:
         self.dupacks = 0
         self.in_recovery = False
         if _TRACE is not None:
-            _TRACE.cc_rto(self.engine.now, self.flow_id, self.rto_ns)
+            _TRACE.record(("cc.rto", self.engine.now, self.flow_id,
+                           self.rto_ns))
         self.on_rto_cc()
         self._clamp_cwnd()
         self.backoff = min(self.backoff * 2, 64)

@@ -166,8 +166,8 @@ class CoflowApp:
     def _start_stage(self, coflow_id: int, members, stage: int) -> None:
         pairs = self._stage_pairs(members, stage)
         if _TRACE is not None:
-            _TRACE.coflow_stage(self.engine.now, coflow_id, stage,
-                                len(pairs))
+            _TRACE.record(("coflow.stage", self.engine.now, coflow_id, stage,
+                           len(pairs)))
         flow_done = _StageBarrier(self, coflow_id, members, stage,
                                   len(pairs))
         for src, dst in pairs:

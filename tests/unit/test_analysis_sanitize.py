@@ -263,29 +263,29 @@ def test_trace_log_clean_recording_passes(sanitized, monkeypatch):
     monkeypatch.setattr(tracer_mod, "CHUNK_RECORDS", 4)
     tracer = Tracer(TraceConfig(max_events=6))
     for i in range(11):                       # seals two chunks, trims
-        tracer.flow_end(i, flow=i, fct_ns=i)
+        tracer.record(("flow.end", i, i, i))
     assert [record[1] for record in tracer.detach().events] \
         == [5, 6, 7, 8, 9, 10]
 
 
 def test_trace_log_detects_tampered_sealed_chunk(sanitized, monkeypatch):
-    """One value too many (what a hook with a wrong arity lays down)
+    """One value too many (what a site with a wrong arity lays down)
     shifts every later record start off a kind: caught when the chunk
     is sealed."""
     monkeypatch.setattr(tracer_mod, "CHUNK_RECORDS", 4)
     tracer = Tracer(TraceConfig())
-    tracer.flow_end(1, flow=1, fct_ns=1)
+    tracer.record(("flow.end", 1, 1, 1))
     tracer._events.open.append(99)
-    tracer.flow_end(2, flow=2, fct_ns=2)
-    tracer.flow_end(3, flow=3, fct_ns=3)
+    tracer.record(("flow.end", 2, 2, 2))
+    tracer.record(("flow.end", 3, 3, 3))
     with pytest.raises(SanitizerError, match="99 at offset 4 is not a "
                                              "record kind"):
-        tracer.flow_end(4, flow=4, fct_ns=4)
+        tracer.record(("flow.end", 4, 4, 4))
 
 
 def test_trace_log_detects_short_record_at_detach(sanitized):
     tracer = Tracer(TraceConfig())
-    tracer.flow_end(1, flow=1, fct_ns=1)
+    tracer.record(("flow.end", 1, 1, 1))
     del tracer._events.open[-1]
     with pytest.raises(SanitizerError, match="1 records ending at 4, "
                                              "expected 1 ending at 3"):

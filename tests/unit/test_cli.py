@@ -173,7 +173,7 @@ def test_trace_line_stays_quiet_without_overflow_and_sums_over_runs(
     def traced(seed, max_events):
         tracer = Tracer(TraceConfig(max_events=max_events))
         for t in range(5):
-            tracer.flow_end(t * 1_000_000, flow=t, fct_ns=1)
+            tracer.record(("flow.end", t * 1_000_000, t, 1))
         return SimpleNamespace(trace=tracer.detach(
             meta={"seed": seed, "sim_time_ns": 5_000_000}))
 

@@ -1,9 +1,12 @@
 """repro.trace core: hook registry, tracer, record log, ring, levels."""
 
+import ast
 import collections
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import ExperimentConfig
 from repro.analysis import sanitize
 from repro.experiments import runner
@@ -72,7 +75,7 @@ def test_packet_kinds_cover_pkt_and_ord_namespaces():
 def test_event_ring_buffer_bounds_memory():
     tracer = Tracer(TraceConfig(max_events=10))
     for i in range(25):
-        tracer.flow_end(i, flow=i, fct_ns=i)
+        tracer.record(("flow.end", i, i, i))
     data = tracer.detach(meta={})
     assert len(data.events) == 10
     assert data.emitted_events == 25
@@ -98,9 +101,8 @@ def test_sample_ring_buffer_bounds_memory():
 
 def test_detach_carries_meta_and_counts():
     tracer = Tracer(TraceConfig())
-    tracer.flow_start(5, flow=1, src="h0", dst="h1", size=100,
-                      is_incast=False, query=None)
-    tracer.flow_end(90, flow=1, fct_ns=85)
+    tracer.record(("flow.start", 5, 1, "h0", "h1", 100, False, None))
+    tracer.record(("flow.end", 90, 1, 85))
     data = tracer.detach(meta={"seed": 7})
     assert data.meta["seed"] == 7
     assert data.counts() == {"flow.start": 1, "flow.end": 1}
@@ -109,77 +111,84 @@ def test_detach_carries_meta_and_counts():
 
 def test_detach_leaves_the_tracer_recording():
     tracer = Tracer(TraceConfig())
-    tracer.flow_end(1, flow=1, fct_ns=1)
+    tracer.record(("flow.end", 1, 1, 1))
     first = tracer.detach()
-    tracer.flow_end(2, flow=2, fct_ns=2)
+    tracer.record(("flow.end", 2, 2, 2))
     assert list(first.events) == [("flow.end", 1, 1, 1)]
     assert list(tracer.detach().events) == [("flow.end", 1, 1, 1),
                                             ("flow.end", 2, 2, 2)]
 
 
-# -- the arity table ---------------------------------------------------------
+# -- the record census --------------------------------------------------------
 #
 # The log's only structure is ARITY (values per record, from
-# EVENT_FIELDS): a hook that lays down one value too many corrupts every
-# record after it.  Every public hook is called once here.
+# EVENT_FIELDS): a site that lays down one value too many corrupts every
+# record after it.  Every record site is a ``_TRACE.record((...))`` call
+# with a tuple literal, so the whole schema is checked statically here.
+
+SRC = Path(repro.__file__).resolve().parent
 
 
-class Pkt:
-    flow_id = 3
-    seq = 7
-    wire_bytes = 1500
-    deflections = 2
-    hops = 4
+def is_trace(node, attr=None):
+    """``node`` is ``_TRACE.<attr>`` (any attribute when ``attr`` is None)."""
+    return (isinstance(node, ast.Attribute) and attr in (None, node.attr)
+            and isinstance(node.value, ast.Name) and node.value.id == "_TRACE")
 
 
-#: hook name -> (the kind it emits, the arguments after ``t``).
-EVENT_HOOKS = {
-    "pkt_enqueue": ("pkt.enqueue", ("leaf0", 0, Pkt)),
-    "pkt_dequeue": ("pkt.dequeue", ("leaf0", 0, Pkt)),
-    "pkt_deflect": ("pkt.deflect", ("leaf0", 0, 1, Pkt)),
-    "pkt_drop": ("pkt.drop", ("leaf0", "queue_overflow", Pkt)),
-    "pkt_ecn": ("pkt.ecn", ("leaf0", Pkt)),
-    "pkt_deliver": ("pkt.deliver", ("h1", Pkt)),
-    "ord_hold": ("ord.hold", ("h1", 3, 9)),
-    "ord_release": ("ord.release", ("h1", 3, 9, "drain")),
-    "flow_start": ("flow.start", (3, 0, 1, 3000, False, None)),
-    "flow_end": ("flow.end", (3, 89)),
-    "flow_rtx": ("flow.rtx", (3, 7, 2)),
-    "query_start": ("query.start", (1, 0, 12)),
-    "query_end": ("query.end", (1, 500)),
-    "coflow_start": ("coflow.start", (1, "shuffle", 16, 2)),
-    "coflow_stage": ("coflow.stage", (1, 0, 16)),
-    "coflow_end": ("coflow.end", (1, 900)),
-    "cc_fastrtx": ("cc.fastrtx", (3,)),
-    "cc_rto": ("cc.rto", (3, 10_000_000)),
-    "fid_mode": ("fid.mode", ("leaf0->h1", "packet", "shares")),
-    "pfc_pause": ("pfc.pause", ("leaf0", 1, 0, 9000)),
-    "pfc_resume": ("pfc.resume", ("leaf0", 1, 0, 3000)),
-    "engine_span": ("engine.span", (0, 1234)),
-}
+def record_sites():
+    """(where, call, packets_guarded) for every ``_TRACE.<...>(...)``
+    call in ``src/``; ``packets_guarded`` says whether an enclosing ``if``
+    reads ``_TRACE.packets``."""
+    sites = []
+
+    def walk(node, guarded, where):
+        if isinstance(node, ast.Call) and is_trace(node.func):
+            sites.append((f"{where}:{node.lineno}", node, guarded))
+        for child in ast.iter_child_nodes(node):
+            inner = guarded
+            if isinstance(node, ast.If) and child in node.body:
+                inner = guarded or any(is_trace(n, "packets")
+                                       for n in ast.walk(node.test))
+            walk(child, inner, where)
+
+    for path in sorted(SRC.rglob("*.py")):
+        where = str(path.relative_to(SRC))
+        walk(ast.parse(path.read_text(), filename=where), False, where)
+    return sites
 
 
 def test_schema_field_tuples_match_recorders():
-    """Every public hook is in the table, lays down exactly its kind's
-    arity, and every kind of the schema has a recorder."""
-    hooks_defined = {name for name, member in vars(Tracer).items()
-                     if callable(member) and not name.startswith("_")
-                     and name not in ("detach", "sample_tick")}
-    assert hooks_defined == set(EVENT_HOOKS)
-    event_kinds = {kind for kind, _ in EVENT_HOOKS.values()}
-    assert len(event_kinds) == len(EVENT_HOOKS)
+    """Every record site passes one tuple literal of a schema kind and
+    exactly its arity; packet-scope kinds, and only they, sit under a
+    ``_TRACE.packets`` guard; every event kind has a site."""
+    seen = set()
+    for where, call, guarded in record_sites():
+        assert is_trace(call.func, "record"), where
+        assert not call.keywords and len(call.args) == 1, where
+        values = call.args[0]
+        assert isinstance(values, ast.Tuple), where
+        head = values.elts[0]
+        assert isinstance(head, ast.Constant) and head.value in EVENT_FIELDS, \
+            where
+        kind = head.value
+        assert len(values.elts) == ARITY[kind], (where, kind)
+        assert guarded == (kind in PACKET_KINDS), (where, kind)
+        seen.add(kind)
     # The remaining kinds are the sampler's (see the tick test below).
-    assert set(EVENT_FIELDS) - event_kinds == {
+    assert set(EVENT_FIELDS) - seen == {
         "sample.port", "sample.lane", "sample.flow", "sample.fid"}
-    for hook, (kind, args) in EVENT_HOOKS.items():
-        tracer = Tracer(TraceConfig(level="packet"))
-        getattr(tracer, hook)(11, *args)
-        laid = tracer._events.open
-        assert laid[:2] == [kind, 11], hook
-        assert len(laid) == len(EVENT_FIELDS[kind]) + 2 == ARITY[kind], hook
-        data = tracer.detach()
-        assert list(data.events) == [tuple(laid)], hook
-        assert data.counts() == {kind: 1}, hook
+
+
+def test_record_lays_down_the_values_and_counts_the_kind():
+    public = {name for name, member in vars(Tracer).items()
+              if callable(member) and not name.startswith("_")}
+    assert public == {"record", "sample_tick", "detach"}
+    tracer = Tracer(TraceConfig(level="packet"))
+    tracer.record(("pfc.pause", 11, "leaf0", 1, 0, 9000))
+    assert tracer._events.open == ["pfc.pause", 11, "leaf0", 1, 0, 9000]
+    data = tracer.detach()
+    assert list(data.events) == [("pfc.pause", 11, "leaf0", 1, 0, 9000)]
+    assert data.counts() == {"pfc.pause": 1}
 
 
 def test_sampler_tick_lays_down_whole_records_of_all_four_sample_kinds():
@@ -213,11 +222,11 @@ def record_mixed(tracer, n):
     """``n`` event records of three different arities."""
     for i in range(n):
         if i % 3 == 0:
-            tracer.cc_fastrtx(i, flow=i)
+            tracer.record(("cc.fastrtx", i, i))
         elif i % 3 == 1:
-            tracer.flow_end(i, flow=i, fct_ns=2 * i)
+            tracer.record(("flow.end", i, i, 2 * i))
         else:
-            tracer.pfc_pause(i, "leaf0", 1, 0, qbytes=i)
+            tracer.record(("pfc.pause", i, "leaf0", 1, 0, i))
 
 
 @pytest.mark.parametrize("bound", [

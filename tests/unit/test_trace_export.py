@@ -11,28 +11,20 @@ from repro.trace import (
     convert_jsonl_to_chrome,
     jsonl_lines,
     read_jsonl,
+    summarize_file,
     validate_file,
     validate_lines,
     write_jsonl,
 )
 
 
-class Pkt:
-    flow_id = 1
-    seq = 0
-    wire_bytes = 1500
-    deflections = 1
-    hops = 3
-
-
 def make_trace(seed=1):
     tracer = Tracer(TraceConfig(level="packet"))
-    tracer.flow_start(10, flow=seed, src="h0", dst="h1", size=3000,
-                      is_incast=False, query=None)
-    tracer.pkt_enqueue(20, "leaf0", 0, Pkt())
-    tracer.pkt_deflect(25, "leaf0", 0, 1, Pkt())
-    tracer.pkt_drop(30, "leaf0", "queue_overflow", Pkt())
-    tracer.flow_end(99, flow=seed, fct_ns=89)
+    tracer.record(("flow.start", 10, seed, "h0", "h1", 3000, False, None))
+    tracer.record(("pkt.enqueue", 20, "leaf0", 0, 1, 0, 1500))
+    tracer.record(("pkt.deflect", 25, "leaf0", 0, 1, 1, 0, 1))
+    tracer.record(("pkt.drop", 30, "leaf0", "queue_overflow", 1, 0, 1500))
+    tracer.record(("flow.end", 99, seed, 89))
     tracer.sample_tick(
         ["sample.port", 50, "leaf0", 0, 4500, 3, 0.75,
          "sample.flow", 50, "h0", seed, 4.5, 8000, 2, 1, ("dctcp", 0.1)],
@@ -77,12 +69,11 @@ def reference_line(record):
 
 def test_template_lines_match_the_reference_exporter_on_awkward_values():
     tracer = Tracer(TraceConfig(level="packet"))
-    tracer.flow_start(1, flow=2 ** 70, src=0, dst=31, size=1, is_incast=True,
-                      query=7)
-    tracer.flow_start(2, flow=-1, src="h\u00e9", dst='q"uo\\te', size=0,
-                      is_incast=False, query=None)
-    tracer.pkt_drop(3, "leaf0\n", "100% \u2028 %s", Pkt())
-    tracer.coflow_start(4, coflow=1, pattern="", n_flows=0, stages=1)
+    tracer.record(("flow.start", 1, 2 ** 70, 0, 31, 1, True, 7))
+    tracer.record(("flow.start", 2, -1, "h\u00e9", 'q"uo\\te', 0, False,
+                   None))
+    tracer.record(("pkt.drop", 3, "leaf0\n", "100% \u2028 %s", 1, 0, 1500))
+    tracer.record(("coflow.start", 4, 1, "", 0, 1))
     tracer.sample_tick(
         # util is exported as recorded; cwnd and the cc floats rounded.
         ["sample.port", 5, "s", 0, 0, 0, 0.123456789012,
@@ -128,6 +119,34 @@ def test_validator_catches_problems():
                                      '"fct_ns":2}']))
     assert any("schema" in p for p in
                validate_lines(['{"ev":"trace.meta","schema":99}']))
+
+
+def test_validator_rejects_booleans_where_integers_belong():
+    """JSON ``true`` decodes to a ``bool``, which Python counts as an
+    ``int`` equal to 1: neither a time nor a schema version."""
+    meta = '{"ev":"trace.meta","schema":1}'
+    assert validate_lines([meta, '{"ev":"flow.end","t":true,"flow":1,'
+                                 '"fct_ns":2}']) == [
+        "line 2: flow.end: 't' must be a non-negative integer nanosecond "
+        "count"]
+    assert validate_lines(['{"ev":"trace.meta","schema":true}']) == [
+        "line 1: unsupported schema True (expected 1)"]
+
+
+def test_readers_share_one_line_parser_and_its_problem_strings(tmp_path):
+    meta = '{"ev":"trace.meta","schema":1}'
+    not_json = "not JSON (Expecting value: line 1 column 1 (char 0))"
+    assert validate_lines([meta, "not json", "", "[1,2]", '{"t":1}']) == [
+        f"line 2: {not_json}", "line 4: missing 'ev' field",
+        "line 5: missing 'ev' field"]
+    path = tmp_path / "t.jsonl"
+    for body, problem in (("not json\n", f"line 1: {not_json}"),
+                          ("\n[1,2]\n", "line 2: not a JSON object")):
+        path.write_text(body)
+        for reader in (read_jsonl, summarize_file):
+            with pytest.raises(ValueError) as excinfo:
+                reader(str(path))
+            assert str(excinfo.value) == f"{path}: {problem}"
 
 
 def test_chrome_trace_structure(tmp_path):
