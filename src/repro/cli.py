@@ -108,7 +108,6 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="DIRECTIVE", dest="faults",
                         help="inject a fault scenario, e.g. "
                              "link:leaf0-spine1:down@50ms,up@120ms or "
-                             "link:leaf0-h3:rate=40mbps@10ms or "
                              "link:leaf0-spine1:loss=0.01@0ms; "
                              "repeatable")
     parser.add_argument("--workload", action="append", default=[],

@@ -33,12 +33,6 @@ from repro.core.flowinfo import (
 from repro.core.marking import MarkingComponent
 from repro.core.ordering import OrderingComponent
 from repro.core.scheduler import RankQueue
-from repro.core.wire import (
-    decode_ipv4_option,
-    decode_l3,
-    encode_ipv4_option,
-    encode_l3,
-)
 
 __all__ = [
     "CuckooFilter",
@@ -51,8 +45,4 @@ __all__ = [
     "rotl32",
     "rotr32",
     "unboost_rfs",
-    "encode_l3",
-    "decode_l3",
-    "encode_ipv4_option",
-    "decode_ipv4_option",
 ]

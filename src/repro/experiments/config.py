@@ -117,8 +117,8 @@ class ExperimentConfig:
     sim_time_ns: int = 5 * SECOND
     seed: int = 1
     #: Fault-injection scenario (:mod:`repro.faults`): timed link
-    #: down/up, rate degradation and corruption loss, applied
-    #: deterministically during the run.  Empty = healthy fabric.
+    #: down/up and corruption loss, applied deterministically during
+    #: the run.  Empty = healthy fabric.
     faults: Tuple[FaultSpec, ...] = ()
     #: Attach a deflection-aware telemetry monitor sampling at this
     #: interval (§5 extension); None disables monitoring.

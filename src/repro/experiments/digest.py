@@ -70,7 +70,8 @@ def run_digest(result: RunResult) -> str:
                                 key=lambda c: c.coflow_id)],
             "coflows_launched": result.coflows_launched}
            if metrics.coflows else {}),
-        "faults": [(spec.kind, list(spec.link), spec.at_ns, spec.rate_bps,
+        # A literal None keeps the five-element entry pinned digests hash.
+        "faults": [(spec.kind, list(spec.link), spec.at_ns, None,
                     spec.loss_rate) for spec in result.config.faults],
         "drops": sorted(metrics.counters.drops.items()),
         "events_executed": result.engine.events_executed,

@@ -5,8 +5,8 @@ The :class:`FaultInjector` turns a tuple of
 nanoseconds, priority ``FAULT_PRIORITY`` so a fault lands *before*
 same-instant packet events and the rewired dataplane handles them) and
 applies each through the :class:`~repro.net.builder.Network` rewiring
-surface — :meth:`~repro.net.builder.Network.set_cable_state`,
-``set_cable_rate``, ``set_cable_loss``.
+surface — :meth:`~repro.net.builder.Network.set_cable_state` and
+``set_cable_loss``.
 
 Determinism: specs are sorted by ``(at_ns, spec order)`` before
 scheduling, corruption loss draws from a per-cable named RNG stream
@@ -81,8 +81,6 @@ class FaultInjector:
             network.set_cable_state(a, b, up=False)
         elif spec.kind == "up":
             network.set_cable_state(a, b, up=True)
-        elif spec.kind == "rate":
-            network.set_cable_rate(a, b, spec.rate_bps)
         else:  # "loss"
             network.set_cable_loss(a, b, spec.loss_rate,
                                    self._loss_streams.get(spec.link))

@@ -27,7 +27,7 @@ from __future__ import annotations
 import abc
 import random
 import zlib
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.net.packet import Packet
 from repro.net.switch import Switch
@@ -100,12 +100,6 @@ class ForwardingPolicy(abc.ABC):
         ports = self.switch.ports
         return min((ports[port].queue.bytes, port)
                    for port in candidates)[1]
-
-    def sample_two(self, candidates: Sequence[int]) -> List[int]:
-        """Sample up to two distinct candidates uniformly at random."""
-        if len(candidates) <= 2:
-            return list(candidates)
-        return self.rng.sample(candidates, 2)
 
     def power_of_n_choice(self, candidates: Sequence[int], n: int) -> int:
         """Power-of-``n``-choices: sample ``n`` ports, take the least loaded.

@@ -266,14 +266,6 @@ class Network:
             self.tx_ports[(a, b)].kick()
             self.tx_ports[(b, a)].kick()
 
-    def set_cable_rate(self, a: str, b: str, rate_bps: int) -> None:
-        """Degrade/restore both directions of a cable to ``rate_bps``."""
-        forward, backward = self.cable_links(a, b)
-        forward.set_rate(rate_bps)
-        backward.set_rate(rate_bps)
-        if self.fidelity is not None:
-            self.fidelity.on_fault(a, b)
-
     def set_cable_loss(self, a: str, b: str, loss_rate: float,
                        loss_rng=None) -> None:
         """Impose (or heal, with 0) corruption loss on both directions."""

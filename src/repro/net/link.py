@@ -100,12 +100,6 @@ class Link:
         """Raise or cut the link.  The owning port re-kicks itself on up."""
         self.up = up
 
-    def set_rate(self, rate_bps: int) -> None:
-        """Degrade (or restore) the link rate; next serialization uses it."""
-        if rate_bps <= 0:
-            raise ValueError("link rate must be positive")
-        self.rate_bps = rate_bps
-
     def set_loss(self, loss_rate: float, loss_rng=None) -> None:
         """Impose (or heal, with 0) a probabilistic corruption loss."""
         if not 0.0 <= loss_rate < 1.0:

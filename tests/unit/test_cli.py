@@ -236,6 +236,12 @@ def test_malformed_fault_is_one_line_usage_error(capsys):
         assert_one_line_usage_error(capsys)
 
 
+def test_sub_nanosecond_warmup_is_one_line_usage_error(capsys):
+    """A sub-nanosecond window is refused, never rounded to no window."""
+    assert main(["run", *TINY, "--warmup", "0.5ns"]) == 2
+    assert_one_line_usage_error(capsys)
+
+
 def test_bad_repro_jobs_is_usage_error(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_JOBS", "many")
     assert main(["sweep", "--systems", "ecmp", *TINY]) == 2

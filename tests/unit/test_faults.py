@@ -1,18 +1,20 @@
 """Fault specs, the --fault grammar, and link/network runtime rewiring."""
 
 import pickle
+import re
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import config_digest
 from repro.faults import (
+    FAULT_KINDS,
     FaultInjector,
+    FaultParseError,
     FaultSpec,
     cable_key,
     parse_fault,
     parse_faults,
-    parse_rate_bps,
     parse_time_ns,
 )
 from repro.forwarding.ecmp import EcmpPolicy
@@ -23,7 +25,7 @@ from repro.net.link import Link
 from repro.net.topology import LeafSpine
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.sim.units import MILLISECOND, mbps
+from repro.sim.units import MILLISECOND
 from repro.transport.reno import RenoSender
 from tests.helpers import SinkDevice, mk_data
 
@@ -48,19 +50,18 @@ def test_spec_rejects_bad_kind_and_times():
 
 def test_spec_kind_specific_fields():
     with pytest.raises(ValueError):
-        FaultSpec(kind="rate", link=("a", "b"), at_ns=0)  # missing rate
+        FaultSpec(kind="loss", link=("a", "b"), at_ns=0)  # missing loss
     with pytest.raises(ValueError):
         FaultSpec(kind="loss", link=("a", "b"), at_ns=0, loss_rate=1.0)
     with pytest.raises(ValueError):
-        FaultSpec(kind="down", link=("a", "b"), at_ns=0, rate_bps=10)
-    FaultSpec(kind="rate", link=("a", "b"), at_ns=0, rate_bps=10)
+        FaultSpec(kind="down", link=("a", "b"), at_ns=0, loss_rate=0.1)
     FaultSpec(kind="loss", link=("a", "b"), at_ns=0, loss_rate=0.0)
 
 
 def test_specs_are_hashable_and_picklable():
     import pickle
 
-    spec = FaultSpec(kind="rate", link=("a", "b"), at_ns=7, rate_bps=100)
+    spec = FaultSpec(kind="loss", link=("a", "b"), at_ns=7, loss_rate=0.1)
     assert pickle.loads(pickle.dumps(spec)) == spec
     assert len({spec, spec}) == 1
 
@@ -73,13 +74,25 @@ def test_parse_time_and_rate():
     assert parse_time_ns("3us") == 3_000
     assert parse_time_ns("1500") == 1_500
     assert parse_time_ns("1s") == 1_000_000_000
-    assert parse_rate_bps("40mbps") == mbps(40)
-    assert parse_rate_bps("2gbps") == 2_000_000_000
-    assert parse_rate_bps("9600") == 9_600
+    assert parse_time_ns("0.5ms") == 500_000
+    assert parse_time_ns("1.5us") == 1_500
+    assert parse_time_ns("1.000001ms") == 1_000_001
+    assert parse_time_ns("0.000000001s") == 1
     with pytest.raises(ValueError):
         parse_time_ns("fast")
-    with pytest.raises(ValueError):
-        parse_rate_bps("many")
+
+
+@pytest.mark.parametrize("literal", ["2.5", "3.5", "0.5ns", "1.0000001ms"])
+def test_time_literal_must_be_whole_nanoseconds(literal):
+    # Read exactly, never rounded: "2.5" is not 2 and "0.5ns" is not 0.
+    with pytest.raises(FaultParseError, match=re.escape(repr(literal))):
+        parse_time_ns(literal)
+
+
+def test_rate_faults_are_not_a_kind():
+    assert FAULT_KINDS == ("down", "up", "loss")
+    with pytest.raises(FaultParseError, match="unknown fault event 'rate'"):
+        parse_fault("link:a-b:rate=1mbps@0")
 
 
 def test_parse_fault_down_up_directive():
@@ -93,10 +106,9 @@ def test_parse_fault_down_up_directive():
 
 
 def test_parse_fault_rate_and_loss():
-    rate, loss, heal = parse_fault(
-        "link:leaf0-h3:rate=40mbps@10ms,loss=0.02@20ms,loss=0@60ms")
-    assert rate.kind == "rate" and rate.rate_bps == mbps(40)
-    assert rate.link == ("h3", "leaf0")
+    loss, heal = parse_fault("link:leaf0-h3:loss=0.02@20ms,loss=0@60ms")
+    assert loss.kind == "loss" and loss.at_ns == 20 * MILLISECOND
+    assert loss.link == ("h3", "leaf0")
     assert loss.loss_rate == 0.02
     assert heal.loss_rate == 0.0
 
@@ -106,7 +118,9 @@ def test_parse_fault_rejects_malformed():
                 "link:leaf0:down@1ms",            # no cable
                 "link:leaf0-spine1:down",         # no @time
                 "link:leaf0-spine1:melt@1ms",     # unknown event
-                "link:leaf0-spine1:down=3@1ms"):  # value on down
+                "link:leaf0-spine1:down=3@1ms",   # value on down
+                "link:leaf0-spine1:down=@1ms",    # empty value on down
+                "link:leaf0-spine1:up=@1ms"):     # empty value on up
         with pytest.raises(ValueError):
             parse_fault(bad)
 
@@ -143,15 +157,6 @@ def test_packet_already_propagating_still_arrives():
     link.set_up(False)            # cut after the packet entered the wire
     engine.run()
     assert len(sink.received) == 1
-
-
-def test_set_rate_validation_and_effect():
-    engine = Engine()
-    link = Link(engine, 10 ** 9, 0, SinkDevice(), 0)
-    link.set_rate(5)
-    assert link.rate_bps == 5
-    with pytest.raises(ValueError):
-        link.set_rate(0)
 
 
 def test_set_loss_needs_rng_and_heals():
@@ -267,14 +272,11 @@ def test_injector_rate_and_loss_faults():
     engine, network, _ = _network()
     injector = FaultInjector(
         engine, network, RngRegistry(1),
-        [FaultSpec(kind="rate", link=("leaf0", "spine0"), at_ns=1_000,
-                   rate_bps=mbps(1)),
-         FaultSpec(kind="loss", link=("leaf0", "spine0"), at_ns=2_000,
+        [FaultSpec(kind="loss", link=("leaf0", "spine0"), at_ns=2_000,
                    loss_rate=0.25)])
     injector.schedule()
     engine.run(until=10_000)
     forward, backward = network.cable_links("leaf0", "spine0")
-    assert forward.rate_bps == backward.rate_bps == mbps(1)
     assert forward.loss_rate == backward.loss_rate == 0.25
     assert forward.loss_rng is not None
 

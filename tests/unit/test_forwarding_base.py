@@ -1,4 +1,4 @@
-"""Shared forwarding-policy helpers (power-of-n choices, sampling)."""
+"""Shared forwarding-policy helpers (least loaded, power-of-n choices)."""
 
 from collections import Counter
 
@@ -26,21 +26,6 @@ def test_least_loaded_prefers_emptier_queue():
 def test_least_loaded_ties_break_by_port_order():
     policy, _ = _policy()
     assert policy.least_loaded([3, 1, 2]) == 1
-
-
-def test_sample_two_small_candidate_sets():
-    policy, _ = _policy()
-    assert policy.sample_two([5]) == [5]
-    assert sorted(policy.sample_two([5, 7])) == [5, 7]
-
-
-def test_sample_two_returns_distinct_pair():
-    policy, _ = _policy()
-    for _ in range(50):
-        pair = policy.sample_two([0, 1, 2, 3])
-        assert len(pair) == 2
-        assert pair[0] != pair[1]
-        assert set(pair) <= {0, 1, 2, 3}
 
 
 def test_power_of_one_is_uniform_random():

@@ -92,7 +92,7 @@ SPEC_FIELDS = {
                     "size_cap"],
 }
 
-FAULT_FIELDS = ["kind", "link", "at_ns", "rate_bps", "loss_rate"]
+FAULT_FIELDS = ["kind", "link", "at_ns", "loss_rate"]
 
 #: ``--workload <kind>:<key>=<value>`` keys, one spelling per field.
 DIRECTIVE_KEYS = {

@@ -51,6 +51,13 @@ def test_parse_duty_cycle_period_accepts_time_suffix():
     assert parse_workload("duty_cycle:period=500").period_ns == 500
 
 
+def test_sub_nanosecond_period_names_the_literal():
+    # The error names the literal, not a period rounded down to 0.
+    with pytest.raises(WorkloadParseError,
+                       match="'0.4ns' is not a whole number of nanoseconds"):
+        parse_workload("duty_cycle:load=0.3,duty=0.1,period=0.4ns")
+
+
 def test_parse_whitespace_and_case_tolerated():
     spec = parse_workload("  Background : LOAD = 0.25 ")
     assert spec == BackgroundSpec(load=0.25)
