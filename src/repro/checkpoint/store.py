@@ -17,11 +17,6 @@ Writes are atomic (tmp + ``os.replace``) and keep one generation of
 history: the previous checkpoint survives as ``<path>.prev``, so a
 corrupt or torn latest file — wrong magic, truncated payload, digest
 mismatch — falls back to the previous epoch instead of losing the run.
-
-A small JSON *progress sidecar* (``<path>.progress``) rides along with
-every checkpoint epoch; it is cheap enough to read from the supervising
-process, powering the stall watchdog and the last-progress fields of
-failure manifests.
 """
 
 from __future__ import annotations
@@ -41,8 +36,6 @@ CHECKPOINT_VERSION = 3
 
 #: Suffix of the one-generation history file kept beside the latest.
 PREVIOUS_SUFFIX = ".prev"
-#: Suffix of the progress sidecar written at every checkpoint epoch.
-PROGRESS_SUFFIX = ".progress"
 
 #: Header size guard: a valid header line is well under this.
 _MAX_HEADER_BYTES = 64 * 1024
@@ -50,24 +43,6 @@ _MAX_HEADER_BYTES = 64 * 1024
 
 class CheckpointError(RuntimeError):
     """A checkpoint file is unreadable, corrupt, or incompatible."""
-
-
-class RunPreempted(RuntimeError):
-    """A run checkpointed and yielded after a preemption request.
-
-    Raised out of the epoch loop after the checkpoint is safely on disk;
-    carries the checkpoint path and the simulated time reached so
-    supervisors and the CLI can point at the resume artifact.
-    """
-
-    def __init__(self, path: str, sim_now_ns: int) -> None:
-        super().__init__(f"run preempted at {sim_now_ns} ns; "
-                         f"checkpoint written to {path}")
-        self.path = path
-        self.sim_now_ns = sim_now_ns
-
-    def __reduce__(self):
-        return (RunPreempted, (self.path, self.sim_now_ns))
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,48 +184,10 @@ def load_latest(path: str, *, expect_config: Optional[str] = None
 
 
 def discard(path: str) -> None:
-    """Remove a checkpoint, its previous generation, and its sidecar."""
-    for victim in (path, path + PREVIOUS_SUFFIX, path + PROGRESS_SUFFIX,
-                   path + ".tmp"):
+    """Remove a checkpoint, its previous generation and a torn write."""
+    for victim in (path, path + PREVIOUS_SUFFIX, path + ".tmp"):
         try:
             os.remove(victim)
         except OSError:
             pass
 
-
-# -- progress sidecars --------------------------------------------------------
-
-def progress_path(path: str) -> str:
-    return path + PROGRESS_SUFFIX
-
-
-def write_progress(path: str, *, sim_now_ns: int, events_executed: int,
-                   sim_time_ns: int) -> None:
-    """Atomically update the progress sidecar beside checkpoint ``path``.
-
-    No fsync: the sidecar is advisory (watchdog + manifests); losing the
-    last update on power failure costs nothing.
-    """
-    record = {"sim_now_ns": sim_now_ns, "events_executed": events_executed,
-              "sim_time_ns": sim_time_ns}
-    sidecar = progress_path(path)
-    tmp = sidecar + ".tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, sort_keys=True)
-        os.replace(tmp, sidecar)
-    except OSError:
-        # Progress reporting must never take a run down.
-        pass
-
-
-def read_progress(path: str) -> Optional[Dict[str, int]]:
-    """The latest progress record beside checkpoint ``path``, or None."""
-    try:
-        with open(progress_path(path), "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(record, dict):
-        return None
-    return record

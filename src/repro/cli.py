@@ -28,8 +28,7 @@ from typing import List, Optional
 
 from dataclasses import replace as _replace
 
-from repro.checkpoint import CheckpointConfig, CheckpointError, RunPreempted
-from repro.checkpoint.runtime import install_foreground_handlers
+from repro.checkpoint import CheckpointConfig, CheckpointError
 from repro.experiments.config import (
     ALL_SYSTEMS,
     ExperimentConfig,
@@ -129,7 +128,7 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
                         metavar="SIM_MS", dest="checkpoint_every",
                         help="snapshot the full simulation state every "
                              "SIM_MS simulated milliseconds (atomic, "
-                             "digest-verified); a crashed or preempted "
+                             "digest-verified); a crashed or killed "
                              "run auto-resumes from its last checkpoint "
                              "on re-invocation, and results are "
                              "byte-identical to an uninterrupted run")
@@ -301,16 +300,12 @@ def _cmd_run(argv: List[str]) -> int:
         print("fault scenario: "
               + "; ".join(spec.describe() for spec in config.faults),
               file=sys.stderr)
-    if config.checkpoint is not None:
-        # SIGTERM/SIGINT become checkpoint-then-exit requests
-        # honoured at the next epoch boundary.
-        install_foreground_handlers()
     try:
         result = run_experiment(config)
-    except RunPreempted as preempted:
-        print(f"run: preempted at {preempted.sim_now_ns // MILLISECOND} ms "
-              f"simulated; checkpoint written to {preempted.path} — "
-              f"re-run the same command to resume", file=sys.stderr)
+    except KeyboardInterrupt:
+        print("run: interrupted" + (
+            "; re-run the same command to resume from the last checkpoint"
+            if config.checkpoint is not None else ""), file=sys.stderr)
         return 130
     except CheckpointError as exc:
         # A stale or foreign file on the managed path (e.g. written by
@@ -358,26 +353,15 @@ def _cmd_sweep(argv: List[str]) -> int:
                              "verified), only missing ones run")
     parser.add_argument("--run-timeout", type=float, default=None,
                         metavar="SECONDS", dest="run_timeout",
-                        help="per-run wall-clock deadline; overdue runs "
-                             "are killed and classified 'timeout' "
-                             "(default none)")
+                        help="per-attempt wall-clock deadline; an overdue "
+                             "run is SIGKILLed and retried (from its last "
+                             "checkpoint, with --checkpoint-every), then "
+                             "classified 'timeout' (default none)")
     parser.add_argument("--max-retries", type=int, metavar="N",
                         dest="max_retries",
                         default=SupervisorPolicy.max_retries,
                         help="retries per point for crashes/timeouts/"
                              "transient errors (default %(default)s)")
-    parser.add_argument("--preempt-grace", type=float, metavar="SECONDS",
-                        dest="preempt_grace",
-                        default=SupervisorPolicy.preempt_grace_s,
-                        help="grace window between the watchdog's SIGTERM "
-                             "(checkpoint-then-exit) and the SIGKILL "
-                             "fallback (default %(default)s)")
-    parser.add_argument("--stall-timeout", type=float, default=None,
-                        metavar="SECONDS", dest="stall_timeout",
-                        help="flag a run as stalled when its simulated "
-                             "clock (read from checkpoint progress "
-                             "sidecars) stops advancing for SECONDS of "
-                             "wall time; requires --checkpoint-every")
     _add_experiment_arguments(parser)
     args = parser.parse_args(argv)
     systems = [name.strip() for name in args.systems.split(",")
@@ -390,11 +374,6 @@ def _cmd_sweep(argv: List[str]) -> int:
     if args.seeds < 1:
         print("--seeds must be >= 1", file=sys.stderr)
         return 2
-    if args.stall_timeout is not None and args.checkpoint_every is None:
-        # The stall watchdog polls the checkpoint progress sidecar.
-        print("repro: error: --stall-timeout requires --checkpoint-every",
-              file=sys.stderr)
-        return 2
     base_seed = args.seed
     configs = []
     try:
@@ -404,9 +383,7 @@ def _cmd_sweep(argv: List[str]) -> int:
                 args.seed = seed
                 configs.append(config_from_args(args))
         policy = SupervisorPolicy(max_retries=args.max_retries,
-                                  run_timeout_s=args.run_timeout,
-                                  preempt_grace_s=args.preempt_grace,
-                                  stall_timeout_s=args.stall_timeout)
+                                  run_timeout_s=args.run_timeout)
         supervisor = SweepSupervisor(configs, jobs=args.jobs, policy=policy,
                                      journal=args.journal,
                                      resume=args.resume)
@@ -436,17 +413,9 @@ def _cmd_sweep(argv: List[str]) -> int:
     if unread:
         print("sweep: " + "; ".join(unread), file=sys.stderr)
     for failure in manifest["failures"]:
-        reached = ""
-        if failure.get("last_sim_ns") is not None:
-            reached = (f" (reached {failure['last_sim_ns']} ns, "
-                       f"{failure['last_events']} events)")
         print(f"sweep: {failure['status']}: {failure['system']} "
               f"seed={failure['seed']} after {failure['attempts']} "
-              f"attempt(s): {failure['error']}{reached}", file=sys.stderr)
-    if manifest["stalls"]:
-        print(f"sweep: stalled point(s) {manifest['stalls']}: simulated "
-              f"clock stopped advancing past --stall-timeout",
-              file=sys.stderr)
+              f"attempt(s): {failure['error']}", file=sys.stderr)
     if report.interrupted and report.journal_path:
         print(f"sweep: interrupted; resume with "
               f"--resume {report.journal_path}", file=sys.stderr)

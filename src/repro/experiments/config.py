@@ -143,7 +143,7 @@ class ExperimentConfig:
     #: to the laneless one; any configured value joins the run digest.
     pfc: PfcConfig = field(default_factory=PfcConfig)
     #: In-run checkpointing (:mod:`repro.checkpoint`): snapshot the live
-    #: simulation at epoch boundaries so crashed/preempted runs resume
+    #: simulation at epoch boundaries so crashed or killed runs resume
     #: instead of restarting.  ``repr=False`` keeps it OUT of
     #: ``config_digest`` — checkpointing is an execution concern and
     #: never changes results, so a checkpointed run keys identically to

@@ -12,14 +12,8 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.analysis import sanitize as _sanitize
-from repro.checkpoint import (
-    RunPreempted,
-    load_latest,
-    write_checkpoint,
-    write_progress,
-)
 from repro.checkpoint import discard as _discard_checkpoint
-from repro.checkpoint.runtime import active_run, preemption_requested
+from repro.checkpoint import load_latest, write_checkpoint
 from repro.core.flowinfo import MarkingDiscipline
 from repro.experiments.config import ExperimentConfig
 from repro.net import packet as _packet_mod
@@ -323,7 +317,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     With ``config.checkpoint`` set, the run *auto-resumes* from its
     managed checkpoint (keyed by config digest) if one exists — so a
-    crashed or preempted run simply reruns — and deletes it on
+    crashed or killed run simply reruns — and deletes it on
     successful completion.  Checkpointing never changes results: a
     restored run's digest is byte-identical to the uninterrupted run.
     """
@@ -342,28 +336,19 @@ def _run_experiment(config: ExperimentConfig) -> RunResult:
     if config.checkpoint is not None:
         managed_path = config.checkpoint.resolve_path(digest)
 
-    # active_run() spans the WHOLE task, not just the epoch loop: a
-    # SIGTERM landing during build or finalize must latch (and surface
-    # as RunPreempted at the next boundary, or simply let the task
-    # finish) rather than raise SystemExit inside a pool worker —
-    # concurrent.futures ships BaseException back through the future,
-    # which would read as a crash instead of a preemption.
-    with active_run():
-        world = None
-        with profiler.phase("build"):
-            if managed_path is not None:
-                found = load_latest(managed_path, expect_config=digest)
-                if found is not None:
-                    _header, world, _used = found
-            if world is not None:
-                _packet_mod.advance_uid_watermark(world.uid_watermark)
-                world.restored_from_ns = world.engine.now
-            else:
-                world = _build_world(config)
+    with profiler.phase("build"):
+        found = None if managed_path is None \
+            else load_latest(managed_path, expect_config=digest)
+        if found is None:
+            world = _build_world(config)
+        else:
+            _header, world, _used = found
+            _packet_mod.advance_uid_watermark(world.uid_watermark)
+            world.restored_from_ns = world.engine.now
 
-        _run_epochs(world, profiler, managed_path, digest)
+    _run_epochs(world, profiler, managed_path, digest)
 
-        result = _finalize(world, profiler, managed_path)
+    result = _finalize(world, profiler, managed_path)
     if managed_path is not None:
         # The checkpoint is consumed by successful completion.
         _discard_checkpoint(managed_path)
@@ -482,20 +467,12 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
 
 def _write_world_checkpoint(world: LiveRun, path: str,
                             config_digest: str) -> None:
-    """Persist ``world`` atomically and refresh the progress sidecar."""
+    """Persist ``world`` atomically."""
     world.uid_watermark = _packet_mod.uid_watermark()
     write_checkpoint(path, world, config_digest=config_digest,
                      sim_now_ns=world.engine.now,
                      events_executed=world.engine.events_executed)
     world.checkpoints_written += 1
-    _write_world_progress(world, path)
-
-
-def _write_world_progress(world: LiveRun, path: str) -> None:
-    """Refresh the progress sidecar (watchdog stall probe, manifests)."""
-    write_progress(path, sim_now_ns=world.engine.now,
-                   events_executed=world.engine.events_executed,
-                   sim_time_ns=world.config.sim_time_ns)
 
 
 def _run_epochs(world: LiveRun, profiler: PhaseProfiler,
@@ -505,10 +482,7 @@ def _run_epochs(world: LiveRun, profiler: PhaseProfiler,
 
     Boundaries fall on multiples of ``every_ns`` of *simulated* time, so
     a restored run and the uninterrupted run execute identical event
-    sequences.  Preemption (SIGTERM/SIGINT latched by
-    :mod:`repro.checkpoint.runtime`) is honoured only at boundaries —
-    never mid-event — by writing a final checkpoint and raising
-    :class:`RunPreempted`.
+    sequences.  A run killed mid-epoch loses only that epoch.
     """
     engine = world.engine
     end = world.config.sim_time_ns
@@ -519,8 +493,6 @@ def _run_epochs(world: LiveRun, profiler: PhaseProfiler,
     tracing = _trace_hooks.activated(world.tracer) \
         if world.tracer is not None else nullcontext()
 
-    if managed_path is not None:
-        _write_world_progress(world, managed_path)
     with tracing, profiler.phase("run"):
         while True:
             engine.run(until=end if every is None else
@@ -528,10 +500,6 @@ def _run_epochs(world: LiveRun, profiler: PhaseProfiler,
             if engine.now >= end:
                 break
             _write_world_checkpoint(world, managed_path, config_digest)
-            if preemption_requested():
-                raise RunPreempted(managed_path, engine.now)
-        if managed_path is not None:
-            _write_world_progress(world, managed_path)
 
 
 def _finalize(world: LiveRun, profiler: PhaseProfiler,

@@ -2,9 +2,12 @@
 
 The harness-side counterpart to :mod:`repro.faults` (which makes the
 *simulated network* fault-tolerant): a supervisor that survives worker
-crashes, kills stuck runs on a wall-clock deadline, retries transient
-failures with deterministic backoff, journals every terminal outcome
-for resume, and degrades gracefully on SIGINT/SIGTERM.
+crashes, SIGKILLs runs that overrun a wall-clock deadline, retries
+transient failures with deterministic backoff, journals every terminal
+outcome for resume, and degrades gracefully on SIGINT/SIGTERM.  A
+checkpointed point (``ExperimentConfig.checkpoint``) resumes each new
+attempt from its last whole epoch, so a deadline bounds the progress
+one attempt must make, not the whole run.
 
 Quickstart::
 

@@ -2,8 +2,8 @@
 
 A :class:`SupervisorPolicy` is the knob set of the crash-tolerant sweep
 runtime (:mod:`repro.runtime.supervisor`): how many times a failing run
-is retried, how long a run may take before the watchdog kills it, and
-how retry backoff is spaced.
+is retried, how long a run may take before it is killed, and how retry
+backoff is spaced.
 
 Backoff is exponential with jitter, but the jitter draws from a **named,
 seeded RNG stream** (``RngRegistry(seed).stream("runtime.backoff")``) so
@@ -35,15 +35,9 @@ class SupervisorPolicy:
 
     #: Retry attempts granted after the first try (0 = never retry).
     max_retries: int = 2
-    #: Per-run wall-clock deadline in seconds; None disables the watchdog.
+    #: Per-run wall-clock deadline in seconds: an overdue attempt is
+    #: SIGKILLed.  None runs every attempt to its end.
     run_timeout_s: Optional[float] = None
-    #: Grace window between the watchdog's SIGTERM (checkpoint-then-exit
-    #: request) and the hard SIGKILL fallback.
-    preempt_grace_s: float = 5.0
-    #: Wall-clock seconds without *simulated-clock* progress (read from
-    #: checkpoint progress sidecars) before a run is flagged as stalled;
-    #: None disables stall detection.
-    stall_timeout_s: Optional[float] = None
     #: First backoff interval; doubles per retry up to :attr:`backoff_cap_s`.
     backoff_base_s: float = 0.25
     backoff_cap_s: float = 8.0
@@ -55,10 +49,6 @@ class SupervisorPolicy:
             raise ValueError("max_retries cannot be negative")
         if self.run_timeout_s is not None and self.run_timeout_s <= 0:
             raise ValueError("run_timeout_s must be positive (or None)")
-        if self.preempt_grace_s < 0:
-            raise ValueError("preempt_grace_s cannot be negative")
-        if self.stall_timeout_s is not None and self.stall_timeout_s <= 0:
-            raise ValueError("stall_timeout_s must be positive (or None)")
         if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
             raise ValueError("backoff intervals cannot be negative")
 

@@ -47,8 +47,6 @@ import repro.telemetry.monitor
 import repro.trace.sampler
 import repro.trace.tracer
 from repro.analysis import sanitize as _sanitize
-from repro.checkpoint.runtime import install_worker_handlers
-from repro.checkpoint.store import RunPreempted, read_progress
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import config_digest, run_digest, sweep_digest
 from repro.experiments.parallel import resolve_jobs
@@ -70,14 +68,14 @@ def _worker_init(sanitize_on: bool) -> None:
 
     Forked workers inherit the supervisor's SIGINT/SIGTERM trap.  SIGINT
     is ignored (the supervisor owns interrupt handling and reaps workers
-    itself); SIGTERM gets the checkpoint-aware worker handler — a run in
-    flight latches a preemption request (checkpoint-then-exit at the
-    next epoch boundary), an idle worker dies quietly.  The sanitizer
-    state is also exported as ``REPRO_SANITIZE`` so it holds whatever
-    the pool start method and for anything the worker itself spawns.
+    itself); SIGTERM is reset to its default, so a SIGTERMed worker dies
+    like a SIGKILLed one instead of raising into its task.  The
+    sanitizer state is also exported as ``REPRO_SANITIZE`` so it holds
+    whatever the pool start method and for anything the worker itself
+    spawns.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    install_worker_handlers()
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     _worker_state["sanitize"] = sanitize_on
     os.environ["REPRO_SANITIZE"] = "1" if sanitize_on else "0"
     _sanitize.set_enabled(sanitize_on)
@@ -96,7 +94,7 @@ def _run_portable(config: ExperimentConfig) -> RunResult:
 class RunOutcome:
     """One sweep point's record: its terminal classification.
 
-    The fields down to ``last_events`` are the record, and every view of
+    The fields down to ``system`` are the record, and every view of
     a point is built from them: :meth:`row` is the failure manifest's
     row, :meth:`line` the journal line (the record plus the result's run
     digest, payload and checkpoint lineage) and :meth:`from_line` its
@@ -112,11 +110,6 @@ class RunOutcome:
     #: The point's seed and system, taken from ``config`` when given.
     seed: Optional[int] = None
     system: Optional[str] = None
-    #: The watchdog saw the simulated clock stop for ``stall_timeout_s``.
-    stalled: bool = False
-    #: How far a failed run last got (its checkpoint progress sidecar).
-    last_sim_ns: Optional[int] = None
-    last_events: Optional[int] = None
     # -- not recorded ----------------------------------------------------
     config: Optional[ExperimentConfig] = None
     result: Optional[RunResult] = None
@@ -181,7 +174,8 @@ class SweepReport:
     interrupted: bool = False
     wall_s: float = 0.0
     #: Wall seconds by supervision phase: ``runtime.retry`` (backoff
-    #: waits), ``runtime.timeout`` (wall time of watchdog-killed runs).
+    #: waits), ``runtime.timeout`` (wall time of runs killed at their
+    #: deadline).
     profile: Dict[str, float] = field(default_factory=dict)
     #: Journal file these outcomes were appended to, or None.
     journal_path: Optional[str] = None
@@ -216,8 +210,6 @@ class SweepReport:
             "skipped_lines": self.skipped_lines,
             "interrupted": self.interrupted,
             "counts": counts,
-            "stalls": [outcome.index for outcome in self.outcomes
-                       if outcome.stalled],
             "failures": [outcome.row() for outcome in self.failures()],
         }
 
@@ -257,11 +249,9 @@ class SweepReport:
 
 
 #: How one attempt of one sweep point can end: it returned a result;
-#: the runner raised; it checkpointed and yielded (:class:`RunPreempted`);
-#: the worker's SIGTERM handler ended a task that is not a checkpointed
-#: run (``SystemExit``, shipped back through the future); or the worker
-#: died and took the pool with it.
-ENDINGS = ("ok", "raised", "preempted", "terminated", "pool_broken")
+#: the runner raised; or the worker died (a crash, or the deadline's
+#: SIGKILL) and took the pool with it.
+ENDINGS = ("ok", "raised", "pool_broken")
 
 
 class Step(NamedTuple):
@@ -303,14 +293,12 @@ def transition(ending: str, *, timed_out: bool, collateral: bool,
             # A checkpointed retry auto-resumes, so the deadline bounds
             # *incremental* progress per attempt.
             return _RETRY
-        kept = "; checkpoint retained" if ending == "preempted" else ""
         return Step("finish", True, "timeout",
                     "exceeded --run-timeout {timeout:g}s "
-                    "({attempts} attempt(s)" + kept + ")")
-    if ending == "preempted" \
-            or (collateral and ending in ("terminated", "pool_broken")):
-        return _REQUEUE
+                    "({attempts} attempt(s))")
     if ending == "pool_broken":
+        if collateral:
+            return _REQUEUE
         if not exhausted:
             return _RETRY
         return Step("finish", True, "crashed",
@@ -328,10 +316,6 @@ def _ending(exc: Optional[BaseException]) -> str:
         return "ok"
     if isinstance(exc, BrokenProcessPool):
         return "pool_broken"
-    if isinstance(exc, RunPreempted):
-        return "preempted"
-    if isinstance(exc, SystemExit):
-        return "terminated"
     return "raised"
 
 
@@ -354,15 +338,11 @@ class _Flight:
     started: float
     kills_at_submit: int                   # kill sweeps seen so far
     deadline: float = math.inf             # math.inf = no deadline
-    progress_path: Optional[str] = None    # checkpoint path (stall probe)
-    grace_until: Optional[float] = None    # overdue: SIGTERM sent, SIGKILL due
-    last_sim: Optional[int] = None         # last observed simulated clock
-    last_change: float = 0.0               # wall time of last advance
-    stalled: bool = False                  # simulated clock stopped
+    timed_out: bool = False                # overdue: its worker was killed
 
 
 class SweepSupervisor:
-    """Run a config list to completion despite crashes and stalls.
+    """Run a config list to completion despite crashes and hung runs.
 
     The journal is opened (``journal=``) or read back (``resume=``) here,
     so a bad journal path is a :class:`JournalError` before any point
@@ -398,10 +378,9 @@ class SweepSupervisor:
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_lock = threading.Lock()
         #: Deadlines to enforce: runs go to a pool even when serial.
-        self._deadlines = self.policy.run_timeout_s is not None \
-            or self.policy.stall_timeout_s is not None
-        #: Kill sweeps performed, soft or hard — tells collateral pool
-        #: victims from genuine crashes.
+        self._deadlines = self.policy.run_timeout_s is not None
+        #: Kill sweeps performed — tells collateral pool victims from
+        #: genuine crashes.
         self._kills = 0
 
     # -- public controls -------------------------------------------------------
@@ -468,32 +447,15 @@ class SweepSupervisor:
                     outcome, index=index, config=self.configs[index],
                     resumed=True)
 
-    def _checkpoint_path(self, index: int) -> Optional[str]:
-        """Managed checkpoint path of point ``index``, or None."""
-        checkpoint = self.configs[index].checkpoint
-        if checkpoint is None:
-            return None
-        return checkpoint.resolve_path(self._digests[index])
-
     def _finish(self, point: _Point, status: str, *,
                 error: Optional[str] = None,
-                result: Optional[RunResult] = None,
-                stalled: bool = False) -> None:
+                result: Optional[RunResult] = None) -> None:
         """Record the terminal outcome of ``point`` (journal, callback)."""
         index = point.index
         outcome = RunOutcome(
             index=index, digest=self._digests[index], status=status,
             attempts=point.attempts, wall_s=round(point.wall_s, 6),
-            error=error, stalled=stalled, config=self.configs[index],
-            result=result)
-        if status != "ok" \
-                and (path := self._checkpoint_path(index)) is not None:
-            # Failure-manifest provenance: how far the run was last
-            # known to have got (its progress sidecar).
-            progress = read_progress(path)
-            if progress is not None:
-                outcome.last_sim_ns = progress.get("sim_now_ns")
-                outcome.last_events = progress.get("events_executed")
+            error=error, config=self.configs[index], result=result)
         self._outcomes[index] = outcome
         if self._journal is not None:
             self._journal.record(outcome)
@@ -549,12 +511,10 @@ class SweepSupervisor:
         """Drop the pool and reap its workers before returning.
 
         ``kill`` (broken pool, interrupt): SIGKILL whatever is still
-        alive first.  The executor SIGTERMs the survivors of a broken
-        pool itself, but a worker mid-run only latches that, and the
-        dead worker may have left the shared queue locks held — a
-        survivor would then block on them forever.  Waiting for the
-        executor's manager thread means no thread of the old pool is
-        alive when the next pool forks.
+        alive first: the dead worker may have left the shared queue
+        locks held, and a survivor would then block on them forever.
+        Waiting for the executor's manager thread means no thread of the
+        old pool is alive when the next pool forks.
         """
         if kill:
             self._signal_workers(signal.SIGKILL)
@@ -596,19 +556,17 @@ class SweepSupervisor:
                 for future in done:
                     flight = inflight.pop(future)
                     point = flight.point
-                    timed_out = flight.grace_until is not None
+                    timed_out = flight.timed_out
                     run_wall = time.monotonic() - flight.started  # noqa: VR002
                     try:
                         result, exc = future.result(), None
-                    except (SystemExit, Exception) as caught:
-                        # SystemExit: concurrent.futures ships worker
-                        # BaseExceptions back through the future.
+                    except Exception as caught:
                         result, exc = None, caught
                     ending = _ending(exc)
                     if ending == "pool_broken":
                         self._teardown_pool(kill=True)
                     signature = None
-                    if ending in ("raised", "terminated") and not timed_out:
+                    if ending == "raised" and not timed_out:
                         signature = f"{type(exc).__name__}: {exc}"
                     step = transition(
                         ending, timed_out=timed_out,
@@ -625,7 +583,6 @@ class SweepSupervisor:
                     if step.action == "finish":
                         self._finish(
                             point, step.status, result=result,
-                            stalled=flight.stalled,
                             error=step.error and step.error.format(
                                 attempts=point.attempts,
                                 timeout=policy.run_timeout_s,
@@ -651,7 +608,7 @@ class SweepSupervisor:
             if point is None:
                 return
             config = self.configs[point.index]
-            flight = _Flight(point=point, started=now, last_change=now,
+            flight = _Flight(point=point, started=now,
                              kills_at_submit=self._kills)
             if self.jobs > 1 or self._deadlines:
                 pool = self._ensure_pool(len(queue) + len(inflight))
@@ -664,7 +621,6 @@ class SweepSupervisor:
                     return
                 if self.policy.run_timeout_s is not None:
                     flight.deadline = now + self.policy.run_timeout_s
-                flight.progress_path = self._checkpoint_path(point.index)
             else:
                 future = Future()
                 try:
@@ -676,49 +632,21 @@ class SweepSupervisor:
 
     def _enforce_deadlines(self, inflight: Dict[Future, _Flight],
                            now: float) -> None:
-        """Deadline enforcement and stall detection for in-flight runs.
+        """SIGKILL every worker once any in-flight run is overdue.
 
-        A run overshooting its deadline is marked timed out and the pool
-        is **soft-killed** (SIGTERM): checkpointed runs write a final
-        checkpoint and yield (:class:`RunPreempted`), keeping their
-        progress; un-checkpointed runs latch and run on (aborting would
-        only lose their work); idle workers die.  A worker that still
-        has not yielded after ``preempt_grace_s`` is SIGKILLed — the
-        only portable way to reclaim a truly stuck process — and the
-        crash path rebuilds the pool and classifies the victims.
-
-        With ``stall_timeout_s`` set, each run's checkpoint progress
-        sidecar is polled too; a simulated clock that stops advancing
-        for that long flags the run as **stalled** (a flag, never a
-        kill: a stalled clock with wall progress may be a legitimately
-        heavy epoch).
+        A pool worker cannot be stopped alone without breaking the pool,
+        so the kill is a sweep: the crash path rebuilds the pool, charges
+        the overdue runs and requeues their pool-mates for free.  A
+        checkpointed run's next attempt resumes from its last epoch.
         """
-        policy = self.policy
-        overdue = expired = False
+        overdue = False
         for future, flight in inflight.items():
-            if future.done():
-                continue
-            if policy.stall_timeout_s is not None \
-                    and flight.progress_path is not None:
-                progress = read_progress(flight.progress_path)
-                sim_now = progress.get("sim_now_ns") if progress else None
-                if sim_now != flight.last_sim:
-                    flight.last_sim = sim_now
-                    flight.last_change = now
-                elif now - flight.last_change >= policy.stall_timeout_s:
-                    flight.stalled = True
-            if flight.grace_until is None and now >= flight.deadline:
-                flight.grace_until = now + policy.preempt_grace_s
-                overdue = True
-            elif flight.grace_until is not None \
-                    and now >= flight.grace_until:
-                flight.grace_until = math.inf  # one hard kill per flight
-                expired = True
-        for due, signum in ((overdue, signal.SIGTERM),
-                            (expired, signal.SIGKILL)):
-            if due:
-                self._kills += 1
-                self._signal_workers(signum)
+            if not future.done() and not flight.timed_out \
+                    and now >= flight.deadline:
+                flight.timed_out = overdue = True
+        if overdue:
+            self._kills += 1
+            self._signal_workers(signal.SIGKILL)
 
 
 def run_supervised(configs: Iterable[ExperimentConfig], *,

@@ -42,7 +42,7 @@ class PhaseProfiler:
 
         Used where the elapsed interval is measured externally — e.g. the
         sweep supervisor's ``runtime.timeout`` span covers the wall time
-        of runs the watchdog killed, which ended outside any ``with``
+        of runs killed at their deadline, which ended outside any ``with``
         scope of this profiler.
         """
         self.seconds[name] = self.seconds.get(name, 0.0) + seconds

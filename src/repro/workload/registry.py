@@ -9,11 +9,12 @@ spec order.  Builders return ``None`` for inactive specs (zero load, no
 rate) so they leave no trace in the run — the exact behavior of the
 pre-spec runner, keeping legacy run digests byte-identical.
 
-RNG stream discipline: the first spec of each kind owns the kind-named
-stream (``"background"``, ``"incast"``, ``"coflow"``, ``"duty_cycle"``
-— the first two being the streams the pre-spec runner used, another
-digest-compatibility requirement); the *n*-th duplicate of a kind owns
-``"<kind>:<n>"``.
+RNG stream discipline: the first *active* spec of each kind owns the
+kind-named stream (``"background"``, ``"incast"``, ``"coflow"``,
+``"duty_cycle"`` — the first two being the streams the pre-spec runner
+used, another digest-compatibility requirement); the *n*-th active spec
+of a kind owns ``"<kind>:<n>"``.  An inactive spec draws nothing and
+numbers nothing, so adding one changes no stream.
 """
 
 from __future__ import annotations
@@ -126,10 +127,10 @@ def build_workload(workload, ctx: WorkloadContext) -> List[object]:
             raise ValueError(f"no generator registered for workload "
                              f"kind {spec.kind!r}")
         n = counts.get(spec.kind, 0) + 1
-        counts[spec.kind] = n
         stream_name = spec.kind if n == 1 else f"{spec.kind}:{n}"
         generator = builder(spec, ctx, ctx.rng.stream(stream_name))
         if generator is not None:
+            counts[spec.kind] = n
             generator.start()
             generators.append(generator)
     return generators

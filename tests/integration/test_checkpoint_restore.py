@@ -7,15 +7,16 @@ the pooled supervisor.  Checkpointing itself must be invisible: digests
 with checkpointing on equal digests with it off.
 
 Serial kill tests fork a child (fork start method: the child inherits
-the built config without pickling) and SIGKILL it once the progress
-sidecar shows the simulated clock past the halfway mark.  Pool tests
-use a self-killing runner coordinated through ``REPRO_TEST_FLAG_DIR``
-flag files, like the supervisor suite.
+the built config without pickling) and SIGKILL it once the header of
+its latest checkpoint shows the simulated clock past the halfway mark.
+Pool tests use a self-killing runner coordinated through
+``REPRO_TEST_FLAG_DIR`` flag files, like the supervisor suite.
 """
 
 import collections
 import dataclasses
 import functools
+import json
 import multiprocessing
 import os
 import pickle
@@ -27,8 +28,7 @@ import types
 
 import pytest
 
-from repro.checkpoint import (CheckpointConfig, CheckpointError,
-                              RunPreempted, read_progress, store)
+from repro.checkpoint import CheckpointConfig, CheckpointError, store
 from repro.experiments import run_experiment, run_many, runner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import config_digest, run_digest
@@ -72,19 +72,39 @@ def _reference_digest(fidelity):
 # -- checkpointing is invisible ------------------------------------------------
 
 
+#: Cadence (sim-ms) -> checkpoints a 40 ms run writes.  3 and 7 do not
+#: divide the horizon; 50 exceeds it, so nothing is written at all.
+CADENCES = {3: 13, 7: 5, 10: 3, 50: 0}
+
+
 @pytest.mark.parametrize("fidelity", ["packet", "hybrid"])
 def test_checkpoint_on_digest_equals_checkpoint_off(tmp_path, fidelity):
-    plain = run_experiment(_config(fidelity))
-    ticked = run_experiment(_checkpointed(_config(fidelity), tmp_path))
-    assert run_digest(ticked) == run_digest(plain)
-    assert ticked.checkpoint["checkpoints_written"] >= 3
-    assert ticked.checkpoint["restored_from_ns"] is None
-    # The managed checkpoint is consumed on successful completion.
-    assert not os.path.exists(_managed_path(_checkpointed(_config(fidelity),
-                                                          tmp_path)))
+    """No checkpoint cadence moves a digest."""
+    plain = run_digest(run_experiment(_config(fidelity)))
+    for every_ms, written in CADENCES.items():
+        config = _checkpointed(_config(fidelity), tmp_path / str(every_ms),
+                               every_ms=every_ms)
+        ticked = run_experiment(config)
+        assert run_digest(ticked) == plain, every_ms
+        if written:
+            assert ticked.checkpoint["checkpoints_written"] == written
+            assert ticked.checkpoint["restored_from_ns"] is None
+        else:
+            assert ticked.checkpoint is None
+        # The managed checkpoint is consumed on successful completion.
+        assert not os.path.exists(_managed_path(config))
 
 
 # -- SIGKILL then restore, serial ----------------------------------------------
+
+
+def _checkpointed_ns(path):
+    """The simulated time in the header of the checkpoint at ``path``."""
+    try:
+        with open(path, "rb") as fh:
+            return json.loads(fh.readline())["sim_now_ns"]
+    except (OSError, ValueError):
+        return None
 
 
 def _kill_child_at_half(config, path):
@@ -96,8 +116,7 @@ def _kill_child_at_half(config, path):
     try:
         deadline = time.monotonic() + 60
         while time.monotonic() < deadline:
-            progress = read_progress(path)
-            if progress and progress["sim_now_ns"] >= half:
+            if (_checkpointed_ns(path) or 0) >= half:
                 break
             if not child.is_alive():
                 raise AssertionError("child finished before the kill — "
@@ -233,6 +252,22 @@ def _jsonl(result):
     return "\n".join(jsonl_lines(result.trace))
 
 
+class _Stopped(Exception):
+    """Raised right after a run's first checkpoint write."""
+
+
+def _stop_after_first_checkpoint(patch):
+    """Make the next run raise as soon as its first checkpoint is on
+    disk: a mid-run checkpoint whose epoch the run never finished."""
+    write = runner.write_checkpoint
+
+    def write_then_stop(*args, **kwargs):
+        write(*args, **kwargs)
+        raise _Stopped
+
+    patch.setattr(runner, "write_checkpoint", write_then_stop)
+
+
 @pytest.mark.filterwarnings("ignore:fidelity demotion cascade")
 @pytest.mark.parametrize("fidelity", ["packet", "hybrid"])
 def test_restored_traced_run_exports_the_uninterrupted_bytes(
@@ -258,10 +293,10 @@ def test_restored_traced_run_exports_the_uninterrupted_bytes(
     assert reference.checkpoint["checkpoints_written"] == 2
     assert reference.trace.counts()["engine.span"] == 3
 
-    # Preempted at the first epoch boundary: checkpoint, then stop.
+    # Stopped at the first epoch boundary, right after its checkpoint.
     with monkeypatch.context() as patch:
-        patch.setattr(runner, "preemption_requested", lambda: True)
-        with pytest.raises(RunPreempted):
+        _stop_after_first_checkpoint(patch)
+        with pytest.raises(_Stopped):
             run_experiment(traced(tmp_path))
 
     config = traced(tmp_path)
@@ -283,7 +318,7 @@ def test_restored_traced_run_exports_the_uninterrupted_bytes(
 
 
 def test_dcqcn_clock_survives_a_restore_mid_period(tmp_path, monkeypatch):
-    """The increase clock is ``(epoch, now)``: a DCQCN+PFC run preempted
+    """The increase clock is ``(epoch, now)``: a DCQCN+PFC run stopped
     between two ticks, with ticks owed that nobody has read yet, restores
     to the uninterrupted digest."""
 
@@ -298,8 +333,8 @@ def test_dcqcn_clock_survives_a_restore_mid_period(tmp_path, monkeypatch):
 
     reference = run_digest(run_experiment(lossless()))
     with monkeypatch.context() as patch:
-        patch.setattr(runner, "preemption_requested", lambda: True)
-        with pytest.raises(RunPreempted):
+        _stop_after_first_checkpoint(patch)
+        with pytest.raises(_Stopped):
             run_experiment(lossless(tmp_path))
 
     config = lossless(tmp_path)
@@ -368,42 +403,24 @@ def test_pool_sigkill_resumes_to_reference_digest(flag_dir, tmp_path,
     assert max(o.attempts for o in report.outcomes) >= 2
 
 
-# -- graceful preemption via --run-timeout -------------------------------------
+# -- --run-timeout kills, the next attempt resumes ----------------------------
 
 
-def test_run_timeout_preempts_and_resumes_across_attempts(tmp_path):
-    # ~1.2 s of work against a 0.45 s deadline: at 80 ms the run had come
-    # to finish in ~0.5 s and beat the watchdog about every other time.
+def test_run_timeout_kills_and_resumes_across_attempts(tmp_path):
+    # The deadline is a third of this host's uninterrupted run (~1.2 s
+    # plain, about four times that sanitized): the first attempt is
+    # always killed, and a killed attempt keeps only its whole epochs, so
+    # the epoch is short enough for each attempt to bank several.
+    started = time.monotonic()
+    reference = run_digest(run_experiment(_config("packet", sim_ms=160)))
+    deadline_s = (time.monotonic() - started) / 3
     config = _checkpointed(_config("packet", sim_ms=160), tmp_path,
-                           every_ms=20)
-    policy = SupervisorPolicy(run_timeout_s=0.45, preempt_grace_s=10.0,
-                              max_retries=8, **FAST_BACKOFF)
+                           every_ms=5)
+    policy = SupervisorPolicy(run_timeout_s=deadline_s, max_retries=8,
+                              **FAST_BACKOFF)
     report = run_supervised([config], jobs=1, policy=policy)
     assert report.ok, report.manifest()["failures"]
     outcome = report.outcomes[0]
-    assert outcome.attempts >= 2          # at least one preempt-resume cycle
+    assert outcome.attempts >= 2          # at least one kill-resume cycle
     assert report.results[0].checkpoint["restored_from_ns"] is not None
-    reference = run_digest(run_experiment(_config("packet", sim_ms=160)))
     assert run_digest(report.results[0]) == reference
-
-
-# -- stall watchdog ------------------------------------------------------------
-
-
-def _stuck_clock(config):
-    time.sleep(600)
-    return _run_portable(config)
-
-
-def test_stalled_simulated_clock_is_flagged(tmp_path):
-    config = _checkpointed(_config("packet"), tmp_path)
-    policy = SupervisorPolicy(run_timeout_s=1.0, stall_timeout_s=0.2,
-                              preempt_grace_s=0.2, max_retries=0,
-                              **FAST_BACKOFF)
-    report = run_supervised([config], jobs=1, policy=policy,
-                            runner=_stuck_clock)
-    assert not report.ok
-    manifest = report.manifest()
-    assert manifest["stalls"] == [0]
-    assert report.outcomes[0].stalled
-    assert report.outcomes[0].status == "timeout"

@@ -1,10 +1,10 @@
-"""Chaos: SIGKILLed workers and interrupted sweeps lose nothing.
+"""Chaos: killed workers and interrupted sweeps lose nothing.
 
 The hard guarantees of the supervised runtime, enforced end to end:
 
-- SIGKILLing a worker mid-sweep loses zero points — the supervisor
-  rebuilds the pool, retries the victims, and the final results are
-  digest-identical to an undisturbed sweep.
+- SIGKILLing or SIGTERMing a worker mid-sweep loses zero points — the
+  supervisor rebuilds the pool, retries the victims, and the final
+  results are digest-identical to an undisturbed sweep.
 - Aborting a journaled sweep and resuming it (serially or pooled)
   produces a final sweep digest byte-identical to the uninterrupted
   reference.
@@ -13,6 +13,8 @@ The hard guarantees of the supervised runtime, enforced end to end:
 import os
 import signal
 import threading
+
+import pytest
 
 from repro.experiments import run_many
 from repro.experiments.config import ExperimentConfig
@@ -35,8 +37,11 @@ def _reference_digest(configs):
     return sweep_digest(run_many(configs, jobs=1))
 
 
-def test_sigkilled_worker_loses_no_points(tmp_path):
-    """Kill a live worker mid-sweep; every point still completes."""
+@pytest.mark.parametrize("signum", [signal.SIGKILL, signal.SIGTERM],
+                         ids=["SIGKILL", "SIGTERM"])
+def test_killed_worker_loses_no_points(tmp_path, signum):
+    """Kill a live worker mid-sweep; every point still completes.  A
+    SIGTERMed worker dies at once, exactly like a SIGKILLed one."""
     configs = _configs()
     supervisor = SweepSupervisor(configs, jobs=2, policy=POLICY,
                                  journal=str(tmp_path / "chaos.jsonl"))
@@ -51,7 +56,7 @@ def test_sigkilled_worker_loses_no_points(tmp_path):
                 victims = supervisor.worker_pids()
                 if victims:
                     try:
-                        os.kill(victims[0], signal.SIGKILL)
+                        os.kill(victims[0], signum)
                         kills.append(victims[0])
                     except ProcessLookupError:
                         pass

@@ -12,6 +12,8 @@ Two contracts guard the API redesign:
    serial/parallel executor boundary.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments import run_digest, run_many, run_experiment
@@ -54,6 +56,21 @@ def test_legacy_kwargs_and_explicit_specs_digest_identically():
     )))
     assert run_digest(run_experiment(legacy)) \
         == run_digest(run_experiment(specs))
+
+
+@pytest.mark.parametrize("active", [
+    BackgroundSpec(load=0.3, size_cap=200_000),
+    IncastSpec(load=0.2, scale=6, flow_bytes=10_000),
+], ids=["background", "incast"])
+def test_a_zero_load_spec_leaves_no_trace(active):
+    """An inactive spec draws nothing and numbers no stream: putting one
+    ahead of an active spec of its kind changes nothing in the run."""
+    idle = dataclasses.replace(active, load=0)
+    alone = run_experiment(bench(WorkloadConfig((active,)), sim_ms=10))
+    behind = run_experiment(bench(WorkloadConfig((idle, active)), sim_ms=10))
+    assert (behind.bg_flows_generated, behind.queries_issued) \
+        == (alone.bg_flows_generated, alone.queries_issued)
+    assert run_digest(behind) == run_digest(alone)
 
 
 def test_profile_kwargs_build_the_same_config_as_specs():

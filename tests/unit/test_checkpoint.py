@@ -12,14 +12,10 @@ import pytest
 from repro.checkpoint import (
     CheckpointConfig,
     CheckpointError,
-    RunPreempted,
     discard,
     load_latest,
-    progress_path,
     read_checkpoint,
-    read_progress,
     write_checkpoint,
-    write_progress,
 )
 from repro.checkpoint.store import (
     CHECKPOINT_MAGIC,
@@ -182,40 +178,8 @@ def test_discard_removes_all_artifacts(tmp_path):
     path = tmp_path / "run.ckpt"
     _write(path, "epoch1")
     _write(path, "epoch2")
-    write_progress(str(path), sim_now_ns=1, events_executed=2,
-                   sim_time_ns=10)
     discard(str(path))
     assert list(tmp_path.iterdir()) == []
-
-
-# -- progress sidecar ----------------------------------------------------------
-
-def test_progress_roundtrip(tmp_path):
-    path = str(tmp_path / "run.ckpt")
-    assert read_progress(path) is None
-    write_progress(path, sim_now_ns=5_000_000, events_executed=123,
-                   sim_time_ns=10_000_000)
-    record = read_progress(path)
-    assert record == {"sim_now_ns": 5_000_000, "events_executed": 123,
-                      "sim_time_ns": 10_000_000}
-    assert os.path.exists(progress_path(path))
-
-
-def test_corrupt_progress_reads_as_none(tmp_path):
-    path = str(tmp_path / "run.ckpt")
-    with open(progress_path(path), "w") as fh:
-        fh.write("{not json")
-    assert read_progress(path) is None
-
-
-# -- RunPreempted --------------------------------------------------------------
-
-def test_run_preempted_pickles_across_processes():
-    exc = RunPreempted("/tmp/x.ckpt", 5_000_000)
-    clone = pickle.loads(pickle.dumps(exc))
-    assert clone.path == "/tmp/x.ckpt"
-    assert clone.sim_now_ns == 5_000_000
-    assert "5000000" in str(clone)
 
 
 # -- CheckpointConfig ----------------------------------------------------------

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, config_from_args, main
 from repro.net.topology import FatTree, LeafSpine
 
@@ -97,6 +98,28 @@ def test_checkpointed_run_prints_the_same_row_and_consumes_its_file(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("checkpointed", [False, True])
+def test_interrupted_run_says_so_and_exits_130(tmp_path, monkeypatch, capsys,
+                                               checkpointed):
+    def interrupted(config):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_experiment", interrupted)
+    argv = ["run", *TINY]
+    if checkpointed:
+        argv += ["--checkpoint-every", "2", "--checkpoint-dir", str(tmp_path)]
+    try:
+        code = main(argv)
+    except KeyboardInterrupt:
+        pytest.fail("repro run let KeyboardInterrupt escape")
+    assert code == 130
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("run: interrupted")
+    assert ("resume from the last checkpoint" in last) == checkpointed
+
+
 def test_sanitized_run_with_a_fault_scenario(capsys):
     assert main(["run", *TINY, "--sanitize", "--fault",
                  "link:leaf0-spine1:down@1ms,up@3ms"]) == 0
@@ -107,7 +130,6 @@ def test_sanitized_run_with_a_fault_scenario(capsys):
     ["run", "--paper-scale", "--fat-tree", "4"],
     ["run", *TINY, "--sample-us", "100"],
     ["run", *TINY, "--trace-level", "packet"],
-    ["sweep", "--systems", "ecmp", *TINY, "--stall-timeout", "5"],
     ["run", *TINY, "--pfc-headroom", "3000"],
     ["run", *TINY, "--pfc-classes", "2", "--pfc-headroom", "3000"],
     ["run", *TINY, "--demote-shares", "8"],
@@ -256,6 +278,13 @@ def test_bad_run_timeout_is_usage_error(capsys):
     assert main(["sweep", "--systems", "ecmp", *TINY,
                  "--run-timeout", "-1"]) == 2
     assert_one_line_usage_error(capsys)
+
+
+@pytest.mark.parametrize("flag", ["--preempt-grace", "--stall-timeout"])
+def test_sweep_has_no_grace_or_stall_flag(flag):
+    with pytest.raises(SystemExit) as usage:
+        main(["sweep", "--systems", "ecmp", *TINY, flag, "1"])
+    assert usage.value.code == 2
 
 
 def test_sweep_rejects_journal_plus_resume(tmp_path, capsys):

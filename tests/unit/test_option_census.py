@@ -79,8 +79,8 @@ CONFIG_FIELDS = {
     TraceConfig: ["level", "sample_period_ns", "max_events", "max_samples"],
     CheckpointConfig: ["every_ns", "directory"],
     SupervisorPolicy: [
-        "max_retries", "run_timeout_s", "preempt_grace_s", "stall_timeout_s",
-        "backoff_base_s", "backoff_cap_s", "backoff_seed"],
+        "max_retries", "run_timeout_s", "backoff_base_s", "backoff_cap_s",
+        "backoff_seed"],
 }
 
 #: The values one workload generator is configured by.
@@ -128,16 +128,15 @@ _EXPERIMENT_FLAGS = [
 
 #: One sweep point's record (``RunOutcome``): the failure-manifest row.
 RECORD_KEYS = ["index", "digest", "status", "attempts", "wall_s", "error",
-               "seed", "system", "stalled", "last_sim_ns", "last_events"]
+               "seed", "system"]
 #: The journal line: the record plus what only a result has.
 LINE_KEYS = RECORD_KEYS + ["run_digest", "payload", "checkpoint"]
 
 CLI_FLAGS = {
     "run": sorted(_EXPERIMENT_FLAGS + ["--system"]),
     "sweep": sorted(_EXPERIMENT_FLAGS + [
-        "--jobs", "--journal", "--max-retries", "--preempt-grace",
-        "--resume", "--run-timeout", "--seeds", "--stall-timeout",
-        "--systems"]),
+        "--jobs", "--journal", "--max-retries", "--resume", "--run-timeout",
+        "--seeds", "--systems"]),
     "lint": ["--config", "--list-rules", "--select"],
     "trace-view": ["--chrome", "--validate"],
 }
@@ -149,7 +148,7 @@ def test_config_fields_snapshot(cls):
 
 
 def test_config_field_total():
-    assert sum(len(names) for names in CONFIG_FIELDS.values()) == 70
+    assert sum(len(names) for names in CONFIG_FIELDS.values()) == 68
 
 
 def _names(fn):

@@ -72,6 +72,8 @@ def test_worker_init_installs_sanitizer_state(monkeypatch):
         assert sanitize.enabled()
         assert os.environ["REPRO_SANITIZE"] == "1"
         assert signal.getsignal(signal.SIGINT) is signal.SIG_IGN
+        # Not the supervisor's trap: a SIGTERMed worker simply dies.
+        assert signal.getsignal(signal.SIGTERM) is signal.SIG_DFL
         supervisor._worker_init(False)
         assert not sanitize.enabled()
         assert os.environ["REPRO_SANITIZE"] == "0"

@@ -9,7 +9,8 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import config_digest, run_digest
 from repro.experiments.runner import run_experiment
-from repro.runtime import RUN_STATUSES, JournalError, RunOutcome, SweepJournal
+from repro.runtime import (RUN_STATUSES, JournalError, RunOutcome,
+                           SweepJournal, run_supervised)
 
 
 @pytest.fixture(scope="module")
@@ -157,11 +158,30 @@ def test_line_to_outcome_to_line_is_the_identity(tiny_result, status):
     if status == "ok":
         outcome.result = result
     else:
-        outcome.error, outcome.stalled = "boom", True
-        outcome.last_sim_ns, outcome.last_events = 4_000_000, 12_345
+        outcome.error = "boom"
     line = json.loads(json.dumps(outcome.line()))
     assert line["seed"] == 1 and line["system"] == "vertigo"
     assert RunOutcome.from_line(line).line() == line
+
+
+def test_line_with_retired_stall_keys_still_resumes(tmp_path, tiny_result):
+    """Journals from before the stall watchdog was removed carry
+    ``stalled``, ``last_sim_ns`` and ``last_events``: their points
+    resume, and the keys are dropped."""
+    config, result = tiny_result
+    digest = config_digest(config)
+    path = tmp_path / "j.jsonl"
+    with SweepJournal.create(str(path), n_points=1) as journal:
+        journal.record(RunOutcome(0, digest, "ok", 1, 0.5, result=result))
+    header, line = [json.loads(text) for text in
+                    path.read_text().splitlines()]
+    line.update(stalled=False, last_sim_ns=None, last_events=None)
+    path.write_text("".join(json.dumps(record) + "\n"
+                            for record in (header, line)))
+    report = run_supervised([config], jobs=1, resume=str(path))
+    assert report.manifest()["resumed"] == 1
+    assert report.outcomes[0].run_digest == line["run_digest"]
+    assert "stalled" not in report.outcomes[0].line()
 
 
 @pytest.mark.parametrize("opener, name, content", [

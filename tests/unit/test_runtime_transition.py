@@ -17,9 +17,6 @@ RETRY = Step("retry", True)            # requeue behind a backoff wait
 FREE = Step("requeue", False)          # requeue at once, attempt not charged
 TIMEOUT = Step("finish", True, "timeout",
                "exceeded --run-timeout {timeout:g}s ({attempts} attempt(s))")
-KEPT = Step("finish", True, "timeout",
-            "exceeded --run-timeout {timeout:g}s "
-            "({attempts} attempt(s); checkpoint retained)")
 CRASHED = Step("finish", True, "crashed",
                "worker process died ({attempts} attempt(s))")
 FAILED = Step("finish", True, "failed", "{signature}")
@@ -37,14 +34,6 @@ EXPECTED = {
     ("raised", False, True):       (RETRY, FAST, FAILED, FAST),
     ("raised", True, False):       (RETRY, RETRY, TIMEOUT, TIMEOUT),
     ("raised", True, True):        (RETRY, RETRY, TIMEOUT, TIMEOUT),
-    ("preempted", False, False):   (FREE, FREE, FREE, FREE),
-    ("preempted", False, True):    (FREE, FREE, FREE, FREE),
-    ("preempted", True, False):    (RETRY, RETRY, KEPT, KEPT),
-    ("preempted", True, True):     (RETRY, RETRY, KEPT, KEPT),
-    ("terminated", False, False):  (RETRY, FAST, FAILED, FAST),
-    ("terminated", False, True):   (FREE, FREE, FREE, FREE),
-    ("terminated", True, False):   (RETRY, RETRY, TIMEOUT, TIMEOUT),
-    ("terminated", True, True):    (RETRY, RETRY, TIMEOUT, TIMEOUT),
     ("pool_broken", False, False): (RETRY, RETRY, CRASHED, CRASHED),
     ("pool_broken", False, True):  (FREE, FREE, FREE, FREE),
     ("pool_broken", True, False):  (RETRY, RETRY, TIMEOUT, TIMEOUT),
@@ -57,7 +46,8 @@ SPACE = list(itertools.product(ENDINGS, BOOLS, BOOLS, BOOLS, BOOLS))
 
 def test_expected_table_covers_the_whole_input_space():
     assert set(EXPECTED) == set(itertools.product(ENDINGS, BOOLS, BOOLS))
-    assert len(SPACE) == 80
+    assert ENDINGS == ("ok", "raised", "pool_broken")
+    assert len(SPACE) == 48
 
 
 @pytest.mark.parametrize(
@@ -81,8 +71,9 @@ def test_only_free_requeues_are_uncharged_and_only_finishes_have_status():
 
 
 def test_error_templates_render():
-    assert KEPT.error.format(timeout=0.5, attempts=3, signature=None) == \
-        "exceeded --run-timeout 0.5s (3 attempt(s); checkpoint retained)"
+    assert TIMEOUT.error.format(timeout=0.5, attempts=3,
+                                signature=None) == \
+        "exceeded --run-timeout 0.5s (3 attempt(s))"
     # Braces in the runner's own message are data, not template fields.
     assert FAST.error.format(timeout=None, attempts=2,
                              signature="KeyError: '{x}'") == \
