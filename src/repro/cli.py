@@ -267,8 +267,22 @@ def _export_traces(results, args: argparse.Namespace) -> None:
             f"{sum(data.dropped_events for data in overflowed)} events and "
             f"{sum(data.dropped_samples for data in overflowed)} samples ("
             + "; ".join(_retained_span(data) for data in overflowed)
-            + "); shorten the run or sample less often")
+            + "); " + "; ".join(_overflow_remedies(overflowed)))
     print(message, file=sys.stderr)
+
+
+def _overflow_remedies(overflowed) -> List[str]:
+    """What would keep each overflowed ring whole: only fewer records
+    do, and the sampler's period sets none of the event ring's."""
+    remedies = []
+    if any(data.dropped_events for data in overflowed):
+        packet = any(data.config.packets for data in overflowed
+                     if data.dropped_events)
+        remedies.append("events: shorten the run"
+                        + (" or use --trace-level flow" if packet else ""))
+    if any(data.dropped_samples for data in overflowed):
+        remedies.append("samples: raise --sample-us or shorten the run")
+    return remedies
 
 
 def _retained_span(data) -> str:

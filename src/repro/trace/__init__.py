@@ -10,8 +10,9 @@ The observability layer for experiment runs:
 - :class:`Tracer` / :class:`TraceData` are the live sink and the
   detached, picklable record of one run (``RunResult.trace``); both
   hold records end to end in the flat chunks of a
-  :class:`~repro.trace.tracer.RecordLog`.  Every event site hands
-  ``Tracer.record`` one ``(kind, t, *fields)`` tuple.
+  :class:`~repro.trace.tracer.RecordLog`, each sealed chunk one pickled
+  ``bytes`` object.  Every event site hands ``Tracer.record`` one
+  ``(kind, t, *fields)`` tuple.
 - :mod:`repro.trace.hooks` is the zero-cost-off hook registry the
   instrumented engine/network/host/transport/metrics modules register
   with.

@@ -36,7 +36,8 @@ from typing import (
     Tuple,
 )
 
-from repro.trace.tracer import EVENT_FIELDS, TRACE_SCHEMA, TraceData
+from repro.trace.tracer import (EVENT_FIELDS, TRACE_SCHEMA, VALUE_TYPES,
+                                TraceData)
 
 _CANONICAL = {"sort_keys": True, "separators": (",", ":")}
 
@@ -80,9 +81,10 @@ class _JsonStrings(dict):
 
 
 def _writers(strings: _JsonStrings, rounding: bool) -> _Writers:
-    """The JSON text of a recorded value, by its type; with ``rounding``,
-    of its floats rounded to six decimals."""
-    writers: _Writers = {
+    """The JSON text of a recorded value, by its type (one of
+    :data:`VALUE_TYPES`, or a tuple of them); with ``rounding``, of its
+    floats rounded to six decimals."""
+    text = {
         int: str,
         float: ((lambda value: float.__repr__(round(value, 6)))
                 if rounding else float.__repr__),
@@ -90,6 +92,7 @@ def _writers(strings: _JsonStrings, rounding: bool) -> _Writers:
         bool: _LITERALS.__getitem__,
         type(None): _LITERALS.__getitem__,
     }
+    writers: _Writers = {kind: text[kind] for kind in VALUE_TYPES}
     writers[tuple] = lambda items: "[" + ",".join(
         [writers[type(item)](item) for item in items]) + "]"
     return writers

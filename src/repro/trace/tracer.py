@@ -4,9 +4,10 @@ A :class:`Tracer` receives records from the sites wired through the
 engine, network, host, ordering, metrics, transport and workload layers
 (see :mod:`repro.trace.hooks`): each site calls :meth:`Tracer.record`
 with the whole record as one tuple, which is laid end to end into the
-flat chunks of a :class:`RecordLog` — no per-record container survives
-the call, so a traced run gives the garbage collector nothing more to
-walk than an untraced one.
+flat open chunk of a :class:`RecordLog` — no per-record container
+survives the call.  A full chunk is sealed into one pickled ``bytes``
+object, so a retained record costs about 29 bytes and a traced run
+gives the garbage collector nothing more to walk than an untraced one.
 
 Two trace levels exist (:class:`TraceConfig.level`):
 
@@ -29,13 +30,17 @@ statement of a record's layout: it fixes how many values a record
 occupies (:data:`ARITY`) and drives the JSONL export and validation
 (:mod:`repro.trace.export`).  Nothing is formatted at record time:
 values are stored as the site passed them and the exporter owns every
-rounding.
+rounding.  A value is exactly one of :data:`VALUE_TYPES` or a tuple of
+them: the exporter writes no other type, and the sanitizer names the
+kind and field of any other.
 """
 
 from __future__ import annotations
 
 import hashlib
+import pickle
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis import sanitize as _sanitize
@@ -119,22 +124,25 @@ class RecordLog:
     kind; nothing else marks where it ends.  The tracer extends
     :attr:`open` (``log.open += (kind, t, ...)``), counts the record in
     :attr:`tally` and off :attr:`room`, and calls :meth:`seal` when
-    ``room`` runs out; sealed chunks are immutable tuples.
+    ``room`` runs out; a sealed chunk is the ``pickle`` of its values,
+    one ``bytes`` object (an object repeated within it, such as a kind,
+    a node name or a shared ``cc`` tuple, is stored once).
 
     The log is a ring over its newest ``bound`` records: :meth:`seal`
     lets whole chunks fall off the old end during the run and
     :meth:`frozen` trims the oldest retained chunk, so a detached log
     holds exactly the newest ``bound``.  ``len`` and iteration cover the
     retained records, oldest first, each as the tuple
-    ``(kind, t, *values)``.
+    ``(kind, t, *values)``; iteration decodes one chunk at a time.
     """
 
     __slots__ = ("bound", "chunks", "sizes", "open", "room", "tally")
 
     def __init__(self, bound: int) -> None:
         self.bound = bound
-        #: Sealed chunks, oldest first, and the records each one holds.
-        self.chunks: List[tuple] = []
+        #: Sealed chunks (pickled value tuples), oldest first, and the
+        #: records each one holds.
+        self.chunks: List[bytes] = []
         self.sizes: List[int] = []
         #: The chunk being written, and the records it has room left for.
         self.open: list = []
@@ -148,7 +156,7 @@ class RecordLog:
         records = CHUNK_RECORDS - self.room
         if _SANITIZE:
             _check_chunk(self.open, records)
-        self.chunks.append(tuple(self.open))
+        self.chunks.append(_encode(self.open))
         self.sizes.append(records)
         self.open = []
         self.room = CHUNK_RECORDS
@@ -167,20 +175,20 @@ class RecordLog:
     def frozen(self) -> "RecordLog":
         """A detached copy of exactly the newest ``bound`` records (this
         log is left as it is; sealed chunks are shared, not copied)."""
+        records = CHUNK_RECORDS - self.room
+        if _SANITIZE:
+            _check_chunk(self.open, records)
         log = RecordLog(self.bound)
-        log.chunks = self.chunks + [tuple(self.open)]
-        log.sizes = self.sizes + [CHUNK_RECORDS - self.room]
         log.tally = dict(self.tally)
+        log.chunks = self.chunks + [_encode(self.open)]
+        log.sizes = self.sizes + [records]
         excess = log._drop_beyond_bound()
         if excess:
-            chunk, offset = log.chunks[0], 0
+            chunk, offset = pickle.loads(log.chunks[0]), 0
             for _ in range(excess):
                 offset += ARITY[chunk[offset]]
-            log.chunks[0] = chunk[offset:]
+            log.chunks[0] = _encode(chunk[offset:])
             log.sizes[0] -= excess
-        if _SANITIZE:
-            for chunk, records in zip(log.chunks, log.sizes):
-                _check_chunk(chunk, records)
         return log
 
     def __len__(self) -> int:
@@ -188,7 +196,8 @@ class RecordLog:
 
     def __iter__(self) -> Iterator[tuple]:
         arity = ARITY
-        for chunk in (*self.chunks, tuple(self.open)):
+        for chunk in chain(map(pickle.loads, self.chunks),
+                           [tuple(self.open)]):
             offset, end = 0, len(chunk)
             while offset < end:
                 start = offset
@@ -215,8 +224,18 @@ class RecordLog:
         return counts
 
 
+#: The exact types of a recorded value; a tuple (the sampler's ``cc``
+#: detail) may hold any of them.  The exporter keys its writers on these.
+VALUE_TYPES = (int, float, str, bool, type(None))
+
+
+def _encode(values) -> bytes:
+    return pickle.dumps(tuple(values), pickle.HIGHEST_PROTOCOL)
+
+
 def _check_chunk(chunk, records: int) -> None:
-    """Sanitizer: ``chunk`` is exactly ``records`` whole records."""
+    """Sanitizer: ``chunk`` is exactly ``records`` whole records, and
+    every value is one of :data:`VALUE_TYPES` or a tuple of them."""
     offset, walked, end = 0, 0, len(chunk)
     while offset < end:
         kind = chunk[offset]
@@ -224,6 +243,12 @@ def _check_chunk(chunk, records: int) -> None:
         _sanitize.check(known, "trace chunk: %r at offset %d is not a "
                         "record kind (some site laid down the wrong "
                         "number of values before it)", kind, offset)
+        names = ("t",) + EVENT_FIELDS[kind]
+        for name, value in zip(names, chunk[offset + 1:offset + ARITY[kind]]):
+            items = value if type(value) is tuple else (value,)
+            _sanitize.check(all(type(item) in VALUE_TYPES for item in items),
+                            "trace chunk: %s field %r holds %r, of a type "
+                            "the exporter does not write", kind, name, value)
         offset += ARITY[kind]
         walked += 1
     _sanitize.check(offset == end and walked == records,

@@ -6,6 +6,8 @@ toggle the sanitizer explicitly through ``scoped()`` so the suite is
 state-independent — it passes identically under ``REPRO_SANITIZE=1``.
 """
 
+import enum
+
 import pytest
 
 from repro.analysis import sanitize
@@ -281,6 +283,36 @@ def test_trace_log_detects_tampered_sealed_chunk(sanitized, monkeypatch):
     with pytest.raises(SanitizerError, match="99 at offset 4 is not a "
                                              "record kind"):
         tracer.record(("flow.end", 4, 4, 4))
+
+
+class _Flow(enum.IntEnum):
+    ONE = 1
+
+
+@pytest.mark.parametrize("record, named", [
+    (("flow.end", 1, _Flow.ONE, 5), "flow.end field 'flow'"),
+    (("cc.rto", _Flow.ONE, 1, 5), "cc.rto field 't'"),
+], ids=["field", "time"])
+def test_trace_log_names_a_value_the_exporter_cannot_write(
+        sanitized, monkeypatch, record, named):
+    """An ``IntEnum`` passes for an int to everything but the exporter
+    (whose writers go by exact type) and pickle (which would store a
+    reference to its class): caught at the seal, naming kind and field."""
+    monkeypatch.setattr(tracer_mod, "CHUNK_RECORDS", 2)
+    tracer = Tracer(TraceConfig())
+    tracer.record(("flow.end", 0, 0, 0))
+    with pytest.raises(SanitizerError, match=named):
+        tracer.record(record)
+
+
+def test_trace_log_names_a_nested_container_at_detach(sanitized):
+    """The ``cc`` detail is a tuple of plain values; a list inside it is
+    caught in the open chunk, when the tracer detaches."""
+    tracer = Tracer(TraceConfig())
+    tracer.sample_tick(["sample.flow", 1, "h0", 1, 10.0, 5, 1, 1,
+                        ("dctcp", [0.5])], {"sample.flow": 1})
+    with pytest.raises(SanitizerError, match="sample.flow field 'cc'"):
+        tracer.detach()
 
 
 def test_trace_log_detects_short_record_at_detach(sanitized):

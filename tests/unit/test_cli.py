@@ -178,6 +178,7 @@ def test_ring_overflow_is_loud_on_run_and_in_trace_view(tmp_path, capsys):
     assert "RING BUFFERS OVERFLOWED" in line
     assert f"dropped: 0 events and {dropped} samples" in line
     assert f"samples kept {first_sample_ns / 1e6:.3f}-3.000 ms" in line
+    assert line.endswith("; samples: raise --sample-us or shorten the run")
 
     assert main(["trace-view", jsonl]) == 0
     assert f"samples=200000 dropped_events=0 dropped_samples={dropped}" \
@@ -207,6 +208,39 @@ def test_trace_line_stays_quiet_without_overflow_and_sums_over_runs(
     err = capsys.readouterr().err
     assert "dropped: 4 events and 0 samples (seed=1: events kept " \
            "3.000-5.000 ms; seed=3: events kept 1.000-5.000 ms)" in err
+
+
+def test_overflow_advice_names_the_remedy_of_each_ring(tmp_path, capsys):
+    """Sampling less often never shrinks the event ring's load, and a
+    flow-level run has no packet records to shed."""
+    from argparse import Namespace
+    from types import SimpleNamespace
+
+    from repro.cli import _export_traces
+    from repro.trace import TraceConfig, Tracer
+
+    def traced(level, max_events=10, max_samples=10):
+        tracer = Tracer(TraceConfig(level=level, max_events=max_events,
+                                    max_samples=max_samples))
+        for t in range(3):
+            tracer.record(("flow.end", t, t, 1))
+            tracer.sample_tick(["sample.fid", t, 0, 1, 0, 0, 0],
+                               {"sample.fid": 1})
+        return SimpleNamespace(trace=tracer.detach(meta={"seed": 1}))
+
+    args = Namespace(trace=str(tmp_path / "t.jsonl"))
+    for results, advice in (
+            ([traced("packet", max_events=2)],
+             "); events: shorten the run or use --trace-level flow\n"),
+            ([traced("flow", max_events=2)],
+             "); events: shorten the run\n"),
+            ([traced("packet", max_samples=2)],
+             "); samples: raise --sample-us or shorten the run\n"),
+            ([traced("flow", max_events=2), traced("packet", max_samples=1)],
+             "); events: shorten the run; "
+             "samples: raise --sample-us or shorten the run\n")):
+        _export_traces(results, args)
+        assert capsys.readouterr().err.endswith(advice)
 
 
 def test_trace_view_flags_invalid_file(tmp_path, capsys):

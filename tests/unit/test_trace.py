@@ -2,6 +2,9 @@
 
 import ast
 import collections
+import gc
+import pickle
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -9,7 +12,7 @@ import pytest
 import repro
 from repro import ExperimentConfig
 from repro.analysis import sanitize
-from repro.experiments import runner
+from repro.experiments import run_experiment, runner
 from repro.net.fidelity import FidelityConfig
 from repro.net.pfc import PfcConfig
 from repro.sim.units import MILLISECOND
@@ -297,18 +300,51 @@ def test_no_per_record_container_survives_the_run(packet_traced_world):
     chunks = data.events.chunks + data.samples.chunks
     # The recorder's own containers: the chunks and their two indexes.
     assert len(chunks) + 4 <= records / 1000
+    # A sealed chunk is one bytes object, the pickle of its values.
+    assert {type(chunk) for chunk in chunks} == {bytes}
     for chunk in data.events.chunks:
-        assert type(chunk) is tuple
-        assert all(type(value) in (int, str, bool, type(None))
-                   for value in chunk)
+        assert {type(value) for value in pickle.loads(chunk)} \
+            <= {int, str, bool, type(None)}
     # Samples nest only the congestion-control detail, and equal details
-    # within a tick are one shared tuple.
-    nested = [value for chunk in data.samples.chunks for value in chunk
-              if type(value) not in (int, str, float, type(None))]
-    assert {type(value) for value in nested} == {tuple}
+    # within a tick are one shared tuple, still shared once decoded.
+    nested = distinct = 0
+    for chunk in data.samples.chunks:
+        inner = [value for value in pickle.loads(chunk)
+                 if type(value) not in (int, str, float, type(None))]
+        assert {type(value) for value in inner} == {tuple}
+        nested += len(inner)
+        distinct += len({id(value) for value in inner})
     flow_samples = data.counts()["sample.flow"]
-    assert len(nested) == flow_samples
-    assert len({id(value) for value in nested}) < flow_samples / 5
+    assert nested == flow_samples
+    assert distinct < flow_samples / 5
+
+
+def test_a_retained_record_costs_at_most_40_bytes():
+    """What the packet-traced run's result holds beyond the untraced
+    run's, per record it retains: about 29 bytes as pickled chunks,
+    where chunks kept as tuples of their values hold 85."""
+
+    def retained(trace):
+        config = ExperimentConfig.bench_profile(
+            system="vertigo", transport="dctcp", bg_load=0.5,
+            incast_load=0.25, sim_time_ns=10 * MILLISECOND, seed=1)
+        config.trace = trace
+        gc.collect()
+        tracemalloc.start()
+        try:
+            result = run_experiment(config)
+            gc.collect()
+            size, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return size, result.trace
+
+    untraced_size, _ = retained(None)
+    traced_size, data = retained(
+        TraceConfig(level="packet", sample_period_ns=100_000))
+    records = len(data.events) + len(data.samples)
+    assert records > 40_000
+    assert (traced_size - untraced_size) / records <= 40
 
 
 def test_sampler_tick_formats_nothing(packet_traced_world, monkeypatch):
