@@ -7,9 +7,8 @@ One pass, in this order:
 2. **rules** — one loop over the files that parse (the rest are VR000),
    every rule a function of that file's AST: VR001–VR004
    (:mod:`repro.analysis.lint`), VR100/VR150
-   (:mod:`repro.analysis.dataflow`), VR110/VR140
-   (:mod:`repro.analysis.rules`);
-3. **path exemptions** — built-ins merged with ``[tool.repro.lint.exempt]``;
+   (:mod:`repro.analysis.dataflow`), VR110 (:mod:`repro.analysis.rules`);
+3. **path exemptions** — :data:`repro.analysis.lint.EXEMPT`;
 4. **suppression comments** — ``# noqa: VRxxx``, tracked: a code that
    suppresses nothing is VR090 (:mod:`repro.analysis.suppress`);
 5. **text findings** — one ``path:line:col: CODE message [hint: ...]``
@@ -28,14 +27,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import lint as lint_mod
 from repro.analysis.dataflow import check_vr100, check_vr150
-from repro.analysis.lint import (
-    HINTS,
-    RULES,
-    LintConfig,
-    Violation,
-    load_config,
-)
-from repro.analysis.rules import check_vr110, check_vr140
+from repro.analysis.lint import HINTS, RULES, Violation
+from repro.analysis.rules import check_vr110
 from repro.analysis.suppress import apply_suppressions
 
 #: The rules that are one ``(tree, path)`` function per code; VR001–VR004
@@ -43,7 +36,6 @@ from repro.analysis.suppress import apply_suppressions
 _SINGLE_CODE_RULES = {
     "VR100": check_vr100,
     "VR110": check_vr110,
-    "VR140": check_vr140,
     "VR150": check_vr150,
 }
 
@@ -87,10 +79,8 @@ def read_sources(files: Sequence[Path]) -> Tuple[Dict[str, str],
     return sources, problems
 
 
-def run_analysis(sources: Dict[str, str],
-                 config: LintConfig) -> List[Violation]:
+def run_analysis(sources: Dict[str, str]) -> List[Violation]:
     """Steps 2–4 over in-memory ``{path: source}``; sorted findings."""
-    select = frozenset(config.select)
     findings: List[Violation] = []
     for path, source in sources.items():
         try:
@@ -99,13 +89,12 @@ def run_analysis(sources: Dict[str, str],
             findings.append(Violation(path, exc.lineno or 0, 0, "VR000",
                                       f"syntax error: {exc.msg}"))
             continue
-        raw = lint_mod.check_file(tree, path, select)
-        for code, check in _SINGLE_CODE_RULES.items():
-            if code in select:
-                raw.extend(check(tree, path))
+        raw = lint_mod.check_file(tree, path)
+        for check in _SINGLE_CODE_RULES.values():
+            raw.extend(check(tree, path))
         kept = [violation for violation in raw
-                if not lint_mod.exempt(path, violation.code, config)]
-        kept, unused = apply_suppressions(kept, path, source, select)
+                if not lint_mod.exempt(path, violation.code)]
+        kept, unused = apply_suppressions(kept, path, source)
         findings.extend(kept)
         findings.extend(unused)
     findings.sort(key=lambda v: (v.path, v.line, v.col, v.code))
@@ -122,43 +111,24 @@ def render(violation: Violation) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="Determinism & unit-discipline analyzer: rules "
-                    "VR001-VR150, each a function of one file's AST.  "
-                    "Suppress one finding with a trailing "
-                    "'# noqa: VRxxx' comment (stale ones are VR090).")
-    parser.add_argument("paths", nargs="*",
-                        help="files or directories (default: "
-                             "[tool.repro.lint] paths, else src)")
-    parser.add_argument("--config", type=Path, default=None,
-                        help="pyproject.toml to read [tool.repro.lint] "
-                             "from")
-    parser.add_argument("--select", default=None,
-                        help="comma-separated rule subset, e.g. "
-                             "VR001,VR110")
-    parser.add_argument("--list-rules", action="store_true")
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description="Determinism & unit-discipline analyzer: every rule "
+                    "runs, each a function\nof one file's AST.  Suppress "
+                    "one finding with a trailing\n'# noqa: VRxxx' comment "
+                    "(stale ones are VR090).",
+        epilog="rules:\n" + "\n".join(
+            f"  {code}  {description}" for code, description in RULES.items()))
+    parser.add_argument("paths", nargs="+",
+                        help="files or directories, e.g. src")
     args = parser.parse_args(argv)
 
-    if args.list_rules:
-        for code, description in RULES.items():
-            print(f"{code}: {description}")
-        return 0
-
-    config = load_config(args.config)
-    if args.select:
-        config.select = tuple(code.strip().upper()
-                              for code in args.select.split(","))
-    unknown = [code for code in config.select if code not in RULES]
-    if unknown:
-        parser.error(f"unknown rule(s): {', '.join(unknown)} "
-                     f"(see --list-rules)")
-
     try:
-        files = collect_files(list(args.paths) or list(config.paths))
+        files = collect_files(args.paths)
     except UsageError as exc:
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     sources, unreadable = read_sources(files)
-    findings = [*unreadable, *run_analysis(sources, config)]
+    findings = [*unreadable, *run_analysis(sources)]
 
     for violation in findings:
         print(render(violation))

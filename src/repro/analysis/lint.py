@@ -1,4 +1,4 @@
-"""Rules VR001–VR004, the rule catalogue and the lint configuration.
+"""Rules VR001–VR004, the rule catalogue and the path exemptions.
 
 The simulator's two load-bearing invariants — every stochastic draw flows
 through :class:`~repro.sim.rng.RngRegistry` named streams, and all
@@ -27,28 +27,25 @@ VR004     No module-lifetime mutable state in ``repro.*``: module- or
 ========  =======================================================================
 
 It also owns what every rule shares: :class:`Violation`, the one
-catalogue of codes (:data:`RULES`, :data:`HINTS`), :class:`LintConfig`
-and the ``[tool.repro.lint]`` loader (default paths, per-rule path
-exemptions merged with the built-ins).  VR110/VR140 live in
-:mod:`repro.analysis.rules`, VR100/VR150 in
-:mod:`repro.analysis.dataflow`; every rule is a function of one file's
-AST, and :mod:`repro.analysis.driver` runs them all and is the only
-entry point (``python -m repro lint``).
+catalogue of codes (:data:`RULES`, :data:`HINTS`) and the per-rule path
+exemptions (:data:`EXEMPT`).  VR110 lives in :mod:`repro.analysis.rules`,
+VR100/VR150 in :mod:`repro.analysis.dataflow`; every rule is a function
+of one file's AST, and :mod:`repro.analysis.driver` runs them all and is
+the only entry point (``python -m repro lint``).
 """
 
 from __future__ import annotations
 
 import ast
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 UNIT_SUFFIXES = ("_ns", "_bytes", "_bps")
 
 #: The rule catalogue — every code ``repro lint`` can report besides
-#: VR000 (unreadable / unparsable file), and the default selection.
+#: VR000 (unreadable / unparsable file); every rule always runs.
 RULES: Dict[str, str] = {
     "VR001": "stochastic draw bypasses RngRegistry named streams",
     "VR002": "wall-clock read inside simulation code",
@@ -57,7 +54,6 @@ RULES: Dict[str, str] = {
     "VR090": "unused # noqa suppression",
     "VR100": "float/seconds value crosses into integer-nanosecond time",
     "VR110": "RNG stream name not declared in the module's RNG_STREAMS",
-    "VR140": "module uses _TRACE hooks without registering for them",
     "VR150": "float arithmetic inside an integer-only (analytic/PFC) function",
 }
 
@@ -75,14 +71,15 @@ HINTS: Dict[str, str] = {
              "seconds/floats become *_ns, or keep the math integral",
     "VR110": "draw from a declared RngRegistry stream (add the name to "
              "the module's RNG_STREAMS tuple) wired in at build time",
-    "VR140": "bind `_TRACE = <hooks>.register(__name__)` at module level; "
-             "unregistered modules are never switched on",
     "VR150": "keep every intermediate integral: scale first, then "
              "floor-divide (//)",
 }
 
-#: Built-in per-rule path exemptions (fnmatch patterns over posix paths).
-DEFAULT_EXEMPT: Dict[str, Tuple[str, ...]] = {
+#: Per-rule path exemptions (fnmatch patterns over posix paths): the RNG
+#: registry is the one ``random.Random`` factory, the units module the
+#: one float<->int boundary, and benchmarks may read wall clocks to time
+#: themselves (simulation code itself never may).
+EXEMPT: Dict[str, Tuple[str, ...]] = {
     "VR001": ("*/sim/rng.py",),
     "VR002": ("benchmarks/*", "*/benchmarks/*"),
     "VR003": ("*/sim/units.py",),
@@ -110,49 +107,6 @@ class Violation:
     code: str
     message: str
 
-
-@dataclass
-class LintConfig:
-    """Effective linter configuration (defaults merged with pyproject)."""
-
-    select: Tuple[str, ...] = tuple(RULES)
-    exempt: Dict[str, Tuple[str, ...]] = field(
-        default_factory=lambda: dict(DEFAULT_EXEMPT))
-    paths: Tuple[str, ...] = ("src",)
-
-
-def load_config(pyproject: Optional[Path] = None) -> LintConfig:
-    """Build a :class:`LintConfig` from ``[tool.repro.lint]`` if present.
-
-    Configured ``paths`` are relative to the pyproject that declares them.
-    """
-    config = LintConfig()
-    if pyproject is None:
-        pyproject = _find_pyproject(Path.cwd())
-    if pyproject is None or not pyproject.is_file():
-        return config
-    try:
-        import tomllib
-    except ModuleNotFoundError:  # pragma: no cover - py<3.11 fallback
-        return config
-    with pyproject.open("rb") as handle:
-        table = tomllib.load(handle)
-    section = table.get("tool", {}).get("repro", {}).get("lint", {})
-    if "paths" in section:
-        config.paths = tuple(os.path.relpath(pyproject.parent / entry)
-                             for entry in section["paths"])
-    for code, patterns in section.get("exempt", {}).items():
-        merged = config.exempt.get(code, ()) + tuple(patterns)
-        config.exempt[code] = merged
-    return config
-
-
-def _find_pyproject(start: Path) -> Optional[Path]:
-    for parent in (start, *start.parents):
-        candidate = parent / "pyproject.toml"
-        if candidate.is_file():
-            return candidate
-    return None
 
 
 # -- expression helpers --------------------------------------------------------
@@ -225,9 +179,8 @@ def _is_float_annotation(node: Optional[ast.expr]) -> bool:
 class _Checker(ast.NodeVisitor):
     """Single-file AST walk producing raw (unsuppressed) violations."""
 
-    def __init__(self, path: str, select: Iterable[str]) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.select = frozenset(select)
         self.violations: List[Violation] = []
         self._round_depth = 0
         self._scope_depth = 0  # >0 inside a function body
@@ -235,10 +188,9 @@ class _Checker(ast.NodeVisitor):
     # -- plumbing --------------------------------------------------------------
 
     def _flag(self, node: ast.AST, code: str, message: str) -> None:
-        if code in self.select:
-            self.violations.append(Violation(
-                self.path, getattr(node, "lineno", 0),
-                getattr(node, "col_offset", 0) + 1, code, message))
+        self.violations.append(Violation(
+            self.path, getattr(node, "lineno", 0),
+            getattr(node, "col_offset", 0) + 1, code, message))
 
     # -- imports (VR001 / VR002) ----------------------------------------------
 
@@ -407,16 +359,14 @@ class _Checker(ast.NodeVisitor):
         return False
 
 
-def exempt(path: str, code: str, config: LintConfig) -> bool:
-    """Is ``path`` exempt from rule ``code`` under ``config``?"""
+def exempt(path: str, code: str) -> bool:
+    """Is ``path`` exempt from rule ``code``?"""
     posix = Path(path).as_posix()
-    return any(fnmatch(posix, pattern)
-               for pattern in config.exempt.get(code, ()))
+    return any(fnmatch(posix, pattern) for pattern in EXEMPT.get(code, ()))
 
 
-def check_file(tree: ast.AST, path: str,
-               select: Iterable[str]) -> List[Violation]:
+def check_file(tree: ast.AST, path: str) -> List[Violation]:
     """Raw VR001–VR004 findings for one parsed module."""
-    checker = _Checker(path, select)
+    checker = _Checker(path)
     checker.visit(tree)
     return checker.violations

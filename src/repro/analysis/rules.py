@@ -1,16 +1,9 @@
-"""The VR110 and VR140 rules — module-level declarations a file must make.
+"""The VR110 rule — RNG stream declaration.
 
-========  =====================================================================
-Rule      Checks
-========  =====================================================================
-VR110     RNG stream declaration: every literal stream name passed to
-          ``.stream(...)`` (or the static prefix of an f-string) must be
-          listed in the module's ``RNG_STREAMS`` tuple; entries ending
-          in ``:`` declare a prefix family, e.g. ``"faultloss:"``.
-VR140     Trace-hook registration: a module that uses ``_TRACE.<...>``
-          must bind it via ``_TRACE = <hooks>.register(__name__)`` —
-          the registry rewrites the global only in registered modules.
-========  =====================================================================
+Every literal stream name passed to ``.stream(...)`` (or the static
+prefix of an f-string) must be listed in the module's ``RNG_STREAMS``
+tuple; entries ending in ``:`` declare a prefix family, e.g.
+``"faultloss:"``.
 """
 
 from __future__ import annotations
@@ -19,8 +12,6 @@ import ast
 from typing import List, Optional, Tuple
 
 from repro.analysis.lint import Violation
-
-# -- VR110: RNG stream declaration ---------------------------------------------
 
 
 def check_vr110(tree: ast.Module, path: str) -> List[Violation]:
@@ -68,39 +59,3 @@ def _static_stream_name(node: ast.expr) -> Optional[str]:
         if isinstance(head, ast.Constant) and isinstance(head.value, str):
             return head.value
     return None
-
-
-# -- VR140: trace-hook registration ---------------------------------------------
-
-
-def check_vr140(tree: ast.Module, path: str) -> List[Violation]:
-    """Per-module check: a module that uses ``_TRACE`` registers it.
-
-    ``hooks.activate`` rewrites ``_TRACE`` only in registered modules;
-    one that binds it any other way (``_TRACE = None``) keeps every
-    guard false forever and its hooks silently never fire.
-    """
-    if any(_registers_trace(stmt) for stmt in tree.body):
-        return []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) \
-                and isinstance(node.value, ast.Name) \
-                and node.value.id == "_TRACE":
-            return [Violation(
-                path, node.lineno, node.col_offset + 1, "VR140",
-                "module uses _TRACE but never registers it "
-                "(_TRACE = <hooks>.register(__name__))")]
-    return []
-
-
-def _registers_trace(stmt: ast.stmt) -> bool:
-    """Module-level ``_TRACE = <hooks>.register(...)``."""
-    if not (isinstance(stmt, ast.Assign)
-            and isinstance(stmt.value, ast.Call)):
-        return False
-    func = stmt.value.func
-    callee = func.attr if isinstance(func, ast.Attribute) \
-        else func.id if isinstance(func, ast.Name) else None
-    return callee == "register" and any(
-        isinstance(target, ast.Name) and target.id == "_TRACE"
-        for target in stmt.targets)

@@ -2,9 +2,11 @@
 
 The simulator's hot paths carry sanitizer hooks that are compiled down to
 a single module-global boolean test when the sanitizer is off, so the
-default configuration pays (measurably) nothing.  When enabled — via the
-``REPRO_SANITIZE`` environment variable, ``ExperimentConfig.sanitize``,
-or :func:`scoped` — the following invariants are checked continuously:
+default configuration pays (measurably) nothing.  ``REPRO_SANITIZE=1``
+is the one switch: it is read at import, and the sweep supervisor's pool
+initializer exports it to its workers (:func:`scoped` flips it in
+tests).  When enabled, the following invariants are checked
+continuously:
 
 - **event-time monotonicity** (:mod:`repro.sim.engine`): the calendar
   never runs backwards and every event time / delay is an ``int``
@@ -94,8 +96,8 @@ def scoped(on: bool = True) -> Iterator[None]:
     """Temporarily enable (or disable) the sanitizer.
 
     Components that bind their instrumentation at construction time (the
-    ordering shim) must be *built* inside the scope to be checked — the
-    experiment runner does exactly that for ``ExperimentConfig.sanitize``.
+    ordering shim) must be *built* inside the scope to be checked: wrap
+    the whole ``run_experiment`` call.
     """
     previous = _enabled
     set_enabled(on)

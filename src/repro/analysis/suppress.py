@@ -5,8 +5,7 @@ several codes; free text may follow) suppresses findings with those
 codes on its own line.  Codes are mandatory — a bare ``# noqa``
 suppresses nothing — and every code is *tracked*: one that suppresses
 nothing is itself reported as **VR090 unused suppression**, so stale
-comments cannot accumulate.  Codes whose rule is outside the active
-``--select`` are not judged (their rule never ran).
+comments cannot accumulate.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import io
 import re
 import tokenize
-from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.analysis.lint import Violation
 
@@ -42,15 +41,11 @@ def parse_noqa(source: str) -> Dict[int, Tuple[str, ...]]:
 
 
 def apply_suppressions(violations: Sequence[Violation], path: str,
-                       source: str,
-                       select: Optional[AbstractSet[str]] = None,
-                       ) -> Tuple[List[Violation], List[Violation]]:
+                       source: str) -> Tuple[List[Violation], List[Violation]]:
     """Filter one file's ``violations`` through its ``# noqa:`` comments.
 
     Returns ``(surviving, unused)`` where ``unused`` holds one VR090
-    finding per named code that suppressed nothing.  When ``select`` is
-    given, codes outside it are exempt from VR090 — a partial
-    ``--select`` must not call full-run suppressions stale.
+    finding per named code that suppressed nothing.
     """
     suppressed = parse_noqa(source)
     used: Set[Tuple[int, str]] = set()
@@ -64,6 +59,5 @@ def apply_suppressions(violations: Sequence[Violation], path: str,
         Violation(path, line, 1, RULE_UNUSED,
                   f"unused suppression: no {code} finding on this line")
         for line, codes in sorted(suppressed.items()) for code in codes
-        if (line, code) not in used
-        and (select is None or code in select)]
+        if (line, code) not in used]
     return surviving, unused

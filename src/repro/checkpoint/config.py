@@ -8,6 +8,7 @@ trace and profiling settings must not change its results.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
@@ -40,6 +41,8 @@ class CheckpointConfig:
     def every_ms(cls, ms: float, *,
                  directory: Optional[str] = None) -> "CheckpointConfig":
         """The CLI surface: ``--checkpoint-every`` takes simulated ms."""
+        if not math.isfinite(ms):
+            raise ValueError(f"checkpoint interval must be finite, got {ms}")
         return cls(every_ns=round(ms * MILLISECOND), directory=directory)
 
     def resolve_path(self, config_digest: str) -> str:

@@ -100,9 +100,6 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
                              "mode above N active flow shares (default "
                              "64; bounds the incast fan-in the analytic "
                              "path absorbs, see EXPERIMENTS.md)")
-    parser.add_argument("--sanitize", action="store_true",
-                        help="run with the runtime invariant sanitizer "
-                             "(repro.analysis.sanitize) enabled")
     parser.add_argument("--fault", action="append", default=[],
                         metavar="DIRECTIVE", dest="faults",
                         help="inject a fault scenario, e.g. "
@@ -215,7 +212,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             config.workload,
             warmup_ns=parse_time_ns(args.warmup) if args.warmup else 0,
             cooldown_ns=parse_time_ns(args.cooldown) if args.cooldown else 0)
-    config.sanitize = args.sanitize
     config.faults = parse_faults(args.faults)
     config.trace = _trace_config_from_args(args)
     if args.checkpoint_every is not None:

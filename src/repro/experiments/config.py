@@ -123,11 +123,6 @@ class ExperimentConfig:
     #: Attach a deflection-aware telemetry monitor sampling at this
     #: interval (§5 extension); None disables monitoring.
     telemetry_interval_ns: Optional[int] = None
-    #: Run with the runtime invariant sanitizer (repro.analysis.sanitize)
-    #: enabled for the duration of this experiment; equivalent to setting
-    #: REPRO_SANITIZE=1 scoped to the run.  Never changes results — only
-    #: adds invariant checks along the hot paths.
-    sanitize: bool = False
     #: Observability (:mod:`repro.trace`): record flow- or packet-level
     #: events and periodic samples during the run.  None (default) keeps
     #: every hook dormant — the traced-off hot path costs one module-

@@ -11,7 +11,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, Optional
 
-from repro.analysis import sanitize as _sanitize
 from repro.checkpoint import discard as _discard_checkpoint
 from repro.checkpoint import load_latest, write_checkpoint
 from repro.core.flowinfo import MarkingDiscipline
@@ -311,23 +310,12 @@ class RunResult:
 def run_experiment(config: ExperimentConfig) -> RunResult:
     """Build, run, and measure one simulation.
 
-    With ``config.sanitize`` the whole run — including network
-    construction, so construction-bound checks attach — executes under
-    the runtime invariant sanitizer.
-
     With ``config.checkpoint`` set, the run *auto-resumes* from its
     managed checkpoint (keyed by config digest) if one exists — so a
     crashed or killed run simply reruns — and deletes it on
     successful completion.  Checkpointing never changes results: a
     restored run's digest is byte-identical to the uninterrupted run.
     """
-    if config.sanitize and not _sanitize.enabled():
-        with _sanitize.scoped(True):
-            return _run_experiment(config)
-    return _run_experiment(config)
-
-
-def _run_experiment(config: ExperimentConfig) -> RunResult:
     from repro.experiments.digest import config_digest
 
     profiler = PhaseProfiler()

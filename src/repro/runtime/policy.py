@@ -1,28 +1,17 @@
-"""Supervision policy: retries, backoff, and per-run deadlines.
+"""Supervision policy: retries and per-run deadlines.
 
 A :class:`SupervisorPolicy` is the knob set of the crash-tolerant sweep
 runtime (:mod:`repro.runtime.supervisor`): how many times a failing run
-is retried, how long a run may take before it is killed, and how retry
-backoff is spaced.
-
-Backoff is exponential with jitter, but the jitter draws from a **named,
-seeded RNG stream** (``RngRegistry(seed).stream("runtime.backoff")``) so
-the retry schedule of a supervised sweep is itself deterministic — the
-same failures produce the same waits, run after run.  Backoff never
-touches any simulation stream: the supervisor lives entirely outside
-simulated time.
+is retried and how long a run may take before it is killed.  A retry
+runs at once: an attempt is a seeded function of its config, run in a
+reaped or fresh pool, so no wait could free anything.
 """
 
 from __future__ import annotations
 
-import random
+import math
 from dataclasses import dataclass
 from typing import Optional
-
-from repro.sim.rng import RngRegistry
-
-#: Named RNG streams this module owns (checked by lint rule VR110).
-RNG_STREAMS = ("runtime.backoff",)
 
 #: Terminal classifications of one sweep point under supervision.
 #: ``aborted`` marks points cancelled by an interrupt before finishing.
@@ -38,29 +27,10 @@ class SupervisorPolicy:
     #: Per-run wall-clock deadline in seconds: an overdue attempt is
     #: SIGKILLed.  None runs every attempt to its end.
     run_timeout_s: Optional[float] = None
-    #: First backoff interval; doubles per retry up to :attr:`backoff_cap_s`.
-    backoff_base_s: float = 0.25
-    backoff_cap_s: float = 8.0
-    #: Seed of the named RNG stream the backoff jitter draws from.
-    backoff_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries cannot be negative")
-        if self.run_timeout_s is not None and self.run_timeout_s <= 0:
-            raise ValueError("run_timeout_s must be positive (or None)")
-        if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
-            raise ValueError("backoff intervals cannot be negative")
-
-    def backoff_stream(self) -> random.Random:
-        """The named, seeded jitter stream (fresh per supervised sweep)."""
-        return RngRegistry(self.backoff_seed).stream("runtime.backoff")
-
-    def backoff_s(self, attempt: int, rng: random.Random) -> float:
-        """Wait before retry ``attempt`` (1-based): capped exponential
-        backoff, jittered to 50–100 % of the nominal interval."""
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        nominal = min(self.backoff_cap_s,
-                      self.backoff_base_s * (2 ** (attempt - 1)))
-        return nominal * (0.5 + 0.5 * rng.random())
+        if not (math.isfinite(self.max_retries) and self.max_retries >= 0):
+            raise ValueError("max_retries must be finite and >= 0")
+        if self.run_timeout_s is not None and not (
+                math.isfinite(self.run_timeout_s) and self.run_timeout_s > 0):
+            raise ValueError("run_timeout_s must be finite and > 0 (or None)")

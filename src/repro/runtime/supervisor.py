@@ -58,10 +58,6 @@ from repro.trace.profiler import PhaseProfiler
 
 Runner = Callable[[ExperimentConfig], RunResult]
 
-#: Sanitizer setting of this worker process, installed once by the pool
-#: initializer and never mutated afterwards.
-_worker_state: Dict[str, bool] = {}  # noqa: VR004 - worker-process init state
-
 
 def _worker_init(sanitize_on: bool) -> None:
     """Pool initializer: clean signal disposition + sanitizer state.
@@ -70,23 +66,18 @@ def _worker_init(sanitize_on: bool) -> None:
     is ignored (the supervisor owns interrupt handling and reaps workers
     itself); SIGTERM is reset to its default, so a SIGTERMed worker dies
     like a SIGKILLed one instead of raising into its task.  The
-    sanitizer state is also exported as ``REPRO_SANITIZE`` so it holds
-    whatever the pool start method and for anything the worker itself
-    spawns.
+    supervisor's sanitizer state is installed and exported as
+    ``REPRO_SANITIZE``, so it holds whatever the pool start method and
+    for anything the worker itself spawns.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    _worker_state["sanitize"] = sanitize_on
     os.environ["REPRO_SANITIZE"] = "1" if sanitize_on else "0"
     _sanitize.set_enabled(sanitize_on)
 
 
 def _run_portable(config: ExperimentConfig) -> RunResult:
     """The default task: run one experiment, return a picklable result."""
-    if _worker_state.get("sanitize") and not _sanitize.enabled():
-        # Defensive: a previous task left the sanitizer toggled off
-        # (e.g. via an unbalanced scoped()); restore the pool setting.
-        _sanitize.set_enabled(True)
     return run_experiment(config).portable()
 
 
@@ -173,9 +164,8 @@ class SweepReport:
     outcomes: List[RunOutcome]
     interrupted: bool = False
     wall_s: float = 0.0
-    #: Wall seconds by supervision phase: ``runtime.retry`` (backoff
-    #: waits), ``runtime.timeout`` (wall time of runs killed at their
-    #: deadline).
+    #: Wall seconds by supervision phase: ``runtime.timeout`` (wall
+    #: time of runs killed at their deadline).
     profile: Dict[str, float] = field(default_factory=dict)
     #: Journal file these outcomes were appended to, or None.
     journal_path: Optional[str] = None
@@ -255,12 +245,11 @@ ENDINGS = ("ok", "raised", "pool_broken")
 
 
 class Step(NamedTuple):
-    """What the supervisor does with a point after one attempt of it."""
+    """What the supervisor does with a point after one attempt of it: a
+    step with a ``status`` finishes it, one without runs it again."""
 
-    #: ``finish`` (record terminal ``status``), ``retry`` (run again
-    #: after a backoff wait) or ``requeue`` (run again at once).
-    action: str
-    #: The attempt and its wall time count against the point.
+    #: The attempt and its wall time count against the point: a retry,
+    #: unlike a free requeue.
     charged: bool
     status: Optional[str] = None
     #: Error text of a failed point: a ``str.format`` template over
@@ -268,8 +257,8 @@ class Step(NamedTuple):
     error: Optional[str] = None
 
 
-_RETRY = Step("retry", charged=True)
-_REQUEUE = Step("requeue", charged=False)
+_RETRY = Step(charged=True)
+_REQUEUE = Step(charged=False)
 
 
 def transition(ending: str, *, timed_out: bool, collateral: bool,
@@ -287,13 +276,13 @@ def transition(ending: str, *, timed_out: bool, collateral: bool,
     charged.
     """
     if ending == "ok":
-        return Step("finish", True, "ok")
+        return Step(True, "ok")
     if timed_out:
         if not exhausted:
             # A checkpointed retry auto-resumes, so the deadline bounds
             # *incremental* progress per attempt.
             return _RETRY
-        return Step("finish", True, "timeout",
+        return Step(True, "timeout",
                     "exceeded --run-timeout {timeout:g}s "
                     "({attempts} attempt(s))")
     if ending == "pool_broken":
@@ -301,14 +290,14 @@ def transition(ending: str, *, timed_out: bool, collateral: bool,
             return _REQUEUE
         if not exhausted:
             return _RETRY
-        return Step("finish", True, "crashed",
+        return Step(True, "crashed",
                     "worker process died ({attempts} attempt(s))")
     if repeated:
-        return Step("finish", True, "failed",
+        return Step(True, "failed",
                     "{signature} (failed identically twice; not retrying)")
     if not exhausted:
         return _RETRY
-    return Step("finish", True, "failed", "{signature}")
+    return Step(True, "failed", "{signature}")
 
 
 def _ending(exc: Optional[BaseException]) -> str:
@@ -327,7 +316,6 @@ class _Point:
     attempts: int = 0                  # charged attempts so far
     wall_s: float = 0.0                # wall time of the charged attempts
     signature: Optional[str] = None    # last charged exception
-    not_before: float = 0.0            # backoff gate (monotonic clock)
 
 
 @dataclass
@@ -337,6 +325,9 @@ class _Flight:
     point: _Point
     started: float
     kills_at_submit: int                   # kill sweeps seen so far
+    #: The pool it ran in (None inline): a pool's futures fail together,
+    #: and only the first of them may tear that pool down.
+    pool: Optional[ProcessPoolExecutor] = None
     deadline: float = math.inf             # math.inf = no deadline
     timed_out: bool = False                # overdue: its worker was killed
 
@@ -535,20 +526,12 @@ class SweepSupervisor:
         futures.
         """
         policy = self.policy
-        rng = policy.backoff_stream()
         queue = deque(pending)
         inflight: Dict[Future, _Flight] = {}
         try:
             while (queue or inflight) and not self._stop.is_set():
                 now = time.monotonic()  # noqa: VR002 - harness wall clock
                 self._submit_ready(queue, inflight, now)
-                if not inflight:
-                    # Everything runnable is backing off; wait the gap out.
-                    gap = min(point.not_before for point in queue) - now
-                    if gap > 0:
-                        with profiler.phase("runtime.retry"):
-                            self._stop.wait(min(gap, 0.1))
-                    continue
                 if self._deadlines:
                     self._enforce_deadlines(inflight, now)
                 done, _ = wait(set(inflight), timeout=0.1,
@@ -563,7 +546,7 @@ class SweepSupervisor:
                     except Exception as caught:
                         result, exc = None, caught
                     ending = _ending(exc)
-                    if ending == "pool_broken":
+                    if ending == "pool_broken" and flight.pool is self._pool:
                         self._teardown_pool(kill=True)
                     signature = None
                     if ending == "raised" and not timed_out:
@@ -580,18 +563,15 @@ class SweepSupervisor:
                         point.signature = signature or point.signature
                         if timed_out and ending != "ok":
                             profiler.add("runtime.timeout", run_wall)
-                    if step.action == "finish":
-                        self._finish(
-                            point, step.status, result=result,
-                            error=step.error and step.error.format(
-                                attempts=point.attempts,
-                                timeout=policy.run_timeout_s,
-                                signature=signature))
+                    if step.status is None:
+                        queue.append(point)
                         continue
-                    if step.action == "retry":
-                        point.not_before = flight.started + run_wall \
-                            + policy.backoff_s(point.attempts, rng)
-                    queue.append(point)
+                    self._finish(
+                        point, step.status, result=result,
+                        error=step.error and step.error.format(
+                            attempts=point.attempts,
+                            timeout=policy.run_timeout_s,
+                            signature=signature))
         except KeyboardInterrupt:
             self._stop.set()
             raise
@@ -601,17 +581,15 @@ class SweepSupervisor:
 
     def _submit_ready(self, queue: deque, inflight: Dict[Future, _Flight],
                       now: float) -> None:
-        """Fill free slots with points whose backoff has elapsed."""
+        """Fill free slots from the head of the queue."""
         while queue and len(inflight) < self.jobs:
-            point = next((candidate for candidate in queue
-                          if now >= candidate.not_before), None)
-            if point is None:
-                return
+            point = queue[0]
             config = self.configs[point.index]
             flight = _Flight(point=point, started=now,
                              kills_at_submit=self._kills)
             if self.jobs > 1 or self._deadlines:
-                pool = self._ensure_pool(len(queue) + len(inflight))
+                pool = flight.pool = self._ensure_pool(
+                    len(queue) + len(inflight))
                 try:
                     future = pool.submit(self.runner, config)
                 except (BrokenProcessPool, RuntimeError):
@@ -627,7 +605,7 @@ class SweepSupervisor:
                     future.set_result(self.runner(config))
                 except Exception as exc:  # classified by transition()
                     future.set_exception(exc)
-            queue.remove(point)
+            queue.popleft()
             inflight[future] = flight
 
     def _enforce_deadlines(self, inflight: Dict[Future, _Flight],
@@ -661,7 +639,7 @@ def run_supervised(configs: Iterable[ExperimentConfig], *,
 
     Same ordering and digests as the in-process reference
     (``run_many(jobs=1)``), plus crash recovery, deadlines, bounded
-    deterministic retry, journaling (``journal=`` path starts one,
+    retry, journaling (``journal=`` path starts one,
     ``resume=`` continues one), and graceful interrupt handling.  See
     :class:`SweepSupervisor` for the mechanics and :class:`SweepReport`
     for the result surface.

@@ -16,7 +16,9 @@ handing the whole record to ``_TRACE.record((kind, t, *fields))``
 (packet-scope sites also test ``_TRACE.packets``).
 :func:`activate` rewrites that global in every registered module with
 the live :class:`~repro.trace.tracer.Tracer`; :func:`deactivate`
-restores ``None``.
+restores ``None``.  A module binding ``_TRACE`` any other way is never
+rewritten and its sites never fire; ``tests/unit/test_trace.py``'s
+record census holds every module with a site to the line above.
 
 Only one tracer can be active per process at a time, which matches how
 experiments execute: serially within a process, with parallel sweep

@@ -27,6 +27,7 @@ error with exit status 2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Dict, Optional, Tuple
 
@@ -46,6 +47,14 @@ class WorkloadParseError(ValueError):
     callers keep working; the CLI catches it to report a one-line
     usage error (exit status 2), mirroring ``--fault``.
     """
+
+
+def _require_finite(kind: str, **rates: Optional[float]) -> None:
+    """Refuse a NaN or infinite rate: inf opens a flow about every
+    nanosecond, NaN fails somewhere mid-build."""
+    for name, value in rates.items():
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{kind} {name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +86,7 @@ class BackgroundSpec(WorkloadSpec):
     size_cap: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _require_finite("background", load=self.load)
         if self.load < 0:
             raise ValueError("background load must be non-negative")
         if self.size_cap is not None and self.size_cap <= 0:
@@ -99,6 +109,7 @@ class IncastSpec(WorkloadSpec):
     flow_bytes: int = 40_000
 
     def __post_init__(self) -> None:
+        _require_finite("incast", load=self.load, qps=self.qps)
         if self.load is not None and self.qps is not None:
             raise ValueError("give either incast load or qps, not both")
         if self.scale <= 0 or self.flow_bytes <= 0:
@@ -138,6 +149,7 @@ class CoflowSpec(WorkloadSpec):
             raise ValueError("coflow width and stages must be at least 1")
         if self.flow_bytes <= 0:
             raise ValueError("coflow flow size must be positive")
+        _require_finite("coflow", load=self.load, cps=self.cps)
         if self.load is not None and self.cps is not None:
             raise ValueError("give either coflow load or cps, not both")
 
@@ -170,6 +182,7 @@ class DutyCycleSpec(WorkloadSpec):
     size_cap: Optional[int] = None
 
     def __post_init__(self) -> None:
+        _require_finite("duty_cycle", load=self.load)
         if self.load < 0:
             raise ValueError("duty_cycle load must be non-negative")
         if not 0.0 < self.duty <= 1.0:

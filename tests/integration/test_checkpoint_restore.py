@@ -43,9 +43,6 @@ from repro.trace import hooks as trace_hooks
 from repro.trace import tracer as tracer_mod
 from tests.helpers import rewrite_checkpoint_header
 
-FAST_BACKOFF = {"backoff_base_s": 0.02, "backoff_cap_s": 0.1}
-
-
 def _config(fidelity="packet", seed=7, sim_ms=40):
     config = ExperimentConfig.bench_profile(
         system="vertigo", transport="dctcp", bg_load=0.2,
@@ -394,7 +391,7 @@ def test_pool_sigkill_resumes_to_reference_digest(flag_dir, tmp_path,
     configs = _sweep_configs(fidelity, tmp_path)
     reference = [run_digest(r) for r in run_many(
         [_config(fidelity, seed=seed) for seed in (7, 8)], jobs=1)]
-    policy = SupervisorPolicy(max_retries=2, **FAST_BACKOFF)
+    policy = SupervisorPolicy(max_retries=2)
     report = run_supervised(configs, jobs=2, policy=policy,
                             runner=_suicide_after_checkpoint)
     assert report.ok, report.manifest()["failures"]
@@ -416,8 +413,7 @@ def test_run_timeout_kills_and_resumes_across_attempts(tmp_path):
     deadline_s = (time.monotonic() - started) / 3
     config = _checkpointed(_config("packet", sim_ms=160), tmp_path,
                            every_ms=5)
-    policy = SupervisorPolicy(run_timeout_s=deadline_s, max_retries=8,
-                              **FAST_BACKOFF)
+    policy = SupervisorPolicy(run_timeout_s=deadline_s, max_retries=8)
     report = run_supervised([config], jobs=1, policy=policy)
     assert report.ok, report.manifest()["failures"]
     outcome = report.outcomes[0]

@@ -11,19 +11,17 @@ Cross-process agreement is covered by
 ``tests/integration/test_parallel_sweep.py``.
 """
 
+from repro.analysis import sanitize
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import run_digest as _digest
 from repro.experiments.runner import run_experiment
 from repro.sim.units import MILLISECOND
 
 
-def _config(seed: int, **overrides) -> ExperimentConfig:
-    config = ExperimentConfig.bench_profile(
+def _config(seed: int) -> ExperimentConfig:
+    return ExperimentConfig.bench_profile(
         system="vertigo", transport="dctcp", bg_load=0.2, incast_qps=400,
         incast_scale=6, sim_time_ns=15 * MILLISECOND, seed=seed)
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return config
 
 
 def test_same_seed_is_byte_identical():
@@ -41,6 +39,8 @@ def test_different_seeds_differ():
 
 
 def test_sanitizer_does_not_perturb_results():
-    plain = _digest(run_experiment(_config(seed=7)))
-    checked = _digest(run_experiment(_config(seed=7, sanitize=True)))
+    with sanitize.scoped(False):
+        plain = _digest(run_experiment(_config(seed=7)))
+    with sanitize.scoped(True):
+        checked = _digest(run_experiment(_config(seed=7)))
     assert plain == checked

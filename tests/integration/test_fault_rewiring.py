@@ -110,9 +110,8 @@ def _failure_config(system: str) -> ExperimentConfig:
 
 @pytest.mark.parametrize("system", ALL_SYSTEMS)
 def test_policy_completes_spine_failure_scenario_sanitized(system):
-    config = _failure_config(system)
-    config.sanitize = True
-    result = run_experiment(config)
+    with _sanitize.scoped(True):
+        result = run_experiment(_failure_config(system))
     # Traffic moved despite the failure window, and nothing raised.
     assert result.metrics.flow_completion_pct() > 30
     assert result.metrics.counters.forwarded > 0

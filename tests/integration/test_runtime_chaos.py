@@ -22,8 +22,7 @@ from repro.experiments.digest import sweep_digest
 from repro.runtime import SupervisorPolicy, SweepSupervisor, run_supervised
 from repro.sim.units import MILLISECOND
 
-POLICY = SupervisorPolicy(max_retries=3, backoff_base_s=0.05,
-                          backoff_cap_s=0.2)
+POLICY = SupervisorPolicy(max_retries=3)
 
 
 def _configs(n=8, sim_ms=20):

@@ -3,8 +3,8 @@
 The supervisor must be invisible when nothing goes wrong — identical
 digests and ordering to the plain executor, serial or pooled — and must
 classify and bound every way a run can go wrong: transient exceptions
-retry with backoff, deterministic failures fail fast, worker deaths
-rebuild the pool, and stuck runs hit the watchdog deadline.
+retry, deterministic failures fail fast, worker deaths rebuild the pool,
+and stuck runs hit the deadline.
 
 The failure-injecting runners are module-level (picklable into pool
 workers); flaky ones coordinate through flag files under a directory
@@ -25,9 +25,6 @@ from repro.runtime.supervisor import _run_portable
 from repro.experiments.sweeps import format_table
 from repro.runtime import SupervisorPolicy, SweepSupervisor, run_supervised
 from repro.sim.units import MILLISECOND
-
-FAST_BACKOFF = {"backoff_base_s": 0.02, "backoff_cap_s": 0.1}
-
 
 def _configs(n=3, sim_ms=5):
     return [ExperimentConfig.bench_profile(
@@ -105,7 +102,7 @@ def test_supervised_results_are_portable():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_transient_exception_retries_to_ok(flag_dir, jobs):
-    policy = SupervisorPolicy(max_retries=2, **FAST_BACKOFF)
+    policy = SupervisorPolicy(max_retries=2)
     report = run_supervised(_configs(2), jobs=jobs, policy=policy,
                             runner=_flaky_once)
     assert report.ok
@@ -115,7 +112,7 @@ def test_transient_exception_retries_to_ok(flag_dir, jobs):
 
 
 def test_worker_death_rebuilds_pool_and_retries(flag_dir):
-    policy = SupervisorPolicy(max_retries=2, **FAST_BACKOFF)
+    policy = SupervisorPolicy(max_retries=2)
     report = run_supervised(_configs(2), jobs=2, policy=policy,
                             runner=_crash_once)
     assert report.ok
@@ -124,12 +121,50 @@ def test_worker_death_rebuilds_pool_and_retries(flag_dir):
     assert [run_digest(r) for r in report.results] == reference
 
 
+def _crash_seed_one_once(config):
+    """Seed 1's first attempt dies; every other attempt runs."""
+    if config.seed == 1:
+        return _crash_once(config)
+    return _run_portable(config)
+
+
+def test_a_stale_broken_future_leaves_the_replacement_pool_alone(
+        flag_dir, monkeypatch):
+    """A dead worker fails every future of its pool together.  Handed
+    back one per ``wait`` (as a late wake-up can), the later ones are
+    stale: tearing down the pool that replaced theirs would charge its
+    innocent runs and leave another stale future behind, until every
+    point ends ``crashed``."""
+    import repro.runtime.supervisor as supervisor_module
+
+    real_wait = supervisor_module.wait
+
+    def one_at_a_time(futures, timeout=None, return_when=None):
+        done, not_done = real_wait(futures, timeout=timeout,
+                                   return_when=return_when)
+        if not done:
+            return done, not_done
+        first = next(iter(done))
+        return {first}, not_done | (done - {first})
+
+    monkeypatch.setattr(supervisor_module, "wait", one_at_a_time)
+    report = run_supervised(_configs(6, sim_ms=2), jobs=2,
+                            policy=SupervisorPolicy(max_retries=3),
+                            runner=_crash_seed_one_once)
+    assert [o.status for o in report.outcomes] == ["ok"] * 6
+    # The one death charges seed 1 and at most its pool-mate in flight
+    # (the parent charged every point once more).
+    attempts = [o.attempts for o in report.outcomes]
+    assert attempts[0] == 2
+    assert sum(attempts) - len(attempts) <= 2, attempts
+
+
 # -- deterministic failures fail fast ------------------------------------------
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_identical_failure_twice_stops_retrying(jobs):
-    policy = SupervisorPolicy(max_retries=5, **FAST_BACKOFF)
+    policy = SupervisorPolicy(max_retries=5)
     report = run_supervised(_configs(1), jobs=jobs, policy=policy,
                             runner=_always_valueerror)
     (outcome,) = report.outcomes
@@ -144,8 +179,7 @@ def test_identical_failure_twice_stops_retrying(jobs):
 
 
 def test_stuck_run_classified_timeout():
-    policy = SupervisorPolicy(max_retries=1, run_timeout_s=0.5,
-                              **FAST_BACKOFF)
+    policy = SupervisorPolicy(max_retries=1, run_timeout_s=0.5)
     report = run_supervised(_configs(1), jobs=1, policy=policy,
                             runner=_sleep_forever)
     (outcome,) = report.outcomes
@@ -159,7 +193,7 @@ def test_stuck_run_classified_timeout():
 
 
 def test_degraded_report_rows_manifest_and_table(flag_dir):
-    policy = SupervisorPolicy(max_retries=0, **FAST_BACKOFF)
+    policy = SupervisorPolicy(max_retries=0)
     configs = _configs(2)
     report = run_supervised(configs, jobs=1, policy=policy,
                             runner=_flaky_once)
@@ -188,8 +222,7 @@ def _journal_lines(path):
 def test_manifest_rows_are_the_journal_lines_without_the_result(tmp_path):
     journal = str(tmp_path / "j.jsonl")
     report = run_supervised(_configs(2), jobs=1, journal=journal,
-                            policy=SupervisorPolicy(max_retries=5,
-                                                    **FAST_BACKOFF),
+                            policy=SupervisorPolicy(max_retries=5),
                             runner=_always_valueerror)
     lines = _journal_lines(journal)
     for line in lines:
@@ -223,14 +256,14 @@ def _fail_seed_one(config):
 
 
 def test_interrupted_point_keeps_its_charged_attempts(tmp_path):
-    """Seed 1 fails once and backs off; seed 2 completes and stops the
-    sweep, so seed 1 is cut off after one charged attempt."""
+    """Seed 1 fails once and goes to the back of the queue; seed 2
+    completes and stops the sweep, so seed 1 is cut off after one
+    charged attempt."""
     journal = str(tmp_path / "j.jsonl")
     box = {}
     box["sup"] = SweepSupervisor(
         _configs(2), jobs=1, journal=journal, runner=_fail_seed_one,
-        policy=SupervisorPolicy(max_retries=2, backoff_base_s=60,
-                                backoff_cap_s=60),
+        policy=SupervisorPolicy(max_retries=2),
         on_outcome=lambda outcome: box["sup"].request_stop())
     report = box["sup"].run()
     cut, done = report.outcomes

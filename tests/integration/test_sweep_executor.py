@@ -23,7 +23,6 @@ from repro.runtime import SupervisorPolicy, SweepSupervisor, run_supervised
 from repro.runtime.supervisor import _run_portable
 from repro.sim.units import MILLISECOND
 from tests.integration.test_runtime_supervisor import (
-    FAST_BACKOFF,
     _always_valueerror,
     _configs,
     _flaky_once,
@@ -75,7 +74,7 @@ def test_run_many_attempts_a_failing_point_exactly_once():
 ])
 def test_inline_and_pooled_modes_classify_identically(
         tmp_path, monkeypatch, runner, max_retries):
-    policy = SupervisorPolicy(max_retries=max_retries, **FAST_BACKOFF)
+    policy = SupervisorPolicy(max_retries=max_retries)
     classified = {}
     for jobs in (1, 2):
         flags = tmp_path / f"jobs{jobs}"
@@ -115,7 +114,7 @@ def test_killing_an_idle_worker_strands_no_survivor(tmp_path, monkeypatch):
 
     report = SweepSupervisor(
         configs, jobs=2, runner=_record_pid,
-        policy=SupervisorPolicy(max_retries=2, **FAST_BACKOFF),
+        policy=SupervisorPolicy(max_retries=2),
         on_outcome=kill_the_idle_worker).run()
     assert report.ok, report.manifest()
     assert [o.attempts for o in report.outcomes] == [1, 2]

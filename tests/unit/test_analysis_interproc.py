@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.driver import read_sources, render, run_analysis
-from repro.analysis.lint import RULES, LintConfig, load_config
 
 ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = ROOT / "tests" / "fixtures" / "lint"
@@ -35,7 +34,6 @@ CASES = [
     ("VR100", ["vr100_bad.py"], ["vr100_good.py"]),
     ("VR001", ["vr110_bad/entry.py", "vr110_bad/helper.py"],
      ["vr110_good/entry.py", "vr110_good/helper.py"]),
-    ("VR140", ["vr140_bad.py"], ["vr140_good.py"]),
     ("VR150", ["vr150_bad.py"], ["vr150_good.py"]),
     ("VR150", ["vr150_pfc_bad.py"], ["vr150_pfc_good.py"]),
 ]
@@ -47,8 +45,7 @@ def findings(code, names):
         assert path.is_file(), f"missing fixture {path}"
     sources, unreadable = read_sources(files)
     assert not unreadable
-    # The default: every rule runs (VR090 only judges codes whose rule did).
-    return [v for v in run_analysis(sources, LintConfig()) if v.code == code]
+    return [v for v in run_analysis(sources) if v.code == code]
 
 
 @pytest.mark.parametrize("code,bad,good", CASES,
@@ -86,16 +83,9 @@ def test_vr150_covers_pfc_functions_and_threshold_classes():
     assert findings("VR100", ["vr150_pfc_bad.py"]) == []
 
 
-def test_vr140_reports_the_missing_registration_once():
-    [violation] = findings("VR140", ["vr140_bad.py"])
-    assert "never registers" in violation.message
-
-
 def test_full_tree_is_clean_under_all_passes():
-    config = load_config(ROOT / "pyproject.toml")
-    assert config.select == tuple(RULES)
     sources, unreadable = read_sources(sorted((ROOT / "src").rglob("*.py")))
-    reported = [*unreadable, *run_analysis(sources, config)]
+    reported = [*unreadable, *run_analysis(sources)]
     assert not reported, "\n".join(render(v) for v in reported)
 
 
@@ -121,7 +111,7 @@ def test_recorded_src_mutant_fires(code, path, before, after, appended):
     source = (ROOT / path).read_text(encoding="utf-8")
     assert source.count(before) == 1, f"{path} no longer has the line"
     line = source[:source.index(before)].count("\n") + 1
-    assert run_analysis({path: source}, LintConfig()) == []
+    assert run_analysis({path: source}) == []
     mutant = source.replace(before, after) + appended
-    hits = run_analysis({path: mutant}, LintConfig())
+    hits = run_analysis({path: mutant})
     assert [(v.line, v.code) for v in hits] == [(line, code)], hits

@@ -48,18 +48,6 @@ def test_unused_noqa_reported_with_stale_code_in_message():
     assert (stale.path, stale.line) == ("mod.py", 1)
 
 
-def test_noqa_outside_select_is_not_reported_unused():
-    # A partial --select must not call full-run suppressions stale:
-    # VR120 never ran here, so its code is inapplicable, not unused.
-    source = "x = 1  # noqa: VR120\n"
-    surviving, unused = apply_suppressions([], "mod.py", source,
-                                           select={"VR001"})
-    assert surviving == []
-    assert unused == []
-    _, unused = apply_suppressions([], "mod.py", source, select={"VR120"})
-    assert [x.code for x in unused] == [RULE_UNUSED]
-
-
 def test_noqa_in_docstring_is_not_a_suppression():
     source = textwrap.dedent('''
         """Docs mention # noqa: VR110 as an example."""

@@ -1,6 +1,7 @@
 """Unit tests: checkpoint store format, atomicity, and config surface."""
 
 import json
+import math
 import os
 import pickle
 import shutil
@@ -189,6 +190,9 @@ def test_checkpoint_config_validation():
         CheckpointConfig(every_ns=0)
     with pytest.raises(ValueError):
         CheckpointConfig.every_ms(0)
+    for ms in (math.nan, math.inf):  # inf used to raise OverflowError
+        with pytest.raises(ValueError, match="finite"):
+            CheckpointConfig.every_ms(ms)
 
 
 def test_checkpoint_config_resolve_path():

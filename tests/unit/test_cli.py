@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import cli
+from repro.analysis import sanitize
 from repro.cli import build_parser, config_from_args, main
 from repro.net.topology import FatTree, LeafSpine
 
@@ -121,8 +122,9 @@ def test_interrupted_run_says_so_and_exits_130(tmp_path, monkeypatch, capsys,
 
 
 def test_sanitized_run_with_a_fault_scenario(capsys):
-    assert main(["run", *TINY, "--sanitize", "--fault",
-                 "link:leaf0-spine1:down@1ms,up@3ms"]) == 0
+    with sanitize.scoped(True):
+        assert main(["run", *TINY, "--fault",
+                     "link:leaf0-spine1:down@1ms,up@3ms"]) == 0
     assert "fault scenario:" in capsys.readouterr().err
 
 
@@ -138,6 +140,18 @@ def test_sanitized_run_with_a_fault_scenario(capsys):
      "--bg-load", "0.3"],
 ])
 def test_flags_that_would_do_nothing_are_usage_errors(argv, capsys):
+    assert main(argv) == 2
+    assert_one_line_usage_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", *TINY, "--bg-load", "nan"],
+    ["run", *TINY, "--incast-load", "nan"],
+    ["run", *TINY, "--checkpoint-every", "nan"],
+    ["sweep", "--systems", "ecmp", *TINY, "--run-timeout", "nan"],
+], ids=["bg-load", "incast-load", "checkpoint-every", "run-timeout"])
+def test_non_finite_numbers_are_usage_errors(argv, capsys):
+    # NaN passes every `x < 0` check; each is refused before any run.
     assert main(argv) == 2
     assert_one_line_usage_error(capsys)
 

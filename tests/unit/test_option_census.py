@@ -53,8 +53,7 @@ CONFIG_FIELDS = {
     ExperimentConfig: [
         "topology", "network", "system", "transport_name", "transport",
         "workload", "sim_time_ns", "seed", "faults",
-        "telemetry_interval_ns", "sanitize", "trace", "fidelity", "pfc",
-        "checkpoint"],
+        "telemetry_interval_ns", "trace", "fidelity", "pfc", "checkpoint"],
     NetworkParams: [
         "host_rate_bps", "fabric_rate_bps", "host_link_delay_ns",
         "fabric_link_delay_ns", "buffer_bytes", "ecn_threshold_bytes",
@@ -78,9 +77,7 @@ CONFIG_FIELDS = {
         "headroom_bytes"],
     TraceConfig: ["level", "sample_period_ns", "max_events", "max_samples"],
     CheckpointConfig: ["every_ns", "directory"],
-    SupervisorPolicy: [
-        "max_retries", "run_timeout_s", "backoff_base_s", "backoff_cap_s",
-        "backoff_seed"],
+    SupervisorPolicy: ["max_retries", "run_timeout_s"],
 }
 
 #: The values one workload generator is configured by.
@@ -123,7 +120,7 @@ _EXPERIMENT_FLAGS = [
     "--demote-shares", "--fat-tree", "--fault", "--fidelity",
     "--incast-flow-bytes", "--incast-load", "--incast-scale",
     "--paper-scale", "--pfc", "--pfc-classes", "--pfc-headroom",
-    "--sample-us", "--sanitize", "--seed", "--sim-ms", "--trace",
+    "--sample-us", "--seed", "--sim-ms", "--trace",
     "--trace-level", "--transport", "--warmup", "--workload"]
 
 #: One sweep point's record (``RunOutcome``): the failure-manifest row.
@@ -137,7 +134,7 @@ CLI_FLAGS = {
     "sweep": sorted(_EXPERIMENT_FLAGS + [
         "--jobs", "--journal", "--max-retries", "--resume", "--run-timeout",
         "--seeds", "--systems"]),
-    "lint": ["--config", "--list-rules", "--select"],
+    "lint": [],
     "trace-view": ["--chrome", "--validate"],
 }
 
@@ -148,7 +145,7 @@ def test_config_fields_snapshot(cls):
 
 
 def test_config_field_total():
-    assert sum(len(names) for names in CONFIG_FIELDS.values()) == 68
+    assert sum(len(names) for names in CONFIG_FIELDS.values()) == 64
 
 
 def _names(fn):

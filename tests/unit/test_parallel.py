@@ -8,7 +8,6 @@ import pytest
 
 from repro.analysis import sanitize
 from repro.experiments import parallel
-from repro.experiments.config import ExperimentConfig
 from repro.runtime import supervisor
 
 
@@ -18,9 +17,7 @@ def _probe_worker_state():
     Module-level so it pickles under the spawn/forkserver start methods
     (the tests package ships to workers via sys.path).
     """
-    return (supervisor._worker_state.get("sanitize"),
-            sanitize.enabled(),
-            os.environ.get("REPRO_SANITIZE"))
+    return sanitize.enabled(), os.environ.get("REPRO_SANITIZE")
 
 
 def test_default_is_serial(monkeypatch):
@@ -81,7 +78,6 @@ def test_worker_init_installs_sanitizer_state(monkeypatch):
         for signum, handler in handlers.items():
             signal.signal(signum, handler)
         sanitize.set_enabled(was_enabled)
-        supervisor._worker_state.clear()
 
 
 @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
@@ -100,34 +96,6 @@ def test_worker_init_under_start_method(start_method):
     with ProcessPoolExecutor(max_workers=1, mp_context=context,
                              initializer=supervisor._worker_init,
                              initargs=(True,)) as pool:
-        state, enabled, env = pool.submit(_probe_worker_state).result(
-            timeout=120)
-    assert state is True
+        enabled, env = pool.submit(_probe_worker_state).result(timeout=120)
     assert enabled is True
     assert env == "1"
-
-
-def _disable_sanitizer_then_probe():
-    """Simulate a task that left the worker's sanitizer toggled off."""
-    sanitize.set_enabled(False)
-    config = ExperimentConfig.bench_profile(
-        system="vertigo", transport="dctcp", bg_load=0.1,
-        sim_time_ns=1_000_000, seed=1)
-    supervisor._run_portable(config)
-    return sanitize.enabled()
-
-
-@pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
-def test_run_portable_restores_sanitizer(start_method):
-    """A task that drops the sanitizer doesn't poison later pool tasks."""
-    if start_method not in multiprocessing.get_all_start_methods():
-        pytest.skip(f"{start_method} unavailable on this platform")
-    from concurrent.futures import ProcessPoolExecutor
-
-    context = multiprocessing.get_context(start_method)
-    with ProcessPoolExecutor(max_workers=1, mp_context=context,
-                             initializer=supervisor._worker_init,
-                             initargs=(True,)) as pool:
-        restored = pool.submit(_disable_sanitizer_then_probe).result(
-            timeout=120)
-    assert restored is True

@@ -12,15 +12,15 @@ import pytest
 
 from repro.runtime.supervisor import ENDINGS, Step, transition
 
-OK = Step("finish", True, "ok")
-RETRY = Step("retry", True)            # requeue behind a backoff wait
-FREE = Step("requeue", False)          # requeue at once, attempt not charged
-TIMEOUT = Step("finish", True, "timeout",
+OK = Step(True, "ok")
+RETRY = Step(True)                     # run again, attempt charged
+FREE = Step(False)                     # run again, attempt not charged
+TIMEOUT = Step(True, "timeout",
                "exceeded --run-timeout {timeout:g}s ({attempts} attempt(s))")
-CRASHED = Step("finish", True, "crashed",
+CRASHED = Step(True, "crashed",
                "worker process died ({attempts} attempt(s))")
-FAILED = Step("finish", True, "failed", "{signature}")
-FAST = Step("finish", True, "failed",
+FAILED = Step(True, "failed", "{signature}")
+FAST = Step(True, "failed",
             "{signature} (failed identically twice; not retrying)")
 
 #: (ending, timed_out, collateral) -> expected step for
@@ -65,8 +65,8 @@ def test_only_free_requeues_are_uncharged_and_only_finishes_have_status():
         step = transition(ending, timed_out=timed_out,
                           collateral=collateral, exhausted=exhausted,
                           repeated=repeated)
-        assert step.charged == (step.action != "requeue")
-        assert (step.status is not None) == (step.action == "finish")
+        assert step.charged == (step != FREE)
+        assert step.charged or step.status is None
         assert (step.error is not None) == (step.status not in (None, "ok"))
 
 

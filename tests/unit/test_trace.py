@@ -160,12 +160,27 @@ def record_sites():
     return sites
 
 
+def registers_trace(where):
+    """The module binds ``_TRACE`` by registering, at module level: the
+    hook registry rewrites the global only in registered modules."""
+    tree = ast.parse((SRC / where).read_text(), filename=where)
+    return any(isinstance(stmt, ast.Assign) and ast.unparse(stmt)
+               == "_TRACE = _trace_hooks.register(__name__)"
+               for stmt in tree.body)
+
+
 def test_schema_field_tuples_match_recorders():
     """Every record site passes one tuple literal of a schema kind and
     exactly its arity; packet-scope kinds, and only they, sit under a
-    ``_TRACE.packets`` guard; every event kind has a site."""
+    ``_TRACE.packets`` guard; every event kind has a site; and every
+    module with a site registers for the hooks (one bound any other way,
+    e.g. ``_TRACE = None``, is never switched on)."""
+    sites = record_sites()
+    modules = {where.rsplit(":", 1)[0] for where, _, _ in sites}
+    for where in sorted(modules):
+        assert registers_trace(where), where
     seen = set()
-    for where, call, guarded in record_sites():
+    for where, call, guarded in sites:
         assert is_trace(call.func, "record"), where
         assert not call.keywords and len(call.args) == 1, where
         values = call.args[0]

@@ -1,5 +1,6 @@
 """Workload spec dataclasses and the ``--workload`` directive grammar."""
 
+import math
 import pickle
 
 import pytest
@@ -138,6 +139,17 @@ def test_spec_validation(bad):
         bad()
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("cls,name", [
+    (BackgroundSpec, "load"), (IncastSpec, "load"), (IncastSpec, "qps"),
+    (CoflowSpec, "load"), (CoflowSpec, "cps"), (DutyCycleSpec, "load")],
+    ids=lambda case: getattr(case, "__name__", case))
+def test_non_finite_rates_are_refused(cls, name, value):
+    # inf opens a flow about every nanosecond; NaN passes `load < 0`.
+    with pytest.raises(ValueError, match="finite"):
+        cls(**{name: value})
+
+
 def test_flows_per_coflow():
     assert CoflowSpec(width=8, stages=2).flows_per_coflow == 128
     assert CoflowSpec(width=8, stages=2,
@@ -170,3 +182,4 @@ def test_specs_from_legacy_defaults():
         bg_load=0.5, bg_size_cap=100_000, incast_qps=60, incast_scale=8)
     assert background.load == 0.5 and background.size_cap == 100_000
     assert incast.qps == 60 and incast.scale == 8
+
