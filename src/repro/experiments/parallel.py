@@ -12,7 +12,7 @@ serial-vs-parallel digest integration tests enforce this):
   :class:`repro.runtime.SweepSupervisor` — no retries, no journal, no
   deadline — and raises if any point did not complete; results come back
   as portable copies (``RunResult.portable()``) without the live network;
-- ``jobs <= 0`` means "one worker per CPU".
+- ``jobs <= 0`` means "one worker per usable CPU".
 
 Concurrency comes from the ``jobs`` argument, the ``REPRO_JOBS``
 environment variable, or ``repro sweep --jobs``.
@@ -31,7 +31,8 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Effective worker count: argument, else ``REPRO_JOBS``, else 1.
 
     Zero or negative values (from either source) select one worker per
-    available CPU.
+    usable CPU: the ones this process may run on where the platform
+    says (``os.sched_getaffinity``), else every CPU.
     """
     if jobs is None:
         env = os.environ.get("REPRO_JOBS", "").strip()
@@ -43,7 +44,8 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
             raise ValueError(
                 f"REPRO_JOBS must be an integer, got {env!r}") from None
     if jobs <= 0:
-        jobs = os.cpu_count() or 1
+        affinity = getattr(os, "sched_getaffinity", None)
+        jobs = len(affinity(0)) if affinity else os.cpu_count() or 1
     return jobs
 
 

@@ -16,8 +16,6 @@ subsystem (:mod:`repro.faults`):
   then dropped at the wire with reason ``link_down`` (its bits hit a dead
   cable); a packet already *propagating* (``deliver`` already scheduled)
   was committed to the wire before the cut and still arrives.
-- **rate** — takes effect from the next serialization; the in-flight
-  packet keeps the rate it started with.
 - **corruption loss** — each delivery is independently dropped with the
   configured probability, drawn from the caller-supplied named RNG
   stream so digests stay reproducible.

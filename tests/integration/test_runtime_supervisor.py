@@ -14,7 +14,10 @@ workers inherit.
 
 import json
 import os
+import signal
+import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -157,6 +160,89 @@ def test_a_stale_broken_future_leaves_the_replacement_pool_alone(
     attempts = [o.attempts for o in report.outcomes]
     assert attempts[0] == 2
     assert sum(attempts) - len(attempts) <= 2, attempts
+
+
+# -- the pipeline: one attempt queued behind each worker -------------------------
+
+#: How long a napping runner sleeps; a deadline of ``NAP_S / 0.6`` fits
+#: one nap, not two.
+NAP_S = 0.6
+
+
+def _nap(config):
+    """A run with a known wall time and nothing else (no simulation)."""
+    time.sleep(NAP_S)
+    return config.seed
+
+
+def _seed_one_sigkills_its_worker_once(config):
+    flag = _flag_path(config)
+    if config.seed == 1 and not os.path.exists(flag):
+        open(flag, "w").close()
+        time.sleep(0.1)  # the next point is queued by now
+        os.kill(os.getpid(), signal.SIGKILL)
+    return config.seed
+
+
+def test_a_pool_keeps_one_attempt_queued_behind_each_worker(monkeypatch):
+    """Two attempts per worker are submitted, never more than the points
+    left, and the digests are the in-process reference's."""
+    configs = _configs(6, sim_ms=2)
+    real_submit = ProcessPoolExecutor.submit
+    lock = threading.Lock()
+    live, finished, seen = set(), [], []
+
+    def settled(future):
+        with lock:
+            live.discard(future)
+
+    def spy(pool, fn, *args, **kwargs):
+        future = real_submit(pool, fn, *args, **kwargs)
+        with lock:
+            live.add(future)
+            seen.append((len(live), len(configs) - len(finished)))
+        future.add_done_callback(settled)
+        return future
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+    report = run_supervised(configs, jobs=2, on_outcome=finished.append)
+    assert report.ok
+    assert max(in_flight for in_flight, _ in seen) == 4
+    assert all(in_flight <= left for in_flight, left in seen), seen
+    assert [run_digest(r) for r in report.results] == \
+        [run_digest(r) for r in run_many(configs, jobs=1)]
+
+
+def test_a_queued_attempt_s_deadline_runs_from_its_start():
+    """One worker, two points that each take 0.6 of the deadline: the
+    second waits in the pool's queue, and its clock starts when the
+    worker takes it, not at submit."""
+    policy = SupervisorPolicy(max_retries=0, run_timeout_s=NAP_S / 0.6)
+    report = run_supervised(_configs(2), jobs=1, policy=policy, runner=_nap)
+    assert [(o.status, o.attempts) for o in report.outcomes] == \
+        [("ok", 1), ("ok", 1)]
+
+
+def test_a_queued_attempt_s_wall_time_excludes_its_wait():
+    """Points 3 and 4 wait behind points 1 and 2: each is charged its own
+    run, well below the two runs' sum it spans from submit.  (A promoted
+    attempt's clock starts when the completion ahead of it is settled,
+    a little after its worker took it: no exact lower bound.)"""
+    report = run_supervised(_configs(4), jobs=2, runner=_nap)
+    assert report.ok
+    walls = [o.wall_s for o in report.outcomes]
+    assert all(NAP_S / 2 < wall < 1.5 * NAP_S for wall in walls), walls
+
+
+def test_a_queued_attempt_lost_with_a_killed_worker_is_requeued_free(
+        flag_dir):
+    """Seed 1 SIGKILLs its worker while seed 2 is queued behind it: the
+    death charges seed 1 alone."""
+    policy = SupervisorPolicy(max_retries=1, run_timeout_s=60)
+    report = run_supervised(_configs(2), jobs=1, policy=policy,
+                            runner=_seed_one_sigkills_its_worker_once)
+    assert [(o.status, o.attempts) for o in report.outcomes] == \
+        [("ok", 2), ("ok", 1)]
 
 
 # -- deterministic failures fail fast ------------------------------------------

@@ -36,11 +36,19 @@ def test_env_fallback(monkeypatch):
 
 
 def test_zero_means_one_worker_per_cpu(monkeypatch):
+    """Per CPU this process may run on: an affinity mask (taskset, a
+    container's cpuset) caps the pool; without the call, every CPU."""
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    expected = os.cpu_count() or 1
-    assert parallel.resolve_jobs(0) == expected
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    assert parallel.resolve_jobs(0) == parallel.resolve_jobs(-1) == 3
     monkeypatch.setenv("REPRO_JOBS", "0")
-    assert parallel.resolve_jobs(None) == expected
+    assert parallel.resolve_jobs(None) == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert parallel.resolve_jobs(None) == 8
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert parallel.resolve_jobs(None) == 1
 
 
 def test_bad_env_rejected(monkeypatch):
