@@ -5,10 +5,10 @@ figure of the paper at the scaled bench profile (DESIGN.md).  It
 *declares* :class:`Figure` objects in its module-level ``FIGURES`` —
 points to run, columns to print, claims the rows must bear out — and
 its test calls :func:`run_figure`, which sends every point through
-:func:`repro.runtime.run_supervised` (``REPRO_JOBS`` fans them out to
-workers; a point that fails is a placeholder row, not a crash), writes
-``bench_results/<id>.txt`` (table plus one verdict line per claim) and
-fails the bench on any claim that does not hold.
+:func:`repro.runtime.supervisor.run_supervised` (``REPRO_JOBS`` fans
+them out to workers; a point that fails is a placeholder row, not a
+crash), writes ``bench_results/<id>.txt`` (table plus one verdict line
+per claim) and fails the bench on any claim that does not hold.
 ``scripts/update_experiments.py`` renders EXPERIMENTS.md from
 :func:`registry` and those files.
 """
@@ -23,7 +23,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import RunResult
 from repro.experiments.sweeps import format_table
 from repro.metrics.stats import percentile
-from repro.runtime import run_supervised
+from repro.runtime.supervisor import run_supervised
 from repro.sim.units import MILLISECOND
 
 #: Simulated time per run; long enough for several init-RTO recoveries.

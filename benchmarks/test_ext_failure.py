@@ -5,7 +5,7 @@ delta in QCT/FCT is the cost of the fault."""
 from figures import (BENCH_SIM_TIME_NS, Claim, Figure, Point, bench_config,
                      run_figure)
 from repro.experiments.config import ALL_SYSTEMS
-from repro.faults import parse_fault
+from repro.faults.spec import parse_fault
 
 #: Outage window as fractions of the run: down at 1/4, repaired at 7/12.
 WINDOW = (BENCH_SIM_TIME_NS // 4, BENCH_SIM_TIME_NS * 7 // 12)

@@ -17,26 +17,24 @@ read the report::
     result = run_experiment(config)
     print(result.report().row())
 
-This module re-exports the blessed public surface (everything in
-``__all__``); anything else is an internal layer whose import path may
-change between releases.  The sweep executor's names load on first
-access, so ``import repro`` starts no process-pool machinery.
+This module is the one facade: it re-exports the blessed public surface
+(everything in ``__all__``).  Every other name is imported from the
+module that defines it, and its path may change between releases.  The
+sweep executor's names load on first access, so ``import repro`` starts
+no process-pool machinery.
 """
 
 from importlib import import_module
 
-from repro.experiments import (
-    ExperimentConfig,
-    RunReport,
-    RunResult,
-    run_digest,
-    run_experiment,
-    run_many,
-)
-from repro.faults import FaultSpec, parse_faults
-from repro.net import FatTree, LeafSpine
-from repro.trace import TraceConfig
-from repro.workload import (
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.digest import run_digest
+from repro.experiments.parallel import run_many
+from repro.experiments.report import RunReport
+from repro.experiments.runner import RunResult, run_experiment
+from repro.faults.spec import FaultSpec, parse_faults
+from repro.net.topology import FatTree, LeafSpine
+from repro.trace.config import TraceConfig
+from repro.workload.spec import (
     BackgroundSpec,
     CoflowSpec,
     DutyCycleSpec,
@@ -48,9 +46,9 @@ from repro.workload import (
 __version__ = "2.0.0"
 
 #: Name -> the module that defines it, imported on first access.
-_LAZY = {"SupervisorPolicy": "repro.runtime",
-         "SweepReport": "repro.runtime",
-         "run_supervised": "repro.runtime"}
+_LAZY = {"SupervisorPolicy": "repro.runtime.policy",
+         "SweepReport": "repro.runtime.supervisor",
+         "run_supervised": "repro.runtime.supervisor"}
 
 
 def __getattr__(name):

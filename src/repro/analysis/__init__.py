@@ -29,12 +29,3 @@ written against but that Python itself does not enforce:
   rank-queue heap and release-exactly-once checks into the hot paths,
   at zero cost when disabled.
 """
-
-__all__ = [
-    "dataflow",
-    "driver",
-    "lint",
-    "rules",
-    "sanitize",
-    "suppress",
-]

@@ -21,19 +21,5 @@ Nothing here handles signals: a run is stopped by killing its process,
 and its next attempt resumes from the last whole epoch on disk.
 """
 
-from repro.checkpoint.config import DEFAULT_CHECKPOINT_DIR, CheckpointConfig
-from repro.checkpoint.store import (CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-                                    CheckpointError, discard, load_latest,
-                                    read_checkpoint, write_checkpoint)
-
-__all__ = [
-    "CHECKPOINT_MAGIC",
-    "CHECKPOINT_VERSION",
-    "CheckpointConfig",
-    "CheckpointError",
-    "DEFAULT_CHECKPOINT_DIR",
-    "discard",
-    "load_latest",
-    "read_checkpoint",
-    "write_checkpoint",
-]
+# The benchmark ledger imports this name from here.
+from repro.checkpoint.config import CheckpointConfig

@@ -28,16 +28,16 @@ from typing import List, Optional
 
 from dataclasses import replace as _replace
 
-from repro.checkpoint import CheckpointConfig, CheckpointError
+from repro.checkpoint.config import CheckpointConfig
+from repro.checkpoint.store import CheckpointError
 from repro.experiments.config import (
     ALL_SYSTEMS,
     ExperimentConfig,
     WorkloadConfig,
 )
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import measurement_window, run_experiment
 from repro.experiments.sweeps import format_table
-from repro.faults import parse_faults
-from repro.faults.spec import parse_time_ns
+from repro.faults.spec import parse_faults, parse_time_ns
 from repro.workload.spec import parse_workloads
 from repro.net.builder import FIDELITY_MODES, FidelityConfig, PfcConfig
 from repro.net.topology import FatTree
@@ -191,18 +191,21 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     mix = {key: _MIX_DEFAULTS[key] if value is None else value
            for key, value in mix.items()}
     if args.paper_scale:
-        if args.fat_tree:
+        if args.fat_tree is not None:
             raise ValueError("--paper-scale (the paper's leaf-spine) "
                              "cannot be combined with --fat-tree")
         config = ExperimentConfig.paper_profile(
             system=args.system, transport=args.transport, **mix)
         config.seed = args.seed
     else:
-        topology = FatTree(args.fat_tree) if args.fat_tree else None
+        topology = (FatTree(args.fat_tree) if args.fat_tree is not None
+                    else None)
         config = ExperimentConfig.bench_profile(
             system=args.system, transport=args.transport, **mix,
             topology=topology, seed=args.seed)
     if args.sim_ms is not None:
+        if args.sim_ms <= 0:
+            raise ValueError(f"--sim-ms must be positive, got {args.sim_ms}")
         config.sim_time_ns = args.sim_ms * MILLISECOND
     if args.workloads:
         # A spec-composed mix replaces the profile's default generators.
@@ -212,6 +215,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             config.workload,
             warmup_ns=parse_time_ns(args.warmup) if args.warmup else 0,
             cooldown_ns=parse_time_ns(args.cooldown) if args.cooldown else 0)
+        measurement_window(config)  # raises if the flags leave no window
     config.faults = parse_faults(args.faults)
     config.trace = _trace_config_from_args(args)
     if args.checkpoint_every is not None:
@@ -337,7 +341,8 @@ def _cmd_run(argv: List[str]) -> int:
 
 def _cmd_sweep(argv: List[str]) -> int:
     # The sweep executor (a process pool) loads only for this command.
-    from repro.runtime import SupervisorPolicy, SweepSupervisor
+    from repro.runtime.policy import SupervisorPolicy
+    from repro.runtime.supervisor import SweepSupervisor
 
     parser = argparse.ArgumentParser(
         prog="repro sweep",

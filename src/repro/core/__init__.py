@@ -20,29 +20,3 @@ The in-network selective-deflection logic lives in
 :mod:`repro.forwarding.vertigo` so it sits beside the ECMP / DRILL / DIBS
 baselines it is evaluated against.
 """
-
-from repro.core.cuckoo import CuckooFilter
-from repro.core.flowinfo import (
-    FlowInfo,
-    MarkingDiscipline,
-    boost_rfs,
-    rotl32,
-    rotr32,
-    unboost_rfs,
-)
-from repro.core.marking import MarkingComponent
-from repro.core.ordering import OrderingComponent
-from repro.core.scheduler import RankQueue
-
-__all__ = [
-    "CuckooFilter",
-    "FlowInfo",
-    "MarkingDiscipline",
-    "MarkingComponent",
-    "OrderingComponent",
-    "RankQueue",
-    "boost_rfs",
-    "rotl32",
-    "rotr32",
-    "unboost_rfs",
-]

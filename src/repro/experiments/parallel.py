@@ -9,9 +9,10 @@ serial-vs-parallel digest integration tests enforce this):
 - ``jobs == 1`` (the default) is the in-process reference: a plain loop,
   no pool, no pickling, live ``network``/``engine`` on the results;
 - ``jobs > 1`` is the *strict policy* of the one sweep executor,
-  :class:`repro.runtime.SweepSupervisor` — no retries, no journal, no
-  deadline — and raises if any point did not complete; results come back
-  as portable copies (``RunResult.portable()``) without the live network;
+  :class:`repro.runtime.supervisor.SweepSupervisor` — no retries, no
+  journal, no deadline — and raises if any point did not complete;
+  results come back as portable copies (``RunResult.portable()``)
+  without the live network;
 - ``jobs <= 0`` means "one worker per usable CPU".
 
 Concurrency comes from the ``jobs`` argument, the ``REPRO_JOBS``
@@ -63,7 +64,8 @@ def run_many(configs: Iterable[ExperimentConfig],
     if jobs == 1 or len(configs) <= 1:
         return [run_experiment(config) for config in configs]
     # Imported here: repro.runtime itself imports this module.
-    from repro.runtime import SupervisorPolicy, run_supervised
+    from repro.runtime.policy import SupervisorPolicy
+    from repro.runtime.supervisor import run_supervised
 
     report = run_supervised(configs, jobs=jobs,
                             policy=SupervisorPolicy(max_retries=0))

@@ -9,10 +9,10 @@ from __future__ import annotations
 import itertools
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.checkpoint import discard as _discard_checkpoint
-from repro.checkpoint import load_latest, write_checkpoint
+from repro.checkpoint.store import discard as _discard_checkpoint
+from repro.checkpoint.store import load_latest, write_checkpoint
 from repro.core.flowinfo import MarkingDiscipline
 from repro.experiments.config import ExperimentConfig
 from repro.net import packet as _packet_mod
@@ -343,6 +343,23 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     return result
 
 
+def measurement_window(config: ExperimentConfig
+                       ) -> Optional[Tuple[int, int]]:
+    """The ``(start, end)`` ns the summary metrics count flows in, or
+    ``None`` when every flow counts.  Raises ``ValueError`` when warmup
+    and cooldown leave no window."""
+    workload = config.workload
+    if not (workload.warmup_ns or workload.cooldown_ns):
+        return None
+    window_end = config.sim_time_ns - workload.cooldown_ns
+    if workload.warmup_ns >= window_end:
+        raise ValueError(
+            f"warmup ({workload.warmup_ns} ns) plus cooldown "
+            f"({workload.cooldown_ns} ns) leave no measurement "
+            f"window in a {config.sim_time_ns} ns run")
+    return workload.warmup_ns, window_end
+
+
 def _build_world(config: ExperimentConfig) -> LiveRun:
     """Construct the full live simulation for ``config`` (build phase).
 
@@ -408,16 +425,10 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
 
     kernel = FlowKernel(engine, metrics, network, fidelity)
 
-    workload = config.workload
-    if workload.warmup_ns or workload.cooldown_ns:
-        window_end = config.sim_time_ns - workload.cooldown_ns
-        if workload.warmup_ns >= window_end:
-            raise ValueError(
-                f"warmup ({workload.warmup_ns} ns) plus cooldown "
-                f"({workload.cooldown_ns} ns) leave no measurement "
-                f"window in a {config.sim_time_ns} ns run")
-        metrics.set_window(workload.warmup_ns, window_end)
-    generators = build_workload(workload, WorkloadContext(
+    window = measurement_window(config)
+    if window is not None:
+        metrics.set_window(*window)
+    generators = build_workload(config.workload, WorkloadContext(
         engine=engine, open_flow=kernel.open_flow, metrics=metrics,
         n_hosts=config.topology.n_hosts,
         host_rate_bps=network_params.host_rate_bps, rng=rng,
@@ -425,7 +436,7 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
 
     telemetry = None
     if config.telemetry_interval_ns:
-        from repro.telemetry import TelemetryMonitor
+        from repro.telemetry.monitor import TelemetryMonitor
 
         telemetry = TelemetryMonitor(
             engine, network, interval_ns=config.telemetry_interval_ns)

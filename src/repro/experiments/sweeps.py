@@ -1,8 +1,9 @@
 """Result-table rendering for sweeps and benches.
 
 Sweeps themselves run through :func:`repro.experiments.parallel.run_many`
-(ordered, raise-on-failure) or :func:`repro.runtime.run_supervised`
-(crash recovery, deadlines, retry, resume journal).
+(ordered, raise-on-failure) or
+:func:`repro.runtime.supervisor.run_supervised` (crash recovery,
+deadlines, retry, resume journal).
 """
 
 from __future__ import annotations

@@ -15,22 +15,3 @@ chosen output queue is full.
   deflection: SRPT-ranked queues, power-of-two forwarding and deflection,
   largest-RFS displacement, selective drop under global congestion.
 """
-
-from repro.forwarding.base import ForwardingPolicy
-from repro.forwarding.ecmp import EcmpPolicy
-from repro.forwarding.drill import DrillPolicy
-from repro.forwarding.dibs import DibsPolicy
-from repro.forwarding.letflow import LetFlowPolicy
-from repro.forwarding.pabo import PaboPolicy
-from repro.forwarding.vertigo import VertigoPolicy, VertigoSwitchParams
-
-__all__ = [
-    "ForwardingPolicy",
-    "EcmpPolicy",
-    "DrillPolicy",
-    "DibsPolicy",
-    "LetFlowPolicy",
-    "PaboPolicy",
-    "VertigoPolicy",
-    "VertigoSwitchParams",
-]

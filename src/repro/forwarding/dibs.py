@@ -12,7 +12,6 @@ deflection targets.
 from __future__ import annotations
 
 import random
-from typing import Tuple
 
 from repro.forwarding.base import ForwardingPolicy
 from repro.net.packet import Packet
@@ -32,14 +31,8 @@ class DibsPolicy(ForwardingPolicy):
         self.max_deflections = max_deflections
         self._salt = rng.getrandbits(32)
 
-    def _ecmp_port(self, packet: Packet) -> int:
-        return self.flow_hash_port(packet, self._salt)
-
-    def _deflection_targets(self, exclude: int) -> Tuple[int, ...]:
-        return self.deflection_targets(exclude)
-
     def route(self, packet: Packet, in_port: int) -> None:
-        port = self._ecmp_port(packet)
+        port = self.flow_hash_port(packet, self._salt)
         switch = self.switch
         if port is None:
             switch.drop(packet, "no_route")
@@ -51,7 +44,7 @@ class DibsPolicy(ForwardingPolicy):
         if packet.deflections >= self.max_deflections:
             switch.drop(packet, "deflection_limit")
             return
-        targets = [target for target in self._deflection_targets(port)
+        targets = [target for target in self.deflection_targets(port)
                    if switch.ports[target].queue.fits(packet)]
         if not targets:
             switch.drop(packet, "deflect_failed")

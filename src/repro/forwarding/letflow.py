@@ -42,7 +42,7 @@ class LetFlowPolicy(ForwardingPolicy):
         if not candidates:
             self.switch.drop(packet, "no_route")
             return
-        now = self.engine_now()
+        now = self.switch.engine.now
         entry = self._flowlets.get(packet.flow_id)
         if (entry is None or now - entry[1] > self.flowlet_gap_ns
                 or entry[0] >= len(self.switch.ports)
@@ -57,6 +57,3 @@ class LetFlowPolicy(ForwardingPolicy):
             self.switch.enqueue(port, packet)
         else:
             self.switch.drop(packet, "overflow")
-
-    def engine_now(self) -> int:
-        return self.switch.engine.now

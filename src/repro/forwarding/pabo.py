@@ -32,12 +32,9 @@ class PaboPolicy(ForwardingPolicy):
         self.max_bounces = max_bounces
         self._salt = rng.getrandbits(32)
 
-    def _ecmp_port(self, packet: Packet) -> int:
-        return self.flow_hash_port(packet, self._salt)
-
     def route(self, packet: Packet, in_port: int) -> None:
         switch = self.switch
-        port = self._ecmp_port(packet)
+        port = self.flow_hash_port(packet, self._salt)
         if port is None:
             switch.drop(packet, "no_route")
             return

@@ -1,5 +1,1 @@
 """End hosts: NIC, stack composition (transport + Vertigo shims)."""
-
-from repro.host.host import Host, HostStackConfig
-
-__all__ = ["Host", "HostStackConfig"]

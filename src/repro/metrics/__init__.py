@@ -1,19 +1,1 @@
 """Measurement: per-flow / per-query records and summary statistics."""
-
-from repro.metrics.collector import (
-    FlowRecord,
-    MetricsCollector,
-    NetworkCounters,
-    QueryRecord,
-)
-from repro.metrics.stats import cdf_points, mean, percentile
-
-__all__ = [
-    "FlowRecord",
-    "QueryRecord",
-    "NetworkCounters",
-    "MetricsCollector",
-    "mean",
-    "percentile",
-    "cdf_points",
-]

@@ -5,40 +5,3 @@ substrate: store-and-forward output-queued switches connected by links
 with serialization and propagation delay, byte-bounded per-port buffers,
 and multipath route tables for leaf-spine and fat-tree topologies.
 """
-
-from repro.net.packet import (
-    ACK_WIRE_BYTES,
-    DEFAULT_MSS,
-    HEADER_BYTES,
-    Packet,
-    PacketKind,
-)
-from repro.net.queues import DropTailQueue, QueueStats, RankedQueue
-from repro.net.link import Link, Port
-from repro.net.switch import Switch
-from repro.net.topology import (
-    FatTree,
-    LeafSpine,
-    Topology,
-    paper_fat_tree,
-    paper_leaf_spine,
-)
-
-__all__ = [
-    "ACK_WIRE_BYTES",
-    "DEFAULT_MSS",
-    "HEADER_BYTES",
-    "Packet",
-    "PacketKind",
-    "DropTailQueue",
-    "RankedQueue",
-    "QueueStats",
-    "Link",
-    "Port",
-    "Switch",
-    "Topology",
-    "LeafSpine",
-    "FatTree",
-    "paper_leaf_spine",
-    "paper_fat_tree",
-]

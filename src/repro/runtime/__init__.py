@@ -11,7 +11,7 @@ must make, not the whole run.
 
 Quickstart::
 
-    from repro.runtime import SupervisorPolicy, run_supervised
+    from repro import SupervisorPolicy, run_supervised
 
     report = run_supervised(configs, jobs=4,
                             policy=SupervisorPolicy(max_retries=3,
@@ -25,27 +25,13 @@ re-run)::
 
     report = run_supervised(configs, jobs=4, resume="sweep.jsonl")
 
-A journal path that cannot be used as asked raises :class:`JournalError`
-before any point runs.  See DESIGN.md ("Runtime supervision") for the
-failure model and the record's keys.
+A journal path that cannot be used as asked raises
+:class:`~repro.runtime.journal.JournalError` before any point runs.  See
+DESIGN.md ("Runtime supervision") for the failure model and the
+record's keys.
 """
 
-from repro.runtime.journal import JournalError, SweepJournal
-from repro.runtime.policy import RUN_STATUSES, SupervisorPolicy
-from repro.runtime.supervisor import (
-    RunOutcome,
-    SweepReport,
-    SweepSupervisor,
-    run_supervised,
-)
-
-__all__ = [
-    "RUN_STATUSES",
-    "JournalError",
-    "RunOutcome",
-    "SupervisorPolicy",
-    "SweepJournal",
-    "SweepReport",
-    "SweepSupervisor",
-    "run_supervised",
-]
+# The benchmark ledger imports these two names from here; importing the
+# supervisor also loads the subsystems its workers run.
+from repro.runtime.policy import SupervisorPolicy
+from repro.runtime.supervisor import run_supervised

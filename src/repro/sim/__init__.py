@@ -4,50 +4,5 @@ The kernel is deliberately small: a monotonically increasing integer clock
 in nanoseconds, a binary-heap event calendar, cancellable timers, and
 deterministic per-component random streams.  Everything else in the
 simulator (links, switches, transports, applications) is built by
-scheduling callbacks on an :class:`Engine`.
+scheduling callbacks on an :class:`~repro.sim.engine.Engine`.
 """
-
-from repro.sim.engine import Engine, Event
-from repro.sim.rng import RngRegistry
-from repro.sim.timers import Timer
-from repro.sim.units import (
-    GIGA,
-    KILO,
-    MEGA,
-    MICROSECOND,
-    MILLISECOND,
-    NANOSECOND,
-    SECOND,
-    bits_to_bytes,
-    bytes_to_bits,
-    fmt_time,
-    gbps,
-    kb,
-    mb,
-    seconds,
-    transmission_delay_ns,
-    usecs,
-)
-
-__all__ = [
-    "Engine",
-    "Event",
-    "RngRegistry",
-    "Timer",
-    "GIGA",
-    "KILO",
-    "MEGA",
-    "MICROSECOND",
-    "MILLISECOND",
-    "NANOSECOND",
-    "SECOND",
-    "bits_to_bytes",
-    "bytes_to_bits",
-    "fmt_time",
-    "gbps",
-    "kb",
-    "mb",
-    "seconds",
-    "transmission_delay_ns",
-    "usecs",
-]

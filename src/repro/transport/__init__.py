@@ -14,26 +14,11 @@ here on a shared sliding-window engine (:mod:`repro.transport.base`):
   control, the RoCEv2 companion to PFC (lossless-fabric extension).
 """
 
-from repro.transport.base import FlowReceiver, FlowSender, TransportConfig
-from repro.transport.reno import RenoSender
-from repro.transport.dctcp import DctcpSender
-from repro.transport.dcqcn import DcqcnSender
-from repro.transport.swift import SwiftSender
+from repro.transport import dcqcn, dctcp, reno, swift
 
 TRANSPORTS = {
-    "reno": RenoSender,
-    "dctcp": DctcpSender,
-    "swift": SwiftSender,
-    "dcqcn": DcqcnSender,
+    "reno": reno.RenoSender,
+    "dctcp": dctcp.DctcpSender,
+    "swift": swift.SwiftSender,
+    "dcqcn": dcqcn.DcqcnSender,
 }
-
-__all__ = [
-    "FlowReceiver",
-    "FlowSender",
-    "TransportConfig",
-    "RenoSender",
-    "DctcpSender",
-    "DcqcnSender",
-    "SwiftSender",
-    "TRANSPORTS",
-]

@@ -105,7 +105,7 @@ def trace_fingerprint(result, n_lines: int = 24) -> Dict[str, object]:
     """What a pinned-trace test stores about one traced run: the trace
     digest, the report's trace section, and every k-th line of the JSONL
     export (so a mismatch can be localised without the parent tree)."""
-    from repro.trace import jsonl_lines
+    from repro.trace.export import jsonl_lines
 
     lines = list(jsonl_lines(result.trace))
     stride = max(1, len(lines) // n_lines)
@@ -118,7 +118,7 @@ def trace_fingerprint(result, n_lines: int = 24) -> Dict[str, object]:
 def explain_trace_mismatch(result, pinned: Dict[str, object]) -> str:
     """Where a traced run departs from its pin: the first stored JSONL
     line that differs, else the first differing kind count."""
-    from repro.trace import jsonl_lines
+    from repro.trace.export import jsonl_lines
 
     lines = list(jsonl_lines(result.trace))
     for index, expected in sorted((int(i), line)

@@ -28,19 +28,24 @@ import types
 
 import pytest
 
-from repro.checkpoint import CheckpointConfig, CheckpointError, store
-from repro.experiments import run_experiment, run_many, runner
+from repro.checkpoint import store
+from repro.checkpoint.config import CheckpointConfig
+from repro.checkpoint.store import CheckpointError
+from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import config_digest, run_digest
-from repro.runtime.supervisor import _run_portable
-from repro.runtime import SupervisorPolicy, run_supervised
-from repro.faults import parse_faults
+from repro.experiments.parallel import run_many
+from repro.experiments.runner import run_experiment
+from repro.runtime.policy import SupervisorPolicy
+from repro.runtime.supervisor import _run_portable, run_supervised
+from repro.faults.spec import parse_faults
 from repro.net.fidelity import FidelityConfig
 from repro.net.pfc import PfcConfig
 from repro.sim.units import MILLISECOND
-from repro.trace import TraceConfig, jsonl_lines
 from repro.trace import hooks as trace_hooks
 from repro.trace import tracer as tracer_mod
+from repro.trace.config import TraceConfig
+from repro.trace.export import jsonl_lines
 from tests.helpers import rewrite_checkpoint_header
 
 def _config(fidelity="packet", seed=7, sim_ms=40):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.faults import parse_faults
+from repro.faults.spec import parse_faults
 from repro.net.link import Link
 from repro.sim.engine import Engine
 from repro.sim.units import MILLISECOND

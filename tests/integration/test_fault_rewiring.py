@@ -15,7 +15,7 @@ from repro.experiments.config import ALL_SYSTEMS, ExperimentConfig
 from repro.experiments.digest import run_digest
 from repro.experiments.parallel import run_many
 from repro.experiments.runner import run_experiment
-from repro.faults import parse_fault
+from repro.faults.spec import parse_fault
 from repro.forwarding.ecmp import EcmpPolicy
 from repro.host.host import HostStackConfig
 from repro.metrics.collector import MetricsCollector
@@ -24,7 +24,7 @@ from repro.net.topology import FatTree, LeafSpine
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MILLISECOND, SECOND
-from repro.trace import TraceConfig
+from repro.trace.config import TraceConfig
 from repro.transport.reno import RenoSender
 from tests.helpers import mk_data
 

@@ -19,7 +19,8 @@ import dataclasses
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments import run_digest, run_many
+from repro.experiments.digest import run_digest
+from repro.experiments.parallel import run_many
 from repro.experiments.runner import run_experiment
 from repro.faults.spec import FaultSpec
 from repro.metrics.stats import percentile

@@ -25,7 +25,8 @@ from collections import Counter
 
 import pytest
 
-from repro.experiments import run_digest, runner
+from repro.experiments import runner
+from repro.experiments.digest import run_digest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import EngineStats, FlowKernel, run_experiment
 from repro.faults.spec import FaultSpec
@@ -34,7 +35,8 @@ from repro.net.pfc import PfcConfig
 from repro.sim.engine import Engine
 from repro.sim.timers import Timer
 from repro.sim.units import MILLISECOND
-from repro.trace import TraceConfig, jsonl_lines
+from repro.trace.config import TraceConfig
+from repro.trace.export import jsonl_lines
 from repro.transport import TRANSPORTS
 from repro.transport.base import FlowReceiver, FlowSender, TransportConfig
 from repro.transport.dcqcn import DcqcnSender

@@ -14,7 +14,7 @@ from collections import Counter
 
 import pytest
 
-from repro.experiments import run_digest
+from repro.experiments.digest import run_digest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments import runner
 from repro.experiments.runner import run_experiment

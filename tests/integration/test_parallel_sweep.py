@@ -7,7 +7,8 @@ into the worker processes.
 """
 
 from repro.analysis import sanitize
-from repro.experiments import run_digest, run_many
+from repro.experiments.digest import run_digest
+from repro.experiments.parallel import run_many
 from repro.experiments.config import ExperimentConfig
 from repro.sim.units import MILLISECOND
 

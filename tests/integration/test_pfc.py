@@ -15,11 +15,13 @@ Covers the PR's behavioural contracts:
   up-down fabric are not reported.
 """
 
-from repro.experiments import run_digest, run_experiment, run_many
+from repro.experiments.digest import run_digest
+from repro.experiments.parallel import run_many
+from repro.experiments.runner import run_experiment
 from repro.experiments.config import ExperimentConfig
 from repro.net.pfc import PfcConfig
 from repro.sim.units import MILLISECOND
-from repro.trace import TraceConfig
+from repro.trace.config import TraceConfig
 
 
 def _config(seed=7, system="ecmp", transport="dcqcn", **pfc_kwargs):

@@ -16,10 +16,11 @@ import threading
 
 import pytest
 
-from repro.experiments import run_many
+from repro.experiments.parallel import run_many
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import sweep_digest
-from repro.runtime import SupervisorPolicy, SweepSupervisor, run_supervised
+from repro.runtime.policy import SupervisorPolicy
+from repro.runtime.supervisor import SweepSupervisor, run_supervised
 from repro.sim.units import MILLISECOND
 
 POLICY = SupervisorPolicy(max_retries=3)

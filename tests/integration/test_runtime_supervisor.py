@@ -21,12 +21,16 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-from repro.experiments import run_many
+from repro.experiments.parallel import run_many
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import run_digest, sweep_digest
-from repro.runtime.supervisor import _run_portable
 from repro.experiments.sweeps import format_table
-from repro.runtime import SupervisorPolicy, SweepSupervisor, run_supervised
+from repro.runtime.policy import SupervisorPolicy
+from repro.runtime.supervisor import (
+    SweepSupervisor,
+    _run_portable,
+    run_supervised,
+)
 from repro.sim.units import MILLISECOND
 
 def _configs(n=3, sim_ms=5):

@@ -17,10 +17,14 @@ import time
 
 import pytest
 
-from repro.experiments import run_many
+from repro.experiments.parallel import run_many
 from repro.experiments.config import ExperimentConfig
-from repro.runtime import SupervisorPolicy, SweepSupervisor, run_supervised
-from repro.runtime.supervisor import _run_portable
+from repro.runtime.policy import SupervisorPolicy
+from repro.runtime.supervisor import (
+    SweepSupervisor,
+    _run_portable,
+    run_supervised,
+)
 from repro.sim.units import MILLISECOND
 from tests.integration.test_runtime_supervisor import (
     _always_valueerror,

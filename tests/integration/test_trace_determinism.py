@@ -13,12 +13,14 @@ import pathlib
 import pytest
 
 from repro import ExperimentConfig, run_digest, run_experiment
-from repro.experiments import run_many
+from repro.experiments.parallel import run_many
 from repro.experiments.runner import EngineStats
 from repro.net.fidelity import FidelityConfig
 from repro.net.pfc import PfcConfig
 from repro.sim.units import MILLISECOND
-from repro.trace import EVENT_FIELDS, TraceConfig, jsonl_lines, write_jsonl
+from repro.trace.config import TraceConfig
+from repro.trace.export import jsonl_lines, write_jsonl
+from repro.trace.tracer import EVENT_FIELDS
 from repro.transport.base import TransportConfig
 from repro.workload.spec import parse_workloads
 from tests.helpers import explain_trace_mismatch, trace_fingerprint

@@ -16,7 +16,9 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import run_digest, run_many, run_experiment
+from repro.experiments.digest import run_digest
+from repro.experiments.parallel import run_many
+from repro.experiments.runner import run_experiment
 from repro.experiments.config import ExperimentConfig, WorkloadConfig
 from repro.sim.units import MILLISECOND
 from repro.workload.spec import (

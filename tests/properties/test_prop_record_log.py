@@ -22,10 +22,10 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import sanitize
-from repro.trace import TraceConfig, Tracer
 from repro.trace import tracer as tracer_mod
+from repro.trace.config import TraceConfig
 from repro.trace.export import jsonl_lines
-from repro.trace.tracer import EVENT_FIELDS
+from repro.trace.tracer import EVENT_FIELDS, Tracer
 
 SAMPLE_KINDS = sorted(kind for kind in EVENT_FIELDS
                       if kind.startswith("sample."))

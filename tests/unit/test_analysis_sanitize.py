@@ -17,7 +17,8 @@ from repro.core.scheduler import RankQueue
 from repro.net.queues import DropTailQueue, RankedQueue
 from repro.net.switch import MAX_HOPS
 from repro.sim.engine import Engine
-from repro.trace import TraceConfig, Tracer
+from repro.trace.config import TraceConfig
+from repro.trace.tracer import Tracer
 from repro.trace import tracer as tracer_mod
 from tests.helpers import make_switch, mk_data
 

@@ -10,19 +10,17 @@ import sys
 
 import pytest
 
-from repro.checkpoint import (
-    CheckpointConfig,
-    CheckpointError,
-    discard,
-    load_latest,
-    read_checkpoint,
-    write_checkpoint,
-)
+from repro.checkpoint.config import CheckpointConfig
 from repro.checkpoint.store import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     PREVIOUS_SUFFIX,
+    CheckpointError,
     code_fingerprint,
+    discard,
+    load_latest,
+    read_checkpoint,
+    write_checkpoint,
 )
 from tests.helpers import rewrite_checkpoint_header
 

@@ -138,6 +138,13 @@ def test_sanitized_run_with_a_fault_scenario(capsys):
     ["run", *TINY, "--trace", "t.jsonl", "--sample-us", "0"],
     ["run", "--sim-ms", "5", "--workload", "background:load=0.1",
      "--bg-load", "0.3"],
+    ["run", "--sim-ms", "0"],
+    ["run", "--sim-ms", "-3"],
+    ["run", *TINY, "--fat-tree", "0"],
+    ["run", "--sim-ms", "1", "--warmup", "2ms"],
+    ["sweep", "--systems", "ecmp", "--sim-ms", "0"],
+    ["sweep", "--systems", "ecmp", *TINY, "--fat-tree", "0"],
+    ["sweep", "--systems", "ecmp", "--sim-ms", "1", "--warmup", "2ms"],
 ])
 def test_flags_that_would_do_nothing_are_usage_errors(argv, capsys):
     assert main(argv) == 2
@@ -164,7 +171,7 @@ def test_trace_flags_write_valid_jsonl(tmp_path, capsys):
     assert code == 0
     capsys.readouterr()
 
-    from repro.trace import validate_file
+    from repro.trace.export import validate_file
     assert validate_file(jsonl) == []
 
     code = main(["trace-view", jsonl, "--validate"])
@@ -205,7 +212,8 @@ def test_trace_line_stays_quiet_without_overflow_and_sums_over_runs(
     from types import SimpleNamespace
 
     from repro.cli import _export_traces
-    from repro.trace import TraceConfig, Tracer
+    from repro.trace.config import TraceConfig
+    from repro.trace.tracer import Tracer
 
     def traced(seed, max_events):
         tracer = Tracer(TraceConfig(max_events=max_events))
@@ -231,7 +239,8 @@ def test_overflow_advice_names_the_remedy_of_each_ring(tmp_path, capsys):
     from types import SimpleNamespace
 
     from repro.cli import _export_traces
-    from repro.trace import TraceConfig, Tracer
+    from repro.trace.config import TraceConfig
+    from repro.trace.tracer import Tracer
 
     def traced(level, max_events=10, max_samples=10):
         tracer = Tracer(TraceConfig(level=level, max_events=max_events,

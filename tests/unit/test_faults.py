@@ -7,9 +7,9 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import config_digest
-from repro.faults import (
+from repro.faults.injector import FaultInjector
+from repro.faults.spec import (
     FAULT_KINDS,
-    FaultInjector,
     FaultParseError,
     FaultSpec,
     cable_key,

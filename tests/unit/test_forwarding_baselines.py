@@ -156,7 +156,7 @@ def test_dibs_never_deflects_to_other_host_ports():
     switch, _, _ = make_switch(engine, n_host_ports=3, n_fabric_ports=2)
     policy = DibsPolicy(switch, seeded_rng())
     switch.policy = policy
-    targets = policy._deflection_targets(exclude=0)
+    targets = policy.deflection_targets(exclude=0)
     assert set(targets) == set(switch.switch_ports)
 
 

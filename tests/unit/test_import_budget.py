@@ -1,19 +1,24 @@
-"""A run imports only the machinery its config turns on.
+"""A run imports only the machinery its config turns on, and each name
+is imported by one path.
 
 Every module a fresh interpreter loads costs it that module's compile
 time unless bytecode is cached, and start-up is what each sweep point,
 pool worker and CLI call pays again.  Config modules therefore import no
 machinery, ``_build_world`` imports the PFC and fidelity controllers,
 the tracer, the sampler and the fault injector where it builds them, and
-the package ``__init__``s resolve the sweep executor's and the
-exporter's names on first access (DESIGN.md "Performance", Start-up).
+``repro`` resolves the sweep executor's names on first access
+(DESIGN.md "Performance", Start-up).
 
 The module-set cases run in fresh interpreters and read ``sys.modules``
-once the code under test has finished.
+once the code under test has finished.  The import census reads source
+with ``ast``: a name is imported from the module that defines it, and
+``repro`` is the only facade.
 """
 
+import ast
 import json
 import os
+import pkgutil
 import pickle
 import subprocess
 import sys
@@ -23,13 +28,13 @@ from pathlib import Path
 import pytest
 
 import repro
-import repro.faults
-import repro.trace
-from repro.experiments import ExperimentConfig, config_digest
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.digest import config_digest
 from repro.net.builder import FidelityConfig, PfcConfig
 from repro.trace.config import TraceConfig
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
+REPO = Path(SRC).parent
 
 #: What a healthy, untraced, packet-level bench run never executes.
 MACHINERY = ("concurrent.futures", "multiprocessing", "repro.runtime",
@@ -57,8 +62,9 @@ def _run(profile: str = "", changes: str = "") -> str:
     """A bench-profile incast-vertigo run of 1 ms, optionally altered."""
     return f"""
 from dataclasses import replace
-from repro.experiments import ExperimentConfig, run_experiment
-from repro.faults import parse_faults
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment
+from repro.faults.spec import parse_faults
 from repro.net.builder import FidelityConfig, PfcConfig
 from repro.trace.config import TraceConfig
 config = ExperimentConfig.bench_profile(
@@ -104,7 +110,63 @@ def test_a_config_loads_exactly_its_own_machinery(profile, changes,
     assert _machinery_loaded(_run(profile, changes)) == expected
 
 
-@pytest.mark.parametrize("package", [repro, repro.trace, repro.faults],
+#: The only names a subpackage ``__init__`` binds besides its
+#: submodules: the frozen benchmark ledger imports them from there.
+LEDGER_PINNED = {"repro.runtime": {"SupervisorPolicy", "run_supervised"},
+                 "repro.checkpoint": {"CheckpointConfig"},
+                 "repro.transport": {"TRANSPORTS"}}
+
+
+def _subpackages() -> dict:
+    """``{"repro.<pkg>": the names of its submodules}``."""
+    return {f"repro.{init.parent.name}":
+            {module.name for module in pkgutil.iter_modules([init.parent])}
+            for init in sorted((Path(SRC) / "repro").glob("*/__init__.py"))}
+
+
+def _bound_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield from ((alias.asname or alias.name).split(".")[0]
+                        for alias in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            yield node.id
+
+
+def test_a_subpackage_init_binds_no_name_but_the_ledgers():
+    packages = _subpackages()
+    assert len(packages) == 15
+    extra = {}
+    for package, submodules in packages.items():
+        init = Path(SRC, *package.split("."), "__init__.py")
+        names = set(_bound_names(ast.parse(init.read_text())))
+        names -= submodules | LEDGER_PINNED.get(package, set())
+        if names:
+            extra[package] = sorted(names)
+    assert extra == {}
+
+
+def test_every_name_is_imported_from_the_module_that_defines_it():
+    packages = _subpackages()
+    facade_imports = []
+    for top in ("src", "tests", "benchmarks", "examples", "scripts"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not (isinstance(node, ast.ImportFrom) and node.level == 0
+                        and node.module in packages):
+                    continue
+                allowed = (packages[node.module]
+                           | LEDGER_PINNED.get(node.module, set()))
+                facade_imports += [
+                    f"{path.relative_to(REPO)}:{node.lineno}: "
+                    f"from {node.module} import {alias.name}"
+                    for alias in node.names if alias.name not in allowed]
+    assert not facade_imports, facade_imports
+
+
+@pytest.mark.parametrize("package", [repro],
                          ids=lambda package: package.__name__)
 def test_every_public_name_still_resolves(package):
     star = {}
@@ -115,13 +177,9 @@ def test_every_public_name_still_resolves(package):
 
 
 def test_lazy_names_are_the_defining_modules_objects():
-    from repro.faults.injector import FaultInjector
-    from repro.runtime import run_supervised
-    from repro.trace.export import write_jsonl
+    from repro.runtime.supervisor import run_supervised
 
-    assert repro.trace.write_jsonl is write_jsonl
     assert repro.run_supervised is run_supervised
-    assert repro.faults.FaultInjector is FaultInjector
 
 
 #: ``(new path, path before the config classes moved)`` as a protocol-0

@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.experiments import (
-    ExperimentConfig,
-    RunReport,
-    format_table,
-    run_experiment,
-)
-from repro.experiments.report import ROW_KEYS
-from repro.trace import TraceConfig
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.report import ROW_KEYS, RunReport
+from repro.experiments.runner import run_experiment
+from repro.experiments.sweeps import format_table
+from repro.trace.config import TraceConfig
 
 
 @pytest.fixture(scope="module")

@@ -9,8 +9,9 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import config_digest, run_digest
 from repro.experiments.runner import run_experiment
-from repro.runtime import (RUN_STATUSES, JournalError, RunOutcome,
-                           SweepJournal, run_supervised)
+from repro.runtime.journal import JournalError, SweepJournal
+from repro.runtime.policy import RUN_STATUSES
+from repro.runtime.supervisor import RunOutcome, run_supervised
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.runtime import SupervisorPolicy
+from repro.runtime.policy import SupervisorPolicy
 
 
 def test_defaults():

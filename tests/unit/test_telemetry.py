@@ -14,7 +14,7 @@ from repro.net.topology import LeafSpine
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.sim.units import MILLISECOND
-from repro.telemetry import TelemetryMonitor
+from repro.telemetry.monitor import TelemetryMonitor
 from repro.transport.reno import RenoSender
 
 

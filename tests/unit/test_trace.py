@@ -12,18 +12,20 @@ import pytest
 import repro
 from repro import ExperimentConfig
 from repro.analysis import sanitize
-from repro.experiments import run_experiment, runner
+from repro.experiments import runner
+from repro.experiments.runner import run_experiment
 from repro.net.fidelity import FidelityConfig
 from repro.net.pfc import PfcConfig
 from repro.sim.units import MILLISECOND
-from repro.trace import (
+from repro.trace import hooks
+from repro.trace.config import TraceConfig
+from repro.trace.tracer import (
+    ARITY,
+    CHUNK_RECORDS,
     EVENT_FIELDS,
     PACKET_KINDS,
-    TraceConfig,
     Tracer,
 )
-from repro.trace import hooks
-from repro.trace.tracer import ARITY, CHUNK_RECORDS
 
 
 @pytest.fixture(autouse=True)

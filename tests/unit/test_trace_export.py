@@ -4,10 +4,8 @@ import json
 
 import pytest
 
-from repro.trace import (
-    EVENT_FIELDS,
-    TraceConfig,
-    Tracer,
+from repro.trace.config import TraceConfig
+from repro.trace.export import (
     convert_jsonl_to_chrome,
     jsonl_lines,
     read_jsonl,
@@ -16,6 +14,7 @@ from repro.trace import (
     validate_lines,
     write_jsonl,
 )
+from repro.trace.tracer import EVENT_FIELDS, Tracer
 
 
 def make_trace(seed=1):
