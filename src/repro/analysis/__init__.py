@@ -12,8 +12,8 @@ written against but that Python itself does not enforce:
     reads in simulation code, integer nanosecond/byte/bit-rate unit
     discipline, no module-lifetime mutable state; plus ``Violation``,
     the rule catalogue and the per-rule path exemptions.
-  - :mod:`repro.analysis.dataflow` — per-function unit/float
-    provenance (locals, literals, ``/`` vs ``//``, unit-suffixed
+  - :mod:`repro.analysis.dataflow` — per-function float
+    provenance (locals, literals, ``/`` vs ``//``, seconds-suffixed
     names): VR100 (float or seconds values reaching ``*_ns`` slots
     through a local or a ``*_s``-named call) and VR150 (no float
     arithmetic inside the integer-only analytic / PFC functions).

@@ -1,4 +1,4 @@
-"""Per-function unit/float provenance: the VR100 and VR150 rules.
+"""Per-function float provenance: the VR100 and VR150 rules.
 
 The VR003 check sees direct taint only — a float literal or a true
 division *in the flagged expression itself*.  What it cannot see is
@@ -6,20 +6,19 @@ provenance: a local bound to a division three lines earlier, or a
 ``*_s``-named helper whose result is assigned to a ``*_ns`` name.  This
 pass tracks both, one function of one file at a time.
 
-**Lattice.**  Every expression gets a :class:`UnitInfo`: a coarse unit
-tag (``ns`` / ``bytes`` / ``bps`` / ``seconds`` / plain ``int`` /
-``float`` / ``unknown``) plus a one-line provenance string used in
-diagnostics.  Floatness is what the rules police; the unit tags sharpen
-messages and seed inference from names (``*_ns`` → ns-int, ``*_s`` →
-seconds-float, ``*_bps`` / ``*_bytes`` → integer rates/sizes).
+**Floatness.**  Every expression is either a float, carrying a one-line
+provenance string for the diagnostic, or not (``None``).  Names seed
+it by suffix: ``*_s`` / ``*_sec`` / ``*_secs`` / ``*_seconds`` are
+seconds, floats by convention; ``*_ns`` / ``*_bytes`` / ``*_bps`` are
+integers, even as a parameter annotated ``float`` (VR003 reports the
+annotation).  Any other parameter annotated ``float`` is a float.
 
 **Inference.**  :class:`_Inferencer` interprets one function body
-abstractly: parameters are seeded from their names and ``float``
-annotations, locals carry the unit of what was assigned to them,
-literals, ``/`` vs ``//``, ``or``/``and``, conditionals and rounding
-calls (``int``/``round``/``floor``/``ceil``/``trunc``) are understood.
-A call is never resolved: its unit is its name's suffix
-(``propagation_delay_s(...)`` is seconds), else unknown.
+abstractly: locals carry the floatness of what was assigned to them,
+and literals, ``/`` vs ``//``, ``or``/``and``, conditionals and
+rounding calls (``int``/``round``/``floor``/``ceil``/``trunc``) are
+understood.  A call is never resolved: it is a float when its name has
+a seconds suffix (``propagation_delay_s(...)``) or it is ``float()``.
 
 **VR100** flags:
 
@@ -45,7 +44,6 @@ and float rounding breaks bit-for-bit digest stability.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.analysis.lint import (
@@ -58,151 +56,86 @@ from repro.analysis.lint import (
 
 _FunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
-#: Coarse unit tags.
-NS = "ns"
-BYTES = "bytes"
-BPS = "bps"
-SECONDS = "seconds"
-INT = "int"
-FLOAT = "float"
-UNKNOWN = "unknown"
+#: Why an expression is a float, or ``None`` when it is not one.
+Why = Optional[str]
 
-_FLOATISH = frozenset({SECONDS, FLOAT})
-
-#: Name-suffix → unit. Longest suffix wins (``_bps`` before ``_s``).
-_SUFFIX_UNITS: Tuple[Tuple[str, str], ...] = (
-    ("_ns", NS),
-    ("_bytes", BYTES),
-    ("_bps", BPS),
-    ("_seconds", SECONDS),
-    ("_secs", SECONDS),
-    ("_sec", SECONDS),
-    ("_s", SECONDS),
-)
+#: Name suffixes of seconds (floats) and of integer units.
+_SECONDS = ("_seconds", "_secs", "_sec", "_s")
+_INTEGER_UNITS = ("_ns", "_bytes", "_bps")
 
 
-def suffix_unit(name: Optional[str]) -> str:
-    if not name:
-        return UNKNOWN
-    for suffix, unit in _SUFFIX_UNITS:
-        if name.endswith(suffix) and name != suffix:
-            return unit
-    return UNKNOWN
+def _suffixed(name: Optional[str], suffixes: Tuple[str, ...]) -> bool:
+    """Whether ``name`` ends in one of ``suffixes`` (a bare suffix is
+    no name)."""
+    return bool(name) and any(name.endswith(suffix) and name != suffix
+                              for suffix in suffixes)
 
 
-@dataclass(frozen=True)
-class UnitInfo:
-    """A lattice value: unit tag plus provenance for diagnostics."""
-
-    unit: str
-    why: str = ""
-
-    @property
-    def floatish(self) -> bool:
-        return self.unit in _FLOATISH
-
-
-_UNKNOWN = UnitInfo(UNKNOWN)
-
-
-def _join(a: UnitInfo, b: UnitInfo) -> UnitInfo:
-    """Lattice join: floatness dominates, agreeing tags survive."""
-    if a.unit == b.unit:
-        return a
-    if a.floatish:
-        return a
-    if b.floatish:
-        return b
-    if a.unit == UNKNOWN:
-        return b
-    if b.unit == UNKNOWN:
-        return a
-    return UnitInfo(INT, a.why or b.why)
+def _is_ns(name: Optional[str]) -> bool:
+    return _suffixed(name, ("_ns",))
 
 
 class _Inferencer:
-    """Single-function abstract interpreter over the unit lattice."""
+    """Single-function abstract interpreter over floatness."""
 
     def __init__(self, func: _FunctionDef) -> None:
-        self.env: Dict[str, UnitInfo] = {}
+        self.env: Dict[str, Why] = {}
         args = func.args
         for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-            unit = suffix_unit(arg.arg)
-            if unit == UNKNOWN and isinstance(arg.annotation, ast.Name) \
-                    and arg.annotation.id == "float":
-                unit = FLOAT
-            if unit != UNKNOWN:
-                self.env[arg.arg] = UnitInfo(unit, f"parameter '{arg.arg}'")
+            annotated = isinstance(arg.annotation, ast.Name) \
+                and arg.annotation.id == "float"
+            if _suffixed(arg.arg, _SECONDS) or (
+                    annotated and not _suffixed(arg.arg, _INTEGER_UNITS)):
+                self.env[arg.arg] = f"parameter '{arg.arg}'"
 
     # -- expression inference --------------------------------------------------
 
-    def infer(self, node: ast.expr) -> UnitInfo:
+    def infer(self, node: ast.expr) -> Why:
         if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool):
-                return UnitInfo(INT, "bool literal")
-            if isinstance(node.value, int):
-                return UnitInfo(INT, "int literal")
             if isinstance(node.value, float):
-                return UnitInfo(FLOAT, f"float literal {node.value!r}")
-            return _UNKNOWN
+                return f"float literal {node.value!r}"
+            return None
         if isinstance(node, ast.Name):
-            known = self.env.get(node.id)
-            if known is not None:
-                return known
-            unit = suffix_unit(node.id)
-            if unit != UNKNOWN:
-                return UnitInfo(unit, f"name '{node.id}'")
-            return _UNKNOWN
+            if node.id in self.env:
+                return self.env[node.id]
+            return f"name '{node.id}'" \
+                if _suffixed(node.id, _SECONDS) else None
         if isinstance(node, ast.Attribute):
-            unit = suffix_unit(node.attr)
-            if unit != UNKNOWN:
-                return UnitInfo(unit, f"attribute '.{node.attr}'")
-            return _UNKNOWN
+            return f"attribute '.{node.attr}'" \
+                if _suffixed(node.attr, _SECONDS) else None
         if isinstance(node, ast.BinOp):
             if isinstance(node.op, ast.Div):
-                return UnitInfo(FLOAT, "true division")
+                return "true division"
             if isinstance(node.op, ast.FloorDiv):
-                return UnitInfo(INT, "floor division")
+                return None
             left = self.infer(node.left)
             right = self.infer(node.right)
             if isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Mod,
                                     ast.Pow)):
-                return _join(left, right)
-            return _UNKNOWN
+                return left or right
+            return None
         if isinstance(node, ast.UnaryOp):
             return self.infer(node.operand)
         if isinstance(node, ast.IfExp):
-            return _join(self.infer(node.body), self.infer(node.orelse))
+            body = self.infer(node.body)
+            orelse = self.infer(node.orelse)
+            return body or orelse
         if isinstance(node, ast.BoolOp):  # ``configured or default``
-            result = _UNKNOWN
-            for value in node.values:
-                result = _join(result, self.infer(value))
-            return result
+            whys = [self.infer(value) for value in node.values]
+            return next(filter(None, whys), None)
         if isinstance(node, ast.Call):
-            return self._infer_call(node)
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set, ast.Dict)):
-            return _UNKNOWN
+            name = _call_name(node)
+            if name in _ROUNDING_FUNCS:
+                return None
+            if name == "float":
+                return "float() conversion"
+            return f"call '{name}()'" if _suffixed(name, _SECONDS) else None
         if isinstance(node, ast.NamedExpr):
             value = self.infer(node.value)
             if isinstance(node.target, ast.Name):
                 self.env[node.target.id] = value
             return value
-        return _UNKNOWN
-
-    def _infer_call(self, node: ast.Call) -> UnitInfo:
-        name = _call_name(node)
-        if name in _ROUNDING_FUNCS:
-            if node.args:
-                inner = self.infer(node.args[0])
-                if inner.unit in (NS, BYTES, BPS):
-                    return UnitInfo(inner.unit, f"{name}() of {inner.why}")
-            return UnitInfo(INT, f"{name}() result")
-        if name == "float":
-            return UnitInfo(FLOAT, "float() conversion")
-        unit = suffix_unit(name)
-        if unit != UNKNOWN:
-            return UnitInfo(unit, f"call '{name}()'")
-        return _UNKNOWN
+        return None
 
     # -- statement walk --------------------------------------------------------
 
@@ -219,12 +152,11 @@ class _Inferencer:
         elif isinstance(stmt, ast.AugAssign) \
                 and isinstance(stmt.target, ast.Name):
             if isinstance(stmt.op, ast.Div):
-                self.env[stmt.target.id] = UnitInfo(
-                    FLOAT, "augmented true division")
+                self.env[stmt.target.id] = "augmented true division"
             else:
-                self.env[stmt.target.id] = _join(
-                    self.env.get(stmt.target.id, _UNKNOWN),
-                    self.infer(stmt.value))
+                value = self.infer(stmt.value)
+                self.env[stmt.target.id] = \
+                    self.env.get(stmt.target.id) or value
 
 
 _FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -285,27 +217,27 @@ def check_vr100(tree: ast.Module, path: str) -> List[Violation]:
     out: List[Violation] = []
     for func, _cls in _functions(tree):
         inf = _Inferencer(func)
-        own_ns = suffix_unit(func.name) == NS
+        own_ns = _is_ns(func.name)
         for stmt in _statements(func.body, inf):
             if isinstance(stmt, ast.Return) and stmt.value is not None \
                     and own_ns:
-                info = inf.infer(stmt.value)
-                if info.floatish:
+                why = inf.infer(stmt.value)
+                if why:
                     out.append(Violation(
                         path, stmt.lineno, stmt.col_offset + 1, "VR100",
                         f"'{func.name}' returns a float-valued expression "
-                        f"({info.why}); *_ns functions must return integer "
+                        f"({why}); *_ns functions must return integer "
                         f"nanoseconds"))
             targets, value = _assignment(stmt)
             if value is None or _float_taint(value) is not None:
                 continue  # direct taint is VR003's report; indirect is ours
-            info = inf.infer(value)
+            why = inf.infer(value)
             for target in targets:
                 name = _terminal_name(target)
-                if info.floatish and suffix_unit(name) == NS:
+                if why and _is_ns(name):
                     out.append(Violation(
                         path, stmt.lineno, stmt.col_offset + 1, "VR100",
-                        f"float value flows into '{name}': {info.why}"))
+                        f"float value flows into '{name}': {why}"))
     return out
 
 
@@ -330,15 +262,15 @@ def check_vr150(tree: ast.Module, path: str) -> List[Violation]:
             what: Optional[str] = None
             targets, value = _assignment(stmt)
             if isinstance(stmt, ast.Return) and stmt.value is not None:
-                info = inf.infer(stmt.value)
-                if info.floatish:
-                    what = f"returns a float ({info.why})"
+                why = inf.infer(stmt.value)
+                if why:
+                    what = f"returns a float ({why})"
             elif value is not None:
-                info = inf.infer(value)
-                if info.floatish:
+                why = inf.infer(value)
+                if why:
                     name = next(filter(None, map(_terminal_name, targets)),
                                 "<target>")
-                    what = f"'{name}' gets a float ({info.why})"
+                    what = f"'{name}' gets a float ({why})"
             elif isinstance(stmt, ast.AugAssign) \
                     and isinstance(stmt.op, ast.Div):
                 what = "augmented true division (use //=)"

@@ -38,7 +38,7 @@ from repro.experiments.config import (
 from repro.experiments.runner import measurement_window, run_experiment
 from repro.experiments.sweeps import format_table
 from repro.faults.spec import parse_faults, parse_time_ns
-from repro.workload.spec import parse_workloads
+from repro.workload.spec import check_hosts, parse_workloads
 from repro.net.builder import FIDELITY_MODES, FidelityConfig, PfcConfig
 from repro.net.topology import FatTree
 from repro.sim.units import MILLISECOND
@@ -216,6 +216,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             warmup_ns=parse_time_ns(args.warmup) if args.warmup else 0,
             cooldown_ns=parse_time_ns(args.cooldown) if args.cooldown else 0)
         measurement_window(config)  # raises if the flags leave no window
+    check_hosts(config.workload.specs, config.topology.n_hosts)
     config.faults = parse_faults(args.faults)
     config.trace = _trace_config_from_args(args)
     if args.checkpoint_every is not None:
@@ -231,6 +232,9 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                                          demote_shares=args.demote_shares)
     else:
         config.fidelity = FidelityConfig(mode=args.fidelity)
+    if args.pfc_classes < 1:
+        raise ValueError(f"--pfc-classes must be at least 1, "
+                         f"got {args.pfc_classes}")
     if args.pfc_headroom is not None and not args.pfc:
         raise ValueError("--pfc-headroom requires --pfc")
     if args.pfc or args.pfc_classes > 1:

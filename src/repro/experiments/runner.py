@@ -33,6 +33,7 @@ from repro.transport import TRANSPORTS
 from repro.transport.base import TransportConfig
 from repro.transport.dctcp import DEFAULT_MARKING_THRESHOLD_PKTS
 from repro.workload.registry import WorkloadContext, build_workload
+from repro.workload.spec import check_hosts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.trace.tracer import TraceData
@@ -428,6 +429,7 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
     window = measurement_window(config)
     if window is not None:
         metrics.set_window(*window)
+    check_hosts(config.workload.specs, config.topology.n_hosts)
     generators = build_workload(config.workload, WorkloadContext(
         engine=engine, open_flow=kernel.open_flow, metrics=metrics,
         n_hosts=config.topology.n_hosts,

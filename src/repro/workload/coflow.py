@@ -32,23 +32,12 @@ from typing import Callable, List, Tuple
 
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Engine
-from repro.sim.units import SECOND
 from repro.trace import hooks as _trace_hooks
+from repro.workload.arrivals import FlowOpener, PoissonArrivals
 from repro.workload.matrix import pick_servers, pick_src
+from repro.workload.spec import CoflowSpec
 
 _TRACE = _trace_hooks.register(__name__)
-
-FlowOpener = Callable[..., None]
-
-
-def cps_for_load(load: float, n_hosts: int, host_rate_bps: int,
-                 flows_per_coflow: int, flow_bytes: int) -> float:
-    """Coflows/s so coflow traffic offers ``load`` of host bandwidth."""
-    if flows_per_coflow <= 0 or flow_bytes <= 0:
-        raise ValueError("coflow flow count and flow size must be positive")
-    # The returned coflow *rate* (coflows/s) is a float by nature.
-    coflow_bits = 8.0 * flows_per_coflow * flow_bytes
-    return load * n_hosts * host_rate_bps / coflow_bits  # noqa: VR003
 
 
 class _StageBarrier:
@@ -76,84 +65,56 @@ class _StageBarrier:
                                   self.stage + 1)
 
 
-class CoflowApp:
+class CoflowApp(PoissonArrivals):
     """Poisson coflow generator with stage barriers."""
 
     def __init__(self, engine: Engine, open_flow: FlowOpener,
                  metrics: MetricsCollector, n_hosts: int, cps: float,
-                 width: int, stages: int, pattern: str, flow_bytes: int,
-                 rng: random.Random, until_ns: int,
+                 spec: CoflowSpec, rng: random.Random, until_ns: int,
                  request_delay_ns: int = 2_000) -> None:
-        members_needed = 2 * width if pattern == "shuffle" else width + 1
-        if members_needed > n_hosts:
-            raise ValueError(
-                f"{pattern} coflow of width {width} needs {members_needed} "
-                f"hosts but the topology has {n_hosts}")
-        self.engine = engine
+        super().__init__(engine, rng, until_ns, cps)
         self.open_flow = open_flow
         self.metrics = metrics
         self.n_hosts = n_hosts
-        self.cps = cps
-        self.width = width
-        self.stages = stages
-        self.pattern = pattern
-        self.flow_bytes = flow_bytes
-        self.rng = rng
-        self.until_ns = until_ns
+        self.spec = spec
         self.request_delay_ns = request_delay_ns
         self.coflows_launched = 0
         # Coflow ids are per-app (not process-global) so runs in the same
         # process stay bit-identical for a given seed.
         self._coflow_ids = itertools.count(1)
-        self._mean_gap_ns = max(1, round(SECOND / cps)) if cps > 0 else None
-
-    @property
-    def flows_per_coflow(self) -> int:
-        per_stage = self.width * self.width \
-            if self.pattern == "shuffle" else 2 * self.width
-        return per_stage * self.stages
 
     @property
     def _n_barriers(self) -> int:
         """Barrier-separated launch rounds: one per shuffle stage, two
         per partition–aggregate round (scatter, then gather)."""
-        return self.stages if self.pattern == "shuffle" else 2 * self.stages
+        spec = self.spec
+        return spec.stages if spec.pattern == "shuffle" else 2 * spec.stages
 
-    def start(self) -> None:
-        if self._mean_gap_ns is not None:
-            self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        # Rate parameter in 1/ns; the drawn gap is rounded to int ns below.
-        gap = self.rng.expovariate(1.0 / self._mean_gap_ns)  # noqa: VR003
-        when = self.engine.now + max(1, round(gap))
-        if when <= self.until_ns:
-            self.engine.schedule_at(when, self._launch_coflow)
-
-    def _launch_coflow(self) -> None:
+    def _arrive(self) -> None:
         coflow_id = next(self._coflow_ids)
-        if self.pattern == "shuffle":
+        spec = self.spec
+        if spec.pattern == "shuffle":
             first = pick_src(self.rng, self.n_hosts)
             rest = pick_servers(self.rng, self.n_hosts, first,
-                                2 * self.width - 1)
+                                2 * spec.width - 1)
             nodes = [first] + rest
-            members: Tuple = (tuple(nodes[:self.width]),
-                              tuple(nodes[self.width:]))
+            members: Tuple = (tuple(nodes[:spec.width]),
+                              tuple(nodes[spec.width:]))
         else:
             root = pick_src(self.rng, self.n_hosts)
-            workers = pick_servers(self.rng, self.n_hosts, root, self.width)
+            workers = pick_servers(self.rng, self.n_hosts, root, spec.width)
             members = (root, tuple(workers))
         self.metrics.coflow_started(coflow_id, self.engine.now,
-                                    n_flows=self.flows_per_coflow,
-                                    stages=self.stages,
-                                    pattern=self.pattern)
+                                    n_flows=spec.flows_per_coflow,
+                                    stages=spec.stages,
+                                    pattern=spec.pattern)
         self.coflows_launched += 1
         self._start_stage(coflow_id, members, 0)
         self._schedule_next()
 
     def _stage_pairs(self, members, stage: int
                      ) -> List[Tuple[int, int]]:
-        if self.pattern == "shuffle":
+        if self.spec.pattern == "shuffle":
             group_a, group_b = members
             senders, receivers = (group_a, group_b) if stage % 2 == 0 \
                 else (group_b, group_a)
@@ -179,5 +140,5 @@ class CoflowApp:
 
     def _open(self, src: int, dst: int, coflow_id: int,
               on_done: Callable[[int], None]) -> None:
-        self.open_flow(src, dst, self.flow_bytes, is_incast=False,
+        self.open_flow(src, dst, self.spec.flow_bytes, is_incast=False,
                        query_id=None, coflow_id=coflow_id, on_done=on_done)

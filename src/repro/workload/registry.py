@@ -5,9 +5,12 @@ The experiment runner hands :func:`build_workload` a
 :class:`~repro.experiments.config.WorkloadConfig` and a
 :class:`WorkloadContext`; each spec is resolved through
 :data:`GENERATOR_BUILDERS` (keyed by spec kind), built, and started, in
-spec order.  Builders return ``None`` for inactive specs (zero load, no
-rate) so they leave no trace in the run — the exact behavior of the
-pre-spec runner, keeping legacy run digests byte-identical.
+spec order.  An inactive spec (``WorkloadSpec.active``: zero load, no
+rate) is skipped, leaving no trace in the run — the exact behavior of
+the pre-spec runner, keeping legacy run digests byte-identical.  Each
+builder turns a load into an arrival rate with the one rule,
+:func:`~repro.workload.arrivals.arrivals_per_s`, passing what one
+arrival carries.
 
 RNG stream discipline: the first *active* spec of each kind owns the
 kind-named stream (``"background"``, ``"incast"``, ``"coflow"``,
@@ -25,16 +28,16 @@ from typing import Callable, Dict, List
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.workload.coflow import CoflowApp, cps_for_load
+from repro.workload.arrivals import arrivals_per_s
+from repro.workload.coflow import CoflowApp
 from repro.workload.distributions import get_distribution
 from repro.workload.dutycycle import DutyCycleTraffic
-from repro.workload.incast import IncastApp, qps_for_load
+from repro.workload.incast import IncastApp
 from repro.workload.spec import (
     BackgroundSpec,
     CoflowSpec,
     DutyCycleSpec,
     IncastSpec,
-    WorkloadSpec,
 )
 
 #: Named RNG streams this module owns (checked by lint rule VR110).
@@ -67,32 +70,23 @@ def _build_background(spec: BackgroundSpec, ctx: WorkloadContext, rng):
 
 
 def _build_incast(spec: IncastSpec, ctx: WorkloadContext, rng):
-    qps = spec.qps
-    if qps is None and spec.load:
-        qps = qps_for_load(spec.load, ctx.n_hosts, ctx.host_rate_bps,
-                           spec.scale, spec.flow_bytes)
-    if not qps:
-        return None
+    qps = spec.qps if spec.qps is not None else arrivals_per_s(
+        spec.load, ctx.n_hosts, ctx.host_rate_bps,
+        spec.scale * spec.flow_bytes)
     return IncastApp(ctx.engine, ctx.open_flow, ctx.metrics, ctx.n_hosts,
                      qps, spec.scale, spec.flow_bytes, rng,
                      until_ns=ctx.until_ns)
 
 
 def _build_coflow(spec: CoflowSpec, ctx: WorkloadContext, rng):
-    cps = spec.cps
-    if cps is None and spec.load:
-        cps = cps_for_load(spec.load, ctx.n_hosts, ctx.host_rate_bps,
-                           spec.flows_per_coflow, spec.flow_bytes)
-    if not cps:
-        return None
+    cps = spec.cps if spec.cps is not None else arrivals_per_s(
+        spec.load, ctx.n_hosts, ctx.host_rate_bps,
+        spec.flows_per_coflow * spec.flow_bytes)
     return CoflowApp(ctx.engine, ctx.open_flow, ctx.metrics, ctx.n_hosts,
-                     cps, spec.width, spec.stages, spec.pattern,
-                     spec.flow_bytes, rng, until_ns=ctx.until_ns)
+                     cps, spec, rng, until_ns=ctx.until_ns)
 
 
 def _build_duty_cycle(spec: DutyCycleSpec, ctx: WorkloadContext, rng):
-    if spec.load <= 0:
-        return None
     sizes = get_distribution(spec.distribution, truncate_at=spec.size_cap)
     return DutyCycleTraffic(ctx.engine, ctx.open_flow, ctx.n_hosts,
                             ctx.host_rate_bps, spec.load, spec.duty,
@@ -100,7 +94,7 @@ def _build_duty_cycle(spec: DutyCycleSpec, ctx: WorkloadContext, rng):
                             until_ns=ctx.until_ns)
 
 
-#: kind -> builder(spec, ctx, rng_stream) -> generator or None.
+#: kind -> builder(spec, ctx, rng_stream) -> generator, for an active spec.
 GENERATOR_BUILDERS: Dict[str, Callable] = {
     "background": _build_background,
     "incast": _build_incast,
@@ -118,19 +112,16 @@ def build_workload(workload, ctx: WorkloadContext) -> List[object]:
     """
     generators: List[object] = []
     counts: Dict[str, int] = {}
-    for spec in workload.specs:
-        if not isinstance(spec, WorkloadSpec):
-            raise TypeError(f"workload specs must be WorkloadSpec "
-                            f"instances, got {spec!r}")
+    for spec in workload.specs:  # WorkloadConfig checked their type
         builder = GENERATOR_BUILDERS.get(spec.kind)
         if builder is None:
             raise ValueError(f"no generator registered for workload "
                              f"kind {spec.kind!r}")
-        n = counts.get(spec.kind, 0) + 1
+        if not spec.active:
+            continue
+        n = counts[spec.kind] = counts.get(spec.kind, 0) + 1
         stream_name = spec.kind if n == 1 else f"{spec.kind}:{n}"
         generator = builder(spec, ctx, ctx.rng.stream(stream_name))
-        if generator is not None:
-            counts[spec.kind] = n
-            generator.start()
-            generators.append(generator)
+        generator.start()
+        generators.append(generator)
     return generators

@@ -49,12 +49,18 @@ class WorkloadParseError(ValueError):
     """
 
 
-def _require_finite(kind: str, **rates: Optional[float]) -> None:
-    """Refuse a NaN or infinite rate: inf opens a flow about every
-    nanosecond, NaN fails somewhere mid-build."""
+def _check_rates(kind: str, **rates: Optional[float]) -> None:
+    """Refuse a NaN, infinite or negative load or rate: inf opens a flow
+    about every nanosecond, NaN fails somewhere mid-build, and a
+    negative one would run nothing while the report counts its load."""
     for name, value in rates.items():
-        if value is not None and not math.isfinite(value):
+        if value is None:
+            continue
+        if not math.isfinite(value):
             raise ValueError(f"{kind} {name} must be finite, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{kind} {name} must be non-negative, "
+                             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +77,21 @@ class WorkloadSpec:
     @property
     def offered_load(self) -> float:
         """Offered load as a fraction of aggregate host bandwidth
-        (0.0 when the spec is rate-driven rather than load-driven)."""
-        return 0.0
+        (0.0 when the spec is rate-driven rather than load-driven).
+        Every concrete spec has a ``load``."""
+        return self.load or 0.0
+
+    @property
+    def active(self) -> bool:
+        """Whether the spec generates anything: an inactive one (no
+        load, no rate) builds no generator and needs no hosts."""
+        return bool(self.load)
+
+    @property
+    def hosts_needed(self) -> int:
+        """Hosts the generator needs when active: a source and a
+        distinct destination."""
+        return 2
 
 
 @dataclass(frozen=True)
@@ -86,15 +105,9 @@ class BackgroundSpec(WorkloadSpec):
     size_cap: Optional[int] = None
 
     def __post_init__(self) -> None:
-        _require_finite("background", load=self.load)
-        if self.load < 0:
-            raise ValueError("background load must be non-negative")
+        _check_rates("background", load=self.load)
         if self.size_cap is not None and self.size_cap <= 0:
             raise ValueError("size_cap must be positive")
-
-    @property
-    def offered_load(self) -> float:
-        return self.load
 
 
 @dataclass(frozen=True)
@@ -109,15 +122,20 @@ class IncastSpec(WorkloadSpec):
     flow_bytes: int = 40_000
 
     def __post_init__(self) -> None:
-        _require_finite("incast", load=self.load, qps=self.qps)
+        _check_rates("incast", load=self.load, qps=self.qps)
         if self.load is not None and self.qps is not None:
             raise ValueError("give either incast load or qps, not both")
         if self.scale <= 0 or self.flow_bytes <= 0:
             raise ValueError("incast scale and flow size must be positive")
 
     @property
-    def offered_load(self) -> float:
-        return self.load or 0.0
+    def active(self) -> bool:
+        return bool(self.load or self.qps)
+
+    @property
+    def hosts_needed(self) -> int:
+        """The client and its ``scale`` distinct servers."""
+        return self.scale + 1
 
 
 @dataclass(frozen=True)
@@ -149,13 +167,20 @@ class CoflowSpec(WorkloadSpec):
             raise ValueError("coflow width and stages must be at least 1")
         if self.flow_bytes <= 0:
             raise ValueError("coflow flow size must be positive")
-        _require_finite("coflow", load=self.load, cps=self.cps)
+        _check_rates("coflow", load=self.load, cps=self.cps)
         if self.load is not None and self.cps is not None:
             raise ValueError("give either coflow load or cps, not both")
 
     @property
-    def offered_load(self) -> float:
-        return self.load or 0.0
+    def active(self) -> bool:
+        return bool(self.load or self.cps)
+
+    @property
+    def hosts_needed(self) -> int:
+        """Two disjoint worker sets for a shuffle; a root and its
+        workers for partition–aggregate."""
+        return 2 * self.width if self.pattern == "shuffle" \
+            else self.width + 1
 
     @property
     def flows_per_coflow(self) -> int:
@@ -182,9 +207,7 @@ class DutyCycleSpec(WorkloadSpec):
     size_cap: Optional[int] = None
 
     def __post_init__(self) -> None:
-        _require_finite("duty_cycle", load=self.load)
-        if self.load < 0:
-            raise ValueError("duty_cycle load must be non-negative")
+        _check_rates("duty_cycle", load=self.load)
         if not 0.0 < self.duty <= 1.0:
             raise ValueError("duty must be in (0, 1]")
         if type(self.period_ns) is not int:
@@ -195,10 +218,6 @@ class DutyCycleSpec(WorkloadSpec):
             raise ValueError("period must be positive")
         if self.size_cap is not None and self.size_cap <= 0:
             raise ValueError("size_cap must be positive")
-
-    @property
-    def offered_load(self) -> float:
-        return self.load
 
 
 #: kind -> spec class (the registry the parser and the generator
@@ -255,6 +274,16 @@ _KEYS: Dict[str, Dict[str, Tuple[str, _Converter]]] = {
         "cap": ("size_cap", _opt_int),
     },
 }
+
+
+def check_hosts(specs, n_hosts: int) -> None:
+    """Refuse, before any run, an active spec that needs more hosts
+    than the topology has (an inactive one builds nothing)."""
+    for spec in specs:
+        if spec.active and spec.hosts_needed > n_hosts:
+            raise ValueError(
+                f"{spec!r} needs {spec.hosts_needed} hosts but the "
+                f"topology has {n_hosts}")
 
 
 def parse_workload(directive: str) -> WorkloadSpec:

@@ -1,6 +1,7 @@
 """Property-based tests: RFS rotation boosting invariants."""
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import example, given, strategies as st
 
 from repro.core.flowinfo import (
     RFS_MASK,
@@ -47,3 +48,24 @@ def test_boost_composition_matches_total_rotation(original, retcnt, factor):
     k = int(math.log2(factor))
     assert boost_rfs(original, retcnt, factor) \
         == rotr32(original, retcnt * k)
+
+
+@st.composite
+def sizes_and_seqs(draw):
+    size = draw(st.integers(min_value=1, max_value=RFS_MASK))
+    return size, draw(st.integers(min_value=0, max_value=size - 1))
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: a set bit among the low retcnt*k bits of the rank "
+    "wraps into the top of the 32-bit field, so a boosted retransmission "
+    "can rank near the worst in every ranked queue; the masked switch "
+    "rank is item 2(b)"))
+@given(sizes_and_seqs(), st.integers(min_value=1, max_value=15), factors)
+@example(size_seq=(199_278, 0), retcnt=2, factor=2)  # -> 2,147,533,467
+def test_boost_never_worsens_the_rank(size_seq, retcnt, factor):
+    """The wire RFS a ``RankedQueue`` ranks a retransmission on is at most
+    its first transmission's SRPT rank (remaining bytes from ``seq``)."""
+    size, seq = size_seq
+    original = size - seq
+    assert boost_rfs(original, retcnt, factor) <= original

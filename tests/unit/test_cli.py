@@ -145,6 +145,16 @@ def test_sanitized_run_with_a_fault_scenario(capsys):
     ["sweep", "--systems", "ecmp", "--sim-ms", "0"],
     ["sweep", "--systems", "ecmp", *TINY, "--fat-tree", "0"],
     ["sweep", "--systems", "ecmp", "--sim-ms", "1", "--warmup", "2ms"],
+    # What a workload asks of the topology or of its rate, refused
+    # before any run (and before any sweep point).
+    ["run", "--sim-ms", "5", "--incast-scale", "200"],
+    ["run", "--sim-ms", "5", "--workload", "coflow:width=20,load=0.1"],
+    ["run", "--sim-ms", "5", "--incast-load", "-0.2"],
+    ["run", "--sim-ms", "5", "--workload", "coflow:cps=-5"],
+    ["sweep", "--systems", "ecmp", "--sim-ms", "5", "--incast-scale", "200"],
+    ["sweep", "--systems", "ecmp", "--sim-ms", "5",
+     "--workload", "coflow:width=20,load=0.1"],
+    ["run", *TINY, "--pfc-classes", "0"],
 ])
 def test_flags_that_would_do_nothing_are_usage_errors(argv, capsys):
     assert main(argv) == 2

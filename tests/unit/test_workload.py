@@ -4,13 +4,17 @@ import random
 
 import pytest
 
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import run_experiment
 from repro.metrics.collector import MetricsCollector
+from repro.net.topology import LeafSpine
 from repro.sim.engine import Engine
-from repro.sim.units import SECOND
-from repro.workload.background import poisson_rate_for_load
+from repro.sim.units import MILLISECOND, SECOND
+from repro.workload.arrivals import arrivals_per_s
 from repro.workload.distributions import cache_follower
 from repro.workload.dutycycle import DutyCycleTraffic
-from repro.workload.incast import IncastApp, qps_for_load
+from repro.workload.incast import IncastApp
+from repro.workload.spec import BackgroundSpec, IncastSpec, check_hosts
 
 
 class FlowLog:
@@ -27,24 +31,16 @@ def background(engine, log, **kwargs):
                             **kwargs)
 
 
-def test_poisson_rate_formula():
+@pytest.mark.parametrize("args,expected", [
     # 50% of 10 hosts x 1 Gbps with 1 MB mean flows.
-    rate = poisson_rate_for_load(0.5, 10, 10 ** 9, 1_000_000)
-    assert rate == pytest.approx(0.5 * 10 * 1e9 / 8e6)
-
-
-def test_background_offered_load_close_to_target():
-    engine = Engine()
-    log = FlowLog()
-    sizes = cache_follower().truncated(200_000)
-    traffic = background(engine, log, n_hosts=16, host_rate_bps=10 ** 9,
-                         load=0.5, sizes=sizes, rng=random.Random(1),
-                         until_ns=SECOND)
-    traffic.start()
-    engine.run(until=SECOND)
-    offered = sum(size for _, _, size, _, _ in log.flows) * 8
-    capacity = 16 * 10 ** 9
-    assert offered / capacity == pytest.approx(0.5, rel=0.1)
+    ((0.5, 10, 10 ** 9, 1_000_000), 0.5 * 10 * 1e9 / 8e6),
+    # Incast: scale 8 x 40 KB responses per query.
+    ((0.25, 32, 200_000_000, 8 * 40_000), 0.25 * 32 * 2e8 / (8 * 8 * 40_000)),
+    # Coflow: 64 flows x 40 KB per coflow.
+    ((0.2, 16, 10 ** 9, 64 * 40_000), 0.2 * 16 * 1e9 / (8 * 64 * 40_000)),
+], ids=["background", "incast", "coflow"])
+def test_arrivals_per_s_formula(args, expected):
+    assert arrivals_per_s(*args) == pytest.approx(expected)
 
 
 def test_background_src_dst_distinct_and_in_range():
@@ -85,15 +81,9 @@ def test_background_stops_at_horizon():
 
 
 def test_background_needs_two_hosts():
-    with pytest.raises(ValueError):
-        background(Engine(), FlowLog(), n_hosts=1, host_rate_bps=10 ** 9,
-                   load=0.5, sizes=cache_follower(),
-                   rng=random.Random(0), until_ns=SECOND)
-
-
-def test_qps_for_load_formula():
-    qps = qps_for_load(0.25, 32, 200_000_000, 8, 40_000)
-    assert qps == pytest.approx(0.25 * 32 * 2e8 / (8 * 8 * 40_000))
+    with pytest.raises(ValueError, match="needs 2 hosts"):
+        check_hosts([BackgroundSpec(load=0.5)], 1)
+    check_hosts([BackgroundSpec(load=0.5)], 2)
 
 
 def test_incast_queries_have_correct_fanout():
@@ -133,10 +123,22 @@ def test_incast_servers_distinct_and_exclude_client():
 
 
 def test_incast_scale_must_be_below_host_count():
-    with pytest.raises(ValueError):
-        IncastApp(Engine(), FlowLog(), MetricsCollector(), n_hosts=8,
-                  qps=10, scale=8, flow_bytes=1000,
-                  rng=random.Random(0), until_ns=SECOND)
+    with pytest.raises(ValueError, match="needs 9 hosts"):
+        check_hosts([IncastSpec(qps=10, scale=8)], 8)
+    check_hosts([IncastSpec(qps=10, scale=7)], 8)
+    # An inactive spec (no load, no rate) builds nothing and needs no
+    # hosts: bench_profile carries one whenever incast load is unset.
+    check_hosts([IncastSpec(scale=12)], 4)
+
+
+def test_inactive_incast_spec_runs_on_four_hosts():
+    config = ExperimentConfig.bench_profile(
+        topology=LeafSpine(n_spines=2, n_leaves=2, hosts_per_leaf=2),
+        sim_time_ns=10 * MILLISECOND)
+    _background, incast = config.workload.specs
+    assert incast.scale == 12 and not incast.active
+    result = run_experiment(config)
+    assert result.queries_issued == 0 and result.bg_flows_generated > 0
 
 
 def test_incast_responses_start_after_request_delay():

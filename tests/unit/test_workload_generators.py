@@ -1,15 +1,26 @@
-"""Coflow and duty-cycle generators: barriers, CCT accounting, burst gating."""
+"""Coflow and duty-cycle generators: barriers, CCT accounting, burst
+gating; and the offered load every generator kind delivers."""
 
 import random
 
 import pytest
 
+from repro.experiments.config import WorkloadConfig
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Engine
+from repro.sim.rng import RngRegistry
 from repro.sim.units import MILLISECOND, SECOND
-from repro.workload.coflow import CoflowApp, cps_for_load
+from repro.workload.coflow import CoflowApp
 from repro.workload.distributions import cache_follower
 from repro.workload.dutycycle import DutyCycleTraffic
+from repro.workload.registry import WorkloadContext, build_workload
+from repro.workload.spec import (
+    BackgroundSpec,
+    CoflowSpec,
+    DutyCycleSpec,
+    IncastSpec,
+    check_hosts,
+)
 
 
 class FakeNet:
@@ -46,18 +57,46 @@ def make_coflow_app(pattern="shuffle", width=3, stages=2, cps=200.0,
     engine = Engine()
     metrics = MetricsCollector()
     net = FakeNet(engine, metrics)
+    spec = CoflowSpec(width=width, stages=stages, pattern=pattern,
+                      flow_bytes=40_000, cps=cps)
     app = CoflowApp(engine, net, metrics, n_hosts=n_hosts, cps=cps,
-                    width=width, stages=stages, pattern=pattern,
-                    flow_bytes=40_000, rng=random.Random(seed),
-                    until_ns=until_ns)
+                    spec=spec, rng=random.Random(seed), until_ns=until_ns)
     return engine, metrics, net, app
 
 
-def test_cps_for_load_formula():
-    cps = cps_for_load(0.2, 16, 10 ** 9, 64, 40_000)
-    assert cps == pytest.approx(0.2 * 16 * 1e9 / (8 * 64 * 40_000))
-    with pytest.raises(ValueError):
-        cps_for_load(0.2, 16, 10 ** 9, 0, 40_000)
+#: kind -> (an active spec, the relative tolerance on its offered load).
+#: Incast and coflow carry fixed bytes per arrival, sized for >= 5,000
+#: arrivals in the simulated second (so +-5 % is >= 3.5 sigma of the
+#: Poisson count); background and duty-cycle sizes are drawn.
+OFFERED_LOAD_CASES = {
+    "background": (BackgroundSpec(load=0.5, size_cap=200_000), 0.10),
+    "incast": (IncastSpec(load=0.2, scale=4, flow_bytes=10_000), 0.05),
+    "coflow": (CoflowSpec(width=2, stages=2, flow_bytes=10_000, load=0.2),
+               0.05),
+    "duty_cycle": (DutyCycleSpec(load=0.4, duty=0.25, size_cap=200_000),
+                   0.15),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OFFERED_LOAD_CASES))
+def test_offered_load_close_to_target(kind):
+    """Over one simulated second, every kind opens the bytes its load
+    asks of 16 hosts at 1 Gbps: the one load-to-rate rule, fed each
+    kind's bytes per arrival by the registry."""
+    spec, tolerance = OFFERED_LOAD_CASES[kind]
+    n_hosts, host_rate_bps = 16, 10 ** 9
+    for seed in (1, 2, 3):
+        engine = Engine()
+        metrics = MetricsCollector()
+        net = FakeNet(engine, metrics)
+        build_workload(WorkloadConfig((spec,)), WorkloadContext(
+            engine=engine, open_flow=net, metrics=metrics, n_hosts=n_hosts,
+            host_rate_bps=host_rate_bps, rng=RngRegistry(seed),
+            until_ns=SECOND))
+        engine.run()   # every arrival up to 1 s, and its later stages
+        offered_bytes = sum(size for _, _, _, size, _ in net.opened)
+        target_bytes = spec.load * n_hosts * host_rate_bps // 8
+        assert offered_bytes == pytest.approx(target_bytes, rel=tolerance)
 
 
 def test_shuffle_coflow_opens_width_squared_per_stage():
@@ -65,7 +104,7 @@ def test_shuffle_coflow_opens_width_squared_per_stage():
     app.start()
     engine.run()
     assert app.coflows_launched >= 2
-    assert app.flows_per_coflow == 18
+    assert app.spec.flows_per_coflow == 18
     by_coflow = {}
     for _, src, dst, _, coflow_id in net.opened:
         by_coflow.setdefault(coflow_id, []).append((src, dst))
@@ -102,7 +141,7 @@ def test_partition_aggregate_scatters_then_gathers():
         pattern="partition_aggregate", width=4, stages=1, cps=20.0)
     app.start()
     engine.run()
-    assert app.flows_per_coflow == 8
+    assert app.spec.flows_per_coflow == 8
     record = next(c for c in metrics.coflows.values() if c.completed)
     opens = [(t, src, dst) for t, src, dst, _, cid in net.opened
              if cid == record.coflow_id]
@@ -130,11 +169,14 @@ def test_cct_spans_first_open_to_last_completion():
 
 
 def test_coflow_width_must_fit_topology():
-    with pytest.raises(ValueError):
-        make_coflow_app(width=9, n_hosts=16)   # shuffle needs 2x9 hosts
-    with pytest.raises(ValueError):
-        make_coflow_app(pattern="partition_aggregate", width=16,
-                        n_hosts=16)            # pa needs width+1 hosts
+    with pytest.raises(ValueError):             # shuffle needs 2x9 hosts
+        check_hosts([CoflowSpec(width=9, load=0.1)], 16)
+    with pytest.raises(ValueError):             # pa needs width+1 hosts
+        check_hosts([CoflowSpec(pattern="partition_aggregate", width=16,
+                                cps=5.0)], 16)
+    check_hosts([CoflowSpec(width=8, load=0.1),
+                 CoflowSpec(pattern="partition_aggregate", width=15,
+                            cps=5.0)], 16)
 
 
 def test_coflow_zero_rate_generates_nothing():
@@ -210,14 +252,7 @@ def test_duty_cycle_zero_load_generates_nothing():
 
 
 def test_duty_cycle_validation():
-    engine = Engine()
     with pytest.raises(ValueError):
-        DutyCycleTraffic(engine, lambda *a, **k: None, n_hosts=1,
-                         host_rate_bps=10 ** 9, load=0.1, duty=0.5,
-                         period_ns=1000, sizes=cache_follower(),
-                         rng=random.Random(0), until_ns=SECOND)
+        check_hosts([DutyCycleSpec(load=0.1, duty=0.5, period_ns=1000)], 1)
     with pytest.raises(ValueError):
-        DutyCycleTraffic(engine, lambda *a, **k: None, n_hosts=4,
-                         host_rate_bps=10 ** 9, load=0.1, duty=0.0,
-                         period_ns=1000, sizes=cache_follower(),
-                         rng=random.Random(0), until_ns=SECOND)
+        DutyCycleSpec(load=0.1, duty=0.0, period_ns=1000)

@@ -133,6 +133,10 @@ def test_coflow_spec_rejects_load_and_cps():
     lambda: CoflowSpec(flow_bytes=0),
     lambda: DutyCycleSpec(load=-0.1),
     lambda: DutyCycleSpec(size_cap=0),
+    lambda: IncastSpec(load=-0.2),
+    lambda: IncastSpec(qps=-1),
+    lambda: CoflowSpec(load=-0.1),
+    lambda: CoflowSpec(cps=-5),
 ])
 def test_spec_validation(bad):
     with pytest.raises(ValueError):
@@ -154,6 +158,18 @@ def test_flows_per_coflow():
     assert CoflowSpec(width=8, stages=2).flows_per_coflow == 128
     assert CoflowSpec(width=8, stages=2,
                       pattern="partition_aggregate").flows_per_coflow == 32
+
+
+def test_hosts_needed_when_active():
+    assert IncastSpec(load=0.1, scale=24).hosts_needed == 25
+    assert CoflowSpec(width=8, load=0.1).hosts_needed == 16
+    assert CoflowSpec(width=8, pattern="partition_aggregate",
+                      cps=5).hosts_needed == 9
+    assert BackgroundSpec().hosts_needed == DutyCycleSpec().hosts_needed == 2
+    assert not IncastSpec(scale=24).active
+    assert not CoflowSpec(cps=0).active
+    assert not BackgroundSpec(load=0).active
+    assert IncastSpec(qps=5).active and DutyCycleSpec(load=0.1).active
 
 
 def test_offered_load():
