@@ -13,13 +13,14 @@ Usage::
     python examples/ordering_shim_demo.py
 """
 
-import random
-
 from repro.core.marking import MarkingComponent
 from repro.core.ordering import OrderingComponent
 from repro.net.packet import data_packet
 from repro.sim.engine import Engine
+from repro.sim.rng import RngRegistry
 from repro.sim.units import fmt_time, usecs
+
+RNG_STREAMS = ("wire",)
 
 FLOW_ID = 1
 FLOW_SIZE = 14_600   # ten 1460-byte packets
@@ -46,7 +47,7 @@ def main() -> None:
 
     # Scramble the wire: shuffle arrival order, drop one packet, and
     # deliver its boosted re-transmission late.
-    rng = random.Random(0)
+    rng = RngRegistry(0).stream("wire")
     wire = packets[:]
     lost = wire.pop(4)
     rng.shuffle(wire)

@@ -1,31 +1,18 @@
-"""Correctness tooling for the simulator.
+"""Correctness tooling: the two conventions Python does not enforce.
 
-Two halves, both machine-checking invariants the rest of the codebase is
-written against but that Python itself does not enforce:
+All randomness flows through named :class:`~repro.sim.rng.RngRegistry`
+streams, and every quantity is an integer in canonical units (ns, bytes,
+bits per second).  Two halves hold the simulator to that:
 
-- **Static analysis** (``python -m repro lint``) — one pipeline,
-  :func:`repro.analysis.driver.run_analysis`, one loop over files;
-  every rule is a function of one file's AST:
-
-  - :mod:`repro.analysis.lint` — VR001–VR004: all randomness through
-    named :class:`~repro.sim.rng.RngRegistry` streams, no wall-clock
-    reads in simulation code, integer nanosecond/byte/bit-rate unit
-    discipline, no module-lifetime mutable state; plus ``Violation``,
-    the rule catalogue and the per-rule path exemptions.
-  - :mod:`repro.analysis.dataflow` — per-function float
-    provenance (locals, literals, ``/`` vs ``//``, seconds-suffixed
-    names): VR100 (float or seconds values reaching ``*_ns`` slots
-    through a local or a ``*_s``-named call) and VR150 (no float
-    arithmetic inside the integer-only analytic / PFC functions).
-  - :mod:`repro.analysis.rules` — VR110 (``.stream()`` names declared
-    in ``RNG_STREAMS``).
-  - :mod:`repro.analysis.suppress` — the one suppression spelling,
-    ``# noqa: VRxxx``; a code that suppresses nothing is VR090.
-  - :mod:`repro.analysis.driver` — the pipeline and its CLI.
-
-- :mod:`repro.analysis.sanitize` — an opt-in runtime sanitizer
-  (``REPRO_SANITIZE=1``, read at import) wiring
-  event-time monotonicity, queue byte-accounting, switch conservation,
-  rank-queue heap and release-exactly-once checks into the hot paths,
-  at zero cost when disabled.
+- **Static analysis** (``python -m repro lint``,
+  :mod:`repro.analysis.driver`).  Each file is parsed once and walked
+  twice: :func:`repro.analysis.lint.check_file` for VR001–VR004 and
+  VR110, then :func:`repro.analysis.dataflow.check_functions` for
+  VR100 and VR150.  Path exemptions and tracked ``# noqa: VRxxx``
+  comments (:mod:`repro.analysis.suppress`) filter the findings; a file
+  that cannot be read, parsed or walked is one VR000.  DESIGN.md,
+  "Static analysis", gives each rule and why it is kept.
+- **Runtime sanitizer** (:mod:`repro.analysis.sanitize`,
+  ``REPRO_SANITIZE=1``): invariant checks in the hot paths, behind a
+  module global that costs one test when off.
 """

@@ -1,44 +1,21 @@
 """Per-function float provenance: the VR100 and VR150 rules.
 
-The VR003 check sees direct taint only — a float literal or a true
-division *in the flagged expression itself*.  What it cannot see is
-provenance: a local bound to a division three lines earlier, or a
-``*_s``-named helper whose result is assigned to a ``*_ns`` name.  This
-pass tracks both, one function of one file at a time.
+VR003 sees direct taint only, a float literal or a true division in the
+flagged expression itself.  :class:`_Inferencer` follows provenance
+within one function: locals carry the floatness of what was assigned
+to them, and names, parameters and calls are floats by their seconds
+suffix.  :func:`check_functions` walks each function's statements once
+with one inferencer and reports
 
-**Floatness.**  Every expression is either a float, carrying a one-line
-provenance string for the diagnostic, or not (``None``).  Names seed
-it by suffix: ``*_s`` / ``*_sec`` / ``*_secs`` / ``*_seconds`` are
-seconds, floats by convention; ``*_ns`` / ``*_bytes`` / ``*_bps`` are
-integers, even as a parameter annotated ``float`` (VR003 reports the
-annotation).  Any other parameter annotated ``float`` is a float.
-
-**Inference.**  :class:`_Inferencer` interprets one function body
-abstractly: locals carry the floatness of what was assigned to them,
-and literals, ``/`` vs ``//``, ``or``/``and``, conditionals and
-rounding calls (``int``/``round``/``floor``/``ceil``/``trunc``) are
-understood.  A call is never resolved: it is a float when its name has
-a seconds suffix (``propagation_delay_s(...)``) or it is ``float()``.
-
-**VR100** flags:
-
-- assignment of a float-valued expression to a ``*_ns`` target whose
-  taint is *indirect* (through a local or a call) — direct taint stays
-  VR003's report;
-- a ``return`` of a float-valued expression from a function whose own
-  name is ``*_ns``-suffixed (its callers will treat the result as
-  integer nanoseconds).
-
-**VR150** is VR100's stricter sibling for *integer-only functions*:
-those whose own or enclosing-class name contains one of
-:data:`INTEGER_ONLY_MARKERS` — the hybrid-fidelity analytic
-completion-time path (``analytic_round_ns``, ``_start_analytic_round``,
-...) and the PFC control path (pause/resume scheduling, XOFF/XON and
-headroom thresholds).  Inside them *every* float-valued assignment,
-augmented true division, and float-valued ``return`` is flagged, not
-just the ones feeding a ``*_ns`` name: each intermediate there ends up
-in an event timestamp or is compared against an integer byte counter,
-and float rounding breaks bit-for-bit digest stability.
+- **VR100** — a float reaching a ``*_ns`` target through a local or a
+  call (direct taint stays VR003's report), or a float ``return`` from
+  a ``*_ns``-named function;
+- **VR150** — inside an *integer-only* function, one whose own or
+  enclosing-class name contains an :data:`INTEGER_ONLY_MARKERS` entry
+  (the analytic completion-time and PFC control paths), every
+  float-valued assignment, ``/=`` and ``return``, in place of VR100:
+  each intermediate there ends in an event time or is compared with an
+  integer byte counter, and float rounding breaks digest stability.
 """
 
 from __future__ import annotations
@@ -48,9 +25,10 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.analysis.lint import (
     _ROUNDING_FUNCS,
+    UNIT_SUFFIXES,
     Violation,
-    _call_name,
     _float_taint,
+    _is_float_annotation,
     _terminal_name,
 )
 
@@ -59,9 +37,8 @@ _FunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 #: Why an expression is a float, or ``None`` when it is not one.
 Why = Optional[str]
 
-#: Name suffixes of seconds (floats) and of integer units.
+#: Name suffixes of seconds, floats by convention.
 _SECONDS = ("_seconds", "_secs", "_sec", "_s")
-_INTEGER_UNITS = ("_ns", "_bytes", "_bps")
 
 
 def _suffixed(name: Optional[str], suffixes: Tuple[str, ...]) -> bool:
@@ -82,10 +59,9 @@ class _Inferencer:
         self.env: Dict[str, Why] = {}
         args = func.args
         for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-            annotated = isinstance(arg.annotation, ast.Name) \
-                and arg.annotation.id == "float"
             if _suffixed(arg.arg, _SECONDS) or (
-                    annotated and not _suffixed(arg.arg, _INTEGER_UNITS)):
+                    _is_float_annotation(arg.annotation)
+                    and not _suffixed(arg.arg, UNIT_SUFFIXES)):
                 self.env[arg.arg] = f"parameter '{arg.arg}'"
 
     # -- expression inference --------------------------------------------------
@@ -124,7 +100,7 @@ class _Inferencer:
             whys = [self.infer(value) for value in node.values]
             return next(filter(None, whys), None)
         if isinstance(node, ast.Call):
-            name = _call_name(node)
+            name = _terminal_name(node.func)
             if name in _ROUNDING_FUNCS:
                 return None
             if name == "float":
@@ -209,39 +185,7 @@ def _assignment(stmt: ast.stmt) -> Tuple[List[ast.expr], Optional[ast.expr]]:
     return [], None
 
 
-# -- VR100 ---------------------------------------------------------------------
-
-
-def check_vr100(tree: ast.Module, path: str) -> List[Violation]:
-    """Flag float/seconds values flowing into ``*_ns`` slots."""
-    out: List[Violation] = []
-    for func, _cls in _functions(tree):
-        inf = _Inferencer(func)
-        own_ns = _is_ns(func.name)
-        for stmt in _statements(func.body, inf):
-            if isinstance(stmt, ast.Return) and stmt.value is not None \
-                    and own_ns:
-                why = inf.infer(stmt.value)
-                if why:
-                    out.append(Violation(
-                        path, stmt.lineno, stmt.col_offset + 1, "VR100",
-                        f"'{func.name}' returns a float-valued expression "
-                        f"({why}); *_ns functions must return integer "
-                        f"nanoseconds"))
-            targets, value = _assignment(stmt)
-            if value is None or _float_taint(value) is not None:
-                continue  # direct taint is VR003's report; indirect is ours
-            why = inf.infer(value)
-            for target in targets:
-                name = _terminal_name(target)
-                if why and _is_ns(name):
-                    out.append(Violation(
-                        path, stmt.lineno, stmt.col_offset + 1, "VR100",
-                        f"float value flows into '{name}': {why}"))
-    return out
-
-
-# -- VR150: no float arithmetic inside integer-only functions ------------------
+# -- VR100 and VR150 ----------------------------------------------------------
 
 #: A function is integer-only when its name, or its enclosing class's,
 #: contains one of these: the analytic completion-time path and the PFC
@@ -250,35 +194,54 @@ INTEGER_ONLY_MARKERS = ("analytic", "pause", "pfc", "xoff", "xon",
                         "threshold")
 
 
-def check_vr150(tree: ast.Module, path: str) -> List[Violation]:
-    """Flag every float-valued statement inside integer-only functions."""
+def check_functions(tree: ast.Module, path: str) -> List[Violation]:
+    """VR100 and VR150 findings: one inferencer and one walk per function.
+
+    Inside an integer-only function VR150 is the one report: it flags
+    every statement VR100 would, and more.
+    """
     out: List[Violation] = []
+
+    def flag(stmt: ast.stmt, code: str, message: str) -> None:
+        out.append(Violation(path, stmt.lineno, stmt.col_offset + 1, code,
+                             message))
+
     for func, cls in _functions(tree):
         scope = f"{func.name} {cls or ''}".lower()
-        if not any(marker in scope for marker in INTEGER_ONLY_MARKERS):
-            continue
+        strict = any(marker in scope for marker in INTEGER_ONLY_MARKERS)
+        own_ns = _is_ns(func.name)
         inf = _Inferencer(func)
         for stmt in _statements(func.body, inf):
             what: Optional[str] = None
             targets, value = _assignment(stmt)
             if isinstance(stmt, ast.Return) and stmt.value is not None:
-                why = inf.infer(stmt.value)
-                if why:
+                why = inf.infer(stmt.value) if own_ns or strict else None
+                if why and not strict:
+                    flag(stmt, "VR100",
+                         f"'{func.name}' returns a float-valued expression "
+                         f"({why}); *_ns functions must return integer "
+                         f"nanoseconds")
+                elif why:
                     what = f"returns a float ({why})"
             elif value is not None:
-                why = inf.infer(value)
-                if why:
-                    name = next(filter(None, map(_terminal_name, targets)),
-                                "<target>")
+                # Direct taint is VR003's report; VR100's is indirect.
+                indirect = _float_taint(value) is None
+                why = inf.infer(value) if indirect or strict else None
+                names = [_terminal_name(target) for target in targets]
+                if why and not strict:
+                    for name in filter(_is_ns, names):
+                        flag(stmt, "VR100",
+                             f"float value flows into '{name}': {why}")
+                elif why:
+                    name = next(filter(None, names), "<target>")
                     what = f"'{name}' gets a float ({why})"
-            elif isinstance(stmt, ast.AugAssign) \
+            elif strict and isinstance(stmt, ast.AugAssign) \
                     and isinstance(stmt.op, ast.Div):
                 what = "augmented true division (use //=)"
             if what is not None:
-                out.append(Violation(
-                    path, stmt.lineno, stmt.col_offset + 1, "VR150",
-                    f"float arithmetic in integer-only function "
-                    f"'{func.name}': {what}; analytic-path and PFC results "
-                    f"feed the integer-ns calendar and integer byte "
-                    f"counters"))
+                flag(stmt, "VR150",
+                     f"float arithmetic in integer-only function "
+                     f"'{func.name}': {what}; analytic-path and PFC results "
+                     f"feed the integer-ns calendar and integer byte "
+                     f"counters")
     return out

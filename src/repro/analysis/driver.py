@@ -1,18 +1,4 @@
-"""The ``repro lint`` pipeline (``python -m repro lint``).
-
-One pass, in this order:
-
-1. **collect** — resolve the input paths to ``.py`` files (nonexistent
-   or python-free inputs are one-line usage errors, exit 2);
-2. **rules** — one loop over the files that parse (the rest are VR000),
-   every rule a function of that file's AST: VR001–VR004
-   (:mod:`repro.analysis.lint`), VR100/VR150
-   (:mod:`repro.analysis.dataflow`), VR110 (:mod:`repro.analysis.rules`);
-3. **path exemptions** — :data:`repro.analysis.lint.EXEMPT`;
-4. **suppression comments** — ``# noqa: VRxxx``, tracked: a code that
-   suppresses nothing is VR090 (:mod:`repro.analysis.suppress`);
-5. **text findings** — one ``path:line:col: CODE message [hint: ...]``
-   line each on stdout, a summary line on stderr.
+"""The ``repro lint`` command: collect files, check each, print findings.
 
 Exit status: 0 clean, 1 findings, 2 usage.
 """
@@ -25,19 +11,9 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis import lint as lint_mod
-from repro.analysis.dataflow import check_vr100, check_vr150
-from repro.analysis.lint import HINTS, RULES, Violation
-from repro.analysis.rules import check_vr110
+from repro.analysis.dataflow import check_functions
+from repro.analysis.lint import HINTS, RULES, Violation, check_file, exempt
 from repro.analysis.suppress import apply_suppressions
-
-#: The rules that are one ``(tree, path)`` function per code; VR001–VR004
-#: share one visitor (:func:`repro.analysis.lint.check_file`).
-_SINGLE_CODE_RULES = {
-    "VR100": check_vr100,
-    "VR110": check_vr110,
-    "VR150": check_vr150,
-}
 
 
 class UsageError(Exception):
@@ -62,7 +38,7 @@ def collect_files(paths: Sequence[str]) -> List[Path]:
     if not files:
         raise UsageError(
             f"no python files found under: {', '.join(map(str, paths))}")
-    return files
+    return list(dict.fromkeys(files))  # a file named twice is one file
 
 
 def read_sources(files: Sequence[Path]) -> Tuple[Dict[str, str],
@@ -79,24 +55,27 @@ def read_sources(files: Sequence[Path]) -> Tuple[Dict[str, str],
     return sources, problems
 
 
+def check_source(path: str, source: str) -> List[Violation]:
+    """One file's findings: two AST walks, exemptions, suppressions."""
+    try:
+        tree = ast.parse(source, filename=path)
+        raw = [*check_file(tree, path), *check_functions(tree, path)]
+    except SyntaxError as exc:  # no tree, no comments to honour
+        return [Violation(path, exc.lineno or 0, 0, "VR000",
+                          f"syntax error: {exc.msg}")]
+    except RecursionError:
+        return [Violation(path, 0, 0, "VR000",
+                          "too deeply nested to analyse")]
+    kept = [violation for violation in raw
+            if not exempt(path, violation.code)]
+    kept, unused = apply_suppressions(kept, path, source)
+    return [*kept, *unused]
+
+
 def run_analysis(sources: Dict[str, str]) -> List[Violation]:
-    """Steps 2–4 over in-memory ``{path: source}``; sorted findings."""
-    findings: List[Violation] = []
-    for path, source in sources.items():
-        try:
-            tree = ast.parse(source, filename=path)
-        except SyntaxError as exc:  # no tree, no comments to honour
-            findings.append(Violation(path, exc.lineno or 0, 0, "VR000",
-                                      f"syntax error: {exc.msg}"))
-            continue
-        raw = lint_mod.check_file(tree, path)
-        for check in _SINGLE_CODE_RULES.values():
-            raw.extend(check(tree, path))
-        kept = [violation for violation in raw
-                if not lint_mod.exempt(path, violation.code)]
-        kept, unused = apply_suppressions(kept, path, source)
-        findings.extend(kept)
-        findings.extend(unused)
+    """Every file's findings over in-memory ``{path: source}``, sorted."""
+    findings = [violation for path, source in sources.items()
+                for violation in check_source(path, source)]
     findings.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return findings
 

@@ -1,10 +1,6 @@
-"""Rules VR001–VR004, the rule catalogue and the path exemptions.
+"""Rules VR001–VR004 and VR110, the rule catalogue and the path exemptions.
 
-The simulator's two load-bearing invariants — every stochastic draw flows
-through :class:`~repro.sim.rng.RngRegistry` named streams, and all
-quantities live in canonical integer units (time in nanoseconds, sizes in
-bytes, rates in bits/s) — are conventions Python cannot enforce.  This
-module enforces the part of them one file's AST can show:
+One AST walk per file (:func:`check_file`) checks:
 
 ========  =======================================================================
 Rule      Checks
@@ -24,14 +20,14 @@ VR003     Unit discipline: no float-typed values flowing into names,
 VR004     No module-lifetime mutable state in ``repro.*``: module- or
           class-level assignments of mutable containers (or factories such
           as ``itertools.count()``) to non-CONSTANT-case names.
+VR110     Every literal ``.stream(...)`` name (or an f-string's static
+          prefix) is listed in the module's ``RNG_STREAMS`` tuple;
+          entries ending in ``:`` declare a prefix family.
 ========  =======================================================================
 
 It also owns what every rule shares: :class:`Violation`, the one
 catalogue of codes (:data:`RULES`, :data:`HINTS`) and the per-rule path
-exemptions (:data:`EXEMPT`).  VR110 lives in :mod:`repro.analysis.rules`,
-VR100/VR150 in :mod:`repro.analysis.dataflow`; every rule is a function
-of one file's AST, and :mod:`repro.analysis.driver` runs them all and is
-the only entry point (``python -m repro lint``).
+exemptions (:data:`EXEMPT`).
 """
 
 from __future__ import annotations
@@ -112,17 +108,9 @@ class Violation:
 # -- expression helpers --------------------------------------------------------
 
 
-def _call_name(node: ast.Call) -> Optional[str]:
-    """Terminal name of the called object (``itertools.count`` -> ``count``)."""
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
 def _terminal_name(node: ast.expr) -> Optional[str]:
+    """``x`` -> ``x``, ``a.b.x`` -> ``x``; a call's is its callee's
+    (``itertools.count``: ``count``)."""
     if isinstance(node, ast.Name):
         return node.id
     if isinstance(node, ast.Attribute):
@@ -162,15 +150,37 @@ def _float_taint(node: ast.expr) -> Optional[ast.expr]:
     if isinstance(node, ast.UnaryOp):
         return _float_taint(node.operand)
     if isinstance(node, ast.Call):
-        return node if _call_name(node) == "float" else None
+        return node if _terminal_name(node.func) == "float" else None
     if isinstance(node, ast.IfExp):
         return _float_taint(node.body) or _float_taint(node.orelse)
     return None
 
 
+def _static_stream_name(node: ast.expr) -> Optional[str]:
+    """Literal stream name, or the static prefix of an f-string."""
+    if isinstance(node, ast.JoinedStr) and node.values:
+        node = node.values[0]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def _declared_streams(tree: ast.Module) -> Tuple[str, ...]:
+    """String entries of the module-level ``RNG_STREAMS`` constant."""
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) \
+            else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+        if any(isinstance(target, ast.Name) and target.id == "RNG_STREAMS"
+               for target in targets) \
+                and isinstance(stmt.value, (ast.Tuple, ast.List, ast.Set)):
+            return tuple(elt.value for elt in stmt.value.elts
+                         if isinstance(elt, ast.Constant)
+                         and isinstance(elt.value, str))
+    return ()
+
+
 def _is_float_annotation(node: Optional[ast.expr]) -> bool:
-    return node is not None and isinstance(node, ast.Name) \
-        and node.id == "float"
+    return isinstance(node, ast.Name) and node.id == "float"
 
 
 # -- the checker ---------------------------------------------------------------
@@ -179,8 +189,9 @@ def _is_float_annotation(node: Optional[ast.expr]) -> bool:
 class _Checker(ast.NodeVisitor):
     """Single-file AST walk producing raw (unsuppressed) violations."""
 
-    def __init__(self, path: str) -> None:
+    def __init__(self, path: str, streams: Tuple[str, ...]) -> None:
         self.path = path
+        self.streams = streams  # the module's RNG_STREAMS entries
         self.violations: List[Violation] = []
         self._round_depth = 0
         self._scope_depth = 0  # >0 inside a function body
@@ -209,7 +220,7 @@ class _Checker(ast.NodeVisitor):
                            f"from time")
         self.generic_visit(node)
 
-    # -- calls (VR001 / VR002 / VR003 keywords + rounding context) -------------
+    # -- calls (VR001 / VR002 / VR110 / VR003 keywords + rounding context) -----
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -226,6 +237,8 @@ class _Checker(ast.NodeVisitor):
                     and base in ("datetime", "date"):
                 self._flag(node, "VR002", f"call {base}.{func.attr}() reads "
                                           f"the wall clock")
+            if func.attr == "stream" and node.args:
+                self._check_stream(node)
         # Keyword arguments carrying unit suffixes must stay integral.
         for keyword in node.keywords:
             if keyword.arg and _has_unit_suffix(keyword.arg) \
@@ -233,7 +246,7 @@ class _Checker(ast.NodeVisitor):
                 self._flag(keyword.value, "VR003",
                            f"float value flows into keyword "
                            f"'{keyword.arg}'")
-        if _call_name(node) in _ROUNDING_FUNCS:
+        if _terminal_name(node.func) in _ROUNDING_FUNCS:
             self.visit(func)
             self._round_depth += 1
             for arg in node.args:
@@ -243,6 +256,18 @@ class _Checker(ast.NodeVisitor):
             self._round_depth -= 1
         else:
             self.generic_visit(node)
+
+    def _check_stream(self, node: ast.Call) -> None:
+        name = _static_stream_name(node.args[0])
+        if name is None or any(
+                entry == name or (entry.endswith(":")
+                                  and name.startswith(entry))
+                for entry in self.streams):
+            return
+        self._flag(node, "VR110",
+                   f"stream '{name}' is not declared in this module's "
+                   f"RNG_STREAMS tuple (declared: "
+                   f"{', '.join(self.streams) or '(none)'})")
 
     # -- unit discipline (VR003) ----------------------------------------------
 
@@ -355,7 +380,7 @@ class _Checker(ast.NodeVisitor):
                              ast.DictComp, ast.SetComp)):
             return True
         if isinstance(node, ast.Call):
-            return _call_name(node) in _MUTABLE_FACTORIES
+            return _terminal_name(node.func) in _MUTABLE_FACTORIES
         return False
 
 
@@ -365,8 +390,8 @@ def exempt(path: str, code: str) -> bool:
     return any(fnmatch(posix, pattern) for pattern in EXEMPT.get(code, ()))
 
 
-def check_file(tree: ast.AST, path: str) -> List[Violation]:
-    """Raw VR001–VR004 findings for one parsed module."""
-    checker = _Checker(path)
+def check_file(tree: ast.Module, path: str) -> List[Violation]:
+    """Raw VR001–VR004 and VR110 findings for one parsed module."""
+    checker = _Checker(path, _declared_streams(tree))
     checker.visit(tree)
     return checker.violations

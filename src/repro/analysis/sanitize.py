@@ -33,8 +33,9 @@ continuously:
 
 Instrumented modules call :func:`register` at import time and cache the
 returned state in a module global ``_SANITIZE``; toggling re-writes that
-global in every registered module, so per-event code never pays an
-attribute lookup into this module while disabled.
+global in every registered module (:class:`ModuleGlobal`, which
+:mod:`repro.trace.hooks` uses for ``_TRACE`` too), so per-event code
+never pays an attribute lookup into this module while disabled.
 """
 
 from __future__ import annotations
@@ -42,53 +43,61 @@ from __future__ import annotations
 import contextlib
 import os
 import sys
-from typing import Iterator, List
+from typing import Any, Iterator, List
 
 
 class SanitizerError(AssertionError):
     """An invariant the simulator is built on was observed broken."""
 
 
-_enabled = os.environ.get("REPRO_SANITIZE", "") not in ("", "0", "false",
-                                                        "False")
+class ModuleGlobal:
+    """A value that every registered module caches in its global ``name``.
+
+    A module registers at import and binds the returned value::
+
+        _SANITIZE = _sanitize.register(__name__)
+
+    and its hot paths test that global (``if _SANITIZE:``) — a
+    module-global load, the cheapest toggle Python offers short of
+    recompiling.  :meth:`set` rewrites the global in every registered
+    module that is loaded.
+    """
+
+    def __init__(self, name: str, value: Any) -> None:
+        self.name = name
+        self.value = value
+        self._modules: List[str] = []  # append-only, process-wide
+
+    def register(self, module_name: str) -> Any:
+        """Record ``module_name`` as instrumented; return the value."""
+        if module_name not in self._modules:
+            self._modules.append(module_name)
+        return self.value
+
+    def set(self, value: Any) -> None:
+        self.value = value
+        for module_name in self._modules:
+            module = sys.modules.get(module_name)
+            if module is not None:
+                setattr(module, self.name, value)
 
 
-#: Instrumented modules (append-only process-wide hook registry).
-_REGISTRY: List[str] = []
+_SWITCH = ModuleGlobal("_SANITIZE", os.environ.get("REPRO_SANITIZE", "")
+                       not in ("", "0", "false", "False"))
+register = _SWITCH.register
 
 #: Number of invariant checks executed while enabled (diagnostics only).
 checks_run = 0
 
 
-def register(module_name: str) -> bool:
-    """Record ``module_name`` as instrumented; returns the current state.
-
-    Instrumented modules use it as::
-
-        from repro.analysis import sanitize as _sanitize
-        _SANITIZE = _sanitize.register(__name__)
-
-    and guard every check with ``if _SANITIZE:`` — a module-global load,
-    the cheapest toggle Python offers short of recompiling.
-    """
-    if module_name not in _REGISTRY:
-        _REGISTRY.append(module_name)
-    return _enabled
-
-
 def enabled() -> bool:
     """Is the sanitizer currently on?"""
-    return _enabled
+    return _SWITCH.value
 
 
 def set_enabled(on: bool) -> None:
     """Flip the sanitizer and rewrite every registered module's flag."""
-    global _enabled
-    _enabled = bool(on)
-    for name in _REGISTRY:
-        module = sys.modules.get(name)
-        if module is not None:
-            module._SANITIZE = _enabled
+    _SWITCH.set(bool(on))
 
 
 @contextlib.contextmanager
@@ -99,7 +108,7 @@ def scoped(on: bool = True) -> Iterator[None]:
     ordering shim) must be *built* inside the scope to be checked: wrap
     the whole ``run_experiment`` call.
     """
-    previous = _enabled
+    previous = _SWITCH.value
     set_enabled(on)
     try:
         yield

@@ -1,4 +1,11 @@
-"""Small statistics helpers used by the metrics collector and benchmarks."""
+"""Small statistics helpers used by the metrics collector and benchmarks.
+
+The censored forms take the completed values plus each unfinished
+item's lower bound (``horizon - start``): the item took at least that
+long.  They return ``(value, depends)``, where ``depends`` says whether
+raising the lower bounds could change the value; the true statistic is
+then only known to be ``>= value``, and a printer shows ``≥ x``.
+"""
 
 from __future__ import annotations
 
@@ -28,13 +35,42 @@ def percentile(values: Sequence[float], pct: float) -> float:
     ordered = sorted(values)
     if len(ordered) == 1:
         return ordered[0]
-    rank = (pct / 100) * (len(ordered) - 1)
-    low = int(rank)
-    high = min(low + 1, len(ordered) - 1)
-    frac = rank - low
+    low, high, frac = _rank(len(ordered), pct)
     value = ordered[low] * (1 - frac) + ordered[high] * frac
     # Float interpolation may overshoot by one ulp; stay in range.
     return min(max(value, ordered[low]), ordered[high])
+
+
+def _rank(n: int, pct: float) -> Tuple[int, int, float]:
+    """The two positions of a sorted ``n``-list that the ``pct``
+    percentile interpolates between, and the weight of the higher."""
+    rank = (pct / 100) * (n - 1)
+    low = int(rank)
+    return low, min(low + 1, n - 1), rank - low
+
+
+def censored_mean(completed: Sequence[float],
+                  bounds: Sequence[float]) -> Tuple[float, bool]:
+    """:func:`mean` with unfinished items entered at their lower bounds."""
+    return mean([*completed, *bounds]), bool(bounds)
+
+
+def censored_percentile(completed: Sequence[float], bounds: Sequence[float],
+                        pct: float) -> Tuple[float, bool]:
+    """:func:`percentile` with unfinished items entered at their lower
+    bounds."""
+    population = sorted([*completed, *bounds])
+    value = percentile(population, pct)
+    if not bounds:
+        return value, False
+    low, high, frac = _rank(len(population), pct)
+    # Raising every bound past every value leaves the completed values,
+    # sorted, in front: the value moves iff a position it reads changes.
+    done = sorted(completed)
+    read = (low, high) if frac else (low,)
+    return value, any(position >= len(done)
+                      or done[position] != population[position]
+                      for position in read)
 
 
 def cdf_points(values: Sequence[float]) -> List[Tuple[float, float]]:

@@ -2,10 +2,10 @@
 
 The dataplane's hot paths carry trace record sites that must cost nothing
 while tracing is off (the overwhelmingly common case; the benchmark
-ledger's ``trace.overhead_pct`` tracks the on-cost).  The mechanism is
-the same one the runtime sanitizer uses
-(:mod:`repro.analysis.sanitize`): instrumented modules register at
-import time and cache the *active tracer* in a module global::
+ledger's ``trace.overhead_pct`` tracks the on-cost).  The registry is
+the runtime sanitizer's (:class:`repro.analysis.sanitize.ModuleGlobal`):
+instrumented modules register at import time and cache the *active
+tracer* in a module global::
 
     from repro.trace import hooks as _trace_hooks
     _TRACE = _trace_hooks.register(__name__)
@@ -29,35 +29,18 @@ tracer for its own run).
 from __future__ import annotations
 
 import contextlib
-import sys
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
-#: Instrumented modules (append-only process-wide hook registry).
-_REGISTRY: List[str] = []
+from repro.analysis.sanitize import ModuleGlobal
 
 #: The tracer currently receiving events, or None (tracing off).
-_active = None
-
-
-def register(module_name: str) -> Optional[object]:
-    """Record ``module_name`` as instrumented; return the active tracer."""
-    if module_name not in _REGISTRY:
-        _REGISTRY.append(module_name)
-    return _active
+_TRACER = ModuleGlobal("_TRACE", None)
+register = _TRACER.register
 
 
 def active() -> Optional[object]:
     """The tracer currently receiving events, or None."""
-    return _active
-
-
-def _rewrite(tracer: Optional[object]) -> None:
-    global _active
-    _active = tracer
-    for name in _REGISTRY:
-        module = sys.modules.get(name)
-        if module is not None:
-            module._TRACE = tracer
+    return _TRACER.value
 
 
 def activate(tracer: object) -> None:
@@ -66,15 +49,15 @@ def activate(tracer: object) -> None:
     Raises if another tracer is already active: overlapping traced runs
     within one process would interleave their event streams.
     """
-    if _active is not None and _active is not tracer:
+    if _TRACER.value is not None and _TRACER.value is not tracer:
         raise RuntimeError("another tracer is already active; "
                            "traced runs cannot nest")
-    _rewrite(tracer)
+    _TRACER.set(tracer)
 
 
 def deactivate() -> None:
     """Stop tracing; every registered module's ``_TRACE`` becomes None."""
-    _rewrite(None)
+    _TRACER.set(None)
 
 
 @contextlib.contextmanager

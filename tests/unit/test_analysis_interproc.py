@@ -83,6 +83,25 @@ def test_vr150_covers_pfc_functions_and_threshold_classes():
     assert findings("VR100", ["vr150_pfc_bad.py"]) == []
 
 
+def test_an_integer_only_function_gets_the_stricter_report_alone():
+    # Inside one, VR150 flags every statement VR100 would, and more.
+    source = ("def pause_ns(rate_s):\n"
+              "    delay_ns = rate_s * 2\n"
+              "    return delay_ns\n")
+    assert [(v.line, v.code) for v in run_analysis({"x.py": source})] \
+        == [(2, "VR150"), (3, "VR150")]
+
+
+def test_fixture_findings_are_pinned_exactly():
+    # Every code, position, message and hint, in order: the output the
+    # pipeline's structure must not move.
+    sources = {path.relative_to(ROOT).as_posix(): path.read_text("utf-8")
+               for path in sorted(FIXTURES.rglob("*.py"))}
+    rendered = [render(v) for v in run_analysis(sources)]
+    expected = (ROOT / "tests" / "fixtures" / "lint_findings.txt")
+    assert rendered == expected.read_text("utf-8").splitlines()
+
+
 def test_full_tree_is_clean_under_all_passes():
     sources, unreadable = read_sources(sorted((ROOT / "src").rglob("*.py")))
     reported = [*unreadable, *run_analysis(sources)]

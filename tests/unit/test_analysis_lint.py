@@ -8,11 +8,14 @@ and exemption machinery and the ``repro lint`` CLI surface.
 
 import re
 import textwrap
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.driver import main, render, run_analysis
 from repro.analysis.lint import RULES, Violation
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures" / "lint"
 
 
 def codes(source, path="src/repro/example.py"):
@@ -264,6 +267,29 @@ def test_cli_syntax_error_reported_not_crash(tmp_path, capsys):
     broken.write_text("def broken(:\n")
     assert main([str(broken)]) == 1
     assert "VR000" in capsys.readouterr().out
+
+
+def test_cli_reports_a_too_deep_file_and_goes_on(tmp_path, capsys):
+    # A valid file nested past the interpreter's recursion limit is one
+    # VR000 finding, like a syntax error, not a crash that loses the
+    # other files' findings.
+    deep = tmp_path / "deep.py"
+    deep.write_text("x = " + " + ".join(["1"] * 2000) + "\n")
+    assert main([str(deep), str(FIXTURES / "vr003_float_busy_bad.py")]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert f"{deep}:0:0: VR000 too deeply nested to analyse" in out
+    assert sorted(line.split()[1] for line in out) == [
+        "VR000", "VR003", "VR003"]
+
+
+def test_cli_checks_a_file_named_twice_once(capsys):
+    named = FIXTURES / "vr003_float_busy_bad.py"
+    assert main([str(named), str(FIXTURES)]) == 1
+    captured = capsys.readouterr()
+    count = len(list(FIXTURES.rglob("*.py")))
+    assert f"{count} file(s) checked" in captured.err
+    lines = captured.out.splitlines()
+    assert len(set(lines)) == len(lines)
 
 
 def test_cli_rejects_missing_path(capsys):

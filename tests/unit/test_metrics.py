@@ -3,9 +3,16 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.metrics.collector import MetricsCollector
-from repro.metrics.stats import cdf_points, mean, percentile
+from repro.metrics.stats import (
+    cdf_points,
+    censored_mean,
+    censored_percentile,
+    mean,
+    percentile,
+)
 from repro.sim.units import SECOND
 
 
@@ -30,6 +37,69 @@ def test_percentile_bounds():
 
 def test_cdf_points():
     assert cdf_points([3, 1, 2]) == [(1, 1 / 3), (2, 2 / 3), (3, 1.0)]
+
+
+# -- censored statistics: unfinished items at their lower bounds ---------------
+
+PCTS = (0, 1, 10, 25, 50, 75, 90, 95, 99, 99.9, 100)
+NS = st.integers(0, 10 ** 12)  # completion times and bounds, integer ns
+
+
+@pytest.mark.parametrize("values", [[7], [10, 20, 30, 40], [3, 1, 2, 2, 9]])
+def test_censored_stats_of_a_completed_population_are_the_plain_ones(values):
+    assert censored_mean(values, []) == (mean(values), False)
+    for pct in PCTS:
+        assert censored_percentile(values, [], pct) \
+            == (percentile(values, pct), False)
+
+
+def test_censored_stats_flag_what_a_lower_bound_decides():
+    # The true mean can only be higher than a mean with any bound in it.
+    assert censored_mean([10, 20], [30]) == (20, True)
+    # The median is a completed value below the unfinished item ...
+    assert censored_percentile([10, 20, 40], [30], 25) == (17.5, False)
+    # ... but the tail reads the bound, and a bound tied with a
+    # completed value at the position read decides nothing.
+    assert censored_percentile([10, 20, 40], [30], 90) == (37.0, True)
+    assert censored_percentile([5], [5], 0) == (5, False)
+    assert censored_percentile([5], [5], 100) == (5, True)
+    assert censored_percentile([], [8], 50) == (8, True)
+    assert math.isnan(censored_mean([], [])[0])
+
+
+def test_a_low_bound_can_lower_the_statistic():
+    # Only a bound at least the largest completed value keeps the result
+    # at or above the completed-only one.
+    assert censored_mean([10], [1]) == (5.5, True)
+    assert censored_percentile([10], [1], 50) == (5.5, True)
+
+
+@given(st.lists(NS, max_size=30), st.lists(NS, min_size=1, max_size=30),
+       st.data())
+def test_raising_a_lower_bound_never_lowers_the_result(completed, bounds,
+                                                       data):
+    index = data.draw(st.integers(0, len(bounds) - 1))
+    raised = list(bounds)
+    raised[index] += data.draw(NS)
+    assert censored_mean(completed, raised)[0] \
+        >= censored_mean(completed, bounds)[0]
+    for pct in PCTS:
+        value, depends = censored_percentile(completed, bounds, pct)
+        after = censored_percentile(completed, raised, pct)[0]
+        assert after >= value
+        if not depends:  # no bound is read: raising one moves nothing
+            assert after == value
+
+
+@given(st.lists(NS, min_size=1, max_size=30),
+       st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=30))
+def test_bounds_past_every_completed_value_never_lower_the_result(
+        completed, excess):
+    bounds = [max(completed) + extra for extra in excess]
+    assert censored_mean(completed, bounds)[0] >= mean(completed)
+    for pct in PCTS:
+        assert censored_percentile(completed, bounds, pct)[0] \
+            >= percentile(completed, pct)
 
 
 def test_flow_lifecycle_and_fct():
