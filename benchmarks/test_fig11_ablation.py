@@ -5,7 +5,7 @@ re-transmissions are frequent (the paper pairs it with its high load).
 """
 
 from figures import Claim, Figure, Point, bench_config, run_figure
-from repro.forwarding.vertigo import VertigoSwitchParams
+from repro.forwarding.base import VertigoSwitchParams
 
 LOADS = [(0.25, 0.10), (0.50, 0.35)]  # (bg, incast): 35% and 85% total
 

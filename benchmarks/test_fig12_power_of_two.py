@@ -5,7 +5,7 @@ import pytest
 
 from figures import (Claim, Figure, Point, bench_config,
                      incast_loads_for_totals, run_figure)
-from repro.forwarding.vertigo import VertigoSwitchParams
+from repro.forwarding.base import VertigoSwitchParams
 from repro.net.topology import FatTree
 
 GRID = [(f"{fw}FW-{deflect}DEF",

@@ -4,7 +4,7 @@ random deflection does to reordering, loss, path length and mice
 less-loaded of two sampled queues ("power of two choices") changes."""
 
 from figures import Claim, Figure, Point, bench_config, run_figure
-from repro.forwarding.vertigo import VertigoSwitchParams
+from repro.forwarding.base import VertigoSwitchParams
 
 LOAD = dict(bg_load=0.20, incast_load=0.15)
 

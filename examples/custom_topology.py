@@ -11,7 +11,8 @@ Usage::
     python examples/custom_topology.py
 """
 
-from repro.forwarding.vertigo import VertigoPolicy, VertigoSwitchParams
+from repro.forwarding.base import VertigoSwitchParams
+from repro.forwarding.vertigo import VertigoPolicy
 from repro.host.host import HostStackConfig
 from repro.metrics.collector import MetricsCollector
 from repro.net.builder import NetworkParams, build_network

@@ -19,36 +19,38 @@ read the report::
 
 This module is the one facade: it re-exports the blessed public surface
 (everything in ``__all__``).  Every other name is imported from the
-module that defines it, and its path may change between releases.  The
-sweep executor's names load on first access, so ``import repro`` starts
-no process-pool machinery.
+module that defines it, and its path may change between releases.  Each
+name loads its defining module on first access, so ``import repro``
+compiles no simulator module: a run loads what its config names.
 """
 
 from importlib import import_module
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.digest import run_digest
-from repro.experiments.parallel import run_many
-from repro.experiments.report import RunReport
-from repro.experiments.runner import RunResult, run_experiment
-from repro.faults.spec import FaultSpec, parse_faults
-from repro.net.topology import FatTree, LeafSpine
-from repro.trace.config import TraceConfig
-from repro.workload.spec import (
-    BackgroundSpec,
-    CoflowSpec,
-    DutyCycleSpec,
-    IncastSpec,
-    WorkloadSpec,
-    parse_workloads,
-)
-
 __version__ = "2.0.0"
 
 #: Name -> the module that defines it, imported on first access.
-_LAZY = {"SupervisorPolicy": "repro.runtime.policy",
-         "SweepReport": "repro.runtime.supervisor",
-         "run_supervised": "repro.runtime.supervisor"}
+_LAZY = {
+    "ExperimentConfig": "repro.experiments.config",
+    "run_digest": "repro.experiments.digest",
+    "run_many": "repro.experiments.parallel",
+    "RunReport": "repro.experiments.report",
+    "RunResult": "repro.experiments.runner",
+    "run_experiment": "repro.experiments.runner",
+    "FaultSpec": "repro.faults.spec",
+    "parse_faults": "repro.faults.spec",
+    "FatTree": "repro.net.topology",
+    "LeafSpine": "repro.net.topology",
+    "SupervisorPolicy": "repro.runtime.policy",
+    "SweepReport": "repro.runtime.supervisor",
+    "run_supervised": "repro.runtime.supervisor",
+    "TraceConfig": "repro.trace.config",
+    "BackgroundSpec": "repro.workload.spec",
+    "CoflowSpec": "repro.workload.spec",
+    "DutyCycleSpec": "repro.workload.spec",
+    "IncastSpec": "repro.workload.spec",
+    "WorkloadSpec": "repro.workload.spec",
+    "parse_workloads": "repro.workload.spec",
+}
 
 
 def __getattr__(name):

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
+import tokenize
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -43,13 +44,17 @@ def collect_files(paths: Sequence[str]) -> List[Path]:
 
 def read_sources(files: Sequence[Path]) -> Tuple[Dict[str, str],
                                                  List[Violation]]:
-    """``{path: text}`` for every readable file, VR000 for the rest."""
+    """``{path: text}`` for every readable file, VR000 for the rest.
+
+    A file is decoded in its declared PEP 263 encoding (UTF-8 when it
+    declares none); a bad declaration or undecodable bytes are VR000."""
     sources: Dict[str, str] = {}
     problems: List[Violation] = []
     for path in files:
         try:
-            sources[str(path)] = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
+            with tokenize.open(path) as handle:
+                sources[str(path)] = handle.read()
+        except (OSError, SyntaxError, UnicodeDecodeError) as exc:
             problems.append(Violation(str(path), 0, 0, "VR000",
                                       f"unreadable: {exc}"))
     return sources, problems

@@ -19,6 +19,14 @@ from repro.sim.units import MILLISECOND
 DEFAULT_CHECKPOINT_DIR = ".repro-checkpoints"
 
 
+class CheckpointError(RuntimeError):
+    """A checkpoint file is unreadable, corrupt, or incompatible.
+
+    Defined with the config, so that a caller can catch it without
+    loading :mod:`repro.checkpoint.store` for a run that never
+    checkpoints."""
+
+
 @dataclass(frozen=True)
 class CheckpointConfig:
     """Where and how often a run snapshots itself.

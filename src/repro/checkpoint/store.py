@@ -29,6 +29,8 @@ import os
 import pickle
 from typing import Dict, Optional, Tuple
 
+from repro.checkpoint.config import CheckpointError
+
 CHECKPOINT_MAGIC = "repro.checkpoint"
 #: The file format (header fields, framing).  Object-layout changes need
 #: no bump: the derived ``code`` header field covers them.
@@ -39,10 +41,6 @@ PREVIOUS_SUFFIX = ".prev"
 
 #: Header size guard: a valid header line is well under this.
 _MAX_HEADER_BYTES = 64 * 1024
-
-
-class CheckpointError(RuntimeError):
-    """A checkpoint file is unreadable, corrupt, or incompatible."""
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,31 +18,21 @@ under the supervisor (N seeds of one system is ``sweep --systems X
 (DESIGN.md); pass ``--paper-scale`` for the full 320-server
 configuration (slow!).  A flag combination that would do nothing is a
 usage error (exit 2), never a silent no-op.
+
+Each command imports what it runs, inside its handler: ``lint``,
+``trace-view`` and ``--help`` load no simulator module.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
-
 from dataclasses import replace as _replace
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.checkpoint.config import CheckpointConfig
-from repro.checkpoint.store import CheckpointError
-from repro.experiments.config import (
-    ALL_SYSTEMS,
-    ExperimentConfig,
-    WorkloadConfig,
-)
-from repro.experiments.runner import measurement_window, run_experiment
-from repro.experiments.sweeps import format_table
-from repro.faults.spec import parse_faults, parse_time_ns
-from repro.workload.spec import check_hosts, parse_workloads
-from repro.net.builder import FIDELITY_MODES, FidelityConfig, PfcConfig
-from repro.net.topology import FatTree
-from repro.sim.units import MILLISECOND
-from repro.trace.config import TRACE_LEVELS, TraceConfig
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.experiments.config import ExperimentConfig
+    from repro.trace.config import TraceConfig
 
 SUBCOMMANDS = ("run", "sweep", "lint", "trace-view")
 
@@ -54,6 +44,9 @@ _EPILOG = (
 
 def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     """The experiment knobs shared by ``run`` and ``sweep``."""
+    from repro.net.builder import FIDELITY_MODES
+    from repro.trace.config import TRACE_LEVELS
+
     parser.add_argument("--transport",
                         choices=["reno", "dctcp", "swift", "dcqcn"],
                         default="dctcp",
@@ -151,6 +144,8 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The ``run`` parser."""
+    from repro.experiments.config import ALL_SYSTEMS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Vertigo (CoNEXT 2021) reproduction: run one "
@@ -164,6 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _trace_config_from_args(args: argparse.Namespace
                             ) -> Optional[TraceConfig]:
+    from repro.trace.config import TraceConfig
+
     if not args.trace:
         if args.sample_us is not None or args.trace_level is not None:
             raise ValueError("--sample-us/--trace-level require --trace")
@@ -181,6 +178,15 @@ _MIX_DEFAULTS = {"bg_load": 0.5, "incast_load": 0.25, "incast_scale": 12,
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    from repro.checkpoint.config import CheckpointConfig
+    from repro.experiments.config import ExperimentConfig, WorkloadConfig
+    from repro.experiments.runner import measurement_window
+    from repro.faults.spec import parse_faults, parse_time_ns
+    from repro.net.builder import FidelityConfig, PfcConfig, check_cables
+    from repro.net.topology import FatTree
+    from repro.sim.units import MILLISECOND
+    from repro.workload.spec import check_hosts, parse_workloads
+
     mix = {key: getattr(args, key) for key in _MIX_DEFAULTS}
     given = [key for key, value in mix.items() if value is not None]
     if args.workloads and given:
@@ -218,6 +224,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         measurement_window(config)  # raises if the flags leave no window
     check_hosts(config.workload.specs, config.topology.n_hosts)
     config.faults = parse_faults(args.faults)
+    check_cables(config.faults, config.topology)
     config.trace = _trace_config_from_args(args)
     if args.checkpoint_every is not None:
         config.checkpoint = CheckpointConfig.every_ms(
@@ -291,6 +298,8 @@ def _overflow_remedies(overflowed) -> List[str]:
 
 def _retained_span(data) -> str:
     """``seed=N: events kept A-B ms, samples kept C-D ms`` for one trace."""
+    from repro.sim.units import MILLISECOND
+
     end_ms = data.meta.get("sim_time_ns", 0) / MILLISECOND
     kept = []
     for name, log in (("events", data.events), ("samples", data.samples)):
@@ -302,6 +311,11 @@ def _retained_span(data) -> str:
 
 
 def _cmd_run(argv: List[str]) -> int:
+    from repro.checkpoint.config import CheckpointError
+    from repro.experiments.runner import run_experiment
+    from repro.experiments.sweeps import format_table
+    from repro.sim.units import MILLISECOND
+
     args = build_parser().parse_args(argv)
     try:
         config = config_from_args(args)
@@ -344,7 +358,8 @@ def _cmd_run(argv: List[str]) -> int:
 
 
 def _cmd_sweep(argv: List[str]) -> int:
-    # The sweep executor (a process pool) loads only for this command.
+    from repro.experiments.config import ALL_SYSTEMS
+    from repro.experiments.sweeps import format_table
     from repro.runtime.policy import SupervisorPolicy
     from repro.runtime.supervisor import SweepSupervisor
 

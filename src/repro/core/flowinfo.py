@@ -31,6 +31,11 @@ FLOW_ID3_MASK = 0b111
 #: Extra wire bytes of the flowinfo header (layer-3 encapsulation, Fig. 3).
 FLOWINFO_WIRE_BYTES = 7
 
+#: Paper default reordering timeout (τ) for the evaluated topologies: the
+#: ordering component's default, kept here so that a host stack can name
+#: it without loading the component.
+DEFAULT_ORDERING_TIMEOUT_NS = 360_000  # 360 us
+
 
 class MarkingDiscipline(enum.Enum):
     """Which quantity the marking component writes into the RFS field."""

@@ -30,7 +30,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Set, Tuple
 
 from repro.analysis import sanitize as _sanitize
-from repro.core.flowinfo import MarkingDiscipline, rotations_for_factor
+from repro.core.flowinfo import (
+    DEFAULT_ORDERING_TIMEOUT_NS,
+    MarkingDiscipline,
+    rotations_for_factor,
+)
 from repro.trace import hooks as _trace_hooks
 
 _SANITIZE = _sanitize.register(__name__)
@@ -38,10 +42,6 @@ _TRACE = _trace_hooks.register(__name__)
 from repro.net.packet import Packet, PacketKind
 from repro.sim.engine import Engine
 from repro.sim.timers import Timer
-from repro.sim.units import usecs
-
-#: Paper default reordering timeout (τ) for the evaluated topologies.
-DEFAULT_TIMEOUT_NS = usecs(360)
 
 
 @dataclass
@@ -59,7 +59,7 @@ class OrderingComponent:
     """Per-host receive-side re-sequencing shim."""
 
     def __init__(self, engine: Engine, deliver: Callable[[Packet], None],
-                 timeout_ns: int = DEFAULT_TIMEOUT_NS,
+                 timeout_ns: int = DEFAULT_ORDERING_TIMEOUT_NS,
                  boost_factor: int = 2,
                  discipline: MarkingDiscipline = MarkingDiscipline.SRPT
                  ) -> None:

@@ -22,9 +22,8 @@ from typing import Optional, Sequence, Tuple, Union
 
 from repro.checkpoint.config import CheckpointConfig
 from repro.core.flowinfo import MarkingDiscipline, rotations_for_factor
-from repro.core.ordering import DEFAULT_TIMEOUT_NS
 from repro.faults.spec import FaultSpec
-from repro.forwarding.vertigo import VertigoSwitchParams
+from repro.forwarding.base import VertigoSwitchParams
 from repro.net.builder import FidelityConfig, NetworkParams, PfcConfig
 from repro.net.topology import LeafSpine, Topology, paper_leaf_spine
 from repro.sim.units import MILLISECOND, SECOND, gbps, kb, mbps, usecs

@@ -9,19 +9,11 @@ from __future__ import annotations
 import itertools
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from importlib import import_module
 from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
-from repro.checkpoint.store import discard as _discard_checkpoint
-from repro.checkpoint.store import load_latest, write_checkpoint
-from repro.core.flowinfo import MarkingDiscipline
 from repro.experiments.config import ExperimentConfig
 from repro.net import packet as _packet_mod
-from repro.forwarding.dibs import DibsPolicy
-from repro.forwarding.drill import DrillPolicy
-from repro.forwarding.ecmp import EcmpPolicy
-from repro.forwarding.letflow import LetFlowPolicy
-from repro.forwarding.pabo import PaboPolicy
-from repro.forwarding.vertigo import VertigoPolicy
 from repro.host.host import HostStackConfig
 from repro.metrics.collector import MetricsCollector
 from repro.net.builder import Network, NetworkParams, build_network
@@ -78,21 +70,27 @@ def derive_ordering_timeout(params: NetworkParams) -> int:
 
 #: Systems whose policy takes no per-run parameter: the policy's own
 #: defaults (DRILL(2, 1), DIBS's and PABO's budgets) are the one spelling.
-_PLAIN_POLICIES = {"ecmp": EcmpPolicy, "drill": DrillPolicy,
-                   "dibs": DibsPolicy, "pabo": PaboPolicy}
+#: A run imports its own system's policy module only.
+_PLAIN_POLICIES = {"ecmp": "EcmpPolicy", "drill": "DrillPolicy",
+                   "dibs": "DibsPolicy", "pabo": "PaboPolicy"}
 
 
 def _policy_factory(config: ExperimentConfig):
     name = config.system.name
     if name == "vertigo":
+        from repro.forwarding.vertigo import VertigoPolicy
+
         params = config.system.vertigo_switch
         return lambda switch, rng: VertigoPolicy(switch, rng, params)
     if name == "letflow":
+        from repro.forwarding.letflow import LetFlowPolicy
+
         # Flowlet gap: a couple of base RTTs (LetFlow's guidance).
         gap = 2 * config.network.base_rtt_ns()
         return lambda switch, rng: LetFlowPolicy(switch, rng,
                                                  flowlet_gap_ns=gap)
-    return _PLAIN_POLICIES[name]
+    return getattr(import_module(f"repro.forwarding.{name}"),
+                   _PLAIN_POLICIES[name])
 
 
 def resolve_transport_config(config: ExperimentConfig) -> TransportConfig:
@@ -317,12 +315,15 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     successful completion.  Checkpointing never changes results: a
     restored run's digest is byte-identical to the uninterrupted run.
     """
-    from repro.experiments.digest import config_digest
-
     profiler = PhaseProfiler()
-    digest = config_digest(config)
-    managed_path = None
+    digest = managed_path = None
     if config.checkpoint is not None:
+        # The checkpoint store, and the digest that keys its files,
+        # load only for a checkpointed run.
+        from repro.checkpoint.store import load_latest
+        from repro.experiments.digest import config_digest
+
+        digest = config_digest(config)
         managed_path = config.checkpoint.resolve_path(digest)
 
     with profiler.phase("build"):
@@ -339,8 +340,10 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 
     result = _finalize(world, profiler, managed_path)
     if managed_path is not None:
+        from repro.checkpoint.store import discard
+
         # The checkpoint is consumed by successful completion.
-        _discard_checkpoint(managed_path)
+        discard(managed_path)
     return result
 
 
@@ -466,6 +469,17 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
                    tracer=tracer)
 
 
+def write_checkpoint(path: str, world: LiveRun,
+                     **header: object) -> Dict[str, object]:
+    """:func:`repro.checkpoint.store.write_checkpoint`, whose module
+    loads at a checkpointed run's first write.  The epoch loop calls it
+    through this module global, so a caller can wrap the runner's
+    writes from outside (the ledger times them, tests stop a run)."""
+    from repro.checkpoint.store import write_checkpoint as write
+
+    return write(path, world, **header)
+
+
 def _write_world_checkpoint(world: LiveRun, path: str,
                             config_digest: str) -> None:
     """Persist ``world`` atomically."""
@@ -477,7 +491,8 @@ def _write_world_checkpoint(world: LiveRun, path: str,
 
 
 def _run_epochs(world: LiveRun, profiler: PhaseProfiler,
-                managed_path: Optional[str], config_digest: str) -> None:
+                managed_path: Optional[str],
+                config_digest: Optional[str]) -> None:
     """Run the simulation to completion, checkpointing at epoch
     boundaries.
 

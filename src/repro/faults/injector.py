@@ -17,14 +17,12 @@ on event interleaving), and every application is recorded on
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.faults.spec import FaultSpec
+from repro.net.builder import Network, check_cables
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.net.builder import Network
 
 #: Faults sort before ordinary (priority 0) events at the same instant:
 #: a cable cut at t takes effect before packets delivered at t.
@@ -38,14 +36,14 @@ RNG_STREAMS = ("faultloss:",)
 class FaultInjector:
     """Schedules and applies a fault scenario on a built network."""
 
-    def __init__(self, engine: Engine, network: "Network",
+    def __init__(self, engine: Engine, network: Network,
                  rng: RngRegistry, faults: Sequence[FaultSpec]) -> None:
         self.engine = engine
         self.network = network
         self.faults = tuple(faults)
         #: (time_ns, spec) log of faults applied so far, in order.
         self.applied: List[Tuple[int, FaultSpec]] = []
-        self._validate()
+        check_cables(self.faults, network.topology)
         # Pre-create one loss stream per cable with a loss fault, keyed
         # by the canonical cable name — creation order is spec order,
         # never event-interleaving order.
@@ -55,11 +53,6 @@ class FaultInjector:
                 a, b = spec.link
                 self._loss_streams[spec.link] = rng.stream(
                     f"faultloss:{a}-{b}")
-
-    def _validate(self) -> None:
-        """Fail fast on cables that do not exist in this network."""
-        for spec in self.faults:
-            self.network.cable_links(*spec.link)
 
     def schedule(self) -> None:
         """Install every fault on the engine calendar (call before run)."""

@@ -20,6 +20,11 @@ FIB/port/link change.  Load-*dependent* decisions (DRILL sampling,
 power-of-two choices) are never cached; the per-packet one,
 :meth:`power_of_n_choice` at two choices, is instead made without
 allocating: it draws what ``rng.sample`` would and compares two depths.
+
+:class:`VertigoSwitchParams` is config, not machinery: it lives here so
+that an :class:`~repro.experiments.config.ExperimentConfig` can carry it
+without loading Vertigo's policy (whose module still re-exports it, the
+path older pickles name).
 """
 
 from __future__ import annotations
@@ -27,10 +32,32 @@ from __future__ import annotations
 import abc
 import random
 import zlib
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.net.packet import Packet
 from repro.net.switch import Switch
+
+
+#: Per-packet deflection budget; the hop limit is the real loop guard, this
+#: mirrors the retcnt-style bound so a packet cannot bounce indefinitely.
+DEFAULT_MAX_DEFLECTIONS = 32
+
+
+@dataclass(frozen=True)
+class VertigoSwitchParams:
+    """Configuration of Vertigo's in-network component
+    (:class:`~repro.forwarding.vertigo.VertigoPolicy`)."""
+
+    fw_choices: int = 2
+    def_choices: int = 2
+    scheduling: bool = True    # SRPT-ranked queues + displacement
+    deflection: bool = True    # deflect displaced packets (vs. drop them)
+    max_deflections: int = DEFAULT_MAX_DEFLECTIONS
+
+    def __post_init__(self) -> None:
+        if self.fw_choices < 1 or self.def_choices < 1:
+            raise ValueError("choice counts must be >= 1")
 
 
 #: Largest population for which ``random.Random.sample(population, 2)``

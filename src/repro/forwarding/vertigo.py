@@ -24,33 +24,12 @@ The knobs on :class:`VertigoSwitchParams` expose the paper's ablations:
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.forwarding.base import ForwardingPolicy
+from repro.forwarding.base import ForwardingPolicy, VertigoSwitchParams
 from repro.net.packet import Packet
 from repro.net.queues import ClassLaneQueue, RankedQueue
 from repro.net.switch import Switch
-
-#: Per-packet deflection budget; the hop limit is the real loop guard, this
-#: mirrors the retcnt-style bound so a packet cannot bounce indefinitely.
-DEFAULT_MAX_DEFLECTIONS = 32
-
-
-@dataclass(frozen=True)
-class VertigoSwitchParams:
-    """Configuration of the in-network component."""
-
-    fw_choices: int = 2
-    def_choices: int = 2
-    scheduling: bool = True    # SRPT-ranked queues + displacement
-    deflection: bool = True    # deflect displaced packets (vs. drop them)
-    max_deflections: int = DEFAULT_MAX_DEFLECTIONS
-
-    def __post_init__(self) -> None:
-        if self.fw_choices < 1 or self.def_choices < 1:
-            raise ValueError("choice counts must be >= 1")
-
 
 class VertigoPolicy(ForwardingPolicy):
     """Power-of-two forwarding with selective deflection and dropping."""

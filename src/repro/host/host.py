@@ -12,11 +12,9 @@ RX:  wire → ordering component → transport → application callback
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Type
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Type
 
-from repro.core.flowinfo import MarkingDiscipline
-from repro.core.marking import MarkingComponent
-from repro.core.ordering import DEFAULT_TIMEOUT_NS, OrderingComponent
+from repro.core.flowinfo import DEFAULT_ORDERING_TIMEOUT_NS, MarkingDiscipline
 from repro.metrics.collector import MetricsCollector
 from repro.net.link import Link, Port
 from repro.net.packet import Packet, PacketKind
@@ -24,6 +22,10 @@ from repro.net.queues import DropTailQueue
 from repro.sim.engine import Engine
 from repro.trace import hooks as _trace_hooks
 from repro.transport.base import FlowReceiver, FlowSender, TransportConfig
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.marking import MarkingComponent
+    from repro.core.ordering import OrderingComponent
 
 _TRACE = _trace_hooks.register(__name__)
 
@@ -39,7 +41,7 @@ class HostStackConfig:
     marking_discipline: MarkingDiscipline = MarkingDiscipline.SRPT
     boost_factor: int = 2
     boosting: bool = True
-    ordering_timeout_ns: int = DEFAULT_TIMEOUT_NS
+    ordering_timeout_ns: int = DEFAULT_ORDERING_TIMEOUT_NS
     nic_buffer_bytes: int = 512 * 1024
 
 
@@ -57,8 +59,11 @@ class Host:
         nic_queue = DropTailQueue(stack.nic_buffer_bytes)
         nic_queue.label = self.name
         self.nic = Port(engine, self, 0, nic_queue)
+        # Vertigo's host components load only for a Vertigo stack.
         self.marking: Optional[MarkingComponent] = None
         if stack.vertigo_marking:
+            from repro.core.marking import MarkingComponent
+
             self.marking = MarkingComponent(
                 discipline=stack.marking_discipline,
                 boost_factor=stack.boost_factor,
@@ -66,6 +71,8 @@ class Host:
                 seed=host_id)
         self.ordering: Optional[OrderingComponent] = None
         if stack.vertigo_ordering:
+            from repro.core.ordering import OrderingComponent
+
             self.ordering = OrderingComponent(
                 engine, self._deliver_data,
                 timeout_ns=stack.ordering_timeout_ns,

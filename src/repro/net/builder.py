@@ -22,9 +22,9 @@ never loads the PFC or fidelity controller (:mod:`repro.net.pfc`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.faults.spec import cable_key
+from repro.faults.spec import FaultSpec, cable_key
 from repro.host.host import Host, HostStackConfig
 from repro.metrics.collector import MetricsCollector
 from repro.net.link import Link, Port
@@ -50,6 +50,21 @@ RNG_STREAMS = ("policy:",)
 def host_label(host_id: int) -> str:
     """The endpoint label hosts are registered under (``h<id>``)."""
     return f"h{host_id}"
+
+
+def check_cables(faults: Sequence[FaultSpec], topology: Topology) -> None:
+    """Refuse a fault on a cable ``topology`` does not have: before any
+    run (``config_from_args``) and when a fault injector is built."""
+    cables = {cable_key(a, b) for a, b in topology.switch_adjacency}
+    cables.update(cable_key(host_label(host), topology.host_tor(host))
+                  for host in range(topology.n_hosts))
+    for spec in faults:
+        if spec.link not in cables:
+            a, b = spec.link
+            raise ValueError(
+                f"fault {spec.describe()}: no cable between {a!r} and "
+                f"{b!r} in {topology!r}; endpoints are switch names or "
+                f"h<id> host labels")
 
 
 @dataclass(frozen=True)

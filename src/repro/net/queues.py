@@ -35,7 +35,6 @@ from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
 from repro.analysis import sanitize as _sanitize
-from repro.core.scheduler import check_entries
 from repro.net.packet import Packet
 from repro.trace import hooks as _trace_hooks
 
@@ -300,6 +299,8 @@ class RankedQueue(_BoundedQueue):
         return [packet for _, _, packet in reversed(self._entries)]
 
     def _sanitize_check(self) -> None:
+        from repro.core.scheduler import check_entries  # sanitizer only
+
         super()._sanitize_check()
         check_entries(self._entries, self._arrivals)
 

@@ -46,15 +46,29 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
-# Pool workers fork from this process: the subsystems a point's config
-# may turn on, which the runner imports only where it builds them, are
-# compiled here once instead of in every worker of every pool.
+# Pool workers fork from this process: every module a point's config
+# may name, which a run imports only where it builds that part (the
+# system's policy and host components, the generators, the optional
+# subsystems, the checkpoint store, the sanitizer's check), is compiled
+# here once instead of in every worker of every pool.
+import repro.checkpoint.store
+import repro.core.marking
+import repro.core.ordering
+import repro.core.scheduler
 import repro.faults.injector
+import repro.forwarding.dibs
+import repro.forwarding.drill
+import repro.forwarding.ecmp
+import repro.forwarding.letflow
+import repro.forwarding.pabo
+import repro.forwarding.vertigo
 import repro.net.fidelity
 import repro.net.pfc
 import repro.telemetry.monitor
 import repro.trace.sampler
 import repro.trace.tracer
+import repro.workload.coflow
+import repro.workload.incast
 from repro.analysis import sanitize as _sanitize
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import config_digest, run_digest, sweep_digest

@@ -19,15 +19,32 @@ wall-clock by unrolling whole on-windows onto whole periods::
 Both sides are integer nanoseconds and the map is strictly monotone, so
 events schedule in order.  At ``duty=1.0`` the on-window is the whole
 period and the map is the identity: plain Poisson arrivals.
+
+:class:`DutyCycleTraffic` lives here because at ``duty=1.0`` it is the
+background generator nearly every run starts, while the incast and
+coflow generators load only for a run whose config names them.  It
+sweeps network_tester's ``bursting.py`` dimension: hold the per-period
+byte budget fixed and squeeze it into an ever smaller *on* fraction of
+each period, so mean offered load stays constant while instantaneous
+load during the on-window grows as ``1/duty`` (at ``duty=0.1`` the
+identical load arrives in 10x bursts with dead air between them, the
+regime where buffer headroom, deflection and PFC pause behaviour
+separate).  Sweeps should exclude the first and last periods via the
+workload's warmup/cooldown window (network_tester uses 10 periods of
+each).
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.sim.engine import Engine
 from repro.sim.units import SECOND
+from repro.workload.matrix import pick_dst, pick_src
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.workload.distributions import EmpiricalCDF
 
 #: open_flow(src, dst, size, is_incast, query_id, ...) -> None
 FlowOpener = Callable[..., None]
@@ -77,3 +94,28 @@ class PoissonArrivals:
 
     def _arrive(self) -> None:
         raise NotImplementedError
+
+
+class DutyCycleTraffic(PoissonArrivals):
+    """Poisson flows gated to the on-window of a duty-cycled period."""
+
+    def __init__(self, engine: Engine, open_flow: FlowOpener, n_hosts: int,
+                 host_rate_bps: int, load: float, duty: float,
+                 period_ns: int, sizes: EmpiricalCDF, rng: random.Random,
+                 until_ns: int) -> None:
+        super().__init__(engine, rng, until_ns,
+                         arrivals_per_s(load, n_hosts, host_rate_bps,
+                                        sizes.mean()),
+                         duty, period_ns)
+        self.open_flow = open_flow
+        self.n_hosts = n_hosts
+        self.sizes = sizes
+        self.flows_generated = 0
+
+    def _arrive(self) -> None:
+        src = pick_src(self.rng, self.n_hosts)
+        dst = pick_dst(self.rng, self.n_hosts, src)
+        size = self.sizes.sample(self.rng)
+        self.open_flow(src, dst, size, is_incast=False, query_id=None)
+        self.flows_generated += 1
+        self._schedule_next()

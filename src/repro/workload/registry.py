@@ -18,6 +18,10 @@ kind-named stream (``"background"``, ``"incast"``, ``"coflow"``,
 used, another digest-compatibility requirement); the *n*-th active spec
 of a kind owns ``"<kind>:<n>"``.  An inactive spec draws nothing and
 numbers nothing, so adding one changes no stream.
+
+A builder imports its generator's module when it builds one, so a run
+loads only the generators its specs name; the duty-cycle generator,
+which is also the background one, lives with the arrival process.
 """
 
 from __future__ import annotations
@@ -28,11 +32,8 @@ from typing import Callable, Dict, List
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
-from repro.workload.arrivals import arrivals_per_s
-from repro.workload.coflow import CoflowApp
+from repro.workload.arrivals import DutyCycleTraffic, arrivals_per_s
 from repro.workload.distributions import get_distribution
-from repro.workload.dutycycle import DutyCycleTraffic
-from repro.workload.incast import IncastApp
 from repro.workload.spec import (
     BackgroundSpec,
     CoflowSpec,
@@ -70,6 +71,8 @@ def _build_background(spec: BackgroundSpec, ctx: WorkloadContext, rng):
 
 
 def _build_incast(spec: IncastSpec, ctx: WorkloadContext, rng):
+    from repro.workload.incast import IncastApp
+
     qps = spec.qps if spec.qps is not None else arrivals_per_s(
         spec.load, ctx.n_hosts, ctx.host_rate_bps,
         spec.scale * spec.flow_bytes)
@@ -79,6 +82,8 @@ def _build_incast(spec: IncastSpec, ctx: WorkloadContext, rng):
 
 
 def _build_coflow(spec: CoflowSpec, ctx: WorkloadContext, rng):
+    from repro.workload.coflow import CoflowApp
+
     cps = spec.cps if spec.cps is not None else arrivals_per_s(
         spec.load, ctx.n_hosts, ctx.host_rate_bps,
         spec.flows_per_coflow * spec.flow_bytes)

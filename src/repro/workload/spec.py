@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar, Dict, Optional, Tuple
 
 from repro.faults.spec import parse_time_ns
+from repro.workload.distributions import DISTRIBUTIONS
 
 #: Registered generator kinds, in their canonical order.
 WORKLOAD_KINDS = ("background", "incast", "coflow", "duty_cycle")
@@ -61,6 +62,14 @@ def _check_rates(kind: str, **rates: Optional[float]) -> None:
         if value < 0:
             raise ValueError(f"{kind} {name} must be non-negative, "
                              f"got {value!r}")
+
+
+def _check_distribution(name: str) -> None:
+    """Refuse a size distribution the registry lacks when the spec is
+    built, not when its generator is."""
+    if name not in DISTRIBUTIONS:
+        raise ValueError(f"unknown distribution {name!r}; "
+                         f"choose from {sorted(DISTRIBUTIONS)}")
 
 
 @dataclass(frozen=True)
@@ -106,6 +115,7 @@ class BackgroundSpec(WorkloadSpec):
 
     def __post_init__(self) -> None:
         _check_rates("background", load=self.load)
+        _check_distribution(self.distribution)
         if self.size_cap is not None and self.size_cap <= 0:
             raise ValueError("size_cap must be positive")
 
@@ -208,6 +218,7 @@ class DutyCycleSpec(WorkloadSpec):
 
     def __post_init__(self) -> None:
         _check_rates("duty_cycle", load=self.load)
+        _check_distribution(self.distribution)
         if not 0.0 < self.duty <= 1.0:
             raise ValueError("duty must be in (0, 1]")
         if type(self.period_ns) is not int:

@@ -29,8 +29,7 @@ import types
 import pytest
 
 from repro.checkpoint import store
-from repro.checkpoint.config import CheckpointConfig
-from repro.checkpoint.store import CheckpointError
+from repro.checkpoint.config import CheckpointConfig, CheckpointError
 from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import config_digest, run_digest

@@ -1,12 +1,14 @@
 """Failure injection: random link loss (flaky cables / bit errors)."""
 
 import dataclasses
+import functools
 import random
 
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import run_experiment
+from repro.experiments.digest import run_digest
+from repro.experiments.runner import EngineStats, run_experiment
 from repro.faults.spec import parse_faults
 from repro.net.link import Link
 from repro.sim.engine import Engine
@@ -84,3 +86,42 @@ def test_loss_counted_deterministically():
             .metrics.counters.drops["link_loss"]
 
     assert run() == run() > 0
+
+
+# -- metamorphic relations: a fault that changes nothing is no fault ----------
+
+
+def _reference(system):
+    return ExperimentConfig.bench_profile(
+        system=system, sim_time_ns=5 * MILLISECOND, bg_load=0.5,
+        incast_load=0.25, incast_scale=12)
+
+
+@functools.lru_cache(maxsize=None)
+def _unfaulted_digest(system):
+    return run_digest(run_experiment(_reference(system)))
+
+
+@pytest.mark.parametrize("system", ["ecmp", "vertigo"])
+@pytest.mark.parametrize("directive, entries", [
+    # Past the horizon: the calendar never reaches it.
+    ("link:leaf0-spine1:down@5000001", 0),
+    ("link:leaf0-spine1:down@1s", 0),
+    # A loss rate of 0 on a fabric cable and on a host cable: applied
+    # (one calendar entry), its loss stream never drawn.
+    ("link:leaf0-spine1:loss=0@0ms", 1),
+    ("link:h3-leaf0:loss=0@1ms", 1),
+])
+def test_a_fault_that_changes_nothing_is_no_fault(system, directive,
+                                                  entries):
+    """The run digest equals the unfaulted run's once the fault's own
+    traces are taken out: the digest's ``faults`` section, and the
+    calendar entry that applied it when the run reached it."""
+    faulted = run_experiment(dataclasses.replace(
+        _reference(system), faults=parse_faults([directive])))
+    as_unfaulted = dataclasses.replace(
+        faulted, config=dataclasses.replace(faulted.config, faults=()),
+        engine=EngineStats(
+            now=faulted.engine.now,
+            events_executed=faulted.engine.events_executed - entries))
+    assert run_digest(as_unfaulted) == _unfaulted_digest(system)

@@ -6,7 +6,7 @@ causal claim behind it, not just the headline number.
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
-from repro.forwarding.vertigo import VertigoSwitchParams
+from repro.forwarding.base import VertigoSwitchParams
 from repro.sim.units import MILLISECOND
 
 

@@ -269,6 +269,25 @@ def test_cli_syntax_error_reported_not_crash(tmp_path, capsys):
     assert "VR000" in capsys.readouterr().out
 
 
+def test_cli_reads_each_file_in_its_declared_encoding(tmp_path, capsys):
+    # A latin-1 file that compiles is checked like any other; a bad
+    # coding declaration or bytes its encoding cannot decode stay VR000.
+    latin = tmp_path / "latin.py"
+    latin.write_bytes(b"# -*- coding: latin-1 -*-\n"
+                      b"NAME = 'caf\xe9'\ntimeout_ns = 1.5\n")
+    assert main([str(latin)]) == 1
+    assert [line.split()[1] for line in
+            capsys.readouterr().out.splitlines()] == ["VR003"]
+    cookie = tmp_path / "cookie.py"
+    cookie.write_bytes(b"# -*- coding: no-such-codec -*-\nX = 1\n")
+    undecodable = tmp_path / "undecodable.py"
+    undecodable.write_bytes(b"NAME = 'caf\xe9'\n")
+    assert main([str(cookie), str(undecodable)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split()[1:3] for line in out] \
+        == [["VR000", "unreadable:"]] * 2
+
+
 def test_cli_reports_a_too_deep_file_and_goes_on(tmp_path, capsys):
     # A valid file nested past the interpreter's recursion limit is one
     # VR000 finding, like a syntax error, not a crash that loses the

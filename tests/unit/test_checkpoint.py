@@ -10,12 +10,11 @@ import sys
 
 import pytest
 
-from repro.checkpoint.config import CheckpointConfig
+from repro.checkpoint.config import CheckpointConfig, CheckpointError
 from repro.checkpoint.store import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     PREVIOUS_SUFFIX,
-    CheckpointError,
     code_fingerprint,
     discard,
     load_latest,

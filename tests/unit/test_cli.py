@@ -4,9 +4,9 @@ import json
 
 import pytest
 
-from repro import cli
 from repro.analysis import sanitize
 from repro.cli import build_parser, config_from_args, main
+from repro.experiments import runner
 from repro.net.topology import FatTree, LeafSpine
 
 
@@ -105,7 +105,8 @@ def test_interrupted_run_says_so_and_exits_130(tmp_path, monkeypatch, capsys,
     def interrupted(config):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "run_experiment", interrupted)
+    # ``run`` imports the runner in its handler: patch where it looks.
+    monkeypatch.setattr(runner, "run_experiment", interrupted)
     argv = ["run", *TINY]
     if checkpointed:
         argv += ["--checkpoint-every", "2", "--checkpoint-dir", str(tmp_path)]
@@ -323,6 +324,27 @@ def test_malformed_fault_is_one_line_usage_error(capsys):
                   "--fault", "link:a-b:flap@1ms"]):
         assert main(argv) == 2
         assert_one_line_usage_error(capsys)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", *TINY, "--fault", "link:nosuch-x:down@0ms"],
+    ["run", *TINY, "--fault", "link:h32-leaf0:down@1ms"],
+    ["run", *TINY, "--fault", "link:h0-leaf1:down@1ms"],
+    ["sweep", "--systems", "ecmp", *TINY, "--fault",
+     "link:nosuch-x:down@0ms"],
+    ["run", "--sim-ms", "5", "--workload", "background:load=0.3,dist=nosuch"],
+    ["run", "--sim-ms", "5", "--workload",
+     "duty_cycle:load=0.3,dist=nosuch"],
+    ["sweep", "--systems", "ecmp", "--sim-ms", "5",
+     "--workload", "background:load=0.3,dist=nosuch"],
+], ids=["run-cable", "run-host-past-the-last", "run-host-other-tor",
+        "sweep-cable", "run-background-dist", "run-duty-cycle-dist",
+        "sweep-dist"])
+def test_a_name_the_build_would_refuse_is_a_usage_error(argv, capsys):
+    """A cable the topology lacks and a distribution the registry lacks
+    are refused before any run (and before any sweep point runs)."""
+    assert main(argv) == 2
+    assert_one_line_usage_error(capsys)
 
 
 def test_sub_nanosecond_warmup_is_one_line_usage_error(capsys):

@@ -1,13 +1,22 @@
-"""A run imports only the machinery its config turns on, and each name
-is imported by one path.
+"""A run imports only the modules its config names, and each name is
+imported by one path.
 
 Every module a fresh interpreter loads costs it that module's compile
-time unless bytecode is cached, and start-up is what each sweep point,
-pool worker and CLI call pays again.  Config modules therefore import no
-machinery, ``_build_world`` imports the PFC and fidelity controllers,
-the tracer, the sampler and the fault injector where it builds them, and
-``repro`` resolves the sweep executor's names on first access
-(DESIGN.md "Performance", Start-up).
+time unless bytecode is cached, and start-up is what each CLI call,
+ledger probe and pool of a sweep pays again.  So ``import repro``
+loads no simulator module (the facade resolves each name on first
+access), config modules import no machinery, and a run imports each
+per-config part where it builds it: its own system's forwarding policy,
+Vertigo's marking and ordering components for a Vertigo stack only,
+each generator's module when a spec of its kind is built, the checkpoint
+store when checkpointing, the scheduler's check under the sanitizer, and
+the PFC and fidelity controllers, tracer, sampler, fault injector and
+telemetry monitor when turned on.  ``repro lint``, ``repro trace-view``
+and ``--help`` load no simulator module.  The sweep supervisor imports
+every per-config module up front, because pool workers fork from it:
+they would otherwise each compile what their point names.  Transports
+stay eager (``repro.transport.TRANSPORTS`` is a plain dict the frozen
+benchmark ledger imports).  DESIGN.md "Performance", Start-up.
 
 The module-set cases run in fresh interpreters and read ``sys.modules``
 once the code under test has finished.  The import census reads source
@@ -16,6 +25,7 @@ with ``ast``: a name is imported from the module that defines it, and
 """
 
 import ast
+import importlib.util
 import json
 import os
 import pkgutil
@@ -28,7 +38,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ALL_SYSTEMS, ExperimentConfig
 from repro.experiments.digest import config_digest
 from repro.net.builder import FidelityConfig, PfcConfig
 from repro.trace.config import TraceConfig
@@ -45,17 +55,54 @@ MACHINERY = ("concurrent.futures", "multiprocessing", "repro.runtime",
 _REPORT = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
 
 
+#: What a bench run of ECMP never loads: it names none of it.
+NOT_IN_AN_ECMP_RUN = (
+    "repro.forwarding.vertigo", "repro.forwarding.drill",
+    "repro.forwarding.dibs", "repro.forwarding.letflow",
+    "repro.forwarding.pabo", "repro.core.marking", "repro.core.cuckoo",
+    "repro.core.ordering", "repro.core.scheduler", "repro.checkpoint.store",
+    "repro.workload.coflow", "repro.experiments.parallel",
+    "repro.experiments.digest")
+
+#: Every module a run imports only when its config names it: what the
+#: sweep supervisor compiles before its pool workers fork.
+PER_CONFIG = NOT_IN_AN_ECMP_RUN + (
+    "repro.forwarding.ecmp", "repro.workload.incast", "repro.net.pfc",
+    "repro.net.fidelity", "repro.trace.tracer", "repro.trace.sampler",
+    "repro.faults.injector", "repro.telemetry.monitor")
+
+#: Packages no tool command (``lint``, ``trace-view``, ``--help``) loads.
+SIMULATOR = ("repro.sim", "repro.net", "repro.host", "repro.transport",
+             "repro.forwarding", "repro.core", "repro.workload",
+             "repro.metrics", "repro.experiments", "repro.checkpoint",
+             "repro.faults", "repro.runtime", "repro.telemetry")
+
+
+def _last_line(code: str):
+    """The JSON value of the last stdout line of ``code``, run in a
+    fresh interpreter."""
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": SRC}, check=True,
+        capture_output=True, text=True, timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def _loaded(code: str) -> set:
+    """The modules loaded once ``code`` has run in a fresh interpreter."""
+    return set(_last_line(code + _REPORT))
+
+
+def _under(modules: set, prefixes) -> set:
+    return {name for name in modules
+            if any(name == prefix or name.startswith(prefix + ".")
+                   for prefix in prefixes)}
+
+
 def _machinery_loaded(code: str) -> set:
     """The :data:`MACHINERY` modules loaded once ``code`` has run in a
     fresh interpreter."""
-    out = subprocess.run(
-        [sys.executable, "-c", code + _REPORT],
-        env={**os.environ, "PYTHONPATH": SRC}, check=True,
-        capture_output=True, text=True, timeout=120)
-    modules = json.loads(out.stdout.splitlines()[-1])
-    return {name for name in modules
-            if any(name == prefix or name.startswith(prefix + ".")
-                   for prefix in MACHINERY)}
+    return _under(_loaded(code), MACHINERY)
 
 
 def _run(profile: str = "", changes: str = "") -> str:
@@ -108,6 +155,83 @@ def test_no_machinery_loads_where_nothing_turns_it_on(code):
 def test_a_config_loads_exactly_its_own_machinery(profile, changes,
                                                   expected):
     assert _machinery_loaded(_run(profile, changes)) == expected
+
+
+def test_import_repro_loads_the_facade_alone():
+    assert _under(_loaded("import repro"), ("repro",)) == {"repro"}
+
+
+def test_the_module_lists_name_real_modules():
+    assert all(importlib.util.find_spec(name) is not None
+               for name in PER_CONFIG)
+
+
+def test_an_ecmp_run_loads_no_module_its_config_does_not_name():
+    loaded = _loaded(_run('system="ecmp"'))
+    assert "repro.forwarding.ecmp" in loaded
+    assert loaded & set(NOT_IN_AN_ECMP_RUN) == set()
+
+
+@pytest.mark.parametrize("system", ALL_SYSTEMS)
+def test_each_system_loads_exactly_its_own_policy(system):
+    loaded = _loaded(_run(f"system={system!r}"))
+    assert _under(loaded, ("repro.forwarding",)) == {
+        "repro.forwarding", "repro.forwarding.base",
+        f"repro.forwarding.{system}"}
+    vertigo_host = {"repro.core.marking", "repro.core.ordering"}
+    assert loaded & vertigo_host == (
+        vertigo_host if system == "vertigo" else set())
+
+
+def test_the_supervisor_compiles_every_per_config_module_before_forking():
+    """What a pool worker forks from already holds every module a point
+    may name, so a run of any config loads nothing new."""
+    missing, new = _last_line(f"""
+import json, sys, tempfile
+from dataclasses import replace
+import repro.runtime.supervisor
+before = set(sys.modules)
+missing = sorted(set({list(PER_CONFIG)!r}) - before)
+from repro.analysis import sanitize
+from repro.checkpoint.config import CheckpointConfig
+from repro.experiments.config import (
+    ALL_SYSTEMS, ExperimentConfig, WorkloadConfig)
+from repro.experiments.runner import run_experiment
+from repro.faults.spec import parse_faults
+from repro.net.builder import FidelityConfig, PfcConfig
+from repro.trace.config import TraceConfig
+from repro.workload.spec import parse_workloads
+def bench(system, **changes):
+    return replace(ExperimentConfig.bench_profile(
+        system=system, sim_time_ns=1_000_000, bg_load=0.5,
+        incast_load=0.25, incast_scale=12), **changes)
+configs = [bench(system) for system in ALL_SYSTEMS]
+configs.append(bench("vertigo", fidelity=FidelityConfig(mode="hybrid")))
+with tempfile.TemporaryDirectory() as directory:
+    configs.append(bench(
+        "ecmp", transport_name="dcqcn",
+        pfc=PfcConfig(enabled=True, num_classes=2, priority_map=(0, 1)),
+        trace=TraceConfig(level="packet", sample_period_ns=100_000),
+        faults=parse_faults(["link:leaf0-spine1:down@200us,up@600us"]),
+        telemetry_interval_ns=100_000,
+        workload=WorkloadConfig(parse_workloads(
+            ["coflow:width=4,load=0.1", "duty_cycle:load=0.2,duty=0.5"])),
+        checkpoint=CheckpointConfig(every_ns=500_000, directory=directory)))
+    with sanitize.scoped(True):
+        for config in configs:
+            run_experiment(config)
+print(json.dumps([missing, sorted(name for name in set(sys.modules) - before
+                                  if name.startswith("repro."))]))
+""")
+    assert missing == []
+    assert new == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("--help",), ("lint", "scripts"), ("trace-view", "no-such.jsonl")],
+    ids=["help", "lint", "trace-view"])
+def test_a_tool_command_loads_no_simulator_module(argv):
+    assert _under(_loaded(_cli(*argv)), SIMULATOR) == set()
 
 
 #: The only names a subpackage ``__init__`` binds besides its
@@ -188,7 +312,9 @@ _MOVED = [(b"repro.net.builder\nPfcConfig", b"repro.net.pfc\nPfcConfig"),
           (b"repro.net.builder\nFidelityConfig",
            b"repro.net.fidelity\nFidelityConfig"),
           (b"repro.trace.config\nTraceConfig",
-           b"repro.trace.tracer\nTraceConfig")]
+           b"repro.trace.tracer\nTraceConfig"),
+          (b"repro.forwarding.base\nVertigoSwitchParams",
+           b"repro.forwarding.vertigo\nVertigoSwitchParams")]
 
 
 def test_a_config_pickled_under_the_old_class_paths_keeps_its_digest():
@@ -202,8 +328,8 @@ def test_a_config_pickled_under_the_old_class_paths_keeps_its_digest():
         assert new in data
         data = data.replace(new, old)
     loaded = pickle.loads(data)
-    assert (loaded.pfc, loaded.fidelity, loaded.trace) \
-        == (config.pfc, config.fidelity, config.trace)
+    assert (loaded.pfc, loaded.fidelity, loaded.trace, loaded.system) \
+        == (config.pfc, config.fidelity, config.trace, config.system)
     # The digest hashes repr(), which names no module: the value recorded
     # before the classes moved (re-pinned once, when repr lost the
     # sanitize field).

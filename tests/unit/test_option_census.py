@@ -27,7 +27,7 @@ from repro.experiments.config import (
     WorkloadConfig,
 )
 from repro.faults.spec import FaultSpec
-from repro.forwarding.vertigo import VertigoSwitchParams
+from repro.forwarding.base import VertigoSwitchParams
 from repro.metrics.collector import MetricsCollector
 from repro.net.builder import NetworkParams
 from repro.net.fidelity import FidelityConfig

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core.flowinfo import FlowInfo
-from repro.forwarding.vertigo import VertigoPolicy, VertigoSwitchParams
+from repro.forwarding.base import VertigoSwitchParams
+from repro.forwarding.vertigo import VertigoPolicy
 from repro.sim.engine import Engine
 from tests.helpers import fill_queue, make_switch, mk_data, seeded_rng
 

@@ -10,9 +10,8 @@ from repro.metrics.collector import MetricsCollector
 from repro.net.topology import LeafSpine
 from repro.sim.engine import Engine
 from repro.sim.units import MILLISECOND, SECOND
-from repro.workload.arrivals import arrivals_per_s
+from repro.workload.arrivals import DutyCycleTraffic, arrivals_per_s
 from repro.workload.distributions import cache_follower
-from repro.workload.dutycycle import DutyCycleTraffic
 from repro.workload.incast import IncastApp
 from repro.workload.spec import BackgroundSpec, IncastSpec, check_hosts
 

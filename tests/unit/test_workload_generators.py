@@ -12,7 +12,7 @@ from repro.sim.rng import RngRegistry
 from repro.sim.units import MILLISECOND, SECOND
 from repro.workload.coflow import CoflowApp
 from repro.workload.distributions import cache_follower
-from repro.workload.dutycycle import DutyCycleTraffic
+from repro.workload.arrivals import DutyCycleTraffic
 from repro.workload.registry import WorkloadContext, build_workload
 from repro.workload.spec import (
     BackgroundSpec,

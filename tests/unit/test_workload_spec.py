@@ -137,6 +137,8 @@ def test_coflow_spec_rejects_load_and_cps():
     lambda: IncastSpec(qps=-1),
     lambda: CoflowSpec(load=-0.1),
     lambda: CoflowSpec(cps=-5),
+    lambda: BackgroundSpec(distribution="nosuch"),
+    lambda: DutyCycleSpec(distribution="nosuch"),
 ])
 def test_spec_validation(bad):
     with pytest.raises(ValueError):
