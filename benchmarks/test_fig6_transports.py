@@ -3,6 +3,7 @@ distribution at the top load (85% here, 75% in the paper)."""
 
 from figures import (Claim, Figure, Point, bench_config,
                      incast_loads_for_totals, percentiles, run_figure)
+from repro.metrics.collector import completion_times_s
 
 SERIES = [
     ("dibs", "reno"), ("dibs", "dctcp"), ("dibs", "swift"),
@@ -70,7 +71,8 @@ FIGURES = [
         paper=PAPER,
         points=[point for point in POINTS
                 if round(100 * point.config.workload.total_load) == 85],
-        row=lambda result: percentiles(result.metrics.qct_samples_s()),
+        row=lambda result: percentiles(completion_times_s(
+            result.metrics.population(result.metrics.queries))),
         columns=["system", "transport", "p25", "p50", "p75", "p90", "p99",
                  "n"]),
 ]

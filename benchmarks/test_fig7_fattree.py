@@ -10,6 +10,7 @@ import pytest
 
 from figures import (Claim, Figure, Point, bench_config, percentiles,
                      run_figure)
+from repro.metrics.collector import completion_times_s
 from repro.net.topology import FatTree
 
 MIXES = [
@@ -22,8 +23,11 @@ HEAVY = "50bg+25inc"
 
 
 def _distributions(result):
-    return {**percentiles(result.metrics.fct_samples_s(), "fct_"),
-            **percentiles(result.metrics.qct_samples_s(), "qct_")}
+    metrics = result.metrics
+    return {**percentiles(completion_times_s(
+                metrics.population(metrics.flows)), "fct_"),
+            **percentiles(completion_times_s(
+                metrics.population(metrics.queries)), "qct_")}
 
 
 def _figure(transport):

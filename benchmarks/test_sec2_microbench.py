@@ -5,13 +5,17 @@ less-loaded of two sampled queues ("power of two choices") changes."""
 
 from figures import Claim, Figure, Point, bench_config, run_figure
 from repro.forwarding.base import VertigoSwitchParams
+from repro.metrics.collector import completion_times_s
+from repro.metrics.stats import mean
 
 LOAD = dict(bg_load=0.20, incast_load=0.15)
 
 
 def _mice(result):
-    return {"mice_mean_fct_ms": 1000 * result.metrics.mean_fct_s(
-        background_only=True, max_size=24_000)}
+    metrics = result.metrics
+    mice = [flow for flow in metrics.population(metrics.flows)
+            if not flow.is_incast and flow.size <= 24_000]
+    return {"mice_mean_fct_ms": 1000 * mean(completion_times_s(mice))}
 
 
 FIGURES = [Figure(

@@ -177,6 +177,26 @@ _MIX_DEFAULTS = {"bg_load": 0.5, "incast_load": 0.25, "incast_scale": 12,
                  "incast_flow_bytes": 10_000}
 
 
+def _check_horizon(config: ExperimentConfig) -> None:
+    """Refuse a timed flag whose first action falls after the run ends:
+    a fault applied after the horizon, a checkpoint cadence the run never
+    reaches (the horizon is no epoch boundary) or a sample period longer
+    than the run."""
+    end = config.sim_time_ns
+    for spec in config.faults:
+        if spec.at_ns > end:
+            raise ValueError(f"--fault {spec.describe()} falls after the "
+                             f"run ends at {end}ns")
+    if config.checkpoint is not None and config.checkpoint.every_ns >= end:
+        raise ValueError(f"--checkpoint-every {config.checkpoint.every_ns}ns "
+                         f"never checkpoints a run of {end}ns")
+    period = config.trace.sample_period_ns \
+        if config.trace is not None else None
+    if period is not None and period > end:
+        raise ValueError(f"--sample-us {period // 1000} takes no sample in "
+                         f"a run of {end}ns")
+
+
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     from repro.checkpoint.config import CheckpointConfig
     from repro.experiments.config import ExperimentConfig, WorkloadConfig
@@ -224,13 +244,14 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         measurement_window(config)  # raises if the flags leave no window
     check_hosts(config.workload.specs, config.topology.n_hosts)
     config.faults = parse_faults(args.faults)
-    check_cables(config.faults, config.topology)
     config.trace = _trace_config_from_args(args)
     if args.checkpoint_every is not None:
         config.checkpoint = CheckpointConfig.every_ms(
             args.checkpoint_every, directory=args.checkpoint_dir)
     elif args.checkpoint_dir is not None:
         raise ValueError("--checkpoint-dir requires --checkpoint-every")
+    check_cables(config.faults, config.topology)
+    _check_horizon(config)
     if args.demote_shares is not None:
         if args.fidelity == "packet":
             raise ValueError("--demote-shares requires --fidelity hybrid "

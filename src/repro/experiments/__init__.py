@@ -12,5 +12,5 @@ profiles, :mod:`repro.experiments.runner` runs one config,
                                             transport="dctcp",
                                             bg_load=0.5, incast_load=0.25)
     result = run_experiment(config)
-    print(result.metrics.mean_qct_s())
+    print(result.report().row()["mean_qct_s"])
 """

@@ -19,7 +19,10 @@ Schema (``to_dict()``), by section:
 - ``run`` — run identity and volume: ``seed``, ``sim_time_ns``,
   ``events_executed``, ``bg_flows_generated``, ``queries_issued``,
   ``flows_recorded``, ``queries_recorded`` (plus ``coflows_launched``
-  and ``coflows_recorded`` for coflow runs).
+  and ``coflows_recorded`` for coflow runs).  The collector numbers and
+  records every query and coflow a generator starts, so an issued and a
+  recorded count are one fact, read off the same records; both keys
+  stay because recorded ledger digests hash this schema.
 - ``drops`` — per-reason drop counters (sorted by reason).
 - ``telemetry`` — congestion-monitor section (``mean_utilization``,
   ``microbursts``, ``persistent``, ``samples``) or None when no monitor
@@ -45,6 +48,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional
+
+from repro.metrics.collector import completion_pct, completion_times_s
+from repro.metrics.stats import mean, percentile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import RunResult
@@ -82,16 +88,20 @@ class RunReport:
         metrics = result.metrics
         counters = metrics.counters
         config = result.config
+        flows = metrics.population(metrics.flows)
+        queries = metrics.population(metrics.queries)
+        fcts = completion_times_s(flows)
+        qcts = completion_times_s(queries)
         summary: Dict[str, object] = {
             "system": config.system.name,
             "transport": config.transport_name,
             "load_pct": round(100 * config.workload.total_load),
-            "mean_fct_s": metrics.mean_fct_s(),
-            "p99_fct_s": metrics.p99_fct_s(),
-            "mean_qct_s": metrics.mean_qct_s(),
-            "p99_qct_s": metrics.p99_qct_s(),
-            "flow_completion_pct": metrics.flow_completion_pct(),
-            "query_completion_pct": metrics.query_completion_pct(),
+            "mean_fct_s": mean(fcts),
+            "p99_fct_s": percentile(fcts, 99),
+            "mean_qct_s": mean(qcts),
+            "p99_qct_s": percentile(qcts, 99),
+            "flow_completion_pct": completion_pct(flows),
+            "query_completion_pct": completion_pct(queries),
             # Reporting boundary: Gbit/s for the summary table.
             "goodput_gbps":
                 metrics.goodput_bps(result.duration_ns) / 1e9,  # noqa: VR003
@@ -102,10 +112,11 @@ class RunReport:
             "retransmissions": counters.retransmissions,
         }
         if metrics.coflows:
-            summary["mean_cct_s"] = metrics.mean_cct_s()
-            summary["p99_cct_s"] = metrics.p99_cct_s()
-            summary["coflow_completion_pct"] = \
-                metrics.coflow_completion_pct()
+            coflows = metrics.population(metrics.coflows)
+            ccts = completion_times_s(coflows)
+            summary["mean_cct_s"] = mean(ccts)
+            summary["p99_cct_s"] = percentile(ccts, 99)
+            summary["coflow_completion_pct"] = completion_pct(coflows)
         run = {
             "seed": config.seed,
             "sim_time_ns": config.sim_time_ns,

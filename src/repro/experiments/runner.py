@@ -200,8 +200,7 @@ class LiveRun:
     def __init__(self, config: ExperimentConfig, engine: Engine,
                  rng: RngRegistry, metrics: MetricsCollector,
                  network: Network, pfc, fidelity, kernel: FlowKernel,
-                 generators, telemetry, injector, sampler,
-                 tracer) -> None:
+                 telemetry, injector, sampler, tracer) -> None:
         self.config = config
         self.engine = engine
         self.rng = rng
@@ -210,7 +209,6 @@ class LiveRun:
         self.pfc = pfc
         self.fidelity = fidelity
         self.kernel = kernel
-        self.generators = generators
         self.telemetry = telemetry
         self.injector = injector
         self.sampler = sampler
@@ -249,10 +247,6 @@ class RunResult:
     metrics: MetricsCollector
     network: Optional[Network]
     engine: Engine
-    bg_flows_generated: int
-    queries_issued: int
-    #: Coflows launched by coflow generators; 0 when none configured.
-    coflows_launched: int = 0
     #: The congestion monitor (``config.telemetry_interval_ns``),
     #: detached from the live run, or None.
     telemetry: Optional[object] = None
@@ -280,6 +274,20 @@ class RunResult:
     @property
     def duration_ns(self) -> int:
         return self.config.sim_time_ns
+
+    @property
+    def bg_flows_generated(self) -> int:
+        """Background flows: neither incast responses nor coflow members."""
+        return sum(1 for flow in self.metrics.flows.values()
+                   if not flow.is_incast and flow.coflow_id is None)
+
+    @property
+    def queries_issued(self) -> int:
+        return len(self.metrics.queries)
+
+    @property
+    def coflows_launched(self) -> int:
+        return len(self.metrics.coflows)
 
     def portable(self) -> "RunResult":
         """A picklable copy safe to ship between processes.
@@ -433,7 +441,7 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
     if window is not None:
         metrics.set_window(*window)
     check_hosts(config.workload.specs, config.topology.n_hosts)
-    generators = build_workload(config.workload, WorkloadContext(
+    build_workload(config.workload, WorkloadContext(
         engine=engine, open_flow=kernel.open_flow, metrics=metrics,
         n_hosts=config.topology.n_hosts,
         host_rate_bps=network_params.host_rate_bps, rng=rng,
@@ -464,9 +472,8 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
 
     return LiveRun(config=config, engine=engine, rng=rng, metrics=metrics,
                    network=network, pfc=pfc, fidelity=fidelity,
-                   kernel=kernel, generators=generators,
-                   telemetry=telemetry, injector=injector, sampler=sampler,
-                   tracer=tracer)
+                   kernel=kernel, telemetry=telemetry, injector=injector,
+                   sampler=sampler, tracer=tracer)
 
 
 def write_checkpoint(path: str, world: LiveRun,
@@ -545,7 +552,6 @@ def _finalize(world: LiveRun, profiler: PhaseProfiler,
 
     fidelity = world.fidelity
     pfc = world.pfc
-    generators = world.generators
     notices: Dict[str, object] = {}
     if fidelity is not None and fidelity.cascade_links:
         notices["fidelity_cascade_links"] = fidelity.cascade_links
@@ -556,14 +562,7 @@ def _finalize(world: LiveRun, profiler: PhaseProfiler,
                    "path": managed_path}
     return RunResult(
         config=config, metrics=world.metrics, network=world.network,
-        engine=engine,
-        bg_flows_generated=sum(getattr(g, "flows_generated", 0)
-                               for g in generators),
-        queries_issued=sum(getattr(g, "queries_issued", 0)
-                           for g in generators),
-        coflows_launched=sum(getattr(g, "coflows_launched", 0)
-                             for g in generators),
-        telemetry=world.telemetry, trace=trace_data,
+        engine=engine, telemetry=world.telemetry, trace=trace_data,
         profile=profiler.report(),
         fidelity=(fidelity.summary(engine.now)
                   if fidelity is not None else None),

@@ -39,8 +39,9 @@ from repro.net.packet import Packet
 from repro.net.switch import Switch
 
 
-#: Per-packet deflection budget; the hop limit is the real loop guard, this
-#: mirrors the retcnt-style bound so a packet cannot bounce indefinitely.
+#: Per-packet deflection budget of Vertigo and DIBS; the hop limit is the
+#: real loop guard, this mirrors the retcnt-style bound so a packet cannot
+#: bounce indefinitely.
 DEFAULT_MAX_DEFLECTIONS = 32
 
 
@@ -67,13 +68,7 @@ _SAMPLE_POOL_MAX = 21
 
 
 class ForwardingPolicy(abc.ABC):
-    """Per-switch packet routing and overflow handling.
-
-    Subclasses set :attr:`uses_ranked_queues` when they require RFS-sorted
-    output queues (the network builder picks the queue flavour from it).
-    """
-
-    uses_ranked_queues = False
+    """Per-switch packet routing and overflow handling."""
 
     def __init__(self, switch: Switch, rng: random.Random) -> None:
         self.switch = switch

@@ -13,13 +13,9 @@ from __future__ import annotations
 
 import random
 
-from repro.forwarding.base import ForwardingPolicy
+from repro.forwarding.base import DEFAULT_MAX_DEFLECTIONS, ForwardingPolicy
 from repro.net.packet import Packet
 from repro.net.switch import Switch
-
-#: Default per-packet deflection budget (DIBS evaluates TTL-bounded
-#: deflection; the paper's setup lets packets bounce many times).
-DEFAULT_MAX_DEFLECTIONS = 32
 
 
 class DibsPolicy(ForwardingPolicy):

@@ -39,10 +39,6 @@ class VertigoPolicy(ForwardingPolicy):
         super().__init__(switch, rng)
         self.params = params or VertigoSwitchParams()
 
-    @property
-    def uses_ranked_queues(self) -> bool:  # type: ignore[override]
-        return self.params.scheduling
-
     # -- forwarding ------------------------------------------------------------
 
     def route(self, packet: Packet, in_port: int) -> None:

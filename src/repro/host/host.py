@@ -179,9 +179,7 @@ class Host:
                                packet.wire_bytes))
             nic.enqueue(packet)
         else:
-            counters = self.metrics.counters
-            counters.drops["host_nic_overflow"] += 1
-            counters.class_drops[(packet.pclass, "host_nic_overflow")] += 1
+            self.metrics.counters.count_drop(packet, "host_nic_overflow")
             if _TRACE is not None and _TRACE.packets:
                 _TRACE.record(("pkt.drop", self.engine.now, self.name,
                                "host_nic_overflow", packet.flow_id,

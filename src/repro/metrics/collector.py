@@ -1,19 +1,21 @@
 """Flow, query, and network-level measurement.
 
-One :class:`MetricsCollector` is shared by every component of a simulation.
-Hosts record flow starts/completions and reordering; switches record drops
-and deflections; the incast application records query lifecycles; the
-coflow generator records coflow lifecycles.  The collector then exposes
-the summary statistics the paper reports — FCT, QCT, CCT, completion
-percentages, goodput, drop rates.
+One :class:`MetricsCollector` per simulation is the one record of what
+the run measured.  Hosts record flow starts/completions and reordering;
+switches, host NICs and links record drops; the incast and coflow
+generators start queries and coflows, which the collector numbers
+(1, 2, ... per run, whichever generator asks).
 
 A measurement window (:meth:`MetricsCollector.set_window`) excludes
 warmup and cooldown from every summary statistic: a flow, query, or
-coflow contributes if and only if it *started* inside the window, so
-records straddling a boundary are counted exactly once (by their start
-side) and never split.  Network counters (drops, deflections, hops) are
-dataplane totals and are deliberately not windowed — they describe the
-whole run, including the traffic that warmed it up.
+coflow belongs to the measured :meth:`~MetricsCollector.population` if
+and only if it *started* inside the window, finished or not, so records
+straddling a boundary are counted exactly once (by their start side).
+Summaries read that population: :func:`completion_times_s` (FCT, QCT or
+CCT), :func:`completion_pct` and :meth:`~MetricsCollector.goodput_bps`.
+Network counters (drops, deflections, hops) are dataplane totals and
+are deliberately not windowed — they describe the whole run, including
+the traffic that warmed it up.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, TypeVar
 
-from repro.metrics.stats import mean, percentile
 from repro.sim.units import SECOND
 from repro.trace import hooks as _trace_hooks
 
@@ -41,15 +43,27 @@ class NetworkCounters:
     reordered_arrivals: int = 0       # data arrivals below the max seq seen
     retransmissions: int = 0          # transport re-sends
     aborted_flows: int = 0            # senders that hit the retry limit
-    drops: Counter = field(default_factory=Counter)  # reason -> count
-    #: The same drops keyed (priority class, reason); summing over
-    #: classes reproduces ``drops`` exactly (tested).  Class 0 carries
+    #: Every drop, keyed (priority class, reason).  Class 0 carries
     #: everything when no priority map is configured.
     class_drops: Counter = field(default_factory=Counter)
 
+    def count_drop(self, packet, reason: str) -> None:
+        """Account one dropped packet: the one call of every drop site
+        (switch, host NIC, and each link's ``on_drop`` hook)."""
+        self.class_drops[(packet.pclass, reason)] += 1
+
+    @property
+    def drops(self) -> Mapping[str, int]:
+        """Drops per reason, summed over classes (read-only; a missing
+        reason reads 0)."""
+        drops: Counter = Counter()
+        for (_, reason), count in self.class_drops.items():
+            drops[reason] += count
+        return MappingProxyType(drops)
+
     @property
     def total_drops(self) -> int:
-        return sum(self.drops.values())
+        return sum(self.class_drops.values())
 
     def mean_hops(self) -> float:
         if not self.delivered:
@@ -128,6 +142,20 @@ class CoflowRecord:
         return None if self.end_ns is None else self.end_ns - self.start_ns
 
 
+#: A flow, query or coflow record.
+Record = TypeVar("Record", FlowRecord, QueryRecord, CoflowRecord)
+
+
+def _member_done(group, end_ns: int) -> bool:
+    """Count one finished member flow of a query or coflow; True when
+    that finished the group."""
+    group.flows_done += 1
+    if group.flows_done == group.n_flows and group.end_ns is None:
+        group.end_ns = end_ns
+        return True
+    return False
+
+
 class MetricsCollector:
     """Shared sink for all measurements of a single simulation run."""
 
@@ -149,15 +177,14 @@ class MetricsCollector:
         self.window_start = start_ns
         self.window_end = end_ns
 
-    def _in_window(self, start_ns: int) -> bool:
-        if start_ns < self.window_start:
-            return False
-        return self.window_end is None or start_ns < self.window_end
-
-    def count_wire_drop(self, packet, reason: str) -> None:
-        """Account one on-the-wire loss (``Link.on_drop`` hook)."""
-        self.counters.drops[reason] += 1
-        self.counters.class_drops[(packet.pclass, reason)] += 1
+    def population(self, records: Mapping[int, Record]) -> List[Record]:
+        """The records of ``records`` (:attr:`flows`, :attr:`queries` or
+        :attr:`coflows`) that started in the measurement window, finished
+        or not: the one population every summary statistic reads."""
+        start, end = self.window_start, self.window_end
+        return [record for record in records.values()
+                if start <= record.start_ns
+                and (end is None or record.start_ns < end)]
 
     # -- flow lifecycle ----------------------------------------------------
 
@@ -186,25 +213,21 @@ class MetricsCollector:
             _TRACE.record(("flow.end", end_ns, flow_id, record.fct_ns))
         if record.query_id is not None:
             query = self.queries[record.query_id]
-            query.flows_done += 1
-            if query.flows_done == query.n_flows and query.end_ns is None:
-                query.end_ns = end_ns
-                if _TRACE is not None:
-                    _TRACE.record(("query.end", end_ns, query.query_id,
-                                   query.qct_ns))
+            if _member_done(query, end_ns) and _TRACE is not None:
+                _TRACE.record(("query.end", end_ns, query.query_id,
+                               query.qct_ns))
         if record.coflow_id is not None:
             coflow = self.coflows[record.coflow_id]
-            coflow.flows_done += 1
-            if coflow.flows_done == coflow.n_flows and coflow.end_ns is None:
-                coflow.end_ns = end_ns
-                if _TRACE is not None:
-                    _TRACE.record(("coflow.end", end_ns, coflow.coflow_id,
-                                   coflow.cct_ns))
+            if _member_done(coflow, end_ns) and _TRACE is not None:
+                _TRACE.record(("coflow.end", end_ns, coflow.coflow_id,
+                               coflow.cct_ns))
 
     # -- query lifecycle ----------------------------------------------------
 
-    def query_started(self, query_id: int, client: int, start_ns: int,
+    def query_started(self, client: int, start_ns: int,
                       n_flows: int) -> QueryRecord:
+        """Record a new query under the run's next query id."""
+        query_id = len(self.queries) + 1
         record = QueryRecord(query_id=query_id, client=client,
                              start_ns=start_ns, n_flows=n_flows)
         self.queries[query_id] = record
@@ -215,8 +238,10 @@ class MetricsCollector:
 
     # -- coflow lifecycle ----------------------------------------------------
 
-    def coflow_started(self, coflow_id: int, start_ns: int, n_flows: int,
-                       stages: int, pattern: str = "shuffle") -> CoflowRecord:
+    def coflow_started(self, start_ns: int, n_flows: int, stages: int,
+                       pattern: str = "shuffle") -> CoflowRecord:
+        """Record a new coflow under the run's next coflow id."""
+        coflow_id = len(self.coflows) + 1
         record = CoflowRecord(coflow_id=coflow_id, start_ns=start_ns,
                               n_flows=n_flows, stages=stages)
         self.coflows[coflow_id] = record
@@ -227,106 +252,36 @@ class MetricsCollector:
 
     # -- summaries -----------------------------------------------------------
 
-    def _fcts_s(self, *, incast_only: bool = False,
-                background_only: bool = False,
-                max_size: Optional[int] = None,
-                min_size: Optional[int] = None) -> List[float]:
-        values = []
-        for flow in self.flows.values():
-            if not flow.completed:
-                continue
-            if not self._in_window(flow.start_ns):
-                continue
-            if incast_only and not flow.is_incast:
-                continue
-            if background_only and flow.is_incast:
-                continue
-            if max_size is not None and flow.size > max_size:
-                continue
-            if min_size is not None and flow.size < min_size:
-                continue
-            # Reporting boundary: FCTs leave the simulator as float
-            # seconds, the unit the paper's figures use.
-            values.append(flow.fct_ns / SECOND)  # noqa: VR003
-        return values
-
-    def mean_fct_s(self, **filters) -> float:
-        return mean(self._fcts_s(**filters))
-
-    def p99_fct_s(self, **filters) -> float:
-        return percentile(self._fcts_s(**filters), 99)
-
-    def fct_samples_s(self, **filters) -> List[float]:
-        return self._fcts_s(**filters)
-
-    def _qcts_s(self) -> List[float]:
-        # Reporting boundary: QCTs leave the simulator as float seconds.
-        return [query.qct_ns / SECOND  # noqa: VR003
-                for query in self.queries.values()
-                if query.completed and self._in_window(query.start_ns)]
-
-    def mean_qct_s(self) -> float:
-        return mean(self._qcts_s())
-
-    def p99_qct_s(self) -> float:
-        return percentile(self._qcts_s(), 99)
-
-    def qct_samples_s(self) -> List[float]:
-        return self._qcts_s()
-
-    def _ccts_s(self) -> List[float]:
-        # Reporting boundary: CCTs leave the simulator as float seconds.
-        return [coflow.cct_ns / SECOND  # noqa: VR003
-                for coflow in self.coflows.values()
-                if coflow.completed and self._in_window(coflow.start_ns)]
-
-    def mean_cct_s(self) -> float:
-        return mean(self._ccts_s())
-
-    def p99_cct_s(self) -> float:
-        return percentile(self._ccts_s(), 99)
-
-    def cct_samples_s(self) -> List[float]:
-        return self._ccts_s()
-
-    def flow_completion_pct(self) -> float:
-        flows = [flow for flow in self.flows.values()
-                 if self._in_window(flow.start_ns)]
-        if not flows:
-            return math.nan
-        done = sum(1 for flow in flows if flow.completed)
-        return 100.0 * done / len(flows)
-
-    def query_completion_pct(self) -> float:
-        queries = [query for query in self.queries.values()
-                   if self._in_window(query.start_ns)]
-        if not queries:
-            return math.nan
-        done = sum(1 for query in queries if query.completed)
-        return 100.0 * done / len(queries)
-
-    def coflow_completion_pct(self) -> float:
-        coflows = [coflow for coflow in self.coflows.values()
-                   if self._in_window(coflow.start_ns)]
-        if not coflows:
-            return math.nan
-        done = sum(1 for coflow in coflows if coflow.completed)
-        return 100.0 * done / len(coflows)
-
     def goodput_bps(self, duration_ns: int, *,
                     min_size: Optional[int] = None) -> float:
-        """Application-level delivered bytes per second.
+        """Application-level delivered bytes per second of the measured
+        flows (those of at least ``min_size`` bytes, if given).
 
-        With a measurement window set, only flows started inside the
-        window contribute and the window span replaces ``duration_ns``.
+        With a measurement window set, the window span replaces
+        ``duration_ns``.
         """
         if self.window_end is not None:
             duration_ns = self.window_end - self.window_start
         if duration_ns <= 0:
             return math.nan
-        delivered = sum(
-            flow.bytes_delivered for flow in self.flows.values()
-            if (min_size is None or flow.size >= min_size)
-            and self._in_window(flow.start_ns))
+        delivered = sum(flow.bytes_delivered
+                        for flow in self.population(self.flows)
+                        if min_size is None or flow.size >= min_size)
         # Reporting boundary: goodput leaves the simulator as float bits/s.
         return delivered * 8 * SECOND / duration_ns  # noqa: VR003
+
+
+def completion_times_s(records: Iterable[Record]) -> List[float]:
+    """The FCTs, QCTs or CCTs of the finished ``records``, in order."""
+    # Reporting boundary: completion times leave the simulator as float
+    # seconds, the unit the paper's figures use.
+    return [(record.end_ns - record.start_ns) / SECOND  # noqa: VR003
+            for record in records if record.end_ns is not None]
+
+
+def completion_pct(records: List[Record]) -> float:
+    """Percent of ``records`` that finished; NaN when there are none."""
+    if not records:
+        return math.nan
+    done = sum(1 for record in records if record.end_ns is not None)
+    return 100.0 * done / len(records)

@@ -334,12 +334,12 @@ def build_network(engine: Engine, topology: Topology, params: NetworkParams,
 
     # Bound method (picklable): every Link retains it as on_drop, and
     # links ride in checkpoints.
-    count_wire_drop = metrics.count_wire_drop
+    count_drop = metrics.counters.count_drop
 
     def make_link(rate_bps: int, delay_ns: int, dst, dst_port: int,
                   name: str) -> Link:
         return Link(engine, rate_bps, delay_ns, dst, dst_port,
-                    on_drop=count_wire_drop, label=name)
+                    on_drop=count_drop, label=name)
 
     pools: Dict[str, SharedBufferPool] = {}
 

@@ -183,8 +183,7 @@ class Switch:
             # ingress-buffer charge here; wire drops are downstream of
             # the egress release and arrive with pfc_held == 0.
             packet.pfc_gate.release(packet)
-        self.counters.drops[reason] += 1
-        self.counters.class_drops[(packet.pclass, reason)] += 1
+        self.counters.count_drop(packet, reason)
         if _TRACE is not None and _TRACE.packets:
             _TRACE.record(("pkt.drop", self.engine.now, self.name, reason,
                            packet.flow_id, packet.seq, packet.wire_bytes))

@@ -110,12 +110,10 @@ class DutyCycleTraffic(PoissonArrivals):
         self.open_flow = open_flow
         self.n_hosts = n_hosts
         self.sizes = sizes
-        self.flows_generated = 0
 
     def _arrive(self) -> None:
         src = pick_src(self.rng, self.n_hosts)
         dst = pick_dst(self.rng, self.n_hosts, src)
         size = self.sizes.sample(self.rng)
         self.open_flow(src, dst, size, is_incast=False, query_id=None)
-        self.flows_generated += 1
         self._schedule_next()

@@ -26,7 +26,6 @@ random hosts.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Callable, List, Tuple
 
@@ -78,10 +77,6 @@ class CoflowApp(PoissonArrivals):
         self.n_hosts = n_hosts
         self.spec = spec
         self.request_delay_ns = request_delay_ns
-        self.coflows_launched = 0
-        # Coflow ids are per-app (not process-global) so runs in the same
-        # process stay bit-identical for a given seed.
-        self._coflow_ids = itertools.count(1)
 
     @property
     def _n_barriers(self) -> int:
@@ -91,7 +86,6 @@ class CoflowApp(PoissonArrivals):
         return spec.stages if spec.pattern == "shuffle" else 2 * spec.stages
 
     def _arrive(self) -> None:
-        coflow_id = next(self._coflow_ids)
         spec = self.spec
         if spec.pattern == "shuffle":
             first = pick_src(self.rng, self.n_hosts)
@@ -104,11 +98,9 @@ class CoflowApp(PoissonArrivals):
             root = pick_src(self.rng, self.n_hosts)
             workers = pick_servers(self.rng, self.n_hosts, root, spec.width)
             members = (root, tuple(workers))
-        self.metrics.coflow_started(coflow_id, self.engine.now,
-                                    n_flows=spec.flows_per_coflow,
-                                    stages=spec.stages,
-                                    pattern=spec.pattern)
-        self.coflows_launched += 1
+        coflow_id = self.metrics.coflow_started(
+            self.engine.now, n_flows=spec.flows_per_coflow,
+            stages=spec.stages, pattern=spec.pattern).coflow_id
         self._start_stage(coflow_id, members, 0)
         self._schedule_next()
 

@@ -14,7 +14,6 @@ response incast the paper studies (substitution documented in DESIGN.md).
 
 from __future__ import annotations
 
-import itertools
 import random
 
 from repro.metrics.collector import MetricsCollector
@@ -37,18 +36,12 @@ class IncastApp(PoissonArrivals):
         self.scale = scale
         self.flow_bytes = flow_bytes
         self.request_delay_ns = request_delay_ns
-        self.queries_issued = 0
-        # Query ids are per-app (not process-global) so runs in the same
-        # process stay bit-identical for a given seed.
-        self._query_ids = itertools.count(1)
 
     def _arrive(self) -> None:
         client = pick_src(self.rng, self.n_hosts)
         servers = pick_servers(self.rng, self.n_hosts, client, self.scale)
-        query_id = next(self._query_ids)
-        self.metrics.query_started(query_id, client, self.engine.now,
-                                   n_flows=len(servers))
-        self.queries_issued += 1
+        query_id = self.metrics.query_started(
+            client, self.engine.now, n_flows=len(servers)).query_id
         for server in servers:
             # Responses start after the one-way request latency, with a
             # small per-server jitter from OS scheduling.

@@ -111,9 +111,8 @@ GENERATOR_BUILDERS: Dict[str, Callable] = {
 def build_workload(workload, ctx: WorkloadContext) -> List[object]:
     """Build and start every active generator of ``workload.specs``.
 
-    Returns the started generators, in spec order.  The runner
-    aggregates their ``flows_generated`` / ``queries_issued`` /
-    ``coflows_launched`` counters into the run result.
+    Returns the started generators, in spec order.  What they start is
+    counted once, by the metrics collector that records it.
     """
     generators: List[object] = []
     counts: Dict[str, int] = {}

@@ -26,19 +26,20 @@ def _quick(system, transport, topology=None, **kwargs):
 @pytest.mark.parametrize("transport", TRANSPORTS)
 def test_leaf_spine_light_load_completes_flows(system, transport):
     result = run_experiment(_quick(system, transport))
-    metrics = result.metrics
+    row = result.report().row()
     assert result.bg_flows_generated > 0
     assert result.queries_issued > 0
-    assert metrics.flow_completion_pct() > 50
-    assert metrics.query_completion_pct() > 30
-    assert metrics.counters.delivered > 0
+    assert row["flow_completion_pct"] > 50
+    assert row["query_completion_pct"] > 30
+    assert result.metrics.counters.delivered > 0
 
 
 @pytest.mark.parametrize("system", ["ecmp", "dibs", "vertigo"])
 def test_fat_tree_light_load_completes_flows(system):
-    result = run_experiment(_quick(system, "dctcp", topology=FatTree(4)))
-    assert result.metrics.flow_completion_pct() > 50
-    assert result.metrics.query_completion_pct() > 30
+    row = run_experiment(_quick(system, "dctcp",
+                                topology=FatTree(4))).report().row()
+    assert row["flow_completion_pct"] > 50
+    assert row["query_completion_pct"] > 30
 
 
 def test_vertigo_completes_more_queries_than_ecmp_under_bursts():
@@ -48,8 +49,8 @@ def test_vertigo_completes_more_queries_than_ecmp_under_bursts():
         system="ecmp", transport="dctcp", **burst))
     vertigo = run_experiment(ExperimentConfig.bench_profile(
         system="vertigo", transport="dctcp", **burst))
-    assert vertigo.metrics.query_completion_pct() \
-        > ecmp.metrics.query_completion_pct()
+    assert vertigo.report().row()["query_completion_pct"] \
+        > ecmp.report().row()["query_completion_pct"]
 
 
 def test_single_background_flow_fct_near_ideal():

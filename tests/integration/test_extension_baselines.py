@@ -18,8 +18,8 @@ def _run(system, **kwargs):
 
 def test_letflow_completes_flows_and_queries():
     result = _run("letflow")
-    assert result.metrics.flow_completion_pct() > 50
-    assert result.metrics.query_completion_pct() > 20
+    assert result.report().row()["flow_completion_pct"] > 50
+    assert result.report().row()["query_completion_pct"] > 20
 
 
 def test_letflow_switches_flowlets_under_load():
@@ -55,9 +55,10 @@ def test_vertigo_beats_extension_baselines_under_heavy_incast():
                  sim_time_ns=80 * MILLISECOND)
     results = {system: _run(system, **heavy)
                for system in ("letflow", "pabo", "vertigo")}
-    vertigo = results["vertigo"].metrics.query_completion_pct()
+    completion = {system: result.report().row()["query_completion_pct"]
+                  for system, result in results.items()}
     for system in ("letflow", "pabo"):
-        assert vertigo >= results[system].metrics.query_completion_pct()
+        assert completion["vertigo"] >= completion[system]
 
 
 @pytest.mark.parametrize("system", ["letflow", "pabo"])

@@ -113,7 +113,7 @@ def test_policy_completes_spine_failure_scenario_sanitized(system):
     with _sanitize.scoped(True):
         result = run_experiment(_failure_config(system))
     # Traffic moved despite the failure window, and nothing raised.
-    assert result.metrics.flow_completion_pct() > 30
+    assert result.report().row()["flow_completion_pct"] > 30
     assert result.metrics.counters.forwarded > 0
 
 

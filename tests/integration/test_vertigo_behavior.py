@@ -4,9 +4,16 @@ Each test isolates one §3 mechanism at network scale and checks the
 causal claim behind it, not just the headline number.
 """
 
+import dataclasses
+
+import pytest
+
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.digest import run_digest
 from repro.experiments.runner import run_experiment
 from repro.forwarding.base import VertigoSwitchParams
+from repro.metrics.collector import completion_times_s
+from repro.metrics.stats import mean
 from repro.sim.units import MILLISECOND
 
 
@@ -20,15 +27,20 @@ def _burst_config(system="vertigo", **kwargs):
                                           transport="dctcp", **defaults)
 
 
+def _mice_mean_fct_s(result):
+    metrics = result.metrics
+    return mean(completion_times_s(
+        flow for flow in metrics.population(metrics.flows)
+        if flow.size <= 24_000))
+
+
 def test_srpt_favors_mice_over_elephants():
     """Mice (small background flows) should finish comparatively faster
     under Vertigo than under FIFO ECMP at the same load."""
     ecmp = run_experiment(_burst_config("ecmp", bg_load=0.5, incast_qps=0))
     vertigo = run_experiment(_burst_config("vertigo", bg_load=0.5,
                                            incast_qps=0))
-    mice_ecmp = ecmp.metrics.mean_fct_s(max_size=24_000)
-    mice_vertigo = vertigo.metrics.mean_fct_s(max_size=24_000)
-    assert mice_vertigo <= mice_ecmp
+    assert _mice_mean_fct_s(vertigo) <= _mice_mean_fct_s(ecmp)
 
 
 def test_deflections_happen_at_burst_not_in_idle_network():
@@ -54,8 +66,22 @@ def test_boosting_rescues_query_completions_under_load():
     unboosted = run_experiment(_burst_config(bg_load=0.5,
                                              incast_load=0.35,
                                              boosting=False))
-    assert boosted.metrics.query_completion_pct() \
-        > unboosted.metrics.query_completion_pct() + 10
+    assert boosted.report().row()["query_completion_pct"] \
+        > unboosted.report().row()["query_completion_pct"] + 10
+
+
+@pytest.mark.parametrize("bg_load", [0.1, 0.2])
+def test_boosting_off_changes_nothing_without_retransmissions(bg_load):
+    """Boosting re-ranks retransmissions only: where the unboosted run
+    retransmits nothing, the boosted run digests the same."""
+    config = ExperimentConfig.bench_profile(
+        system="vertigo", bg_load=bg_load, sim_time_ns=20 * MILLISECOND,
+        seed=1)
+    unboosted = run_experiment(dataclasses.replace(
+        config, system=dataclasses.replace(config.system, boosting=False)))
+    assert unboosted.metrics.flows
+    assert unboosted.metrics.counters.retransmissions == 0
+    assert run_digest(run_experiment(config)) == run_digest(unboosted)
 
 
 def test_vertigo_drop_reasons_are_congestion_selective():

@@ -13,6 +13,7 @@ Two contracts guard the API redesign:
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
@@ -20,6 +21,7 @@ from repro.experiments.digest import run_digest
 from repro.experiments.parallel import run_many
 from repro.experiments.runner import run_experiment
 from repro.experiments.config import ExperimentConfig, WorkloadConfig
+from repro.metrics.collector import completion_times_s
 from repro.sim.units import MILLISECOND
 from repro.workload.spec import (
     BackgroundSpec,
@@ -117,6 +119,32 @@ def test_new_generators_serial_vs_parallel_digests():
     assert serial == parallel
 
 
+def test_composed_specs_record_every_query_and_coflow_once():
+    """Two incast specs and two coflow specs in one run: the collector
+    numbers what every generator starts, so no record overwrites
+    another and each query keeps its own fan-in."""
+    result = run_experiment(bench(workload=WorkloadConfig((
+        IncastSpec(qps=400, scale=8, flow_bytes=10_000),
+        IncastSpec(qps=400, scale=4, flow_bytes=10_000),
+        CoflowSpec(width=2, stages=2, cps=400, flow_bytes=5_000),
+        CoflowSpec(width=3, cps=400, flow_bytes=5_000,
+                   pattern="partition_aggregate"),
+    )), sim_ms=15))
+    metrics = result.metrics
+    incast = [flow for flow in metrics.flows.values() if flow.is_incast]
+    assert all(flow.dst == metrics.queries[flow.query_id].client
+               for flow in incast)
+    members = Counter(flow.query_id for flow in incast)
+    for query in metrics.queries.values():
+        assert query.flows_done <= members[query.query_id] <= query.n_flows
+    members = Counter(flow.coflow_id for flow in metrics.flows.values())
+    for coflow in metrics.coflows.values():
+        assert coflow.flows_done <= members[coflow.coflow_id] \
+            <= coflow.n_flows
+    assert {query.n_flows for query in metrics.queries.values()} == {8, 4}
+    assert len(metrics.coflows) >= 4 and len(metrics.queries) >= 8
+
+
 def test_coflow_run_reports_cct_columns():
     result = run_experiment(bench(
         workload=NEW_WORKLOADS["coflow_shuffle"], sim_ms=10))
@@ -141,7 +169,7 @@ def test_warmup_cooldown_trim_measurement_window():
     assert metrics.window_end == 4 * MILLISECOND
     starts = [f.start_ns for f in metrics.flows.values()]
     assert min(starts) < 2 * MILLISECOND          # traffic ran in warmup...
-    assert len(metrics.fct_samples_s()) \
+    assert len(completion_times_s(metrics.population(metrics.flows))) \
         < sum(1 for f in metrics.flows.values() if f.completed)
 
 

@@ -156,6 +156,17 @@ def test_sanitized_run_with_a_fault_scenario(capsys):
     ["sweep", "--systems", "ecmp", "--sim-ms", "5",
      "--workload", "coflow:width=20,load=0.1"],
     ["run", *TINY, "--pfc-classes", "0"],
+    # A timed flag whose first action falls after the 5 ms horizon.
+    ["run", *TINY, "--fault", "link:leaf0-spine1:down@1s"],
+    ["run", *TINY, "--fault", "link:leaf0-spine1:down@1ms,up@6ms"],
+    ["run", *TINY, "--checkpoint-every", "50"],
+    ["run", *TINY, "--checkpoint-every", "5"],
+    ["run", *TINY, "--trace", "t.jsonl", "--sample-us", "10000"],
+    ["sweep", "--systems", "ecmp", *TINY,
+     "--fault", "link:leaf0-spine1:loss=0.1@6ms"],
+    ["sweep", "--systems", "ecmp", *TINY, "--checkpoint-every", "50"],
+    ["sweep", "--systems", "ecmp", *TINY, "--trace", "t.jsonl",
+     "--sample-us", "5001"],
 ])
 def test_flags_that_would_do_nothing_are_usage_errors(argv, capsys):
     assert main(argv) == 2

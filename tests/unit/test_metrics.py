@@ -5,7 +5,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.metrics.collector import MetricsCollector
+from repro.metrics.collector import (
+    MetricsCollector,
+    completion_pct,
+    completion_times_s,
+)
 from repro.metrics.stats import (
     cdf_points,
     censored_mean,
@@ -102,14 +106,18 @@ def test_bounds_past_every_completed_value_never_lower_the_result(
             >= percentile(completed, pct)
 
 
+def fcts(metrics):
+    return completion_times_s(metrics.population(metrics.flows))
+
+
 def test_flow_lifecycle_and_fct():
     metrics = MetricsCollector()
     metrics.flow_started(1, 0, 1, 1000, start_ns=SECOND)
     assert not metrics.flows[1].completed
     metrics.flow_completed(1, end_ns=2 * SECOND)
     assert metrics.flows[1].fct_ns == SECOND
-    assert metrics.mean_fct_s() == 1.0
-    assert metrics.flow_completion_pct() == 100.0
+    assert fcts(metrics) == [1.0]
+    assert completion_pct(metrics.population(metrics.flows)) == 100.0
 
 
 def test_flow_completed_idempotent():
@@ -122,24 +130,38 @@ def test_flow_completed_idempotent():
 
 def test_query_completes_when_all_flows_do():
     metrics = MetricsCollector()
-    metrics.query_started(5, client=0, start_ns=0, n_flows=2)
-    metrics.flow_started(1, 1, 0, 100, 0, is_incast=True, query_id=5)
-    metrics.flow_started(2, 2, 0, 100, 0, is_incast=True, query_id=5)
+    query_id = metrics.query_started(client=0, start_ns=0,
+                                     n_flows=2).query_id
+    assert query_id == 1
+    metrics.flow_started(1, 1, 0, 100, 0, is_incast=True, query_id=1)
+    metrics.flow_started(2, 2, 0, 100, 0, is_incast=True, query_id=1)
     metrics.flow_completed(1, SECOND)
-    assert not metrics.queries[5].completed
+    assert not metrics.queries[1].completed
     metrics.flow_completed(2, 3 * SECOND)
-    assert metrics.queries[5].completed
-    assert metrics.queries[5].qct_ns == 3 * SECOND
-    assert metrics.mean_qct_s() == 3.0
-    assert metrics.query_completion_pct() == 100.0
+    assert metrics.queries[1].completed
+    assert metrics.queries[1].qct_ns == 3 * SECOND
+    queries = metrics.population(metrics.queries)
+    assert completion_times_s(queries) == [3.0]
+    assert completion_pct(queries) == 100.0
+
+
+def test_the_collector_numbers_queries_and_coflows_per_run():
+    metrics = MetricsCollector()
+    ids = [metrics.query_started(client=0, start_ns=0, n_flows=1).query_id
+           for _ in range(3)]
+    assert ids == [1, 2, 3] and list(metrics.queries) == ids
+    assert [metrics.coflow_started(start_ns=0, n_flows=1,
+                                   stages=1).coflow_id
+            for _ in range(2)] == [1, 2]
 
 
 def test_incomplete_stats_are_nan_or_partial():
     metrics = MetricsCollector()
-    assert math.isnan(metrics.flow_completion_pct())
-    assert math.isnan(metrics.mean_qct_s())
+    assert math.isnan(completion_pct(metrics.population(metrics.flows)))
+    assert math.isnan(mean(completion_times_s(
+        metrics.population(metrics.queries))))
     metrics.flow_started(1, 0, 1, 100, 0)
-    assert metrics.flow_completion_pct() == 0.0
+    assert completion_pct(metrics.population(metrics.flows)) == 0.0
 
 
 def test_fct_filters():
@@ -148,10 +170,11 @@ def test_fct_filters():
     metrics.flow_started(2, 0, 1, 500_000, 0)
     metrics.flow_completed(1, SECOND)
     metrics.flow_completed(2, 2 * SECOND)
-    assert metrics.mean_fct_s(incast_only=True) == 1.0
-    assert metrics.mean_fct_s(background_only=True) == 2.0
-    assert metrics.mean_fct_s(max_size=100_000) == 1.0
-    assert metrics.mean_fct_s(min_size=100_000) == 2.0
+    flows = metrics.population(metrics.flows)
+    assert completion_times_s(f for f in flows if f.is_incast) == [1.0]
+    assert completion_times_s(f for f in flows if not f.is_incast) == [2.0]
+    assert completion_times_s(f for f in flows if f.size <= 100_000) \
+        == [1.0]
 
 
 def test_goodput_counts_partial_deliveries():
@@ -177,8 +200,13 @@ def test_network_counters_derived_metrics():
     metrics = MetricsCollector()
     counters = metrics.counters
     counters.forwarded = 90
-    counters.drops["overflow"] = 10
+    counters.class_drops[(0, "overflow")] = 6
+    counters.class_drops[(1, "overflow")] = 4
     assert counters.total_drops == 10
+    assert counters.drops == {"overflow": 10}
+    assert counters.drops["no_route"] == 0
+    with pytest.raises(TypeError):  # derived from class_drops, read-only
+        counters.drops["overflow"] += 1
     assert counters.drop_rate() == pytest.approx(0.1)
     counters.delivered = 4
     counters.hops_delivered = 10
@@ -196,7 +224,7 @@ def test_p99_uses_percentile():
     for i in range(100):
         metrics.flow_started(i, 0, 1, 100, 0)
         metrics.flow_completed(i, (i + 1) * SECOND)
-    assert metrics.p99_fct_s() == pytest.approx(percentile(
+    assert percentile(fcts(metrics), 99) == pytest.approx(percentile(
         [float(i + 1) for i in range(100)], 99))
 
 
@@ -204,7 +232,7 @@ def test_p99_uses_percentile():
 
 def test_coflow_completes_when_all_flows_do():
     metrics = MetricsCollector()
-    metrics.coflow_started(1, start_ns=0, n_flows=2, stages=1)
+    metrics.coflow_started(start_ns=0, n_flows=2, stages=1)
     metrics.flow_started(1, 0, 1, 100, 0, coflow_id=1)
     metrics.flow_started(2, 2, 3, 100, 0, coflow_id=1)
     metrics.flow_completed(1, SECOND)
@@ -212,20 +240,20 @@ def test_coflow_completes_when_all_flows_do():
     metrics.flow_completed(2, 3 * SECOND)
     assert metrics.coflows[1].completed
     assert metrics.coflows[1].cct_ns == 3 * SECOND
-    assert metrics.mean_cct_s() == 3.0
-    assert metrics.coflow_completion_pct() == 100.0
-    assert metrics.cct_samples_s() == [3.0]
+    coflows = metrics.population(metrics.coflows)
+    assert completion_times_s(coflows) == [3.0]
+    assert completion_pct(coflows) == 100.0
 
 
 def test_incomplete_coflow_stats():
     metrics = MetricsCollector()
-    assert math.isnan(metrics.mean_cct_s())
-    assert math.isnan(metrics.coflow_completion_pct())
-    metrics.coflow_started(1, start_ns=0, n_flows=2, stages=1)
+    assert math.isnan(completion_pct(metrics.population(metrics.coflows)))
+    metrics.coflow_started(start_ns=0, n_flows=2, stages=1)
     metrics.flow_started(1, 0, 1, 100, 0, coflow_id=1)
     metrics.flow_completed(1, SECOND)
-    assert metrics.coflow_completion_pct() == 0.0
-    assert math.isnan(metrics.p99_cct_s())
+    coflows = metrics.population(metrics.coflows)
+    assert completion_pct(coflows) == 0.0
+    assert math.isnan(percentile(completion_times_s(coflows), 99))
 
 
 # -- measurement window -------------------------------------------------------
@@ -237,8 +265,8 @@ def test_window_excludes_warmup_and_cooldown_starts():
     for flow_id, start in ((1, 0), (2, 2 * SECOND), (3, 3 * SECOND)):
         metrics.flow_started(flow_id, 0, 1, 100, start)
         metrics.flow_completed(flow_id, start + SECOND)
-    assert metrics.fct_samples_s() == [1.0]
-    assert metrics.flow_completion_pct() == 100.0
+    assert fcts(metrics) == [1.0]
+    assert completion_pct(metrics.population(metrics.flows)) == 100.0
 
 
 def test_window_counts_straddling_flow_exactly_once():
@@ -251,23 +279,22 @@ def test_window_counts_straddling_flow_exactly_once():
     # Starts before the window, ends inside it: not counted.
     metrics.flow_started(2, 0, 1, 100, 0)
     metrics.flow_completed(2, 2 * SECOND)
-    assert metrics.fct_samples_s() == [3.0]
-    assert metrics.flow_completion_pct() == 100.0
+    assert fcts(metrics) == [3.0]
+    assert completion_pct(metrics.population(metrics.flows)) == 100.0
 
 
 def test_window_applies_to_queries_and_coflows():
     metrics = MetricsCollector()
     metrics.set_window(SECOND, None)
-    metrics.query_started(1, client=0, start_ns=0, n_flows=1)
+    metrics.query_started(client=0, start_ns=0, n_flows=1)
     metrics.flow_started(1, 1, 0, 100, 0, is_incast=True, query_id=1)
     metrics.flow_completed(1, 2 * SECOND)
-    metrics.coflow_started(1, start_ns=0, n_flows=1, stages=1)
+    metrics.coflow_started(start_ns=0, n_flows=1, stages=1)
     metrics.flow_started(2, 0, 1, 100, 0, coflow_id=1)
     metrics.flow_completed(2, 2 * SECOND)
-    assert metrics.qct_samples_s() == []
-    assert metrics.cct_samples_s() == []
-    assert math.isnan(metrics.query_completion_pct())
-    assert math.isnan(metrics.coflow_completion_pct())
+    assert metrics.population(metrics.queries) == []
+    assert metrics.population(metrics.coflows) == []
+    assert math.isnan(completion_pct([]))
 
 
 def test_window_goodput_uses_window_span():

@@ -87,7 +87,7 @@ def test_persistent_congestion_classified_on_drops():
     engine, network = _idle_network()
     monitor = TelemetryMonitor(engine, network, interval_ns=100_000)
     monitor.start()
-    network.metrics.counters.drops["overflow"] += 5
+    network.metrics.counters.class_drops[(0, "overflow")] += 5
     network.metrics.counters.deflections += 50
     engine.run(until=150_000)
     assert monitor.persistent_count() == 1
