@@ -26,6 +26,7 @@ Each command imports what it runs, inside its handler: ``lint``,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace as _replace
 from typing import TYPE_CHECKING, List, Optional
@@ -165,6 +166,13 @@ def _trace_config_from_args(args: argparse.Namespace
         if args.sample_us is not None or args.trace_level is not None:
             raise ValueError("--sample-us/--trace-level require --trace")
         return None
+    # The export opens the path after every run: refuse one it cannot
+    # open before any run, so no trace is lost.
+    if os.path.isdir(args.trace):
+        raise ValueError(f"--trace {args.trace} is a directory")
+    directory = os.path.dirname(args.trace) or "."
+    if not os.path.isdir(directory):
+        raise ValueError(f"--trace {args.trace}: no directory {directory}")
     # --sample-us 0 reaches TraceConfig as a period of 0, which it
     # rejects like a negative one: a flag that would do nothing.
     period = args.sample_us * 1000 if args.sample_us is not None else None

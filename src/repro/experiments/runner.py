@@ -17,6 +17,7 @@ from repro.net import packet as _packet_mod
 from repro.host.host import HostStackConfig
 from repro.metrics.collector import MetricsCollector
 from repro.net.builder import Network, NetworkParams, build_network
+from repro.net.packet import MSS
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 from repro.trace import hooks as _trace_hooks
@@ -31,18 +32,18 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.trace.tracer import TraceData
 
 
-def derive_ecn_threshold(params: NetworkParams, mss: int) -> int:
+def derive_ecn_threshold(params: NetworkParams) -> int:
     """DCTCP marking threshold K, scaled to the buffer when it is shallow.
 
     The paper uses K = 65 packets with 300 KB (≈205-packet) buffers, i.e.
     K ≈ 32 % of the buffer; scaled-down buffers keep the same fraction.
     """
-    paper_k = DEFAULT_MARKING_THRESHOLD_PKTS * mss
-    scaled_k = max(2 * mss, round(params.buffer_bytes * 0.317))
+    paper_k = DEFAULT_MARKING_THRESHOLD_PKTS * MSS
+    scaled_k = max(2 * MSS, round(params.buffer_bytes * 0.317))
     return min(paper_k, scaled_k)
 
 
-def derive_swift_target(params: NetworkParams, mss: int) -> int:
+def derive_swift_target(params: NetworkParams) -> int:
     """Swift's target delay: base RTT plus a queueing allowance.
 
     The allowance is sized relative to the network, not in absolute
@@ -50,7 +51,7 @@ def derive_swift_target(params: NetworkParams, mss: int) -> int:
     tolerated before flows back off, mirroring Swift's fabric target of
     a few tens of packets at datacenter line rates.
     """
-    base = params.base_rtt_ns(mss + 40)
+    base = params.base_rtt_ns()
     host_drain = params.buffer_bytes * 8 * 1_000_000_000 \
         // params.host_rate_bps
     return base + round(0.6 * host_drain)
@@ -105,7 +106,7 @@ def resolve_transport_config(config: ExperimentConfig) -> TransportConfig:
     if config.transport_name == "swift":
         target = transport.swift_target_delay_ns
         if target <= 0:
-            target = derive_swift_target(network, transport.mss)
+            target = derive_swift_target(network)
             filled["swift_target_delay_ns"] = target
         # Swift keeps fine-grained retransmission timers (a few target
         # delays), not TCP's 10 ms-class minRTO (paper [47]).
@@ -395,8 +396,7 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
             and network_params.ecn_threshold_bytes is None:
         network_params = replace(
             network_params,
-            ecn_threshold_bytes=derive_ecn_threshold(network_params,
-                                                     transport.mss))
+            ecn_threshold_bytes=derive_ecn_threshold(network_params))
 
     is_vertigo = system.name == "vertigo"
     ordering_timeout = system.ordering_timeout_ns \

@@ -42,7 +42,7 @@ from repro.net.switch import Switch
 #: Per-packet deflection budget of Vertigo and DIBS; the hop limit is the
 #: real loop guard, this mirrors the retcnt-style bound so a packet cannot
 #: bounce indefinitely.
-DEFAULT_MAX_DEFLECTIONS = 32
+MAX_DEFLECTIONS = 32
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,6 @@ class VertigoSwitchParams:
     def_choices: int = 2
     scheduling: bool = True    # SRPT-ranked queues + displacement
     deflection: bool = True    # deflect displaced packets (vs. drop them)
-    max_deflections: int = DEFAULT_MAX_DEFLECTIONS
 
     def __post_init__(self) -> None:
         if self.fw_choices < 1 or self.def_choices < 1:

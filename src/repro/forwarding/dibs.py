@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from repro.forwarding.base import DEFAULT_MAX_DEFLECTIONS, ForwardingPolicy
+from repro.forwarding.base import MAX_DEFLECTIONS, ForwardingPolicy
 from repro.net.packet import Packet
 from repro.net.switch import Switch
 
@@ -21,10 +21,8 @@ from repro.net.switch import Switch
 class DibsPolicy(ForwardingPolicy):
     """ECMP forwarding + random deflection on overflow."""
 
-    def __init__(self, switch: Switch, rng: random.Random, *,
-                 max_deflections: int = DEFAULT_MAX_DEFLECTIONS) -> None:
+    def __init__(self, switch: Switch, rng: random.Random) -> None:
         super().__init__(switch, rng)
-        self.max_deflections = max_deflections
         self._salt = rng.getrandbits(32)
 
     def route(self, packet: Packet, in_port: int) -> None:
@@ -37,7 +35,7 @@ class DibsPolicy(ForwardingPolicy):
             switch.enqueue(port, packet)
             return
         # Deflect the arriving packet to a random port with space.
-        if packet.deflections >= self.max_deflections:
+        if packet.deflections >= MAX_DEFLECTIONS:
             switch.drop(packet, "deflection_limit")
             return
         targets = [target for target in self.deflection_targets(port)

@@ -20,16 +20,15 @@ from repro.forwarding.base import ForwardingPolicy
 from repro.net.packet import Packet
 from repro.net.switch import Switch
 
-DEFAULT_MAX_BOUNCES = 16
+#: Bounces a packet may take before it is dropped.
+MAX_BOUNCES = 16
 
 
 class PaboPolicy(ForwardingPolicy):
     """ECMP forwarding + bounce-to-upstream on overflow."""
 
-    def __init__(self, switch: Switch, rng: random.Random, *,
-                 max_bounces: int = DEFAULT_MAX_BOUNCES) -> None:
+    def __init__(self, switch: Switch, rng: random.Random) -> None:
         super().__init__(switch, rng)
-        self.max_bounces = max_bounces
         self._salt = rng.getrandbits(32)
 
     def route(self, packet: Packet, in_port: int) -> None:
@@ -44,7 +43,7 @@ class PaboPolicy(ForwardingPolicy):
         # Bounce the packet back where it came from.  Host-facing input
         # ports cannot bounce (the host would just resend it into the
         # same queue), nor can a packet that exhausted its bounce budget.
-        if (packet.deflections >= self.max_bounces
+        if (packet.deflections >= MAX_BOUNCES
                 or in_port >= len(switch.ports)
                 or not switch.port_faces_switch[in_port]
                 or not switch.ports[in_port].queue.fits(packet)):

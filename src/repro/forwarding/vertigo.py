@@ -26,7 +26,11 @@ from __future__ import annotations
 import random
 from typing import List, Optional
 
-from repro.forwarding.base import ForwardingPolicy, VertigoSwitchParams
+from repro.forwarding.base import (
+    MAX_DEFLECTIONS,
+    ForwardingPolicy,
+    VertigoSwitchParams,
+)
 from repro.net.packet import Packet
 from repro.net.queues import ClassLaneQueue, RankedQueue
 from repro.net.switch import Switch
@@ -98,7 +102,7 @@ class VertigoPolicy(ForwardingPolicy):
         if not params.deflection:
             switch.drop(packet, "selective_drop")
             return
-        if packet.deflections >= params.max_deflections:
+        if packet.deflections >= MAX_DEFLECTIONS:
             switch.drop(packet, "deflection_limit")
             return
         targets = self.deflection_targets(exclude)

@@ -42,7 +42,6 @@ class HostStackConfig:
     boost_factor: int = 2
     boosting: bool = True
     ordering_timeout_ns: int = DEFAULT_ORDERING_TIMEOUT_NS
-    nic_buffer_bytes: int = 512 * 1024
 
 
 class Host:
@@ -56,7 +55,7 @@ class Host:
         self.stack = stack
         self.metrics = metrics
 
-        nic_queue = DropTailQueue(stack.nic_buffer_bytes)
+        nic_queue = DropTailQueue(self.NIC_BUFFER_BYTES)
         nic_queue.label = self.name
         self.nic = Port(engine, self, 0, nic_queue)
         # Vertigo's host components load only for a Vertigo stack.
@@ -133,6 +132,8 @@ class Host:
         self.nic_backpressure = True
         self.nic.on_drain = self._nic_drained
 
+    #: Capacity of the NIC transmit queue.
+    NIC_BUFFER_BYTES = 512 * 1024
     #: NIC bytes kept free for control frames while senders are parked:
     #: the host's receiver role must keep emitting ACKs (the never-
     #: paused control class) even when parked data pins the queue.

@@ -21,6 +21,7 @@ never loads the PFC or fidelity controller (:mod:`repro.net.pfc`,
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -28,6 +29,7 @@ from repro.faults.spec import FaultSpec, cable_key
 from repro.host.host import Host, HostStackConfig
 from repro.metrics.collector import MetricsCollector
 from repro.net.link import Link, Port
+from repro.net.packet import MTU_WIRE_BYTES
 from repro.net.queues import (
     ClassLaneQueue,
     DropTailQueue,
@@ -83,15 +85,15 @@ class NetworkParams:
     #: ``buffer_bytes x n_ports``.
     shared_buffer_alpha: Optional[float] = None
 
-    def base_rtt_ns(self, mss_wire_bytes: int = 1500) -> int:
+    def base_rtt_ns(self) -> int:
         """Unloaded host-to-host RTT across the fabric (worst case path).
 
         Two host links and up to four fabric links each way, counting
         serialization of a full-MSS packet at every hop plus the ACK path.
         """
-        data_ser = (2 * mss_wire_bytes * 8 * 1_000_000_000
+        data_ser = (2 * MTU_WIRE_BYTES * 8 * 1_000_000_000
                     // self.host_rate_bps
-                    + 4 * mss_wire_bytes * 8 * 1_000_000_000
+                    + 4 * MTU_WIRE_BYTES * 8 * 1_000_000_000
                     // self.fabric_rate_bps)
         prop = 2 * (2 * self.host_link_delay_ns
                     + 4 * self.fabric_link_delay_ns)
@@ -161,9 +163,9 @@ class FidelityConfig:
     ``mode`` selects the engine: ``packet`` (no controller, today's
     behaviour), ``flow`` (links never demote except by fault pinning),
     or ``hybrid`` (demote on congestion signals, promote after a quiet
-    epoch; :mod:`repro.net.fidelity`).  Thresholds of 0 mean "auto":
-    resolved deterministically from the network parameters when the
-    controller is installed.
+    epoch; :mod:`repro.net.fidelity`).  The queue-depth and epoch
+    thresholds are not options: the controller resolves them from the
+    network parameters when it is installed.
     """
 
     mode: str = "packet"
@@ -175,13 +177,6 @@ class FidelityConfig:
     #: default is ~5x the paper's incast degree; lower it for systems
     #: without burst absorption (e.g. plain ECMP baselines).
     demote_shares: int = 64
-    #: Demote on queue depth >= this many bytes (0 = auto: the ECN
-    #: threshold if configured, else a quarter of the port buffer).
-    demote_queue_bytes: int = 0
-    #: Promotion epoch length (0 = auto: max(1 ms, 8 x base RTT)).
-    promote_epoch_ns: int = 0
-    #: Promote only when epoch utilization is at or below this (0-1000).
-    promote_util_permille: int = 400
 
     def __post_init__(self) -> None:
         if self.mode not in FIDELITY_MODES:
@@ -190,21 +185,17 @@ class FidelityConfig:
                 f"got {self.mode!r}")
         if self.demote_shares < 1:
             raise ValueError("demote_shares must be >= 1")
-        if self.demote_queue_bytes < 0:
-            raise ValueError("demote_queue_bytes cannot be negative")
-        if self.promote_epoch_ns < 0:
-            raise ValueError("promote_epoch_ns cannot be negative")
-        if not 0 <= self.promote_util_permille <= 1000:
-            raise ValueError("promote_util_permille must be in [0, 1000]")
 
     @property
     def active(self) -> bool:
         return self.mode != "packet"
 
     def digest_view(self) -> Tuple:
-        """The canonical tuple fed into the run digest."""
-        return (self.mode, self.demote_shares, self.demote_queue_bytes,
-                self.promote_epoch_ns, self.promote_util_permille)
+        """The canonical tuple fed into the run digest.  The literal
+        ``0, 0, 400`` holds the place of three removed fields (two auto
+        thresholds and the promotion utilization), keeping the
+        five-element shape pinned digests hash."""
+        return (self.mode, self.demote_shares, 0, 0, 400)
 
 
 class Network:
@@ -341,7 +332,17 @@ def build_network(engine: Engine, topology: Topology, params: NetworkParams,
         return Link(engine, rate_bps, delay_ns, dst, dst_port,
                     on_drop=count_drop, label=name)
 
+    # Shared-buffer (DT) switches: one pool per switch, of one port
+    # buffer per port the topology gives it.
     pools: Dict[str, SharedBufferPool] = {}
+    if params.shared_buffer_alpha is not None:
+        n_ports = Counter(topology.host_tor(host)
+                          for host in range(topology.n_hosts))
+        n_ports.update(name for cable in topology.switch_adjacency
+                       for name in cable)
+        pools = {name: SharedBufferPool(count * params.buffer_bytes,
+                                        alpha=params.shared_buffer_alpha)
+                 for name, count in n_ports.items()}
 
     # Per-lane egress capacity.  With PFC *enabled* the egress queues
     # are effectively unbounded: every resident packet is charged to an
@@ -359,15 +360,6 @@ def build_network(engine: Engine, topology: Topology, params: NetworkParams,
 
     def make_queue(switch_name: str):
         queue_cls = RankedQueue if use_ranked_queues else DropTailQueue
-        pool = None
-        if params.shared_buffer_alpha is not None:
-            pool = pools.get(switch_name)
-            if pool is None:
-                # Start empty; every added port contributes its share.
-                pool = SharedBufferPool(1, alpha=params.shared_buffer_alpha)
-                pool.total_bytes = 0
-                pools[switch_name] = pool
-            pool.expand(params.buffer_bytes)
         if num_lanes > 1:
             queue = ClassLaneQueue(
                 queue_cls(lane_capacity,
@@ -376,7 +368,7 @@ def build_network(engine: Engine, topology: Topology, params: NetworkParams,
         else:
             queue = queue_cls(lane_capacity,
                               ecn_threshold_bytes=params.ecn_threshold_bytes,
-                              pool=pool)
+                              pool=pools.get(switch_name))
         queue.label = switch_name
         return queue
 

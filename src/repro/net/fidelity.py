@@ -119,6 +119,10 @@ class _FlowPath:
 #: where hybrid mode silently degrades toward all-packet fidelity.
 CASCADE_ENVELOPE_FACTOR = 5
 
+#: Promote a quiet link only when its epoch utilization is at or below
+#: this (per mille of line rate).
+PROMOTE_UTIL_PERMILLE = 400
+
 
 class FidelityController:
     """Owns per-link modes, flow adoption, and the promotion epoch."""
@@ -135,13 +139,13 @@ class FidelityController:
         self._flows: Dict[int, _FlowPath] = {}
         self._generation = 0
         self._epoch_handle = None
-        # Resolved thresholds (filled by install()).
-        self.demote_queue_bytes = config.demote_queue_bytes
-        self.promote_epoch_ns = config.promote_epoch_ns
-        #: Modelled steady-state occupancy of a contended queue (the
-        #: ECN marking point DCTCP regulates around); resolved from the
-        #: network parameters by install().
+        #: Demote on queue depth at or above this many bytes, and the
+        #: modelled steady-state occupancy of a contended queue (the ECN
+        #: marking point DCTCP regulates around); both resolved from the
+        #: network parameters by install(), as is the promotion epoch.
+        self.demote_queue_bytes = 0
         self.standing_queue_bytes = 0
+        self.promote_epoch_ns = 0
         # Aggregate transition/usage counters (all digest-safe integers).
         self.demotions = 0
         self.promotions = 0
@@ -162,13 +166,10 @@ class FidelityController:
         """Wire the controller into every link, switch, and queue."""
         network = self.network
         params = network.params
-        if self.demote_queue_bytes == 0:
-            self.demote_queue_bytes = (params.ecn_threshold_bytes
-                                       or params.buffer_bytes // 4)
-        self.standing_queue_bytes = (params.ecn_threshold_bytes
-                                     or params.buffer_bytes // 4)
-        if self.promote_epoch_ns == 0:
-            self.promote_epoch_ns = max(1_000_000, 8 * params.base_rtt_ns())
+        # The ECN threshold if configured, else a quarter of the buffer.
+        self.demote_queue_bytes = self.standing_queue_bytes = (
+            params.ecn_threshold_bytes or params.buffer_bytes // 4)
+        self.promote_epoch_ns = max(1_000_000, 8 * params.base_rtt_ns())
         for key, link in network.links.items():
             port = network.tx_ports[key]
             self._state[link] = _LinkState(port)
@@ -464,7 +465,6 @@ class FidelityController:
     def _on_epoch(self) -> None:
         """Promote every demoted link that stayed quiet this epoch."""
         demote_shares = self.config.demote_shares
-        util_limit = self.config.promote_util_permille
         epoch_ns = self.promote_epoch_ns
         for link, state in self._state.items():
             port = state.port
@@ -478,7 +478,7 @@ class FidelityController:
                 continue
             util_permille = (delta_bytes * 8 * 1000 * 1_000_000_000
                              // (link.rate_bps * epoch_ns))
-            if util_permille <= util_limit:
+            if util_permille <= PROMOTE_UTIL_PERMILLE:
                 self._promote(link)
 
     # -- reporting ------------------------------------------------------------

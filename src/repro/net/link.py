@@ -51,9 +51,9 @@ class Link:
     """A directed channel delivering packets to a peer device's input.
 
     Failure injection: ``up`` gates delivery (see the module docstring
-    for in-flight semantics); with ``loss_rate`` > 0 each delivery is
-    independently corrupted (dropped) with that probability, modelling
-    bit errors or a flaky cable.  Every wire drop — corruption
+    for in-flight semantics); after :meth:`set_loss` with a rate > 0 each
+    delivery is independently corrupted (dropped) with that probability,
+    modelling bit errors or a flaky cable.  Every wire drop — corruption
     (``"link_loss"``) or dead link (``"link_down"``) — is reported to
     ``on_drop(packet, reason)``.
     """
@@ -63,25 +63,20 @@ class Link:
                  "label", "fidelity")
 
     def __init__(self, engine: Engine, rate_bps: int, delay_ns: int,
-                 dst: Device, dst_port: int, *, loss_rate: float = 0.0,
-                 loss_rng=None,
+                 dst: Device, dst_port: int, *,
                  on_drop: Optional["DropCallback"] = None,
                  label: str = "") -> None:
         if rate_bps <= 0:
             raise ValueError("link rate must be positive")
         if delay_ns < 0:
             raise ValueError("propagation delay cannot be negative")
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss rate must be in [0, 1)")
-        if loss_rate > 0.0 and loss_rng is None:
-            raise ValueError("lossy links need a random stream")
         self.engine = engine
         self.rate_bps = rate_bps
         self.delay_ns = delay_ns
         self.dst = dst
         self.dst_port = dst_port
-        self.loss_rate = loss_rate
-        self.loss_rng = loss_rng
+        self.loss_rate = 0.0
+        self.loss_rng = None
         self.on_drop = on_drop
         self.losses = 0
         self.up = True

@@ -20,8 +20,10 @@ from repro.core.flowinfo import FlowInfo
 HEADER_BYTES = 40
 #: Wire size of a bare ACK.
 ACK_WIRE_BYTES = HEADER_BYTES
-#: Default maximum segment (payload) size in bytes.
-DEFAULT_MSS = 1460
+#: Maximum segment (payload) size in bytes (paper §4.1).
+MSS = 1460
+#: Wire size of a full segment: the MTU every derived threshold uses.
+MTU_WIRE_BYTES = MSS + HEADER_BYTES
 
 # Process-global uid source: uids are used only for identity (never for
 # ordering or arithmetic), so sharing the counter across runs is harmless.
@@ -119,14 +121,14 @@ class Packet:
 
 
 def data_packet(src: int, dst: int, flow_id: int, seq: int, payload: int,
-                mss: int = DEFAULT_MSS, ecn_capable: bool = False,
-                sent_at: int = -1, tx_count: int = 1) -> Packet:
+                ecn_capable: bool = False, sent_at: int = -1,
+                tx_count: int = 1) -> Packet:
     """Construct a data segment with the standard header overhead.
 
     Every field binds positionally, in order: keyword binding and the
     ``uid`` factory cost more than the rest of construction."""
-    if payload <= 0 or payload > mss:
-        raise ValueError(f"payload {payload} outside (0, {mss}]")
+    if payload <= 0 or payload > MSS:
+        raise ValueError(f"payload {payload} outside (0, {MSS}]")
     return Packet(src, dst, flow_id, PacketKind.DATA, seq, payload, 0,
                   payload + HEADER_BYTES, ecn_capable, False, False, -1,
                   sent_at, tx_count, None, 0, 0, 0, None, 0,

@@ -45,6 +45,7 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 # PfcConfig stays importable from here: pickled configs name this path.
 from repro.net.builder import PfcConfig
+from repro.net.packet import MTU_WIRE_BYTES
 from repro.trace import hooks as _trace_hooks
 
 _TRACE = _trace_hooks.register(__name__)
@@ -59,9 +60,6 @@ if TYPE_CHECKING:  # pragma: no cover
 #: fault events: ahead of any packet event scheduled for the same
 #: instant, so a hold takes effect before the next same-tick dequeue.
 PAUSE_PRIORITY = -1
-
-#: Wire MTU used by the default headroom rule (full-size data segment).
-MTU_WIRE_BYTES = 1500
 
 
 def resolve_thresholds(config: PfcConfig, buffer_bytes: int,

@@ -90,10 +90,6 @@ class SharedBufferPool:
     def on_pop(self, packet_bytes: int) -> None:
         self.used_bytes -= packet_bytes
 
-    def expand(self, extra_bytes: int) -> None:
-        """Grow the pool (used while ports are added at build time)."""
-        self.total_bytes += extra_bytes
-
 
 class _BoundedQueue:
     """Shared byte accounting and ECN marking for both queue flavours."""

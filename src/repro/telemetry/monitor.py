@@ -53,12 +53,13 @@ class CongestionEvent:
 class TelemetryMonitor(PortTick):
     """Samples a running :class:`~repro.net.builder.Network`."""
 
+    #: Deflections within one interval, with no drop, that classify it
+    #: as a microburst.
+    MICROBURST_DEFLECTIONS = 10
+
     def __init__(self, engine: Engine, network: Network,
-                 interval_ns: int = 1_000_000, *,
-                 microburst_deflection_threshold: int = 10) -> None:
+                 interval_ns: int = 1_000_000) -> None:
         super().__init__(engine, network, interval_ns)
-        self.microburst_deflection_threshold = \
-            microburst_deflection_threshold
         self.samples: List[PortSample] = []
         self.events: List[CongestionEvent] = []
         self._last_deflections = 0
@@ -105,7 +106,7 @@ class TelemetryMonitor(PortTick):
         kind: Optional[str] = None
         if drop_delta > 0:
             kind = "persistent"
-        elif deflection_delta >= self.microburst_deflection_threshold:
+        elif deflection_delta >= self.MICROBURST_DEFLECTIONS:
             kind = "microburst"
         if kind is not None and hottest is not None:
             self.events.append(CongestionEvent(

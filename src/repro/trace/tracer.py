@@ -115,6 +115,12 @@ ARITY: Dict[str, int] = {kind: len(fields) + 2
 #: Records per sealed chunk (a sampler tick is never split, so a sample
 #: chunk may run over by up to one tick).
 CHUNK_RECORDS = 4096
+#: Bounds of the two record logs: each retains exactly its newest N
+#: records and discards older ones (the counts of everything ever
+#: emitted are kept, so exports report the loss).  The discipline is
+#: deterministic — same run, same retained window.
+MAX_EVENTS = 1_000_000
+MAX_SAMPLES = 200_000
 
 
 class RecordLog:
@@ -321,8 +327,8 @@ class Tracer:
         self.config = config or TraceConfig()
         #: Hot-path flag: are packet-scope events recorded?
         self.packets = self.config.packets
-        self._events = RecordLog(self.config.max_events)
-        self._samples = RecordLog(self.config.max_samples)
+        self._events = RecordLog(MAX_EVENTS)
+        self._samples = RecordLog(MAX_SAMPLES)
 
     def record(self, values: tuple) -> None:
         """One event record: ``values`` is the whole record ``(kind, t,

@@ -20,8 +20,8 @@ from typing import Callable, Dict, Optional
 
 from repro.metrics.collector import MetricsCollector
 from repro.net.packet import (
-    DEFAULT_MSS,
     HEADER_BYTES,
+    MSS,
     Packet,
     PacketKind,
     ack_packet,
@@ -48,6 +48,8 @@ MAX_CWND = 1000.0
 MAX_CONSECUTIVE_RTOS = 20
 #: How long a delayed-ACK receiver holds a lone segment.
 DELAYED_ACK_TIMEOUT_NS = 500_000
+#: Initial congestion window in packets (paper §4.1: TCP's 10).
+INIT_CWND = 10.0
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,6 @@ class TransportConfig:
     attribute of its sender).
     """
 
-    mss: int = DEFAULT_MSS
-    init_cwnd: float = 10.0          # packets (paper: TCP initial window 10)
     init_rto_ns: int = 1 * SECOND    # paper: initial RTO 1 s
     min_rto_ns: int = 10 * MILLISECOND  # paper: minRTO 10 ms
     fast_retransmit: bool = True     # DIBS disables this (paper §2)
@@ -125,7 +125,7 @@ class FlowSender:
 
         self.snd_una = 0
         self.snd_nxt = 0
-        self.cwnd = config.init_cwnd
+        self.cwnd = INIT_CWND
         self.ssthresh = float("inf")
         self.dupacks = 0
         self.in_recovery = False
@@ -243,7 +243,7 @@ class FlowSender:
                                                  self._maybe_send)
                     self._pace_timer.start(wait)
                     return
-            payload = min(self.config.mss, self.size - self.snd_nxt)
+            payload = min(MSS, self.size - self.snd_nxt)
             if self._nic_blocked is not None \
                     and self._nic_blocked(self, payload + HEADER_BYTES):
                 return  # parked: the host wakes us when the NIC drains
@@ -256,8 +256,7 @@ class FlowSender:
         self._analytic_pipelined = False
         now = self.engine.now
         packet = data_packet(self.host.host_id, self.dst, self.flow_id, seq,
-                             payload, self.config.mss, self.ecn_capable,
-                             now, tx_count)
+                             payload, self.ecn_capable, now, tx_count)
         self._last_tx_ns = now
         if tx_count == 1:
             self._segments[seq] = payload
@@ -308,11 +307,10 @@ class FlowSender:
         """
         fidelity = self.fidelity
         start = self.snd_nxt
-        mss = self.config.mss
-        round_bytes = min(self._window_packets() * mss, self.size - start)
-        n_packets = (round_bytes + mss - 1) // mss
+        round_bytes = min(self._window_packets() * MSS, self.size - start)
+        n_packets = (round_bytes + MSS - 1) // MSS
         round_wire = round_bytes + n_packets * HEADER_BYTES
-        first_wire = min(mss, round_bytes) + HEADER_BYTES
+        first_wire = min(MSS, round_bytes) + HEADER_BYTES
         round_ns, rtt_ns = fidelity.analytic_round_ns(
             self, round_wire, first_wire, self._analytic_pipelined)
         gap_ns = self.pacing_gap_ns() if self.paced else 0

@@ -31,7 +31,7 @@ from typing import Optional
 
 from repro.analysis import sanitize as _sanitize
 from repro.metrics.collector import MetricsCollector
-from repro.net.packet import HEADER_BYTES
+from repro.net.packet import MTU_WIRE_BYTES
 from repro.sim.engine import Engine
 from repro.transport.base import MAX_CWND, FlowSender, TransportConfig
 
@@ -80,7 +80,7 @@ class DcqcnSender(FlowSender):
         self._window_marked = 0
         self._window_end = 0
         self._rate_epoch = engine.now  # when the increase clock restarted
-        self._wire_ns = (config.mss + HEADER_BYTES) * 8 * 1_000_000_000
+        self._wire_ns = MTU_WIRE_BYTES * 8 * 1_000_000_000
         self._gap_ns = self._wire_ns // line_rate  # kept where the rate moves
 
     # -- lifecycle -----------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.net.packet import MSS
 from repro.transport.base import FlowSender
 
 
@@ -21,7 +22,7 @@ class RenoSender(FlowSender):
 
     def on_new_ack_cc(self, acked_bytes: int, rtt_ns: Optional[int],
                       ece: bool) -> None:
-        acked_packets = max(1, acked_bytes // self.config.mss)
+        acked_packets = max(1, acked_bytes // MSS)
         if self.cwnd < self.ssthresh:
             self.cwnd += acked_packets  # slow start: +1 per ACKed packet
         else:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.metrics.collector import MetricsCollector
+from repro.net.packet import MSS
 from repro.sim.engine import Engine
 from repro.transport.base import FlowSender, TransportConfig
 
@@ -81,7 +82,7 @@ class SwiftSender(FlowSender):
             return
         target = self.target_delay_ns
         if rtt_ns < target:
-            acked_packets = max(1, acked_bytes // self.config.mss)
+            acked_packets = max(1, acked_bytes // MSS)
             if self.cwnd >= 1.0:
                 self.cwnd += self.AI * acked_packets / self.cwnd
             else:

@@ -55,6 +55,21 @@ def make_switch(engine: Engine, *, n_fabric_ports: int = 4,
     return switch, sinks, metrics
 
 
+def bounded_tracer(config=None, *, max_events: Optional[int] = None,
+                   max_samples: Optional[int] = None):
+    """A :class:`~repro.trace.tracer.Tracer` whose record logs keep only
+    the newest ``max_events`` / ``max_samples`` records (by default the
+    tracer's own bounds)."""
+    from unittest import mock
+
+    from repro.trace import tracer
+
+    with mock.patch.multiple(
+            tracer, MAX_EVENTS=max_events or tracer.MAX_EVENTS,
+            MAX_SAMPLES=max_samples or tracer.MAX_SAMPLES):
+        return tracer.Tracer(config)
+
+
 def mk_data(flow_id: int = 1, seq: int = 0, payload: int = 1000,
             src: int = 10, dst: int = 0, **kwargs) -> Packet:
     return data_packet(src, dst, flow_id, seq, payload, **kwargs)

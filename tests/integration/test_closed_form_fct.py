@@ -19,8 +19,9 @@ import pytest
 
 from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig
-from repro.net.packet import HEADER_BYTES
+from repro.net.packet import HEADER_BYTES, MSS
 from repro.sim.units import SECOND
+from repro.transport.base import INIT_CWND
 
 #: Same leaf (host - leaf - host) and across the fabric (host - leaf -
 #: spine - leaf - host) on the bench's 4-hosts-per-leaf leaf-spine.
@@ -65,13 +66,12 @@ def _fct(config, src, dst, size):
 def test_a_window_of_full_segments_pipelines_behind_the_first(transport,
                                                               path):
     config = _config(transport)
-    mss = config.transport.mss
     src, dst = PATHS[path]
     links = _links(config, src, dst)
-    assert int(config.transport.init_cwnd) == 10
+    assert int(INIT_CWND) == 10
     for n_packets in (1, 2, 7, 10):
-        expected = _closed_form(links, mss + HEADER_BYTES, n_packets)
-        assert _fct(config, src, dst, n_packets * mss) == expected, \
+        expected = _closed_form(links, MSS + HEADER_BYTES, n_packets)
+        assert _fct(config, src, dst, n_packets * MSS) == expected, \
             n_packets
 
 

@@ -28,22 +28,20 @@ def lossy_everywhere(config, loss_rate):
 
 
 def test_link_loss_rate_validation():
-    engine = Engine()
-    sink = SinkDevice()
+    link = Link(Engine(), 10 ** 9, 0, SinkDevice(), 0)
     with pytest.raises(ValueError):
-        Link(engine, 10 ** 9, 0, sink, 0, loss_rate=1.5,
-             loss_rng=random.Random(0))
+        link.set_loss(1.5, random.Random(0))
     with pytest.raises(ValueError):
-        Link(engine, 10 ** 9, 0, sink, 0, loss_rate=0.5)  # no rng
+        link.set_loss(0.5)  # no rng
 
 
 def test_lossy_link_drops_expected_fraction():
     engine = Engine()
     sink = SinkDevice()
     lost = []
-    link = Link(engine, 10 ** 9, 0, sink, 0, loss_rate=0.3,
-                loss_rng=random.Random(7),
+    link = Link(engine, 10 ** 9, 0, sink, 0,
                 on_drop=lambda packet, reason: lost.append(reason))
+    link.set_loss(0.3, random.Random(7))
     for _ in range(2000):
         link.deliver(mk_data())
     engine.run()

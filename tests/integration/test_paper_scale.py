@@ -43,5 +43,5 @@ def test_paper_scale_parameters_match_section_4_1():
         derive_ordering_timeout,
     )
     # DCTCP marking threshold of 65 packets and tau = 360 us.
-    assert derive_ecn_threshold(config.network, 1460) == 65 * 1460
+    assert derive_ecn_threshold(config.network) == 65 * 1460
     assert derive_ordering_timeout(config.network) == 360_000

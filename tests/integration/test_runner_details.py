@@ -18,7 +18,7 @@ def _tiny(system="vertigo", transport="dctcp", **kwargs):
 
 def test_dctcp_run_sets_ecn_threshold_on_queues():
     result = run_experiment(_tiny(system="ecmp"))
-    expected = derive_ecn_threshold(result.config.network, 1460)
+    expected = derive_ecn_threshold(result.config.network)
     for _, _, queue in result.network.all_switch_queues():
         assert queue.ecn_threshold_bytes == expected
 

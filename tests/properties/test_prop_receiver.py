@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Engine
-from repro.transport.base import FlowReceiver, TransportConfig
+from repro.transport.base import FlowReceiver
 from tests.helpers import mk_data
 
 PAYLOAD = 100
@@ -67,8 +67,7 @@ def test_ack_point_is_the_contiguous_prefix(program):
     metrics = MetricsCollector()
     metrics.flow_started(FLOW, 1, _Host.host_id, SIZE, 0)
     host = _Host()
-    receiver = FlowReceiver(Engine(), host, FLOW, 1, SIZE, metrics,
-                            config=TransportConfig(mss=PAYLOAD))
+    receiver = FlowReceiver(Engine(), host, FLOW, 1, SIZE, metrics)
     reference = ReferenceReceiver()
     for op in program:
         if op[0] == "data":

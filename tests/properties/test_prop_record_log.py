@@ -78,14 +78,13 @@ def _assert_holds(log, model, bound):
     assert log.counts() == dict(Counter(record[0] for record in retained))
 
 
-def _assert_detached(data, events, samples, config):
-    _assert_holds(data.events, events, config.max_events)
-    _assert_holds(data.samples, samples, config.max_samples)
+def _assert_detached(data, events, samples, max_events, max_samples):
+    _assert_holds(data.events, events, max_events)
+    _assert_holds(data.samples, samples, max_samples)
     assert all(type(chunk) is bytes
                for chunk in data.events.chunks + data.samples.chunks)
     expected = Counter(record[0] for record in
-                       events[-config.max_events:]
-                       + samples[-config.max_samples:])
+                       events[-max_events:] + samples[-max_samples:])
     assert data.counts() == dict(sorted(expected.items()))
 
 
@@ -97,12 +96,12 @@ def _assert_detached(data, events, samples, config):
 @settings(max_examples=300, deadline=None)
 def test_detached_log_is_the_newest_records_exactly(
         program, chunk, max_events, max_samples, sanitized):
-    config = TraceConfig(level="packet", max_events=max_events,
-                         max_samples=max_samples)
     events, samples = [], []
-    with mock.patch.object(tracer_mod, "CHUNK_RECORDS", chunk), \
+    with mock.patch.multiple(tracer_mod, CHUNK_RECORDS=chunk,
+                             MAX_EVENTS=max_events,
+                             MAX_SAMPLES=max_samples), \
             sanitize.scoped(sanitized):
-        tracer = Tracer(config)
+        tracer = Tracer(TraceConfig(level="packet"))
         for op, arg in program:
             if op == "record":
                 tracer.record(arg)
@@ -114,13 +113,14 @@ def test_detached_log_is_the_newest_records_exactly(
                 samples.extend(arg)
             else:
                 # A detach leaves the live log as it was.
-                _assert_detached(tracer.detach(), events, samples, config)
+                _assert_detached(tracer.detach(), events, samples,
+                                 max_events, max_samples)
             # No sealed chunk outlives the window: the oldest one still
             # holds a record of the newest ``bound``.
             for log in (tracer._events, tracer._samples):
                 assert sum(log.sizes[1:]) < log.bound
         data = tracer.detach(meta={"seed": 1})
-        _assert_detached(data, events, samples, config)
+        _assert_detached(data, events, samples, max_events, max_samples)
         copy = pickle.loads(pickle.dumps(data, pickle.HIGHEST_PROTOCOL))
-        _assert_detached(copy, events, samples, config)
+        _assert_detached(copy, events, samples, max_events, max_samples)
         assert list(jsonl_lines(copy)) == list(jsonl_lines(data))

@@ -7,6 +7,7 @@ invariant all three congestion controls inherit from the base machinery.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.net.packet import MSS
 from repro.sim.engine import Engine
 from repro.transport.base import TransportConfig
 from repro.transport.dctcp import DctcpSender
@@ -14,7 +15,7 @@ from repro.transport.reno import RenoSender
 from repro.transport.swift import SwiftSender
 from tests.unit.test_transport_base import loopback
 
-FAST_RTO = TransportConfig(mss=1000, min_rto_ns=500_000, init_rto_ns=500_000,
+FAST_RTO = TransportConfig(min_rto_ns=500_000, init_rto_ns=500_000,
                            swift_target_delay_ns=100_000)
 
 
@@ -30,7 +31,7 @@ def test_any_single_loss_pattern_still_delivers(loss_indices, sender_cls):
         seen["count"] += 1
         return index in loss_indices and packet.tx_count == 1
 
-    size = 21 * 1000
+    size = 21 * MSS
     sender, receiver, metrics, _, _ = loopback(
         engine, size=size, drop=drop, config=FAST_RTO,
         sender_cls=sender_cls)
@@ -71,12 +72,10 @@ def test_reordered_delivery_never_corrupts_stream(order):
         held.append(packet)
         return True  # capture everything; we re-deliver manually
 
-    config = TransportConfig(mss=1000, init_cwnd=8.0)
-    sender, receiver, _, _, _ = loopback(engine, size=8_000, drop=drop,
-                                         config=config)
+    sender, receiver, _, _, _ = loopback(engine, size=8 * MSS, drop=drop)
     sender.start()
     assert len(held) == 8
     for index in order:
         receiver.on_data(held[index])
     assert receiver.completed
-    assert receiver.rcv_nxt == 8_000
+    assert receiver.rcv_nxt == 8 * MSS

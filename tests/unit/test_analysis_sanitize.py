@@ -264,7 +264,8 @@ def test_ordering_unsanitized_has_no_wrapper():
 
 def test_trace_log_clean_recording_passes(sanitized, monkeypatch):
     monkeypatch.setattr(tracer_mod, "CHUNK_RECORDS", 4)
-    tracer = Tracer(TraceConfig(max_events=6))
+    monkeypatch.setattr(tracer_mod, "MAX_EVENTS", 6)
+    tracer = Tracer()
     for i in range(11):                       # seals two chunks, trims
         tracer.record(("flow.end", i, i, i))
     assert [record[1] for record in tracer.detach().events] \

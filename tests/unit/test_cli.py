@@ -167,6 +167,12 @@ def test_sanitized_run_with_a_fault_scenario(capsys):
     ["sweep", "--systems", "ecmp", *TINY, "--checkpoint-every", "50"],
     ["sweep", "--systems", "ecmp", *TINY, "--trace", "t.jsonl",
      "--sample-us", "5001"],
+    # A trace path the export could not open, refused before any run.
+    ["run", *TINY, "--trace", "/nonexistent/dir/t.jsonl"],
+    ["run", *TINY, "--trace", "/"],
+    ["sweep", "--systems", "ecmp,vertigo", "--seeds", "2", *TINY,
+     "--trace", "/nonexistent/dir/t.jsonl"],
+    ["sweep", "--systems", "ecmp", *TINY, "--trace", "."],
 ])
 def test_flags_that_would_do_nothing_are_usage_errors(argv, capsys):
     assert main(argv) == 2
@@ -234,11 +240,10 @@ def test_trace_line_stays_quiet_without_overflow_and_sums_over_runs(
     from types import SimpleNamespace
 
     from repro.cli import _export_traces
-    from repro.trace.config import TraceConfig
-    from repro.trace.tracer import Tracer
+    from tests.helpers import bounded_tracer
 
     def traced(seed, max_events):
-        tracer = Tracer(TraceConfig(max_events=max_events))
+        tracer = bounded_tracer(max_events=max_events)
         for t in range(5):
             tracer.record(("flow.end", t * 1_000_000, t, 1))
         return SimpleNamespace(trace=tracer.detach(
@@ -262,11 +267,12 @@ def test_overflow_advice_names_the_remedy_of_each_ring(tmp_path, capsys):
 
     from repro.cli import _export_traces
     from repro.trace.config import TraceConfig
-    from repro.trace.tracer import Tracer
+    from tests.helpers import bounded_tracer
 
     def traced(level, max_events=10, max_samples=10):
-        tracer = Tracer(TraceConfig(level=level, max_events=max_events,
-                                    max_samples=max_samples))
+        tracer = bounded_tracer(TraceConfig(level=level),
+                                max_events=max_events,
+                                max_samples=max_samples)
         for t in range(3):
             tracer.record(("flow.end", t, t, 1))
             tracer.sample_tick(["sample.fid", t, 0, 1, 0, 0, 0],

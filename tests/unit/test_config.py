@@ -72,18 +72,18 @@ def test_bench_fat_tree_profile():
 
 def test_ecn_threshold_full_scale_is_65_packets():
     params = NetworkParams(buffer_bytes=kb(300))
-    assert derive_ecn_threshold(params, 1460) == 65 * 1460
+    assert derive_ecn_threshold(params) == 65 * 1460
 
 
 def test_ecn_threshold_scales_with_shallow_buffers():
     params = NetworkParams(buffer_bytes=kb(30))
-    k = derive_ecn_threshold(params, 1460)
+    k = derive_ecn_threshold(params)
     assert 2 * 1460 <= k < kb(30)
 
 
 def test_swift_target_exceeds_base_rtt():
     params = NetworkParams()
-    assert derive_swift_target(params, 1460) > params.base_rtt_ns()
+    assert derive_swift_target(params) > params.base_rtt_ns()
 
 
 def test_resolve_dibs_disables_fast_retransmit():

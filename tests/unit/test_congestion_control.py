@@ -12,7 +12,8 @@ from repro.transport.swift import SwiftSender
 from tests.unit.test_transport_base import StubHost, loopback
 
 
-def _bare_sender(cls, engine=None, size=1_000_000, **config_kwargs):
+def _bare_sender(cls, engine=None, size=1_000_000, cwnd=None,
+                 **config_kwargs):
     engine = engine or Engine()
     metrics = MetricsCollector()
     host = StubHost(engine, 1)
@@ -20,6 +21,8 @@ def _bare_sender(cls, engine=None, size=1_000_000, **config_kwargs):
     config_kwargs.setdefault("swift_target_delay_ns", 100_000)
     config = TransportConfig(**config_kwargs)
     sender = cls(engine, host, 7, 2, size, config, metrics)
+    if cwnd is not None:
+        sender.cwnd = cwnd
     return sender, engine
 
 
@@ -27,7 +30,7 @@ def _bare_sender(cls, engine=None, size=1_000_000, **config_kwargs):
 
 
 def test_reno_slow_start_doubles_per_rtt():
-    sender, _ = _bare_sender(RenoSender, init_cwnd=2.0)
+    sender, _ = _bare_sender(RenoSender, cwnd=2.0)
     start = sender.cwnd
     sender.on_new_ack_cc(1460, rtt_ns=None, ece=False)
     sender.on_new_ack_cc(1460, rtt_ns=None, ece=False)
@@ -35,7 +38,7 @@ def test_reno_slow_start_doubles_per_rtt():
 
 
 def test_reno_congestion_avoidance_linear():
-    sender, _ = _bare_sender(RenoSender, init_cwnd=10.0)
+    sender, _ = _bare_sender(RenoSender, cwnd=10.0)
     sender.ssthresh = 5.0  # below cwnd: CA mode
     before = sender.cwnd
     sender.on_new_ack_cc(1460, rtt_ns=None, ece=False)
@@ -43,21 +46,21 @@ def test_reno_congestion_avoidance_linear():
 
 
 def test_reno_fast_retransmit_halves():
-    sender, _ = _bare_sender(RenoSender, init_cwnd=16.0)
+    sender, _ = _bare_sender(RenoSender, cwnd=16.0)
     sender.on_fast_retransmit_cc()
     assert sender.cwnd == 8.0
     assert sender.ssthresh == 8.0
 
 
 def test_reno_rto_collapses_to_one():
-    sender, _ = _bare_sender(RenoSender, init_cwnd=16.0)
+    sender, _ = _bare_sender(RenoSender, cwnd=16.0)
     sender.on_rto_cc()
     assert sender.cwnd == 1.0
     assert sender.ssthresh == 8.0
 
 
 def test_reno_min_ssthresh_floor():
-    sender, _ = _bare_sender(RenoSender, init_cwnd=2.0)
+    sender, _ = _bare_sender(RenoSender, cwnd=2.0)
     sender.on_rto_cc()
     assert sender.ssthresh == 2.0
 
@@ -71,7 +74,7 @@ def test_dctcp_is_always_ecn_capable():
 
 
 def test_dctcp_cut_proportional_to_alpha():
-    sender, _ = _bare_sender(DctcpSender, init_cwnd=10.0)
+    sender, _ = _bare_sender(DctcpSender, cwnd=10.0)
     sender.alpha = 0.5
     sender.snd_una = 100_000
     sender._window_end = 0          # close the observation window now
@@ -86,7 +89,7 @@ def test_dctcp_cut_proportional_to_alpha():
 
 
 def test_dctcp_no_cut_without_marks():
-    sender, _ = _bare_sender(DctcpSender, init_cwnd=10.0)
+    sender, _ = _bare_sender(DctcpSender, cwnd=10.0)
     sender.alpha = 0.8
     sender.snd_una = 100_000
     sender._window_end = 0
@@ -136,7 +139,7 @@ def test_marking_threshold_helper():
 
 
 def test_swift_increases_below_target():
-    sender, _ = _bare_sender(SwiftSender, init_cwnd=4.0,
+    sender, _ = _bare_sender(SwiftSender, cwnd=4.0,
                              swift_target_delay_ns=100_000)
     before = sender.cwnd
     sender.on_new_ack_cc(1460, rtt_ns=50_000, ece=False)
@@ -144,7 +147,7 @@ def test_swift_increases_below_target():
 
 
 def test_swift_decreases_above_target_once_per_rtt():
-    sender, engine = _bare_sender(SwiftSender, init_cwnd=10.0,
+    sender, engine = _bare_sender(SwiftSender, cwnd=10.0,
                                   swift_target_delay_ns=100_000)
     sender.srtt_ns = 100_000
     before = sender.cwnd
@@ -157,14 +160,14 @@ def test_swift_decreases_above_target_once_per_rtt():
 
 
 def test_swift_decrease_bounded_by_max_mdf():
-    sender, _ = _bare_sender(SwiftSender, init_cwnd=10.0,
+    sender, _ = _bare_sender(SwiftSender, cwnd=10.0,
                              swift_target_delay_ns=10_000)
     sender.on_new_ack_cc(1460, rtt_ns=10_000_000, ece=False)  # huge RTT
     assert sender.cwnd == 10.0 * (1 - SwiftSender.MAX_MDF)  # capped
 
 
 def test_swift_cwnd_can_fall_below_one():
-    sender, engine = _bare_sender(SwiftSender, init_cwnd=1.0,
+    sender, engine = _bare_sender(SwiftSender, cwnd=1.0,
                                   swift_target_delay_ns=10_000)
     for step in range(20):
         engine.now += 10_000_000  # allow once-per-RTT decreases
@@ -173,7 +176,7 @@ def test_swift_cwnd_can_fall_below_one():
 
 
 def test_swift_pacing_gap_below_one_packet():
-    sender, _ = _bare_sender(SwiftSender, init_cwnd=1.0)
+    sender, _ = _bare_sender(SwiftSender, cwnd=1.0)
     sender.cwnd = 0.5
     sender.srtt_ns = 100_000
     assert sender.pacing_gap_ns() == 200_000  # rtt / cwnd
@@ -182,20 +185,20 @@ def test_swift_pacing_gap_below_one_packet():
 
 
 def test_swift_rto_single_is_md_not_reset():
-    sender, _ = _bare_sender(SwiftSender, init_cwnd=8.0)
+    sender, _ = _bare_sender(SwiftSender, cwnd=8.0)
     sender.on_rto_cc()
     assert sender.cwnd == 4.0  # one timeout: multiplicative decrease
 
 
 def test_swift_consecutive_rtos_reset_to_min():
-    sender, _ = _bare_sender(SwiftSender, init_cwnd=8.0)
+    sender, _ = _bare_sender(SwiftSender, cwnd=8.0)
     for _ in range(SwiftSender.RETX_RESET_THRESHOLD):
         sender.on_rto_cc()
     assert sender.cwnd == SwiftSender.min_cwnd
 
 
 def test_swift_ack_resets_rto_streak():
-    sender, _ = _bare_sender(SwiftSender, init_cwnd=8.0,
+    sender, _ = _bare_sender(SwiftSender, cwnd=8.0,
                              swift_target_delay_ns=100_000)
     sender.on_rto_cc()
     sender.on_new_ack_cc(1460, rtt_ns=50_000, ece=False)
@@ -214,10 +217,11 @@ def test_swift_end_to_end_transfer():
 
 def test_swift_paced_transfer_below_one_packet():
     engine = Engine()
-    config = TransportConfig(init_cwnd=0.5, swift_target_delay_ns=30_000)
+    config = TransportConfig(swift_target_delay_ns=30_000)
     sender, receiver, _, src, _ = loopback(engine, size=5_000,
                                            config=config,
                                            sender_cls=SwiftSender)
+    sender.cwnd = 0.5
     sender.start()
     engine.run(until=5_000)
     assert len(src.sent) == 1  # pacing admits a single packet at t=0
@@ -233,8 +237,8 @@ def test_swift_paced_transfer_below_one_packet():
     "long-quiet flow's additive/hyper stages carry rate_bps past the NIC "
     "(785 Mbps on the 200 Mbps NIC in lossless-pfc seed 1) and it is "
     "effectively unpaced.  A clamp moves lossless-pfc's recorded "
-    "stats_digest: it belongs with ROADMAP 4(d) and the [benchmark] "
-    "re-record of baseline.json"))
+    "stats_digest: it lands after ROADMAP item 4's re-record of "
+    "baseline.json, as item 8's line-rate oracle"))
 def test_dcqcn_rate_never_exceeds_line_rate():
     line_rate, period = 200_000_000, 50_000
     sender, engine = _bare_sender(DcqcnSender, dcqcn_rate_bps=line_rate,

@@ -31,9 +31,10 @@ def test_delayed_ack_halves_ack_count():
 
 def test_delayed_ack_timer_flushes_odd_segment():
     engine = Engine()
-    config = TransportConfig(delayed_ack=True, init_cwnd=1.0)
+    config = TransportConfig(delayed_ack=True)
     sender, receiver, _, _, dst = loopback(engine, size=100_000,
                                            config=config)
+    sender.cwnd = 1.0
     sender.start()
     # One segment in flight: it is held for the timeout, and then the
     # delayed-ACK timer must fire so the sender is not stalled until RTO.

@@ -49,9 +49,6 @@ def test_unknown_mode_rejected():
 
 @pytest.mark.parametrize("field,value", [
     ("demote_shares", 0),
-    ("demote_queue_bytes", -1),
-    ("promote_epoch_ns", -5),
-    ("promote_util_permille", 1001),
 ])
 def test_threshold_validation(field, value):
     with pytest.raises(ValueError):
@@ -59,10 +56,10 @@ def test_threshold_validation(field, value):
 
 
 def test_digest_view_covers_every_field():
-    config = FidelityConfig(mode="hybrid", demote_shares=7,
-                            demote_queue_bytes=1000, promote_epoch_ns=99,
-                            promote_util_permille=123)
-    assert config.digest_view() == ("hybrid", 7, 1000, 99, 123)
+    config = FidelityConfig(mode="hybrid", demote_shares=7)
+    # The last three entries are the literals of the once-configurable
+    # thresholds: the shape pinned digests hash.
+    assert config.digest_view() == ("hybrid", 7, 0, 0, 400)
     assert len(FIDELITY_MODES) == 3
 
 

@@ -2,6 +2,7 @@
 
 from collections import Counter
 
+from repro.forwarding.base import MAX_DEFLECTIONS
 from repro.forwarding.dibs import DibsPolicy
 from repro.forwarding.drill import DrillPolicy
 from repro.forwarding.ecmp import EcmpPolicy
@@ -175,9 +176,9 @@ def test_dibs_deflection_budget_enforced():
     engine = Engine()
     switch, _, metrics = make_switch(engine, n_host_ports=1,
                                      n_fabric_ports=4)
-    switch.policy = DibsPolicy(switch, seeded_rng(), max_deflections=3)
+    switch.policy = DibsPolicy(switch, seeded_rng())
     fill_queue(switch, 0)
     packet = mk_data(dst=0)
-    packet.deflections = 3
+    packet.deflections = MAX_DEFLECTIONS
     switch.receive(packet, in_port=1)
     assert metrics.counters.drops["deflection_limit"] == 1

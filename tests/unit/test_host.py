@@ -45,9 +45,10 @@ def test_send_packet_marks_and_transmits():
     assert packet.flowinfo.rfs == 10_000
 
 
-def test_nic_overflow_counted():
+def test_nic_overflow_counted(monkeypatch):
+    monkeypatch.setattr(Host, "NIC_BUFFER_BYTES", 2000)
     engine = Engine()
-    host, _, metrics = _host(engine, nic_buffer_bytes=2000)
+    host, _, metrics = _host(engine)
     for _ in range(5):
         host.send_packet(mk_data(payload=1460, src=1, dst=2))
     assert metrics.counters.drops["host_nic_overflow"] >= 3

@@ -1,14 +1,14 @@
 """PABO packet-bounce baseline."""
 
-from repro.forwarding.pabo import PaboPolicy
+from repro.forwarding.pabo import MAX_BOUNCES, PaboPolicy
 from repro.sim.engine import Engine
 from tests.helpers import fill_queue, make_switch, mk_data, seeded_rng
 
 
-def _pabo_switch(engine, **kwargs):
+def _pabo_switch(engine):
     switch, sinks, metrics = make_switch(engine, n_host_ports=1,
                                          n_fabric_ports=4)
-    switch.policy = PaboPolicy(switch, seeded_rng(), **kwargs)
+    switch.policy = PaboPolicy(switch, seeded_rng())
     return switch, sinks, metrics
 
 
@@ -47,10 +47,10 @@ def test_bounce_from_host_port_drops():
 
 def test_bounce_budget_enforced():
     engine = Engine()
-    switch, _, metrics = _pabo_switch(engine, max_bounces=2)
+    switch, _, metrics = _pabo_switch(engine)
     fill_queue(switch, 0)
     packet = mk_data(dst=0)
-    packet.deflections = 2
+    packet.deflections = MAX_BOUNCES
     switch.receive(packet, in_port=switch.switch_ports[0])
     assert metrics.counters.drops["bounce_failed"] == 1
 

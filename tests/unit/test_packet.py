@@ -8,6 +8,8 @@ from repro.core.flowinfo import FlowInfo
 from repro.net.packet import (
     ACK_WIRE_BYTES,
     HEADER_BYTES,
+    MSS,
+    MTU_WIRE_BYTES,
     Packet,
     PacketKind,
     ack_packet,
@@ -18,7 +20,7 @@ from repro.net.packet import (
 def test_data_packet_wire_size_includes_headers():
     packet = data_packet(1, 2, 7, seq=0, payload=1460)
     assert packet.kind is PacketKind.DATA
-    assert packet.wire_bytes == 1460 + HEADER_BYTES
+    assert packet.wire_bytes == 1460 + HEADER_BYTES == MTU_WIRE_BYTES
     assert packet.end_seq == 1460
 
 
@@ -26,7 +28,7 @@ def test_data_packet_payload_bounds():
     with pytest.raises(ValueError):
         data_packet(1, 2, 7, seq=0, payload=0)
     with pytest.raises(ValueError):
-        data_packet(1, 2, 7, seq=0, payload=2000, mss=1460)
+        data_packet(1, 2, 7, seq=0, payload=2000)
 
 
 def test_ack_packet_fields():
@@ -67,7 +69,7 @@ def _fields(packet):
 def test_data_packet_equals_keyword_construction(ecn_capable):
     # The constructors bind fields positionally: a reordered Packet
     # field must fail here, not shift values silently.
-    built = data_packet(3, 4, 9, 2920, 1000, 1460, ecn_capable, 777, 2)
+    built = data_packet(3, 4, 9, 2920, 1000, ecn_capable, 777, 2)
     keyword = Packet(src=3, dst=4, flow_id=9, kind=PacketKind.DATA,
                      seq=2920, payload=1000, wire_bytes=1000 + HEADER_BYTES,
                      ecn_capable=ecn_capable, sent_at=777, tx_count=2)
@@ -87,5 +89,5 @@ def test_data_packet_payload_edges():
     with pytest.raises(ValueError):
         data_packet(1, 2, 7, 0, 0)
     with pytest.raises(ValueError):
-        data_packet(1, 2, 7, 0, 1461, 1460)
-    assert data_packet(1, 2, 7, 0, 1460, 1460).payload == 1460
+        data_packet(1, 2, 7, 0, MSS + 1)
+    assert data_packet(1, 2, 7, 0, MSS).payload == MSS == 1460

@@ -74,12 +74,6 @@ def test_pop_releases_pool_space():
     assert pool.used_bytes == 0
 
 
-def test_expand_grows_capacity():
-    pool = SharedBufferPool(1_000)
-    pool.expand(2_000)
-    assert pool.total_bytes == 3_000
-
-
 def test_free_bytes_reflects_dt_limit():
     pool = SharedBufferPool(8_000, alpha=0.5)
     queue = DropTailQueue(8_000, pool=pool)
@@ -98,6 +92,13 @@ def test_shared_buffer_network_runs():
     config.network = replace(config.network, shared_buffer_alpha=1.0)
     result = run_experiment(config)
     assert result.metrics.counters.delivered > 0
+    # One pool per switch, of one port buffer per port.
+    for switch in result.network.switches.values():
+        pools = {id(port.queue.pool): port.queue.pool
+                 for port in switch.ports}
+        (pool,) = pools.values()
+        assert pool.total_bytes \
+            == len(switch.ports) * config.network.buffer_bytes
     # Every switch got one pool sized buffer x ports; pools balance.
     for name, index, queue in result.network.all_switch_queues():
         assert queue.pool is not None

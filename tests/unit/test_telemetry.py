@@ -94,10 +94,10 @@ def test_persistent_congestion_classified_on_drops():
     assert monitor.microburst_count() == 0  # drops dominate the label
 
 
-def test_event_records_hottest_port():
+def test_event_records_hottest_port(monkeypatch):
+    monkeypatch.setattr(TelemetryMonitor, "MICROBURST_DEFLECTIONS", 1)
     engine, network = _idle_network()
-    monitor = TelemetryMonitor(engine, network, interval_ns=100_000,
-                               microburst_deflection_threshold=1)
+    monitor = TelemetryMonitor(engine, network, interval_ns=100_000)
     monitor.start()
     network.metrics.counters.deflections += 3
     engine.run(until=150_000)
@@ -123,10 +123,10 @@ def test_stop_halts_sampling():
     assert max(s.time_ns for s in monitor.samples) > 1_000_000
 
 
-def test_detached_monitor_keeps_its_observations():
+def test_detached_monitor_keeps_its_observations(monkeypatch):
+    monkeypatch.setattr(TelemetryMonitor, "MICROBURST_DEFLECTIONS", 1)
     engine, network = _idle_network()
-    monitor = TelemetryMonitor(engine, network, interval_ns=100_000,
-                               microburst_deflection_threshold=1)
+    monitor = TelemetryMonitor(engine, network, interval_ns=100_000)
     monitor.start()
     network.metrics.counters.deflections += 3
     engine.run(until=250_000)

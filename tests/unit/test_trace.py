@@ -26,6 +26,7 @@ from repro.trace.tracer import (
     PACKET_KINDS,
     Tracer,
 )
+from tests.helpers import bounded_tracer
 
 
 @pytest.fixture(autouse=True)
@@ -78,7 +79,7 @@ def test_packet_kinds_cover_pkt_and_ord_namespaces():
 
 
 def test_event_ring_buffer_bounds_memory():
-    tracer = Tracer(TraceConfig(max_events=10))
+    tracer = bounded_tracer(max_events=10)
     for i in range(25):
         tracer.record(("flow.end", i, i, i))
     data = tracer.detach(meta={})
@@ -95,7 +96,7 @@ def port_sample(t, qbytes=0):
 
 
 def test_sample_ring_buffer_bounds_memory():
-    tracer = Tracer(TraceConfig(max_samples=4))
+    tracer = bounded_tracer(max_samples=4)
     for i in range(9):
         tracer.sample_tick(port_sample(i, qbytes=i), {"sample.port": 1})
     data = tracer.detach(meta={})
@@ -258,7 +259,7 @@ def record_mixed(tracer, n):
 def test_event_ring_retains_exactly_the_newest_records(bound, extra):
     total = bound + extra
     unbounded = Tracer(TraceConfig())
-    bounded = Tracer(TraceConfig(max_events=bound))
+    bounded = bounded_tracer(max_events=bound)
     record_mixed(unbounded, total)
     record_mixed(bounded, total)
     everything = list(unbounded.detach().events)
@@ -279,7 +280,7 @@ def test_sample_ring_retains_exactly_the_newest_records():
     bound = CHUNK_RECORDS + CHUNK_RECORDS // 2
     per_tick, ticks = 7, 3 * CHUNK_RECORDS // 7
     unbounded = Tracer(TraceConfig())
-    bounded = Tracer(TraceConfig(max_samples=bound))
+    bounded = bounded_tracer(max_samples=bound)
     for tracer in (unbounded, bounded):
         for t in range(ticks):
             values = []

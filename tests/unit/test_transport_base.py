@@ -68,8 +68,8 @@ def test_lossless_transfer_completes():
 
 def test_initial_window_limits_first_burst():
     engine = Engine()
-    config = TransportConfig(init_cwnd=4.0)
-    sender, _, _, src, _ = loopback(engine, size=1_000_000, config=config)
+    sender, _, _, src, _ = loopback(engine, size=1_000_000)
+    sender.cwnd = 4.0
     sender.start()
     assert len(src.sent) == 4  # exactly the initial window, before any ACK
 
@@ -171,8 +171,7 @@ def test_rto_backoff_doubles():
             return True
         return False
 
-    config = TransportConfig(init_cwnd=1.0, min_rto_ns=1_000_000,
-                             init_rto_ns=1_000_000)
+    config = TransportConfig(min_rto_ns=1_000_000, init_rto_ns=1_000_000)
     sender, _, _, _, _ = loopback(engine, size=1_000, drop=drop,
                                   config=config)
     sender.start()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.flowinfo import FlowInfo
-from repro.forwarding.base import VertigoSwitchParams
+from repro.forwarding.base import MAX_DEFLECTIONS, VertigoSwitchParams
 from repro.forwarding.vertigo import VertigoPolicy
 from repro.sim.engine import Engine
 from tests.helpers import fill_queue, make_switch, mk_data, seeded_rng
@@ -136,11 +136,10 @@ def test_no_scheduling_ablation_deflects_arrival():
 
 def test_deflection_budget_respected():
     engine = Engine()
-    params = VertigoSwitchParams(max_deflections=2)
-    switch, _, metrics = _vertigo_switch(engine, params)
+    switch, _, metrics = _vertigo_switch(engine)
     fill_queue(switch, 0, rank=100)
     packet = _marked(50_000, dst=0)
-    packet.deflections = 2
+    packet.deflections = MAX_DEFLECTIONS
     switch.receive(packet, in_port=1)
     assert metrics.counters.drops["deflection_limit"] == 1
 
