@@ -11,15 +11,21 @@ crash), writes ``bench_results/<id>.txt`` (table plus one verdict line
 per claim) and fails the bench on any claim that does not hold.
 ``scripts/update_experiments.py`` renders EXPERIMENTS.md from
 :func:`registry` and those files.
+
+The whole registry, each distinct config run once::
+
+    REPRO_JOBS=2 PYTHONPATH=src python benchmarks/figures.py
 """
 
 import glob
 import importlib
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.digest import config_digest
 from repro.experiments.runner import RunResult
 from repro.experiments.sweeps import format_table
 from repro.metrics.stats import percentile
@@ -153,19 +159,19 @@ def split_result(text: str) -> Tuple[str, List[str]]:
 
 def measure(*figures: Figure) -> List[str]:
     """Run the figures' points as one sweep at the first one's ``jobs``
-    (points sharing a config object — two panels of one experiment —
-    run once); per figure, the text of its ``bench_results`` file:
-    banner, table, a blank line, one verdict line per claim."""
-    configs = list({id(point.config): point.config
-                    for figure in figures for point in figure.points}
-                   .values())
-    report = run_supervised(configs, jobs=figures[0].jobs)
-    ran = dict(zip(map(id, configs), zip(report.outcomes, report.rows())))
+    (points with equal configs — two panels of one experiment, or one
+    point two figures share — run once); per figure, the text of its
+    ``bench_results`` file: banner, table, a blank line, one verdict
+    line per claim."""
+    configs = {config_digest(point.config): point.config
+               for figure in figures for point in figure.points}
+    report = run_supervised(list(configs.values()), jobs=figures[0].jobs)
+    ran = dict(zip(configs, zip(report.outcomes, report.rows())))
     texts = []
     for figure in figures:
         rows = []
         for point in figure.points:
-            outcome, base = ran[id(point.config)]
+            outcome, base = ran[config_digest(point.config)]
             row = {**dict.fromkeys(figure.columns), **base}
             if outcome.ok and figure.row is not None:
                 row.update(figure.row(outcome.result))
@@ -179,10 +185,9 @@ def measure(*figures: Figure) -> List[str]:
     return texts
 
 
-def run_figure(benchmark, *figures: Figure) -> None:
-    """Regenerate ``figures`` (the timing pytest-benchmark reports is
-    the wall time of their one sweep) and hold them to their claims."""
-    texts = benchmark.pedantic(measure, args=figures, rounds=1, iterations=1)
+def write_results(figures: Sequence[Figure], texts: List[str]) -> List[str]:
+    """Print and write each figure's ``bench_results`` text; the verdict
+    lines that are not ``holds``."""
     failed = []
     for figure, text in zip(figures, texts):
         print("\n" + text, end="")
@@ -190,6 +195,14 @@ def run_figure(benchmark, *figures: Figure) -> None:
             handle.write(text)
         failed += [line for line in split_result(text)[1]
                    if not line.startswith("holds: ")]
+    return failed
+
+
+def run_figure(benchmark, *figures: Figure) -> None:
+    """Regenerate ``figures`` (the timing pytest-benchmark reports is
+    the wall time of their one sweep) and hold them to their claims."""
+    texts = benchmark.pedantic(measure, args=figures, rounds=1, iterations=1)
+    failed = write_results(figures, texts)
     if failed:
         raise AssertionError("\n".join(failed))
 
@@ -205,3 +218,22 @@ def registry() -> Dict[str, Figure]:
                 raise ValueError(f"figure id {figure.id!r} declared twice")
             found[figure.id] = figure
     return found
+
+
+def main() -> int:
+    """Regenerate every registered figure: a figure that pins ``jobs``
+    in its own sweep, all others in one, so a config several figures
+    name runs once.  Exit 1 on any verdict but ``holds``."""
+    figures = list(registry().values())
+    batches = [[figure] for figure in figures if figure.jobs is not None]
+    batches.append([figure for figure in figures if figure.jobs is None])
+    failed = [line for batch in batches if batch
+              for line in write_results(batch, measure(*batch))]
+    if failed:
+        print("\n".join(failed), file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

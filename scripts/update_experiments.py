@@ -1,8 +1,11 @@
 #!/usr/bin/env python3
 """Render the per-figure regions of EXPERIMENTS.md.
 
-Run after a ``pytest benchmarks/ --benchmark-only`` pass::
+Run after a bench pass, ``pytest benchmarks/ --benchmark-only`` or the
+whole registry at once (``benchmarks/figures.py``, each distinct config
+run once)::
 
+    REPRO_JOBS=2 PYTHONPATH=src python benchmarks/figures.py
     PYTHONPATH=src python scripts/update_experiments.py
 
 Each ``<!-- figure:ID -->`` … ``<!-- /figure:ID -->`` region is replaced

@@ -6,11 +6,12 @@ bits per second).  Two halves hold the simulator to that:
 
 - **Static analysis** (``python -m repro lint``,
   :mod:`repro.analysis.driver`).  Each file is parsed once and walked
-  twice: :func:`repro.analysis.lint.check_file` for VR001–VR004 and
-  VR110, then :func:`repro.analysis.dataflow.check_functions` for
-  VR100 and VR150.  Path exemptions and tracked ``# noqa: VRxxx``
-  comments (:mod:`repro.analysis.suppress`) filter the findings; a file
-  that cannot be read, parsed or walked is one VR000.  DESIGN.md,
+  once, by :func:`repro.analysis.lint.check_file`: every rule but
+  VR090, with one float interpreter for VR003 (unit quantities) and
+  VR150 (integer-only functions).  Path exemptions and tracked
+  ``# noqa: VRxxx`` comments (:mod:`repro.analysis.suppress`) filter
+  the findings; a file that cannot be read, parsed or walked is one
+  VR000.  DESIGN.md,
   "Static analysis", gives each rule and why it is kept.
 - **Runtime sanitizer** (:mod:`repro.analysis.sanitize`,
   ``REPRO_SANITIZE=1``): invariant checks in the hot paths, behind a

@@ -12,7 +12,6 @@ import tokenize
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.dataflow import check_functions
 from repro.analysis.lint import HINTS, RULES, Violation, check_file, exempt
 from repro.analysis.suppress import apply_suppressions
 
@@ -61,10 +60,10 @@ def read_sources(files: Sequence[Path]) -> Tuple[Dict[str, str],
 
 
 def check_source(path: str, source: str) -> List[Violation]:
-    """One file's findings: two AST walks, exemptions, suppressions."""
+    """One file's findings: one AST walk, exemptions, suppressions."""
     try:
         tree = ast.parse(source, filename=path)
-        raw = [*check_file(tree, path), *check_functions(tree, path)]
+        raw = check_file(tree, path)
     except SyntaxError as exc:  # no tree, no comments to honour
         return [Violation(path, exc.lineno or 0, 0, "VR000",
                           f"syntax error: {exc.msg}")]

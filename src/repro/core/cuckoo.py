@@ -23,6 +23,10 @@ from typing import Dict, List, Tuple
 
 _MAX_KICKS = 500
 
+#: Fingerprints per bucket (the paper's 4-slot buckets); the stash holds
+#: as many.
+BUCKET_SIZE = 4
+
 _MASK64 = (1 << 64) - 1
 
 #: MurmurHash2's multiplier, the fingerprint mix of the reference
@@ -46,15 +50,14 @@ class CuckooFilter:
     returned True and that were not deleted.
     """
 
-    def __init__(self, capacity: int = 4096, bucket_size: int = 4,
-                 fingerprint_bits: int = 16, seed: int = 0) -> None:
-        if capacity < bucket_size:
+    def __init__(self, capacity: int = 4096, fingerprint_bits: int = 16,
+                 seed: int = 0) -> None:
+        if capacity < BUCKET_SIZE:
             raise ValueError("capacity must be at least one bucket")
         n_buckets = 1
-        while n_buckets * bucket_size < capacity:
+        while n_buckets * BUCKET_SIZE < capacity:
             n_buckets <<= 1
         self._bucket_mask = n_buckets - 1
-        self._bucket_size = bucket_size
         self._fp_bits = fingerprint_bits
         self._fp_mask = (1 << fingerprint_bits) - 1
         self._salt = _hash64(seed)
@@ -65,7 +68,7 @@ class CuckooFilter:
         # Victim stash: (index, fingerprint) pairs displaced by an
         # exhausted eviction chain, so that chain's insert still holds
         # and no earlier item is lost.  It is one more bucket (at most
-        # ``bucket_size`` entries; a filter whose stash is full refuses
+        # ``BUCKET_SIZE`` entries; a filter whose stash is full refuses
         # inserts that would need a chain) and empty in any filter that
         # is not close to full.
         self._stash: List[Tuple[int, int]] = []
@@ -90,11 +93,11 @@ class CuckooFilter:
                 buckets[index] = [fp]
                 self.size += 1
                 return True
-            if len(bucket) < self._bucket_size:
+            if len(bucket) < BUCKET_SIZE:
                 bucket.append(fp)
                 self.size += 1
                 return True
-        if len(self._stash) >= self._bucket_size:
+        if len(self._stash) >= BUCKET_SIZE:
             return False  # nowhere to park a chain's last victim
         index = (i1, i2)[self._next_rand(2)]
         for _ in range(_MAX_KICKS):
@@ -107,7 +110,7 @@ class CuckooFilter:
                 buckets[index] = [fp]
                 self.size += 1
                 return True
-            if len(bucket) < self._bucket_size:
+            if len(bucket) < BUCKET_SIZE:
                 bucket.append(fp)
                 self.size += 1
                 return True
@@ -178,7 +181,7 @@ class CuckooFilter:
         return False
 
     def load_factor(self) -> float:
-        return self.size / ((self._bucket_mask + 1) * self._bucket_size)
+        return self.size / ((self._bucket_mask + 1) * BUCKET_SIZE)
 
     def __contains__(self, item: int) -> bool:
         return self.contains(item)

@@ -41,6 +41,10 @@ from repro.net.packet import Packet, PacketKind
 
 _SANITIZE = _sanitize.register(__name__)
 
+#: Retransmission-filter slots per host: room for every packet a host
+#: has in flight at once.
+FILTER_CAPACITY = 1 << 15
+
 
 @dataclass
 class _FlowMarkState:
@@ -56,11 +60,11 @@ class MarkingComponent:
 
     def __init__(self, discipline: MarkingDiscipline = MarkingDiscipline.SRPT,
                  boost_factor: int = 2, boosting: bool = True,
-                 filter_capacity: int = 1 << 15, seed: int = 0) -> None:
+                 seed: int = 0) -> None:
         self._srpt = discipline is MarkingDiscipline.SRPT
         self.boost_factor = boost_factor
         self.boosting = boosting
-        self._filter = CuckooFilter(capacity=filter_capacity, seed=seed)
+        self._filter = CuckooFilter(capacity=FILTER_CAPACITY, seed=seed)
         self._flows: Dict[int, _FlowMarkState] = {}
         self.packets_marked = 0
         self.retransmissions_detected = 0

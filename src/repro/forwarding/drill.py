@@ -17,17 +17,17 @@ from repro.forwarding.base import ForwardingPolicy
 from repro.net.packet import Packet
 from repro.net.switch import Switch
 
+#: DRILL(2, 1): random queues sampled per packet, and least-loaded
+#: queues remembered from the previous decision.
+SAMPLES_D = 2
+MEMORY_M = 1
+
 
 class DrillPolicy(ForwardingPolicy):
     """DRILL(d, m) per-packet load-aware forwarding."""
 
-    def __init__(self, switch: Switch, rng: random.Random, *,
-                 d: int = 2, m: int = 1) -> None:
+    def __init__(self, switch: Switch, rng: random.Random) -> None:
         super().__init__(switch, rng)
-        if d < 1 or m < 0:
-            raise ValueError("DRILL requires d >= 1 and m >= 0")
-        self.d = d
-        self.m = m
         # Memory of previously-best ports, per candidate group (one group
         # per destination prefix; here, per FIB candidate tuple).
         self._memory: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
@@ -47,16 +47,15 @@ class DrillPolicy(ForwardingPolicy):
             port = candidates[0]
         else:
             sampled = set(self._memory.get(candidates, ()))
-            picks = min(self.d, len(candidates))
+            picks = min(SAMPLES_D, len(candidates))
             sampled.update(self.rng.sample(list(candidates), picks))
             # One (occupancy, port) sort yields both the forwarding choice
             # (least loaded, ties by port order) and the m-port memory.
             ports = switch.ports
             scored = sorted((ports[p].queue.bytes, p) for p in sampled)
             port = scored[0][1]
-            if self.m:
-                self._memory[candidates] = tuple(
-                    p for _, p in scored[:self.m])
+            self._memory[candidates] = tuple(
+                p for _, p in scored[:MEMORY_M])
         if switch.ports[port].queue.fits(packet):
             switch.enqueue(port, packet)
         else:

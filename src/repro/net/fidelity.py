@@ -139,12 +139,11 @@ class FidelityController:
         self._flows: Dict[int, _FlowPath] = {}
         self._generation = 0
         self._epoch_handle = None
-        #: Demote on queue depth at or above this many bytes, and the
-        #: modelled steady-state occupancy of a contended queue (the ECN
-        #: marking point DCTCP regulates around); both resolved from the
-        #: network parameters by install(), as is the promotion epoch.
+        #: The ECN marking point DCTCP regulates a queue around: demote
+        #: on queue depth at or above it, and charge it as the standing
+        #: occupancy of a contended queue.  Resolved from the network
+        #: parameters by install(), as is the promotion epoch.
         self.demote_queue_bytes = 0
-        self.standing_queue_bytes = 0
         self.promote_epoch_ns = 0
         # Aggregate transition/usage counters (all digest-safe integers).
         self.demotions = 0
@@ -167,8 +166,8 @@ class FidelityController:
         network = self.network
         params = network.params
         # The ECN threshold if configured, else a quarter of the buffer.
-        self.demote_queue_bytes = self.standing_queue_bytes = (
-            params.ecn_threshold_bytes or params.buffer_bytes // 4)
+        self.demote_queue_bytes = (params.ecn_threshold_bytes
+                                   or params.buffer_bytes // 4)
         self.promote_epoch_ns = max(1_000_000, 8 * params.base_rtt_ns())
         for key, link in network.links.items():
             port = network.tx_ports[key]
@@ -311,7 +310,7 @@ class FidelityController:
         hops = flow.hops
         rtt_ns = 0
         bottleneck_bps = 0
-        standing = self.standing_queue_bytes
+        standing = self.demote_queue_bytes
         # Wire bits of the first packet plus its ACK, times ns per s:
         # the same numerator on every hop.
         echo_bits_e9 = (first_wire_bytes + ACK_WIRE_BYTES) * 8 * 1_000_000_000

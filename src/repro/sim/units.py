@@ -7,8 +7,8 @@ human-friendly quantities and those canonical units.
 
 Rounding contract
 -----------------
-The ``seconds``/``usecs``/``msecs``/``gbps``/``mbps``/``kb``/``mb``
-converters use Python's built-in :func:`round` — round-half-to-**even**
+The ``seconds``/``usecs``/``gbps``/``mbps``/``kb`` converters use
+Python's built-in :func:`round` — round-half-to-**even**
 ("banker's rounding"), so ``seconds(0.5e-9) == 0`` but
 ``seconds(1.5e-9) == 2``.  Sub-resolution values round to ``0``; callers
 that need a strictly positive duration must clamp (``max(1, ...)``).
@@ -27,7 +27,6 @@ arithmetic on ``*_ns`` / ``*_bytes`` / ``*_bps`` quantities.
 
 from __future__ import annotations
 
-NANOSECOND = 1
 MICROSECOND = 1_000
 MILLISECOND = 1_000_000
 SECOND = 1_000_000_000
@@ -47,11 +46,6 @@ def usecs(value: float) -> int:
     return round(value * MICROSECOND)
 
 
-def msecs(value: float) -> int:
-    """Convert milliseconds to integer nanoseconds."""
-    return round(value * MILLISECOND)
-
-
 def gbps(value: float) -> int:
     """Convert gigabits per second to bits per second."""
     return round(value * GIGA)
@@ -65,19 +59,6 @@ def mbps(value: float) -> int:
 def kb(value: float) -> int:
     """Convert kilobytes (10^3 bytes) to bytes."""
     return round(value * KILO)
-
-
-def mb(value: float) -> int:
-    """Convert megabytes (10^6 bytes) to bytes."""
-    return round(value * MEGA)
-
-
-def bytes_to_bits(n_bytes: int) -> int:
-    return n_bytes * 8
-
-
-def bits_to_bytes(n_bits: int) -> int:
-    return n_bits // 8
 
 
 def transmission_delay_ns(size_bytes: int, rate_bps: int) -> int:

@@ -16,7 +16,8 @@ from repro.sim.engine import Engine
 from repro.transport.base import TransportConfig
 from repro.transport.reno import RenoSender
 
-#: Paper default marking threshold: 65 packets (×MSS bytes at the queue).
+#: Paper default marking threshold: 65 packets; K in bytes is
+#: ``experiments.runner.derive_ecn_threshold``.
 DEFAULT_MARKING_THRESHOLD_PKTS = 65
 #: DCTCP EWMA gain.
 ALPHA_GAIN = 1.0 / 16.0
@@ -63,10 +64,3 @@ class DctcpSender(RenoSender):
 
     def cc_state(self) -> tuple:
         return ("dctcp", self.alpha)
-
-
-def marking_threshold_bytes(mss: int,
-                            packets: int = DEFAULT_MARKING_THRESHOLD_PKTS
-                            ) -> int:
-    """ECN threshold K in queue bytes for a given MSS."""
-    return packets * mss

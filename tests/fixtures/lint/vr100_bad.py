@@ -1,6 +1,6 @@
-"""VR100 bad: a seconds-float return value crosses a call boundary
-into an integer-nanosecond slot.  VR003 cannot see this (it assumes
-calls are integral); VR100 reads the ``_s`` suffix of
+"""VR003 bad (provenance): a seconds-float return value crosses a
+call boundary into an integer-nanosecond slot.  The flagged line holds
+no division and no float literal; VR003 reads the ``_s`` suffix of
 ``propagation_delay_s`` as seconds without resolving the call.
 """
 

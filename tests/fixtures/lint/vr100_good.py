@@ -1,4 +1,4 @@
-"""VR100 good: the conversion happens at the boundary, inside the
+"""VR003 good (provenance): the conversion happens at the boundary, inside the
 helper, so only integer nanoseconds ever reach the ``*_ns`` slot.
 """
 

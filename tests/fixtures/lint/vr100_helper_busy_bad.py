@@ -1,7 +1,7 @@
-"""VR100 bad: one-line mutant of PR 1's float ``busy_ns`` — the float
+"""VR003 bad: one-line mutant of PR 1's float ``busy_ns`` — the float
 now arrives through a helper call, so the flagged line holds no
-division and no float literal.  VR003 sees nothing, the value is
-numerically what it was, and tier-1 stays green: only VR100 objects.
+division and no float literal.  The value is numerically what it was,
+and tier-1 stays green: only VR003's provenance through the call objects.
 """
 
 

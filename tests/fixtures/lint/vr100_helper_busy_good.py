@@ -1,4 +1,4 @@
-"""VR100 good: the helper returns integer nanoseconds."""
+"""VR003 good: the helper returns integer nanoseconds."""
 
 
 def _busy_ns(delta_bytes, rate_bps):

@@ -1,6 +1,6 @@
 """VR150 bad: float arithmetic inside an analytic completion-time
-computation.  Neither assignment targets a ``*_ns`` name, so VR100
-stays silent — but both intermediates feed the round-completion
+computation.  Neither assignment targets a ``*_ns`` name, so no VR003
+binding fires — but both intermediates feed the round-completion
 timestamp, where float rounding breaks digest determinism.
 """
 

@@ -1,6 +1,6 @@
 """VR150 bad (PFC half): float arithmetic inside PFC pause/threshold code.  The
-assignments never touch a ``*_ns`` name directly, so VR100 stays
-silent — but the pause duration lands on the integer-ns calendar and
+assignments never touch a ``*_ns`` name directly, so no VR003 binding
+fires — but the pause duration lands on the integer-ns calendar and
 the XOFF threshold gates integer byte counters, where float rounding
 makes pause timing platform-dependent.
 """

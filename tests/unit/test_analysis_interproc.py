@@ -26,12 +26,12 @@ CASES = [
     ("VR003", ["vr003_float_busy_bad.py"], ["vr003_float_busy_good.py"]),
     ("VR004", ["vr004_counters_bad.py"], ["vr004_counters_good.py"]),
     ("VR090", ["vr090_stale_noqa_bad.py"], ["vr090_stale_noqa_good.py"]),
-    ("VR100", ["vr100_helper_busy_bad.py"], ["vr100_helper_busy_good.py"]),
+    ("VR003", ["vr100_helper_busy_bad.py"], ["vr100_helper_busy_good.py"]),
     ("VR110", ["vr110_undeclared_stream_bad.py"],
      ["vr110_undeclared_stream_good.py"]),
     ("VR150", ["vr150_threshold_bad.py"], ["vr150_threshold_good.py"]),
     # Rule behaviour.
-    ("VR100", ["vr100_bad.py"], ["vr100_good.py"]),
+    ("VR003", ["vr100_bad.py"], ["vr100_good.py"]),
     ("VR001", ["vr110_bad/entry.py", "vr110_bad/helper.py"],
      ["vr110_good/entry.py", "vr110_good/helper.py"]),
     ("VR150", ["vr150_bad.py"], ["vr150_good.py"]),
@@ -55,21 +55,21 @@ def test_bad_fixture_fires_good_fixture_passes(code, bad, good):
     assert findings(code, good) == [], f"{code} false positive on good"
 
 
-def test_vr100_finding_names_the_seconds_source():
-    [violation] = findings("VR100", ["vr100_bad.py"])
+def test_vr003_provenance_names_the_seconds_source():
+    [violation] = findings("VR003", ["vr100_bad.py"])
     assert "delay_ns" in violation.message
     assert "propagation_delay_s" in violation.message
 
 
-def test_vr150_catches_floats_vr100_cannot_see():
+def test_vr150_catches_floats_no_unit_name_carries():
     [hit] = findings("VR150", ["vr150_bad.py"])
     # The inline intermediate fires though its target is not *_ns-named
     # (the unsuffixed helper's result one line up is an unknown).
     assert hit.line == 14
     assert "'serial'" in hit.message
     assert "analytic" in hit.message
-    # ... and VR100 indeed cannot see it.
-    assert findings("VR100", ["vr150_bad.py"]) == []
+    # VR003 sees only the helper's division, outside the analytic path.
+    assert [v.line for v in findings("VR003", ["vr150_bad.py"])] == [9]
 
 
 def test_vr150_covers_pfc_functions_and_threshold_classes():
@@ -79,15 +79,15 @@ def test_vr150_covers_pfc_functions_and_threshold_classes():
     assert "pause_duration" in messages
     # ... and the threshold math (class-name marker) both fire.
     assert "'fraction'" in messages
-    # VR100 sees neither: no *_ns name is involved.
-    assert findings("VR100", ["vr150_pfc_bad.py"]) == []
+    # Each statement is reported once, as VR150 alone.
+    assert findings("VR003", ["vr150_pfc_bad.py"]) == []
 
 
 def test_an_integer_only_function_gets_the_stricter_report_alone():
-    # Inside one, VR150 flags every statement VR100 would, and more.
+    # Inside one, VR150 flags every statement VR003 would, and more.
     source = ("def pause_ns(rate_s):\n"
               "    delay_ns = rate_s * 2\n"
-              "    return delay_ns\n")
+              "    return delay_ns / 2\n")
     assert [(v.line, v.code) for v in run_analysis({"x.py": source})] \
         == [(2, "VR150"), (3, "VR150")]
 
@@ -103,7 +103,12 @@ def test_fixture_findings_are_pinned_exactly():
 
 
 def test_full_tree_is_clean_under_all_passes():
-    sources, unreadable = read_sources(sorted((ROOT / "src").rglob("*.py")))
+    # CI's lint step: src examples scripts benchmarks/*.py (the frozen
+    # ledger under benchmarks/ledger/ is not linted).
+    files = [path for tree in ("src", "examples", "scripts")
+             for path in sorted((ROOT / tree).rglob("*.py"))]
+    files += sorted((ROOT / "benchmarks").glob("*.py"))
+    sources, unreadable = read_sources(files)
     reported = [*unreadable, *run_analysis(sources)]
     assert not reported, "\n".join(render(v) for v in reported)
 
@@ -116,7 +121,7 @@ SRC_MUTANTS = [
      "    xon = config.xon_bytes or xoff / 2\n", ""),
     # PR 1's float busy_ns, arriving through a helper: no division or
     # float literal on the flagged line, value numerically unchanged.
-    ("VR100", "src/repro/trace/sampler.py",
+    ("VR003", "src/repro/trace/sampler.py",
      "busy_ns = (delta * 8 * 1_000_000_000 // rate) if rate else 0\n",
      "busy_ns = _busy_s(delta, rate) * 1_000_000_000\n",
      "\n\ndef _busy_s(delta, rate):\n"

@@ -6,7 +6,7 @@ from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Engine
 from repro.transport.base import TransportConfig
 from repro.transport.dcqcn import DcqcnSender
-from repro.transport.dctcp import DctcpSender, marking_threshold_bytes
+from repro.transport.dctcp import DctcpSender
 from repro.transport.reno import RenoSender
 from repro.transport.swift import SwiftSender
 from tests.unit.test_transport_base import StubHost, loopback
@@ -128,11 +128,6 @@ def test_dctcp_end_to_end_with_marks_slows_down():
     engine.run()
     assert receiver.completed
     assert sender.alpha > 0.1  # alpha tracked the persistent marking
-
-
-def test_marking_threshold_helper():
-    assert marking_threshold_bytes(1460) == 65 * 1460
-    assert marking_threshold_bytes(1000, packets=10) == 10_000
 
 
 # -- Swift --------------------------------------------------------------------------

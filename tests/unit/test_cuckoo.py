@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import cuckoo
 from repro.core.cuckoo import CuckooFilter
 
 
@@ -45,8 +46,9 @@ def test_no_false_negatives_under_load():
     assert missing == []
 
 
-def test_insert_fails_gracefully_when_full():
-    filt = CuckooFilter(capacity=8, bucket_size=2)
+def test_insert_fails_gracefully_when_full(monkeypatch):
+    monkeypatch.setattr(cuckoo, "BUCKET_SIZE", 2)
+    filt = CuckooFilter(capacity=8)
     results = [filt.insert(item) for item in range(100)]
     assert not all(results)          # eventually refuses
     assert any(results)              # but accepted plenty first
@@ -68,7 +70,7 @@ def test_duplicate_inserts_take_space():
 
 
 def test_load_factor():
-    filt = CuckooFilter(capacity=64, bucket_size=4)
+    filt = CuckooFilter(capacity=64)
     assert filt.load_factor() == 0.0
     filt.insert(1)
     assert 0 < filt.load_factor() <= 1
@@ -76,7 +78,7 @@ def test_load_factor():
 
 def test_capacity_validation():
     with pytest.raises(ValueError):
-        CuckooFilter(capacity=1, bucket_size=4)
+        CuckooFilter(capacity=cuckoo.BUCKET_SIZE - 1)
 
 
 def test_seeds_give_different_layouts():
@@ -96,7 +98,7 @@ def test_overflow_accounting_stays_honest():
     # bucket and park the victim in an unbounded stash without counting
     # either, so deleting everything drove ``size`` negative.
     filt = CuckooFilter(capacity=16, seed=3)
-    slots = 16 + filt._bucket_size  # buckets plus the bounded stash
+    slots = 16 + cuckoo.BUCKET_SIZE  # buckets plus the bounded stash
     accepted = []
     for item in range(40):
         before = len(filt)

@@ -83,7 +83,6 @@ def test_controller_installed_on_every_layer():
     # Auto thresholds resolved to positive integers.
     assert controller.demote_queue_bytes > 0
     assert controller.promote_epoch_ns > 0
-    assert controller.standing_queue_bytes > 0
 
 
 def test_path_resolution_is_deterministic_and_routed():

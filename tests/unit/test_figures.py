@@ -101,21 +101,43 @@ def test_measure_gives_the_same_text_serial_and_pooled():
     assert [line.split(":")[0] for line in verdicts] == ["holds", "holds"]
 
 
-def test_two_figures_sharing_configs_run_each_config_once(monkeypatch):
-    swept = []
+@pytest.fixture
+def swept(monkeypatch):
+    """The config count of every sweep ``measure`` starts."""
+    counts = []
     real = figures.run_supervised
 
     def counting(configs, jobs):
-        swept.append(len(configs))
+        counts.append(len(configs))
         return real(configs, jobs=jobs)
 
     monkeypatch.setattr(figures, "run_supervised", counting)
+    return counts
+
+
+def test_two_figures_sharing_configs_run_each_config_once(swept):
     panel = dataclasses.replace(TINY, id="tiny_b", points=TINY.points[1:],
                                 columns=["system", "events"], claims=())
     first, second = measure(TINY, panel)
     assert swept == [2]
     assert second.splitlines()[3].split()[0] == "vertigo"
     assert second.endswith("\n\n")  # no claims: table, then nothing
+
+
+def test_equal_configs_built_apart_run_once(swept):
+    # Two figures whose points are equal configs from separate
+    # bench_config calls: one config is swept, and both rows read it.
+    twin = dataclasses.replace(
+        TINY, id="tiny_twin", claims=(),
+        points=[Point(bench_config(system, sim_time_ns=5_000_000),
+                      {"series": system.upper()})
+                for system in ("ecmp", "vertigo")])
+    assert all(a.config is not b.config
+               for a, b in zip(TINY.points, twin.points))
+    first, second = measure(TINY, twin)
+    assert swept == [2]
+    assert split_result(first)[0] == split_result(second)[0] \
+        .replace("tiny_twin", "tiny")
 
 
 def test_a_failed_point_is_a_placeholder_row_and_not_evaluable():

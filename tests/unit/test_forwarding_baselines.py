@@ -4,6 +4,7 @@ from collections import Counter
 
 from repro.forwarding.base import MAX_DEFLECTIONS
 from repro.forwarding.dibs import DibsPolicy
+from repro.forwarding import drill
 from repro.forwarding.drill import DrillPolicy
 from repro.forwarding.ecmp import EcmpPolicy
 from repro.sim.engine import Engine
@@ -63,10 +64,11 @@ def test_ecmp_drops_on_full_queue():
 # -- DRILL ----------------------------------------------------------------------
 
 
-def test_drill_prefers_least_loaded():
+def test_drill_prefers_least_loaded(monkeypatch):
+    monkeypatch.setattr(drill, "SAMPLES_D", 4)
     engine = Engine()
     switch, _, _ = _multipath_switch(engine)
-    switch.policy = DrillPolicy(switch, seeded_rng(), d=4, m=0)
+    switch.policy = DrillPolicy(switch, seeded_rng())
     # Pre-load all but port 3 of the fabric.
     for port in switch.switch_ports[:-1]:
         fill_queue(switch, port, payload=1000)
@@ -81,7 +83,7 @@ def test_drill_prefers_least_loaded():
 def test_drill_memory_retains_best_port():
     engine = Engine()
     switch, _, _ = _multipath_switch(engine)
-    policy = DrillPolicy(switch, seeded_rng(), d=2, m=1)
+    policy = DrillPolicy(switch, seeded_rng())
     switch.policy = policy
     switch.receive(mk_data(flow_id=1, dst=0), in_port=0)
     candidates = switch.candidates(0)
@@ -112,7 +114,7 @@ def test_drill_drops_on_full_queue():
 def test_drill_per_packet_decisions_differ():
     engine = Engine()
     switch, _, _ = _multipath_switch(engine)
-    switch.policy = DrillPolicy(switch, seeded_rng(), d=2, m=1)
+    switch.policy = DrillPolicy(switch, seeded_rng())
     for seq in range(100):
         switch.receive(mk_data(flow_id=1, seq=seq * 100, dst=0), in_port=0)
     engine.run()

@@ -203,9 +203,10 @@ def test_colliding_fingerprints_each_keep_their_own_copy(monkeypatch):
     assert len(marking._filter) == _remembered(marking) == 0
 
 
-def test_full_filter_forgets_instead_of_miscounting():
+def test_full_filter_forgets_instead_of_miscounting(monkeypatch):
     # 8 slots plus a 4-entry stash: later packets cannot be remembered.
-    marking = MarkingComponent(filter_capacity=8)
+    monkeypatch.setattr(marking_module, "FILTER_CAPACITY", 8)
+    marking = MarkingComponent()
     marking.register_flow(1, size=1 << 20)
     for index in range(40):
         marking.mark(mk_data(flow_id=1, seq=index * 1460, payload=1460))

@@ -6,14 +6,10 @@ from repro.sim.units import (
     MICROSECOND,
     MILLISECOND,
     SECOND,
-    bits_to_bytes,
-    bytes_to_bits,
     fmt_time,
     gbps,
     kb,
-    mb,
     mbps,
-    msecs,
     seconds,
     transmission_delay_ns,
     usecs,
@@ -33,7 +29,7 @@ def test_seconds_conversion():
 
 def test_usecs_and_msecs():
     assert usecs(360) == 360_000
-    assert msecs(10) == 10_000_000
+    assert usecs(10_000) == 10 * MILLISECOND
 
 
 def test_rate_helpers():
@@ -43,12 +39,7 @@ def test_rate_helpers():
 
 def test_size_helpers():
     assert kb(300) == 300_000
-    assert mb(1.5) == 1_500_000
-
-
-def test_bits_bytes_roundtrip():
-    assert bytes_to_bits(125) == 1000
-    assert bits_to_bytes(1000) == 125
+    assert kb(1.5) == 1_500
 
 
 def test_transmission_delay_exact():
@@ -88,13 +79,11 @@ def test_round_half_to_even():
 def test_sub_resolution_rounds_to_zero():
     assert seconds(0.4e-9) == 0
     assert usecs(0.0004) == 0
-    assert msecs(4e-7) == 0
 
 
 def test_one_nanosecond_is_representable():
     assert seconds(1e-9) == 1
     assert usecs(0.001) == 1
-    assert msecs(1e-6) == 1
 
 
 def test_nearest_not_truncation():
