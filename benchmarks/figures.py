@@ -1,28 +1,32 @@
 """The one figure pipeline: points -> the sweep executor -> rows -> claims.
 
-Every bench under ``benchmarks/test_*.py`` regenerates one table or
-figure of the paper at the scaled bench profile (DESIGN.md).  It
-*declares* :class:`Figure` objects in its module-level ``FIGURES`` —
-points to run, columns to print, claims the rows must bear out — and
-its test calls :func:`run_figure`, which sends every point through
-:func:`repro.runtime.supervisor.run_supervised` (``REPRO_JOBS`` fans
-them out to workers; a point that fails is a placeholder row, not a
-crash), writes ``bench_results/<id>.txt`` (table plus one verdict line
-per claim) and fails the bench on any claim that does not hold.
-``scripts/update_experiments.py`` renders EXPERIMENTS.md from
-:func:`registry` and those files.
+Every file ``benchmarks/test_*.py`` *declares* the tables and figures of
+the paper it regenerates at the scaled bench profile (DESIGN.md) as
+:class:`Figure` objects in its module-level ``FIGURES``: points to run,
+columns to print, claims the rows must bear out.  :func:`main` is the
+one way a figure runs: it sends the points of the figures it is given
+(all of :func:`registry` when none) through
+:func:`repro.runtime.supervisor.run_supervised` as one sweep, each
+distinct config once (``REPRO_JOBS`` fans them out to workers; a point
+that fails is a placeholder row, not a crash), writes
+``bench_results/<id>.txt`` (table plus one verdict line per claim),
+re-renders EXPERIMENTS.md (:func:`render`) and exits 1 on any verdict
+but ``holds``::
 
-The whole registry, each distinct config run once::
+    REPRO_JOBS=2 PYTHONPATH=src python benchmarks/figures.py [ID ...]
 
-    REPRO_JOBS=2 PYTHONPATH=src python benchmarks/figures.py
+Every cell is a function of the config, so a second pass rewrites the
+same bytes.
 """
 
 import glob
 import importlib
 import os
+import re
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.digest import config_digest
@@ -35,7 +39,9 @@ from repro.sim.units import MILLISECOND
 #: Simulated time per run; long enough for several init-RTO recoveries.
 BENCH_SIM_TIME_NS = 120 * MILLISECOND
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "bench_results")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+RESULTS_DIR = os.path.join(ROOT, "bench_results")
+EXPERIMENTS_MD = os.path.join(ROOT, "EXPERIMENTS.md")
 
 Row = Dict[str, object]
 
@@ -143,8 +149,6 @@ class Figure:
     claims: Sequence[Claim] = ()
     #: Columns measured from a result beyond ``report().row()``.
     row: Optional[Callable[[RunResult], Row]] = None
-    #: Pinned worker count; None defers to ``REPRO_JOBS``.
-    jobs: Optional[int] = None
 
     @property
     def result_path(self) -> str:
@@ -158,14 +162,14 @@ def split_result(text: str) -> Tuple[str, List[str]]:
 
 
 def measure(*figures: Figure) -> List[str]:
-    """Run the figures' points as one sweep at the first one's ``jobs``
-    (points with equal configs — two panels of one experiment, or one
-    point two figures share — run once); per figure, the text of its
+    """Run the figures' points as one sweep under ``REPRO_JOBS`` (points
+    with equal configs — two panels of one experiment, or one point two
+    figures share — run once); per figure, the text of its
     ``bench_results`` file: banner, table, a blank line, one verdict
     line per claim."""
     configs = {config_digest(point.config): point.config
                for figure in figures for point in figure.points}
-    report = run_supervised(list(configs.values()), jobs=figures[0].jobs)
+    report = run_supervised(list(configs.values()))
     ran = dict(zip(configs, zip(report.outcomes, report.rows())))
     texts = []
     for figure in figures:
@@ -198,15 +202,6 @@ def write_results(figures: Sequence[Figure], texts: List[str]) -> List[str]:
     return failed
 
 
-def run_figure(benchmark, *figures: Figure) -> None:
-    """Regenerate ``figures`` (the timing pytest-benchmark reports is
-    the wall time of their one sweep) and hold them to their claims."""
-    texts = benchmark.pedantic(measure, args=figures, rounds=1, iterations=1)
-    failed = write_results(figures, texts)
-    if failed:
-        raise AssertionError("\n".join(failed))
-
-
 def registry() -> Dict[str, Figure]:
     """Every declared figure by id, in bench-file order."""
     found: Dict[str, Figure] = {}
@@ -220,15 +215,44 @@ def registry() -> Dict[str, Figure]:
     return found
 
 
-def main() -> int:
-    """Regenerate every registered figure: a figure that pins ``jobs``
-    in its own sweep, all others in one, so a config several figures
-    name runs once.  Exit 1 on any verdict but ``holds``."""
-    figures = list(registry().values())
-    batches = [[figure] for figure in figures if figure.jobs is not None]
-    batches.append([figure for figure in figures if figure.jobs is None])
-    failed = [line for batch in batches if batch
-              for line in write_results(batch, measure(*batch))]
+def render(text: str, figures: Iterable[Figure]) -> str:
+    """``text`` (EXPERIMENTS.md) with each figure's ``<!-- figure:ID -->``
+    … ``<!-- /figure:ID -->`` region replaced by its paper sentence,
+    verdict lines and table (``bench_results/ID.txt``); everything
+    outside the regions is hand-written and left byte for byte."""
+    for figure in figures:
+        with open(figure.result_path) as handle:
+            table, verdicts = split_result(handle.read())
+        verdicts = "".join(f"- {line}\n" for line in verdicts)
+        begin, end = (f"<!-- {slash}figure:{figure.id} -->\n"
+                      for slash in ("", "/"))
+        region = (f"{begin}**Paper:** {figure.paper}\n\n{verdicts}\n"
+                  f"<details><summary>{figure.id}</summary>\n\n"
+                  f"```\n{table}\n```\n</details>\n{end}")
+        text, count = re.subn(re.escape(begin) + ".*?" + re.escape(end),
+                              lambda _: region, text, flags=re.S)
+        if count != 1:
+            raise ValueError(f"EXPERIMENTS.md has {count} regions for "
+                             f"figure {figure.id!r}; it needs exactly one")
+    return text
+
+
+def main(argv: Sequence[str] = ()) -> int:
+    """Regenerate the figures named in ``argv`` (every registered one
+    when it is empty) as one sweep and re-render EXPERIMENTS.md.  Exit 2
+    on an unknown id, 1 on any verdict but ``holds``."""
+    known = registry()
+    unknown = [figure_id for figure_id in argv if figure_id not in known]
+    if unknown:
+        print(f"figures.py: unknown figure id {', '.join(unknown)}; known: "
+              f"{' '.join(known)}", file=sys.stderr)
+        return 2
+    figures = [known[figure_id] for figure_id in argv] or list(known.values())
+    failed = write_results(figures, measure(*figures))
+    with open(EXPERIMENTS_MD) as handle:
+        rendered = render(handle.read(), known.values())
+    with open(EXPERIMENTS_MD, "w") as handle:
+        handle.write(rendered)
     if failed:
         print("\n".join(failed), file=sys.stderr)
         return 1
@@ -236,4 +260,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

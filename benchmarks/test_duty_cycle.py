@@ -10,14 +10,12 @@ Flows are capped at 20 KB so one burst is many flows arriving inside
 the on-window (the regime network_tester probes), not one long flow
 smeared across periods.  The first and last periods are excluded from
 every metric via the workload's warmup/cooldown window, so the table
-reports steady-state burst behavior, not ramp artifacts.  Every point
-runs twice and the two digests must agree.
+reports steady-state burst behavior, not ramp artifacts.
 """
 
-from figures import Claim, Figure, Point, run_figure
+from figures import Claim, Figure, Point
 
 from repro.experiments.config import ExperimentConfig, WorkloadConfig
-from repro.experiments.digest import run_digest
 from repro.sim.units import MILLISECOND
 from repro.workload.spec import DutyCycleSpec
 
@@ -28,7 +26,7 @@ WINDOW_NS = 2 * PERIOD_NS
 SYSTEMS = ["ecmp", "vertigo"]
 DUTY_PCTS = [100, 50, 25, 10]
 LOAD = 0.5
-ECMP, VERTIGO = ({"system": system, "run": 1} for system in SYSTEMS)
+ECMP, VERTIGO = ({"system": system} for system in SYSTEMS)
 
 
 def _config(system: str, duty_pct: int) -> ExperimentConfig:
@@ -49,19 +47,16 @@ def _tail_gap(v, duty_pct):
 FIGURES = [Figure(
     id="duty_cycle",
     title=f"duty-cycle sweep at fixed {LOAD:.0%} load: the same bytes per "
-          f"5 ms period squeezed into duty% of it (each point run twice)",
+          "5 ms period squeezed into duty% of it",
     paper="§2 argues burst *shape*, not mean load, is what breaks "
           "shallow-buffered fabrics; network_tester's duty-cycle sweep "
           "makes that a controlled axis (no paper counterpart).",
-    points=[Point(_config(system, pct), {"duty_pct": pct, "run": run})
-            for system in SYSTEMS for pct in DUTY_PCTS for run in (1, 2)],
-    row=lambda result: {"digest": run_digest(result)[:16]},
-    columns=["system", "duty_pct", "run", "mean_fct_s", "p99_fct_s",
+    points=[Point(_config(system, pct), {"duty_pct": pct})
+            for system in SYSTEMS for pct in DUTY_PCTS],
+    columns=["system", "duty_pct", "mean_fct_s", "p99_fct_s",
              "flow_completion_pct", "goodput_gbps", "drop_pct",
-             "deflections", "digest"],
+             "deflections"],
     claims=[
-        Claim("every point is digest-stable across its two runs",
-              lambda v: v.all("digest", run=1) == v.all("digest", run=2)),
         Claim("burstiness hurts the hashed path: ECMP's p99 FCT is higher "
               "at duty 10% than at 100%",
               lambda v: v("p99_fct_s", duty_pct=10, **ECMP)
@@ -85,7 +80,3 @@ FIGURES = [Figure(
               lambda v: _tail_gap(v, 10) > _tail_gap(v, 100)),
     ],
 )]
-
-
-def test_duty_cycle_sweep(benchmark):
-    run_figure(benchmark, *FIGURES)

@@ -4,7 +4,7 @@ management (ext2) and delayed ACKs (ext3)."""
 
 from dataclasses import replace
 
-from figures import Claim, Figure, Point, bench_config, run_figure
+from figures import Claim, Figure, Point, bench_config
 
 COLUMNS = ["series", "load_pct", "mean_qct_s", "query_completion_pct",
            "drop_pct", "deflections"]
@@ -74,15 +74,3 @@ FIGURES = [
         columns=COLUMNS,
         claims=[_vertigo_ahead("per-pkt"), _vertigo_ahead("delack")]),
 ]
-
-
-def test_ext1_deflection_design_space(benchmark):
-    run_figure(benchmark, FIGURES[0])
-
-
-def test_ext2_buffer_management(benchmark):
-    run_figure(benchmark, FIGURES[1])
-
-
-def test_ext3_delayed_acks(benchmark):
-    run_figure(benchmark, FIGURES[2])

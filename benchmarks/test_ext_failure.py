@@ -2,8 +2,7 @@
 Every forwarding policy runs healthy (the control) and faulted; the
 delta in QCT/FCT is the cost of the fault."""
 
-from figures import (BENCH_SIM_TIME_NS, Claim, Figure, Point, bench_config,
-                     run_figure)
+from figures import BENCH_SIM_TIME_NS, Claim, Figure, Point, bench_config
 from repro.experiments.config import ALL_SYSTEMS
 from repro.faults.spec import parse_fault
 
@@ -53,11 +52,3 @@ FIGURES = [
             "of failing cleanly: wire loss no buffer scheme can prevent.",
             FLAKY, _completes("faulted")),
 ]
-
-
-def test_ext4_spine_failure(benchmark):
-    run_figure(benchmark, FIGURES[0])
-
-
-def test_ext5_flaky_cable(benchmark):
-    run_figure(benchmark, FIGURES[1])

@@ -4,7 +4,7 @@ The total load is pinned at 80% while the incast share of it grows (the
 paper squeezes incast interarrivals while shrinking the background).
 """
 
-from figures import Claim, Figure, Point, bench_config, run_figure
+from figures import Claim, Figure, Point, bench_config
 
 SYSTEMS = ["ecmp", "drill", "dibs", "vertigo"]
 TOTAL = 0.80
@@ -39,7 +39,3 @@ FIGURES = [Figure(
               < 5 * v("mean_qct_s", system="vertigo", incast_share_pct=LEAST)),
     ],
 )]
-
-
-def test_fig10_burstiness(benchmark):
-    run_figure(benchmark, *FIGURES)

@@ -4,7 +4,7 @@ the boosting factor off/2x/4x/8x under a heavy incast share, where
 re-transmissions are frequent (the paper pairs it with its high load).
 """
 
-from figures import Claim, Figure, Point, bench_config, run_figure
+from figures import Claim, Figure, Point, bench_config
 from repro.forwarding.base import VertigoSwitchParams
 
 LOADS = [(0.25, 0.10), (0.50, 0.35)]  # (bg, incast): 35% and 85% total
@@ -86,11 +86,3 @@ FIGURES = [
                   - 15),
         ]),
 ]
-
-
-def test_fig11a_component_ablation(benchmark):
-    run_figure(benchmark, FIGURES[0])
-
-
-def test_fig11b_boosting_factor(benchmark):
-    run_figure(benchmark, FIGURES[1])

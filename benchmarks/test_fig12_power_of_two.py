@@ -1,10 +1,7 @@
 """Figure 12: random vs power-of-two choices for forwarding (FW) and
 deflection (DEF), on leaf-spine and fat-tree."""
 
-import pytest
-
-from figures import (Claim, Figure, Point, bench_config,
-                     incast_loads_for_totals, run_figure)
+from figures import Claim, Figure, Point, bench_config, incast_loads_for_totals
 from repro.forwarding.base import VertigoSwitchParams
 from repro.net.topology import FatTree
 
@@ -42,9 +39,3 @@ FIGURES = [
     _figure("leafspine", [0.60, 0.75, 0.90]),
     _figure("fattree", [0.60, 0.85], topology=FatTree(4), incast_scale=6),
 ]
-
-
-@pytest.mark.parametrize("figure", FIGURES,
-                         ids=["leafspine-totals0", "fattree-totals1"])
-def test_fig12_choice_grid(benchmark, figure):
-    run_figure(benchmark, figure)

@@ -6,7 +6,7 @@ bench sweeps the same 1/3x..3x band around the *derived* tau of the
 scaled network.
 """
 
-from figures import Claim, Figure, Point, bench_config, run_figure
+from figures import Claim, Figure, Point, bench_config
 from repro.experiments.runner import derive_ordering_timeout
 
 LOAD = dict(bg_load=0.40, incast_load=0.35)
@@ -36,7 +36,3 @@ FIGURES = [Figure(
               >= 0.5 * v("retransmissions", tau_us=LONGEST_US)),
     ],
 )]
-
-
-def test_fig13_ordering_timeout(benchmark):
-    run_figure(benchmark, *FIGURES)

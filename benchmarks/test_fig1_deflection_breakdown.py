@@ -7,8 +7,7 @@ deflection (DIBS)+DCTCP.  Six panels: (a) incast query completion %,
 (f) elephant-flow goodput.
 """
 
-from figures import (Claim, Figure, Point, bench_config,
-                     incast_loads_for_totals, run_figure)
+from figures import Claim, Figure, Point, bench_config, incast_loads_for_totals
 
 SERIES = [
     ("reno", "ecmp", "TCP Reno+ECMP"),
@@ -61,7 +60,3 @@ FIGURES = [Figure(
               > 1.1 * v("mean_hops", series=ECMP, load_pct=90)),
     ],
 )]
-
-
-def test_fig1_deflection_breakdown(benchmark):
-    run_figure(benchmark, *FIGURES)

@@ -1,10 +1,7 @@
 """Figure 5: mean/p99 FCT and QCT vs aggregate load at three background
 levels (25%, 50%, 75%), all systems on DCTCP."""
 
-import pytest
-
-from figures import (Claim, Figure, Point, bench_config,
-                     incast_loads_for_totals, run_figure)
+from figures import Claim, Figure, Point, bench_config, incast_loads_for_totals
 
 SYSTEMS = ["ecmp", "drill", "dibs", "vertigo"]
 SWEEP = {
@@ -47,9 +44,3 @@ def _figure(bg_load, totals):
 
 
 FIGURES = [_figure(bg_load, totals) for bg_load, totals in SWEEP.items()]
-
-
-# The ids are the background loads (CI names test_fig5_load_sweep[0.25]).
-@pytest.mark.parametrize("figure", FIGURES, ids=[str(bg) for bg in SWEEP])
-def test_fig5_load_sweep(benchmark, figure):
-    run_figure(benchmark, figure)

@@ -2,7 +2,7 @@
 distribution at the top load (85% here, 75% in the paper)."""
 
 from figures import (Claim, Figure, Point, bench_config,
-                     incast_loads_for_totals, percentiles, run_figure)
+                     incast_loads_for_totals, percentiles)
 from repro.metrics.collector import completion_times_s
 
 SERIES = [
@@ -76,7 +76,3 @@ FIGURES = [
         columns=["system", "transport", "p25", "p50", "p75", "p90", "p99",
                  "n"]),
 ]
-
-
-def test_fig6_transport_sweep(benchmark):
-    run_figure(benchmark, *FIGURES)

@@ -6,10 +6,7 @@ k=4 (16 hosts) with the same load mixes.  CDFs are summarized as
 percentiles.
 """
 
-import pytest
-
-from figures import (Claim, Figure, Point, bench_config, percentiles,
-                     run_figure)
+from figures import Claim, Figure, Point, bench_config, percentiles
 from repro.metrics.collector import completion_times_s
 from repro.net.topology import FatTree
 
@@ -57,8 +54,3 @@ def _figure(transport):
 
 
 FIGURES = [_figure(transport) for transport in ("dctcp", "swift")]
-
-
-@pytest.mark.parametrize("figure", FIGURES, ids=["dctcp", "swift"])
-def test_fig7_fattree(benchmark, figure):
-    run_figure(benchmark, figure)

@@ -5,7 +5,7 @@ Paper sweeps 50..450 servers of 320 at 4000 QPS x 40 KB; the bench
 profile sweeps the same fractions of its 32 hosts.
 """
 
-from figures import Claim, Figure, Point, bench_config, run_figure
+from figures import Claim, Figure, Point, bench_config
 
 SYSTEMS = ["ecmp", "drill", "dibs", "vertigo"]
 #: Fractions of the host pool queried, mirroring 50..450 of 320 hosts.
@@ -43,7 +43,3 @@ FIGURES = [Figure(
           for system in SYSTEMS),
     ],
 )]
-
-
-def test_fig8_incast_scale(benchmark):
-    run_figure(benchmark, *FIGURES)

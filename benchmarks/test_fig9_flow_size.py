@@ -5,7 +5,7 @@ Paper grows response flows from 1 KB to 180 KB at scale 100 x 4000 QPS;
 the bench sweeps the same buffer-relative range.
 """
 
-from figures import Claim, Figure, Point, bench_config, run_figure
+from figures import Claim, Figure, Point, bench_config
 
 SERIES = [("ecmp", "reno"), ("ecmp", "dctcp"), ("drill", "dctcp"),
           ("dibs", "dctcp"), ("vertigo", "dctcp")]
@@ -46,7 +46,3 @@ FIGURES = [Figure(
               >= v("query_completion_pct", system="dibs", **LARGEST)),
     ],
 )]
-
-
-def test_fig9_incast_flow_size(benchmark):
-    run_figure(benchmark, *FIGURES)

@@ -5,15 +5,14 @@ by **ECMP + DCQCN + PFC** (the RoCE-style lossless fabric) and by
 **Vertigo + DCTCP** (the paper's system, lossy).  Both use the hybrid
 fidelity engine with an explicit ``demote_shares`` threshold sized for
 the fan-in (EXPERIMENTS.md), so the incast paths run at packet fidelity
-while the quiet remainder of the fabric stays analytic.  Each runs
-twice: the lossless datapath (class lanes, pause events, edge
-backpressure) is deterministic, not just plausible.
+while the quiet remainder of the fabric stays analytic.  That the
+lossless datapath under hybrid fidelity repeats its digest is
+``tests/integration/test_pfc.py``'s to check.
 """
 
-from figures import Claim, Figure, Point, run_figure
+from figures import Claim, Figure, Point
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.digest import run_digest
 from repro.net.fidelity import FidelityConfig
 from repro.net.pfc import PfcConfig
 from repro.sim.units import MILLISECOND
@@ -22,8 +21,7 @@ from repro.sim.units import MILLISECOND
 #: burst genuinely overwhelms the victim downlink and the PFC pause
 #: loop engages through the fabric, not just at the edge.
 INCAST_SCALE = 24
-LOSSLESS, VERTIGO = ({"lossless": lossless, "run": 1}
-                     for lossless in (True, False))
+LOSSLESS, VERTIGO = ({"lossless": lossless} for lossless in (True, False))
 
 
 def _config(system: str, transport: str, lossless: bool) -> ExperimentConfig:
@@ -52,7 +50,6 @@ def _pauses(result):
     return {
         "lossless": result.pfc is not None,
         "n_hosts": result.config.topology.n_hosts,
-        "wall_s": round(sum(result.profile.values()), 1),
         "drops": result.metrics.counters.total_drops,
         "pause_events": pfc.get("pause_events", 0),
         # Pause entries whose upstream is a switch, not a host NIC: the
@@ -66,31 +63,27 @@ def _pauses(result):
         "analytic_residency_permille":
             result.fidelity["analytic_residency_permille"],
         "demotions": result.fidelity["demotions"],
-        "digest": run_digest(result)[:16],
     }
 
 
 FIGURES = [Figure(
     id="pfc_incast",
     title="degree-24 incast on the paper fabric: PFC lossless vs. Vertigo "
-          "deflection (each run twice)",
+          "deflection",
     paper="Vertigo's implicit comparison point — the RoCE-style answer to "
           "burst loss is not to deflect but to forbid loss: per-priority "
           "PAUSE (PFC) plus rate-based DCQCN.  The paper argues deflection "
           "absorbs bursts in-network without the lossless fabric's side "
           "effects.",
-    points=[Point(_config(system, transport, lossless), {"run": run})
+    points=[Point(_config(system, transport, lossless))
             for system, transport, lossless in (("ecmp", "dcqcn", True),
-                                                ("vertigo", "dctcp", False))
-            for run in (1, 2)],
+                                                ("vertigo", "dctcp", False))],
     row=_pauses,
-    columns=["system", "transport", "lossless", "run", "n_hosts", "wall_s",
-             "drops", "pause_events", "fabric_pauses", "pause_ms",
-             "headroom_drops", "p99_qct_s", "mean_qct_s",
-             "analytic_residency_permille", "demotions", "digest"],
+    columns=["system", "transport", "lossless", "n_hosts", "drops",
+             "pause_events", "fabric_pauses", "pause_ms", "headroom_drops",
+             "p99_qct_s", "mean_qct_s", "analytic_residency_permille",
+             "demotions"],
     claims=[
-        Claim("both fabrics are digest-stable across their two runs",
-              lambda v: v.all("digest", run=1) == v.all("digest", run=2)),
         Claim("every run is the 320-host paper geometry",
               lambda v: set(v.all("n_hosts")) == {320}),
         Claim("every run stays dominantly analytic (> 500 permille)",
@@ -114,7 +107,3 @@ FIGURES = [Figure(
               lambda v: v("pause_events", **VERTIGO) == 0),
     ],
 )]
-
-
-def test_pfc_incast_lossless_vs_deflection(benchmark):
-    run_figure(benchmark, *FIGURES)

@@ -3,7 +3,7 @@ random deflection does to reordering, loss, path length and mice
 (<100 KB in the paper: <24 KB scaled) FCT, and what choosing the
 less-loaded of two sampled queues ("power of two choices") changes."""
 
-from figures import Claim, Figure, Point, bench_config, run_figure
+from figures import Claim, Figure, Point, bench_config
 from repro.forwarding.base import VertigoSwitchParams
 from repro.metrics.collector import completion_times_s
 from repro.metrics.stats import mean
@@ -53,7 +53,3 @@ FIGURES = [Figure(
               <= 1.5 * v("drop_pct", series="random-deflection") + 0.05),
     ],
 )]
-
-
-def test_sec2_low_load_observations(benchmark):
-    run_figure(benchmark, *FIGURES)

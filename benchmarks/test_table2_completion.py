@@ -1,7 +1,7 @@
 """Table 2: flow and query completion ratios at 75% load (50% background
 + 25% incast) under DCTCP and Swift."""
 
-from figures import Claim, Figure, Point, bench_config, run_figure
+from figures import Claim, Figure, Point, bench_config
 
 SYSTEMS = ["ecmp", "dibs", "vertigo"]
 TRANSPORTS = ("dctcp", "swift")
@@ -37,7 +37,3 @@ FIGURES = [Figure(
               > v("flow_completion_pct", transport="dctcp", system="ecmp")),
     ],
 )]
-
-
-def test_table2_completion_ratios(benchmark):
-    run_figure(benchmark, *FIGURES)

@@ -1,7 +1,6 @@
 """Table 3: SRPT vs flow aging (LAS) marking when flow sizes are unknown."""
 
-from figures import (Claim, Figure, Point, bench_config,
-                     incast_loads_for_totals, run_figure)
+from figures import Claim, Figure, Point, bench_config, incast_loads_for_totals
 from repro.core.flowinfo import MarkingDiscipline
 
 BG = 0.40
@@ -48,7 +47,3 @@ FIGURES = [Figure(
               < 5 * v("mean_qct_s", series="vertigo-srpt", **TOP)),
     ],
 )]
-
-
-def test_table3_las_vs_srpt(benchmark):
-    run_figure(benchmark, *FIGURES)

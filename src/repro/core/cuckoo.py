@@ -27,6 +27,11 @@ _MAX_KICKS = 500
 #: as many.
 BUCKET_SIZE = 4
 
+#: Fingerprint width: the false-positive rate is about
+#: ``2 * BUCKET_SIZE / 2**FINGERPRINT_BITS``.
+FINGERPRINT_BITS = 16
+_FP_MASK = (1 << FINGERPRINT_BITS) - 1
+
 _MASK64 = (1 << 64) - 1
 
 #: MurmurHash2's multiplier, the fingerprint mix of the reference
@@ -45,21 +50,18 @@ def _hash64(value: int) -> int:
 class CuckooFilter:
     """Approximate set membership with deletion.
 
-    ``contains`` may return false positives (rate controlled by the
-    fingerprint width) but never false negatives for items whose insert
+    ``contains`` may return false positives (rate controlled by
+    :data:`FINGERPRINT_BITS`) but never false negatives for items whose insert
     returned True and that were not deleted.
     """
 
-    def __init__(self, capacity: int = 4096, fingerprint_bits: int = 16,
-                 seed: int = 0) -> None:
+    def __init__(self, capacity: int = 4096, seed: int = 0) -> None:
         if capacity < BUCKET_SIZE:
             raise ValueError("capacity must be at least one bucket")
         n_buckets = 1
         while n_buckets * BUCKET_SIZE < capacity:
             n_buckets <<= 1
         self._bucket_mask = n_buckets - 1
-        self._fp_bits = fingerprint_bits
-        self._fp_mask = (1 << fingerprint_bits) - 1
         self._salt = _hash64(seed)
         # Buckets materialize on first touch: a filter sized for the
         # worst case (tens of thousands of slots per host) would
@@ -126,8 +128,8 @@ class CuckooFilter:
     def insert(self, item: int) -> bool:
         """Store one copy of ``item``; False (and no change) if full."""
         h = _hash64(item ^ self._salt)
-        fp = (h & self._fp_mask) or 1  # fingerprint 0 is reserved
-        i1 = (h >> self._fp_bits) & self._bucket_mask
+        fp = (h & _FP_MASK) or 1  # fingerprint 0 is reserved
+        i1 = (h >> FINGERPRINT_BITS) & self._bucket_mask
         return self._store(fp, i1,
                            i1 ^ ((fp * _ALT_MIX) & self._bucket_mask))
 
@@ -139,8 +141,8 @@ class CuckooFilter:
         (the item, or a false positive) or the filter is full.
         """
         h = _hash64(item ^ self._salt)
-        fp = (h & self._fp_mask) or 1
-        i1 = (h >> self._fp_bits) & self._bucket_mask
+        fp = (h & _FP_MASK) or 1
+        i1 = (h >> FINGERPRINT_BITS) & self._bucket_mask
         i2 = i1 ^ ((fp * _ALT_MIX) & self._bucket_mask)
         buckets = self._buckets
         if fp in buckets.get(i1, ()) or fp in buckets.get(i2, ()):
@@ -152,8 +154,8 @@ class CuckooFilter:
 
     def contains(self, item: int) -> bool:
         h = _hash64(item ^ self._salt)
-        fp = (h & self._fp_mask) or 1
-        i1 = (h >> self._fp_bits) & self._bucket_mask
+        fp = (h & _FP_MASK) or 1
+        i1 = (h >> FINGERPRINT_BITS) & self._bucket_mask
         i2 = i1 ^ ((fp * _ALT_MIX) & self._bucket_mask)
         buckets = self._buckets
         if fp in buckets.get(i1, ()) or fp in buckets.get(i2, ()):
@@ -164,8 +166,8 @@ class CuckooFilter:
     def delete(self, item: int) -> bool:
         """Remove one copy of ``item``; returns False if absent."""
         h = _hash64(item ^ self._salt)
-        fp = (h & self._fp_mask) or 1
-        i1 = (h >> self._fp_bits) & self._bucket_mask
+        fp = (h & _FP_MASK) or 1
+        i1 = (h >> FINGERPRINT_BITS) & self._bucket_mask
         i2 = i1 ^ ((fp * _ALT_MIX) & self._bucket_mask)
         for index in (i1, i2):
             bucket = self._buckets.get(index)

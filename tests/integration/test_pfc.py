@@ -7,7 +7,9 @@ Covers the PR's behavioural contracts:
 - ``headroom_bytes=0`` is honoured literally: post-XOFF arrivals drop
   with reason ``pfc_headroom`` and the drops are reported consistently
   in every surface (legacy counters, per-class counters, PFC summary);
-- PFC-enabled runs stay digest-deterministic, serial vs parallel;
+- PFC-enabled runs stay digest-deterministic, repeat to repeat and
+  serial vs parallel: with incast, under hybrid fidelity (incast paths
+  demoted to packets) and under a coflow shuffle;
 - the default config (one lane, PFC off) hashes identically to a config
   that never mentions PFC — the seed-digest regression gate;
 - a deadlock is what never drains, not a pause cycle that happens to
@@ -15,13 +17,17 @@ Covers the PR's behavioural contracts:
   up-down fabric are not reported.
 """
 
+import pytest
+
 from repro.experiments.digest import run_digest
 from repro.experiments.parallel import run_many
 from repro.experiments.runner import run_experiment
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, WorkloadConfig
+from repro.net.fidelity import FidelityConfig
 from repro.net.pfc import PfcConfig
 from repro.sim.units import MILLISECOND
 from repro.trace.config import TraceConfig
+from repro.workload.spec import BackgroundSpec, CoflowSpec
 
 
 def _config(seed=7, system="ecmp", transport="dcqcn", **pfc_kwargs):
@@ -65,17 +71,6 @@ def test_zero_headroom_drops_and_reports_consistently():
     assert by_reason == dict(counters.drops)
 
 
-def test_pfc_sweep_digests_match_serial_vs_parallel():
-    def configs():
-        return [_config(seed=seed, enabled=True, num_classes=2,
-                        priority_map=(0, 1)) for seed in (1, 2)]
-
-    serial = [run_digest(r) for r in run_many(configs(), jobs=1)]
-    parallel = [run_digest(r) for r in run_many(configs(), jobs=2)]
-    assert serial == parallel
-    assert len(set(serial)) == 2
-
-
 def test_single_lane_pfc_off_reproduces_seed_digest():
     # An explicit-but-unconfigured PfcConfig must not perturb the run
     # or its digest relative to a config that never mentions PFC: the
@@ -91,13 +86,6 @@ def test_single_lane_pfc_off_reproduces_seed_digest():
     assert explicit.pfc is None and baseline.pfc is None
 
 
-def test_pfc_run_digest_is_repeatable():
-    config_a = _config(enabled=True, num_classes=2, priority_map=(0, 1))
-    config_b = _config(enabled=True, num_classes=2, priority_map=(0, 1))
-    assert run_digest(run_experiment(config_a)) \
-        == run_digest(run_experiment(config_b))
-
-
 def _lossless_pfc_config(seed=1000):
     """The benchmark ledger's ``lossless-pfc`` point at 10 ms."""
     config = ExperimentConfig.bench_profile(
@@ -105,6 +93,74 @@ def _lossless_pfc_config(seed=1000):
         incast_scale=12, sim_time_ns=10 * MILLISECOND, seed=seed)
     config.pfc = PfcConfig(enabled=True, num_classes=2, priority_map=(0, 1))
     return config
+
+
+def _incast_config(seed):
+    return _config(seed=seed, enabled=True, num_classes=2,
+                   priority_map=(0, 1))
+
+
+def _hybrid_config(seed):
+    """``lossless-pfc`` under hybrid fidelity: the incast paths demote to
+    packets, where the pause loop lives, and the rest stays analytic."""
+    config = _lossless_pfc_config(seed)
+    config.fidelity = FidelityConfig(mode="hybrid", demote_shares=8)
+    return config
+
+
+def _coflow_config(seed):
+    """Two-stage shuffles over background traffic on the lossless fabric:
+    every stage barrier waits on flows the pause loop holds."""
+    workload = WorkloadConfig((
+        BackgroundSpec(load=0.3),
+        CoflowSpec(width=4, stages=2, cps=2000.0, flow_bytes=5_000)))
+    config = ExperimentConfig.bench_profile(
+        system="ecmp", transport="dcqcn", workload=workload,
+        sim_time_ns=10 * MILLISECOND, seed=seed)
+    config.pfc = PfcConfig(enabled=True, num_classes=2, priority_map=(0, 1))
+    return config
+
+
+#: The counts that show a lossless case is not vacuous.
+WITNESSES = {"pauses": lambda result: result.pfc["pause_events"],
+             "demotions": lambda result: result.fidelity["demotions"],
+             "coflows": lambda result: result.coflows_launched}
+
+#: Each lossless case: its config for a seed, and the witnesses that
+#: must be non-zero.  On seed 2 the hybrid case pauses 137 times and
+#: demotes 94 links; the coflow case pauses 25 times over 17 coflows.
+LOSSLESS_CASES = {
+    "incast": (_incast_config, ("pauses",)),
+    "hybrid": (_hybrid_config, ("pauses", "demotions")),
+    "coflow": (_coflow_config, ("pauses", "coflows")),
+}
+
+
+def _witnesses(case, result):
+    return {name: WITNESSES[name](result) for name in LOSSLESS_CASES[case][1]}
+
+
+@pytest.mark.parametrize("case,seed",
+                         [("incast", 7), ("hybrid", 2), ("coflow", 2)])
+def test_pfc_run_digest_is_repeatable(case, seed):
+    build = LOSSLESS_CASES[case][0]
+    first, second = (run_experiment(build(seed)) for _ in range(2))
+    assert run_digest(first) == run_digest(second)
+    witnesses = _witnesses(case, first)
+    assert min(witnesses.values()) > 0, witnesses
+
+
+@pytest.mark.parametrize("case", LOSSLESS_CASES)
+def test_pfc_sweep_digests_match_serial_vs_parallel(case):
+    build = LOSSLESS_CASES[case][0]
+    serial = run_many([build(seed) for seed in (1, 2)], jobs=1)
+    parallel = run_many([build(seed) for seed in (1, 2)], jobs=2)
+    digests = [run_digest(result) for result in serial]
+    assert digests == [run_digest(result) for result in parallel]
+    assert len(set(digests)) == 2
+    for result in parallel:
+        witnesses = _witnesses(case, result)
+        assert min(witnesses.values()) > 0, witnesses
 
 
 def test_gates_paused_at_the_horizon_are_not_deadlocks():

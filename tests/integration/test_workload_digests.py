@@ -173,6 +173,20 @@ def test_warmup_cooldown_trim_measurement_window():
         < sum(1 for f in metrics.flows.values() if f.completed)
 
 
+@pytest.mark.parametrize("system", ["vertigo", "ecmp"])
+def test_no_window_is_a_window_spanning_the_run(system):
+    # Every record starts inside [0, sim_time), so a window spanning the
+    # run measures the population no window does: same report, same
+    # digest.
+    config = ExperimentConfig.bench_profile(
+        system=system, sim_time_ns=20 * MILLISECOND, seed=3)
+    result = run_experiment(config)
+    before = (result.report().to_dict(), run_digest(result))
+    assert result.metrics.window_end is None
+    result.metrics.set_window(0, config.sim_time_ns)
+    assert (result.report().to_dict(), run_digest(result)) == before
+
+
 def test_window_swallowing_the_run_is_rejected():
     workload = WorkloadConfig((BackgroundSpec(load=0.3),),
                               warmup_ns=5 * MILLISECOND,

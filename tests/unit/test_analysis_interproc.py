@@ -103,9 +103,9 @@ def test_fixture_findings_are_pinned_exactly():
 
 
 def test_full_tree_is_clean_under_all_passes():
-    # CI's lint step: src examples scripts benchmarks/*.py (the frozen
+    # CI's lint step: src examples benchmarks/*.py (the frozen
     # ledger under benchmarks/ledger/ is not linted).
-    files = [path for tree in ("src", "examples", "scripts")
+    files = [path for tree in ("src", "examples")
              for path in sorted((ROOT / tree).rglob("*.py"))]
     files += sorted((ROOT / "benchmarks").glob("*.py"))
     sources, unreadable = read_sources(files)

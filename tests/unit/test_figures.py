@@ -1,9 +1,10 @@
 """The figure pipeline (benchmarks/figures.py) and the documents it feeds.
 
-The benches themselves are slow and run apart from tier-1; what is held
-here is everything around them: claim evaluation, ``measure`` on a
-5 ms figure, and that ``bench_results/`` and EXPERIMENTS.md say what the
-registry and the last bench pass say.
+The figures themselves are slow and run apart from tier-1
+(``python benchmarks/figures.py``); what is held here is everything
+around them: claim evaluation, ``measure`` on a 5 ms figure, the command
+line, and that ``bench_results/`` and EXPERIMENTS.md say what the
+registry and the last figure pass say.
 """
 
 import dataclasses
@@ -16,13 +17,12 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
-for directory in ("benchmarks", "scripts"):
-    sys.path.insert(0, os.path.join(ROOT, directory))
+sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
 
 import figures  # noqa: E402
-from figures import (Claim, Figure, Point, bench_config,  # noqa: E402
-                     measure, split_result)
-from update_experiments import OUT, render  # noqa: E402
+from figures import (EXPERIMENTS_MD, Claim, Figure, Point,  # noqa: E402
+                     bench_config, measure, render, split_result)
+from repro.experiments.digest import config_digest  # noqa: E402
 
 ROWS = [{"system": "ecmp", "load_pct": 85, "mean_qct_s": 0.06},
         {"system": "vertigo", "load_pct": 85, "mean_qct_s": 0.01},
@@ -84,13 +84,14 @@ TINY = Figure(
                   lambda v: min(v.all("events")) > 0),
             Claim("Vertigo's mean FCT is within 2x of ECMP's",
                   lambda v: v("mean_fct_s", series="VERTIGO")
-                  < 2 * v("mean_fct_s", series="ECMP"))],
-    jobs=1)
+                  < 2 * v("mean_fct_s", series="ECMP"))])
 
 
-def test_measure_gives_the_same_text_serial_and_pooled():
+def test_measure_gives_the_same_text_serial_and_pooled(monkeypatch):
+    monkeypatch.setenv("REPRO_JOBS", "1")
     (serial,) = measure(TINY)
-    (pooled,) = measure(dataclasses.replace(TINY, jobs=2))
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    (pooled,) = measure(TINY)
     assert serial == pooled
     banner, header, *_ = serial.splitlines()
     assert banner == "=== tiny: two 5 ms points ==="
@@ -107,9 +108,9 @@ def swept(monkeypatch):
     counts = []
     real = figures.run_supervised
 
-    def counting(configs, jobs):
+    def counting(configs):
         counts.append(len(configs))
-        return real(configs, jobs=jobs)
+        return real(configs)
 
     monkeypatch.setattr(figures, "run_supervised", counting)
     return counts
@@ -163,9 +164,67 @@ def test_a_failed_point_is_a_placeholder_row_and_not_evaluable():
     assert verdicts[1].startswith("holds: ")
 
 
+# -- the command line ----------------------------------------------------
+
+
+@pytest.fixture
+def scratch_docs(tmp_path, monkeypatch):
+    """``main`` writing into ``tmp_path``: one registered figure (TINY),
+    its result file and an EXPERIMENTS.md with its one region."""
+    monkeypatch.setattr(figures, "RESULTS_DIR", str(tmp_path))
+    monkeypatch.setattr(figures, "EXPERIMENTS_MD",
+                        str(tmp_path / "EXPERIMENTS.md"))
+    monkeypatch.setattr(figures, "registry", lambda: {TINY.id: TINY})
+    (tmp_path / "EXPERIMENTS.md").write_text(
+        "# E\n<!-- figure:tiny -->\n<!-- /figure:tiny -->\n")
+    return tmp_path
+
+
+def test_main_writes_the_result_and_renders_the_document(scratch_docs):
+    assert figures.main(["tiny"]) == 0
+    text = (scratch_docs / "tiny.txt").read_text()
+    assert text == measure(TINY)[0]
+    rendered = (scratch_docs / "EXPERIMENTS.md").read_text()
+    assert rendered == render(rendered, [TINY])
+    assert "- holds: both simulated something" in rendered
+    # No ids is the whole registry, and a second pass repeats every byte.
+    assert figures.main([]) == 0
+    assert (scratch_docs / "tiny.txt").read_text() == text
+    assert (scratch_docs / "EXPERIMENTS.md").read_text() == rendered
+
+
+def test_main_exits_1_when_a_claim_does_not_hold(scratch_docs, monkeypatch,
+                                                  capsys):
+    failing = dataclasses.replace(
+        TINY, claims=[Claim("nothing simulated",
+                            lambda v: max(v.all("events")) == 0)])
+    monkeypatch.setattr(figures, "registry", lambda: {TINY.id: failing})
+    assert figures.main([]) == 1
+    assert capsys.readouterr().err.startswith(
+        "does not hold: nothing simulated [events = ")
+
+
+def test_main_exits_2_on_an_unknown_id_and_runs_nothing(scratch_docs, swept,
+                                                        capsys):
+    assert figures.main(["tiny", "fig99"]) == 2
+    assert swept == []
+    assert capsys.readouterr().err \
+        == "figures.py: unknown figure id fig99; known: tiny\n"
+    assert not (scratch_docs / "tiny.txt").exists()
+
+
 # -- the committed documents ---------------------------------------------
 
 REGISTRY = figures.registry()
+
+
+@pytest.mark.parametrize("figure", REGISTRY.values(), ids=list(REGISTRY))
+def test_no_figure_declares_one_config_twice(figure):
+    # ``measure`` runs each distinct config once: two equal points would
+    # read one result twice, and a claim comparing them would compare a
+    # run with itself.
+    digests = [config_digest(point.config) for point in figure.points]
+    assert len(set(digests)) == len(digests)
 
 
 def test_every_figure_has_its_result_file_and_nothing_is_orphaned():
@@ -180,45 +239,43 @@ def test_result_file_carries_one_verdict_line_per_claim(figure):
     assert table.startswith(f"=== {figure.id}: {figure.title} ===\n")
     assert table.splitlines()[1].split() == list(figure.columns)
     assert len(table.splitlines()) == 3 + len(figure.points)
-    # Whether a claim held is the bench's verdict, not this test's.
+    # Whether a claim held is the figure pass's verdict, not this test's.
     assert [re.match(r"(?:holds|does not hold|not evaluable): (.*?) \[",
                      line).group(1) for line in verdicts] \
         == [claim.text for claim in figure.claims]
 
 
 def test_experiments_md_has_one_region_per_figure_and_no_other():
-    with open(OUT) as handle:
+    with open(EXPERIMENTS_MD) as handle:
         text = handle.read()
     assert sorted(re.findall(r"<!-- figure:(\S+) -->", text)) \
         == sorted(REGISTRY)
 
 
 def test_experiments_md_is_a_fixed_point_of_the_renderer():
-    with open(OUT) as handle:
+    with open(EXPERIMENTS_MD) as handle:
         text = handle.read()
-    assert render(text) == text, \
-        "EXPERIMENTS.md is stale: run scripts/update_experiments.py"
+    assert render(text, REGISTRY.values()) == text, \
+        "EXPERIMENTS.md is stale: run benchmarks/figures.py"
 
 
 def test_the_renderer_touches_only_the_regions(tmp_path, monkeypatch):
     figure = dataclasses.replace(TINY, paper="What the paper says.")
     monkeypatch.setattr(figures, "RESULTS_DIR", str(tmp_path))
-    monkeypatch.setattr("update_experiments.registry",
-                        lambda: {figure.id: figure})
     (tmp_path / "tiny.txt").write_text(
         "=== tiny: t ===\na  b\n-  -\n1  2\n\nholds: x [a = 1]\n")
     before = "# Title\nhand-written\n<!-- figure:tiny -->\nold\n" \
              "<!-- /figure:tiny -->\nmore hand-written\n"
-    after = render(before)
+    after = render(before, [figure])
     assert after == (
         "# Title\nhand-written\n<!-- figure:tiny -->\n"
         "**Paper:** What the paper says.\n\n- holds: x [a = 1]\n\n"
         "<details><summary>tiny</summary>\n\n```\n=== tiny: t ===\n"
         "a  b\n-  -\n1  2\n```\n</details>\n"
         "<!-- /figure:tiny -->\nmore hand-written\n")
-    assert render(after) == after
+    assert render(after, [figure]) == after
     (tmp_path / "tiny.txt").write_text(
         "=== tiny: t ===\na  b\n-  -\n1  3\n\nholds: x [a = 1]\n")
-    assert render(after) != after  # an edited result is a stale document
-    with pytest.raises(SystemExit, match="0 regions for figure 'tiny'"):
-        render("# no region\n")
+    assert render(after, [figure]) != after  # an edited result is stale
+    with pytest.raises(ValueError, match="0 regions for figure 'tiny'"):
+        render("# no region\n", [figure])

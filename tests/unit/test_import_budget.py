@@ -228,7 +228,7 @@ print(json.dumps([missing, sorted(name for name in set(sys.modules) - before
 
 
 @pytest.mark.parametrize("argv", [
-    ("--help",), ("lint", "scripts"), ("trace-view", "no-such.jsonl")],
+    ("--help",), ("lint", "examples"), ("trace-view", "no-such.jsonl")],
     ids=["help", "lint", "trace-view"])
 def test_a_tool_command_loads_no_simulator_module(argv):
     assert _under(_loaded(_cli(*argv)), SIMULATOR) == set()
@@ -275,7 +275,7 @@ def test_a_subpackage_init_binds_no_name_but_the_ledgers():
 def test_every_name_is_imported_from_the_module_that_defines_it():
     packages = _subpackages()
     facade_imports = []
-    for top in ("src", "tests", "benchmarks", "examples", "scripts"):
+    for top in ("src", "tests", "benchmarks", "examples"):
         for path in sorted((REPO / top).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 if not (isinstance(node, ast.ImportFrom) and node.level == 0
