@@ -11,6 +11,8 @@ accounting and the stage barriers repeat their digest is
 ``tests/integration/test_pfc.py``'s to check.
 """
 
+from dataclasses import replace
+
 from figures import Claim, Figure, Point
 
 from repro.experiments.config import ExperimentConfig, WorkloadConfig
@@ -40,9 +42,9 @@ def _config(system: str, transport: str, lossless: bool) -> ExperimentConfig:
     if lossless:
         # XOFF under the 30 KB bench port buffer; auto headroom keeps
         # the fabric lossless while DCQCN's ECN loop reacts.
-        config.pfc = PfcConfig(enabled=True, num_classes=2,
-                               priority_map=(0, 1), xoff_bytes=9_000,
-                               xon_bytes=4_500)
+        config = replace(config, pfc=PfcConfig(
+            enabled=True, num_classes=2, priority_map=(0, 1),
+            xoff_bytes=9_000, xon_bytes=4_500))
     return config
 
 

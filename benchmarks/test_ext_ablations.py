@@ -13,8 +13,8 @@ ALTERNATIVES = ("ecmp", "letflow", "pabo", "dibs")
 
 def _tweaked(config, part, **changes):
     """``config`` with fields of its ``network``/``transport`` replaced."""
-    setattr(config, part, replace(getattr(config, part), **changes))
-    return config
+    return replace(config, **{part: replace(getattr(config, part),
+                                            **changes)})
 
 
 def _vertigo_ahead(label):

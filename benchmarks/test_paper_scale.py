@@ -34,10 +34,10 @@ def paper_hybrid_config() -> ExperimentConfig:
         incast_flow_bytes=40_000)
     # One simulated second: several thousand incast queries' worth of
     # workload at the paper's scale.
-    config.sim_time_ns = 1 * SECOND
     fidelity = FidelityConfig(mode="hybrid",
                               demote_shares=max(64, 5 * INCAST_DEGREE))
-    return dataclasses.replace(config, fidelity=fidelity)
+    return dataclasses.replace(config, sim_time_ns=1 * SECOND,
+                               fidelity=fidelity)
 
 
 def _feasibility(result):

@@ -10,6 +10,8 @@ lossless datapath under hybrid fidelity repeats its digest is
 ``tests/integration/test_pfc.py``'s to check.
 """
 
+from dataclasses import replace
+
 from figures import Claim, Figure, Point
 
 from repro.experiments.config import ExperimentConfig
@@ -29,19 +31,18 @@ def _config(system: str, transport: str, lossless: bool) -> ExperimentConfig:
         system=system, transport=transport, bg_load=0.05,
         incast_qps=500.0, incast_scale=INCAST_SCALE,
         incast_flow_bytes=40_000)
-    config.seed = 11
-    config.sim_time_ns = 30 * MILLISECOND
     # Fan-in 24 with overlapping queries converges past the default
     # demotion threshold; 8 shares pins the incast paths to packet
     # fidelity (where PFC lives) while the rest stays analytic.
-    config.fidelity = FidelityConfig(mode="hybrid", demote_shares=8)
+    config = replace(config, seed=11, sim_time_ns=30 * MILLISECOND,
+                     fidelity=FidelityConfig(mode="hybrid", demote_shares=8))
     if lossless:
         # XOFF well below the 300 KB port buffer so pauses engage while
         # DCQCN's ECN loop is still reacting; auto headroom (2 BDP +
         # 2 MTU) keeps the fabric lossless above it.
-        config.pfc = PfcConfig(enabled=True, num_classes=2,
-                               priority_map=(0, 1), xoff_bytes=20_000,
-                               xon_bytes=10_000)
+        config = replace(config, pfc=PfcConfig(
+            enabled=True, num_classes=2, priority_map=(0, 1),
+            xoff_bytes=20_000, xon_bytes=10_000))
     return config
 
 

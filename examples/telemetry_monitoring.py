@@ -12,20 +12,21 @@ Usage::
     python examples/telemetry_monitoring.py
 """
 
+from dataclasses import replace
+
 from repro import ExperimentConfig, run_experiment
 from repro.sim.units import MILLISECOND, fmt_time
 
 
 def main() -> None:
-    config = ExperimentConfig.bench_profile(
+    config = replace(ExperimentConfig.bench_profile(
         system="vertigo",
         transport="dctcp",
         bg_load=0.30,
         incast_qps=250,
         incast_scale=12,
         sim_time_ns=60 * MILLISECOND,
-    )
-    config.telemetry_interval_ns = 2 * MILLISECOND
+    ), telemetry_interval_ns=2 * MILLISECOND)
     print("running vertigo with telemetry sampling every 2 ms ...")
     result = run_experiment(config)
     monitor = result.telemetry

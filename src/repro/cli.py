@@ -47,9 +47,9 @@ def _add_experiment_arguments(parser: argparse.ArgumentParser) -> None:
     """The experiment knobs shared by ``run`` and ``sweep``."""
     from repro.net.builder import FIDELITY_MODES
     from repro.trace.config import TRACE_LEVELS
+    from repro.transport import TRANSPORTS
 
-    parser.add_argument("--transport",
-                        choices=["reno", "dctcp", "swift", "dcqcn"],
+    parser.add_argument("--transport", choices=list(TRANSPORTS),
                         default="dctcp",
                         help="transport; 'dcqcn' is the rate-based "
                              "lossless-fabric control (pair with --pfc)")
@@ -206,14 +206,17 @@ def _check_horizon(config: ExperimentConfig) -> None:
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    """The profile, then every flag in one ``replace``, so the config
+    checks itself whole (flag by flag, a half-applied config could fail
+    a rule the whole one meets).  Here only a flag that would do nothing
+    is refused."""
     from repro.checkpoint.config import CheckpointConfig
     from repro.experiments.config import ExperimentConfig, WorkloadConfig
-    from repro.experiments.runner import measurement_window
     from repro.faults.spec import parse_faults, parse_time_ns
-    from repro.net.builder import FidelityConfig, PfcConfig, check_cables
+    from repro.net.builder import FidelityConfig, PfcConfig
     from repro.net.topology import FatTree
     from repro.sim.units import MILLISECOND
-    from repro.workload.spec import check_hosts, parse_workloads
+    from repro.workload.spec import parse_workloads
 
     mix = {key: getattr(args, key) for key in _MIX_DEFAULTS}
     given = [key for key, value in mix.items() if value is not None]
@@ -224,61 +227,55 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                          + " would be ignored")
     mix = {key: _MIX_DEFAULTS[key] if value is None else value
            for key, value in mix.items()}
+    # A spec-composed mix replaces the profile's default generators.
+    workload = (WorkloadConfig(parse_workloads(args.workloads))
+                if args.workloads else None)
     if args.paper_scale:
         if args.fat_tree is not None:
             raise ValueError("--paper-scale (the paper's leaf-spine) "
                              "cannot be combined with --fat-tree")
         config = ExperimentConfig.paper_profile(
             system=args.system, transport=args.transport, **mix)
-        config.seed = args.seed
     else:
         topology = (FatTree(args.fat_tree) if args.fat_tree is not None
                     else None)
         config = ExperimentConfig.bench_profile(
             system=args.system, transport=args.transport, **mix,
-            topology=topology, seed=args.seed)
-    if args.sim_ms is not None:
-        if args.sim_ms <= 0:
-            raise ValueError(f"--sim-ms must be positive, got {args.sim_ms}")
-        config.sim_time_ns = args.sim_ms * MILLISECOND
-    if args.workloads:
-        # A spec-composed mix replaces the profile's default generators.
-        config.workload = WorkloadConfig(parse_workloads(args.workloads))
+            workload=workload, topology=topology)
+    workload = workload or config.workload
     if args.warmup or args.cooldown:
-        config.workload = _replace(
-            config.workload,
+        workload = _replace(
+            workload,
             warmup_ns=parse_time_ns(args.warmup) if args.warmup else 0,
             cooldown_ns=parse_time_ns(args.cooldown) if args.cooldown else 0)
-        measurement_window(config)  # raises if the flags leave no window
-    check_hosts(config.workload.specs, config.topology.n_hosts)
-    config.faults = parse_faults(args.faults)
-    config.trace = _trace_config_from_args(args)
+    checkpoint = None
     if args.checkpoint_every is not None:
-        config.checkpoint = CheckpointConfig.every_ms(
+        checkpoint = CheckpointConfig.every_ms(
             args.checkpoint_every, directory=args.checkpoint_dir)
     elif args.checkpoint_dir is not None:
         raise ValueError("--checkpoint-dir requires --checkpoint-every")
-    check_cables(config.faults, config.topology)
-    _check_horizon(config)
     if args.demote_shares is not None:
         if args.fidelity == "packet":
             raise ValueError("--demote-shares requires --fidelity hybrid "
                              "or flow")
-        config.fidelity = FidelityConfig(mode=args.fidelity,
-                                         demote_shares=args.demote_shares)
+        fidelity = FidelityConfig(mode=args.fidelity,
+                                  demote_shares=args.demote_shares)
     else:
-        config.fidelity = FidelityConfig(mode=args.fidelity)
-    if args.pfc_classes < 1:
-        raise ValueError(f"--pfc-classes must be at least 1, "
-                         f"got {args.pfc_classes}")
+        fidelity = FidelityConfig(mode=args.fidelity)
     if args.pfc_headroom is not None and not args.pfc:
         raise ValueError("--pfc-headroom requires --pfc")
-    if args.pfc or args.pfc_classes > 1:
-        num_classes = args.pfc_classes
-        config.pfc = PfcConfig(
-            enabled=args.pfc, num_classes=num_classes,
-            priority_map=tuple(range(num_classes)),
-            headroom_bytes=args.pfc_headroom)
+    # Unflagged, this is PfcConfig(): one lane, PFC off.
+    pfc = PfcConfig(enabled=args.pfc, num_classes=args.pfc_classes,
+                    priority_map=tuple(range(args.pfc_classes)),
+                    headroom_bytes=args.pfc_headroom)
+    config = _replace(
+        config, seed=args.seed, workload=workload,
+        sim_time_ns=(config.sim_time_ns if args.sim_ms is None
+                     else args.sim_ms * MILLISECOND),
+        faults=parse_faults(args.faults),
+        trace=_trace_config_from_args(args), checkpoint=checkpoint,
+        fidelity=fidelity, pfc=pfc)
+    _check_horizon(config)
     return config
 
 
@@ -349,8 +346,9 @@ def _cmd_run(argv: List[str]) -> int:
     try:
         config = config_from_args(args)
     except ValueError as exc:
-        # Malformed directive or a flag that would silently do nothing:
-        # a usage error, reported in one line with the argparse exit code.
+        # Malformed directive, a config that could not run, or a flag
+        # that would silently do nothing: a usage error, reported in one
+        # line with the argparse exit code.
         print(f"repro: error: {exc}", file=sys.stderr)
         return 2
     print(f"running {args.system}+{args.transport} on "

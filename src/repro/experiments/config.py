@@ -24,12 +24,18 @@ from repro.checkpoint.config import CheckpointConfig
 from repro.core.flowinfo import MarkingDiscipline, rotations_for_factor
 from repro.faults.spec import FaultSpec
 from repro.forwarding.base import VertigoSwitchParams
-from repro.net.builder import FidelityConfig, NetworkParams, PfcConfig
+from repro.net.builder import (
+    FidelityConfig,
+    NetworkParams,
+    PfcConfig,
+    check_cables,
+)
 from repro.net.topology import LeafSpine, Topology, paper_leaf_spine
 from repro.sim.units import MILLISECOND, SECOND, gbps, kb, mbps, usecs
 from repro.trace.config import TraceConfig
+from repro.transport import TRANSPORTS
 from repro.transport.base import TransportConfig
-from repro.workload.spec import WorkloadSpec, specs_from_legacy
+from repro.workload.spec import WorkloadSpec, check_hosts, specs_from_legacy
 
 #: The four systems the paper compares (§4.1).
 BENCH_SYSTEMS = ("ecmp", "drill", "dibs", "vertigo")
@@ -103,9 +109,14 @@ class WorkloadConfig:
         return sum(spec.offered_load for spec in self.specs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one simulation run."""
+    """Everything needed to reproduce one simulation run.
+
+    A config that exists can run: :meth:`__post_init__` states every
+    rule a run depends on, so a bad value fails where the config is
+    built (or ``dataclasses.replace``-d), never inside a run.
+    """
 
     topology: Topology = field(default_factory=paper_leaf_spine)
     network: NetworkParams = field(default_factory=NetworkParams)
@@ -144,6 +155,42 @@ class ExperimentConfig:
     #: the same run without.
     checkpoint: Optional["CheckpointConfig"] = field(default=None,
                                                     repr=False)
+
+    def __post_init__(self) -> None:
+        if self.transport_name not in TRANSPORTS:
+            raise ValueError(f"unknown transport {self.transport_name!r}; "
+                             f"choose from {tuple(TRANSPORTS)}")
+        if self.sim_time_ns <= 0:
+            raise ValueError(f"sim_time_ns must be positive, got "
+                             f"{self.sim_time_ns}")
+        if self.telemetry_interval_ns is not None \
+                and self.telemetry_interval_ns <= 0:
+            raise ValueError(f"telemetry_interval_ns must be positive or "
+                             f"None, got {self.telemetry_interval_ns}")
+        window = self.window
+        if window is not None and window[0] >= window[1]:
+            raise ValueError(
+                f"warmup ({self.workload.warmup_ns} ns) plus cooldown "
+                f"({self.workload.cooldown_ns} ns) leave no measurement "
+                f"window in a {self.sim_time_ns} ns run")
+        check_hosts(self.workload.specs, self.topology.n_hosts)
+        if self.faults:
+            check_cables(self.faults, self.topology)
+        if self.pfc.configured \
+                and self.network.shared_buffer_alpha is not None:
+            raise ValueError(
+                "PFC/priority lanes and shared-buffer (DT) switches are "
+                "mutually exclusive: PFC accounts buffers at the ingress, "
+                "DT at a shared egress pool")
+
+    @property
+    def window(self) -> Optional[Tuple[int, int]]:
+        """The ``(start, end)`` ns the summary metrics count flows in, or
+        ``None`` when every flow counts."""
+        workload = self.workload
+        if not (workload.warmup_ns or workload.cooldown_ns):
+            return None
+        return workload.warmup_ns, self.sim_time_ns - workload.cooldown_ns
 
     # -- profiles --------------------------------------------------------------------
 

@@ -10,7 +10,7 @@ import itertools
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from importlib import import_module
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.experiments.config import ExperimentConfig
 from repro.net import packet as _packet_mod
@@ -26,7 +26,6 @@ from repro.transport import TRANSPORTS
 from repro.transport.base import TransportConfig
 from repro.transport.dctcp import DEFAULT_MARKING_THRESHOLD_PKTS
 from repro.workload.registry import WorkloadContext, build_workload
-from repro.workload.spec import check_hosts
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.trace.tracer import TraceData
@@ -356,23 +355,6 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
     return result
 
 
-def measurement_window(config: ExperimentConfig
-                       ) -> Optional[Tuple[int, int]]:
-    """The ``(start, end)`` ns the summary metrics count flows in, or
-    ``None`` when every flow counts.  Raises ``ValueError`` when warmup
-    and cooldown leave no window."""
-    workload = config.workload
-    if not (workload.warmup_ns or workload.cooldown_ns):
-        return None
-    window_end = config.sim_time_ns - workload.cooldown_ns
-    if workload.warmup_ns >= window_end:
-        raise ValueError(
-            f"warmup ({workload.warmup_ns} ns) plus cooldown "
-            f"({workload.cooldown_ns} ns) leave no measurement "
-            f"window in a {config.sim_time_ns} ns run")
-    return workload.warmup_ns, window_end
-
-
 def _build_world(config: ExperimentConfig) -> LiveRun:
     """Construct the full live simulation for ``config`` (build phase).
 
@@ -437,10 +419,8 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
 
     kernel = FlowKernel(engine, metrics, network, fidelity)
 
-    window = measurement_window(config)
-    if window is not None:
-        metrics.set_window(*window)
-    check_hosts(config.workload.specs, config.topology.n_hosts)
+    if config.window is not None:
+        metrics.set_window(*config.window)
     build_workload(config.workload, WorkloadContext(
         engine=engine, open_flow=kernel.open_flow, metrics=metrics,
         n_hosts=config.topology.n_hosts,
@@ -448,7 +428,7 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
         until_ns=config.sim_time_ns))
 
     telemetry = None
-    if config.telemetry_interval_ns:
+    if config.telemetry_interval_ns is not None:
         from repro.telemetry.monitor import TelemetryMonitor
 
         telemetry = TelemetryMonitor(

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from repro.faults.spec import FaultSpec
-from repro.net.builder import Network, check_cables
+from repro.net.builder import Network
 from repro.sim.engine import Engine
 from repro.sim.rng import RngRegistry
 
@@ -43,7 +43,6 @@ class FaultInjector:
         self.faults = tuple(faults)
         #: (time_ns, spec) log of faults applied so far, in order.
         self.applied: List[Tuple[int, FaultSpec]] = []
-        check_cables(self.faults, network.topology)
         # Pre-create one loss stream per cable with a loss fault, keyed
         # by the canonical cable name — creation order is spec order,
         # never event-interleaving order.

@@ -55,8 +55,7 @@ def host_label(host_id: int) -> str:
 
 
 def check_cables(faults: Sequence[FaultSpec], topology: Topology) -> None:
-    """Refuse a fault on a cable ``topology`` does not have: before any
-    run (``config_from_args``) and when a fault injector is built."""
+    """Refuse a fault on a cable ``topology`` does not have."""
     cables = {cable_key(a, b) for a, b in topology.switch_adjacency}
     cables.update(cable_key(host_label(host), topology.host_tor(host))
                   for host in range(topology.n_hosts))
@@ -317,11 +316,6 @@ def build_network(engine: Engine, topology: Topology, params: NetworkParams,
     """Instantiate and wire the whole network."""
     network = Network(engine, topology, params, metrics)
     pfc_configured = pfc is not None and pfc.configured
-    if pfc_configured and params.shared_buffer_alpha is not None:
-        raise ValueError(
-            "PFC/priority lanes and shared-buffer (DT) switches are "
-            "mutually exclusive: PFC accounts buffers at the ingress, "
-            "DT at a shared egress pool")
 
     # Bound method (picklable): every Link retains it as on_drop, and
     # links ride in checkpoints.

@@ -43,7 +43,7 @@ from concurrent.futures import (
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional
 
 # Pool workers fork from this process: every module a point's config
@@ -77,7 +77,6 @@ from repro.experiments.report import placeholder_row
 from repro.experiments.runner import RunResult, run_experiment
 from repro.runtime.journal import SweepJournal, decode_result, encode_result
 from repro.runtime.policy import RUN_STATUSES, SupervisorPolicy
-from repro.trace.profiler import PhaseProfiler
 
 Runner = Callable[[ExperimentConfig], RunResult]
 
@@ -187,9 +186,6 @@ class SweepReport:
     outcomes: List[RunOutcome]
     interrupted: bool = False
     wall_s: float = 0.0
-    #: Wall seconds by supervision phase: ``runtime.timeout`` (wall
-    #: time of runs killed at their deadline).
-    profile: Dict[str, float] = field(default_factory=dict)
     #: Journal file these outcomes were appended to, or None.
     journal_path: Optional[str] = None
     #: Journaled ``ok`` results that could not be read back under this
@@ -426,7 +422,6 @@ class SweepSupervisor:
 
     def run(self) -> SweepReport:
         started = time.monotonic()  # noqa: VR002 - harness wall clock
-        profiler = PhaseProfiler()
         pending = [_Point(index) for index in range(len(self.configs))
                    if index not in self._outcomes]
         journal = self._journal
@@ -434,7 +429,7 @@ class SweepSupervisor:
             with self._trap_signals():
                 try:
                     if pending:
-                        self._run_points(pending, profiler)
+                        self._run_points(pending)
                 except KeyboardInterrupt:
                     self._stop.set()
                     if self._interrupt_signum is None:
@@ -454,7 +449,6 @@ class SweepSupervisor:
                       for index in range(len(self.configs))],
             interrupted=self.interrupted or self._stop.is_set(),
             wall_s=round(wall_s, 6),
-            profile=profiler.report(),
             journal_path=None if journal is None else journal.path,
             stale_payloads=0 if journal is None else journal.stale_payloads,
             skipped_lines=0 if journal is None else journal.skipped_lines)
@@ -547,8 +541,7 @@ class SweepSupervisor:
 
     # -- the loop --------------------------------------------------------------
 
-    def _run_points(self, pending: List[_Point],
-                    profiler: PhaseProfiler) -> None:
+    def _run_points(self, pending: List[_Point]) -> None:
         """Drive every pending point to a terminal outcome (or a stop).
 
         One loop for both modes: pooled attempts complete when their
@@ -604,8 +597,6 @@ class SweepSupervisor:
                         point.attempts += 1
                         point.wall_s += run_wall
                         point.signature = signature or point.signature
-                        if timed_out and ending != "ok":
-                            profiler.add("runtime.timeout", run_wall)
                     if step.status is None:
                         queue.append(point)
                         continue

@@ -37,16 +37,6 @@ class PhaseProfiler:
             elapsed = time.perf_counter() - start  # noqa: VR002
             self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
 
-    def add(self, name: str, seconds: float) -> None:
-        """Attribute already-measured wall seconds to a phase.
-
-        Used where the elapsed interval is measured externally — e.g. the
-        sweep supervisor's ``runtime.timeout`` span covers the wall time
-        of runs killed at their deadline, which ended outside any ``with``
-        scope of this profiler.
-        """
-        self.seconds[name] = self.seconds.get(name, 0.0) + seconds
-
     def report(self, precision: int = 6) -> Dict[str, float]:
         """Phase → wall seconds, rounded, in phase-name order."""
         return {name: round(seconds, precision)

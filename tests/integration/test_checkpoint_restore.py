@@ -52,14 +52,13 @@ def _config(fidelity="packet", seed=7, sim_ms=40):
         system="vertigo", transport="dctcp", bg_load=0.2,
         incast_qps=60, incast_scale=6, sim_time_ns=sim_ms * MILLISECOND,
         seed=seed)
-    config.fidelity = dataclasses.replace(config.fidelity, mode=fidelity)
-    return config
+    return dataclasses.replace(
+        config, fidelity=dataclasses.replace(config.fidelity, mode=fidelity))
 
 
 def _checkpointed(config, directory, every_ms=10):
-    config.checkpoint = CheckpointConfig.every_ms(every_ms,
-                                                  directory=str(directory))
-    return config
+    return dataclasses.replace(config, checkpoint=CheckpointConfig.every_ms(
+        every_ms, directory=str(directory)))
 
 
 def _managed_path(config):
@@ -223,10 +222,10 @@ def test_pickled_world_keeps_every_attribute_of_every_object(fidelity):
     """The guard against a future ``__getstate__``/``__reduce__`` that
     drops state: a mid-run world comes back from a pickle round trip
     with the same ``repro`` objects carrying the same attribute names."""
-    config = _config(fidelity, sim_ms=10)
-    config.telemetry_interval_ns = MILLISECOND
-    config.trace = TraceConfig(level="flow", sample_period_ns=MILLISECOND)
-    config.faults = parse_faults(["link:leaf0-spine1:down@1ms,up@8ms"])
+    config = dataclasses.replace(
+        _config(fidelity, sim_ms=10), telemetry_interval_ns=MILLISECOND,
+        trace=TraceConfig(level="flow", sample_period_ns=MILLISECOND),
+        faults=parse_faults(["link:leaf0-spine1:down@1ms,up@8ms"]))
     world = runner._build_world(config)
     # Under the hooks, so that the pickled tracer holds records.
     with trace_hooks.activated(world.tracer):
@@ -285,9 +284,10 @@ def test_restored_traced_run_exports_the_uninterrupted_bytes(
             incast_load=0.25, sim_time_ns=10 * MILLISECOND, seed=7)
         if fidelity == "hybrid":
             # Demotes early: fid.mode, sample.fid and packet events.
-            config.fidelity = FidelityConfig(mode="hybrid", demote_shares=2)
-        config.trace = TraceConfig(level="packet",
-                                   sample_period_ns=MILLISECOND // 2)
+            config = dataclasses.replace(config, fidelity=FidelityConfig(
+                mode="hybrid", demote_shares=2))
+        config = dataclasses.replace(config, trace=TraceConfig(
+            level="packet", sample_period_ns=MILLISECOND // 2))
         return _checkpointed(config, directory, every_ms=4)
 
     reference = run_experiment(traced(tmp_path / "uninterrupted"))
@@ -327,8 +327,8 @@ def test_dcqcn_clock_survives_a_restore_mid_period(tmp_path, monkeypatch):
         config = ExperimentConfig.bench_profile(
             system="ecmp", transport="dcqcn", bg_load=0.5, incast_load=0.25,
             incast_scale=12, sim_time_ns=10 * MILLISECOND, seed=1)
-        config.pfc = PfcConfig(enabled=True, num_classes=2,
-                               priority_map=(0, 1))
+        config = dataclasses.replace(config, pfc=PfcConfig(
+            enabled=True, num_classes=2, priority_map=(0, 1)))
         return config if directory is None \
             else _checkpointed(config, directory, every_ms=3)
 

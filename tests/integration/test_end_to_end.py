@@ -1,5 +1,7 @@
 """End-to-end flows over every topology x system x transport combination."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig, WorkloadConfig
@@ -59,9 +61,9 @@ def test_single_background_flow_fct_near_ideal():
         sim_time_ns=50 * MILLISECOND)
     # Inject exactly one 100 KB flow by running the incast app with
     # scale 1 at a tiny rate.
-    config.workload = WorkloadConfig((
+    config = replace(config, workload=WorkloadConfig((
         BackgroundSpec(load=0.0),
-        IncastSpec(qps=20.0, scale=1, flow_bytes=100_000)))
+        IncastSpec(qps=20.0, scale=1, flow_bytes=100_000))))
     result = run_experiment(config)
     flows = [f for f in result.metrics.flows.values() if f.completed]
     assert flows

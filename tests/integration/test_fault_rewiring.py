@@ -8,6 +8,8 @@ without raising — with zero sanitizer violations and a determinism
 digest that is byte-identical across serial and parallel execution.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.analysis import sanitize as _sanitize
@@ -125,8 +127,7 @@ def test_failure_digest_identical_serial_vs_parallel():
 
 
 def test_failure_changes_results_but_stays_deterministic():
-    healthy = _failure_config("vertigo")
-    healthy.faults = ()
+    healthy = replace(_failure_config("vertigo"), faults=())
     failed_a = run_digest(run_experiment(_failure_config("vertigo")))
     failed_b = run_digest(run_experiment(_failure_config("vertigo")))
     assert failed_a == failed_b
@@ -191,8 +192,7 @@ def test_packet_trace_records_wire_drops_and_port_dequeues():
         incast_scale=6, sim_time_ns=10 * MILLISECOND, seed=3,
         faults=parse_fault(
             "link:leaf0-spine1:loss=0.05@0ms,down@4ms,up@7ms"))
-    config.trace = TraceConfig(level="packet")
-    result = run_experiment(config)
+    result = run_experiment(replace(config, trace=TraceConfig(level="packet")))
     events = result.trace.events
     counted = result.metrics.counters.drops
     for reason in ("link_down", "link_loss"):

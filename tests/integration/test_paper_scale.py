@@ -5,6 +5,8 @@ pure Python (DESIGN.md), but they must build correctly and move packets;
 these tests run a few simulated milliseconds only.
 """
 
+from dataclasses import replace
+
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.net.topology import paper_fat_tree
@@ -15,7 +17,7 @@ def test_paper_leaf_spine_builds_and_runs():
     config = ExperimentConfig.paper_profile(
         system="vertigo", transport="dctcp", bg_load=0.05,
         incast_qps=2000.0, incast_scale=100, incast_flow_bytes=40_000)
-    config.sim_time_ns = 2 * MILLISECOND
+    config = replace(config, sim_time_ns=2 * MILLISECOND)
     result = run_experiment(config)
     assert result.config.topology.n_hosts == 320
     assert result.metrics.counters.delivered > 0
@@ -29,8 +31,8 @@ def test_paper_fat_tree_builds_and_runs():
     config = ExperimentConfig.paper_profile(
         system="dibs", transport="dctcp", bg_load=0.05,
         incast_qps=1000.0, incast_scale=50, incast_flow_bytes=40_000)
-    config.topology = paper_fat_tree()
-    config.sim_time_ns = 2 * MILLISECOND
+    config = replace(config, topology=paper_fat_tree(),
+                     sim_time_ns=2 * MILLISECOND)
     result = run_experiment(config)
     assert len(result.network.switches) == 80
     assert result.metrics.counters.delivered > 0

@@ -6,6 +6,8 @@ back in submission order, and the runtime sanitizer follows the sweep
 into the worker processes.
 """
 
+from dataclasses import replace
+
 from repro.analysis import sanitize
 from repro.experiments.digest import run_digest
 from repro.experiments.parallel import run_many
@@ -14,16 +16,10 @@ from repro.sim.units import MILLISECOND
 
 
 def _configs(n=3, **overrides):
-    configs = []
-    for seed in range(1, n + 1):
-        config = ExperimentConfig.bench_profile(
-            system="vertigo", transport="dctcp", bg_load=0.2,
-            incast_qps=60, incast_scale=6, sim_time_ns=5 * MILLISECOND,
-            seed=seed)
-        for key, value in overrides.items():
-            setattr(config, key, value)
-        configs.append(config)
-    return configs
+    return [replace(ExperimentConfig.bench_profile(
+        system="vertigo", transport="dctcp", bg_load=0.2,
+        incast_qps=60, incast_scale=6, sim_time_ns=5 * MILLISECOND,
+        seed=seed), **overrides) for seed in range(1, n + 1)]
 
 
 def test_parallel_digests_match_serial():

@@ -12,16 +12,23 @@ Covers the PR's behavioural contracts:
   demoted to packets) and under a coflow shuffle;
 - the default config (one lane, PFC off) hashes identically to a config
   that never mentions PFC — the seed-digest regression gate;
+- two lanes with every flow in class 0 are one lane of half the buffer;
 - a deadlock is what never drains, not a pause cycle that happens to
   be standing when it is looked at: gates paused at the horizon of an
   up-down fabric are not reported.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.digest import run_digest
 from repro.experiments.parallel import run_many
-from repro.experiments.runner import run_experiment
+from repro.experiments.runner import (
+    derive_ecn_threshold,
+    derive_ordering_timeout,
+    run_experiment,
+)
 from repro.experiments.config import ExperimentConfig, WorkloadConfig
 from repro.net.fidelity import FidelityConfig
 from repro.net.pfc import PfcConfig
@@ -36,14 +43,13 @@ def _config(seed=7, system="ecmp", transport="dcqcn", **pfc_kwargs):
         incast_load=0.1, incast_scale=8, sim_time_ns=10 * MILLISECOND,
         seed=seed)
     if pfc_kwargs:
-        config.pfc = PfcConfig(**pfc_kwargs)
+        config = replace(config, pfc=PfcConfig(**pfc_kwargs))
     return config
 
 
 def test_default_headroom_is_lossless_with_real_pauses():
     config = _config(enabled=True, num_classes=2, priority_map=(0, 1))
-    config.trace = TraceConfig(level="flow")
-    result = run_experiment(config)
+    result = run_experiment(replace(config, trace=TraceConfig(level="flow")))
     counters = result.metrics.counters
     assert counters.total_drops == 0          # lossless, edge to edge
     pfc = result.pfc
@@ -86,13 +92,39 @@ def test_single_lane_pfc_off_reproduces_seed_digest():
     assert explicit.pfc is None and baseline.pfc is None
 
 
+@pytest.mark.parametrize("system,seed", [("ecmp", 3), ("vertigo", 1)])
+def test_two_lanes_with_one_class_in_use_are_one_lane_of_half_the_buffer(
+        system, seed):
+    """PFC off, two lanes and every flow in class 0 is one lane of
+    ``buffer_bytes // 2`` per port: class 1's half is never used.  The
+    ECN threshold and ordering timeout the runner derives from the
+    buffer keep the full buffer's values.  The run digests differ only
+    by the lanes' ``pfc`` section."""
+    lanes = replace(
+        ExperimentConfig.bench_profile(
+            system=system, transport="dctcp", bg_load=0.5,
+            incast_load=0.25, sim_time_ns=20 * MILLISECOND, seed=seed),
+        pfc=PfcConfig(num_classes=2, priority_map=(0,)))
+    full = lanes.network
+    one_lane = replace(
+        lanes, pfc=PfcConfig(),
+        network=replace(full, buffer_bytes=full.buffer_bytes // 2,
+                        ecn_threshold_bytes=derive_ecn_threshold(full)),
+        system=replace(lanes.system,
+                       ordering_timeout_ns=derive_ordering_timeout(full)))
+    result = run_experiment(lanes)
+    assert result.metrics.counters.total_drops > 0   # the buffer binds
+    assert run_digest(replace(result, config=one_lane)) \
+        == run_digest(run_experiment(one_lane))
+
+
 def _lossless_pfc_config(seed=1000):
     """The benchmark ledger's ``lossless-pfc`` point at 10 ms."""
     config = ExperimentConfig.bench_profile(
         system="ecmp", transport="dcqcn", bg_load=0.5, incast_load=0.25,
         incast_scale=12, sim_time_ns=10 * MILLISECOND, seed=seed)
-    config.pfc = PfcConfig(enabled=True, num_classes=2, priority_map=(0, 1))
-    return config
+    return replace(config, pfc=PfcConfig(enabled=True, num_classes=2,
+                                         priority_map=(0, 1)))
 
 
 def _incast_config(seed):
@@ -103,9 +135,8 @@ def _incast_config(seed):
 def _hybrid_config(seed):
     """``lossless-pfc`` under hybrid fidelity: the incast paths demote to
     packets, where the pause loop lives, and the rest stays analytic."""
-    config = _lossless_pfc_config(seed)
-    config.fidelity = FidelityConfig(mode="hybrid", demote_shares=8)
-    return config
+    return replace(_lossless_pfc_config(seed),
+                   fidelity=FidelityConfig(mode="hybrid", demote_shares=8))
 
 
 def _coflow_config(seed):
@@ -117,8 +148,8 @@ def _coflow_config(seed):
     config = ExperimentConfig.bench_profile(
         system="ecmp", transport="dcqcn", workload=workload,
         sim_time_ns=10 * MILLISECOND, seed=seed)
-    config.pfc = PfcConfig(enabled=True, num_classes=2, priority_map=(0, 1))
-    return config
+    return replace(config, pfc=PfcConfig(enabled=True, num_classes=2,
+                                         priority_map=(0, 1)))
 
 
 #: The counts that show a lossless case is not vacuous.
@@ -185,7 +216,8 @@ def test_transient_pause_cycles_are_not_deadlocks():
         system="vertigo", transport="dcqcn", bg_load=0.9,
         incast_load=0.3, incast_scale=16, sim_time_ns=10 * MILLISECOND,
         seed=3)
-    config.pfc = PfcConfig(enabled=True, xoff_bytes=2_000, xon_bytes=500)
+    config = replace(config, pfc=PfcConfig(enabled=True, xoff_bytes=2_000,
+                                           xon_bytes=500))
     result = run_experiment(config)
     assert result.metrics.counters.deflections == 0
     assert result.engine.now == config.sim_time_ns

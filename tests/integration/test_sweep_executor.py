@@ -8,7 +8,6 @@ whether the sweep is interrupted or a worker dies holding the pool's
 queue locks.
 """
 
-import dataclasses
 import multiprocessing
 import os
 import signal
@@ -17,6 +16,7 @@ import time
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.parallel import run_many
 from repro.experiments.config import ExperimentConfig
 from repro.runtime.policy import SupervisorPolicy
@@ -55,16 +55,21 @@ def test_run_many_interrupt_propagates_and_reaps_workers():
     assert multiprocessing.active_children() == []
 
 
-def test_run_many_attempts_a_failing_point_exactly_once():
-    """A config that cannot build fails the sweep, by index, unretried."""
-    configs = _configs(3, sim_ms=2)
-    broken = configs[1]
-    broken.workload = dataclasses.replace(
-        broken.workload, warmup_ns=broken.sim_time_ns)  # no window left
+def test_run_many_attempts_a_failing_point_exactly_once(monkeypatch):
+    """A point whose build fails fails the sweep, by index, unretried."""
+    build = runner._build_world
+
+    def build_all_but_seed_2(config):
+        if config.seed == 2:
+            raise ValueError("no world for seed 2")
+        return build(config)
+
+    # Pool workers fork from this process: they build through the patch.
+    monkeypatch.setattr(runner, "_build_world", build_all_but_seed_2)
     with pytest.raises(RuntimeError, match=(
             r"sweep point 1 failed after 1 attempt\(s\): "
-            r"ValueError: warmup .* leave no measurement window")):
-        run_many(configs, jobs=2)
+            r"ValueError: no world for seed 2")):
+        run_many(_configs(3, sim_ms=2), jobs=2)
     assert multiprocessing.active_children() == []
 
 

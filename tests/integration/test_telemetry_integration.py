@@ -1,5 +1,7 @@
 """Telemetry monitor attached through the experiment runner."""
 
+from dataclasses import replace
+
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.sim.units import MILLISECOND
@@ -12,8 +14,7 @@ def _cfg(system, **kwargs):
     defaults.update(kwargs)
     config = ExperimentConfig.bench_profile(system=system,
                                             transport="dctcp", **defaults)
-    config.telemetry_interval_ns = 2 * MILLISECOND
-    return config
+    return replace(config, telemetry_interval_ns=2 * MILLISECOND)
 
 
 def test_monitor_disabled_by_default():

@@ -42,7 +42,7 @@ def bench(workload=None, seed=1, sim_ms=5, **profile_kwargs):
         system="vertigo", transport="dctcp",
         sim_time_ns=sim_ms * MILLISECOND, seed=seed, **profile_kwargs)
     if workload is not None:
-        config.workload = workload
+        config = dataclasses.replace(config, workload=workload)
     return config
 
 

@@ -7,6 +7,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -205,6 +206,6 @@ def test_checkpoint_config_stays_out_of_config_digest():
     from repro.experiments.config import ExperimentConfig
     from repro.experiments.digest import config_digest
     plain = ExperimentConfig.bench_profile(seed=3)
-    ticked = ExperimentConfig.bench_profile(seed=3)
-    ticked.checkpoint = CheckpointConfig.every_ms(5)
+    ticked = replace(ExperimentConfig.bench_profile(seed=3),
+                     checkpoint=CheckpointConfig.every_ms(5))
     assert config_digest(plain) == config_digest(ticked)

@@ -1,5 +1,7 @@
 """ExperimentConfig and its derived parameters."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.config import (
@@ -14,9 +16,10 @@ from repro.experiments.runner import (
     derive_swift_target,
     resolve_transport_config,
 )
-from repro.net.builder import NetworkParams
+from repro.faults.spec import FaultSpec
+from repro.net.builder import NetworkParams, PfcConfig
 from repro.net.topology import FatTree
-from repro.sim.units import gbps, kb, usecs
+from repro.sim.units import MILLISECOND, gbps, kb, usecs
 from repro.workload.spec import BackgroundSpec, IncastSpec
 
 
@@ -123,3 +126,67 @@ def test_boost_factor_that_cannot_be_unrotated_fails_at_config_time(factor):
                                        boost_factor=factor, ordering=False)
     with pytest.raises(ValueError, match="power of two"):
         SystemConfig(boost_factor=factor)
+
+
+# -- a config that exists can run ------------------------------------------------
+
+BENCH = ExperimentConfig.bench_profile(sim_time_ns=10 * MILLISECOND)
+
+#: One change per rule a run depends on, each breaking that rule alone,
+#: and the message it is refused with.
+BROKEN = {
+    "transport": ({"transport_name": "foo"}, "unknown transport 'foo'"),
+    "sim-time-zero": ({"sim_time_ns": 0}, "sim_time_ns must be positive"),
+    "sim-time-negative": ({"sim_time_ns": -5},
+                          "sim_time_ns must be positive"),
+    "telemetry-zero": ({"telemetry_interval_ns": 0},
+                       "telemetry_interval_ns must be positive"),
+    "window": ({"workload": WorkloadConfig(warmup_ns=6 * MILLISECOND,
+                                           cooldown_ns=4 * MILLISECOND)},
+               "leave no measurement window"),
+    "hosts": ({"workload": WorkloadConfig((IncastSpec(load=0.1,
+                                                      scale=40),))},
+              "needs 41 hosts but the topology has 32"),
+    # What a fault injector refused when it was built.
+    "cables": ({"faults": (FaultSpec(kind="down", link=("leaf0", "spine9"),
+                                     at_ns=0),)},
+               "no cable between 'leaf0' and 'spine9'"),
+    # What the network builder refused.
+    "pfc-shared-buffer": (
+        {"pfc": PfcConfig(num_classes=2, priority_map=(0, 1)),
+         "network": dataclasses.replace(BENCH.network,
+                                        shared_buffer_alpha=1.0)},
+        "mutually exclusive"),
+}
+
+
+def _built(**changes):
+    """``BENCH`` with ``changes``, through the constructor."""
+    values = {field.name: getattr(BENCH, field.name)
+              for field in dataclasses.fields(BENCH)}
+    return ExperimentConfig(**{**values, **changes})
+
+
+@pytest.mark.parametrize("rule", BROKEN)
+def test_a_config_that_cannot_run_cannot_be_built(rule):
+    """Refused where it is built or replaced, before any run."""
+    changes, message = BROKEN[rule]
+    assert _built() == BENCH
+    with pytest.raises(ValueError, match=message):
+        _built(**changes)
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(BENCH, **changes)
+
+
+def test_a_config_is_frozen():
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        BENCH.seed = 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        BENCH.sim_time_ns = 0
+
+
+def test_window_is_what_warmup_and_cooldown_leave():
+    assert BENCH.window is None
+    trimmed = dataclasses.replace(BENCH, workload=WorkloadConfig(
+        warmup_ns=MILLISECOND, cooldown_ns=2 * MILLISECOND))
+    assert trimmed.window == (MILLISECOND, 8 * MILLISECOND)

@@ -22,6 +22,7 @@ sys.path.insert(0, os.path.join(ROOT, "benchmarks"))
 import figures  # noqa: E402
 from figures import (EXPERIMENTS_MD, Claim, Figure, Point,  # noqa: E402
                      bench_config, measure, render, split_result)
+from repro.experiments import runner  # noqa: E402
 from repro.experiments.digest import config_digest  # noqa: E402
 
 ROWS = [{"system": "ecmp", "load_pct": 85, "mean_qct_s": 0.06},
@@ -141,11 +142,19 @@ def test_equal_configs_built_apart_run_once(swept):
         .replace("tiny_twin", "tiny")
 
 
-def test_a_failed_point_is_a_placeholder_row_and_not_evaluable():
-    # A fan-in wider than the fabric: the point fails when it is built.
+def test_a_failed_point_is_a_placeholder_row_and_not_evaluable(monkeypatch):
+    # The DIBS point fails when its world is built (a pool worker forks
+    # from this process, so it builds through the patch too).
+    build = runner._build_world
+
+    def build_all_but_dibs(config):
+        if config.system.name == "dibs":
+            raise ValueError("no world for DIBS")
+        return build(config)
+
+    monkeypatch.setattr(runner, "_build_world", build_all_but_dibs)
     broken = Point(bench_config("dibs", sim_time_ns=5_000_000,
-                                incast_load=0.1, incast_scale=100),
-                   {"series": "DIBS"})
+                                incast_load=0.1), {"series": "DIBS"})
     figure = dataclasses.replace(
         TINY, points=[*TINY.points, broken],
         claims=[*TINY.claims,

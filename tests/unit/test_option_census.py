@@ -15,12 +15,13 @@ import dataclasses
 import inspect
 import pathlib
 import re
+import typing
 
 import pytest
 
 import repro
 from repro.checkpoint.config import CheckpointConfig
-from repro.cli import SUBCOMMANDS, main
+from repro.cli import SUBCOMMANDS, build_parser, main
 from repro.experiments.config import (
     ExperimentConfig,
     SystemConfig,
@@ -157,6 +158,39 @@ def test_design_doc_names_every_config_field():
     assert [f"{cls.__name__}.{name}"
             for cls, names in CONFIG_FIELDS.items() for name in names
             if f"`{name}`" not in section] == []
+
+
+def _reachable_dataclasses(root):
+    """``root`` and every ``repro`` dataclass its field types name, their
+    subclasses included, followed through ``Optional`` and ``Tuple``."""
+    seen, todo = set(), [root]
+    while todo:
+        hint = todo.pop()
+        args = typing.get_args(hint)
+        if args:
+            todo.extend(args)
+        elif isinstance(hint, type) and hint not in seen \
+                and hint.__module__.startswith("repro."):
+            seen.add(hint)
+            todo.extend(hint.__subclasses__())
+            if dataclasses.is_dataclass(hint):
+                todo.extend(typing.get_type_hints(hint).values())
+    return {cls for cls in seen if dataclasses.is_dataclass(cls)}
+
+
+def test_every_config_block_is_frozen():
+    """A config is a value: no block a run reads can change under it."""
+    reachable = _reachable_dataclasses(ExperimentConfig)
+    assert set(CONFIG_FIELDS) - {SupervisorPolicy} | {FaultSpec} \
+        | set(SPEC_FIELDS) <= reachable
+    assert sorted(cls.__name__ for cls in reachable
+                  if not cls.__dataclass_params__.frozen) == []
+
+
+def test_transport_choices_are_the_transports():
+    (action,) = [action for action in build_parser()._actions
+                 if "--transport" in action.option_strings]
+    assert action.choices == list(TRANSPORTS)
 
 
 def _names(fn):

@@ -1,5 +1,7 @@
 """RunReport: the unified result surface."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.config import ExperimentConfig
@@ -14,9 +16,9 @@ def result():
     config = ExperimentConfig.bench_profile(
         system="vertigo", transport="dctcp", bg_load=0.3,
         incast_load=0.1, incast_scale=4, sim_time_ns=10_000_000, seed=2)
-    config.telemetry_interval_ns = 1_000_000
-    config.trace = TraceConfig(level="flow", sample_period_ns=1_000_000)
-    return run_experiment(config)
+    return run_experiment(replace(
+        config, telemetry_interval_ns=1_000_000,
+        trace=TraceConfig(level="flow", sample_period_ns=1_000_000)))
 
 
 def test_report_row_matches_legacy_row(result):

@@ -89,7 +89,8 @@ def test_shared_buffer_network_runs():
     config = ExperimentConfig.bench_profile(
         system="ecmp", transport="dctcp", bg_load=0.1, incast_qps=60,
         incast_scale=6, incast_flow_bytes=5_000, sim_time_ns=30_000_000)
-    config.network = replace(config.network, shared_buffer_alpha=1.0)
+    config = replace(config, network=replace(config.network,
+                                             shared_buffer_alpha=1.0))
     result = run_experiment(config)
     assert result.metrics.counters.delivered > 0
     # One pool per switch, of one port buffer per port.
@@ -120,8 +121,8 @@ def test_shared_buffer_absorbs_bursts_better_than_static():
                 sim_time_ns=40_000_000)
     static = run_experiment(ExperimentConfig.bench_profile(**base))
     shared_cfg = ExperimentConfig.bench_profile(**base)
-    shared_cfg.network = replace(shared_cfg.network,
-                                 shared_buffer_alpha=2.0)
+    shared_cfg = replace(shared_cfg, network=replace(
+        shared_cfg.network, shared_buffer_alpha=2.0))
     shared = run_experiment(shared_cfg)
     assert shared.metrics.counters.total_drops \
         < static.metrics.counters.total_drops

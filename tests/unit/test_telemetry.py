@@ -1,6 +1,7 @@
 """Deflection-aware telemetry monitor (§5 extension)."""
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
@@ -72,8 +73,7 @@ def test_microburst_detected_in_live_vertigo_run():
         system="vertigo", transport="dctcp", bg_load=0.0, incast_qps=200,
         incast_scale=10, incast_flow_bytes=10_000,
         sim_time_ns=20 * MILLISECOND)
-    config.telemetry_interval_ns = MILLISECOND
-    result = run_experiment(config)
+    result = run_experiment(replace(config, telemetry_interval_ns=MILLISECOND))
     monitor = result.telemetry
     assert monitor is not None
     assert result.metrics.counters.deflections > 0

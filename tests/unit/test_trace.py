@@ -5,6 +5,7 @@ import collections
 import gc
 import pickle
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -220,9 +221,11 @@ def test_sampler_tick_lays_down_whole_records_of_all_four_sample_kinds():
     config = ExperimentConfig.bench_profile(
         system="ecmp", transport="dcqcn", bg_load=0.5, incast_load=0.25,
         sim_time_ns=MILLISECOND, seed=1)
-    config.pfc = PfcConfig(enabled=True, num_classes=2, priority_map=(0, 1))
-    config.fidelity = FidelityConfig(mode="hybrid")
-    config.trace = TraceConfig(level="flow", sample_period_ns=MILLISECOND)
+    config = replace(
+        config,
+        pfc=PfcConfig(enabled=True, num_classes=2, priority_map=(0, 1)),
+        fidelity=FidelityConfig(mode="hybrid"),
+        trace=TraceConfig(level="flow", sample_period_ns=MILLISECOND))
     with sanitize.scoped(True):
         world = runner._build_world(config)
         world.engine.run(until=MILLISECOND // 2)
@@ -304,7 +307,8 @@ def packet_traced_world():
     config = ExperimentConfig.bench_profile(
         system="vertigo", transport="dctcp", bg_load=0.5, incast_load=0.25,
         sim_time_ns=10 * MILLISECOND, seed=1)
-    config.trace = TraceConfig(level="packet", sample_period_ns=100_000)
+    config = replace(config, trace=TraceConfig(level="packet",
+                                                sample_period_ns=100_000))
     world = runner._build_world(config)
     with hooks.activated(world.tracer):
         world.engine.run(until=config.sim_time_ns)
@@ -346,7 +350,7 @@ def test_a_retained_record_costs_at_most_40_bytes():
         config = ExperimentConfig.bench_profile(
             system="vertigo", transport="dctcp", bg_load=0.5,
             incast_load=0.25, sim_time_ns=10 * MILLISECOND, seed=1)
-        config.trace = trace
+        config = replace(config, trace=trace)
         gc.collect()
         tracemalloc.start()
         try:
