@@ -130,9 +130,6 @@ class ExperimentConfig:
     #: down/up and corruption loss, applied deterministically during
     #: the run.  Empty = healthy fabric.
     faults: Tuple[FaultSpec, ...] = ()
-    #: Attach a deflection-aware telemetry monitor sampling at this
-    #: interval (§5 extension); None disables monitoring.
-    telemetry_interval_ns: Optional[int] = None
     #: Observability (:mod:`repro.trace`): record flow- or packet-level
     #: events and periodic samples during the run.  None (default) keeps
     #: every hook dormant — the traced-off hot path costs one module-
@@ -163,10 +160,6 @@ class ExperimentConfig:
         if self.sim_time_ns <= 0:
             raise ValueError(f"sim_time_ns must be positive, got "
                              f"{self.sim_time_ns}")
-        if self.telemetry_interval_ns is not None \
-                and self.telemetry_interval_ns <= 0:
-            raise ValueError(f"telemetry_interval_ns must be positive or "
-                             f"None, got {self.telemetry_interval_ns}")
         window = self.window
         if window is not None and window[0] >= window[1]:
             raise ValueError(

@@ -1,7 +1,7 @@
 """The unified result surface of a run: :class:`RunReport`.
 
 One documented object for everything a run produced — the paper's
-summary metrics, counters, telemetry, trace and fidelity/PFC sections —
+summary metrics, counters, trace and fidelity/PFC sections —
 that ``format_table``, the benchmark harness, and the CLI all consume.
 
 Schema (``to_dict()``), by section:
@@ -24,9 +24,10 @@ Schema (``to_dict()``), by section:
   recorded count are one fact, read off the same records; both keys
   stay because recorded ledger digests hash this schema.
 - ``drops`` — per-reason drop counters (sorted by reason).
-- ``telemetry`` — congestion-monitor section (``mean_utilization``,
-  ``microbursts``, ``persistent``, ``samples``) or None when no monitor
-  was attached.
+- ``telemetry`` — always None: no run attaches a live congestion
+  monitor (§5's timeline is a fold over a packet trace, see
+  ``examples/telemetry_monitoring.py``); the key stays because recorded
+  ledger digests hash this schema.
 - ``trace`` — observability section (``level``, ``events``, ``samples``,
   ``dropped_events``, ``dropped_samples``, per-kind ``counts``) or None
   when tracing was off.
@@ -76,7 +77,6 @@ class RunReport:
     summary: Dict[str, object]
     run: Dict[str, object]
     drops: List[tuple]
-    telemetry: Optional[Dict[str, object]] = None
     trace: Optional[Dict[str, object]] = None
     profile: Dict[str, float] = field(default_factory=dict)
     fidelity: Optional[Dict[str, object]] = None
@@ -129,9 +129,6 @@ class RunReport:
         if metrics.coflows:
             run["coflows_launched"] = result.coflows_launched
             run["coflows_recorded"] = len(metrics.coflows)
-        telemetry = None
-        if result.telemetry is not None:
-            telemetry = result.telemetry.section()
         trace = None
         if result.trace is not None:
             data = result.trace
@@ -145,7 +142,7 @@ class RunReport:
             }
         return cls(summary=summary, run=run,
                    drops=sorted(counters.drops.items()),
-                   telemetry=telemetry, trace=trace,
+                   trace=trace,
                    profile=dict(result.profile),
                    fidelity=(dict(result.fidelity)
                              if result.fidelity is not None else None),
@@ -166,7 +163,8 @@ class RunReport:
             "row": self.row(),
             "run": dict(self.run),
             "drops": [list(item) for item in self.drops],
-            "telemetry": dict(self.telemetry) if self.telemetry else None,
+            # Kept, always None: recorded ledger digests hash this dict.
+            "telemetry": None,
             "trace": dict(self.trace) if self.trace else None,
             "profile": dict(self.profile),
             "fidelity": dict(self.fidelity) if self.fidelity else None,

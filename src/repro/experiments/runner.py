@@ -191,7 +191,7 @@ class LiveRun:
     pickles.
 
     Everything reachable from here — engine calendar, network, host
-    stacks, transports, generators, RNG streams, telemetry, tracer — is
+    stacks, transports, generators, RNG streams, sampler, tracer — is
     captured in a single ``pickle.dumps``, so shared references (e.g.
     one RNG stream held by the registry and a policy) stay aliased on
     restore.  Wall-clock profiling lives *outside*, per process.
@@ -200,7 +200,7 @@ class LiveRun:
     def __init__(self, config: ExperimentConfig, engine: Engine,
                  rng: RngRegistry, metrics: MetricsCollector,
                  network: Network, pfc, fidelity, kernel: FlowKernel,
-                 telemetry, injector, sampler, tracer) -> None:
+                 injector, sampler, tracer) -> None:
         self.config = config
         self.engine = engine
         self.rng = rng
@@ -209,7 +209,6 @@ class LiveRun:
         self.pfc = pfc
         self.fidelity = fidelity
         self.kernel = kernel
-        self.telemetry = telemetry
         self.injector = injector
         self.sampler = sampler
         self.tracer = tracer
@@ -247,9 +246,6 @@ class RunResult:
     metrics: MetricsCollector
     network: Optional[Network]
     engine: Engine
-    #: The congestion monitor (``config.telemetry_interval_ns``),
-    #: detached from the live run, or None.
-    telemetry: Optional[object] = None
     #: Detached observability record (``config.trace`` enabled), or None.
     trace: Optional[TraceData] = None
     #: Wall seconds per run phase (build/run/finalize).  Nondeterministic
@@ -267,7 +263,7 @@ class RunResult:
     #: ``path``) when checkpointing was active; None otherwise.
     #: Execution metadata — never part of the run digest.
     checkpoint: Optional[Dict[str, object]] = None
-    #: One-time telemetry notices raised during the run (e.g. the
+    #: One-time notices raised during the run (e.g. the
     #: fidelity demotion-cascade counter).  Non-digest diagnostics.
     notices: Dict[str, object] = field(default_factory=dict)
 
@@ -294,8 +290,7 @@ class RunResult:
 
         Drops the live network (hosts and switches hold closures),
         snapshots the engine counters and copies the two dicts a caller
-        may write to; every other field is shared as is (the telemetry
-        monitor was detached from the live run at finalize).
+        may write to; every other field is shared as is.
         """
         return replace(
             self, network=None,
@@ -358,7 +353,7 @@ def run_experiment(config: ExperimentConfig) -> RunResult:
 def _build_world(config: ExperimentConfig) -> LiveRun:
     """Construct the full live simulation for ``config`` (build phase).
 
-    Each optional subsystem (tracer, PFC, fidelity, telemetry, faults)
+    Each optional subsystem (tracer, PFC, fidelity, faults, sampler)
     is imported where it is built: a run loads only the machinery its
     config turns on.
     """
@@ -427,14 +422,6 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
         host_rate_bps=network_params.host_rate_bps, rng=rng,
         until_ns=config.sim_time_ns))
 
-    telemetry = None
-    if config.telemetry_interval_ns is not None:
-        from repro.telemetry.monitor import TelemetryMonitor
-
-        telemetry = TelemetryMonitor(
-            engine, network, interval_ns=config.telemetry_interval_ns)
-        telemetry.start()
-
     injector = None
     if config.faults:
         from repro.faults.injector import FaultInjector
@@ -452,7 +439,7 @@ def _build_world(config: ExperimentConfig) -> LiveRun:
 
     return LiveRun(config=config, engine=engine, rng=rng, metrics=metrics,
                    network=network, pfc=pfc, fidelity=fidelity,
-                   kernel=kernel, telemetry=telemetry, injector=injector,
+                   kernel=kernel, injector=injector,
                    sampler=sampler, tracer=tracer)
 
 
@@ -510,11 +497,6 @@ def _finalize(world: LiveRun, profiler: PhaseProfiler,
     config = world.config
     engine = world.engine
     with profiler.phase("finalize"):
-        if world.telemetry is not None:
-            # Off the calendar, so its self-rescheduling tick cannot
-            # outlive the measured window, and off the live world, so
-            # the result carries the monitor itself.
-            world.telemetry.detach()
         if world.sampler is not None:
             world.sampler.stop()
 
@@ -542,7 +524,7 @@ def _finalize(world: LiveRun, profiler: PhaseProfiler,
                    "path": managed_path}
     return RunResult(
         config=config, metrics=world.metrics, network=world.network,
-        engine=engine, telemetry=world.telemetry, trace=trace_data,
+        engine=engine, trace=trace_data,
         profile=profiler.report(),
         fidelity=(fidelity.summary(engine.now)
                   if fidelity is not None else None),

@@ -55,16 +55,11 @@ class FaultInjector:
 
     def schedule(self) -> None:
         """Install every fault on the engine calendar (call before run)."""
-        now = self.engine.now
         ordered = sorted(enumerate(self.faults),
                          key=lambda pair: (pair[1].at_ns, pair[0]))
         for _, spec in ordered:
-            if spec.at_ns < now:
-                raise ValueError(
-                    f"fault {spec.describe()} is scheduled in the past "
-                    f"(now={now})")
-            self.engine.schedule(spec.at_ns - now, self._apply, spec,
-                                 priority=FAULT_PRIORITY)
+            self.engine.schedule_at(spec.at_ns, self._apply, spec,
+                                    priority=FAULT_PRIORITY)
 
     def _apply(self, spec: FaultSpec) -> None:
         network = self.network

@@ -31,7 +31,21 @@ from typing import Collection, Dict, List, Optional, Sequence, Tuple
 
 
 class Topology(abc.ABC):
-    """Structural description of a datacenter fabric."""
+    """Structural description of a datacenter fabric.
+
+    Two topologies are equal when they are of the same type and have the
+    same ``repr`` — the identity ``config_digest`` hashes.  A subclass
+    that keeps the default ``repr`` (which names the object's address)
+    therefore compares by identity.
+    """
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return repr(self) == repr(other)
+
+    def __hash__(self) -> int:
+        return hash(repr(self))
 
     @property
     @abc.abstractmethod

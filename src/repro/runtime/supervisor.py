@@ -64,7 +64,6 @@ import repro.forwarding.pabo
 import repro.forwarding.vertigo
 import repro.net.fidelity
 import repro.net.pfc
-import repro.telemetry.monitor
 import repro.trace.sampler
 import repro.trace.tracer
 import repro.workload.coflow

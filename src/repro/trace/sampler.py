@@ -31,25 +31,22 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycles
     from repro.trace.tracer import Tracer
 
 
-class PortTick:
-    """A periodic tick over every switch port of a network.
+class TraceSampler:
+    """Port/flow sampler bound to one traced run.
 
     The one port sampler: it owns the table of ports a tick walks and
     the per-port ``bytes_sent`` delta -> busy time -> utilization
     arithmetic, and fires through the engine's one self-rescheduling
-    mechanism (:meth:`~repro.sim.engine.Engine.schedule_every`), one
-    series per consumer at that consumer's own period.  Consumers
-    (:class:`TraceSampler`, the telemetry monitor) subclass it,
-    implement :meth:`_on_tick`, and pair :attr:`_ports` with
-    :meth:`_utilizations`.
+    mechanism (:meth:`~repro.sim.engine.Engine.schedule_every`).
     """
 
     def __init__(self, engine: "Engine", network: "Network",
-                 period_ns: int) -> None:
+                 tracer: "Tracer", period_ns: int) -> None:
         if period_ns <= 0:
             raise ValueError("sampling period must be positive")
         self.engine = engine
         self.network = network
+        self.tracer = tracer
         self.period_ns = period_ns
         #: One row per switch port, built by :meth:`start`: ``(switch
         #: name, port index, port, its queue, the queue's lanes or None)``.
@@ -80,10 +77,6 @@ class PortTick:
             self._ticks.stop()
             self._ticks = None
 
-    def _on_tick(self) -> None:
-        """One sample at ``engine.now``; schedules nothing."""
-        raise NotImplementedError
-
     def _utilizations(self) -> List[float]:
         """Link utilization over the last period for each row of
         :attr:`_ports`, advancing the byte baselines."""
@@ -99,15 +92,6 @@ class PortTick:
             utilizations.append(min(1.0, busy_ns / period))  # noqa: VR003
         self._last_bytes = sent_now
         return utilizations
-
-
-class TraceSampler(PortTick):
-    """Port/flow sampler bound to one traced run."""
-
-    def __init__(self, engine: "Engine", network: "Network",
-                 tracer: "Tracer", period_ns: int) -> None:
-        super().__init__(engine, network, period_ns)
-        self.tracer = tracer
 
     def _on_tick(self) -> None:
         now = self.engine.now

@@ -101,6 +101,19 @@ def seeded_rng(seed: int = 42) -> random.Random:
     return random.Random(seed)
 
 
+def example_module(name: str):
+    """``examples/<name>.py`` imported as a module (the examples are
+    scripts, not a package)."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "examples" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def rewrite_checkpoint_header(path, **changes) -> None:
     """Edit a checkpoint file's header fields in place; a ``None`` value
     deletes the field.  The payload bytes are left untouched."""

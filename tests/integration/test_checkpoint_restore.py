@@ -223,7 +223,7 @@ def test_pickled_world_keeps_every_attribute_of_every_object(fidelity):
     drops state: a mid-run world comes back from a pickle round trip
     with the same ``repro`` objects carrying the same attribute names."""
     config = dataclasses.replace(
-        _config(fidelity, sim_ms=10), telemetry_interval_ns=MILLISECOND,
+        _config(fidelity, sim_ms=10),
         trace=TraceConfig(level="flow", sample_period_ns=MILLISECOND),
         faults=parse_faults(["link:leaf0-spine1:down@1ms,up@8ms"]))
     world = runner._build_world(config)
@@ -234,10 +234,12 @@ def test_pickled_world_keeps_every_attribute_of_every_object(fidelity):
     before = _repro_objects(world)
     after = _repro_objects(pickle.loads(
         pickle.dumps(world, pickle.HIGHEST_PROTOCOL)))
-    assert sum(before.values()) > 1000
+    # The walk reaches the whole world (a hybrid one holds ~880 repro
+    # objects at this point, a packet one more).
+    assert sum(before.values()) > 800
     expected = {"LiveRun", "Engine", "Event", "Link", "Port", "Switch",
                 "Host", "DctcpSender", "FlowReceiver", "RngRegistry",
-                "FaultInjector", "TelemetryMonitor", "TraceSampler",
+                "FaultInjector", "TraceSampler",
                 "Tracer", "RecordLog", "MetricsCollector"}
     if fidelity == "hybrid":
         expected.add("FidelityController")

@@ -2,8 +2,8 @@
 
 Each is a subprocess from the repository root with ``src`` on the path;
 it must exit 0 and print the line that shows it did its job.  The
-telemetry example is also the one caller of
-``ExperimentConfig.telemetry_interval_ns``.
+telemetry example folds a packet-level trace into §5's congestion
+timeline.
 """
 
 import os

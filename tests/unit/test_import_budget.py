@@ -10,8 +10,8 @@ per-config part where it builds it: its own system's forwarding policy,
 Vertigo's marking and ordering components for a Vertigo stack only,
 each generator's module when a spec of its kind is built, the checkpoint
 store when checkpointing, the scheduler's check under the sanitizer, and
-the PFC and fidelity controllers, tracer, sampler, fault injector and
-telemetry monitor when turned on.  ``repro lint``, ``repro trace-view``
+the PFC and fidelity controllers, tracer, sampler and fault injector
+when turned on.  ``repro lint``, ``repro trace-view``
 and ``--help`` load no simulator module.  The sweep supervisor imports
 every per-config module up front, because pool workers fork from it:
 they would otherwise each compile what their point names.  Transports
@@ -50,7 +50,7 @@ REPO = Path(SRC).parent
 MACHINERY = ("concurrent.futures", "multiprocessing", "repro.runtime",
              "repro.trace.export", "repro.trace.tracer",
              "repro.trace.sampler", "repro.net.pfc", "repro.net.fidelity",
-             "repro.faults.injector", "repro.telemetry")
+             "repro.faults.injector")
 
 _REPORT = "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))\n"
 
@@ -69,13 +69,13 @@ NOT_IN_AN_ECMP_RUN = (
 PER_CONFIG = NOT_IN_AN_ECMP_RUN + (
     "repro.forwarding.ecmp", "repro.workload.incast", "repro.net.pfc",
     "repro.net.fidelity", "repro.trace.tracer", "repro.trace.sampler",
-    "repro.faults.injector", "repro.telemetry.monitor")
+    "repro.faults.injector")
 
 #: Packages no tool command (``lint``, ``trace-view``, ``--help``) loads.
 SIMULATOR = ("repro.sim", "repro.net", "repro.host", "repro.transport",
              "repro.forwarding", "repro.core", "repro.workload",
              "repro.metrics", "repro.experiments", "repro.checkpoint",
-             "repro.faults", "repro.runtime", "repro.telemetry")
+             "repro.faults", "repro.runtime")
 
 
 def _last_line(code: str):
@@ -213,7 +213,6 @@ with tempfile.TemporaryDirectory() as directory:
         pfc=PfcConfig(enabled=True, num_classes=2, priority_map=(0, 1)),
         trace=TraceConfig(level="packet", sample_period_ns=100_000),
         faults=parse_faults(["link:leaf0-spine1:down@200us,up@600us"]),
-        telemetry_interval_ns=100_000,
         workload=WorkloadConfig(parse_workloads(
             ["coflow:width=4,load=0.1", "duty_cycle:load=0.2,duty=0.5"])),
         checkpoint=CheckpointConfig(every_ns=500_000, directory=directory)))
@@ -332,6 +331,7 @@ def test_a_config_pickled_under_the_old_class_paths_keeps_its_digest():
         == (config.pfc, config.fidelity, config.trace, config.system)
     # The digest hashes repr(), which names no module: the value recorded
     # before the classes moved (re-pinned when repr lost the sanitize
-    # field, and when the eight fields only tests set became constants).
+    # field, when the eight fields only tests set became constants, and
+    # when it lost ``telemetry_interval_ns``).
     assert config_digest(loaded) == (
-        "7271a22ce0d1e8c03c2c17829b40bc36a8fa8b1c2da7a3c9aae1372f6c10f589")
+        "1a9ff7fd4b83b2c5a7abf0b85ede1bdff7ad060b8d76c94a5f8b2a8053e1ae57")

@@ -53,8 +53,8 @@ from tests.unit.test_transport_base import StubHost
 CONFIG_FIELDS = {
     ExperimentConfig: [
         "topology", "network", "system", "transport_name", "transport",
-        "workload", "sim_time_ns", "seed", "faults",
-        "telemetry_interval_ns", "trace", "fidelity", "pfc", "checkpoint"],
+        "workload", "sim_time_ns", "seed", "faults", "trace", "fidelity",
+        "pfc", "checkpoint"],
     NetworkParams: [
         "host_rate_bps", "fabric_rate_bps", "host_link_delay_ns",
         "fabric_link_delay_ns", "buffer_bytes", "ecn_threshold_bytes",
@@ -142,7 +142,7 @@ def test_config_fields_snapshot(cls):
 
 
 def test_config_field_total():
-    assert sum(len(names) for names in CONFIG_FIELDS.values()) == 56
+    assert sum(len(names) for names in CONFIG_FIELDS.values()) == 55
 
 
 def test_design_doc_names_every_config_field():
